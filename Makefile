@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-transport bench-obs bench-annotate bench-deploy bench-reopt bench-sample chaos chaos-failover chaos-reopt chaos-inspect chaos-sample soak check
+.PHONY: build test race vet fmt-check bench bench-json bench-transport bench-obs bench-annotate bench-deploy bench-reopt bench-sample chaos chaos-failover chaos-reopt chaos-inspect chaos-sample soak check
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,17 @@ chaos-sample:
 soak:
 	$(GO) test -race -count=1 -v -run 'TestSoak' ./internal/core/
 
+# What CI's lint job gates on: no file gofmt would rewrite.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
+
+# The benchmark record: four workloads, end-to-end and per-layer metrics,
+# every answer checked against the oracle (bench/README.md), then the diff
+# against the committed baseline.
+bench-json:
+	$(GO) run ./bench -runs 3 -out bench/out/BENCH.json
+	$(GO) run ./bench -diff bench/baseline/BENCH_12.json bench/out/BENCH.json
+
 # Full experiment regeneration (slow; see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=2h .
@@ -91,4 +102,4 @@ bench-reopt:
 bench-sample:
 	$(GO) test -run '^$$' -bench='BenchmarkSample' -benchtime=100x -count=1 ./internal/core/
 
-check: build vet test
+check: build vet fmt-check test

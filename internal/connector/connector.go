@@ -116,8 +116,8 @@ func (c *Connector) Query(ctx context.Context, sql string) (*engine.Result, erro
 }
 
 // QueryStream runs a SELECT and returns the result schema and streaming
-// iterator.
-func (c *Connector) QueryStream(ctx context.Context, sql string) (*sqltypes.Schema, engine.RowIter, error) {
+// batch iterator.
+func (c *Connector) QueryStream(ctx context.Context, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
 	return c.client.Query(reqCtx(ctx), c.Addr, c.Node, sql)
 }
 

@@ -54,8 +54,14 @@ func newDiffRig(t *testing.T, r *rand.Rand, opts core.Options) *diffRig {
 		keySpace := 5 + r.Intn(30)
 		rows := make([]sqltypes.Row, nRows)
 		for i := range rows {
+			// One key in ten is NULL: a join must drop those rows on every
+			// placement, whichever join algorithm the DBMS there picks.
+			k := sqltypes.NewInt(int64(r.Intn(keySpace)))
+			if r.Intn(10) == 0 {
+				k = sqltypes.Null
+			}
 			rows[i] = sqltypes.Row{
-				sqltypes.NewInt(int64(r.Intn(keySpace))),
+				k,
 				sqltypes.NewInt(int64(r.Intn(100))),
 				sqltypes.NewString(fmt.Sprintf("s%d", r.Intn(5))),
 			}

@@ -1,0 +1,385 @@
+package engine
+
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+	"testing"
+
+	"xdb/internal/sqltypes"
+)
+
+// Batch-boundary tests: every operator, over inputs that end just before,
+// on and just after a batch boundary, must answer what a naive
+// row-at-a-time evaluation answers. The naive side is the ref* helpers
+// below: nested Go loops over the loaded rows, no batches, no hashing.
+
+var boundarySizes = []int{0, 1, sqltypes.BatchRows - 1, sqltypes.BatchRows, sqltypes.BatchRows + 1, 2*sqltypes.BatchRows + 1}
+
+// Column positions of the generated tables.
+const (
+	colK = iota // join key: int, NULL now and then, repeats
+	colS        // join key: string, repeats
+	colF        // join key: ints and floats holding the same numbers
+	colV        // row number, unique
+	colG        // small group id
+)
+
+var boundarySchema = sqltypes.NewSchema(
+	sqltypes.Column{Name: "k", Type: sqltypes.TypeInt},
+	sqltypes.Column{Name: "s", Type: sqltypes.TypeString},
+	sqltypes.Column{Name: "f", Type: sqltypes.TypeFloat},
+	sqltypes.Column{Name: "v", Type: sqltypes.TypeInt},
+	sqltypes.Column{Name: "g", Type: sqltypes.TypeInt},
+)
+
+// boundaryRows generates n rows; salt shifts the patterns so that two
+// tables overlap without being equal.
+func boundaryRows(n, salt int) []sqltypes.Row {
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		j := i + salt
+		k := sqltypes.NewInt(int64(j % 97))
+		if j%13 == 5 {
+			k = sqltypes.Null
+		}
+		f := sqltypes.NewInt(int64(j % 50))
+		if j%2 == 1 {
+			f = sqltypes.NewFloat(float64(j % 50))
+		}
+		rows[i] = sqltypes.Row{k, sqltypes.NewString(fmt.Sprintf("s%d", j%89)), f, sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(j % 7))}
+	}
+	return rows
+}
+
+// boundaryEngine loads t1 (n rows), t2 (131 rows, the small side of the
+// joins) and u (n rows, a large build side).
+func boundaryEngine(t *testing.T, n int) (e *Engine, t1, t2 []sqltypes.Row) {
+	t.Helper()
+	e = New(Config{Name: "b", Vendor: VendorTest})
+	t1, t2 = boundaryRows(n, 0), boundaryRows(131, 3)
+	for name, rows := range map[string][]sqltypes.Row{"t1": t1, "t2": t2, "u": t1} {
+		if err := e.LoadTable(name, boundarySchema, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e, t1, t2
+}
+
+// sqlEq is SQL equality: never true for NULL.
+func sqlEq(a, b sqltypes.Value) bool {
+	return !a.IsNull() && !b.IsNull() && sqltypes.Equal(a, b)
+}
+
+func pick(r sqltypes.Row, cols ...int) sqltypes.Row {
+	out := make(sqltypes.Row, len(cols))
+	for i, c := range cols {
+		out[i] = r[c]
+	}
+	return out
+}
+
+func refFilter(rows []sqltypes.Row, keep func(sqltypes.Row) bool, out func(sqltypes.Row) sqltypes.Row) []sqltypes.Row {
+	var res []sqltypes.Row
+	for _, r := range rows {
+		if keep(r) {
+			res = append(res, out(r))
+		}
+	}
+	return res
+}
+
+func refJoin(l, r []sqltypes.Row, on func(l, r sqltypes.Row) bool, out func(l, r sqltypes.Row) sqltypes.Row) []sqltypes.Row {
+	var res []sqltypes.Row
+	for _, a := range l {
+		for _, b := range r {
+			if on(a, b) {
+				res = append(res, out(a, b))
+			}
+		}
+	}
+	return res
+}
+
+// refGroup aggregates row by row: per group (in order of first
+// appearance) COUNT(*), SUM(v), and COUNT(DISTINCT k).
+func refGroup(rows []sqltypes.Row, keyCols ...int) []sqltypes.Row {
+	type acc struct {
+		key   sqltypes.Row
+		count int64
+		sum   int64
+		ks    map[int64]bool
+	}
+	var order []*acc
+	byKey := map[string]*acc{}
+	for _, r := range rows {
+		key := pick(r, keyCols...)
+		a := byKey[rowKey(key)]
+		if a == nil {
+			a = &acc{key: key, ks: map[int64]bool{}}
+			byKey[rowKey(key)] = a
+			order = append(order, a)
+		}
+		a.count++
+		a.sum += r[colV].I
+		if !r[colK].IsNull() {
+			a.ks[r[colK].I] = true
+		}
+	}
+	var res []sqltypes.Row
+	for _, a := range order {
+		sum := sqltypes.NewInt(a.sum)
+		res = append(res, append(a.key, sqltypes.NewInt(a.count), sum, sqltypes.NewInt(int64(len(a.ks)))))
+	}
+	return res
+}
+
+// rowKey renders a row with its value types, so 3 and 3.0 differ.
+func rowKey(r sqltypes.Row) string {
+	var b strings.Builder
+	for _, v := range r {
+		fmt.Fprintf(&b, "%d:%s|", v.T, v)
+	}
+	return b.String()
+}
+
+func rowKeys(rows []sqltypes.Row) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = rowKey(r)
+	}
+	return keys
+}
+
+// expectRows compares in order; expectBag as multisets (a join's output
+// order depends on which side the planner builds on).
+func expectRows(t *testing.T, what string, got, want []sqltypes.Row) {
+	t.Helper()
+	g, w := rowKeys(got), rowKeys(want)
+	if len(g) != len(w) {
+		t.Errorf("%s: %d rows, want %d", what, len(g), len(w))
+		return
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Errorf("%s: row %d = %s, want %s", what, i, g[i], w[i])
+			return
+		}
+	}
+}
+
+func expectBag(t *testing.T, what string, got, want []sqltypes.Row) {
+	t.Helper()
+	g, w := rowKeys(got), rowKeys(want)
+	sort.Strings(g)
+	sort.Strings(w)
+	if len(g) != len(w) {
+		t.Errorf("%s: %d rows, want %d", what, len(g), len(w))
+		return
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Errorf("%s: sorted row %d = %s, want %s", what, i, g[i], w[i])
+			return
+		}
+	}
+}
+
+func TestBatchBoundaries(t *testing.T) {
+	for _, n := range boundarySizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			e, t1, t2 := boundaryEngine(t, n)
+			run := func(sql string) []sqltypes.Row {
+				t.Helper()
+				res, err := e.QueryAll(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				return res.Rows
+			}
+			all := func(sqltypes.Row) bool { return true }
+			vw := func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], r[colV]} }
+
+			expectRows(t, "scan", run("SELECT * FROM t1"), t1)
+			expectRows(t, "filter",
+				run("SELECT v, s FROM t1 WHERE g < 3 AND v >= 5"),
+				refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I < 3 && r[colV].I >= 5 },
+					func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
+
+			for _, j := range []struct {
+				name, cond string
+				on         func(l, r sqltypes.Row) bool
+			}{
+				{"int key", "t1.k = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
+				{"string key", "t1.s = t2.s", func(l, r sqltypes.Row) bool { return sqlEq(l[colS], r[colS]) }},
+				{"int/float key", "t1.f = t2.f", func(l, r sqltypes.Row) bool { return sqlEq(l[colF], r[colF]) }},
+				{"two keys", "t1.k = t2.k AND t1.s = t2.s", func(l, r sqltypes.Row) bool {
+					return sqlEq(l[colK], r[colK]) && sqlEq(l[colS], r[colS])
+				}},
+				{"residual", "t1.k = t2.k AND t1.v > t2.v + 40", func(l, r sqltypes.Row) bool {
+					return sqlEq(l[colK], r[colK]) && l[colV].I > r[colV].I+40
+				}},
+				{"nested loop", "t1.k + 0 = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
+			} {
+				expectBag(t, "join, "+j.name,
+					run("SELECT t1.v, t2.v FROM t1, t2 WHERE "+j.cond), refJoin(t1, t2, j.on, vw))
+			}
+			// A build side as large as the probe side.
+			expectBag(t, "join, large build",
+				run("SELECT a.v, b.g FROM t1 a, u b WHERE a.v = b.v"),
+				refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) }))
+
+			expectRows(t, "aggregate, no keys",
+				run("SELECT COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1"),
+				func() []sqltypes.Row {
+					if n == 0 { // one group even over no rows; SUM of nothing is NULL
+						return []sqltypes.Row{{sqltypes.NewInt(0), sqltypes.Null, sqltypes.NewInt(0)}}
+					}
+					return refGroup(t1)
+				}())
+			expectRows(t, "aggregate, one key",
+				run("SELECT g, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY g"), refGroup(t1, colG))
+			expectRows(t, "aggregate, many groups",
+				run("SELECT k, s, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY k, s"), refGroup(t1, colK, colS))
+
+			sorted := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
+			sort.SliceStable(sorted, func(i, j int) bool {
+				if sorted[i][1].I != sorted[j][1].I {
+					return sorted[i][1].I > sorted[j][1].I
+				}
+				return sorted[i][0].I < sorted[j][0].I
+			})
+			expectRows(t, "sort", run("SELECT v, g FROM t1 ORDER BY g DESC, v"), sorted)
+			expectRows(t, "sort+limit", run("SELECT v, g FROM t1 ORDER BY g DESC, v LIMIT 10"), sorted[:min(10, n)])
+
+			seen := map[string]bool{}
+			expectRows(t, "distinct", run("SELECT DISTINCT g, k FROM t1"),
+				refFilter(t1, func(r sqltypes.Row) bool {
+					key := rowKey(pick(r, colG, colK))
+					dup := seen[key]
+					seen[key] = true
+					return !dup
+				}, func(r sqltypes.Row) sqltypes.Row { return pick(r, colG, colK) }))
+
+			unsorted := refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I != 0 },
+				func(r sqltypes.Row) sqltypes.Row { return pick(r, colV) })
+			expectRows(t, "limit without order",
+				run("SELECT v FROM t1 WHERE g <> 0 LIMIT 1030"), unsorted[:min(1030, len(unsorted))])
+		})
+	}
+}
+
+// TestHashJoinNullKeysMatchNestedLoop: NULL = NULL is not true, whichever
+// join algorithm evaluates it. The hash join used to pair NULL keys with
+// each other, so the answer depended on the placement's join choice.
+func TestHashJoinNullKeysMatchNestedLoop(t *testing.T) {
+	e := New(Config{Name: "n", Vendor: VendorTest})
+	rows := []sqltypes.Row{{sqltypes.Null}, {sqltypes.NewInt(1)}}
+	for _, tbl := range []struct{ name, col string }{{"t1", "a"}, {"t2", "b"}} {
+		schema := sqltypes.NewSchema(sqltypes.Column{Name: tbl.col, Type: sqltypes.TypeInt})
+		if err := e.LoadTable(tbl.name, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT a, b FROM t1, t2 WHERE a = b",     // hash join
+		"SELECT a, b FROM t1, t2 WHERE a + 0 = b", // nested loop
+	} {
+		info, err := e.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.QueryAll(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectRows(t, sql+"\n"+info.Text, res.Rows, []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}})
+	}
+}
+
+// slabRemote is a foreign data wrapper whose streams behave like the
+// wire client's: every batch is carved from one slab that the next call
+// overwrites unless the consumer took ownership.
+type slabRemote struct{ rows []sqltypes.Row }
+
+type slabIter struct {
+	rows  []sqltypes.Row
+	batch sqltypes.Batch
+}
+
+func (s *slabIter) Next() (*sqltypes.Batch, error) {
+	if len(s.rows) == 0 {
+		return nil, io.EOF
+	}
+	n := min(len(s.rows), 700) // not a divisor of BatchRows: boundaries drift
+	s.batch.Reset()
+	for _, r := range s.rows[:n] {
+		copy(s.batch.NewRow(len(r)), r)
+	}
+	s.rows = s.rows[n:]
+	return &s.batch, nil
+}
+
+func (s *slabIter) Close() error { return nil }
+
+func (r *slabRemote) QueryRemote(*Server, string) (*sqltypes.Schema, BatchIter, error) {
+	return boundarySchema, &slabIter{rows: r.rows}, nil
+}
+
+func (r *slabRemote) StatsRemote(*Server, string) (*TableStats, error) {
+	return &TableStats{RowCount: int64(len(r.rows)), AvgRowBytes: 40}, nil
+}
+
+// TestRetainedRowsSurviveSlabReuse: every consumer that keeps rows past
+// its producer's next call — hash build, sort, a materialized foreign
+// table, CREATE TABLE AS, Drain — must own them. The producer here reuses
+// its slab, so a consumer that kept bare views would read later rows'
+// values in earlier rows' places.
+func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
+	remote := boundaryRows(2500, 0)
+	e := New(Config{Name: "o", Vendor: VendorTest, Remote: &slabRemote{rows: remote}})
+	if err := e.LoadTable("big", boundarySchema, boundaryRows(6000, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{
+		"CREATE SERVER s FOREIGN DATA WRAPPER xdb OPTIONS (host 'h', port '1')",
+		"CREATE FOREIGN TABLE f (k BIGINT, s TEXT, f DOUBLE, v BIGINT, g BIGINT) SERVER s OPTIONS (table_name 'r')",
+		"CREATE FOREIGN TABLE fm (k BIGINT, s TEXT, f DOUBLE, v BIGINT, g BIGINT) SERVER s OPTIONS (table_name 'r', materialize 'true')",
+		"CREATE TABLE c AS SELECT * FROM f",
+	} {
+		if err := e.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	run := func(sql string) []sqltypes.Row {
+		t.Helper()
+		res, err := e.QueryAll(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Rows
+	}
+	expectRows(t, "Drain", run("SELECT * FROM f"), remote)
+	expectRows(t, "CREATE TABLE AS", run("SELECT * FROM c"), remote)
+	expectRows(t, "materialized, first scan", run("SELECT * FROM fm"), remote)
+	expectRows(t, "materialized, second scan", run("SELECT * FROM fm"), remote)
+
+	byV := append([]sqltypes.Row(nil), remote...)
+	sort.SliceStable(byV, func(i, j int) bool { return byV[i][colV].I > byV[j][colV].I })
+	expectRows(t, "sort", run("SELECT * FROM f ORDER BY v DESC"), byV)
+
+	// f is the smaller input, so it is the build side; the join reads its
+	// strings back out of the rows the build kept. A selective filter in
+	// between makes the build keep a compacted copy instead of the slab.
+	for _, where := range []string{"", " AND f.g = 3"} {
+		info, err := e.Explain("SELECT big.v, f.s FROM big, f WHERE big.v = f.v" + where)
+		if err != nil || !strings.Contains(info.Text, "HashJoin") {
+			t.Fatalf("plan: %v, %v", info, err)
+		}
+		expectRows(t, "hash build"+where,
+			run("SELECT big.v, f.s FROM big, f WHERE big.v = f.v"+where),
+			refFilter(remote, func(r sqltypes.Row) bool { return where == "" || r[colG].I == 3 },
+				func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
+	}
+}

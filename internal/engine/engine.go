@@ -25,9 +25,9 @@ import (
 // in-process fakes.
 type RemoteQuerier interface {
 	// QueryRemote runs sql on the server and returns the result schema
-	// and a streaming iterator. The iterator's Close must release the
-	// underlying connection.
-	QueryRemote(srv *Server, sql string) (*sqltypes.Schema, RowIter, error)
+	// and a streaming batch iterator. The iterator's Close must release
+	// the underlying connection.
+	QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error)
 	// StatsRemote fetches table statistics from the server.
 	StatsRemote(srv *Server, table string) (*TableStats, error)
 }
@@ -122,7 +122,7 @@ type Result struct {
 // Query plans and executes a SELECT, returning a streaming iterator and the
 // result schema. The iterator starts the vendor's startup latency clock on
 // first use.
-func (e *Engine) Query(sql string) (*sqltypes.Schema, RowIter, error) {
+func (e *Engine) Query(sql string) (*sqltypes.Schema, BatchIter, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, nil, err
@@ -135,7 +135,7 @@ func (e *Engine) Query(sql string) (*sqltypes.Schema, RowIter, error) {
 }
 
 // QuerySelect is Query for a pre-parsed statement.
-func (e *Engine) QuerySelect(sel *sqlparser.Select) (*sqltypes.Schema, RowIter, error) {
+func (e *Engine) QuerySelect(sel *sqlparser.Select) (*sqltypes.Schema, BatchIter, error) {
 	node, err := e.planSelect(sel)
 	if err != nil {
 		return nil, nil, err

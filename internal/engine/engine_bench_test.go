@@ -8,7 +8,7 @@ import (
 )
 
 // Component microbenchmarks for the engine substrate: scan, filter, hash
-// join, and aggregation throughput on the volcano executor.
+// join, and aggregation throughput on the batch executor.
 
 func benchEngine(b *testing.B, rows int) *Engine {
 	b.Helper()

@@ -571,14 +571,14 @@ func TestStreamingQueryIterator(t *testing.T) {
 	defer it.Close()
 	n := 0
 	for {
-		_, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		n += len(b.Rows)
 	}
 	if n != 100 {
 		t.Fatalf("streamed %d rows", n)
@@ -654,9 +654,9 @@ type fakeRemote struct {
 	lastSQL string
 }
 
-func (f *fakeRemote) QueryRemote(srv *Server, sql string) (*sqltypes.Schema, RowIter, error) {
+func (f *fakeRemote) QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error) {
 	f.lastSQL = sql
-	return f.schema, &sliceIter{rows: f.rows}, nil
+	return f.schema, &scanIter{rows: f.rows}, nil
 }
 
 func (f *fakeRemote) StatsRemote(srv *Server, table string) (*TableStats, error) {

@@ -1,266 +1,407 @@
 package engine
 
 import (
-	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
 
-// RowIter is the volcano iterator every operator implements. Next returns
-// io.EOF after the last row. Iterators are single-use and not safe for
+// BatchIter is the pull interface every operator implements: one call
+// moves up to sqltypes.BatchRows rows. Next returns a non-empty batch, or
+// io.EOF after the last one. The batch is the producer's: it and the rows
+// it carries are valid until the following Next or Close, and until then
+// the caller may reorder or truncate batch.Rows in place; rows kept longer
+// go through Batch.AppendOwned. Iterators are single-use and not safe for
 // concurrent use; Close releases any resources (remote connections for
 // foreign scans) and must be called exactly once.
-type RowIter interface {
-	Next() (sqltypes.Row, error)
+type BatchIter interface {
+	Next() (*sqltypes.Batch, error)
 	Close() error
 }
 
-// sliceIter iterates an in-memory row slice.
-type sliceIter struct {
-	rows []sqltypes.Row
-	pos  int
-}
-
-func (s *sliceIter) Next() (sqltypes.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-func (s *sliceIter) Close() error { return nil }
-
-// Drain consumes an iterator into a slice and closes it.
-func Drain(it RowIter) ([]sqltypes.Row, error) {
+// Drain consumes an iterator into a slice of rows it owns and closes it.
+func Drain(it BatchIter) ([]sqltypes.Row, error) {
 	defer it.Close()
 	var out []sqltypes.Row
 	for {
-		r, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		out = b.AppendOwned(out)
 	}
 }
 
-// scanIter scans a base table with an optional pre-compiled filter and the
-// vendor CPU throttle.
+// rowsIter emits rows an operator materialized and owns (a sort, an
+// aggregate, a constant SELECT). Each batch aliases the next run of the
+// slice, so nothing is copied.
+type rowsIter struct {
+	rows  []sqltypes.Row
+	batch sqltypes.Batch
+}
+
+func (s *rowsIter) Next() (*sqltypes.Batch, error) {
+	if len(s.rows) == 0 {
+		return nil, io.EOF
+	}
+	n := min(len(s.rows), sqltypes.BatchRows)
+	s.batch.Rows, s.rows = s.rows[:n:n], s.rows[n:]
+	return &s.batch, nil
+}
+
+func (s *rowsIter) Close() error { return nil }
+
+// scanIter scans stored rows (a base table, a materialized foreign table)
+// under the vendor CPU throttle. The rows are shared with every other
+// query, so each batch gets a copy of the row headers that downstream
+// operators may compact in place; the values are never copied.
 type scanIter struct {
 	rows     []sqltypes.Row
-	pos      int
-	filter   compiledExpr
 	throttle cpuThrottle
+	batch    sqltypes.Batch
 }
 
-func (s *scanIter) Next() (sqltypes.Row, error) {
-	for s.pos < len(s.rows) {
-		r := s.rows[s.pos]
-		s.pos++
-		s.throttle.charge(1)
-		if s.filter != nil {
-			v, err := s.filter(r)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Bool() {
-				continue
-			}
-		}
-		return r, nil
+func (s *scanIter) Next() (*sqltypes.Batch, error) {
+	if len(s.rows) == 0 {
+		s.throttle.flush()
+		return nil, io.EOF
 	}
-	s.throttle.flush()
-	return nil, io.EOF
+	n := min(len(s.rows), sqltypes.BatchRows)
+	s.batch.Rows = append(s.batch.Rows[:0], s.rows[:n]...)
+	s.rows = s.rows[n:]
+	s.throttle.charge(int64(n))
+	return &s.batch, nil
 }
 
 func (s *scanIter) Close() error { return nil }
 
-// filterIter applies a predicate to an input iterator.
+// filterIter keeps the rows of each input batch that satisfy the
+// predicate, compacting the batch in place.
 type filterIter struct {
-	in   RowIter
-	pred compiledExpr
+	in   BatchIter
+	pred compiledPred
 }
 
-func (f *filterIter) Next() (sqltypes.Row, error) {
+func (f *filterIter) Next() (*sqltypes.Batch, error) {
 	for {
-		r, err := f.in.Next()
+		b, err := f.in.Next()
 		if err != nil {
 			return nil, err
 		}
-		v, err := f.pred(r)
-		if err != nil {
-			return nil, err
+		kept := b.Rows[:0]
+		for _, r := range b.Rows {
+			ok, err := f.pred(r)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				kept = append(kept, r)
+			}
 		}
-		if v.Bool() {
-			return r, nil
+		if len(kept) > 0 {
+			b.Rows = kept
+			return b, nil
 		}
 	}
 }
 
 func (f *filterIter) Close() error { return f.in.Close() }
 
-// projectIter evaluates output expressions per input row.
+// projectIter evaluates the output expressions over each input batch into
+// rows of its own slab. cols is set when every expression is a bare
+// column, which turns evaluation into a gather.
 type projectIter struct {
-	in    RowIter
+	in    BatchIter
 	exprs []compiledExpr
+	cols  []int
+	out   sqltypes.Batch
 }
 
-func (p *projectIter) Next() (sqltypes.Row, error) {
-	r, err := p.in.Next()
+func (p *projectIter) Next() (*sqltypes.Batch, error) {
+	b, err := p.in.Next()
 	if err != nil {
 		return nil, err
 	}
-	out := make(sqltypes.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		out[i], err = e(r)
-		if err != nil {
-			return nil, err
+	p.out.Reset()
+	p.out.Grow(len(b.Rows) * len(p.exprs))
+	for _, r := range b.Rows {
+		o := p.out.NewRow(len(p.exprs))
+		if p.cols != nil {
+			for i, c := range p.cols {
+				o[i] = r[c]
+			}
+			continue
+		}
+		for i, e := range p.exprs {
+			if o[i], err = e(r); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return out, nil
+	return &p.out, nil
 }
 
 func (p *projectIter) Close() error { return p.in.Close() }
 
-// hashJoinIter is an equi hash join: the right (build) input is fully
-// consumed into a hash table on open, then the left (probe) input streams.
-// Streaming the probe side is what makes implicit (pipelined) data movement
-// between DBMSes effective: a foreign scan on the probe side never
-// materializes.
-type hashJoinIter struct {
-	probe     RowIter
-	buildRows map[uint64][]sqltypes.Row
-	probeKeys []int
-	buildKeys []int
-	residual  compiledExpr // evaluated on the concatenated row; may be nil
-	throttle  cpuThrottle
-	// current probe row and pending matches
-	cur     sqltypes.Row
-	matches []sqltypes.Row
-	midx    int
+// joinOutput is what a join does with a candidate pair of rows: evaluate
+// the residual on probe||build, and emit the columns the plan above reads
+// — probeCols of the probe row, then buildCols of the build row.
+type joinOutput struct {
+	residual  compiledPred // nil when there is none
+	probeCols []int
+	buildCols []int
+	scratch   sqltypes.Row // probe||build, reused; kept current only for a residual
+	out       sqltypes.Batch
 }
 
-func newHashJoin(probe RowIter, build RowIter, probeKeys, buildKeys []int, residual compiledExpr, nsPerRow int64) (*hashJoinIter, error) {
-	ht := make(map[uint64][]sqltypes.Row)
-	throttle := cpuThrottle{nsPerRow: nsPerRow}
+// expect sizes the first output slab for the planner's row estimate, so a
+// join that fills its batches does not grow there by doubling.
+func (o *joinOutput) expect(est float64) {
+	o.out.Grow(int(min(est, sqltypes.BatchRows)) * (len(o.probeCols) + len(o.buildCols)))
+}
+
+// setProbe loads the probe row of the pairs to come.
+func (o *joinOutput) setProbe(p sqltypes.Row) {
+	if o.residual != nil {
+		o.scratch = append(o.scratch[:0], p...)
+	}
+}
+
+// emit appends the pair's output row if the residual accepts the pair.
+func (o *joinOutput) emit(p, b sqltypes.Row) error {
+	if o.residual != nil {
+		o.scratch = append(o.scratch[:len(p)], b...)
+		ok, err := o.residual(o.scratch)
+		if err != nil || !ok {
+			return err
+		}
+	}
+	row := o.out.NewRow(len(o.probeCols) + len(o.buildCols))
+	for i, c := range o.probeCols {
+		row[i] = p[c]
+	}
+	row = row[len(o.probeCols):]
+	for i, c := range o.buildCols {
+		row[i] = b[c]
+	}
+	return nil
+}
+
+func (o *joinOutput) full() bool { return len(o.out.Rows) >= sqltypes.BatchRows }
+
+// joinTable is the build side of a join: the rows, chained per bucket in
+// arrival order (so matches come out in the order they went in). Indexes
+// are 1-based; 0 ends a chain. Without keys every row hashes alike and the
+// one chain is the whole input: a nested loop.
+type joinTable struct {
+	rows  []sqltypes.Row
+	keys  []int
+	heads []int32
+	next  []int32
+	shift uint
+	// A single key column holding only Int and Date values is looked up
+	// by its int64 payload; anything else by Hash and Equal, which keep
+	// int 3 = float 3.0.
+	intKeyed bool
+	ints     []int64
+	hashes   []uint64
+}
+
+// intFamily reports whether the value compares by its I payload.
+func intFamily(v sqltypes.Value) bool {
+	return v.T == sqltypes.TypeInt || v.T == sqltypes.TypeDate
+}
+
+// hasNull reports whether any key column of the row is NULL. SQL equality
+// never holds for NULL, so such rows join nothing.
+func hasNull(r sqltypes.Row, keys []int) bool {
+	for _, k := range keys {
+		if r[k].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// newJoinTable consumes the build input. Hashing a row is a unit of work;
+// merely storing it for a nested loop is not.
+func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTable, error) {
 	defer build.Close()
+	t := &joinTable{keys: keys, intKeyed: len(keys) == 1}
 	for {
-		r, err := build.Next()
+		b, err := build.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		throttle.charge(1)
-		h := sqltypes.HashRow(r, buildKeys)
-		ht[h] = append(ht[h], r)
+		if len(keys) > 0 {
+			throttle.charge(int64(len(b.Rows)))
+		}
+		kept := b.Rows[:0]
+		for _, r := range b.Rows {
+			if hasNull(r, keys) {
+				continue
+			}
+			kept = append(kept, r)
+			t.intKeyed = t.intKeyed && intFamily(r[keys[0]])
+		}
+		b.Rows = kept
+		t.rows = b.AppendOwned(t.rows)
 	}
-	return &hashJoinIter{
-		probe: probe, buildRows: ht, probeKeys: probeKeys, buildKeys: buildKeys,
-		residual: residual, throttle: throttle,
-	}, nil
+	t.index()
+	return t, nil
 }
 
-func (j *hashJoinIter) Next() (sqltypes.Row, error) {
-	for {
-		for j.midx < len(j.matches) {
-			b := j.matches[j.midx]
-			j.midx++
-			if !sqltypes.RowsEqualOn(j.cur, j.probeKeys, b, j.buildKeys) {
-				continue // hash collision
-			}
-			out := make(sqltypes.Row, 0, len(j.cur)+len(b))
-			out = append(out, j.cur...)
-			out = append(out, b...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Bool() {
-					continue
-				}
-			}
-			return out, nil
+// index builds the buckets for the current key mode.
+func (t *joinTable) index() {
+	n := len(t.rows)
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	t.shift = 64 - bits
+	t.heads = make([]int32, 1<<bits)
+	t.next = make([]int32, n)
+	if t.intKeyed {
+		t.ints = make([]int64, n)
+	} else {
+		t.ints, t.hashes = nil, make([]uint64, n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		var h uint64
+		if t.intKeyed {
+			t.ints[i] = t.rows[i][t.keys[0]].I
+			h = intHash(t.ints[i])
+		} else {
+			h = sqltypes.HashRow(t.rows[i], t.keys)
+			t.hashes[i] = h
 		}
-		r, err := j.probe.Next()
-		if err == io.EOF {
-			j.throttle.flush()
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		j.throttle.charge(1)
-		j.cur = r
-		j.matches = j.buildRows[sqltypes.HashRow(r, j.probeKeys)]
-		j.midx = 0
+		t.next[i] = t.heads[h>>t.shift]
+		t.heads[h>>t.shift] = int32(i + 1)
 	}
 }
 
-func (j *hashJoinIter) Close() error { return j.probe.Close() }
+// intHash spreads an int64 key over the table with one multiply (the
+// buckets are picked from the top bits).
+func intHash(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
 
-// nestedLoopIter joins without equi keys: the right input is materialized
-// and the condition evaluated on every pair.
-type nestedLoopIter struct {
-	left     RowIter
-	right    []sqltypes.Row
-	cond     compiledExpr // may be nil (cross join)
+// joinIter joins a streamed probe input with a build input consumed into a
+// joinTable on open: an equi hash join, or with no keys a nested loop over
+// the materialized build side with the condition left to the residual.
+// Streaming the probe side is what makes implicit (pipelined) data
+// movement between DBMSes effective: a foreign scan on the probe side never
+// materializes.
+type joinIter struct {
+	probe     BatchIter
+	table     *joinTable
+	probeKeys []int
+	joinOutput
 	throttle cpuThrottle
-	cur      sqltypes.Row
-	ridx     int
+	perProbe int64 // work per probe row: one lookup, or one pairing per build row
+
+	in   *sqltypes.Batch // current probe batch
+	pos  int             // next row of in
+	cur  sqltypes.Row    // probe row whose chain is being walked
+	curI int64           // its key (int-keyed table)
+	curH uint64          // its hash (general table)
+	m    int32           // next candidate of cur's chain
+	done bool
 }
 
-func newNestedLoop(left, right RowIter, cond compiledExpr, nsPerRow int64) (*nestedLoopIter, error) {
-	rows, err := Drain(right)
-	if err != nil {
+func newJoin(probe, build BatchIter, probeKeys, buildKeys []int, out joinOutput, est float64, nsPerRow int64) (*joinIter, error) {
+	out.expect(est)
+	j := &joinIter{probe: probe, probeKeys: probeKeys, joinOutput: out, throttle: cpuThrottle{nsPerRow: nsPerRow}, perProbe: 1}
+	var err error
+	if j.table, err = newJoinTable(build, buildKeys, &j.throttle); err != nil {
+		probe.Close()
 		return nil, err
 	}
-	return &nestedLoopIter{left: left, right: rows, cond: cond, ridx: len(rows), throttle: cpuThrottle{nsPerRow: nsPerRow}}, nil
+	if len(buildKeys) == 0 {
+		j.perProbe = int64(len(j.table.rows))
+	}
+	return j, nil
 }
 
-func (n *nestedLoopIter) Next() (sqltypes.Row, error) {
-	for {
-		for n.ridx < len(n.right) {
-			b := n.right[n.ridx]
-			n.ridx++
-			n.throttle.charge(1)
-			out := make(sqltypes.Row, 0, len(n.cur)+len(b))
-			out = append(out, n.cur...)
-			out = append(out, b...)
-			if n.cond != nil {
-				v, err := n.cond(out)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Bool() {
+// seek starts the chain of candidates for probe row r.
+func (j *joinIter) seek(r sqltypes.Row) {
+	t := j.table
+	j.cur, j.m = r, 0
+	if t.intKeyed {
+		v := r[j.probeKeys[0]]
+		if intFamily(v) {
+			j.curI = v.I
+			j.m = t.heads[intHash(v.I)>>t.shift]
+			return
+		}
+		if v.IsNull() {
+			return
+		}
+		// A float (or mistyped) probe key: fall back to the general
+		// table for the rest of the stream.
+		t.intKeyed = false
+		t.index()
+	}
+	if hasNull(r, j.probeKeys) {
+		return
+	}
+	j.curH = sqltypes.HashRow(r, j.probeKeys)
+	j.m = t.heads[j.curH>>t.shift]
+}
+
+func (j *joinIter) Next() (*sqltypes.Batch, error) {
+	t := j.table
+	j.out.Reset()
+	for !j.done {
+		for j.m != 0 {
+			i := j.m - 1
+			j.m = t.next[i]
+			if t.intKeyed {
+				if t.ints[i] != j.curI {
 					continue
 				}
+			} else if t.hashes[i] != j.curH || !sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys) {
+				continue
 			}
-			return out, nil
+			if err := j.emit(j.cur, t.rows[i]); err != nil {
+				return nil, err
+			}
+			if j.full() {
+				return &j.out, nil
+			}
 		}
-		r, err := n.left.Next()
-		if err == io.EOF {
-			n.throttle.flush()
-			return nil, io.EOF
+		if j.in == nil || j.pos == len(j.in.Rows) {
+			b, err := j.probe.Next()
+			if err == io.EOF {
+				j.throttle.flush()
+				j.done = true
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			j.throttle.charge(int64(len(b.Rows)) * j.perProbe)
+			j.in, j.pos = b, 0
 		}
-		if err != nil {
-			return nil, err
-		}
-		n.cur = r
-		n.ridx = 0
+		r := j.in.Rows[j.pos]
+		j.pos++
+		j.setProbe(r)
+		j.seek(r)
 	}
+	if len(j.out.Rows) == 0 {
+		return nil, io.EOF
+	}
+	return &j.out, nil
 }
 
-func (n *nestedLoopIter) Close() error { return n.left.Close() }
+func (j *joinIter) Close() error { return j.probe.Close() }
 
 // aggSpec describes one aggregate to compute.
 type aggSpec struct {
@@ -281,16 +422,16 @@ type aggState struct {
 	any   bool
 }
 
-func (a *aggState) add(spec *aggSpec, v sqltypes.Value) error {
+func (a *aggState) add(spec *aggSpec, v sqltypes.Value) {
 	if spec.arg != nil && v.IsNull() {
-		return nil // SQL aggregates skip NULLs
+		return // SQL aggregates skip NULLs
 	}
 	if spec.distinct {
 		if a.seen == nil {
 			a.seen = make(map[sqltypes.Value]struct{})
 		}
 		if _, dup := a.seen[v]; dup {
-			return nil
+			return
 		}
 		a.seen[v] = struct{}{}
 	}
@@ -319,7 +460,6 @@ func (a *aggState) add(spec *aggSpec, v sqltypes.Value) error {
 		}
 	}
 	a.any = true
-	return nil
 }
 
 func (a *aggState) result(spec *aggSpec) sqltypes.Value {
@@ -353,78 +493,120 @@ func (a *aggState) result(spec *aggSpec) sqltypes.Value {
 	return sqltypes.Null
 }
 
-// hashAggregate fully consumes the input and emits one row per group:
-// [groupKey values..., aggregate results...]. With no group keys it emits
-// exactly one row (global aggregation).
-func hashAggregate(in RowIter, keys []compiledExpr, aggs []aggSpec, nsPerRow int64) (RowIter, error) {
-	defer in.Close()
-	type group struct {
-		keyVals sqltypes.Row
-		states  []aggState
+// rowSet finds or adds rows by value: a hash index over rows cloned into
+// its own slab, in first-appearance order. Two rows are the same when
+// every value has the same type and payload (1 and 1.0 differ, NULL is
+// NULL) — the grouping rule of GROUP BY and DISTINCT.
+type rowSet struct {
+	index map[uint64]int32 // row hash -> 1-based first row of its chain
+	next  []int32
+	store sqltypes.Batch // Rows are the distinct rows
+	all   []int          // 0..width-1, for HashRow
+}
+
+func newRowSet(width int) *rowSet {
+	s := &rowSet{index: make(map[uint64]int32), all: make([]int, width)}
+	for i := range s.all {
+		s.all[i] = i
 	}
-	groups := make(map[string]*group)
-	var order []string // deterministic output order (first appearance)
+	return s
+}
+
+// find returns the position of r among the distinct rows, adding a clone
+// of it (and reporting true) when it is new.
+func (s *rowSet) find(r sqltypes.Row) (int, bool) {
+	h := sqltypes.HashRow(r, s.all)
+	head := s.index[h]
+	for i := head; i != 0; i = s.next[i-1] {
+		if sameRow(s.store.Rows[i-1], r) {
+			return int(i - 1), false
+		}
+	}
+	copy(s.store.NewRow(len(r)), r)
+	s.next = append(s.next, head)
+	s.index[h] = int32(len(s.next))
+	return len(s.next) - 1, true
+}
+
+func sameRow(a, b sqltypes.Row) bool {
+	for i := range a {
+		// Floats by their bits: NaN groups with itself, -0 apart from 0,
+		// as the values' encodings do.
+		if a[i].T != b[i].T || a[i].I != b[i].I || a[i].S != b[i].S || math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashAggregate fully consumes the input and emits one row per group, in
+// order of first appearance: [group key values..., aggregate results...].
+// With no group keys it emits exactly one row (global aggregation).
+func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, nsPerRow int64) (BatchIter, error) {
+	defer in.Close()
+	groups := newRowSet(len(keys))
+	var states []aggState // len(aggs) per group, in group order
+	key := make(sqltypes.Row, len(keys))
+	group := func() int { // key's group, added if new
+		g, added := groups.find(key)
+		if added {
+			for range aggs {
+				states = append(states, aggState{})
+			}
+		}
+		return g
+	}
+	if len(keys) == 0 {
+		group() // a global aggregate is one group, even over no input
+	}
 	throttle := cpuThrottle{nsPerRow: nsPerRow}
 
 	for {
-		r, err := in.Next()
+		b, err := in.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		throttle.charge(1)
-		keyVals := make(sqltypes.Row, len(keys))
-		for i, k := range keys {
-			keyVals[i], err = k(r)
-			if err != nil {
-				return nil, err
-			}
-		}
-		gk := string(sqltypes.AppendRow(nil, keyVals))
-		g, ok := groups[gk]
-		if !ok {
-			g = &group{keyVals: keyVals, states: make([]aggState, len(aggs))}
-			groups[gk] = g
-			order = append(order, gk)
-		}
-		for i := range aggs {
-			var v sqltypes.Value
-			if aggs[i].arg != nil {
-				v, err = aggs[i].arg(r)
-				if err != nil {
-					return nil, err
+		throttle.charge(int64(len(b.Rows)))
+		for _, r := range b.Rows {
+			g := 0
+			if len(keys) > 0 {
+				for i, k := range keys {
+					if key[i], err = k(r); err != nil {
+						return nil, err
+					}
 				}
+				g = group()
 			}
-			if err := g.states[i].add(&aggs[i], v); err != nil {
-				return nil, err
+			for i := range aggs {
+				var v sqltypes.Value
+				if aggs[i].arg != nil {
+					if v, err = aggs[i].arg(r); err != nil {
+						return nil, err
+					}
+				}
+				states[g*len(aggs)+i].add(&aggs[i], v)
 			}
 		}
 	}
 	throttle.flush()
 
-	if len(keys) == 0 && len(groups) == 0 {
-		// Global aggregate over an empty input still yields one row.
-		g := &group{states: make([]aggState, len(aggs))}
-		groups[""] = g
-		order = append(order, "")
-	}
-	out := make([]sqltypes.Row, 0, len(groups))
-	for _, gk := range order {
-		g := groups[gk]
-		row := make(sqltypes.Row, 0, len(g.keyVals)+len(aggs))
-		row = append(row, g.keyVals...)
+	var out sqltypes.Batch
+	out.Grow(len(groups.store.Rows) * (len(keys) + len(aggs)))
+	for g, k := range groups.store.Rows {
+		row := out.NewRow(len(keys) + len(aggs))
+		copy(row, k)
 		for i := range aggs {
-			row = append(row, g.states[i].result(&aggs[i]))
+			row[len(keys)+i] = states[g*len(aggs)+i].result(&aggs[i])
 		}
-		out = append(out, row)
 	}
-	return &sliceIter{rows: out}, nil
+	return &rowsIter{rows: out.Rows}, nil
 }
 
 // sortRows materializes and sorts the input by the given key expressions.
-func sortRows(in RowIter, items []sqlparser.OrderItem, schema *sqltypes.Schema) (RowIter, error) {
+func sortRows(in BatchIter, items []sqlparser.OrderItem, schema *sqltypes.Schema) (BatchIter, error) {
 	keys := make([]compiledExpr, len(items))
 	for i, it := range items {
 		var err error
@@ -442,8 +624,9 @@ func sortRows(in RowIter, items []sqlparser.OrderItem, schema *sqltypes.Schema) 
 		keys sqltypes.Row
 	}
 	ks := make([]keyed, len(rows))
+	slab := make(sqltypes.Row, len(rows)*len(keys))
 	for i, r := range rows {
-		kv := make(sqltypes.Row, len(keys))
+		kv := slab[i*len(keys) : (i+1)*len(keys)]
 		for j, k := range keys {
 			kv[j], err = k(r)
 			if err != nil {
@@ -473,71 +656,71 @@ func sortRows(in RowIter, items []sqlparser.OrderItem, schema *sqltypes.Schema) 
 	if sortErr != nil {
 		return nil, sortErr
 	}
-	out := make([]sqltypes.Row, len(ks))
 	for i := range ks {
-		out[i] = ks[i].row
+		rows[i] = ks[i].row
 	}
-	return &sliceIter{rows: out}, nil
+	return &rowsIter{rows: rows}, nil
 }
 
 // limitIter stops after n rows.
 type limitIter struct {
-	in   RowIter
+	in   BatchIter
 	left int64
 }
 
-func (l *limitIter) Next() (sqltypes.Row, error) {
+func (l *limitIter) Next() (*sqltypes.Batch, error) {
 	if l.left <= 0 {
 		return nil, io.EOF
 	}
-	r, err := l.in.Next()
+	b, err := l.in.Next()
 	if err != nil {
 		return nil, err
 	}
-	l.left--
-	return r, nil
+	if int64(len(b.Rows)) > l.left {
+		b.Rows = b.Rows[:l.left]
+	}
+	l.left -= int64(len(b.Rows))
+	return b, nil
 }
 
 func (l *limitIter) Close() error { return l.in.Close() }
 
-// distinctIter deduplicates full rows.
+// distinctIter deduplicates full rows, emitting each row's first
+// appearance: the clone its set keeps, which outlives the input batch.
 type distinctIter struct {
-	in   RowIter
-	seen map[string]struct{}
+	in   BatchIter
+	seen *rowSet
+	out  sqltypes.Batch
 }
 
-func (d *distinctIter) Next() (sqltypes.Row, error) {
+func (d *distinctIter) Next() (*sqltypes.Batch, error) {
 	for {
-		r, err := d.in.Next()
+		b, err := d.in.Next()
 		if err != nil {
 			return nil, err
 		}
-		k := string(sqltypes.AppendRow(nil, r))
-		if _, dup := d.seen[k]; dup {
-			continue
+		d.out.Rows = d.out.Rows[:0]
+		for _, r := range b.Rows {
+			if i, added := d.seen.find(r); added {
+				d.out.Rows = append(d.out.Rows, d.seen.store.Rows[i])
+			}
 		}
-		d.seen[k] = struct{}{}
-		return r, nil
+		if len(d.out.Rows) > 0 {
+			return &d.out, nil
+		}
 	}
 }
 
 func (d *distinctIter) Close() error { return d.in.Close() }
 
-// errIter yields a single error; used to defer plan-time failures into the
-// iterator protocol where convenient.
-type errIter struct{ err error }
-
-func (e *errIter) Next() (sqltypes.Row, error) { return nil, e.err }
-func (e *errIter) Close() error                { return nil }
-
 // startupIter charges the vendor's startup latency on the first Next call.
 type startupIter struct {
-	in      RowIter
+	in      BatchIter
 	started bool
 	delay   func()
 }
 
-func (s *startupIter) Next() (sqltypes.Row, error) {
+func (s *startupIter) Next() (*sqltypes.Batch, error) {
 	if !s.started {
 		s.started = true
 		if s.delay != nil {
@@ -548,5 +731,3 @@ func (s *startupIter) Next() (sqltypes.Row, error) {
 }
 
 func (s *startupIter) Close() error { return s.in.Close() }
-
-var _ = fmt.Sprintf // keep fmt imported for future debug helpers

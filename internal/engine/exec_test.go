@@ -7,8 +7,8 @@ import (
 	"xdb/internal/sqltypes"
 )
 
-// Operator-level tests against the volcano executor, exercising edge
-// cases the SQL-level tests do not isolate.
+// Operator-level tests against the batch executor, exercising edge cases
+// the SQL-level tests do not isolate.
 
 func rowsOf(vals ...int64) []sqltypes.Row {
 	out := make([]sqltypes.Row, len(vals))
@@ -18,8 +18,11 @@ func rowsOf(vals ...int64) []sqltypes.Row {
 	return out
 }
 
-func TestSliceIterAndDrain(t *testing.T) {
-	it := &sliceIter{rows: rowsOf(1, 2, 3)}
+// allCols is a joinOutput that emits every column of one-column inputs.
+func allCols() joinOutput { return joinOutput{probeCols: []int{0}, buildCols: []int{0}} }
+
+func TestRowsIterAndDrain(t *testing.T) {
+	it := &rowsIter{rows: rowsOf(1, 2, 3)}
 	rows, err := Drain(it)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("rows=%d err=%v", len(rows), err)
@@ -31,12 +34,12 @@ func TestSliceIterAndDrain(t *testing.T) {
 }
 
 func TestLimitIterZeroAndOverrun(t *testing.T) {
-	it := &limitIter{in: &sliceIter{rows: rowsOf(1, 2, 3)}, left: 0}
+	it := &limitIter{in: &rowsIter{rows: rowsOf(1, 2, 3)}, left: 0}
 	rows, err := Drain(it)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("limit 0: rows=%d err=%v", len(rows), err)
 	}
-	it = &limitIter{in: &sliceIter{rows: rowsOf(1, 2)}, left: 10}
+	it = &limitIter{in: &rowsIter{rows: rowsOf(1, 2)}, left: 10}
 	rows, _ = Drain(it)
 	if len(rows) != 2 {
 		t.Fatalf("limit beyond input: rows=%d", len(rows))
@@ -44,10 +47,10 @@ func TestLimitIterZeroAndOverrun(t *testing.T) {
 }
 
 func TestDistinctIterWithNulls(t *testing.T) {
-	in := &sliceIter{rows: []sqltypes.Row{
+	in := &rowsIter{rows: []sqltypes.Row{
 		{sqltypes.Null}, {sqltypes.NewInt(1)}, {sqltypes.Null}, {sqltypes.NewInt(1)},
 	}}
-	rows, err := Drain(&distinctIter{in: in, seen: map[string]struct{}{}})
+	rows, err := Drain(&distinctIter{in: in, seen: newRowSet(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +61,9 @@ func TestDistinctIterWithNulls(t *testing.T) {
 
 func TestHashJoinCollisionSafety(t *testing.T) {
 	// Values that may collide in the hash must still compare by value.
-	probe := &sliceIter{rows: rowsOf(1, 2, 3, 4)}
-	build := &sliceIter{rows: rowsOf(2, 4, 6)}
-	j, err := newHashJoin(probe, build, []int{0}, []int{0}, nil, 0)
+	probe := &rowsIter{rows: rowsOf(1, 2, 3, 4)}
+	build := &rowsIter{rows: rowsOf(2, 4, 6)}
+	j, err := newJoin(probe, build, []int{0}, []int{0}, allCols(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +82,9 @@ func TestHashJoinCollisionSafety(t *testing.T) {
 }
 
 func TestHashJoinDuplicateKeys(t *testing.T) {
-	probe := &sliceIter{rows: rowsOf(1, 1)}
-	build := &sliceIter{rows: rowsOf(1, 1, 1)}
-	j, err := newHashJoin(probe, build, []int{0}, []int{0}, nil, 0)
+	probe := &rowsIter{rows: rowsOf(1, 1)}
+	build := &rowsIter{rows: rowsOf(1, 1, 1)}
+	j, err := newJoin(probe, build, []int{0}, []int{0}, allCols(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +95,9 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 }
 
 func TestNestedLoopCrossAndConditional(t *testing.T) {
-	left := &sliceIter{rows: rowsOf(1, 2)}
-	right := &sliceIter{rows: rowsOf(10, 20, 30)}
-	nl, err := newNestedLoop(left, right, nil, 0)
+	left := &rowsIter{rows: rowsOf(1, 2)}
+	right := &rowsIter{rows: rowsOf(10, 20, 30)}
+	nl, err := newJoin(left, right, nil, nil, allCols(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +202,6 @@ func TestSumIntegerStaysInteger(t *testing.T) {
 	}
 	if res.Rows[0][0].T != sqltypes.TypeInt || res.Rows[0][0].I != 10 {
 		t.Errorf("SUM(int) = %+v, want integer 10", res.Rows[0][0])
-	}
-}
-
-func TestErrIter(t *testing.T) {
-	it := &errIter{err: io.ErrUnexpectedEOF}
-	if _, err := it.Next(); err != io.ErrUnexpectedEOF {
-		t.Errorf("err = %v", err)
-	}
-	if err := it.Close(); err != nil {
-		t.Errorf("close = %v", err)
 	}
 }
 

@@ -72,10 +72,13 @@ func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (compiledExpr, error
 		return compileFunc(x, schema)
 
 	case *sqlparser.CaseExpr:
-		type arm struct{ cond, result compiledExpr }
+		type arm struct {
+			cond   compiledPred
+			result compiledExpr
+		}
 		arms := make([]arm, len(x.Whens))
 		for i, w := range x.Whens {
-			c, err := compileExpr(w.Cond, schema)
+			c, err := compilePred(w.Cond, schema)
 			if err != nil {
 				return nil, err
 			}
@@ -95,11 +98,11 @@ func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (compiledExpr, error
 		}
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
 			for _, a := range arms {
-				c, err := a.cond(row)
+				ok, err := a.cond(row)
 				if err != nil {
 					return sqltypes.Null, err
 				}
-				if c.Bool() {
+				if ok {
 					return a.result(row)
 				}
 			}
@@ -223,6 +226,152 @@ func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (compiledExpr, error
 	}
 }
 
+// compiledPred is a condition bound to an input schema and evaluated for
+// its truth only. NULL counts as false, which is all a WHERE, HAVING, CASE
+// or join condition asks, so no boolean Value is ever built.
+type compiledPred func(row sqltypes.Row) (bool, error)
+
+// compilePred binds a condition. AND, OR and comparisons of a column with a
+// literal get kernels of their own; every other expression is evaluated by
+// compileExpr and tested for truth. (One difference from evaluating AND as
+// a value: a NULL left side short-circuits like a false one, so the right
+// side is not evaluated for its errors.)
+func compilePred(e sqlparser.Expr, schema *sqltypes.Schema) (compiledPred, error) {
+	if x, ok := e.(*sqlparser.BinaryExpr); ok {
+		switch {
+		case x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr:
+			l, err := compilePred(x.L, schema)
+			if err != nil {
+				return nil, err
+			}
+			r, err := compilePred(x.R, schema)
+			if err != nil {
+				return nil, err
+			}
+			stop := x.Op == sqlparser.OpOr // the left result that decides alone
+			return func(row sqltypes.Row) (bool, error) {
+				if ok, err := l(row); err != nil || ok == stop {
+					return ok, err
+				}
+				return r(row)
+			}, nil
+		case x.Op.IsComparison():
+			col, lcol := x.L.(*sqlparser.ColumnRef)
+			lit, rlit := x.R.(*sqlparser.Literal)
+			op := x.Op
+			if !lcol || !rlit {
+				// literal <op> column reads as column <flipped op> literal
+				col, lcol = x.R.(*sqlparser.ColumnRef)
+				lit, rlit = x.L.(*sqlparser.Literal)
+				op = flipComparison(op)
+			}
+			if lcol && rlit {
+				idx, err := schema.Resolve(col.Table, col.Name)
+				if err != nil {
+					return nil, err
+				}
+				return compareColumnLiteral(idx, comparisonTable(op), lit.Val), nil
+			}
+		}
+	}
+	fn, err := compileExpr(e, schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(row sqltypes.Row) (bool, error) {
+		v, err := fn(row)
+		return v.Bool(), err
+	}, nil
+}
+
+// comparisonTable maps Compare(l, r) + 1 to whether l <op> r holds.
+func comparisonTable(op sqlparser.BinaryOp) [3]bool {
+	switch op {
+	case sqlparser.OpEq:
+		return [3]bool{false, true, false}
+	case sqlparser.OpNe:
+		return [3]bool{true, false, true}
+	case sqlparser.OpLt:
+		return [3]bool{true, false, false}
+	case sqlparser.OpLe:
+		return [3]bool{true, true, false}
+	case sqlparser.OpGt:
+		return [3]bool{false, false, true}
+	default: // OpGe
+		return [3]bool{false, true, true}
+	}
+}
+
+func flipComparison(op sqlparser.BinaryOp) sqlparser.BinaryOp {
+	switch op {
+	case sqlparser.OpLt:
+		return sqlparser.OpGt
+	case sqlparser.OpLe:
+		return sqlparser.OpGe
+	case sqlparser.OpGt:
+		return sqlparser.OpLt
+	case sqlparser.OpGe:
+		return sqlparser.OpLe
+	}
+	return op
+}
+
+// order is Compare for two payloads of one kind (NaN orders equal to
+// everything, as in sqltypes.Compare).
+func order[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// compareColumnLiteral tests row[idx] <op> lit. The kernel is picked from
+// the literal's type and checks the column value's type per row: values of
+// the literal's own family are compared on their payloads, anything else
+// (NULL, a type Compare rejects) takes the general path.
+func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPred {
+	general := func(v sqltypes.Value) (bool, error) {
+		if v.IsNull() || lit.IsNull() {
+			return false, nil
+		}
+		c, err := sqltypes.Compare(v, lit)
+		if err != nil {
+			return false, err
+		}
+		return holds[c+1], nil
+	}
+	switch {
+	case intFamily(lit):
+		return func(row sqltypes.Row) (bool, error) {
+			if v := row[idx]; intFamily(v) {
+				return holds[order(v.I, lit.I)+1], nil
+			}
+			return general(row[idx])
+		}
+	case lit.T == sqltypes.TypeFloat:
+		return func(row sqltypes.Row) (bool, error) {
+			switch v := row[idx]; v.T {
+			case sqltypes.TypeFloat:
+				return holds[order(v.F, lit.F)+1], nil
+			case sqltypes.TypeInt:
+				return holds[order(float64(v.I), lit.F)+1], nil
+			}
+			return general(row[idx])
+		}
+	case lit.T == sqltypes.TypeString:
+		return func(row sqltypes.Row) (bool, error) {
+			if v := row[idx]; v.T == sqltypes.TypeString {
+				return holds[order(v.S, lit.S)+1], nil
+			}
+			return general(row[idx])
+		}
+	}
+	return func(row sqltypes.Row) (bool, error) { return general(row[idx]) }
+}
+
 func compileBinary(x *sqlparser.BinaryExpr, schema *sqltypes.Schema) (compiledExpr, error) {
 	// Date +/- INTERVAL is special-cased before compiling the right side.
 	if iv, ok := x.R.(*sqlparser.IntervalExpr); ok && (x.Op == sqlparser.OpAdd || x.Op == sqlparser.OpSub) {
@@ -311,6 +460,7 @@ func compileBinary(x *sqlparser.BinaryExpr, schema *sqltypes.Schema) (compiledEx
 	}
 
 	if op.IsComparison() {
+		holds := comparisonTable(op)
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
 			lv, err := l(row)
 			if err != nil {
@@ -327,22 +477,7 @@ func compileBinary(x *sqlparser.BinaryExpr, schema *sqltypes.Schema) (compiledEx
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			var out bool
-			switch op {
-			case sqlparser.OpEq:
-				out = c == 0
-			case sqlparser.OpNe:
-				out = c != 0
-			case sqlparser.OpLt:
-				out = c < 0
-			case sqlparser.OpLe:
-				out = c <= 0
-			case sqlparser.OpGt:
-				out = c > 0
-			case sqlparser.OpGe:
-				out = c >= 0
-			}
-			return sqltypes.NewBool(out), nil
+			return sqltypes.NewBool(holds[c+1]), nil
 		}, nil
 	}
 

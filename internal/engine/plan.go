@@ -10,16 +10,16 @@ import (
 )
 
 // planNode is a node of the engine's physical plan: a schema, cardinality
-// and cost estimates, and an open function producing the iterator. Engines
-// are black boxes to XDB — this planner is *their* local optimizer, the one
-// the paper relies on when it delegates whole tasks ("allows underlying
-// DBMSes to locally optimize the query").
+// and cost estimates, and an open function producing the batch iterator.
+// Engines are black boxes to XDB — this planner is *their* local optimizer,
+// the one the paper relies on when it delegates whole tasks ("allows
+// underlying DBMSes to locally optimize the query").
 type planNode struct {
 	desc   string
 	schema *sqltypes.Schema
 	est    float64 // estimated output rows
 	cost   float64 // cumulative cost in engine-internal units
-	open   func() (RowIter, error)
+	open   func() (BatchIter, error)
 	kids   []*planNode
 }
 
@@ -120,8 +120,9 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 		}
 	}
 
-	// 4. Order and build the joins.
-	joined, err := e.planJoins(rels, joinConjs)
+	// 4. Order and build the joins, each emitting only the columns that
+	// the rest of the statement or a later join still reads.
+	joined, err := e.planJoins(rels, joinConjs, selectNeeds(sel))
 	if err != nil {
 		return nil, err
 	}
@@ -189,12 +190,12 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    in.est * 0.9,
 			cost:   in.cost + in.est*cAggTuple,
 			kids:   []*planNode{in},
-			open: func() (RowIter, error) {
+			open: func() (BatchIter, error) {
 				it, err := in.open()
 				if err != nil {
 					return nil, err
 				}
-				return &distinctIter{in: it, seen: map[string]struct{}{}}, nil
+				return &distinctIter{in: it, seen: newRowSet(in.schema.Len())}, nil
 			},
 		}
 	}
@@ -208,7 +209,7 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    est,
 			cost:   in.cost,
 			kids:   []*planNode{in},
-			open: func() (RowIter, error) {
+			open: func() (BatchIter, error) {
 				it, err := in.open()
 				if err != nil {
 					return nil, err
@@ -232,7 +233,7 @@ func planSort(in *planNode, items []sqlparser.OrderItem) *planNode {
 		est:    n,
 		cost:   in.cost + cSortFactor*n*math.Log2(n+2),
 		kids:   []*planNode{in},
-		open: func() (RowIter, error) {
+		open: func() (BatchIter, error) {
 			it, err := inOpen()
 			if err != nil {
 				return nil, err
@@ -265,7 +266,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 		schema: outSchema,
 		est:    1,
 		cost:   1,
-		open: func() (RowIter, error) {
+		open: func() (BatchIter, error) {
 			row := make(sqltypes.Row, len(exprs))
 			for i, fn := range exprs {
 				v, err := fn(nil)
@@ -274,7 +275,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 				}
 				row[i] = v
 			}
-			return &sliceIter{rows: []sqltypes.Row{row}}, nil
+			return &rowsIter{rows: []sqltypes.Row{row}}, nil
 		},
 	}, nil
 }
@@ -292,7 +293,7 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 			schema: schema,
 			est:    float64(len(rows)),
 			cost:   float64(len(rows)) * cScanTuple,
-			open: func() (RowIter, error) {
+			open: func() (BatchIter, error) {
 				return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: ns}}, nil
 			},
 		}, nil
@@ -335,7 +336,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	est := e.foreignEstimate(srv, f.RemoteTable)
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
-	open := func() (RowIter, error) {
+	open := func() (BatchIter, error) {
 		_, it, err := rq.QueryRemote(srv, remoteSQL)
 		if err != nil {
 			return nil, fmt.Errorf("foreign scan %s: %w", f.Name, err)
@@ -348,7 +349,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 		// copy (and every later scan hits the copy).
 		desc = fmt.Sprintf("MaterializedForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 		cost = est*cForeignTuple + est*cScanTuple
-		open = func() (RowIter, error) {
+		open = func() (BatchIter, error) {
 			rows, err := f.materialized(rq, srv, remoteSQL)
 			if err != nil {
 				return nil, err
@@ -399,10 +400,9 @@ func (e *Engine) foreignEstimate(srv *Server, remoteTable string) float64 {
 	return 1000
 }
 
-// planFilter wraps a node with a predicate, folding it into a scan when the
-// input is a bare sequential scan.
+// planFilter wraps a node with a predicate.
 func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error) {
-	fn, err := compileExpr(pred, in.schema)
+	fn, err := compilePred(pred, in.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +414,7 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 		est:    math.Max(in.est*sel, 1),
 		cost:   in.cost + in.est*cFilterTuple,
 		kids:   []*planNode{in},
-		open: func() (RowIter, error) {
+		open: func() (BatchIter, error) {
 			it, err := inOpen()
 			if err != nil {
 				return nil, err
@@ -466,13 +466,13 @@ type equiKey struct {
 // exact Selinger-style enumeration (minimizing the sum of intermediate
 // cardinalities); wide ones a greedy heuristic (smallest first, cheapest
 // connected join next).
-func (e *Engine) planJoins(rels []*relNode, joinConjs []sqlparser.Expr) (*planNode, error) {
+func (e *Engine) planJoins(rels []*relNode, joinConjs []sqlparser.Expr, needs colNeeds) (*planNode, error) {
 	if len(rels) == 1 {
 		cur := rels[0].node
 		return e.applyResidual(cur, joinConjs)
 	}
 	if len(rels) <= localDPMaxRelations {
-		return e.planJoinsDP(rels, joinConjs)
+		return e.planJoinsDP(rels, joinConjs, needs)
 	}
 
 	remaining := make(map[string]*relNode, len(rels))
@@ -545,7 +545,7 @@ func (e *Engine) planJoins(rels []*relNode, joinConjs []sqlparser.Expr) (*planNo
 			best = &candidate{rel: r, est: cur.est * r.node.est}
 		}
 
-		next, usedPreds, err := e.buildJoin(cur, best.rel.node, best.keys, pending)
+		next, usedPreds, err := e.buildJoin(cur, best.rel.node, best.keys, pending, needs)
 		if err != nil {
 			return nil, err
 		}
@@ -566,7 +566,7 @@ const localDPMaxRelations = 10
 // minimizing the sum of intermediate cardinality estimates. Greedy
 // one-step lookahead mis-orders query graphs where a selective residual
 // predicate (like TPC-H Q7's nation-pair OR) only becomes evaluable late.
-func (e *Engine) planJoinsDP(rels []*relNode, joinConjs []sqlparser.Expr) (*planNode, error) {
+func (e *Engine) planJoinsDP(rels []*relNode, joinConjs []sqlparser.Expr, needs colNeeds) (*planNode, error) {
 	n := len(rels)
 	type state struct {
 		node    *planNode
@@ -596,7 +596,7 @@ func (e *Engine) planJoinsDP(rels []*relNode, joinConjs []sqlparser.Expr) (*plan
 			if len(keys) == 0 && best != nil && !resolvesAnyPending(prev.node, rels[i].node, prev.pending) {
 				continue // avoid plain cross products when alternatives exist
 			}
-			joined, used, err := e.buildJoin(prev.node, rels[i].node, keys, prev.pending)
+			joined, used, err := e.buildJoin(prev.node, rels[i].node, keys, prev.pending, needs)
 			if err != nil {
 				return nil, err
 			}
@@ -679,29 +679,96 @@ func estJoinRows(l, r float64, nkeys int) float64 {
 	return math.Max(out, 1)
 }
 
-// buildJoin constructs a hash join (or nested loop) between cur and right.
-// It returns the node and the pending conjuncts it consumed.
-func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlparser.Expr) (*planNode, []sqlparser.Expr, error) {
-	outSchema := cur.schema.Concat(right.schema)
+// colNeeds is what a SELECT reads above its joins: the columns its
+// projections, group keys, aggregate arguments, HAVING and order keys
+// name. A join emits a column only if these or a join conjunct still
+// pending read it.
+type colNeeds struct {
+	all  bool // a * projection reads everything
+	refs []*sqlparser.ColumnRef
+}
+
+func selectNeeds(sel *sqlparser.Select) colNeeds {
+	var n colNeeds
+	add := func(e sqlparser.Expr) { n.refs = append(n.refs, sqlparser.ColumnsIn(e)...) }
+	for _, p := range sel.Projections {
+		if p.Star {
+			return colNeeds{all: true}
+		}
+		add(p.Expr)
+	}
+	for _, g := range sel.GroupBy {
+		add(g)
+	}
+	add(sel.Having)
+	for _, o := range sel.OrderBy {
+		add(o.Expr)
+	}
+	return n
+}
+
+// refersTo reports whether any reference could resolve to the column. An
+// unqualified reference matches its name in every relation, so a pruned
+// schema is ambiguous exactly where the full one was.
+func refersTo(refs []*sqlparser.ColumnRef, c sqltypes.Column) bool {
+	for _, r := range refs {
+		if strings.EqualFold(r.Name, c.Name) && (r.Table == "" || strings.EqualFold(r.Table, c.Table)) {
+			return true
+		}
+	}
+	return false
+}
+
+// buildJoin constructs a hash join (or, without keys, a nested loop)
+// between cur and right. It returns the node and the pending conjuncts it
+// consumed.
+func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlparser.Expr, needs colNeeds) (*planNode, []sqlparser.Expr, error) {
+	// The iterator streams the probe input against the materialized build
+	// input and pairs rows as probe||build. A hash join builds on the
+	// smaller input; a nested loop always on the right one.
+	probe, build := cur, right
+	swapped := len(keys) > 0 && right.est > cur.est
+	if swapped {
+		probe, build = right, cur
+	}
+	pairSchema := probe.schema.Concat(build.schema)
+	probeIdx := make([]int, len(keys))
+	buildIdx := make([]int, len(keys))
+	for i, k := range keys {
+		p, b := k.left, k.right
+		if swapped {
+			p, b = b, p
+		}
+		var err error
+		if probeIdx[i], err = probe.schema.Resolve(p.Table, p.Name); err != nil {
+			return nil, nil, err
+		}
+		if buildIdx[i], err = build.schema.Resolve(b.Table, b.Name); err != nil {
+			return nil, nil, err
+		}
+	}
 
 	// Residual conjuncts: everything in pending that resolves against the
-	// combined schema (including the equi keys' own conjuncts, which we
-	// exclude below).
+	// paired schema, except the equi keys' own conjuncts. What does not
+	// resolve yet stays pending, and its columns must survive this join.
 	var residuals, used []sqlparser.Expr
+	var later []*sqlparser.ColumnRef
 	keySet := map[string]bool{}
 	for _, k := range keys {
 		keySet[k.left.String()+"="+k.right.String()] = true
 		keySet[k.right.String()+"="+k.left.String()] = true
 	}
 	for _, c := range pending {
+		cols := sqlparser.ColumnsIn(c)
 		allResolve := true
-		for _, col := range sqlparser.ColumnsIn(c) {
-			if !outSchema.HasColumn(col.Table, col.Name) {
+		for _, col := range cols {
+			if !pairSchema.HasColumn(col.Table, col.Name) {
 				allResolve = false
 				break
 			}
 		}
 		if !allResolve {
+			later = append(later, cols...)
 			continue
 		}
 		used = append(used, c)
@@ -713,103 +780,57 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 		residuals = append(residuals, c)
 	}
 
-	var residualFn compiledExpr
+	out := joinOutput{}
+	residualSel := 1.0 // residual predicates shrink the estimate
 	if len(residuals) > 0 {
 		var err error
-		residualFn, err = compileExpr(sqlparser.JoinConjuncts(residuals), outSchema)
+		out.residual, err = compilePred(sqlparser.JoinConjuncts(residuals), pairSchema)
 		if err != nil {
 			return nil, nil, err
 		}
+		for _, res := range residuals {
+			residualSel *= estimateSelectivity(res)
+		}
 	}
 
-	// Residual predicates shrink the estimate.
-	residualSel := 1.0
-	for _, res := range residuals {
-		residualSel *= estimateSelectivity(res)
+	// Column pruning: the output schema keeps, in order, the paired
+	// columns something above still reads.
+	outSchema := &sqltypes.Schema{}
+	for i, c := range pairSchema.Columns {
+		if !needs.all && !refersTo(needs.refs, c) && !refersTo(later, c) {
+			continue
+		}
+		outSchema.Columns = append(outSchema.Columns, c)
+		if n := probe.schema.Len(); i < n {
+			out.probeCols = append(out.probeCols, i)
+		} else {
+			out.buildCols = append(out.buildCols, i-n)
+		}
 	}
 
-	ns := e.profile.JoinNsPerRow
+	node := &planNode{schema: outSchema, kids: []*planNode{probe, build}}
 	if len(keys) == 0 {
-		cond := residualFn
-		curOpen, rightOpen := cur.open, right.open
-		node := &planNode{
-			desc:   "NestedLoopJoin",
-			schema: outSchema,
-			est:    math.Max(cur.est*right.est*residualSel, 1),
-			cost:   cur.cost + right.cost + cur.est*right.est*cJoinProbe,
-			kids:   []*planNode{cur, right},
-			open: func() (RowIter, error) {
-				l, err := curOpen()
-				if err != nil {
-					return nil, err
-				}
-				r, err := rightOpen()
-				if err != nil {
-					l.Close()
-					return nil, err
-				}
-				return newNestedLoop(l, r, cond, ns)
-			},
-		}
-		return node, used, nil
+		node.desc = "NestedLoopJoin"
+		node.est = math.Max(cur.est*right.est*residualSel, 1)
+		node.cost = cur.cost + right.cost + cur.est*right.est*cJoinProbe
+	} else {
+		node.desc = fmt.Sprintf("HashJoin (%d keys)", len(keys))
+		node.est = math.Max(estJoinRows(cur.est, right.est, len(keys))*residualSel, 1)
+		node.cost = cur.cost + right.cost + build.est*cJoinBuild + probe.est*cJoinProbe + node.est*cJoinOut
 	}
-
-	// Resolve key column indexes. Build side = the smaller input.
-	probe, build := cur, right
-	probeKeysRefs := make([]*sqlparser.ColumnRef, len(keys))
-	buildKeysRefs := make([]*sqlparser.ColumnRef, len(keys))
-	for i, k := range keys {
-		probeKeysRefs[i], buildKeysRefs[i] = k.left, k.right
-	}
-	swapped := build.est > probe.est
-	if swapped {
-		probe, build = build, probe
-		probeKeysRefs, buildKeysRefs = buildKeysRefs, probeKeysRefs
-	}
-	probeIdx := make([]int, len(keys))
-	buildIdx := make([]int, len(keys))
-	for i := range keys {
-		var err error
-		probeIdx[i], err = probe.schema.Resolve(probeKeysRefs[i].Table, probeKeysRefs[i].Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		buildIdx[i], err = build.schema.Resolve(buildKeysRefs[i].Table, buildKeysRefs[i].Name)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	// The iterator concatenates probe||build; the residual was compiled
-	// against cur||right, so recompile against the actual order.
-	joinSchema := probe.schema.Concat(build.schema)
-	if len(residuals) > 0 {
-		var err error
-		residualFn, err = compileExpr(sqlparser.JoinConjuncts(residuals), joinSchema)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
+	ns, est := e.profile.JoinNsPerRow, node.est
 	probeOpen, buildOpen := probe.open, build.open
-	est := math.Max(estJoinRows(cur.est, right.est, len(keys))*residualSel, 1)
-	node := &planNode{
-		desc:   fmt.Sprintf("HashJoin (%d keys)", len(keys)),
-		schema: joinSchema,
-		est:    est,
-		cost:   cur.cost + right.cost + build.est*cJoinBuild + probe.est*cJoinProbe + est*cJoinOut,
-		kids:   []*planNode{probe, build},
-		open: func() (RowIter, error) {
-			b, err := buildOpen()
-			if err != nil {
-				return nil, err
-			}
-			p, err := probeOpen()
-			if err != nil {
-				b.Close()
-				return nil, err
-			}
-			return newHashJoin(p, b, probeIdx, buildIdx, residualFn, ns)
-		},
+	node.open = func() (BatchIter, error) {
+		b, err := buildOpen()
+		if err != nil {
+			return nil, err
+		}
+		p, err := probeOpen()
+		if err != nil {
+			b.Close()
+			return nil, err
+		}
+		return newJoin(p, b, probeIdx, buildIdx, out, est, ns)
 	}
 	return node, used, nil
 }

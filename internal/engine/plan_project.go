@@ -33,9 +33,14 @@ func (e *Engine) planProjection(in *planNode, sel *sqlparser.Select) (*planNode,
 	return e.planAggregate(in, sel, projections)
 }
 
-// planSimpleProjection evaluates output expressions row by row.
+// planSimpleProjection evaluates the output expressions over each batch.
+// A projection that lists its input's columns in order (SELECT * over a
+// view, a select list a pruned join already matches) only renames them:
+// it forwards its input's batches untouched.
 func (e *Engine) planSimpleProjection(in *planNode, projections []sqlparser.SelectExpr) (*planNode, error) {
 	exprs := make([]compiledExpr, len(projections))
+	cols := make([]int, len(projections)) // input column per output, if all are bare columns
+	bare := true
 	outSchema := &sqltypes.Schema{}
 	for i, p := range projections {
 		fn, err := compileExpr(p.Expr, in.schema)
@@ -44,21 +49,37 @@ func (e *Engine) planSimpleProjection(in *planNode, projections []sqlparser.Sele
 		}
 		exprs[i] = fn
 		outSchema.Columns = append(outSchema.Columns, outputColumn(p, in.schema))
+		if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
+			cols[i], _ = in.schema.Resolve(cr.Table, cr.Name) // compiled above, so it resolves
+		} else {
+			bare = false
+		}
+	}
+	if !bare {
+		cols = nil
+	}
+	identity := bare && len(cols) == in.schema.Len()
+	for i, c := range cols {
+		identity = identity && c == i
 	}
 	inOpen := in.open
+	open := inOpen
+	if !identity {
+		open = func() (BatchIter, error) {
+			it, err := inOpen()
+			if err != nil {
+				return nil, err
+			}
+			return &projectIter{in: it, exprs: exprs, cols: cols}, nil
+		}
+	}
 	return &planNode{
 		desc:   "Project",
 		schema: outSchema,
 		est:    in.est,
 		cost:   in.cost + in.est*cProjectTuple,
 		kids:   []*planNode{in},
-		open: func() (RowIter, error) {
-			it, err := inOpen()
-			if err != nil {
-				return nil, err
-			}
-			return &projectIter{in: it, exprs: exprs}, nil
-		},
+		open:   open,
 	}, nil
 }
 
@@ -160,10 +181,10 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 		outSchema.Columns = append(outSchema.Columns, col)
 	}
 
-	var havingFn compiledExpr
+	var havingFn compiledPred
 	if sel.Having != nil {
 		re := rewrite(substituteAlias(sel.Having, projections))
-		fn, err := compileExpr(re, aggSchema)
+		fn, err := compilePred(re, aggSchema)
 		if err != nil {
 			return nil, fmt.Errorf("HAVING: %w", err)
 		}
@@ -179,7 +200,7 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 		est:    groups,
 		cost:   in.cost + in.est*cAggTuple + groups*cProjectTuple,
 		kids:   []*planNode{in},
-		open: func() (RowIter, error) {
+		open: func() (BatchIter, error) {
 			it, err := inOpen()
 			if err != nil {
 				return nil, err
@@ -188,7 +209,7 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 			if err != nil {
 				return nil, err
 			}
-			var out RowIter = agg
+			out := agg
 			if havingFn != nil {
 				out = &filterIter{in: out, pred: havingFn}
 			}

@@ -75,17 +75,17 @@ func (e *Engine) Sample(table, alias, filter string, limit int64) (*SampleResult
 		for i := range schema.Columns {
 			schema.Columns[i].Table = qual
 		}
-		pred, err := compileExpr(expr, schema)
+		pred, err := compilePred(expr, schema)
 		if err != nil {
 			return nil, fmt.Errorf("engine %s: sample of %q: %w", e.name, table, err)
 		}
 		matched = 0
 		for _, row := range sample {
-			v, err := pred(row)
+			ok, err := pred(row)
 			if err != nil {
 				return nil, fmt.Errorf("engine %s: sample of %q: %w", e.name, table, err)
 			}
-			if v.Bool() {
+			if ok {
 				matched++
 			}
 		}

@@ -26,9 +26,9 @@ func lintPrometheus(t *testing.T, text string) {
 	if !strings.HasSuffix(text, "\n") {
 		t.Fatal("exposition must end with a newline")
 	}
-	seen := map[string]bool{}   // family -> block completed
-	var cur string              // family whose block is open
-	var curType string          // its TYPE
+	seen := map[string]bool{} // family -> block completed
+	var cur string            // family whose block is open
+	var curType string        // its TYPE
 	helpFor := map[string]bool{}
 	typeFor := map[string]bool{}
 	for ln, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {

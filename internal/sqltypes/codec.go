@@ -36,9 +36,24 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
+// bytestr is the decoders' input: a []byte decodes into strings of their
+// own, a string into substrings of itself — the wire client copies a frame
+// payload to a string once and every string value of the frame aliases it.
+type bytestr interface{ ~[]byte | ~string }
+
+func le32[B bytestr](b B) uint32 {
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+func le64[B bytestr](b B) uint64 {
+	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
+}
+
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b) }
+
+func decodeValue[B bytestr](b B) (Value, int, error) {
 	if len(b) == 0 {
 		return Null, 0, fmt.Errorf("sqltypes: truncated value")
 	}
@@ -55,8 +70,8 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if len(b) < 5 {
 			return Null, 0, fmt.Errorf("sqltypes: truncated string header")
 		}
-		n := int(binary.LittleEndian.Uint32(b[1:5]))
-		if len(b) < 5+n {
+		n := int(le32(b[1:]))
+		if len(b)-5 < n {
 			return Null, 0, fmt.Errorf("sqltypes: truncated string payload (%d of %d bytes)", len(b)-5, n)
 		}
 		return NewString(string(b[5 : 5+n])), 5 + n, nil
@@ -64,12 +79,12 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if len(b) < 9 {
 			return Null, 0, fmt.Errorf("sqltypes: truncated float")
 		}
-		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:9]))), 9, nil
+		return NewFloat(math.Float64frombits(le64(b[1:]))), 9, nil
 	case TypeInt, TypeDate:
 		if len(b) < 9 {
 			return Null, 0, fmt.Errorf("sqltypes: truncated int")
 		}
-		return Value{T: t, I: int64(binary.LittleEndian.Uint64(b[1:9]))}, 9, nil
+		return Value{T: t, I: int64(le64(b[1:]))}, 9, nil
 	default:
 		return Null, 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
 	}
@@ -85,23 +100,70 @@ func AppendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeRow decodes one row from b, returning the row and bytes consumed.
-func DecodeRow(b []byte) (Row, int, error) {
+// rowHeader reads a row's column count. Every encoded value takes at least
+// one byte, so a count beyond the bytes that follow is a corrupt or hostile
+// header; rejecting it here bounds what the decoders allocate.
+func rowHeader[B bytestr](b B) (int, error) {
 	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("sqltypes: truncated row header")
+		return 0, fmt.Errorf("sqltypes: truncated row header")
 	}
-	n := int(binary.LittleEndian.Uint32(b[:4]))
-	off := 4
-	row := make(Row, n)
-	for i := 0; i < n; i++ {
-		v, sz, err := DecodeValue(b[off:])
+	n := le32(b)
+	if uint64(n) > uint64(len(b)-4) {
+		return 0, fmt.Errorf("sqltypes: row header claims %d columns in %d bytes", n, len(b)-4)
+	}
+	return int(n), nil
+}
+
+// decodeRow fills row from the binary values that follow a row header.
+func decodeRow[B bytestr](b B, row Row) (int, error) {
+	off := 0
+	for i := range row {
+		v, sz, err := decodeValue(b[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("column %d: %w", i, err)
+			return 0, fmt.Errorf("column %d: %w", i, err)
 		}
 		row[i] = v
 		off += sz
 	}
-	return row, off, nil
+	return off, nil
+}
+
+// DecodeRow decodes one row from b, returning the row and bytes consumed.
+func DecodeRow(b []byte) (Row, int, error) {
+	n, err := rowHeader(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	row := make(Row, n)
+	used, err := decodeRow(b[4:], row)
+	if err != nil {
+		return nil, 0, err
+	}
+	return row, 4 + used, nil
+}
+
+// DecodeRow decodes one binary row from src into a row carved from the
+// batch's slab and returns the bytes consumed. String values alias src.
+func (b *Batch) DecodeRow(src string) (int, error) {
+	return b.decode(src, decodeRow[string])
+}
+
+// DecodeRowText is DecodeRow for the text encoding.
+func (b *Batch) DecodeRowText(src string) (int, error) {
+	return b.decode(src, decodeRowText[string])
+}
+
+func (b *Batch) decode(src string, values func(string, Row) (int, error)) (int, error) {
+	n, err := rowHeader(src)
+	if err != nil {
+		return 0, err
+	}
+	used, err := values(src[4:], b.NewRow(n))
+	if err != nil {
+		b.Rows = b.Rows[:len(b.Rows)-1]
+		return 0, err
+	}
+	return 4 + used, nil
 }
 
 // AppendRowText appends the "JDBC-style" text encoding of the row: every
@@ -126,30 +188,39 @@ func AppendRowText(dst []byte, r Row) []byte {
 // DecodeRowText decodes a row encoded with AppendRowText, parsing each
 // value back from its text rendering.
 func DecodeRowText(b []byte) (Row, int, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("sqltypes: truncated text row header")
+	n, err := rowHeader(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(b[:4]))
-	off := 4
 	row := make(Row, n)
-	for i := 0; i < n; i++ {
-		if off >= len(b) {
-			return nil, 0, fmt.Errorf("sqltypes: truncated text value tag")
+	used, err := decodeRowText(b[4:], row)
+	if err != nil {
+		return nil, 0, err
+	}
+	return row, 4 + used, nil
+}
+
+// decodeRowText fills row from the text values that follow a row header.
+func decodeRowText[B bytestr](b B, row Row) (int, error) {
+	off := 0
+	for i := range row {
+		if len(b)-off < 5 {
+			return 0, fmt.Errorf("sqltypes: truncated text value header")
 		}
 		t := Type(b[off])
-		off++
-		s, sz, err := decodeString(b[off:])
-		if err != nil {
-			return nil, 0, err
+		n := int(le32(b[off+1:]))
+		off += 5
+		if len(b)-off < n {
+			return 0, fmt.Errorf("sqltypes: truncated text value payload")
 		}
-		off += sz
-		v, err := parseTextValue(t, s)
+		v, err := parseTextValue(t, string(b[off:off+n]))
 		if err != nil {
-			return nil, 0, fmt.Errorf("column %d: %w", i, err)
+			return 0, fmt.Errorf("column %d: %w", i, err)
 		}
 		row[i] = v
+		off += n
 	}
-	return row, off, nil
+	return off, nil
 }
 
 func parseTextValue(t Type, s string) (Value, error) {
@@ -209,6 +280,9 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b[:4]))
 	off := 4
+	if n > (len(b)-off)/9 { // two length prefixes and a type byte per column
+		return nil, 0, fmt.Errorf("sqltypes: schema header claims %d columns in %d bytes", n, len(b)-off)
+	}
 	s := &Schema{Columns: make([]Column, n)}
 	for i := 0; i < n; i++ {
 		name, sz, err := decodeString(b[off:])
@@ -221,9 +295,6 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 			return nil, 0, err
 		}
 		off += sz
-		if off >= len(b)+1 && off > len(b) {
-			return nil, 0, fmt.Errorf("sqltypes: truncated schema column type")
-		}
 		if off >= len(b) {
 			return nil, 0, fmt.Errorf("sqltypes: truncated schema column type")
 		}

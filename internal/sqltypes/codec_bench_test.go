@@ -55,3 +55,27 @@ func BenchmarkHashRow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHasColumn asks what the join planners ask most: does a
+// reference resolve here? Mostly it does not, and must cost no allocation
+// either way (Resolve would render the whole schema into its error).
+func BenchmarkHasColumn(b *testing.B) {
+	s := &Schema{}
+	for _, t := range []string{"lineitem", "orders", "customer"} {
+		for _, c := range []string{"key", "name", "price", "date", "comment", "flag"} {
+			s.Columns = append(s.Columns, Column{Name: t[:1] + "_" + c, Table: t, Type: TypeInt})
+		}
+	}
+	probe := func() {
+		if !s.HasColumn("orders", "o_date") || s.HasColumn("", "s_suppkey") || s.HasColumn("part", "o_date") {
+			b.Fatal("HasColumn answered wrong")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		b.Fatalf("HasColumn allocates: %v allocs per 3 lookups, want 0", allocs)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		probe()
+	}
+}

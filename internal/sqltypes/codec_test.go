@@ -192,6 +192,26 @@ func TestSchemaResolve(t *testing.T) {
 	if i, err := s.Resolve("O", "TOTAL"); err != nil || i != 2 {
 		t.Errorf("case-insensitive Resolve = %d, %v", i, err)
 	}
+	// HasColumn follows the same unique-match rule, and real failures keep
+	// Resolve's error text.
+	for _, tc := range []struct {
+		table, name string
+		want        bool
+	}{{"c", "id", true}, {"", "total", true}, {"", "id", false}, {"", "missing", false}, {"x", "total", false}} {
+		if got := s.HasColumn(tc.table, tc.name); got != tc.want {
+			t.Errorf("HasColumn(%q, %q) = %v", tc.table, tc.name, got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.HasColumn("o", "missing") }); allocs != 0 {
+		t.Errorf("HasColumn miss allocates %v times", allocs)
+	}
+	_, err := s.Resolve("o", "missing")
+	if want := `sqltypes: unknown column "o.missing" in schema (c.id BIGINT, o.id BIGINT, o.total DOUBLE)`; err == nil || err.Error() != want {
+		t.Errorf("Resolve error = %v, want %s", err, want)
+	}
+	if _, err := s.Resolve("", "id"); err == nil || err.Error() != `sqltypes: ambiguous column reference "id"` {
+		t.Errorf("ambiguous Resolve error = %v", err)
+	}
 }
 
 func TestSchemaConcatAndClone(t *testing.T) {

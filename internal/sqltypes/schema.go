@@ -54,8 +54,36 @@ func (s *Schema) Concat(t *Schema) *Schema {
 // An unqualified name that matches columns from multiple tables is
 // ambiguous and returns an error.
 func (s *Schema) Resolve(table, name string) (int, error) {
-	found := -1
-	for i, c := range s.Columns {
+	switch idx := s.lookup(table, name); idx {
+	case ambiguous:
+		return 0, fmt.Errorf("sqltypes: ambiguous column reference %q", joinQualified(table, name))
+	case unknown:
+		return 0, fmt.Errorf("sqltypes: unknown column %q in schema %s", joinQualified(table, name), s)
+	default:
+		return idx, nil
+	}
+}
+
+// HasColumn reports whether the (possibly qualified) reference resolves
+// unambiguously in the schema. The planners ask this of every conjunct
+// against every candidate join, mostly to hear no, so it must not build
+// Resolve's error.
+func (s *Schema) HasColumn(table, name string) bool {
+	return s.lookup(table, name) >= 0
+}
+
+// lookup's results when the reference does not resolve to one column.
+const (
+	unknown   = -1
+	ambiguous = -2
+)
+
+// lookup returns the index of the one column the reference matches, or
+// unknown or ambiguous.
+func (s *Schema) lookup(table, name string) int {
+	found := unknown
+	for i := range s.Columns {
+		c := &s.Columns[i]
 		if !strings.EqualFold(c.Name, name) {
 			continue
 		}
@@ -63,21 +91,11 @@ func (s *Schema) Resolve(table, name string) (int, error) {
 			continue
 		}
 		if found >= 0 {
-			return 0, fmt.Errorf("sqltypes: ambiguous column reference %q", joinQualified(table, name))
+			return ambiguous
 		}
 		found = i
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("sqltypes: unknown column %q in schema %s", joinQualified(table, name), s)
-	}
-	return found, nil
-}
-
-// HasColumn reports whether the (possibly qualified) reference resolves
-// unambiguously in the schema.
-func (s *Schema) HasColumn(table, name string) bool {
-	_, err := s.Resolve(table, name)
-	return err == nil
+	return found
 }
 
 func joinQualified(table, name string) string {

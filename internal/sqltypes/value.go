@@ -6,11 +6,12 @@
 // paper's motivating workload: 64-bit integers, 64-bit floats, strings,
 // dates (days since the Unix epoch), booleans, and NULL. A Value is a plain
 // struct (no interfaces, no boxing) so that rows can be processed and hashed
-// without allocation in the hot paths of the volcano executor.
+// without allocation in the hot paths of the batch executor.
 package sqltypes
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"time"
@@ -241,7 +242,8 @@ func comparableKinds(a, b Type) bool {
 	return false
 }
 
-// Compare orders two values. NULL sorts before every non-NULL value.
+// Compare orders two values, returning -1, 0 or +1. NULL sorts before every
+// non-NULL value.
 // Comparing incomparable types (e.g. a string with an int) returns an error.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
@@ -266,8 +268,6 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 		return 0, nil
-	case a.T == TypeBool:
-		return int(a.I - b.I), nil
 	case a.T == TypeFloat || b.T == TypeFloat:
 		af, bf := a.Float(), b.Float()
 		switch {
@@ -298,38 +298,33 @@ func Equal(a, b Value) bool {
 
 // Hash returns a 64-bit hash of the value, consistent with Equal: values
 // that compare equal hash identically (ints and floats holding the same
-// number hash the same).
+// number hash the same). The hash is stable within one process only.
 func Hash(v Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
 	switch v.T {
 	case TypeNull:
-		mix(0)
+		return 0
 	case TypeString:
-		mix(1)
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
-		}
+		return maphash.String(hashSeed, v.S)
 	case TypeBool:
-		mix(2)
-		mix(byte(v.I & 1))
+		return mix64(uint64(v.I&1) + 1)
 	default:
 		// Numeric family: hash the float64 representation so that
 		// NewInt(3) and NewFloat(3) collide, matching Equal.
-		mix(3)
-		bits := math.Float64bits(v.Float())
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
+		return mix64(math.Float64bits(v.Float()))
 	}
-	return h
+}
+
+var hashSeed = maphash.MakeSeed()
+
+// mix64 is the splitmix64 finalizer: every input bit reaches every output
+// bit, so consecutive keys spread over a power-of-two table.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // EncodedSize returns the number of bytes the binary row codec uses for the

@@ -296,19 +296,19 @@ func (c *Client) Sample(ctx context.Context, addr, toNode, table, alias, filter 
 }
 
 // Query runs a SELECT remotely and returns the result schema plus a
-// streaming iterator over the response frames. The iterator releases its
-// connection back to the pool when the stream completes cleanly (msgEnd or
-// an in-protocol error frame) and closes it on any mid-stream transport or
-// decode failure; Close is idempotent and safe to skip after a terminal
-// Next error.
-func (c *Client) Query(ctx context.Context, addr, toNode, sql string) (*sqltypes.Schema, engine.RowIter, error) {
+// streaming iterator over the response frames, one batch per frame. The
+// iterator releases its connection back to the pool when the stream
+// completes cleanly (msgEnd or an in-protocol error frame) and closes it on
+// any mid-stream transport or decode failure; Close is idempotent and safe
+// to skip after a terminal Next error.
+func (c *Client) Query(ctx context.Context, addr, toNode, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
 	return c.QueryEnc(ctx, addr, toNode, sql, false)
 }
 
 // QueryEnc is Query with an explicit result-encoding request: forceText
 // asks the server for the JDBC-style text encoding regardless of its
 // vendor protocol (used by the presto baseline's connectors).
-func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceText bool) (*sqltypes.Schema, engine.RowIter, error) {
+func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceText bool) (*sqltypes.Schema, engine.BatchIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -360,7 +360,8 @@ func (c *Client) QueryAll(ctx context.Context, addr, toNode, sql string) (*engin
 	return &engine.Result{Schema: schema, Rows: rows}, nil
 }
 
-// queryIter streams rows from the response frames of one Query. It owns
+// queryIter streams the response frames of one Query, each row frame
+// decoded into the iterator's one batch. It owns
 // its connection: a clean end of stream parks the connection back in the
 // pool, any mid-stream failure evicts it. The originating request's
 // context governs the stream: its deadline bounds every frame read (so a
@@ -373,19 +374,14 @@ type queryIter struct {
 	addr   string
 	toNode string
 	fl     *streamFlow // per-edge flow accounting; nil when unattributed
-	batch  []sqltypes.Row
-	pos    int
-	done   bool // msgEnd received; the connection is clean
-	closed bool // connection already released or discarded
+	batch  sqltypes.Batch
+	buf    []byte // frame payload buffer, reused: decoding copies what it keeps
+	done   bool   // msgEnd received; the connection is clean
+	closed bool   // connection already released or discarded
 }
 
-func (q *queryIter) Next() (sqltypes.Row, error) {
+func (q *queryIter) Next() (*sqltypes.Batch, error) {
 	for {
-		if q.pos < len(q.batch) {
-			r := q.batch[q.pos]
-			q.pos++
-			return r, nil
-		}
 		if q.done {
 			return nil, io.EOF
 		}
@@ -402,8 +398,9 @@ func (q *queryIter) Next() (sqltypes.Row, error) {
 		// when it has one, else RequestTimeout as a per-frame liveness
 		// bound.
 		q.c.applyDeadline(q.ctx, q.conn)
-		typ, payload, n, err := readFrame(q.conn)
+		typ, payload, n, err := readFrameInto(q.conn, q.buf)
 		if err == nil {
+			q.buf = payload[:0]
 			// An injected fault mid-stream severs the result flow; the
 			// connection carries undrained frames and must be discarded.
 			err = q.c.account(q.addr, q.toNode, n, true)
@@ -418,13 +415,14 @@ func (q *queryIter) Next() (sqltypes.Row, error) {
 		}
 		switch typ {
 		case msgRows, msgRowsText:
-			q.batch, err = decodeRowBatch(payload, typ)
-			if err != nil {
+			if err := decodeRowBatch(payload, typ, &q.batch); err != nil {
 				q.finish(false)
 				return nil, err
 			}
-			q.fl.batch(len(q.batch), n)
-			q.pos = 0
+			q.fl.batch(len(q.batch.Rows), n)
+			if len(q.batch.Rows) > 0 {
+				return &q.batch, nil
+			}
 		case msgEnd:
 			r := &reader{b: payload}
 			q.fl.eos(r.uint64(), n)
@@ -473,7 +471,7 @@ type FDW struct {
 }
 
 // QueryRemote implements engine.RemoteQuerier.
-func (f *FDW) QueryRemote(srv *engine.Server, sql string) (*sqltypes.Schema, engine.RowIter, error) {
+func (f *FDW) QueryRemote(srv *engine.Server, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
 	return f.Client.Query(context.Background(), srv.Addr, srv.Node, sql)
 }
 

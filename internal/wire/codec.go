@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 
 	"xdb/internal/engine"
@@ -153,47 +155,74 @@ func decodeSampleRes(payload []byte) (*engine.SampleResult, error) {
 	return res, nil
 }
 
-// encodeRowBatch serializes rows with the given encoding, returning the
-// payload and the frame type to use.
-func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {
-	var b []byte
-	b = appendUint64(b, uint64(len(rows)))
-	if enc == engine.EncodingText {
-		for _, row := range rows {
-			b = sqltypes.AppendRowText(b, row)
-		}
-		return b, msgRowsText
-	}
-	for _, row := range rows {
-		b = sqltypes.AppendRow(b, row)
-	}
-	return b, msgRows
+// rowFrame accumulates the payload of one row-batch frame: a row count
+// followed by the rows in the stream's encoding. Its buffer is reused from
+// frame to frame.
+type rowFrame struct {
+	typ  byte
+	text bool
+	rows int
+	buf  []byte
 }
 
-// decodeRowBatch parses a row batch payload of the given frame type.
-func decodeRowBatch(payload []byte, typ byte) ([]sqltypes.Row, error) {
-	r := &reader{b: payload}
-	n := int(r.uint64())
-	if r.err != nil {
-		return nil, r.err
+func newRowFrame(enc engine.Encoding) *rowFrame {
+	f := &rowFrame{typ: msgRows, text: enc == engine.EncodingText}
+	if f.text {
+		f.typ = msgRowsText
 	}
-	rows := make([]sqltypes.Row, 0, n)
-	for i := 0; i < n; i++ {
-		var (
-			row sqltypes.Row
-			sz  int
-			err error
-		)
-		if typ == msgRowsText {
-			row, sz, err = sqltypes.DecodeRowText(payload[r.off:])
-		} else {
-			row, sz, err = sqltypes.DecodeRow(payload[r.off:])
-		}
+	return f
+}
+
+func (f *rowFrame) add(row sqltypes.Row) {
+	if f.rows == 0 {
+		f.buf = appendUint64(f.buf[:0], 0) // the count, patched by finish
+	}
+	f.rows++
+	if f.text {
+		f.buf = sqltypes.AppendRowText(f.buf, row)
+	} else {
+		f.buf = sqltypes.AppendRow(f.buf, row)
+	}
+}
+
+// finish returns the payload, valid until the next add, and starts a new
+// frame.
+func (f *rowFrame) finish() []byte {
+	binary.LittleEndian.PutUint64(f.buf, uint64(f.rows))
+	f.rows = 0
+	return f.buf
+}
+
+// decodeRowBatch parses a row-batch payload of the given frame type into
+// the batch: one slab for the values, one string copy of the payload for
+// every string value to alias. Every count read from the payload is
+// checked against the bytes that follow it before anything is allocated.
+func decodeRowBatch(payload []byte, typ byte, b *sqltypes.Batch) error {
+	b.Reset()
+	if len(payload) < 8 {
+		return fmt.Errorf("wire: truncated payload")
+	}
+	n := binary.LittleEndian.Uint64(payload)
+	src := string(payload[8:])
+	if n > uint64(len(src)/4) { // a row is at least its 4-byte header
+		return fmt.Errorf("wire: row batch claims %d rows in %d bytes", n, len(src))
+	}
+	decode := b.DecodeRow
+	if typ == msgRowsText {
+		decode = b.DecodeRowText
+	}
+	if n > 0 {
+		// Rows of a result share a width: size the slab for all of them
+		// (a value is at least a byte, which bounds a hostile width).
+		width := binary.LittleEndian.Uint32(payload[8:])
+		b.Grow(min(int(n)*int(width), len(src)))
+	}
+	for i := 0; i < int(n); i++ {
+		used, err := decode(src)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r.off += sz
-		rows = append(rows, row)
+		src = src[used:]
 	}
-	return rows, nil
+	return nil
 }

@@ -70,6 +70,13 @@ func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 // readFrame reads one frame, returning its type, payload, and total wire
 // bytes consumed.
 func readFrame(r io.Reader) (byte, []byte, int, error) {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is readFrame with the payload read into buf when it fits
+// (a result stream reads frame after frame into one buffer); the payload
+// then aliases buf and is valid until buf's next use.
+func readFrameInto(r io.Reader, buf []byte) (byte, []byte, int, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
@@ -78,7 +85,10 @@ func readFrame(r io.Reader) (byte, []byte, int, error) {
 	if n > maxFrame {
 		return 0, nil, 0, fmt.Errorf("wire: oversized frame (%d bytes)", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("wire: truncated frame: %w", err)
 	}

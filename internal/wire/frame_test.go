@@ -129,6 +129,16 @@ func TestCostProbeCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeRowBatch builds one row-batch frame payload the way the server's
+// stream loop does.
+func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {
+	f := newRowFrame(enc)
+	for _, r := range rows {
+		f.add(r)
+	}
+	return f.finish(), f.typ
+}
+
 func TestRowBatchCodecBothEncodings(t *testing.T) {
 	rows := []sqltypes.Row{
 		{sqltypes.NewInt(1), sqltypes.NewString("x")},
@@ -136,10 +146,11 @@ func TestRowBatchCodecBothEncodings(t *testing.T) {
 	}
 	for _, enc := range []engine.Encoding{engine.EncodingBinary, engine.EncodingText} {
 		payload, typ := encodeRowBatch(rows, enc)
-		got, err := decodeRowBatch(payload, typ)
-		if err != nil {
+		var batch sqltypes.Batch
+		if err := decodeRowBatch(payload, typ, &batch); err != nil {
 			t.Fatal(err)
 		}
+		got := batch.Rows
 		if len(got) != 2 {
 			t.Fatalf("rows = %d", len(got))
 		}

@@ -395,14 +395,14 @@ func TestQueryIterMidStreamCutDiscardsConn(t *testing.T) {
 	}
 	var rows int
 	for {
-		_, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			t.Fatal("stream ended cleanly; stub should cut it")
 		}
 		if err != nil {
 			break
 		}
-		rows++
+		rows += len(b.Rows)
 	}
 	if rows != 1 {
 		t.Errorf("rows before cut = %d, want 1", rows)
@@ -516,7 +516,7 @@ func TestPoolBound(t *testing.T) {
 
 	// Hold several streams open concurrently to force parallel checkouts.
 	const streams = 5
-	iters := make([]engine.RowIter, streams)
+	iters := make([]engine.BatchIter, streams)
 	for i := range iters {
 		_, it, err := c.Query(context.Background(), s.Addr(), "db1", "SELECT * FROM t")
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 
 // Server exposes one engine over the wire protocol. Each accepted
 // connection is served on its own goroutine and handles a sequence of
-// requests; result rows stream as they are produced by the engine's
-// iterators, which is what turns chained foreign tables into an
-// inter-DBMS pipeline.
+// requests; result rows stream, a batch at a time, as the engine's
+// iterators produce them, which is what turns chained foreign tables into
+// an inter-DBMS pipeline.
 type Server struct {
 	eng *engine.Engine
 	ln  net.Listener
@@ -216,27 +216,29 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 	// Sending end of the stream's flow accounting: this server's node is
 	// the producer; the consumer is unknown here (the client accounts it).
 	fl := newStreamFlow(sql, s.eng.Name(), "", FlowSend)
+	// A frame is cut at the row where its binary-encoded size reaches
+	// batchTargetBytes or its row count sqltypes.BatchRows, whichever the
+	// engine's batch boundaries are. Rows are encoded as they arrive, so
+	// an engine batch need not outlive this loop's next call.
 	var (
-		batch      []sqltypes.Row
+		frame      = newRowFrame(enc)
 		batchBytes int
 		total      uint64
 	)
 	flush := func() error {
-		if len(batch) == 0 {
+		if frame.rows == 0 {
 			return nil
 		}
-		payload, typ := encodeRowBatch(batch, enc)
-		rows := len(batch)
-		n, err := writeFrame(conn, typ, payload)
+		rows := frame.rows
+		n, err := writeFrame(conn, frame.typ, frame.finish())
 		if err == nil {
 			fl.batch(rows, n)
 		}
-		batch = batch[:0]
 		batchBytes = 0
 		return err
 	}
 	for {
-		row, err := it.Next()
+		b, err := it.Next()
 		if err == io.EOF {
 			break
 		}
@@ -245,12 +247,14 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 			// already flushed.
 			return s.writeError(conn, err)
 		}
-		batch = append(batch, row)
-		batchBytes += row.EncodedSize()
-		total++
-		if batchBytes >= batchTargetBytes || len(batch) >= 1024 {
-			if err := flush(); err != nil {
-				return err
+		for _, row := range b.Rows {
+			frame.add(row)
+			batchBytes += row.EncodedSize()
+			total++
+			if batchBytes >= batchTargetBytes || frame.rows >= sqltypes.BatchRows {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
 	"xdb/internal/sqltypes"
+	"xdb/internal/tpch"
 )
 
 func newServedEngine(t *testing.T, name string, vendor engine.Vendor) (*engine.Engine, *Server) {
@@ -360,5 +361,48 @@ func mustExec(t *testing.T, e *engine.Engine, sql string) {
 	t.Helper()
 	if err := e.Exec(sql); err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
+	}
+}
+
+// TestStreamFrameInvariance pins what SELECT * FROM lineitem LIMIT 10000
+// puts on the wire — ledger bytes and frames, request and response — in
+// both row encodings. The values are those of the row-at-a-time executor
+// this batch path replaced: a frame must still be cut at exactly the row
+// where its binary size reaches 32 KiB or its row count 1024, whatever the
+// engine's batch boundaries are.
+func TestStreamFrameInvariance(t *testing.T) {
+	gen := tpch.NewGenerator(0.002, 42)
+	lineitem := gen.GenLineitem(gen.GenOrders())
+	schema, err := tpch.Schema(tpch.Lineitem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, s := newServedEngine(t, "db1", engine.VendorTest)
+	if err := e.LoadTable(tpch.Lineitem, schema, lineitem); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		text          bool
+		bytes, frames int64
+	}{
+		{"binary", false, 1821604, 59},
+		{"text", true, 1971872, 59},
+	} {
+		topo := netsim.Unshaped("client", "db1")
+		c := NewClient("client", topo)
+		_, it, err := c.QueryEnc(context.Background(), s.Addr(), "db1", "SELECT * FROM lineitem LIMIT 10000", tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := engine.Drain(it)
+		if err != nil || len(rows) != 10000 {
+			t.Fatalf("%s: %d rows, err %v", tc.name, len(rows), err)
+		}
+		c.Close()
+		led := topo.Ledger()
+		if led.Total() != tc.bytes || led.TotalFrames() != tc.frames {
+			t.Errorf("%s: %d bytes in %d frames, want %d in %d", tc.name, led.Total(), led.TotalFrames(), tc.bytes, tc.frames)
+		}
 	}
 }
