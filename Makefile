@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-json bench-transport bench-obs bench-annotate bench-deploy bench-reopt bench-sample chaos chaos-failover chaos-reopt chaos-inspect chaos-sample soak check
+.PHONY: build test race vet fmt-check loc bench bench-json bench-transport bench-obs bench-deploy bench-reopt bench-sample chaos soak check
 
 build:
 	$(GO) build ./...
@@ -18,38 +18,15 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/wire/... ./internal/core/...
 
-# Chaos drill: kill / partition / flaky-link scenarios against a live
-# cluster, under the race detector. The flaky-link test pins the fault
-# seed (netsim.SetFaultSeed), so drops are reproducible across runs.
+# Chaos drill, under the race detector: kill / partition / flaky-link
+# scenarios against a live cluster (the flaky-link test pins the fault seed
+# with netsim.SetFaultSeed, so drops are reproducible), mid-query failover
+# and the mediator fallback, plan-cache lease lifecycle, re-optimization
+# under skewed statistics, flow accounting and live introspection, and
+# sampling probes — every recovery edge of the query lifecycle (DESIGN.md
+# "Query lifecycle") plus its transition table.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaos' ./internal/core/
-
-# Failover drill: mid-query node kills, slow (wedged-but-alive) nodes,
-# suffix re-planning, and the mediator fallback, under the race detector
-# (DESIGN.md "Mid-query failover").
-chaos-failover:
-	$(GO) test -race -count=1 -v -run 'TestFailover|TestChaosPartitionMidStream|TestTraceFailoverWellFormed' ./internal/core/
-
-# Re-optimization drill: skewed statistics, threshold boundaries,
-# cross-query stats feedback, and a node kill in the middle of a
-# re-optimization, under the race detector (DESIGN.md "Adaptive
-# mid-query re-optimization").
-chaos-reopt:
-	$(GO) test -race -count=1 -v -run 'TestReopt' ./internal/core/
-
-# Introspection drill: live registry lifecycle, /debug/queries under a
-# running query, implicit-edge flow feedback, EXPLAIN ANALYZE, and the
-# registry-drain invariants across failover and cancellation, under the
-# race detector (DESIGN.md "Flow accounting and live introspection").
-chaos-inspect:
-	$(GO) test -race -count=1 -v -run 'TestInflight|TestImplicitFlow|TestAnalyzeShows|TestChaosInflight|TestFlow|TestParseStreamRel|TestTransportByAddr' ./internal/core/ ./internal/wire/
-
-# Sampling drill: probe bounds and filters at the engine, the stats RPC
-# round-trip, probe-driven first-run planning, cross-query feedback,
-# breaker skips, and degraded probes, under the race detector
-# (DESIGN.md "Sampling-based estimate refinement").
-chaos-sample:
-	$(GO) test -race -count=1 -v -run 'TestSample' ./internal/core/ ./internal/engine/ ./internal/wire/
+	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample' ./internal/core/ ./internal/engine/ ./internal/wire/
 
 # Concurrency soak: burst admission, staggered mid-query cancellation,
 # and drain-under-load against a live cluster, under the race detector.
@@ -59,6 +36,13 @@ soak:
 # What CI's lint job gates on: no file gofmt would rewrite.
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
+
+# Non-test, non-comment, non-blank Go lines per internal/ package — the
+# number a simplicity PR quotes before and after.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cvE '^\s*(//|$$)')" "$$d"; \
+	done
 
 # The benchmark record: four workloads, end-to-end and per-layer metrics,
 # every answer checked against the oracle (bench/README.md), then the diff
@@ -79,12 +63,6 @@ bench-transport:
 # (EXPERIMENTS.md "Observability overhead").
 bench-obs:
 	$(GO) test -bench='BenchmarkQueryTracing' -benchtime=200x -count=3 ./internal/core/
-
-# The consultation A/B: serial vs parallel annotation and cold vs warm
-# consult cache at real network speed (EXPERIMENTS.md "Consultation
-# latency").
-bench-annotate:
-	$(GO) test -run '^$$' -bench='BenchmarkAnnotate' -benchtime=50x -count=1 ./internal/core/
 
 # The deployment A/B: drop-per-query vs warm plan-cache reuse of deployed
 # views at real network speed (EXPERIMENTS.md "Deployment latency").

@@ -411,8 +411,18 @@ func (l *nodeLimiter) acquire(ctx context.Context, node string, w int) (func(), 
 // waits for all of them. The first error cancels the shared context so
 // siblings stop early, and is the error returned. Sibling failures
 // induced by that cancellation surface as context.Canceled, which the
-// health tracker already treats as a non-signal.
-func fanOutFirstErr(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// health tracker already treats as a non-signal. With fewer than two
+// items, or serial set (Options.serial), the calls run inline in index
+// order and stop at the first error.
+func fanOutFirstErr(ctx context.Context, n int, serial bool, fn func(ctx context.Context, i int) error) error {
+	if serial || n < 2 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

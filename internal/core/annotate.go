@@ -187,26 +187,14 @@ func (a *Annotation) placeCrossJoin(ctx context.Context, j *Join, coster Coster,
 	// Price every candidate site. The evaluations are independent (each
 	// consults its own node), so they fan out concurrently — the
 	// consultation round trips overlap instead of queueing behind one
-	// another; Options.SerialAnnotation restores the paper's sequential
-	// order for A/B runs. Decisions land in candidate order and the
-	// reduction below keeps the serial tie-break (first strictly cheaper
-	// wins), so the chosen plan is identical either way.
+	// another. Decisions land in candidate order and the reduction below
+	// keeps the paper's sequential tie-break (first strictly cheaper wins),
+	// so the chosen plan is identical to pricing them one by one.
 	decisions := make([]placeDecision, len(candidates))
-	if opts.SerialAnnotation || len(candidates) < 2 {
-		for i, cand := range candidates {
-			decisions[i] = a.evalCandidate(ctx, j, coster, opts, cand, ln, rn)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, cand := range candidates {
-			wg.Add(1)
-			go func(i int, cand string) {
-				defer wg.Done()
-				decisions[i] = a.evalCandidate(ctx, j, coster, opts, cand, ln, rn)
-			}(i, cand)
-		}
-		wg.Wait()
-	}
+	fanOutFirstErr(ctx, len(candidates), opts.serial, func(fctx context.Context, i int) error {
+		decisions[i] = a.evalCandidate(fctx, j, coster, opts, candidates[i], ln, rn)
+		return nil
+	})
 	best := &decisions[0]
 	for i := 1; i < len(decisions); i++ {
 		if decisions[i].cost < best.cost {

@@ -137,31 +137,6 @@ func (cl *chaosCluster) close() {
 	}
 }
 
-// assertNoXDBObjects fails if any engine still holds a short-lived
-// relation, except on the listed nodes.
-func (cl *chaosCluster) assertNoXDBObjects(t *testing.T, except ...string) {
-	t.Helper()
-	skip := map[string]bool{}
-	for _, n := range except {
-		skip[n] = true
-	}
-	for name, eng := range cl.engines {
-		if skip[name] {
-			continue
-		}
-		for _, v := range eng.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: leftover view %s", name, v)
-			}
-		}
-		for _, tab := range eng.Catalog().TableNames() {
-			if strings.HasPrefix(tab, "xdb") {
-				t.Errorf("node %s: leftover table %s", name, tab)
-			}
-		}
-	}
-}
-
 // assertTransportBalanced fails when any wire client closed fewer
 // connections than it dialed (the pool-leak invariant). Call after close.
 func (cl *chaosCluster) assertTransportBalanced(t *testing.T) {
@@ -201,7 +176,7 @@ func TestChaosKillMidDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := cl.sys.deploy(context.Background(), plan, 777)
+	dep, err := cl.sys.deployReusing(context.Background(), plan, 777, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +199,7 @@ func TestChaosKillMidDeployment(t *testing.T) {
 		}
 	}
 	// Survivors must already be clean; db2 still holds its objects.
-	cl.assertNoXDBObjects(t, "db2")
+	assertQuiescent(t, cl.sys, cl.engines, "db2")
 
 	cl.topo.ReviveNode("db2")
 	dropped, remaining, err := cl.sys.SweepOrphans()
@@ -237,7 +212,7 @@ func TestChaosKillMidDeployment(t *testing.T) {
 	if n := len(cl.sys.Orphans()); n != 0 {
 		t.Errorf("%d orphans still registered after full sweep", n)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestChaosKillMidQuery crashes a node between queries: the next query
@@ -255,7 +230,7 @@ func TestChaosKillMidQuery(t *testing.T) {
 	if _, err := cl.sys.Query(chaosQuery); err == nil {
 		t.Fatal("query succeeded with orders' home crashed")
 	}
-	cl.assertNoXDBObjects(t, "db2")
+	assertQuiescent(t, cl.sys, cl.engines, "db2")
 
 	cl.topo.ReviveNode("db2")
 	deadline := time.Now().Add(5 * time.Second)
@@ -272,7 +247,7 @@ func TestChaosKillMidQuery(t *testing.T) {
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("post-recovery sweep: remaining=%d err=%v", remaining, err)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestChaosPartitionDuringPlanning partitions a placement candidate away
@@ -329,7 +304,7 @@ func TestChaosPartitionDuringPlanning(t *testing.T) {
 	if st := cl.sys.NodeHealth()["db3"].State; st != BreakerClosed {
 		t.Errorf("db3 breaker = %v after recovery, want closed", st)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestChaosFlakyLink runs a query burst over a lossy middleware link
@@ -372,7 +347,7 @@ func TestChaosFlakyLink(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)
@@ -471,14 +446,7 @@ func TestChaosPartitionMidStream(t *testing.T) {
 	}
 	// Cleanup crossed the intact xdb<->db1 link: nothing parked, nothing
 	// left behind.
-	if n := len(sys.Orphans()); n != 0 {
-		t.Errorf("%d orphans parked despite an intact control plane", n)
-	}
-	for _, v := range eng.Catalog().ViewNames() {
-		if strings.HasPrefix(v, "xdb") {
-			t.Errorf("leftover view %s on db1", v)
-		}
-	}
+	assertQuiescent(t, sys, map[string]*engine.Engine{"db1": eng})
 	// Every span closed, including the execute span the fault interrupted.
 	parent.FinishAll()
 	assertClosed(t, parent)

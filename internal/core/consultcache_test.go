@@ -182,9 +182,9 @@ func TestAnnotateProbeCounts(t *testing.T) {
 		wantRounds, wantCached int
 	}{
 		{"pruned candidates", Options{}, 12, 0},
-		{"pruned candidates serial", Options{SerialAnnotation: true}, 12, 0},
+		{"pruned candidates serial", Options{serial: true}, 12, 0},
 		{"full candidate set", Options{FullCandidateSet: true}, 22, 6},
-		{"full candidate set serial", Options{FullCandidateSet: true, SerialAnnotation: true}, 22, 6},
+		{"full candidate set serial", Options{FullCandidateSet: true, serial: true}, 22, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,7 +211,7 @@ func TestAnnotateProbeCounts(t *testing.T) {
 func TestAnnotateSerialParallelIdentical(t *testing.T) {
 	for _, opts := range []Options{{}, {FullCandidateSet: true}} {
 		serial := opts
-		serial.SerialAnnotation = true
+		serial.serial = true
 		annP, _, planP := annotateFake(t, sqlThreeTables, opts)
 		annS, _, planS := annotateFake(t, sqlThreeTables, serial)
 		if planP != planS {

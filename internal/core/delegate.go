@@ -144,33 +144,15 @@ type cleanupItem struct {
 	sql  string
 }
 
-// deploy runs Algorithm 1 over the plan under the caller's context. qid
-// makes every created object name unique per query, so concurrent queries
-// do not collide and cleanup is precise ("short-lived relations",
-// Sec. III). Cancelling the context aborts the deployment; the cleanup of
-// whatever was already deployed runs on a detached context regardless.
-func (s *System) deploy(ctx context.Context, plan *Plan, qid int64) (*Deployment, error) {
-	dep, err := s.deployReusing(ctx, plan, qid, nil)
-	if err != nil {
-		// Best-effort cleanup of whatever was already deployed — on a
-		// detached context, so a cancelled deployment still drops its
-		// objects. Drops that fail are parked in the orphan registry (the
-		// sweep inside cleanupDeployment records them); the deployment
-		// error carries the cleanup outcome instead of silently dropping
-		// it.
-		if cerr := s.cleanupDeployment(ctx, dep); cerr != nil {
-			err = fmt.Errorf("%w (cleanup after failure: %v)", err, cerr)
-		}
-		return nil, err
-	}
-	return dep, nil
-}
-
-// deployReusing runs Algorithm 1 with an index of reusable objects from a
-// prior failover attempt: a plan fragment whose structural signature
-// matches a surviving object adopts it instead of redeploying the subtree.
-// Unlike deploy it returns the partial deployment WITH the error — failover
-// keeps the partial attempt alive for further reuse and owns dropping it.
+// deployReusing runs Algorithm 1 over the plan under the caller's context.
+// qid makes every created object name unique per query, so concurrent
+// queries do not collide and cleanup is precise ("short-lived relations",
+// Sec. III). reuse indexes the surviving objects of the query's retired
+// attempts (nil on a first deployment): a plan fragment whose structural
+// signature matches one adopts it instead of redeploying the subtree. On
+// error — a cancelled context included — it returns the partial deployment
+// WITH the error: the lifecycle keeps it alive for further reuse and owns
+// dropping it, on a detached context.
 func (s *System) deployReusing(ctx context.Context, plan *Plan, qid int64, reuse map[string]deployedObj) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()

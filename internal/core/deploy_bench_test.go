@@ -3,7 +3,36 @@ package core
 import (
 	"testing"
 	"time"
+
+	"xdb/internal/sqltypes"
 )
+
+// benchQuery joins three tables homed on three DBMSes — two Rule-4
+// decisions, the consultation-heavy shape of Fig. 15.
+const benchQuery = `SELECT u.u_name, o.o_id FROM users u, orders o, items i
+	WHERE u.u_id = o.o_uid AND o.o_id = i.i_oid`
+
+// loadItems adds a third table on db3 so the bench plan crosses all three
+// DBMSes.
+func loadItems(tb testing.TB, cl *chaosCluster) {
+	tb.Helper()
+	items := sqltypes.NewSchema(
+		sqltypes.Column{Name: "i_id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "i_oid", Type: sqltypes.TypeInt},
+	)
+	var rows []sqltypes.Row
+	for i := 0; i < 200; i++ {
+		rows = append(rows, sqltypes.Row{
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 400)),
+		})
+	}
+	if err := cl.engines["db3"].LoadTable("items", items, rows); err != nil {
+		tb.Fatal(err)
+	}
+	if err := cl.sys.RegisterTable("items", "db3"); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 // BenchmarkDeploy measures the full query path — planning, delegation,
 // execution, cleanup — on the chaos cluster at real network speed

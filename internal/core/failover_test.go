@@ -130,12 +130,12 @@ func TestFailoverKillAfterDeploy(t *testing.T) {
 
 	// Nothing leaks: survivors are clean now; db3's objects are orphans
 	// that one post-revival sweep collects.
-	cl.assertNoXDBObjects(t, "db3")
+	assertQuiescent(t, cl.sys, cl.engines, "db3")
 	cl.topo.ReviveNode("db3")
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, err)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)
@@ -170,12 +170,12 @@ func TestFailoverDisabled(t *testing.T) {
 		t.Errorf("error does not attribute db3: %v", err)
 	}
 
-	cl.assertNoXDBObjects(t, "db3")
+	assertQuiescent(t, cl.sys, cl.engines, "db3")
 	cl.topo.ReviveNode("db3")
 	if _, remaining, serr := cl.sys.SweepOrphans(); serr != nil || remaining != 0 {
 		t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, serr)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestFailoverMediatorFallback exhausts in-situ recovery (MaxReplans 0)
@@ -215,12 +215,12 @@ func TestFailoverMediatorFallback(t *testing.T) {
 		t.Errorf("RootNode = %q on a mediator fallback, want the middleware", res.RootNode)
 	}
 
-	cl.assertNoXDBObjects(t, "db3")
+	assertQuiescent(t, cl.sys, cl.engines, "db3")
 	cl.topo.ReviveNode("db3")
 	if _, remaining, serr := cl.sys.SweepOrphans(); serr != nil || remaining != 0 {
 		t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, serr)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestFailoverSlowNode wedges the join node instead of killing it: every

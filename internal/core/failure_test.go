@@ -10,6 +10,7 @@ import (
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
 	"xdb/internal/tpch"
 )
@@ -37,20 +38,48 @@ func TestNodeFailureDuringDelegation(t *testing.T) {
 		t.Fatal("query succeeded with a dead node")
 	}
 
-	for name, n := range tb.Nodes {
-		if name == "db2" {
-			continue
+	// Nothing leaks after the failed delegation.
+	core.AssertQuiescent(t, tb.System, tbEngines(tb), "db2")
+}
+
+// TestCacheStatsRehomedTable: under CacheStats a catalog entry with schema
+// and statistics is final — but only for the home it was gathered from.
+// Re-homing a table resets its entry, and the next plan must see the new
+// home's statistics, not a second copy of the old home's.
+func TestCacheStatsRehomedTable(t *testing.T) {
+	tb, err := testbed.New([]string{"db1", "db2"}, testbed.Config{DefaultVendor: engine.VendorTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tb.System.CacheStats = true
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "k", Type: sqltypes.TypeInt})
+	rows := func(n int) []sqltypes.Row {
+		out := make([]sqltypes.Row, n)
+		for i := range out {
+			out[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
 		}
-		for _, v := range n.Engine.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: leftover view %s after failed delegation", name, v)
-			}
+		return out
+	}
+	if err := tb.LoadTable("db1", "t", schema, rows(100)); err != nil {
+		t.Fatal(err)
+	}
+	rowCount := func() int64 {
+		t.Helper()
+		if _, _, err := tb.System.Plan("SELECT t.k FROM t"); err != nil {
+			t.Fatal(err)
 		}
-		for _, tab := range n.Engine.Catalog().TableNames() {
-			if strings.HasPrefix(tab, "xdb") {
-				t.Errorf("node %s: leftover table %s after failed delegation", name, tab)
-			}
-		}
+		info, _ := tb.System.Catalog().Lookup("t")
+		return info.Stats.RowCount
+	}
+	if got := rowCount(); got != 100 {
+		t.Fatalf("RowCount = %d on db1, want 100", got)
+	}
+	if err := tb.LoadTable("db2", "t", schema, rows(7)); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowCount(); got != 7 {
+		t.Errorf("RowCount = %d after re-homing to db2, want its 7 — the old home's statistics survived", got)
 	}
 }
 
@@ -110,13 +139,7 @@ func TestConcurrentXDBQueries(t *testing.T) {
 		}
 	}
 	// And nothing leaks.
-	for name, n := range tb.Nodes {
-		for _, v := range n.Engine.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: leftover view %s", name, v)
-			}
-		}
-	}
+	core.AssertQuiescent(t, tb.System, tbEngines(tb))
 }
 
 func TestStatsCacheReducesPrepProbes(t *testing.T) {
@@ -245,21 +268,7 @@ func TestHungNodeFailsBounded(t *testing.T) {
 	if elapsed > 30*time.Second {
 		t.Errorf("query against hung node took %v", elapsed)
 	}
-	for name, n := range tb.Nodes {
-		if name == "db2" {
-			continue
-		}
-		for _, v := range n.Engine.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: leftover view %s", name, v)
-			}
-		}
-		for _, tab := range n.Engine.Catalog().TableNames() {
-			if strings.HasPrefix(tab, "xdb") {
-				t.Errorf("node %s: leftover table %s", name, tab)
-			}
-		}
-	}
+	core.AssertQuiescent(t, tb.System, tbEngines(tb), "db2")
 }
 
 // TestPooledDialsPerQuery: after a warm query, the middleware's control

@@ -11,26 +11,6 @@ import (
 	"testing"
 )
 
-// flowRouterSize reports the process-wide flow routes still registered.
-func flowRouterSize() int {
-	flowRouter.RLock()
-	defer flowRouter.RUnlock()
-	return len(flowRouter.m)
-}
-
-// assertIntrospectionDrained verifies the live registry and the
-// process-wide flow router are empty once the system is quiescent — the
-// no-leak invariant of the introspection layer.
-func assertIntrospectionDrained(t *testing.T, sys *System) {
-	t.Helper()
-	if n := sys.inflight.size(); n != 0 {
-		t.Errorf("inflight registry holds %d entries with the system idle", n)
-	}
-	if n := flowRouterSize(); n != 0 {
-		t.Errorf("flow router holds %d routes with the system idle", n)
-	}
-}
-
 // TestInflightLifecycleAndDebugEndpoint snapshots a query mid-flight —
 // through System.Inflight and over the /debug/queries endpoint — then
 // verifies both drain to empty when it finishes.
@@ -127,7 +107,7 @@ func TestInflightLifecycleAndDebugEndpoint(t *testing.T) {
 	}
 
 	// Drained: registry and router empty, endpoint reports none.
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 	var after []InflightQuery
 	if err := json.Unmarshal([]byte(get(url)), &after); err != nil || len(after) != 0 {
 		t.Errorf("endpoint after drain = %v (err %v), want empty", after, err)
@@ -196,7 +176,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 		bytes1, bytes2, 100*(1-float64(bytes2)/float64(bytes1)),
 		ticketsFlow.Rel, ticketsFlow.EstRows, ticketsFlow.Rows())
 
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestAnalyzeShowsEstVsActual checks the EXPLAIN ANALYZE rendering: the
@@ -268,7 +248,7 @@ func TestChaosInflightDrainsOnFailover(t *testing.T) {
 	if res.QID <= 0 {
 		t.Errorf("Result.QID = %d after failover", res.QID)
 	}
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines, "db3")
 
 	cl.topo.ReviveNode("db3")
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
@@ -347,7 +327,7 @@ func TestFlowSharedWarmDeployment(t *testing.T) {
 		t.Errorf("concurrent warm results differ:\n%s\nvs\n%s", got, want)
 	}
 	// Both deregistrations clean their routes and the shared mark.
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 	flowRouter.RLock()
 	sharedLeft := len(flowRouter.shared)
 	flowRouter.RUnlock()
@@ -371,7 +351,7 @@ func TestInflightDeregisterOnCancel(t *testing.T) {
 	if err == nil {
 		t.Fatal("query survived its own cancellation")
 	}
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("sweep after cancel: remaining=%d err=%v", remaining, err)
 	}

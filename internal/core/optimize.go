@@ -146,12 +146,11 @@ type Options struct {
 	// DefaultDeploymentTTL when the plan cache is enabled; ignored
 	// otherwise.
 	DeploymentTTL time.Duration
-	// SerialAnnotation disables the optimizer's consultation concurrency
-	// — per-table metadata fetches and Rule-4 candidate probes run in
-	// the paper's sequential order instead of fanning out. Plans are
-	// identical either way; the knob exists for the serial-vs-parallel
-	// A/B (make bench-annotate) and for debugging.
-	SerialAnnotation bool
+	// serial is a test seam: the control-plane fan-outs (metadata
+	// fetches, sample probes, Rule-4 candidate pricing) run inline in the
+	// paper's sequential order, the reference the serial-vs-parallel
+	// identity tests compare against.
+	serial bool
 
 	// QueryTimeout bounds one query end to end — admission wait,
 	// planning, delegation, and execution. Zero leaves the query bounded

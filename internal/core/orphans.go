@@ -205,10 +205,13 @@ func (s *System) FlushPlans() {
 	}
 }
 
-// invalidatePlansOnNode drops the node's cached plans in the background —
-// it is called from the health tracker's transition hook and from metadata
-// refresh, neither of which should block on remote DROPs.
-func (s *System) invalidatePlansOnNode(node string) {
+// invalidateNode forgets what was derived from a node's state or
+// statistics once they change — a breaker transition, a refresh that
+// changed a table's statistics, a learned correction: the node's consulted
+// costs, and its cached plans, whose deployments drop in the background
+// (no caller should block on remote DROPs).
+func (s *System) invalidateNode(node string) {
+	s.consults.invalidateNode(node)
 	for _, ent := range s.plans.invalidateNode(node) {
 		s.dropDeploymentAsync(ent.dep)
 	}

@@ -96,9 +96,8 @@ func newPlanCache(size int, ttl time.Duration) *planCache {
 }
 
 // acquire looks the key up and, on a hit, takes a lease on the entry —
-// the caller must pair it with release (or invalidate, after an execution
-// failure). Dead entries are unreachable: invalidation removes them from
-// the map immediately.
+// the caller must pair it with release. Dead entries are unreachable:
+// invalidation removes them from the map immediately.
 func (c *planCache) acquire(key string) *planEntry {
 	if c == nil {
 		return nil
@@ -171,37 +170,27 @@ func (c *planCache) oldestIdleLocked() *planEntry {
 	return victim
 }
 
-// release returns a lease after a successful execution. It reports
-// whether the caller must drop the entry's deployment — true only when
-// the entry died (invalidation raced the execution) and this was the last
-// lease.
-func (c *planCache) release(ent *planEntry) (drop bool) {
+// release returns a lease. poison marks the entry dead first — its
+// execution failed, or a re-optimization superseded it — so no later query
+// acquires it. It reports whether the caller must drop the entry's
+// deployment: true only when the entry is dead (poisoned now, or
+// invalidated while it executed) and this was the last lease out.
+func (c *planCache) release(ent *planEntry, poison bool) (drop bool) {
 	if c == nil || ent == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if poison {
+		if cur, ok := c.entries[ent.key]; ok && cur == ent {
+			delete(c.entries, ent.key)
+			c.invalidations++
+			met.planEvictions.Inc()
+		}
+		ent.dead = true
+	}
 	ent.refs--
 	ent.lastUsed = time.Now()
-	return c.claimDropLocked(ent)
-}
-
-// invalidate poisons the entry after an execution failure and returns the
-// caller's lease. It reports whether the caller must drop the deployment
-// (false when another query still holds a lease — the last one drops).
-func (c *planCache) invalidate(ent *planEntry) (drop bool) {
-	if c == nil || ent == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.entries[ent.key]; ok && cur == ent {
-		delete(c.entries, ent.key)
-		c.invalidations++
-		met.planEvictions.Inc()
-	}
-	ent.dead = true
-	ent.refs--
 	return c.claimDropLocked(ent)
 }
 

@@ -26,35 +26,15 @@ func planCacheOptions() Options {
 	return opts
 }
 
-// xdbObjectCount counts the short-lived relations currently live on the
-// cluster's engines — the pollable twin of assertNoXDBObjects for waiting
-// out asynchronous drops.
-func xdbObjectCount(cl *chaosCluster) int {
-	n := 0
-	for _, eng := range cl.engines {
-		for _, v := range eng.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				n++
-			}
-		}
-		for _, tab := range eng.Catalog().TableNames() {
-			if strings.HasPrefix(tab, "xdb") {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // waitNoXDBObjects polls until every asynchronously dropped short-lived
 // relation is gone, then runs the strict assertion.
 func waitNoXDBObjects(t *testing.T, cl *chaosCluster) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for xdbObjectCount(cl) > 0 && time.Now().Before(deadline) {
+	for len(leftoverXDB(cl.engines, nil)) > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }
 
 // TestPlanCacheWarmRepeatZeroDDL is the tentpole's acceptance check: a
@@ -426,9 +406,11 @@ func TestDDLCountOnFailedDeploy(t *testing.T) {
 
 	cl.topo.CrashNode("db2")
 	before := met.ddls.Value()
-	if _, err := cl.sys.deploy(context.Background(), plan, 999); err == nil {
+	dep, err := cl.sys.deployReusing(context.Background(), plan, 999, nil)
+	if err == nil {
 		t.Fatal("deploy succeeded with db2 crashed")
 	}
+	cl.sys.cleanupDeployment(context.Background(), dep) // failed drops park as orphans
 	if got := met.ddls.Value() - before; got == 0 {
 		t.Error("failed deployment reported zero issued DDLs")
 	}
@@ -444,5 +426,5 @@ func TestDDLCountOnFailedDeploy(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 }

@@ -34,10 +34,10 @@ import (
 //	           signature; materialized stages are never re-shipped
 //	       ──► resume, up to Options.MaxReopts re-optimizations
 //
-// Re-optimization shares runWithFailover's retire/reuse machinery but
-// not the fault budget: reopts never consume MaxReplans, never trip
-// breakers, and never exclude nodes — the cluster is healthy, only the
-// estimates were wrong.
+// Re-optimization shares the lifecycle's retire/reuse machinery
+// (lifecycle.go) but not the fault budget: reopts never consume
+// MaxReplans, never trip breakers, and never exclude nodes — the cluster is
+// healthy, only the estimates were wrong.
 
 // DefaultReoptThreshold is the estimate-vs-actual cardinality ratio a
 // materialized edge must exceed (strictly, in either direction) to
@@ -75,11 +75,11 @@ func reoptDiverges(est, actual, threshold float64) bool {
 // loop (feedObservedRows). The walk stops at the first diverging edge —
 // the suffix above it is about to be re-planned, and forcing the
 // remaining materializations would ship data a corrected plan may not
-// want shipped — and returns it with the observed count. Edges already
+// want shipped — and returns it (fb holds the observed count). Edges already
 // present in fb (observed by a prior attempt) are skipped, so a
 // re-optimized plan that kept an edge does not re-pay its barrier.
 // A barrier failure is returned node-attributed for the fault loop.
-func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan *Plan, fb map[string]float64) (*Edge, float64, error) {
+func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan *Plan, fb map[string]float64) (*Edge, error) {
 	threshold := s.reoptThreshold()
 	for _, e := range plan.Edges {
 		if e.Move != MoveExplicit || e.Placeholder == nil || e.Placeholder.Rel == "" || e.Sig == "" {
@@ -103,7 +103,7 @@ func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan 
 		if err != nil {
 			sp.SetErr(err)
 			sp.Finish()
-			return nil, 0, &nodeFaultError{node: e.To.Node,
+			return nil, &nodeFaultError{node: e.To.Node,
 				err: fmt.Errorf("core: observe %s on %s: %w", e.Placeholder.Rel, e.To.Node, err)}
 		}
 		if len(res.Rows) == 0 || len(res.Rows[0]) == 0 {
@@ -116,10 +116,10 @@ func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan 
 		fb[e.Sig] = actual
 		s.feedObservedRows(e, actual)
 		if reoptDiverges(e.EstRows, actual, threshold) {
-			return e, actual, nil
+			return e, nil
 		}
 	}
-	return nil, 0, nil
+	return nil, nil
 }
 
 // statsOverride corrects one table's statistics with an observed row
@@ -137,11 +137,8 @@ type statsOverride struct {
 // when a materialized edge's producer is a bare (filtered, pruned) scan,
 // the observed output count implies the source table's true row count
 // (actual / filter selectivity). If that implied count contradicts the
-// catalog's snapshot beyond the reopt threshold, a statsOverride is
-// registered so the next metadata refresh publishes the corrected
-// statistics — which trips the existing statsEqual change detection,
-// invalidating the consult-cache and plan-cache entries built on the
-// stale estimates. The next query then plans with actuals from the
+// catalog's snapshot beyond the reopt threshold, the correction is
+// learned (learnStats) and the next query plans with actuals from the
 // start. Join-output edges carry no single-table attribution and feed
 // only the in-query feedback map.
 func (s *System) feedObservedRows(e *Edge, actual float64) {
@@ -162,24 +159,34 @@ func (s *System) feedObservedRows(e *Edge, actual float64) {
 	if !reoptDiverges(float64(info.Stats.RowCount), implied, s.reoptThreshold()) {
 		return
 	}
-	key := strings.ToLower(sc.Table)
-	base := info.Stats
-	if prev, ok := s.statsFeedback.Load(key); ok {
-		// Keep the original stale snapshot as the drift sentinel: the
-		// catalog may already hold a corrected version, and the node
-		// still reports the original.
-		base = prev.(*statsOverride).base
+	s.learnStats(sc.Table, scaleStats(info.Stats, int64(math.Round(implied))))
+}
+
+// learnStats is the one writer of cardinality corrections, whatever their
+// source (a barrier, a finished implicit pull, an exhausted sample probe):
+// it registers the statsOverride, republishes the catalog entry with the
+// corrected statistics, and drops the node's consulted costs and cached
+// plans, which were built on the disproved ones. One observation thereby
+// benefits every subsequent query. The drift sentinel stays the original
+// stale snapshot across corrections — the catalog may already hold a
+// corrected version while the node still reports the original — and the
+// swap is atomic, so concurrent queries cannot clobber it. Statistics the
+// catalog already holds teach nothing.
+func (s *System) learnStats(table string, corrected *engine.TableStats) {
+	info, ok := s.catalog.Lookup(table)
+	if !ok || info.Stats == nil || statsEqual(info.Stats, corrected) {
+		return
 	}
-	corrected := scaleStats(info.Stats, int64(math.Round(implied)))
-	s.statsFeedback.Store(key, &statsOverride{base: base, corrected: corrected})
-	if s.CacheStats {
-		// The cached-stats path never re-fetches, so the correction is
-		// pushed directly instead of substituted at fetch time.
-		s.statsCache.Store(key, corrected)
-		s.catalog.Put(&TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: corrected})
-		s.consults.invalidateNode(info.Node)
-		s.invalidatePlansOnNode(info.Node)
+	key := strings.ToLower(table)
+	for {
+		prev, loaded := s.statsFeedback.LoadOrStore(key, &statsOverride{base: info.Stats, corrected: corrected})
+		if !loaded || s.statsFeedback.CompareAndSwap(key, prev,
+			&statsOverride{base: prev.(*statsOverride).base, corrected: corrected}) {
+			break
+		}
 	}
+	s.catalog.Put(&TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: corrected})
+	s.invalidateNode(info.Node)
 }
 
 // feedImplicitFlows closes the feedback loop for the edges the barriers

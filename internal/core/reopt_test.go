@@ -8,7 +8,7 @@ import (
 	"xdb/internal/sqltypes"
 )
 
-// Adaptive mid-query re-optimization scenarios (`make chaos-reopt`). The
+// Adaptive mid-query re-optimization scenarios (`make chaos`). The
 // cluster's statistics are skewed with Engine.SkewStats — the engines
 // report row counts that diverge from what their scans actually return,
 // the stale-ANALYZE condition — and the tests assert the cardinality
@@ -123,7 +123,7 @@ func TestReoptSkewedJoinInput(t *testing.T) {
 		}
 	}
 	// Nothing leaks: the superseded deployment dropped with the query.
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 	cl.close()
 	cl.assertTransportBalanced(t)
 }
@@ -269,7 +269,7 @@ func TestReoptThresholdBoundary(t *testing.T) {
 		if got := rowsText(res); got != rowsText(want) {
 			t.Errorf("rows differ from accurate baseline:\n%s", got)
 		}
-		cl.assertNoXDBObjects(t)
+		assertQuiescent(t, cl.sys, cl.engines)
 	})
 }
 
@@ -342,7 +342,7 @@ func TestReoptCrossQueryFeedback(t *testing.T) {
 // deployed, during its barrier probe — and the failure must fall
 // through to the fault failover, finish the query elsewhere, and leak
 // nothing after revival plus one sweep. Run under -race via `make
-// chaos-reopt`.
+// chaos`.
 func TestReoptKillDuringReopt(t *testing.T) {
 	opts := failoverOptions()
 	opts.ForceMovement = MoveExplicit
@@ -402,12 +402,12 @@ func TestReoptKillDuringReopt(t *testing.T) {
 
 	// Nothing leaks: survivors are clean; db3's objects are orphans that
 	// one post-revival sweep collects.
-	cl.assertNoXDBObjects(t, "db3")
+	assertQuiescent(t, cl.sys, cl.engines, "db3")
 	cl.topo.ReviveNode("db3")
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, err)
 	}
-	cl.assertNoXDBObjects(t)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)
@@ -583,4 +583,77 @@ func BenchmarkReopt(b *testing.B) {
 	b.Run("accurate/on", func(b *testing.B) { run(b, 2, 1) })
 	b.Run("skewed/off", func(b *testing.B) { run(b, 0, 0.1) })
 	b.Run("skewed/on", func(b *testing.B) { run(b, 2, 0.1) })
+}
+
+// TestReoptFailedReplanRunsSuperseded cuts the middleware off from orders'
+// home between deployment and the re-plan: the barrier (db1 pulling from
+// db2) still disproves the estimate, but the re-optimization cannot
+// refresh orders' metadata and has no plan. The superseded deployment is
+// intact, so the query executes it — same rows, no fault budget spent —
+// and once the link heals one sweep leaves the cluster quiescent.
+func TestReoptFailedReplanRunsSuperseded(t *testing.T) {
+	optsOff := reoptOptions()
+	optsOff.MaxReopts = 0
+	clOff := newChaosCluster(t, optsOff)
+	if err := clOff.engines["db2"].SkewStats("orders", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := clOff.sys.Query(failoverQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := reoptOptions()
+	opts.Trace = true
+	cl := newChaosCluster(t, opts)
+	if err := cl.engines["db2"].SkewStats("orders", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	cl.sys.hookBeforeAttempt = func(attempt int) {
+		if attempt == 0 {
+			cl.topo.PartitionSites(chaosSite("xdb"), chaosSite("db2"))
+		}
+	}
+	failedBefore := met.reopts.With("failed").Value()
+	res, err := cl.sys.Query(failoverQuery)
+	cl.sys.hookBeforeAttempt = nil
+	if err != nil {
+		t.Fatalf("query failed although the superseded deployment was intact: %v", err)
+	}
+	if got, want := rowsText(res), rowsText(baseline); got != want {
+		t.Errorf("result differs from the un-adaptive baseline:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if res.Plan.Root.Node != "db1" {
+		t.Errorf("executed plan rooted on %s, want the superseded plan's db1", res.Plan.Root.Node)
+	}
+	if bd := res.Breakdown; bd.Reopts != 1 || bd.Replans != 0 || bd.FailedOver || bd.MediatorFallback {
+		t.Errorf("breakdown = reopts %d replans %d failed_over %v mediator %v, want 1/0/false/false",
+			bd.Reopts, bd.Replans, bd.FailedOver, bd.MediatorFallback)
+	}
+	if got := met.reopts.With("failed").Value() - failedBefore; got != 1 {
+		t.Errorf("xdb_reopts_total{outcome=failed} delta = %d, want 1", got)
+	}
+	if res.Trace.Find("reopt_fallback") == nil {
+		t.Errorf("no reopt_fallback span in trace:\n%s", res.Trace)
+	}
+	assertClosed(t, res.Trace)
+	// The drops on db2 could not cross the cut link: they are parked, and
+	// nothing else is left anywhere.
+	if res.CleanupErr == nil {
+		t.Error("CleanupErr = nil with db2 unreachable for its drops")
+	}
+	assertQuiescent(t, cl.sys, cl.engines, "db2")
+
+	cl.topo.Heal()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, remaining, err := cl.sys.SweepOrphans(); err == nil && remaining == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("orphans not collected after the heal: %v", cl.sys.Orphans())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	assertQuiescent(t, cl.sys, cl.engines)
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"xdb/internal/engine"
@@ -40,10 +39,10 @@ import (
 //	    deflated report is discovered rather than believed.
 //
 // Probes run through the same control-plane discipline as consultations:
-// concurrent fan-out (SerialAnnotation restores sequential order),
-// per-node semaphores, breaker-aware (an open breaker skips the probe —
-// it never fires against a node that cannot answer), and degraded to the
-// plain estimate on any fault. Sampling never fails a query.
+// concurrent fan-out (fanOutFirstErr), per-node semaphores, breaker-aware
+// (an open breaker skips the probe — it never fires against a node that
+// cannot answer), and degraded to the plain estimate on any fault. Sampling
+// never fails a query.
 
 // DefaultSampleTrigger is the shipping-volume ratio under which a
 // movement decision counts as ambiguous (trigger c) when
@@ -90,24 +89,10 @@ func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter 
 func (s *System) sampleRefine(ctx context.Context, scans []*Scan) int {
 	limit := int64(s.opts.SampleLimit)
 	cands := s.sampleCandidates(scans, limit)
-	if len(cands) == 0 {
-		return 0
-	}
-	if s.opts.SerialAnnotation || len(cands) < 2 {
-		for _, sc := range cands {
-			s.sampleScan(ctx, sc, limit)
-		}
-		return len(cands)
-	}
-	var wg sync.WaitGroup
-	for _, sc := range cands {
-		wg.Add(1)
-		go func(sc *Scan) {
-			defer wg.Done()
-			s.sampleScan(ctx, sc, limit)
-		}(sc)
-	}
-	wg.Wait()
+	fanOutFirstErr(ctx, len(cands), s.opts.serial, func(fctx context.Context, i int) error {
+		s.sampleScan(fctx, cands[i], limit)
+		return nil
+	})
 	return len(cands)
 }
 
@@ -212,7 +197,7 @@ func (s *System) sampleScan(ctx context.Context, sc *Scan, limit int64) {
 		sc.Stats = res.Stats
 		sc.est = exact
 		sc.width = estimateWidth(sc)
-		s.feedSampledStats(sc, res.Stats)
+		s.learnStats(sc.Table, res.Stats)
 	} else if lb := float64(res.Matched); lb > sc.est {
 		// At least lb rows match among the first Scanned alone.
 		sc.est = lb
@@ -221,32 +206,4 @@ func (s *System) sampleScan(ctx context.Context, sc *Scan, limit int64) {
 	met.sampleProbes.With(outcome).Inc()
 	sp.Set("outcome", outcome)
 	sp.Finish()
-}
-
-// feedSampledStats installs an exhausted probe's exact statistics as a
-// statsOverride, mirroring feedObservedRows: the catalog republishes the
-// truth immediately, metadata refreshes keep substituting it while the
-// node reports the same stale snapshot, and the node's consulted costs
-// and cached plans — built on the disproved statistics — are dropped.
-// One sample thereby benefits every subsequent query, not just this one.
-func (s *System) feedSampledStats(sc *Scan, exact *engine.TableStats) {
-	info, ok := s.catalog.Lookup(sc.Table)
-	if !ok || info.Stats == nil || statsEqual(info.Stats, exact) {
-		return
-	}
-	key := strings.ToLower(sc.Table)
-	base := info.Stats
-	if prev, ok := s.statsFeedback.Load(key); ok {
-		// Keep the original stale snapshot as the drift sentinel (the
-		// catalog may already hold a corrected version while the node
-		// still reports the original).
-		base = prev.(*statsOverride).base
-	}
-	s.statsFeedback.Store(key, &statsOverride{base: base, corrected: exact})
-	s.catalog.Put(&TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: exact})
-	if s.CacheStats {
-		s.statsCache.Store(key, exact)
-	}
-	s.consults.invalidateNode(info.Node)
-	s.invalidatePlansOnNode(info.Node)
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Proactive sampling scenarios (`make chaos-sample`). The cluster's
+// Proactive sampling scenarios (`make chaos`). The cluster's
 // statistics are skewed with Engine.SkewStats — the stale-ANALYZE
 // condition — and the tests assert the sampling pre-pass's invariants:
 // a sampling-enabled query plans correctly on its FIRST run (zero
@@ -306,7 +306,7 @@ func TestSampleSerialParallelIdentical(t *testing.T) {
 	run := func(t *testing.T, serial bool) *Result {
 		t.Helper()
 		opts := sampleOptions(64)
-		opts.SerialAnnotation = serial
+		opts.serial = serial
 		cl := newChaosCluster(t, opts)
 		loadSavingsTables(t, cl)
 		// Two relations under the limit: the parallel path (>= 2

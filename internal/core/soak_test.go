@@ -117,8 +117,7 @@ func TestSoakBurst(t *testing.T) {
 	if _, err := cl.sys.QueryContext(context.Background(), chaosQuery); !errors.As(err, &de) {
 		t.Errorf("post-drain query error = %v, want *DrainingError", err)
 	}
-	cl.assertNoXDBObjects(t)
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)
@@ -180,8 +179,7 @@ func TestSoakCancelMidDeployment(t *testing.T) {
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("sweep after cancels: remaining=%d err=%v", remaining, err)
 	}
-	cl.assertNoXDBObjects(t)
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)
@@ -240,8 +238,7 @@ func TestSoakDrainUnderLoad(t *testing.T) {
 	if ok == 0 {
 		t.Error("drain cancelled every in-flight query; want admitted ones to finish")
 	}
-	cl.assertNoXDBObjects(t)
-	assertIntrospectionDrained(t, cl.sys)
+	assertQuiescent(t, cl.sys, cl.engines)
 
 	cl.close()
 	cl.assertTransportBalanced(t)

@@ -68,14 +68,11 @@ type System struct {
 	// node that was down during the first calibration pass is retried
 	// once it recovers.
 	calNodes map[string]bool
-	// statsCache caches per-table statistics between queries when
-	// CacheStats is on.
-	statsCache sync.Map // table name -> *engine.TableStats
-	// statsFeedback holds per-table cardinality corrections derived from
-	// observed actuals at materialization barriers (see
-	// feedObservedRows); fetchTableMetadata substitutes a correction for
-	// the stale snapshot it was derived against until the source reports
-	// genuinely new statistics.
+	// statsFeedback holds per-table cardinality corrections learned from
+	// barriers, finished pulls, and sample probes (see learnStats);
+	// fetchTableMetadata substitutes a correction for the stale snapshot it
+	// was derived against until the source reports genuinely new
+	// statistics.
 	statsFeedback sync.Map // table name -> *statsOverride
 	// consults memoizes consultation probe results across queries when
 	// Options.ConsultCacheTTL is set (nil otherwise; see
@@ -92,8 +89,8 @@ type System struct {
 	// re-gathering them during every preparation phase.
 	CacheStats bool
 
-	// hookBeforeAttempt, when set, runs right before each failover
-	// attempt's execution phase (attempt 0 is the original run). Test
+	// hookBeforeAttempt, when set, runs right before each attempt's
+	// observe and execute steps (attempt 0 is the original run). Test
 	// seam for chaos tests that must kill a node after deployment but
 	// before execution.
 	hookBeforeAttempt func(attempt int)
@@ -124,10 +121,7 @@ func NewSystem(middlewareNode, clientNode string, topo *netsim.Topology, opts Op
 	// entries — costs consulted before an outage say nothing about the
 	// node during or after it — and its cached plans, whose deployed
 	// objects may not have survived the outage.
-	s.health.onTransition = func(node string, _ BreakerState) {
-		s.consults.invalidateNode(node)
-		s.invalidatePlansOnNode(node)
-	}
+	s.health.onTransition = func(node string, _ BreakerState) { s.invalidateNode(node) }
 	registerSystemGauges(s)
 	s.startMetricsServer()
 	s.startDeploymentJanitor()
@@ -587,7 +581,6 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 // sees); the first failure cancels the rest of the fan-out.
 func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) error {
 	seen := map[string]bool{}
-	var keys []string
 	var work []*TableInfo
 	for _, ref := range sel.From {
 		key := strings.ToLower(ref.Name)
@@ -602,19 +595,10 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 		if s.CacheStats && info.Schema != nil && info.Stats != nil {
 			continue // fully cached entry
 		}
-		keys = append(keys, key)
 		work = append(work, info)
 	}
-	if s.opts.SerialAnnotation || len(work) < 2 {
-		for i := range work {
-			if err := s.fetchTableMetadata(ctx, keys[i], work[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fanOutFirstErr(ctx, len(work), func(fctx context.Context, i int) error {
-		return s.fetchTableMetadata(fctx, keys[i], work[i])
+	return fanOutFirstErr(ctx, len(work), s.opts.serial, func(fctx context.Context, i int) error {
+		return s.fetchTableMetadata(fctx, work[i])
 	})
 }
 
@@ -622,7 +606,7 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 // and republishes its catalog entry. A stats-RPC failure still publishes
 // the schema fetched before it, so the next attempt resumes from the
 // partial entry instead of paying the schema round trip again.
-func (s *System) fetchTableMetadata(ctx context.Context, key string, info *TableInfo) error {
+func (s *System) fetchTableMetadata(ctx context.Context, info *TableInfo) error {
 	mdSpan := obs.SpanFrom(ctx).Child("metadata")
 	mdSpan.Set("table", info.Name)
 	mdSpan.Set("node", info.Node)
@@ -656,52 +640,34 @@ func (s *System) fetchTableMetadata(ctx context.Context, key string, info *Table
 		}
 		updated.Schema = schema
 	}
-	refreshStats := true
-	if s.CacheStats {
-		if st, ok := s.statsCache.Load(key); ok {
-			updated.Stats = st.(*engine.TableStats)
-			refreshStats = false
+	rctx, cancel := s.reqCtx(ctx)
+	st, err := conn.Stats(rctx, info.Name)
+	cancel()
+	s.health.record(info.Node, err)
+	if err != nil {
+		s.catalog.Put(updated) // keep the schema: partial beats absent
+		mdSpan.SetErr(err)
+		return err
+	}
+	// A learned correction (learnStats) keeps standing in for the stale
+	// snapshot it was derived against for as long as the node reports
+	// exactly that snapshot. If the node reports anything else, the table
+	// genuinely changed and the override is dropped.
+	key := strings.ToLower(info.Name)
+	if ov, ok := s.statsFeedback.Load(key); ok {
+		o := ov.(*statsOverride)
+		if statsEqual(o.base, st) {
+			st = o.corrected
+		} else {
+			s.statsFeedback.Delete(key)
 		}
 	}
-	if refreshStats {
-		rctx, cancel := s.reqCtx(ctx)
-		st, err := conn.Stats(rctx, info.Name)
-		cancel()
-		s.health.record(info.Node, err)
-		if err != nil {
-			s.catalog.Put(updated) // keep the schema: partial beats absent
-			mdSpan.SetErr(err)
-			return err
-		}
-		// A cardinality-feedback override substitutes the observed-rows
-		// correction for a stale snapshot the node still reports. The
-		// first substitution trips the statsEqual change detection below
-		// — invalidating consulted costs and cached plans built on the
-		// stale estimates — after which the catalog holds the corrected
-		// statistics and the path is quiescent. If the node reports
-		// anything but the snapshot the correction was derived against,
-		// the table genuinely changed and the override is dropped.
-		if ov, ok := s.statsFeedback.Load(key); ok {
-			o := ov.(*statsOverride)
-			if statsEqual(o.base, st) {
-				st = o.corrected
-			} else {
-				s.statsFeedback.Delete(key)
-			}
-		}
-		// A refresh that actually changed the table's statistics drops
-		// the node's consult-cache entries — costs consulted against the
-		// old statistics no longer describe it — and the node's cached
-		// plans, whose placements were functions of the old statistics.
-		if info.Stats != nil && !statsEqual(info.Stats, st) {
-			s.consults.invalidateNode(info.Node)
-			s.invalidatePlansOnNode(info.Node)
-		}
-		updated.Stats = st
-		if s.CacheStats {
-			s.statsCache.Store(key, st)
-		}
+	// A refresh that actually changed the table's statistics invalidates
+	// what was consulted and planned against the old ones.
+	if info.Stats != nil && !statsEqual(info.Stats, st) {
+		s.invalidateNode(info.Node)
 	}
+	updated.Stats = st
 	s.catalog.Put(updated)
 	return nil
 }
@@ -778,7 +744,7 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 	} else if s.opts.Trace || s.opts.SlowQueryThreshold > 0 {
 		qspan = obs.NewSpan("query")
 	}
-	var bd Breakdown
+	run := &queryRun{s: s, qspan: qspan, sql: sql, excluded: map[string]bool{}}
 	wallStart := time.Now()
 	if qspan != nil {
 		qspan.Set("sql", truncateSQL(sql))
@@ -787,13 +753,12 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 		// cancelled deployment must not leave orphan open spans.
 		defer qspan.FinishAll()
 	}
-	var plan *Plan
 	defer func() {
 		wall := time.Since(wallStart)
 		met.queries.With(queryOutcome(err)).Inc()
 		observeSeconds(met.queryDur, wall)
 		qspan.SetErr(err)
-		s.logSlowQuery(sql, wall, &bd, plan, qspan, err)
+		s.logSlowQuery(sql, wall, &run.bd, run.plan, qspan, err)
 	}()
 
 	// --- Admission: take an in-flight slot (or queue for one while the
@@ -816,28 +781,26 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 	// Admitted: the query is now visible to the inspector until it
 	// finishes (the deferred deregister also unroutes its flow qids, so a
 	// failed-over or cancelled query never leaks an entry).
-	inf := s.inflight.register(sql)
-	defer s.inflight.deregister(inf)
+	run.inf = s.inflight.register(sql)
+	defer s.inflight.deregister(run.inf)
 
-	bd = Breakdown{AdmissionWait: wait, Queued: queued}
+	run.bd = Breakdown{AdmissionWait: wait, Queued: queued}
 
 	// The plan-cache key is the canonical rendering of the parsed
 	// statement, so formatting differences (case of keywords, whitespace)
 	// hit the same entry. An unparsable statement skips the cache and
 	// fails inside the pipeline with the real parse error.
-	var cacheKey string
 	if s.plans != nil {
 		if sel, perr := sqlparser.ParseSelect(sql); perr == nil {
-			cacheKey = sel.String()
+			run.cacheKey = sel.String()
 		}
 	}
 
-	// The plan→deploy→execute pipeline runs inside the failover loop: a
-	// node-attributable mid-query fault re-plans the unexecuted suffix
-	// around the dead node, up to Options.MaxReplans times (see
-	// failover.go). With MaxReplans 0 — the paper's configuration — the
-	// first fault fails the query exactly as before.
-	return s.runWithFailover(ctx, qspan, sql, cacheKey, &bd, &plan, inf)
+	// plan → deploy → observe → execute → settle (lifecycle.go). With
+	// MaxReplans and MaxReopts 0 — the paper's configuration — the line is
+	// straight and the first fault fails the query.
+	run.ctx = ctx
+	return run.run()
 }
 
 // NoConnectorError reports an execution attempt against a node no

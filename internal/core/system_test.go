@@ -16,6 +16,16 @@ import (
 // newPandemicTestbed builds the motivating scenario of Sec. II-A: CDB
 // (citizens), VDB (vaccines + vaccinations), HDB (measurements), three
 // autonomous DBMSes.
+// tbEngines is the testbed's engines by node name, as AssertQuiescent
+// takes them.
+func tbEngines(tb *testbed.Testbed) map[string]*engine.Engine {
+	out := map[string]*engine.Engine{}
+	for name, n := range tb.Nodes {
+		out[name] = n.Engine
+	}
+	return out
+}
+
 func newPandemicTestbed(t *testing.T, opts core.Options) *testbed.Testbed {
 	t.Helper()
 	tb, err := testbed.New([]string{"CDB", "VDB", "HDB"}, testbed.Config{
@@ -172,18 +182,7 @@ func TestDelegationCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After cleanup, no xdb-prefixed views or tables remain on any node.
-	for name, n := range tb.Nodes {
-		for _, v := range n.Engine.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: leftover view %s", name, v)
-			}
-		}
-		for _, tab := range n.Engine.Catalog().TableNames() {
-			if strings.HasPrefix(tab, "xdb") {
-				t.Errorf("node %s: leftover table %s", name, tab)
-			}
-		}
-	}
+	core.AssertQuiescent(t, tb.System, tbEngines(tb))
 }
 
 func TestMiddlewareMovesNoData(t *testing.T) {
@@ -228,13 +227,7 @@ func TestPlanOnlyDeploysNothing(t *testing.T) {
 	if bd.Deleg != 0 || bd.Exec != 0 {
 		t.Errorf("plan-only breakdown has deploy/exec time: %+v", bd)
 	}
-	for name, n := range tb.Nodes {
-		for _, v := range n.Engine.Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") {
-				t.Errorf("node %s: Plan deployed view %s", name, v)
-			}
-		}
-	}
+	core.AssertQuiescent(t, tb.System, tbEngines(tb)) // Plan deployed nothing
 }
 
 func TestAnnotationPrunesThirdNode(t *testing.T) {
