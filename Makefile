@@ -37,12 +37,13 @@ soak:
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
 
-# Non-test, non-comment, non-blank Go lines per internal/ package — the
-# number a simplicity PR quotes before and after.
+# Non-test, non-comment, non-blank Go lines per internal/ package and in
+# total — the numbers a simplicity PR quotes before and after.
 loc:
-	@for d in internal/*/; do \
-		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cvE '^\s*(//|$$)')" "$$d"; \
-	done
+	@total=0; for d in internal/*/; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cvE '^\s*(//|$$)'); \
+		printf '%6d %s\n' "$$n" "$$d"; total=$$((total + n)); \
+	done; printf '%6d total\n' "$$total"
 
 # The benchmark record: four workloads, end-to-end and per-layer metrics,
 # every answer checked against the oracle (bench/README.md), then the diff

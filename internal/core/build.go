@@ -136,6 +136,15 @@ func buildLogical(catalog *Catalog, sel *sqlparser.Select) (*builder, []sqlparse
 	return b, joinConjs, canon, nil
 }
 
+// scans returns the query's scans in FROM order.
+func (b *builder) scans() []*Scan {
+	out := make([]*Scan, len(b.order))
+	for i, a := range b.order {
+		out[i] = b.aliases[a]
+	}
+	return out
+}
+
 // expandStars replaces * and t.* projections with explicit column
 // references in FROM order.
 func (b *builder) expandStars(sel *sqlparser.Select) error {

@@ -323,11 +323,7 @@ func applyCardFeedback(op Op, fb map[string]float64) int {
 	case *Join:
 		n += applyCardFeedback(x.L, fb)
 		n += applyCardFeedback(x.R, fb)
-		est := estimateJoin(x.L, x.R, x.Keys)
-		for _, res := range x.Residual {
-			est *= exprSelectivity(res)
-		}
-		x.est = math.Max(est, 1)
+		x.est = x.estimate()
 		if rows, ok := fb[logicalSig(x, nil)]; ok && finiteCard(rows) {
 			x.est = math.Max(rows, 1)
 			n++
@@ -349,14 +345,24 @@ func finiteCard(v float64) bool {
 // estimateJoin estimates equi-join output with per-key distinct counts:
 // |L||R| / prod over keys of max(d_L, d_R), capped at the cross product.
 func estimateJoin(l, r Op, keys []JoinKey) float64 {
-	if len(keys) == 0 {
-		return l.Est() * r.Est()
+	dl, dr := make([]float64, len(keys)), make([]float64, len(keys))
+	for i, k := range keys {
+		dl[i], dr[i] = distinctOf(l, k.L), distinctOf(r, k.R)
 	}
-	out := l.Est() * r.Est()
-	for _, k := range keys {
-		dl := distinctOf(l, k.L)
-		dr := distinctOf(r, k.R)
-		d := math.Max(dl, dr)
+	return joinRows(l.Est(), r.Est(), dl, dr)
+}
+
+// joinRows is estimateJoin's formula over plain numbers — the two inputs'
+// rows and, per key, the distinct count of its column on either side — so
+// that join enumeration (joinGraph's estimator) prices a step without
+// building the operators, by the same arithmetic in the same order.
+func joinRows(lRows, rRows float64, dl, dr []float64) float64 {
+	out := lRows * rRows
+	if len(dl) == 0 {
+		return out
+	}
+	for i := range dl {
+		d := math.Max(dl[i], dr[i])
 		if d < 1 {
 			d = 1
 		}
@@ -365,11 +371,26 @@ func estimateJoin(l, r Op, keys []JoinKey) float64 {
 	return math.Max(out, 1)
 }
 
+// estimate derives the join's cardinality from its inputs, keys and
+// residual conjuncts.
+func (j *Join) estimate() float64 {
+	est := estimateJoin(j.L, j.R, j.Keys)
+	for _, res := range j.Residual {
+		est *= exprSelectivity(res)
+	}
+	return math.Max(est, 1)
+}
+
 // distinctOf estimates the distinct count of a key column at an operator's
-// output: the base column distinct, capped by the operator's cardinality.
+// output.
 func distinctOf(op Op, cr *sqlparser.ColumnRef) float64 {
-	base := baseDistinct(op, cr)
-	return math.Min(base, math.Max(op.Est(), 1))
+	return capDistinct(baseDistinct(op, cr), op.Est())
+}
+
+// capDistinct caps a column's base distinct count by the cardinality of
+// the input that carries it.
+func capDistinct(base, rows float64) float64 {
+	return math.Min(base, math.Max(rows, 1))
 }
 
 func baseDistinct(op Op, cr *sqlparser.ColumnRef) float64 {

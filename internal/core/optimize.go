@@ -3,22 +3,23 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"math"
+	"math/bits"
 	"strings"
 	"time"
 
+	"xdb/internal/joinorder"
 	"xdb/internal/sqlparser"
 	"xdb/internal/wire"
 )
 
 // Logical optimization (Sec. IV-B1): selection and projection pushdown
 // happen while building (build.go); this file orders the joins. The paper
-// restricts plans to left-deep trees (footnote 5); we enumerate them with
-// the classic greedy heuristic over the join graph — start from the
-// smallest relation and repeatedly attach the connected relation whose
-// join yields the smallest estimated intermediate result. This is the
-// "overall reduces the intermediate data" objective of the paper, which
-// matters doubly here because intermediate size is also inter-DBMS
-// transfer volume.
+// restricts plans to left-deep trees (footnote 5); internal/joinorder
+// enumerates them over the join graph extracted here, minimizing the sum
+// of estimated intermediate results. This is the "overall reduces the
+// intermediate data" objective of the paper, which matters doubly here
+// because intermediate size is also inter-DBMS transfer volume.
 
 // Options tunes the optimizer; zero value is the paper's configuration.
 // The non-default settings exist for the ablation studies in DESIGN.md §5.
@@ -202,392 +203,115 @@ type Options struct {
 	Wire wire.ClientConfig
 }
 
-// orderJoins builds the left-deep join tree over the scans.
+// orderJoins builds the join tree over the scans: extract the join graph,
+// ask the enumerator for an order, and build joins along that order only.
 func orderJoins(b *builder, joinConjs []sqlparser.Expr, opts Options) (Op, error) {
-	rels := make([]Op, 0, len(b.order))
-	for _, a := range b.order {
-		rels = append(rels, b.aliases[a])
+	scans := b.scans()
+	if len(scans) == 1 && len(joinConjs) > 0 {
+		return nil, fmt.Errorf("core: join predicates with a single relation: %v", joinConjs[0])
 	}
-	if len(rels) == 1 {
-		if len(joinConjs) > 0 {
-			return nil, fmt.Errorf("core: join predicates with a single relation: %v", joinConjs[0])
-		}
-		return rels[0], nil
+	g, err := newJoinGraph(scans, joinConjs)
+	if err != nil {
+		return nil, err
 	}
-
-	pending := append([]sqlparser.Expr(nil), joinConjs...)
-
-	if opts.NoJoinReorder {
-		cur := rels[0]
-		for _, next := range rels[1:] {
-			var err error
-			cur, pending, err = attachJoin(cur, next, pending)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(pending) > 0 {
-			return nil, fmt.Errorf("core: unresolved predicate %v", pending[0])
-		}
-		return cur, nil
+	var steps []joinorder.Step
+	switch {
+	case opts.NoJoinReorder:
+		steps = g.InOrder(g.estimate)
+	case opts.BushyPlans:
+		steps = g.Bushy(g.estimate)
+	default:
+		steps = g.LeftDeep(g.estimate)
 	}
-
-	if opts.BushyPlans {
-		return orderJoinsBushy(rels, pending)
+	rels := make([]Op, len(scans))
+	for i, s := range scans {
+		rels[i] = s
 	}
-	if len(rels) <= dpMaxRelations {
-		return orderJoinsDP(rels, pending)
-	}
-
-	// Fallback for very wide queries — greedy: smallest relation first,
-	// then cheapest connected join.
-	remaining := map[Op]bool{}
-	var cur Op
-	for _, r := range rels {
-		remaining[r] = true
-		if cur == nil || r.Est() < cur.Est() {
-			cur = r
-		}
-	}
-	delete(remaining, cur)
-
-	for len(remaining) > 0 {
-		var (
-			best    Op
-			bestEst float64
-		)
-		for r := range remaining {
-			// A relation is joinable when it shares an equi predicate
-			// with the current set, or when attaching it makes a pending
-			// residual predicate evaluable (Q7's FRANCE/GERMANY OR over
-			// two nation aliases: the filtered cross product of two
-			// 25-row relations beats dragging lineitem-sized
-			// intermediates until the filter finally applies).
-			keys := equiKeysBetween(cur, r, pending)
-			var est float64
-			switch {
-			case len(keys) > 0:
-				est = estimateJoin(cur, r, keys)
-				for _, res := range newlyResolvable(cur, r, keys, pending) {
-					est *= exprSelectivity(res)
-				}
-			default:
-				resolvable := newlyResolvable(cur, r, nil, pending)
-				if len(resolvable) == 0 {
-					continue
-				}
-				// Filtered cross product.
-				est = cur.Est() * r.Est()
-				for _, res := range resolvable {
-					est *= exprSelectivity(res)
-				}
-			}
-			if est < 1 {
-				est = 1
-			}
-			if best == nil || est < bestEst {
-				best, bestEst = r, est
-			}
-		}
-		if best == nil {
-			// Disconnected: attach the smallest remaining (cross join).
-			for r := range remaining {
-				if best == nil || r.Est() < best.Est() {
-					best = r
-				}
-			}
-		}
-		var err error
-		cur, pending, err = attachJoin(cur, best, pending)
-		if err != nil {
-			return nil, err
-		}
-		delete(remaining, best)
-	}
-	if len(pending) > 0 {
-		return nil, fmt.Errorf("core: unresolved predicate %v", pending[0])
-	}
-	return cur, nil
+	return joinorder.Fold(rels, steps, g.join)
 }
 
-// attachJoin joins cur with next, consuming every pending conjunct that
-// resolves against the combined columns.
-func attachJoin(cur, next Op, pending []sqlparser.Expr) (Op, []sqlparser.Expr, error) {
-	keys := equiKeysBetween(cur, next, pending)
-	j := &Join{L: cur, R: next, Keys: keys}
-
-	combined := colSet(j)
-	var rest []sqlparser.Expr
-	keyExprs := map[sqlparser.Expr]bool{}
-	for _, c := range pending {
-		if be, ok := c.(*sqlparser.BinaryExpr); ok && be.Op == sqlparser.OpEq {
-			if isKeyOf(be, keys) {
-				keyExprs[c] = true
-				continue
-			}
-		}
-		if resolvesInSet(c, combined) {
-			j.Residual = append(j.Residual, c)
-			continue
-		}
-		rest = append(rest, c)
-	}
-	j.est = estimateJoin(cur, next, keys)
-	for _, res := range j.Residual {
-		j.est *= exprSelectivity(res)
-	}
-	if j.est < 1 {
-		j.est = 1
-	}
-	return j, rest, nil
+// joinGraph is the join graph of one query — the scans' cardinalities and
+// the multi-relation conjuncts, classified once — with what the middleware
+// needs to price a join over it and to build the chosen ones.
+type joinGraph struct {
+	*joinorder.Graph
+	conjs  []sqlparser.Expr // aligned with Graph.Conjs
+	keys   []keyCols        // aligned too; set for equi conjuncts
+	dl, dr []float64        // estimate's scratch
 }
 
-// dpMaxRelations bounds the exact enumeration; wider FROM lists fall back
-// to the greedy heuristic (n·2^n states — 12 relations is ~49k join
-// constructions, still instant).
-const dpMaxRelations = 12
-
-// orderJoinsDP enumerates left-deep join orders exactly with the classic
-// Selinger-style dynamic program over relation subsets ([42]), minimizing
-// the sum of intermediate cardinalities. The sum objective is the right
-// one for cross-database execution, where every intermediate is a
-// candidate for inter-DBMS shipping. Greedy one-step lookahead fails on
-// Q7-shaped graphs: it joins customers before lineitem and materializes
-// supplier x customer pairs that only lineitem can link.
-func orderJoinsDP(rels []Op, pending []sqlparser.Expr) (Op, error) {
-	n := len(rels)
-	type state struct {
-		op      Op
-		pending []sqlparser.Expr
-		cost    float64
-	}
-	dp := make(map[uint32]*state, 1<<n)
-	for i, r := range rels {
-		dp[1<<uint(i)] = &state{op: r, pending: pending, cost: 0}
-	}
-	full := uint32(1<<uint(n)) - 1
-	for mask := uint32(1); mask <= full; mask++ {
-		if dp[mask] != nil || bitsSet(mask) < 2 {
-			continue
-		}
-		var best *state
-		// Extend some (mask without i) by relation i — left-deep only.
-		for i := 0; i < n; i++ {
-			bit := uint32(1) << uint(i)
-			if mask&bit == 0 {
-				continue
-			}
-			prev := dp[mask^bit]
-			if prev == nil {
-				continue
-			}
-			// Prefer connected extensions: skip cross products unless the
-			// subset has no connected build-up at all (checked by the
-			// final fallback below).
-			keys := equiKeysBetween(prev.op, rels[i], prev.pending)
-			if len(keys) == 0 && len(newlyResolvable(prev.op, rels[i], nil, prev.pending)) == 0 && best != nil {
-				continue
-			}
-			joined, rest, err := attachJoin(prev.op, rels[i], prev.pending)
-			if err != nil {
-				return nil, err
-			}
-			cost := prev.cost + joined.Est()
-			if best == nil || cost < best.cost {
-				best = &state{op: joined, pending: rest, cost: cost}
-			}
-		}
-		dp[mask] = best
-	}
-	final := dp[full]
-	if final == nil {
-		return nil, fmt.Errorf("core: join ordering found no plan for %d relations", n)
-	}
-	if len(final.pending) > 0 {
-		return nil, fmt.Errorf("core: unresolved predicate %v", final.pending[0])
-	}
-	return final.op, nil
+// keyCols is what pricing and orienting an equi conjunct takes: the
+// relation (as a one-bit set) its first column belongs to, and the base
+// distinct counts of the first and the second column.
+type keyCols struct {
+	rel    uint64
+	da, db float64
 }
 
-func bitsSet(v uint32) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
+func newJoinGraph(scans []*Scan, conjs []sqlparser.Expr) (*joinGraph, error) {
+	card := make([]float64, len(scans))
+	pos := make(map[string]int, len(scans))
+	for i, s := range scans {
+		card[i] = s.Est()
+		pos[strings.ToLower(s.Alias)] = i
 	}
-	return n
-}
-
-// orderJoinsBushy greedily merges the component pair with the smallest
-// estimated join until one tree remains — the classic GOO (greedy operator
-// ordering) heuristic, which naturally produces bushy shapes.
-func orderJoinsBushy(rels []Op, pending []sqlparser.Expr) (Op, error) {
-	components := append([]Op(nil), rels...)
-	for len(components) > 1 {
-		type pick struct {
-			i, j int
-			est  float64
-		}
-		var best *pick
-		for i := 0; i < len(components); i++ {
-			for j := i + 1; j < len(components); j++ {
-				keys := equiKeysBetween(components[i], components[j], pending)
-				var est float64
-				switch {
-				case len(keys) > 0:
-					est = estimateJoin(components[i], components[j], keys)
-					for _, res := range newlyResolvable(components[i], components[j], keys, pending) {
-						est *= exprSelectivity(res)
-					}
-				case len(newlyResolvable(components[i], components[j], nil, pending)) > 0:
-					est = components[i].Est() * components[j].Est()
-					for _, res := range newlyResolvable(components[i], components[j], nil, pending) {
-						est *= exprSelectivity(res)
-					}
-				default:
-					continue
-				}
-				if est < 1 {
-					est = 1
-				}
-				if best == nil || est < best.est {
-					best = &pick{i: i, j: j, est: est}
-				}
-			}
-		}
-		if best == nil {
-			// Disconnected query graph: cross-join the two smallest.
-			a, b := 0, 1
-			for k := range components {
-				if components[k].Est() < components[a].Est() {
-					b, a = a, k
-				} else if k != a && components[k].Est() < components[b].Est() {
-					b = k
-				}
-			}
-			best = &pick{i: min(a, b), j: max(a, b), est: components[a].Est() * components[b].Est()}
-		}
-		joined, rest, err := attachJoin(components[best.i], components[best.j], pending)
-		if err != nil {
-			return nil, err
-		}
-		pending = rest
-		// Replace i with the join, remove j.
-		components[best.i] = joined
-		components = append(components[:best.j], components[best.j+1:]...)
+	jg, err := joinorder.New(card)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if len(pending) > 0 {
-		return nil, fmt.Errorf("core: unresolved predicate %v", pending[0])
-	}
-	return components[0], nil
-}
-
-// newlyResolvable returns the pending non-key conjuncts that reference
-// both sides and become evaluable once l and r are joined.
-func newlyResolvable(l, r Op, keys []JoinKey, pending []sqlparser.Expr) []sqlparser.Expr {
-	lcols, rcols := colSet(l), colSet(r)
-	combined := map[string]bool{}
-	for c := range lcols {
-		combined[c] = true
-	}
-	for c := range rcols {
-		combined[c] = true
-	}
-	var out []sqlparser.Expr
-	for _, c := range pending {
-		if be, ok := c.(*sqlparser.BinaryExpr); ok && be.Op == sqlparser.OpEq && isKeyOf(be, keys) {
-			continue
-		}
-		touchesL, touchesR := false, false
-		all := true
+	g := &joinGraph{Graph: jg, conjs: conjs, keys: make([]keyCols, len(conjs))}
+	for ci, c := range conjs {
+		cj := joinorder.Conjunct{Sel: exprSelectivity(c)}
 		for _, cr := range sqlparser.ColumnsIn(c) {
-			if cr.Table == "" {
-				continue
-			}
-			id := colID(cr)
-			switch {
-			case lcols[id]:
-				touchesL = true
-			case rcols[id]:
-				touchesR = true
-			}
-			if !combined[id] {
-				all = false
+			// A bare reference names a projection alias, not a relation.
+			if i, ok := pos[strings.ToLower(cr.Table)]; ok {
+				cj.Rels |= 1 << i
 			}
 		}
-		if all && touchesL && touchesR {
-			out = append(out, c)
+		if lc, rc, ok := sqlparser.ColumnEquality(c); ok && bits.OnesCount64(cj.Rels) == 2 {
+			a, b := pos[strings.ToLower(lc.Table)], pos[strings.ToLower(rc.Table)]
+			cj.Equi = true
+			g.keys[ci] = keyCols{1 << a, baseDistinct(scans[a], lc), baseDistinct(scans[b], rc)}
 		}
+		g.Conjs = append(g.Conjs, cj)
 	}
-	return out
+	return g, nil
 }
 
-// equiKeysBetween finds the ColumnRef = ColumnRef conjuncts joining the
-// two operators' column sets.
-func equiKeysBetween(l, r Op, pending []sqlparser.Expr) []JoinKey {
-	lcols, rcols := colSet(l), colSet(r)
-	var keys []JoinKey
-	for _, c := range pending {
-		be, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			continue
-		}
-		lc, lok := be.L.(*sqlparser.ColumnRef)
-		rc, rok := be.R.(*sqlparser.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		switch {
-		case lcols[colID(lc)] && rcols[colID(rc)]:
-			keys = append(keys, JoinKey{L: lc, R: rc})
-		case lcols[colID(rc)] && rcols[colID(lc)]:
-			keys = append(keys, JoinKey{L: rc, R: lc})
-		}
-	}
-	return keys
-}
-
-func isKeyOf(be *sqlparser.BinaryExpr, keys []JoinKey) bool {
-	lc, lok := be.L.(*sqlparser.ColumnRef)
-	rc, rok := be.R.(*sqlparser.ColumnRef)
-	if !lok || !rok {
-		return false
-	}
+// estimate prices a join step exactly as join will estimate the operator
+// it builds: estimateJoin's formula over the step's keys, scaled by the
+// residuals' selectivities.
+func (g *joinGraph) estimate(l, r joinorder.Input, keys, residuals []int) float64 {
+	g.dl, g.dr = g.dl[:0], g.dr[:0]
 	for _, k := range keys {
-		if (sameRef(k.L, lc) && sameRef(k.R, rc)) || (sameRef(k.L, rc) && sameRef(k.R, lc)) {
-			return true
+		da, db := g.keys[k].da, g.keys[k].db
+		if l.Rels&g.keys[k].rel == 0 {
+			da, db = db, da
 		}
+		g.dl, g.dr = append(g.dl, capDistinct(da, l.Rows)), append(g.dr, capDistinct(db, r.Rows))
 	}
-	return false
-}
-
-func sameRef(a, b *sqlparser.ColumnRef) bool {
-	return strings.EqualFold(a.Table, b.Table) && strings.EqualFold(a.Name, b.Name)
-}
-
-// colID is the canonical lower-cased "alias.col" identity.
-func colID(cr *sqlparser.ColumnRef) string {
-	return strings.ToLower(cr.Table + "." + cr.Name)
-}
-
-// colSet returns the lower-cased output column identities of an operator.
-func colSet(op Op) map[string]bool {
-	out := map[string]bool{}
-	for _, c := range op.OutCols() {
-		out[strings.ToLower(c)] = true
+	rows := joinRows(l.Rows, r.Rows, g.dl, g.dr)
+	for _, i := range residuals {
+		rows *= g.Conjs[i].Sel
 	}
-	return out
+	return math.Max(rows, 1)
 }
 
-// resolvesInSet reports whether every column reference of e is in cols.
-func resolvesInSet(e sqlparser.Expr, cols map[string]bool) bool {
-	ok := true
-	for _, cr := range sqlparser.ColumnsIn(e) {
-		if cr.Table == "" {
-			continue
+// join builds one join of the chosen order from the conjuncts the step
+// consumes, each key turned so that its L column resolves in the left
+// input.
+func (g *joinGraph) join(l, r Op, s joinorder.Step) (Op, error) {
+	j := &Join{L: l, R: r}
+	for _, k := range s.Keys {
+		lc, rc, _ := sqlparser.ColumnEquality(g.conjs[k])
+		if s.LRels&g.keys[k].rel == 0 {
+			lc, rc = rc, lc
 		}
-		if !cols[colID(cr)] {
-			ok = false
-		}
+		j.Keys = append(j.Keys, JoinKey{L: lc, R: rc})
 	}
-	return ok
+	for _, i := range s.Residuals {
+		j.Residual = append(j.Residual, g.conjs[i])
+	}
+	j.est = j.estimate()
+	return j, nil
 }

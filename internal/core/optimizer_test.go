@@ -192,7 +192,7 @@ func TestEstimateJoinFKShape(t *testing.T) {
 	}
 }
 
-func TestOrderJoinsGreedySmallestFirst(t *testing.T) {
+func TestOrderJoinsSmallestFirst(t *testing.T) {
 	c := newTestCatalog()
 	b, conjs, _ := analyze(t, c, `
 		SELECT s.s_id FROM large l, medium m, small s

@@ -518,11 +518,7 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 	// so both decisions see the refined cardinalities. Part of
 	// preparation — it refines the statistics gathering just gathered.
 	if s.opts.SampleLimit > 0 {
-		scans := make([]*Scan, 0, len(b.order))
-		for _, alias := range b.order {
-			scans = append(scans, b.aliases[alias])
-		}
-		n := s.sampleRefine(pctx, scans)
+		n := s.sampleRefine(pctx, b.scans())
 		bd.SampleProbes += n
 		if n > 0 {
 			prepSpan.Set("samples", strconv.Itoa(n))

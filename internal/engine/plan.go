@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
+	"xdb/internal/joinorder"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
@@ -37,12 +39,6 @@ const (
 	cForeignTuple = 10.0 // remote rows are expensive: fetch + decode
 )
 
-// relNode is a FROM-list relation during join planning.
-type relNode struct {
-	alias string
-	node  *planNode
-}
-
 // planSelect builds the physical plan for a SELECT.
 func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 	if len(sel.From) == 0 {
@@ -50,79 +46,44 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 	}
 
 	// 1. Resolve FROM relations.
-	rels := make([]*relNode, 0, len(sel.From))
-	for _, ref := range sel.From {
+	rels := make([]*planNode, len(sel.From))
+	for i, ref := range sel.From {
 		if ref.DB != "" && !strings.EqualFold(ref.DB, e.name) {
 			return nil, fmt.Errorf("engine %s: cross-database reference %s.%s (only XDB resolves these)", e.name, ref.DB, ref.Name)
 		}
-		node, err := e.planRelation(ref)
-		if err != nil {
+		var err error
+		if rels[i], err = e.planRelation(ref); err != nil {
 			return nil, err
 		}
-		rels = append(rels, &relNode{alias: ref.EffectiveAlias(), node: node})
 	}
 
-	// 2. Classify WHERE conjuncts by the relations they touch.
-	conjuncts := sqlparser.SplitConjuncts(sel.Where)
-	var joinConjs []sqlparser.Expr
-	perRel := map[string][]sqlparser.Expr{}
-	aliasOf := func(c *sqlparser.ColumnRef) (string, bool) {
-		if c.Table != "" {
-			for _, r := range rels {
-				if strings.EqualFold(r.alias, c.Table) {
-					return r.alias, true
-				}
-			}
-			return "", false
-		}
-		// Unqualified: find the unique relation with the column.
-		var found string
-		for _, r := range rels {
-			if r.node.schema.HasColumn("", c.Name) {
-				if found != "" {
-					return "", false
-				}
-				found = r.alias
-			}
-		}
-		return found, found != ""
+	// 2. Classify WHERE conjuncts by the relations they reference: one over
+	// a single relation is that relation's filter, the others go into the
+	// join graph.
+	g, err := newJoinGraph(rels)
+	if err != nil {
+		return nil, fmt.Errorf("engine %s: %w", e.name, err)
 	}
-	for _, c := range conjuncts {
-		touched := map[string]bool{}
-		ok := true
-		for _, col := range sqlparser.ColumnsIn(c) {
-			a, resolved := aliasOf(col)
-			if !resolved {
-				ok = false
-				break
-			}
-			touched[a] = true
+	perRel := make([][]sqlparser.Expr, len(rels))
+	for _, c := range sqlparser.SplitConjuncts(sel.Where) {
+		if i, single := g.add(c); single {
+			perRel[i] = append(perRel[i], c)
 		}
-		if ok && len(touched) == 1 {
-			for a := range touched {
-				perRel[a] = append(perRel[a], c)
-			}
-			continue
-		}
-		joinConjs = append(joinConjs, c)
 	}
 
 	// 3. Push single-relation filters into the relations.
-	for _, r := range rels {
-		preds := perRel[r.alias]
+	for i, preds := range perRel {
 		if len(preds) == 0 {
 			continue
 		}
-		var err error
-		r.node, err = e.planFilter(r.node, sqlparser.JoinConjuncts(preds))
-		if err != nil {
+		if g.rels[i], err = e.planFilter(g.rels[i], sqlparser.JoinConjuncts(preds)); err != nil {
 			return nil, err
 		}
 	}
 
 	// 4. Order and build the joins, each emitting only the columns that
 	// the rest of the statement or a later join still reads.
-	joined, err := e.planJoins(rels, joinConjs, selectNeeds(sel))
+	joined, err := e.planJoins(g, selectNeeds(sel))
 	if err != nil {
 		return nil, err
 	}
@@ -442,13 +403,13 @@ func estimateSelectivity(pred sqlparser.Expr) float64 {
 			return 1.0 / 3
 		}
 	case *sqlparser.BetweenExpr:
-		return 0.25
+		return negateIf(x.Not, 0.25)
 	case *sqlparser.InExpr:
-		return math.Min(0.05*float64(len(x.List)), 1)
+		return negateIf(x.Not, math.Min(0.05*float64(len(x.List)), 1))
 	case *sqlparser.LikeExpr:
-		return 0.1
+		return negateIf(x.Not, 0.1)
 	case *sqlparser.IsNullExpr:
-		return 0.05
+		return negateIf(x.Not, 0.05)
 	case *sqlparser.NotExpr:
 		return 1 - estimateSelectivity(x.E)
 	default:
@@ -456,227 +417,140 @@ func estimateSelectivity(pred sqlparser.Expr) float64 {
 	}
 }
 
+// negateIf complements a selectivity for the NOT form of a predicate
+// (NOT BETWEEN, NOT IN, NOT LIKE, IS NOT NULL).
+func negateIf(not bool, sel float64) float64 {
+	if not {
+		return 1 - sel
+	}
+	return sel
+}
+
 // equiKey is one hash-joinable predicate between two relations.
 type equiKey struct {
 	left, right *sqlparser.ColumnRef
 }
 
-// planJoins orders the relations and builds left-deep hash joins, falling
-// back to nested loops for non-equi conditions. Narrow queries get an
-// exact Selinger-style enumeration (minimizing the sum of intermediate
-// cardinalities); wide ones a greedy heuristic (smallest first, cheapest
-// connected join next).
-func (e *Engine) planJoins(rels []*relNode, joinConjs []sqlparser.Expr, needs colNeeds) (*planNode, error) {
-	if len(rels) == 1 {
-		cur := rels[0].node
-		return e.applyResidual(cur, joinConjs)
-	}
-	if len(rels) <= localDPMaxRelations {
-		return e.planJoinsDP(rels, joinConjs, needs)
-	}
-
-	remaining := make(map[string]*relNode, len(rels))
-	for _, r := range rels {
-		remaining[strings.ToLower(r.alias)] = r
-	}
-	// Start from the smallest relation.
-	var cur *planNode
-	var curAliases map[string]bool
-	var start *relNode
-	for _, r := range remaining {
-		if start == nil || r.node.est < start.node.est {
-			start = r
-		}
-	}
-	cur = start.node
-	curAliases = map[string]bool{strings.ToLower(start.alias): true}
-	delete(remaining, strings.ToLower(start.alias))
-
-	pending := append([]sqlparser.Expr(nil), joinConjs...)
-
-	resolvesIn := func(c *sqlparser.ColumnRef, schema *sqltypes.Schema) bool {
-		return schema.HasColumn(c.Table, c.Name)
-	}
-
-	for len(remaining) > 0 {
-		// Candidates connected to the current set.
-		type candidate struct {
-			rel  *relNode
-			keys []equiKey
-			est  float64
-		}
-		var best *candidate
-		for _, r := range remaining {
-			var keys []equiKey
-			for _, c := range pending {
-				be, ok := c.(*sqlparser.BinaryExpr)
-				if !ok || be.Op != sqlparser.OpEq {
-					continue
-				}
-				lc, lok := be.L.(*sqlparser.ColumnRef)
-				rc, rok := be.R.(*sqlparser.ColumnRef)
-				if !lok || !rok {
-					continue
-				}
-				switch {
-				case resolvesIn(lc, cur.schema) && resolvesIn(rc, r.node.schema):
-					keys = append(keys, equiKey{left: lc, right: rc})
-				case resolvesIn(rc, cur.schema) && resolvesIn(lc, r.node.schema):
-					keys = append(keys, equiKey{left: rc, right: lc})
-				}
-			}
-			if len(keys) == 0 {
-				continue
-			}
-			est := estJoinRows(cur.est, r.node.est, len(keys))
-			if best == nil || est < best.est {
-				best = &candidate{rel: r, keys: keys, est: est}
-			}
-		}
-		if best == nil {
-			// No connected relation: take the smallest remaining as a
-			// cross join (rare; kept for completeness).
-			var r *relNode
-			for _, cand := range remaining {
-				if r == nil || cand.node.est < r.node.est {
-					r = cand
-				}
-			}
-			best = &candidate{rel: r, est: cur.est * r.node.est}
-		}
-
-		next, usedPreds, err := e.buildJoin(cur, best.rel.node, best.keys, pending, needs)
-		if err != nil {
-			return nil, err
-		}
-		next.est = best.est
-		cur = next
-		curAliases[strings.ToLower(best.rel.alias)] = true
-		delete(remaining, strings.ToLower(best.rel.alias))
-		pending = removeExprs(pending, usedPreds)
-	}
-	_ = curAliases
-	return e.applyResidual(cur, pending)
+// joinGraph is the join graph of one SELECT's FROM list, extracted once:
+// the relations, and every WHERE conjunct that is not a single-relation
+// filter. A conjunct enters the graph proper when each column it names
+// resolves to exactly one relation. One that does not resolve takes no
+// part in the ordering decision, but stays on the pending list, where
+// buildJoin and applyResidual still see it and report the error.
+type joinGraph struct {
+	*joinorder.Graph
+	rels    []*planNode
+	pending []sqlparser.Expr // every join conjunct, in WHERE order
+	keys    []keyRef         // aligned with Graph.Conjs; set for equi conjuncts
 }
 
-// localDPMaxRelations bounds the exact join enumeration.
-const localDPMaxRelations = 10
-
-// planJoinsDP enumerates left-deep join orders over relation subsets,
-// minimizing the sum of intermediate cardinality estimates. Greedy
-// one-step lookahead mis-orders query graphs where a selective residual
-// predicate (like TPC-H Q7's nation-pair OR) only becomes evaluable late.
-func (e *Engine) planJoinsDP(rels []*relNode, joinConjs []sqlparser.Expr, needs colNeeds) (*planNode, error) {
-	n := len(rels)
-	type state struct {
-		node    *planNode
-		pending []sqlparser.Expr
-		cost    float64
-	}
-	dp := make(map[uint32]*state, 1<<uint(n))
-	for i, r := range rels {
-		dp[1<<uint(i)] = &state{node: r.node, pending: joinConjs}
-	}
-	full := uint32(1<<uint(n)) - 1
-	for mask := uint32(1); mask <= full; mask++ {
-		if dp[mask] != nil || popcount(mask) < 2 {
-			continue
-		}
-		var best *state
-		for i := 0; i < n; i++ {
-			bit := uint32(1) << uint(i)
-			if mask&bit == 0 {
-				continue
-			}
-			prev := dp[mask^bit]
-			if prev == nil {
-				continue
-			}
-			keys := e.equiKeysFor(prev.node, rels[i].node, prev.pending)
-			if len(keys) == 0 && best != nil && !resolvesAnyPending(prev.node, rels[i].node, prev.pending) {
-				continue // avoid plain cross products when alternatives exist
-			}
-			joined, used, err := e.buildJoin(prev.node, rels[i].node, keys, prev.pending, needs)
-			if err != nil {
-				return nil, err
-			}
-			cost := prev.cost + joined.est
-			if best == nil || cost < best.cost {
-				best = &state{node: joined, pending: removeExprs(prev.pending, used), cost: cost}
-			}
-		}
-		dp[mask] = best
-	}
-	final := dp[full]
-	if final == nil {
-		return nil, fmt.Errorf("engine %s: no join order found", e.name)
-	}
-	return e.applyResidual(final.node, final.pending)
+// keyRef is an equi conjunct's two columns and the relation (as a one-bit
+// set) the left one belongs to.
+type keyRef struct {
+	key     equiKey
+	leftRel uint64
 }
 
-func popcount(v uint32) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
+// newJoinGraph starts the graph over the FROM list. The cardinalities are
+// filled in by planJoins, after planSelect has pushed the single-relation
+// filters into g.rels.
+func newJoinGraph(rels []*planNode) (*joinGraph, error) {
+	g, err := joinorder.New(make([]float64, len(rels)))
+	if err != nil {
+		return nil, err
 	}
-	return n
+	return &joinGraph{Graph: g, rels: rels}, nil
 }
 
-// equiKeysFor finds hash-joinable predicates between two plan nodes.
-func (e *Engine) equiKeysFor(l, r *planNode, pending []sqlparser.Expr) []equiKey {
-	var keys []equiKey
-	for _, c := range pending {
-		be, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			continue
-		}
-		lc, lok := be.L.(*sqlparser.ColumnRef)
-		rc, rok := be.R.(*sqlparser.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		switch {
-		case l.schema.HasColumn(lc.Table, lc.Name) && r.schema.HasColumn(rc.Table, rc.Name):
-			keys = append(keys, equiKey{left: lc, right: rc})
-		case l.schema.HasColumn(rc.Table, rc.Name) && r.schema.HasColumn(lc.Table, lc.Name):
-			keys = append(keys, equiKey{left: rc, right: lc})
-		}
-	}
-	return keys
-}
-
-// resolvesAnyPending reports whether joining l and r makes some pending
-// conjunct evaluable that references both sides.
-func resolvesAnyPending(l, r *planNode, pending []sqlparser.Expr) bool {
-	combined := l.schema.Concat(r.schema)
-	for _, c := range pending {
-		touchesL, touchesR, all := false, false, true
-		for _, cr := range sqlparser.ColumnsIn(c) {
-			switch {
-			case l.schema.HasColumn(cr.Table, cr.Name):
-				touchesL = true
-			case r.schema.HasColumn(cr.Table, cr.Name):
-				touchesR = true
+// relOf resolves a column to the one relation that has it, as a one-bit
+// set.
+func (g *joinGraph) relOf(c *sqlparser.ColumnRef) (rel uint64, ok bool) {
+	for i, r := range g.rels {
+		if r.schema.HasColumn(c.Table, c.Name) {
+			if rel != 0 {
+				return 0, false
 			}
-			if !combined.HasColumn(cr.Table, cr.Name) {
-				all = false
-			}
-		}
-		if all && touchesL && touchesR {
-			return true
+			rel = 1 << i
 		}
 	}
-	return false
+	return rel, rel != 0
 }
 
-// estJoinRows estimates equi-join output: the classic |L||R|/max(|L|,|R|)
-// foreign-key heuristic, shrunk for multi-key joins.
-func estJoinRows(l, r float64, nkeys int) float64 {
+// add classifies one WHERE conjunct. A conjunct over a single relation is
+// handed back as that relation's filter; anything else is kept.
+func (g *joinGraph) add(c sqlparser.Expr) (rel int, single bool) {
+	cj := joinorder.Conjunct{Sel: estimateSelectivity(c)}
+	resolved := true
+	for _, col := range sqlparser.ColumnsIn(c) {
+		r, ok := g.relOf(col)
+		cj.Rels |= r
+		resolved = resolved && ok
+	}
+	if resolved && bits.OnesCount64(cj.Rels) == 1 {
+		return bits.TrailingZeros64(cj.Rels), true
+	}
+	g.pending = append(g.pending, c)
+	if !resolved {
+		return 0, false
+	}
+	var ref keyRef
+	if lc, rc, ok := sqlparser.ColumnEquality(c); ok && bits.OnesCount64(cj.Rels) == 2 {
+		cj.Equi = true
+		ref.key = equiKey{left: lc, right: rc}
+		ref.leftRel, _ = g.relOf(lc)
+	}
+	g.Conjs = append(g.Conjs, cj)
+	g.keys = append(g.keys, ref)
+	return 0, false
+}
+
+// planJoins orders the (filtered) relations over their join graph —
+// exactly for narrow FROM lists, greedily for wide ones
+// (joinorder.LeftDeep) — and builds hash joins along the chosen order
+// only, falling back to nested loops for non-equi conditions.
+func (e *Engine) planJoins(g *joinGraph, needs colNeeds) (*planNode, error) {
+	for i, r := range g.rels {
+		g.Card[i] = r.est
+	}
+	steps := g.LeftDeep(func(l, r joinorder.Input, keys, residuals []int) float64 {
+		sel := 1.0
+		for _, i := range residuals {
+			sel *= g.Conjs[i].Sel
+		}
+		return estJoinRows(l.Rows, r.Rows, len(keys), sel)
+	})
+	pending := g.pending
+	joined, err := joinorder.Fold(g.rels, steps, func(l, r *planNode, s joinorder.Step) (*planNode, error) {
+		// buildJoin wants each key's left column in its left input.
+		keys := make([]equiKey, len(s.Keys))
+		for i, k := range s.Keys {
+			keys[i] = g.keys[k].key
+			if s.LRels&g.keys[k].leftRel == 0 {
+				keys[i] = equiKey{left: keys[i].right, right: keys[i].left}
+			}
+		}
+		node, used, err := e.buildJoin(l, r, keys, pending, needs)
+		pending = removeExprs(pending, used)
+		return node, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.applyResidual(joined, pending)
+}
+
+// estJoinRows estimates a join's output: the classic |L||R|/max(|L|,|R|)
+// foreign-key heuristic, shrunk for multi-key joins (the plain cross
+// product without keys), scaled by the residual conjuncts' selectivity.
+func estJoinRows(l, r float64, nkeys int, residualSel float64) float64 {
+	if nkeys == 0 {
+		return math.Max(l*r*residualSel, 1)
+	}
 	out := l * r / math.Max(math.Max(l, r), 1)
 	for i := 1; i < nkeys; i++ {
 		out /= 3
 	}
-	return math.Max(out, 1)
+	return math.Max(math.Max(out, 1)*residualSel, 1)
 }
 
 // colNeeds is what a SELECT reads above its joins: the columns its
@@ -809,13 +683,12 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 	}
 
 	node := &planNode{schema: outSchema, kids: []*planNode{probe, build}}
+	node.est = estJoinRows(cur.est, right.est, len(keys), residualSel)
 	if len(keys) == 0 {
 		node.desc = "NestedLoopJoin"
-		node.est = math.Max(cur.est*right.est*residualSel, 1)
 		node.cost = cur.cost + right.cost + cur.est*right.est*cJoinProbe
 	} else {
 		node.desc = fmt.Sprintf("HashJoin (%d keys)", len(keys))
-		node.est = math.Max(estJoinRows(cur.est, right.est, len(keys))*residualSel, 1)
 		node.cost = cur.cost + right.cost + build.est*cJoinBuild + probe.est*cJoinProbe + node.est*cJoinOut
 	}
 	ns, est := e.profile.JoinNsPerRow, node.est

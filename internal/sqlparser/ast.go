@@ -326,6 +326,18 @@ func JoinConjuncts(es []Expr) Expr {
 	return out
 }
 
+// ColumnEquality returns the two sides of a column = column predicate,
+// the shape a join can use as an equi key.
+func ColumnEquality(e Expr) (l, r *ColumnRef, ok bool) {
+	be, isBin := e.(*BinaryExpr)
+	if !isBin || be.Op != OpEq {
+		return nil, nil, false
+	}
+	l, lok := be.L.(*ColumnRef)
+	r, rok := be.R.(*ColumnRef)
+	return l, r, lok && rok
+}
+
 // ColumnsIn collects every column reference in the expression tree.
 func ColumnsIn(e Expr) []*ColumnRef {
 	var out []*ColumnRef
