@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check loc bench bench-json bench-transport bench-obs bench-deploy bench-reopt bench-sample chaos soak check
+.PHONY: build test race vet fmt-check loc bench bench-json bench-reopt bench-sample chaos soak check
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The transport and delegation layers carry the concurrency-sensitive
-# code (connection pool checkout, parallel delegation, server-registration
-# dedupe); run them under the race detector.
+# The transport, connector and delegation layers carry the
+# concurrency-sensitive code (connection pool checkout, calibration,
+# parallel delegation, server-registration dedupe); run them under the
+# race detector.
 race:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/wire/... ./internal/core/...
+	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed
@@ -33,7 +33,7 @@ chaos:
 soak:
 	$(GO) test -race -count=1 -v -run 'TestSoak' ./internal/core/
 
-# What CI's lint job gates on: no file gofmt would rewrite.
+# No file gofmt would rewrite (part of `make check`, which CI's test job runs).
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
 
@@ -56,19 +56,13 @@ bench-json:
 bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=2h .
 
-# The pooled-vs-per-dial transport A/B (EXPERIMENTS.md "Wire transport").
-bench-transport:
-	$(GO) test -bench='BenchmarkProbe' -benchtime=2000x ./internal/wire/
-
-# The tracing-overhead A/B: warm Q3 with the span tree off vs on
-# (EXPERIMENTS.md "Observability overhead").
-bench-obs:
-	$(GO) test -bench='BenchmarkQueryTracing' -benchtime=200x -count=3 ./internal/core/
-
-# The deployment A/B: drop-per-query vs warm plan-cache reuse of deployed
-# views at real network speed (EXPERIMENTS.md "Deployment latency").
-bench-deploy:
-	$(GO) test -run '^$$' -bench='BenchmarkDeploy' -benchtime=50x -count=1 ./internal/core/
+# The two hand-run A/Bs the benchmark record has not replaced: no workload
+# in bench/ runs with re-optimization or sampling on, so nothing there
+# measures what a barrier or a probe costs. Transport, tracing and
+# deployment are measured by the record (`make bench-json`:
+# wire.dials_per_query, wire.reuses_per_query, wire.rpc_us,
+# obs.trace_overhead_pct, core.ddl_per_query, connector.deploy_view_us,
+# core.plan_cache_hit_ratio).
 
 # The barrier-overhead A/B: the same join with re-optimization off vs on,
 # accurate vs skewed statistics (EXPERIMENTS.md "Adaptive

@@ -9,6 +9,7 @@ package connector
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"xdb/internal/dialect"
@@ -43,9 +44,12 @@ type Connector struct {
 	Dialect dialect.Dialect
 
 	client *wire.Client
-	// calibration converts the remote's cost units into XDB's common
-	// currency (multiplicative). 1.0 before Calibrate is called.
-	calibration float64
+	// calibration holds the bits of the float64 factor that converts the
+	// remote's cost units into XDB's common currency (multiplicative; 1.0
+	// before Calibrate is called). Atomic: a query's preparation may
+	// recalibrate a recovered node while another query's annotation
+	// consults it.
+	calibration atomic.Uint64
 	// probes counts consulting round trips (EXPLAIN/cost/stats RPCs), for
 	// the Fig. 15 breakdown analysis.
 	probes atomic.Int64
@@ -54,14 +58,15 @@ type Connector struct {
 // New creates a connector that issues requests from the given client
 // (typically owned by the middleware node).
 func New(node, addr string, vendor engine.Vendor, client *wire.Client) *Connector {
-	return &Connector{
-		Node:        node,
-		Addr:        addr,
-		Vendor:      vendor,
-		Dialect:     dialect.ForVendor(vendor),
-		client:      client,
-		calibration: 1.0,
+	c := &Connector{
+		Node:    node,
+		Addr:    addr,
+		Vendor:  vendor,
+		Dialect: dialect.ForVendor(vendor),
+		client:  client,
 	}
+	c.calibration.Store(math.Float64bits(1))
+	return c
 }
 
 // Probes returns the number of consulting round trips made so far.
@@ -96,12 +101,12 @@ func (c *Connector) Calibrate(ctx context.Context) error {
 	if raw <= 0 {
 		return fmt.Errorf("connector %s: calibrate: non-positive probe cost %v", c.Node, raw)
 	}
-	c.calibration = canonicalRows / raw
+	c.calibration.Store(math.Float64bits(canonicalRows / raw))
 	return nil
 }
 
 // Calibration returns the current unit-conversion factor.
-func (c *Connector) Calibration() float64 { return c.calibration }
+func (c *Connector) Calibration() float64 { return math.Float64frombits(c.calibration.Load()) }
 
 // Exec deploys a DDL statement. DDL is never retried by the transport;
 // the context (or the client's configured RequestTimeout) bounds it.
@@ -129,7 +134,7 @@ func (c *Connector) Explain(ctx context.Context, sql string) (cost, rows float64
 	if err != nil {
 		return 0, 0, fmt.Errorf("connector %s: explain: %w", c.Node, err)
 	}
-	return info.Cost * c.calibration, info.Rows, nil
+	return info.Cost * c.Calibration(), info.Rows, nil
 }
 
 // Stats fetches table statistics.
@@ -161,7 +166,7 @@ func (c *Connector) CostOperator(ctx context.Context, kind engine.CostKind, left
 	if err != nil {
 		return 0, fmt.Errorf("connector %s: cost probe: %w", c.Node, err)
 	}
-	return raw * c.calibration, nil
+	return raw * c.Calibration(), nil
 }
 
 // Sample asks the DBMS to scan at most limit rows of a base table and

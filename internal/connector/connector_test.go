@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"xdb/internal/engine"
@@ -59,6 +60,39 @@ func TestCalibrationAlignsCostUnits(t *testing.T) {
 		if math.Abs(costs[i]-costs[0]) > 1e-6*costs[0] {
 			t.Errorf("calibrated scan costs diverge: %v", costs)
 		}
+	}
+}
+
+// TestCalibrateWhileConsulting: one query's preparation recalibrates a
+// recovered node while another query's annotation consults it — the
+// factor is read and written with no lock above the connector. Run under
+// -race (make race).
+func TestCalibrateWhileConsulting(t *testing.T) {
+	_, c := newConnectedEngine(t, engine.VendorHive)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if err := c.Calibrate(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if _, err := c.CostOperator(ctx, engine.CostScan, 5000, 0, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if f := c.Calibration(); f <= 0 || f == 1 {
+		t.Errorf("Calibration() = %v after calibrating a Hive connector", f)
 	}
 }
 

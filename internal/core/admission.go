@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -407,14 +408,15 @@ func (l *nodeLimiter) acquire(ctx context.Context, node string, w int) (func(), 
 	return sem.acquire(ctx, w)
 }
 
-// fanOutFirstErr runs fn(ctx, i) for every i in [0, n) concurrently and
-// waits for all of them. The first error cancels the shared context so
-// siblings stop early, and is the error returned. Sibling failures
-// induced by that cancellation surface as context.Canceled, which the
-// health tracker already treats as a non-signal. With fewer than two
-// items, or serial set (Options.serial), the calls run inline in index
-// order and stop at the first error.
-func fanOutFirstErr(ctx context.Context, n int, serial bool, fn func(ctx context.Context, i int) error) error {
+// fanOutFirstErr runs fn(ctx, i) for every i in [0, n), at most limit at a
+// time (0: all at once), and waits for them — the one fan-out of the
+// package. The first error cancels the shared context so siblings stop
+// early, and is the error returned; the worker that hit it takes no
+// further item. Sibling failures induced by that cancellation surface as
+// context.Canceled, which the health tracker already treats as a
+// non-signal. With fewer than two items, or serial set (Options.serial),
+// the calls run inline in index order and stop at the first error.
+func fanOutFirstErr(ctx context.Context, n, limit int, serial bool, fn func(ctx context.Context, i int) error) error {
 	if serial || n < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(ctx, i); err != nil {
@@ -423,24 +425,31 @@ func fanOutFirstErr(ctx context.Context, n int, serial bool, fn func(ctx context
 		}
 		return nil
 	}
+	if limit <= 0 || limit > n {
+		limit = n
+	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		once     sync.Once
 		firstErr error
+		next     atomic.Int64
 	)
-	for i := 0; i < n; i++ {
+	for w := 0; w < limit; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if err := fn(fctx, i); err != nil {
-				once.Do(func() {
-					firstErr = err
-					cancel()
-				})
+			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				if err := fn(fctx, int(i)); err != nil {
+					once.Do(func() {
+						firstErr = err
+						cancel()
+					})
+					return
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	return firstErr

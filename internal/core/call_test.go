@@ -1,0 +1,313 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"xdb/internal/connector"
+	"xdb/internal/engine"
+	"xdb/internal/obs"
+	"xdb/internal/sqltypes"
+	"xdb/internal/wire"
+)
+
+// callCluster is one live DBMS ("db1", holding table t) and one wedged one
+// ("hung": accepts connections, never answers) behind a System.
+func callCluster(t *testing.T, opts Options) (*System, *wire.Client) {
+	t.Helper()
+	eng := engine.New(engine.Config{Name: "db1", Vendor: engine.VendorTest})
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+	if err := eng.LoadTable("t", schema, []sqltypes.Row{{sqltypes.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := wire.NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := wire.NewClient("m", nil)
+	sys := NewSystem("m", "c", nil, opts)
+	t.Cleanup(func() {
+		sys.Close()
+		client.Close()
+		srv.Close()
+	})
+	sys.Register(connector.New("db1", srv.Addr(), engine.VendorTest, client))
+	sys.Register(connector.New("hung", hungListener(t).Addr().String(), engine.VendorTest, client))
+	return sys, client
+}
+
+// TestCall drives the one guarded control-plane call through each stage of
+// its discipline — gate, budget, deadline, breaker feed, attribution — and
+// checks what reached the node (requests) and its breaker (failures).
+func TestCall(t *testing.T) {
+	stats := func(rctx context.Context, c *connector.Connector) error {
+		_, err := c.Stats(rctx, "t")
+		return err
+	}
+	cases := []struct {
+		name string
+		opts Options
+		node string
+		// arrange prepares the system and returns the call's context.
+		arrange func(t *testing.T, sys *System) context.Context
+		fn      func(context.Context, *connector.Connector) error
+
+		check        func(t *testing.T, err error, elapsed time.Duration)
+		wantRequests int64 // round trips that reached a node
+		wantFailures int64 // failures fed to the node's breaker
+	}{
+		{
+			name: "healthy node: one round trip, success fed",
+			node: "db1", fn: stats,
+			check: func(t *testing.T, err error, _ time.Duration) {
+				if err != nil {
+					t.Errorf("err = %v", err)
+				}
+			},
+			wantRequests: 1,
+		},
+		{
+			name: "open breaker: NodeUnavailableError, nothing sent",
+			node: "db1", fn: stats,
+			arrange: func(t *testing.T, sys *System) context.Context {
+				sys.health.tripNode("db1", errors.New("down"))
+				return context.Background()
+			},
+			check: func(t *testing.T, err error, _ time.Duration) {
+				var nue *NodeUnavailableError
+				if !errors.As(err, &nue) || nue.Node != "db1" {
+					t.Errorf("err = %v, want NodeUnavailableError for db1", err)
+				}
+			},
+		},
+		{
+			name: "exhausted MaxPerNode: waits for the budget, then honours ctx",
+			opts: Options{MaxPerNode: 1},
+			node: "db1", fn: stats,
+			arrange: func(t *testing.T, sys *System) context.Context {
+				release, err := sys.nodes.acquire(context.Background(), "db1", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(release)
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+				t.Cleanup(cancel)
+				return ctx
+			},
+			check: func(t *testing.T, err error, elapsed time.Duration) {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("err = %v, want DeadlineExceeded", err)
+				}
+				if elapsed < 30*time.Millisecond { // the clock started a little after the deadline was set
+					t.Errorf("returned after %v: did not wait for the budget", elapsed)
+				}
+				var nfe *nodeFaultError
+				if errors.As(err, &nfe) {
+					t.Errorf("a budget wait was pinned on node %s", nfe.node)
+				}
+			},
+		},
+		{
+			name: "RequestTimeout bounds a wedged node and feeds its breaker",
+			opts: Options{RequestTimeout: 80 * time.Millisecond},
+			node: "hung", fn: stats,
+			check: func(t *testing.T, err error, elapsed time.Duration) {
+				if !isTimeout(err) {
+					t.Errorf("err = %v, want a deadline expiry", err)
+				}
+				var nfe *nodeFaultError
+				if !errors.As(err, &nfe) || nfe.node != "hung" {
+					t.Errorf("err = %v, want it pinned on hung", err)
+				}
+				if elapsed > 2*time.Second {
+					t.Errorf("took %v; RequestTimeout must bound the call", elapsed)
+				}
+			},
+			wantRequests: 1,
+			wantFailures: 1,
+		},
+		{
+			name: "caller cancels mid-call: a non-signal for the breaker",
+			node: "db1",
+			arrange: func(t *testing.T, sys *System) context.Context {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(20*time.Millisecond, cancel)
+				return ctx
+			},
+			fn: func(rctx context.Context, _ *connector.Connector) error {
+				<-rctx.Done() // the RPC's context dies with the caller's
+				return fmt.Errorf("wire: request to db1: %w", rctx.Err())
+			},
+			check: func(t *testing.T, err error, _ time.Duration) {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want Canceled", err)
+				}
+			},
+		},
+		{
+			name: "dead context: nothing sent, nothing fed",
+			opts: Options{RequestTimeout: time.Second},
+			node: "db1", fn: stats,
+			arrange: func(t *testing.T, sys *System) context.Context {
+				ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+				t.Cleanup(cancel)
+				return ctx
+			},
+			check: func(t *testing.T, err error, _ time.Duration) {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("err = %v, want DeadlineExceeded", err)
+				}
+			},
+		},
+		{
+			name: "unknown node: NoConnectorError",
+			node: "ghost", fn: stats,
+			check: func(t *testing.T, err error, _ time.Duration) {
+				var nce *NoConnectorError
+				if !errors.As(err, &nce) || nce.Node != "ghost" {
+					t.Errorf("err = %v, want NoConnectorError for ghost", err)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, client := callCluster(t, tc.opts)
+			ctx := context.Background()
+			if tc.arrange != nil {
+				ctx = tc.arrange(t, sys)
+			}
+			before := client.Transport()
+			start := time.Now()
+			err := sys.call(ctx, tc.node, 1, tc.fn)
+			tc.check(t, err, time.Since(start))
+			after := client.Transport()
+			if got := (after.Dials + after.Reuses) - (before.Dials + before.Reuses); got != tc.wantRequests {
+				t.Errorf("%d requests reached a node, want %d", got, tc.wantRequests)
+			}
+			if got := sys.NodeHealth()[tc.node].Failures; got != tc.wantFailures {
+				t.Errorf("breaker was fed %d failures, want %d", got, tc.wantFailures)
+			}
+		})
+	}
+}
+
+// TestNoConnectorEveryEntryPoint: a node no connector is registered for
+// yields the same typed error whichever way the middleware reaches for it.
+func TestNoConnectorEveryEntryPoint(t *testing.T) {
+	sys, _ := callCluster(t, Options{RequestTimeout: 50 * time.Millisecond}) // bounds calibrating hung
+	if err := sys.RegisterTable("t", "db1"); err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := sys.Plan("SELECT a FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Root.Node = "ghost" // a plan cached before the topology changed
+	ctx := context.Background()
+	entries := map[string]func() error{
+		"probe": func() error {
+			_, err := sys.CostOperator(ctx, "ghost", engine.CostScan, 10, 0, 10)
+			return err
+		},
+		"sample": func() error {
+			_, err := sys.SampleRelation(ctx, "ghost", "t", "t", "", 10)
+			return err
+		},
+		"deploy": func() error {
+			_, err := sys.deployReusing(ctx, plan, nextQID(), nil)
+			return err
+		},
+		"execute": func() error {
+			_, err := sys.executeDeployment(ctx, nil, &Deployment{Node: "ghost", XDBQuery: "SELECT 1"})
+			return err
+		},
+		"drop": func() error { return sys.drop("ghost", "DROP VIEW IF EXISTS xdb1_t1") },
+	}
+	for name, entry := range entries {
+		var nce *NoConnectorError
+		if err := entry(); !errors.As(err, &nce) || nce.Node != "ghost" {
+			t.Errorf("%s: err = %v, want NoConnectorError for ghost", name, err)
+		}
+	}
+}
+
+// TestFailedQueryKeepsPhaseTimes: a query that fails in a phase still
+// reports the time that phase took — the slow-query record of a failure
+// carries what it actually spent.
+func TestFailedQueryKeepsPhaseTimes(t *testing.T) {
+	sys, _ := callCluster(t, Options{RequestTimeout: 50 * time.Millisecond})
+	if err := sys.RegisterTable("t", "hung"); err != nil {
+		t.Fatal(err)
+	}
+	root := obs.NewSpan("test")
+	_, bd, err := sys.PlanContext(obs.ContextWithSpan(context.Background(), root), "SELECT a FROM t")
+	if err == nil {
+		t.Fatal("planning succeeded against a wedged node")
+	}
+	if bd.Prep < 50*time.Millisecond {
+		t.Errorf("Breakdown.Prep = %v after a metadata fetch that ran into the 50ms RequestTimeout", bd.Prep)
+	}
+	if sp := root.Find("prep"); sp == nil || sp.Err() == "" || sp.End().IsZero() {
+		t.Errorf("prep span not closed with the error:\n%s", root)
+	}
+}
+
+// TestSerialDelegationOrder: under Options.serial the deploy fan-out runs
+// inline too, so a task's inputs deploy in index order and the whole
+// delegation issues its DDL in Algorithm 1's depth-first order.
+func TestSerialDelegationOrder(t *testing.T) {
+	opts := chaosOptions()
+	opts.serial = true
+	opts.Trace = true
+	cl := newChaosCluster(t, opts)
+	items := sqltypes.NewSchema(
+		sqltypes.Column{Name: "i_id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "i_oid", Type: sqltypes.TypeInt},
+	)
+	var rows []sqltypes.Row
+	for i := 0; i < 400; i++ { // as large as orders: the small users ships to the join, not the reverse
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))})
+	}
+	if err := cl.engines["db3"].LoadTable("items", items, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.sys.RegisterTable("items", "db3"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.sys.Query(`SELECT u.u_name, o.o_id FROM users u, orders o, items i
+		WHERE u.u_id = o.o_uid AND o.o_id = i.i_oid`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The expected order, from the plan alone.
+	var want []string
+	wide := false
+	var walk func(task *Task)
+	walk = func(task *Task) {
+		wide = wide || len(task.Inputs) > 1
+		for _, e := range task.Inputs {
+			walk(e.From)
+			want = append(want, fmt.Sprintf("xdb%d_ft%d", res.QID, e.From.ID))
+		}
+		want = append(want, fmt.Sprintf("xdb%d_t%d", res.QID, task.ID))
+	}
+	walk(res.Plan.Root)
+	if !wide {
+		desc, _ := res.Plan.Describe()
+		t.Fatalf("no task with two inputs — the plan cannot tell serial from concurrent:\n%s", desc)
+	}
+	var got []string
+	res.Trace.Walk(func(_ int, sp *obs.Span) {
+		if sp.Name() == "ddl" && sp.Attr("kind") != "server" {
+			got = append(got, sp.Attr("object"))
+		}
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("DDL order under serial:\n got %v\nwant %v", got, want)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xdb/internal/connector"
+	"xdb/internal/dialect"
 	"xdb/internal/obs"
 	"xdb/internal/sqltypes"
 )
@@ -190,19 +191,50 @@ func startDDLSpan(ctx context.Context, node, kind, object string, kv ...string) 
 	}
 }
 
+// ddl deploys one statement of Algorithm 1 on node — a call — and keeps
+// the deployment's books around it. The span and the DDL metrics cover
+// the statement once it is actually sent (past the gate and the budget).
+// drop renders the statement that undoes it (nil for a server
+// registration, which nothing drops): on success it becomes the
+// deployment's cleanup item; on failure the outcome is ambiguous — the
+// response frame may have been lost after the DDL executed — so it is
+// parked as an orphan pessimistically. Drops render as IF EXISTS, so
+// sweeping a never-created object is a no-op.
+func (s *System) ddl(ctx context.Context, dep *Deployment, node string, weight int, kind, object string,
+	drop func(dialect.Dialect, string) string,
+	deploy func(context.Context, *connector.Connector) error, kv ...string) error {
+	var undo string
+	err := s.call(ctx, node, weight, func(rctx context.Context, c *connector.Connector) error {
+		if drop != nil {
+			undo = drop(c.Dialect, object)
+		}
+		done := startDDLSpan(ctx, node, kind, object, kv...)
+		err := deploy(rctx, c)
+		done(err)
+		if err != nil && undo != "" {
+			s.orphans.add(node, undo, err.Error())
+		}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: deploy %s %s on %s: %w", kind, object, node, err)
+	}
+	if undo == "" {
+		dep.addDDL(1)
+	} else {
+		dep.record(cleanupItem{node: node, sql: undo}, 1)
+	}
+	return nil
+}
+
 // processTask implements PROCESSTASK of Algorithm 1. A task's inputs are
 // roots of independent subtrees, so they deploy concurrently — the
 // parallelization of delegation the paper's dataflow dependencies permit
 // (Sec. IV-A: "this allows us to parallelize certain parts of the
-// delegation and execution") — but over a bounded worker pool
-// (deployFanout), so a wide task cannot spawn a goroutine per input. The
-// first failure cancels the siblings: workers drain without starting new
-// DDL once the task context is cancelled.
+// delegation and execution") — but at most deployFanout at a time, so a
+// wide task cannot spawn a goroutine per input. The first failure cancels
+// the siblings, which then send no further DDL.
 func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64, run *deployRun) (string, error) {
-	conn, ok := s.connectors[t.Node]
-	if !ok {
-		return "", fmt.Errorf("core: no connector registered for node %q", t.Node)
-	}
 	sig := taskSig(t)
 	if obj, ok := run.reuse[sig]; ok {
 		// The identical fragment survives from a prior attempt: adopt its
@@ -217,104 +249,40 @@ func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64
 	if err := s.health.allow(t.Node); err != nil {
 		return "", err
 	}
-	if len(t.Inputs) > 0 {
-		if err := s.deployInputs(ctx, plan, t, qid, run); err != nil {
-			return "", err
-		}
+	err := fanOutFirstErr(ctx, len(t.Inputs), s.deployFanout(), s.opts.serial, func(fctx context.Context, i int) error {
+		return s.deployInput(fctx, plan, t, t.Inputs[i], qid, run)
+	})
+	if err != nil {
+		return "", err
 	}
 
-	// CREATE the task's virtual relation (line 12), within the node's
-	// control-plane budget.
+	// CREATE the task's virtual relation (line 12).
 	sel, err := renderTask(t)
 	if err != nil {
 		return "", err
 	}
 	viewName := fmt.Sprintf("xdb%d_t%d", qid, t.ID)
-	release, err := s.nodes.acquire(ctx, t.Node, 1)
+	err = s.ddl(ctx, run.dep, t.Node, 1, "view", viewName, dialect.Dialect.DropView,
+		func(rctx context.Context, c *connector.Connector) error { return c.DeployView(rctx, viewName, sel) })
 	if err != nil {
-		return "", fmt.Errorf("core: deploy view %s on %s: %w", viewName, t.Node, err)
+		return "", err
 	}
-	done := startDDLSpan(ctx, t.Node, "view", viewName)
-	vctx, vcancel := s.reqCtx(ctx)
-	err = conn.DeployView(vctx, viewName, sel)
-	vcancel()
-	release()
-	done(err)
-	s.health.record(t.Node, err)
-	if err != nil {
-		// The outcome is ambiguous (e.g. the response frame was lost after
-		// the DDL executed): park the drop pessimistically. It renders as
-		// IF EXISTS, so sweeping a never-created object is a no-op.
-		s.orphans.add(t.Node, conn.Dialect.DropView(viewName), err.Error())
-		return "", &nodeFaultError{node: t.Node, err: fmt.Errorf("core: deploy view %s on %s: %w", viewName, t.Node, err)}
-	}
-	run.dep.record(cleanupItem{node: t.Node, sql: conn.Dialect.DropView(viewName)}, 1)
 	run.dep.recordObject(sig, deployedObj{name: viewName, node: t.Node, nodes: depNodes(t)})
 	t.ViewName = viewName
 	return viewName, nil
 }
 
-// deployInputs wires a task's input edges over a bounded worker pool.
-// The first error cancels the task context, stopping the feed and making
-// the remaining workers drain without deploying; the caller gets that
-// first error without waiting for work that never started.
-func (s *System) deployInputs(ctx context.Context, plan *Plan, t *Task, qid int64, run *deployRun) error {
-	tctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	workers := s.deployFanout()
-	if workers > len(t.Inputs) {
-		workers = len(t.Inputs)
-	}
-	edges := make(chan *Edge)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for edge := range edges {
-				if err := tctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := s.deployInput(tctx, plan, t, edge, qid, run); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for _, edge := range t.Inputs {
-		select {
-		case edges <- edge:
-		case <-tctx.Done():
-			fail(tctx.Err())
-			break feed
-		}
-	}
-	close(edges)
-	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
-}
-
 // deployInput wires one dataflow edge: the producing subtree, the SQL/MED
 // server registration, and the foreign table on the consumer.
 func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edge, qid int64, run *deployRun) error {
+	// A4 ablation: a child task that is a bare (filtered, pruned) scan is
+	// not wrapped in a virtual relation — the foreign table points
+	// straight at the base table and exposes its full schema, relying on
+	// the wrapper's (absent) pushdown.
+	var raw *Scan
+	if s.opts.NoVirtualRelations && isBareScan(edge.From) {
+		raw = edge.From.Root.(*Scan)
+	}
 	sig := edgeSig(t, edge)
 	if obj, ok := run.reuse[sig]; ok {
 		// The foreign table survives from a prior attempt — with its
@@ -323,83 +291,69 @@ func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edg
 		// durable completed stage). Point the placeholder at it and skip
 		// the subtree; the drop stays owned by the attempt that made it.
 		run.dep.recordObject(sig, obj)
-		edge.Placeholder.Rel = obj.name
-		if s.opts.NoVirtualRelations && isBareScan(edge.From) {
-			edge.Placeholder.RawScan = edge.From.Root.(*Scan)
-		}
+		edge.Placeholder.Rel, edge.Placeholder.RawScan = obj.name, raw
 		return nil
 	}
-	// A4 ablation: a child task that is a bare (filtered, pruned) scan is
-	// not wrapped in a virtual relation — the foreign table points
-	// straight at the base table, relying on the wrapper's (absent)
-	// pushdown.
-	if s.opts.NoVirtualRelations && isBareScan(edge.From) {
-		return s.deployRawForeign(ctx, t, edge, qid, run)
+	producer, ok := s.connectors[edge.From.Node]
+	if !ok {
+		return &NoConnectorError{Node: edge.From.Node}
 	}
-	childView, err := s.processTask(ctx, plan, edge.From, qid, run)
-	if err != nil {
-		return err
+	var (
+		remote string
+		cols   []sqltypes.Column
+		err    error
+	)
+	if raw != nil {
+		remote = raw.Table
+		for _, c := range raw.Schema.Columns {
+			cols = append(cols, sqltypes.Column{Name: c.Name, Type: c.Type})
+		}
+	} else {
+		if remote, err = s.processTask(ctx, plan, edge.From, qid, run); err != nil {
+			return err
+		}
+		for i, gid := range edge.Placeholder.Cols {
+			cols = append(cols, sqltypes.Column{Name: MangleCol(gid), Type: edge.Placeholder.Types[i]})
+		}
 	}
-	conn := s.connectors[t.Node]
-	childConn := s.connectors[edge.From.Node]
 
 	// CREATE SERVER, exactly once per (consumer, producer) pair even when
-	// sibling edges deploy concurrently.
+	// sibling edges deploy concurrently, and counted once.
 	serverName := "xdbsrv_" + edge.From.Node
-	if err := s.deployServerOnce(ctx, run.dep, conn, t.Node, serverName, childConn.Addr, edge.From.Node); err != nil {
+	err = run.dep.registerServer(t.Node+"\x00"+edge.From.Node, func() error {
+		return s.ddl(ctx, run.dep, t.Node, 1, "server", serverName, nil,
+			func(rctx context.Context, c *connector.Connector) error {
+				return c.DeployServer(rctx, serverName, producer.Addr, edge.From.Node)
+			})
+	})
+	if err != nil {
 		return err
 	}
 
 	// CREATE FOREIGN TABLE (Algorithm 1, line 7), with fetch-and-store
-	// semantics when the movement is explicit (line 9).
+	// semantics when the movement is explicit (line 9). A materializing
+	// deploy weighs double on the consumer's budget: fetch-and-store makes
+	// the node pull and write the whole input, the heaviest DDL the
+	// delegation issues.
 	ftName := fmt.Sprintf("xdb%d_ft%d", qid, edge.From.ID)
-	cols := make([]sqltypes.Column, len(edge.Placeholder.Cols))
-	for i, gid := range edge.Placeholder.Cols {
-		cols[i] = sqltypes.Column{Name: MangleCol(gid), Type: edge.Placeholder.Types[i]}
+	materialize, weight := edge.Move == MoveExplicit, 1
+	if materialize {
+		weight = 2
 	}
-	materialize := edge.Move == MoveExplicit
-	err = s.deployForeign(ctx, conn, t.Node, ftName, cols, serverName, childView, materialize)
+	err = s.ddl(ctx, run.dep, t.Node, weight, "foreign_table", ftName, dialect.Dialect.DropTable,
+		func(rctx context.Context, c *connector.Connector) error {
+			return c.DeployForeignTable(rctx, ftName, cols, serverName, remote, materialize)
+		}, "materialize", strconv.FormatBool(materialize))
 	if err != nil {
 		return err
 	}
-	run.dep.record(cleanupItem{node: t.Node, sql: conn.Dialect.DropTable(ftName)}, 1)
 	run.dep.recordObject(sig, deployedObj{
 		name: ftName, node: t.Node, materialized: materialize,
 		nodes: ftDepNodes(t, edge, materialize),
 	})
 
 	// Replace the ? in the task's instruction (lines 10–12).
-	edge.Placeholder.Rel = ftName
-	return nil
-}
-
-// deployForeign issues one CREATE FOREIGN TABLE within the consumer
-// node's control-plane budget. A materializing (explicit-movement) deploy
-// weighs double: fetch-and-store makes the node pull and write the whole
-// input, the heaviest DDL the delegation issues.
-func (s *System) deployForeign(ctx context.Context, conn *connector.Connector, node, ftName string, cols []sqltypes.Column, serverName, remote string, materialize bool) error {
-	weight := 1
-	if materialize {
-		weight = 2
-	}
-	release, err := s.nodes.acquire(ctx, node, weight)
-	if err != nil {
-		return fmt.Errorf("core: deploy foreign table %s on %s: %w", ftName, node, err)
-	}
-	done := startDDLSpan(ctx, node, "foreign_table", ftName,
-		"materialize", strconv.FormatBool(materialize))
-	rctx, cancel := s.reqCtx(ctx)
-	err = conn.DeployForeignTable(rctx, ftName, cols, serverName, remote, materialize)
-	cancel()
-	release()
-	done(err)
-	s.health.record(node, err)
-	if err != nil {
-		// Ambiguous outcome: park the drop (IF EXISTS makes it a no-op if
-		// the table never materialized).
-		s.orphans.add(node, conn.Dialect.DropTable(ftName), err.Error())
-		return &nodeFaultError{node: node, err: fmt.Errorf("core: deploy foreign table %s on %s: %w", ftName, node, err)}
-	}
+	edge.Placeholder.Rel, edge.Placeholder.RawScan = ftName, raw
 	return nil
 }
 
@@ -408,59 +362,6 @@ func (s *System) deployForeign(ctx context.Context, conn *connector.Connector, n
 func isBareScan(t *Task) bool {
 	_, ok := t.Root.(*Scan)
 	return ok && len(t.Inputs) == 0
-}
-
-// deployRawForeign wires an A4-ablation edge: a foreign table over the
-// child's base table, exposing the full base schema.
-func (s *System) deployRawForeign(ctx context.Context, t *Task, edge *Edge, qid int64, run *deployRun) error {
-	conn := s.connectors[t.Node]
-	scan := edge.From.Root.(*Scan)
-	childConn := s.connectors[edge.From.Node]
-	serverName := "xdbsrv_" + edge.From.Node
-	if err := s.deployServerOnce(ctx, run.dep, conn, t.Node, serverName, childConn.Addr, edge.From.Node); err != nil {
-		return err
-	}
-	ftName := fmt.Sprintf("xdb%d_ft%d", qid, edge.From.ID)
-	cols := make([]sqltypes.Column, len(scan.Schema.Columns))
-	for i, c := range scan.Schema.Columns {
-		cols[i] = sqltypes.Column{Name: c.Name, Type: c.Type}
-	}
-	materialize := edge.Move == MoveExplicit
-	if err := s.deployForeign(ctx, conn, t.Node, ftName, cols, serverName, scan.Table, materialize); err != nil {
-		return err
-	}
-	run.dep.record(cleanupItem{node: t.Node, sql: conn.Dialect.DropTable(ftName)}, 1)
-	run.dep.recordObject(edgeSig(t, edge), deployedObj{
-		name: ftName, node: t.Node, materialized: materialize,
-		nodes: ftDepNodes(t, edge, materialize),
-	})
-	edge.Placeholder.Rel = ftName
-	edge.Placeholder.RawScan = scan
-	return nil
-}
-
-// deployServerOnce registers the producer's SQL/MED server on the
-// consumer exactly once per deployment, counting the DDL once.
-func (s *System) deployServerOnce(ctx context.Context, dep *Deployment, conn *connector.Connector, onNode, serverName, addr, forNode string) error {
-	key := onNode + "\x00" + forNode
-	return dep.registerServer(key, func() error {
-		release, err := s.nodes.acquire(ctx, onNode, 1)
-		if err != nil {
-			return fmt.Errorf("core: deploy server %s on %s: %w", serverName, onNode, err)
-		}
-		done := startDDLSpan(ctx, onNode, "server", serverName)
-		rctx, cancel := s.reqCtx(ctx)
-		err = conn.DeployServer(rctx, serverName, addr, forNode)
-		cancel()
-		release()
-		done(err)
-		s.health.record(onNode, err)
-		if err != nil {
-			return &nodeFaultError{node: onNode, err: fmt.Errorf("core: deploy server %s on %s: %w", serverName, onNode, err)}
-		}
-		dep.addDDL(1)
-		return nil
-	})
 }
 
 // taskSig returns a structural, name-independent signature of a task: the
@@ -621,19 +522,9 @@ func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err e
 	var failed []cleanupItem
 	for i := len(items) - 1; i >= 0; i-- {
 		item := items[i]
-		conn, ok := s.connectors[item.node]
-		if !ok {
-			failed = append(failed, item)
-			s.orphans.add(item.node, item.sql, "no connector registered")
-			errs = append(errs, fmt.Sprintf("%s on %s: no connector registered", item.sql, item.node))
-			continue
-		}
-		var err error
-		if err = s.health.allow(item.node); err == nil {
-			ctx, cancel := s.cleanupCtx()
-			err = conn.Exec(ctx, item.sql)
-			cancel()
-			s.health.record(item.node, err)
+		err := s.health.allow(item.node)
+		if err == nil {
+			err = s.drop(item.node, item.sql)
 		}
 		if err != nil {
 			failed = append(failed, item)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
 	"xdb/internal/obs"
@@ -46,17 +47,6 @@ import (
 // DefaultReplanBackoff is the base jittered wait between failover
 // attempts when Options.ReplanBackoff is unset.
 const DefaultReplanBackoff = 25 * time.Millisecond
-
-// nodeFaultError attributes an error to the node whose RPC produced it.
-// It is transparent: the message is the wrapped error's, unchanged, and
-// errors.Is/As see through it.
-type nodeFaultError struct {
-	node string
-	err  error
-}
-
-func (e *nodeFaultError) Error() string { return e.err.Error() }
-func (e *nodeFaultError) Unwrap() error { return e.err }
 
 // classifyFault decides whether an error is a node-attributable mid-query
 // fault worth a failover attempt, and which node to exclude from the
@@ -208,25 +198,16 @@ func (s *System) mediatorFallback(ctx context.Context, qspan *obs.Span, sql stri
 		return nil, err
 	}
 	frags := make([]LocalFragment, len(a.Scans))
-	err = fanOutFirstErr(ctx, len(a.Scans), s.opts.serial, func(fctx context.Context, i int) error {
-		sc := a.Scans[i]
-		conn, ok := s.connectors[sc.Node]
-		if !ok {
-			return &NoConnectorError{Node: sc.Node}
-		}
-		if aerr := s.health.allow(sc.Node); aerr != nil {
-			return aerr
-		}
-		fsql, cols := renderScanFragment(sc)
-		rctx, cancel := s.reqCtx(fctx)
-		fres, qerr := conn.Query(rctx, fsql)
-		cancel()
-		s.health.record(sc.Node, qerr)
-		if qerr != nil {
-			return &nodeFaultError{node: sc.Node, err: qerr}
-		}
-		frags[i] = LocalFragment{Cols: cols, Schema: fres.Schema, Rows: fres.Rows}
-		return nil
+	err = fanOutFirstErr(ctx, len(a.Scans), 0, s.opts.serial, func(fctx context.Context, i int) error {
+		fsql, cols := renderScanFragment(a.Scans[i])
+		return s.call(fctx, a.Scans[i].Node, 1, func(rctx context.Context, c *connector.Connector) error {
+			fres, err := c.Query(rctx, fsql)
+			if err != nil {
+				return err
+			}
+			frags[i] = LocalFragment{Cols: cols, Schema: fres.Schema, Rows: fres.Rows}
+			return nil
+		})
 	})
 	if err != nil {
 		sp.SetErr(err)

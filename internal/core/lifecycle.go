@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"xdb/internal/engine"
 	"xdb/internal/obs"
@@ -227,15 +226,12 @@ func (r *queryRun) doPlan() runStep {
 func (r *queryRun) doDeploy() runStep {
 	s := r.s
 	r.inf.setPhase("delegating", &r.bd, r.attempt)
-	start := time.Now()
-	dctx, span := obs.Start(r.ctx, "delegate")
+	dctx, span, done := timed(r.ctx, "delegate", &r.bd.Deleg)
 	qid := nextQID()
 	r.inf.attach(qid, r.plan)
 	dep, err := s.deployReusing(dctx, r.plan, qid, s.reuseIndex(r.owned, r.excluded))
-	span.SetErr(err)
 	span.Set("ddls", strconv.Itoa(dep.DDLCount))
-	span.Finish()
-	r.bd.Deleg += time.Since(start)
+	done(err)
 	r.bd.DDLCount += dep.DDLCount
 	r.dep = dep // partial on error: settle keeps it for reuse and owns its drop
 	if err != nil {
@@ -272,9 +268,9 @@ func (r *queryRun) doObserve() runStep {
 		r.feedback = map[string]float64{}
 	}
 	r.inf.setPhase("observing", &r.bd, r.attempt)
-	start := time.Now()
+	_, _, done := timed(r.ctx, "", &r.bd.Exec)
 	trigger, err := s.observeMaterialized(r.ctx, r.qspan, r.plan, r.feedback)
-	r.bd.Exec += time.Since(start)
+	done(err)
 	if err == nil && trigger == nil {
 		return stepExecute
 	}
@@ -286,9 +282,9 @@ func (r *queryRun) doObserve() runStep {
 
 func (r *queryRun) doExecute() runStep {
 	r.inf.setPhase("executing", &r.bd, r.attempt)
-	start := time.Now()
+	_, _, done := timed(r.ctx, "", &r.bd.Exec)
 	eres, err := r.s.executeDeployment(r.ctx, r.qspan, r.dep)
-	r.bd.Exec += time.Since(start)
+	done(err)
 	r.eres = eres
 	return r.report(stepExecute, err)
 }

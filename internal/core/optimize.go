@@ -148,9 +148,9 @@ type Options struct {
 	// otherwise.
 	DeploymentTTL time.Duration
 	// serial is a test seam: the control-plane fan-outs (metadata
-	// fetches, sample probes, Rule-4 candidate pricing) run inline in the
-	// paper's sequential order, the reference the serial-vs-parallel
-	// identity tests compare against.
+	// fetches, sample probes, Rule-4 candidate pricing, a task's input
+	// deployments) run inline in the paper's sequential order, the
+	// reference the serial-vs-parallel identity tests compare against.
 	serial bool
 
 	// QueryTimeout bounds one query end to end — admission wait,

@@ -109,17 +109,7 @@ func (s *System) sweepOrphans(node string) (dropped, remaining int, err error) {
 	defer s.sweepMu.Unlock()
 	var errs []string
 	for _, o := range s.orphans.snapshot(node) {
-		conn, ok := s.connectors[o.Node]
-		if !ok {
-			remaining++
-			errs = append(errs, fmt.Sprintf("%s on %s: no connector", o.SQL, o.Node))
-			continue
-		}
-		ctx, cancel := s.cleanupCtx()
-		dropErr := conn.Exec(ctx, o.SQL)
-		cancel()
-		s.health.record(o.Node, dropErr)
-		if dropErr != nil {
+		if dropErr := s.drop(o.Node, o.SQL); dropErr != nil {
 			s.orphans.add(o.Node, o.SQL, dropErr.Error())
 			remaining++
 			errs = append(errs, fmt.Sprintf("%s on %s: %v", o.SQL, o.Node, dropErr))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -350,24 +349,6 @@ func TestExecErrorCarriesCleanupOutcome(t *testing.T) {
 	}
 	if n := len(sys2.Orphans()); n == 0 {
 		t.Error("failed cleanup parked no orphans")
-	}
-}
-
-// TestNoConnectorExec exercises the execution-phase guard: a deployment
-// naming a node with no registered connector must fail with a typed
-// error, not a nil-map panic.
-func TestNoConnectorExec(t *testing.T) {
-	sys := NewSystem("xdb", "client", nil, Options{DrainGrace: -1})
-	t.Cleanup(func() { sys.Close() })
-	_, err := sys.executeDeployment(context.Background(), nil, &Deployment{
-		Node: "ghost", XDBQuery: "SELECT 1",
-	})
-	var nce *NoConnectorError
-	if !errors.As(err, &nce) {
-		t.Fatalf("err = %v, want NoConnectorError", err)
-	}
-	if nce.Node != "ghost" {
-		t.Errorf("NoConnectorError.Node = %q, want ghost", nce.Node)
 	}
 }
 

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"time"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/obs"
 )
@@ -38,11 +38,10 @@ import (
 //	    truth costs no more than the estimate it verifies, and a
 //	    deflated report is discovered rather than believed.
 //
-// Probes run through the same control-plane discipline as consultations:
-// concurrent fan-out (fanOutFirstErr), per-node semaphores, breaker-aware
-// (an open breaker skips the probe — it never fires against a node that
-// cannot answer), and degraded to the plain estimate on any fault. Sampling
-// never fails a query.
+// Probes are control-plane calls like consultations (call.go), fanned out
+// concurrently; an open breaker skips the probe — it never fires against a
+// node that cannot answer — and any fault degrades to the plain estimate.
+// Sampling never fails a query.
 
 // DefaultSampleTrigger is the shipping-volume ratio under which a
 // movement decision counts as ambiguous (trigger c) when
@@ -58,26 +57,13 @@ func (s *System) sampleTrigger() float64 {
 }
 
 // SampleRelation issues one bounded-sample probe against a relation's
-// home DBMS. An open breaker fails fast without a round trip; actual
-// probe outcomes feed the breaker. The probe takes one unit of the
-// node's control-plane budget, like any consultation.
-func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter string, limit int64) (*engine.SampleResult, error) {
-	c, ok := s.connectors[node]
-	if !ok {
-		return nil, fmt.Errorf("core: sample probe for unknown node %q", node)
-	}
-	if err := s.health.allow(node); err != nil {
-		return nil, err
-	}
-	release, err := s.nodes.acquire(ctx, node, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rctx, cancel := s.reqCtx(ctx)
-	defer cancel()
-	res, err := c.Sample(rctx, table, alias, filter, limit)
-	s.health.record(node, err)
+// home DBMS: a call taking one unit of the node's budget, like any
+// consultation.
+func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter string, limit int64) (res *engine.SampleResult, err error) {
+	err = s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
+		res, err = c.Sample(rctx, table, alias, filter, limit)
+		return err
+	})
 	return res, err
 }
 
@@ -89,7 +75,7 @@ func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter 
 func (s *System) sampleRefine(ctx context.Context, scans []*Scan) int {
 	limit := int64(s.opts.SampleLimit)
 	cands := s.sampleCandidates(scans, limit)
-	fanOutFirstErr(ctx, len(cands), s.opts.serial, func(fctx context.Context, i int) error {
+	fanOutFirstErr(ctx, len(cands), 0, s.opts.serial, func(fctx context.Context, i int) error {
 		s.sampleScan(fctx, cands[i], limit)
 		return nil
 	})

@@ -219,36 +219,6 @@ func (s *System) Close() error {
 	return s.clientWire.Close()
 }
 
-// reqCtx returns the context bounding one control-plane RPC (metadata,
-// probe, or DDL round trip): the caller's context, tightened by
-// Options.RequestTimeout. Cancelling the caller's context cancels the
-// RPC.
-func (s *System) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.opts.RequestTimeout > 0 {
-		return context.WithTimeout(ctx, s.opts.RequestTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// cleanupCtx returns the context bounding one DROP during deployment
-// cleanup: CleanupTimeout, falling back to RequestTimeout. It is
-// deliberately detached from the query's context — a cancelled query
-// must still drop what it deployed, or every cancellation would park
-// avoidable orphans.
-func (s *System) cleanupCtx() (context.Context, context.CancelFunc) {
-	d := s.opts.CleanupTimeout
-	if d <= 0 {
-		d = s.opts.RequestTimeout
-	}
-	if d > 0 {
-		return context.WithTimeout(context.Background(), d)
-	}
-	return context.Background(), func() {}
-}
-
 // Register adds a DBMS connector.
 func (s *System) Register(c *connector.Connector) { s.connectors[c.Node] = c }
 
@@ -355,26 +325,13 @@ func (b Breakdown) Work() time.Duration {
 // Coster implementation: the annotator consults through the system's
 // connectors.
 
-// CostOperator implements Coster. An open breaker fails fast without a
-// round trip; actual probe outcomes feed the breaker. The probe takes one
-// unit of the node's control-plane budget (Options.MaxPerNode).
-func (s *System) CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (float64, error) {
-	c, ok := s.connectors[node]
-	if !ok {
-		return 0, fmt.Errorf("core: cost probe for unknown node %q", node)
-	}
-	if err := s.health.allow(node); err != nil {
-		return 0, err
-	}
-	release, err := s.nodes.acquire(ctx, node, 1)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	rctx, cancel := s.reqCtx(ctx)
-	defer cancel()
-	v, err := c.CostOperator(rctx, kind, left, right, out)
-	s.health.record(node, err)
+// CostOperator implements Coster: one consultation round trip, a call
+// taking one unit of the node's budget.
+func (s *System) CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (v float64, err error) {
+	err = s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
+		v, err = c.CostOperator(rctx, kind, left, right, out)
+		return err
+	})
 	return v, err
 }
 
@@ -434,25 +391,20 @@ func (s *System) LinkFactor(from, to string) float64 {
 // best-effort per node: a node that is down keeps its identity calibration
 // (1.0) and is retried on later queries, so an outage on one DBMS does not
 // abort queries that never touch it. Failures feed the node's breaker.
-func (s *System) calibrate(ctx context.Context) error {
+func (s *System) calibrate(ctx context.Context) {
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
 	if s.calibrated {
-		return nil
+		return
 	}
 	allOK := true
-	for name, c := range s.connectors {
+	for name := range s.connectors {
 		if s.calNodes[name] {
 			continue
 		}
-		if err := s.health.allow(name); err != nil {
-			allOK = false
-			continue
-		}
-		rctx, cancel := s.reqCtx(ctx)
-		err := c.Calibrate(rctx)
-		cancel()
-		s.health.record(name, err)
+		err := s.call(ctx, name, 1, func(rctx context.Context, c *connector.Connector) error {
+			return c.Calibrate(rctx)
+		})
 		if err != nil {
 			allOK = false
 			continue
@@ -460,7 +412,6 @@ func (s *System) calibrate(ctx context.Context) error {
 		s.calNodes[name] = true
 	}
 	s.calibrated = allOK
-	return nil
 }
 
 // Plan is PlanContext with a background context, kept so existing
@@ -486,68 +437,32 @@ func (s *System) PlanContext(ctx context.Context, sql string) (*Plan, *Breakdown
 // observed cardinalities keyed by logical signature (see reopt.go): they
 // are substituted into the logical plan before annotation, so Rule 4
 // prices placements and movements against actuals instead of the
-// estimates a materialization barrier just disproved.
+// estimates a materialization barrier just disproved. The phase times
+// accumulate into bd: a mid-query failover replans, and the breakdown
+// reports the query's total planning spend.
 func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback map[string]float64) (*Plan, error) {
-	// --- Preparation: parse, analyze, gather metadata through the DCs.
-	start := time.Now()
-	pctx, prepSpan := obs.Start(ctx, "prep")
-	sel, err := sqlparser.ParseSelect(sql)
+	b, joinConjs, canon, err := s.prepare(ctx, sql, bd)
 	if err != nil {
-		prepSpan.SetErr(err)
-		prepSpan.Finish()
 		return nil, err
 	}
-	if err := s.calibrate(pctx); err != nil {
-		prepSpan.SetErr(err)
-		prepSpan.Finish()
-		return nil, err
-	}
-	if err := s.gatherMetadata(pctx, sel); err != nil {
-		prepSpan.SetErr(err)
-		prepSpan.Finish()
-		return nil, err
-	}
-	b, joinConjs, canon, err := buildLogical(s.catalog, sel)
-	if err != nil {
-		prepSpan.SetErr(err)
-		prepSpan.Finish()
-		return nil, err
-	}
-	// Sampling-based estimate refinement (sample.go): probe the
-	// low-confidence relations before the joins are ordered and placed,
-	// so both decisions see the refined cardinalities. Part of
-	// preparation — it refines the statistics gathering just gathered.
-	if s.opts.SampleLimit > 0 {
-		n := s.sampleRefine(pctx, b.scans())
-		bd.SampleProbes += n
-		if n > 0 {
-			prepSpan.Set("samples", strconv.Itoa(n))
-		}
-	}
-	prepSpan.Finish()
-	bd.Prep += time.Since(start)
 
 	// --- Logical optimization: pushdowns happened during build; order
 	// the joins.
-	start = time.Now()
-	_, loptSpan := obs.Start(ctx, "lopt")
+	_, _, done := timed(ctx, "lopt", &bd.Lopt)
 	joined, err := orderJoins(b, joinConjs, s.opts)
-	loptSpan.SetErr(err)
-	loptSpan.Finish()
 	if err != nil {
+		done(err)
 		return nil, err
 	}
 	root := &Final{In: joined, Sel: canon}
 	applyCardFeedback(root, feedback)
-	bd.Lopt += time.Since(start)
+	done(nil)
 
 	// --- Annotation and finalization.
-	start = time.Now()
-	actx, annSpan := obs.Start(ctx, "annotate")
+	actx, annSpan, done := timed(ctx, "annotate", &bd.Ann)
 	ann, err := annotate(actx, root, s, s.opts)
 	if err != nil {
-		annSpan.SetErr(err)
-		annSpan.Finish()
+		done(err)
 		return nil, err
 	}
 	annSpan.Set("consult_rounds", strconv.Itoa(ann.ConsultRounds))
@@ -557,17 +472,42 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 	if ann.CachedProbes > 0 {
 		annSpan.Set("cached", strconv.Itoa(ann.CachedProbes))
 	}
-	annSpan.Finish()
 	plan := finalize(root, ann, collectColTypes(b))
-	// Accumulate, not assign: a mid-query failover replans, and the
-	// breakdown reports the query's total planning spend.
-	bd.Ann += time.Since(start)
+	done(nil)
 	bd.ConsultRounds += ann.ConsultRounds
 	bd.DegradedProbes += ann.DegradedProbes
 	bd.CachedProbes += ann.CachedProbes
 	met.consults.Add(int64(ann.ConsultRounds))
 	met.degraded.Add(int64(ann.DegradedProbes))
 	return plan, nil
+}
+
+// prepare is the preparation phase: parse, gather metadata through the
+// DCs, build the logical plan with its pushdowns, and refine the
+// low-confidence estimates by sampling (sample.go) — before the joins are
+// ordered and placed, so both decisions see the refined cardinalities.
+func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (b *builder, joinConjs []sqlparser.Expr, canon *sqlparser.Select, err error) {
+	ctx, span, done := timed(ctx, "prep", &bd.Prep)
+	defer func() { done(err) }()
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	s.calibrate(ctx)
+	if err := s.gatherMetadata(ctx, sel); err != nil {
+		return nil, nil, nil, err
+	}
+	if b, joinConjs, canon, err = buildLogical(s.catalog, sel); err != nil {
+		return nil, nil, nil, err
+	}
+	if s.opts.SampleLimit > 0 {
+		n := s.sampleRefine(ctx, b.scans())
+		bd.SampleProbes += n
+		if n > 0 {
+			span.Set("samples", strconv.Itoa(n))
+		}
+	}
+	return b, joinConjs, canon, nil
 }
 
 // gatherMetadata fetches schema and statistics for every referenced table,
@@ -593,56 +533,42 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 		}
 		work = append(work, info)
 	}
-	return fanOutFirstErr(ctx, len(work), s.opts.serial, func(fctx context.Context, i int) error {
+	return fanOutFirstErr(ctx, len(work), 0, s.opts.serial, func(fctx context.Context, i int) error {
 		return s.fetchTableMetadata(fctx, work[i])
 	})
 }
 
-// fetchTableMetadata fetches one table's missing schema and statistics
-// and republishes its catalog entry. A stats-RPC failure still publishes
-// the schema fetched before it, so the next attempt resumes from the
-// partial entry instead of paying the schema round trip again.
-func (s *System) fetchTableMetadata(ctx context.Context, info *TableInfo) error {
+// fetchTableMetadata fetches one table's missing schema and statistics —
+// one call each; the table's home must answer, a query referencing it
+// cannot degrade around the node that holds its rows — and republishes
+// its catalog entry. A stats-RPC failure still publishes the schema
+// fetched before it, so the next attempt resumes from the partial entry
+// instead of paying the schema round trip again.
+func (s *System) fetchTableMetadata(ctx context.Context, info *TableInfo) (err error) {
 	mdSpan := obs.SpanFrom(ctx).Child("metadata")
 	mdSpan.Set("table", info.Name)
 	mdSpan.Set("node", info.Node)
-	defer mdSpan.Finish()
-	conn := s.connectors[info.Node]
-	// The table's home must answer — a query referencing it cannot
-	// degrade around the node that holds its rows. An open breaker
-	// fails fast instead of burning a timeout.
-	if err := s.health.allow(info.Node); err != nil {
+	defer func() {
 		mdSpan.SetErr(err)
-		return err
-	}
-	// One unit of the node's control-plane budget covers both RPCs, so
-	// the metadata fan-out stays inside MaxPerNode like any other
-	// control-plane burst.
-	release, err := s.nodes.acquire(ctx, info.Node, 1)
-	if err != nil {
-		mdSpan.SetErr(err)
-		return err
-	}
-	defer release()
+		mdSpan.Finish()
+	}()
 	updated := &TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: info.Stats}
 	if updated.Schema == nil {
-		rctx, cancel := s.reqCtx(ctx)
-		schema, err := conn.TableSchema(rctx, info.Name)
-		cancel()
-		s.health.record(info.Node, err)
+		err := s.call(ctx, info.Node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
+			updated.Schema, err = c.TableSchema(rctx, info.Name)
+			return err
+		})
 		if err != nil {
-			mdSpan.SetErr(err)
 			return err
 		}
-		updated.Schema = schema
 	}
-	rctx, cancel := s.reqCtx(ctx)
-	st, err := conn.Stats(rctx, info.Name)
-	cancel()
-	s.health.record(info.Node, err)
+	var st *engine.TableStats
+	err = s.call(ctx, info.Node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
+		st, err = c.Stats(rctx, info.Name)
+		return err
+	})
 	if err != nil {
 		s.catalog.Put(updated) // keep the schema: partial beats absent
-		mdSpan.SetErr(err)
 		return err
 	}
 	// A learned correction (learnStats) keeps standing in for the stale
@@ -797,17 +723,6 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 	// straight and the first fault fails the query.
 	run.ctx = ctx
 	return run.run()
-}
-
-// NoConnectorError reports an execution attempt against a node no
-// connector is registered for — a deployment handed to the wrong System,
-// or a plan cached before the topology changed.
-type NoConnectorError struct {
-	Node string
-}
-
-func (e *NoConnectorError) Error() string {
-	return fmt.Sprintf("core: no connector registered for execution node %q", e.Node)
 }
 
 // executeDeployment runs the deployment's XDB query on its root DBMS and

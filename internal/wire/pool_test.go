@@ -593,48 +593,3 @@ func TestPooledConnsCarryNoStaleDeadline(t *testing.T) {
 		t.Errorf("dials = %d, want 1", ts.Dials)
 	}
 }
-
-var benchSink int
-
-// benchProbes measures RPCs against one server with the given config.
-func benchProbes(b *testing.B, cfg ClientConfig) {
-	e := engine.New(engine.Config{Name: "db1", Vendor: engine.VendorTest})
-	schema := sqltypes.NewSchema(sqltypes.Column{Name: "id", Type: sqltypes.TypeInt})
-	rows := make([]sqltypes.Row, 100)
-	for i := range rows {
-		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
-	}
-	if err := e.LoadTable("t", schema, rows); err != nil {
-		b.Fatal(err)
-	}
-	s, err := NewServer(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	c := NewClientWith("client", nil, cfg)
-	defer c.Close()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := c.Stats(context.Background(), s.Addr(), "db1", "t")
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += int(st.RowCount)
-	}
-	b.StopTimer()
-	ts := c.Transport()
-	b.ReportMetric(float64(ts.Dials)/float64(b.N), "dials/op")
-}
-
-// BenchmarkProbePooled: probe RPCs over the pooled transport (O(distinct
-// peers) dials total).
-func BenchmarkProbePooled(b *testing.B) {
-	benchProbes(b, ClientConfig{})
-}
-
-// BenchmarkProbePerDial: the pre-pool behavior — one dial per RPC.
-func BenchmarkProbePerDial(b *testing.B) {
-	benchProbes(b, ClientConfig{DisablePool: true})
-}
