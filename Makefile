@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check loc bench bench-json bench-reopt bench-sample chaos soak check
+.PHONY: build test race vet fmt-check loc bench bench-json bench-reopt bench-sample chaos soak fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,8 @@ vet:
 
 # The transport, connector and delegation layers carry the
 # concurrency-sensitive code (connection pool checkout, calibration,
-# parallel delegation, server-registration dedupe); run them under the
-# race detector.
+# concurrent candidate consultation, the per-node deploy and drop rounds);
+# run them under the race detector.
 race:
 	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/...
 
@@ -32,6 +32,18 @@ chaos:
 # and drain-under-load against a live cluster, under the race detector.
 soak:
 	$(GO) test -race -count=1 -v -run 'TestSoak' ./internal/core/
+
+# Every native fuzz target in the tree (func Fuzz* in a _test.go file),
+# FUZZTIME each: `go test` alone only ever replays their seed corpora. A
+# crasher is written under the package's testdata/fuzz/ and fails the run.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@for pkg in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$pkg/*_test.go | sed 's/^func //'); do \
+			echo "== $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # No file gofmt would rewrite (part of `make check`, which CI's test job runs).
 fmt-check:

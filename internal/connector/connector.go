@@ -169,6 +169,58 @@ func (c *Connector) CostOperator(ctx context.Context, kind engine.CostKind, left
 	return raw * c.Calibration(), nil
 }
 
+// CostProbe is one question of a consultation: an operator priced over
+// hypothetical cardinalities.
+type CostProbe struct {
+	Kind             engine.CostKind
+	Left, Right, Out float64
+}
+
+// CostOperators is CostOperator for several probes in one consultation
+// round trip. costs[i] and errs[i] answer probes[i]; err is the round
+// trip's own failure, and then nothing was answered.
+func (c *Connector) CostOperators(ctx context.Context, probes []CostProbe) (costs []float64, errs []error, err error) {
+	var b wire.Batch
+	for _, p := range probes {
+		b.Cost(p.Kind, p.Left, p.Right, p.Out)
+	}
+	c.probes.Add(1)
+	replies, err := c.client.Do(reqCtx(ctx), c.Addr, c.Node, &b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("connector %s: cost probes: %w", c.Node, err)
+	}
+	costs, errs = make([]float64, len(probes)), make([]error, len(probes))
+	for i, r := range replies {
+		raw, err := r.Cost()
+		if err != nil {
+			errs[i] = fmt.Errorf("connector %s: cost probe: %w", c.Node, err)
+		}
+		costs[i] = raw * c.Calibration()
+	}
+	return costs, errs, nil
+}
+
+// ExecScript runs DDL statements in order in one round trip. The DBMS runs
+// every one of them, whatever the ones before it returned; errs[i] is
+// statement i's own outcome. err is the round trip's own failure: then no
+// statement's outcome is known — the script is never retried, and any of
+// it may have run.
+func (c *Connector) ExecScript(ctx context.Context, stmts []string) (errs []error, err error) {
+	var b wire.Batch
+	for _, sql := range stmts {
+		b.Exec(sql)
+	}
+	replies, err := c.client.Do(reqCtx(ctx), c.Addr, c.Node, &b)
+	if err != nil {
+		return nil, err
+	}
+	errs = make([]error, len(stmts))
+	for i, r := range replies {
+		errs[i] = r.Err()
+	}
+	return errs, nil
+}
+
 // Sample asks the DBMS to scan at most limit rows of a base table and
 // report the predicate match count plus a statistics sketch over the
 // scanned rows — the bounded-sample refinement probe (a consulting round
@@ -185,17 +237,6 @@ func (c *Connector) Sample(ctx context.Context, table, alias, filter string, lim
 // DeployView creates a view through the vendor dialect.
 func (c *Connector) DeployView(ctx context.Context, name string, query *sqlparser.Select) error {
 	return c.Exec(ctx, c.Dialect.CreateView(name, query))
-}
-
-// DeployServer registers a peer DBMS as a SQL/MED server.
-func (c *Connector) DeployServer(ctx context.Context, name, addr, node string) error {
-	return c.Exec(ctx, c.Dialect.CreateServer(name, addr, node))
-}
-
-// DeployForeignTable declares a foreign table over a peer's relation.
-// materialize requests fetch-and-store semantics (explicit movement).
-func (c *Connector) DeployForeignTable(ctx context.Context, name string, cols []sqltypes.Column, server, remoteTable string, materialize bool) error {
-	return c.Exec(ctx, c.Dialect.CreateForeignTable(name, cols, server, remoteTable, materialize))
 }
 
 // DeployTableAs materializes a query into a local table (explicit data

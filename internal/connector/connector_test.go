@@ -180,13 +180,22 @@ func TestDeployHelpers(t *testing.T) {
 		t.Errorf("CTAS count = %v", res.Rows[0][0])
 	}
 	// Server + foreign table deployment in the vendor dialect (a MariaDB
-	// federated table pointing back at the same engine).
-	if err := c.DeployServer(context.Background(), "self", c.Addr, "dbx"); err != nil {
+	// federated table pointing back at the same engine), as one script:
+	// every statement runs and reports its own outcome.
+	cols := []sqltypes.Column{{Name: "id", Type: sqltypes.TypeInt}}
+	errs, err := c.ExecScript(context.Background(), []string{
+		c.Dialect.CreateServer("self", c.Addr, "dbx"),
+		"DROP TABLE nosuch",
+		c.Dialect.CreateForeignTable("ft", cols, "self", "v1", false, 10),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []sqltypes.Column{{Name: "id", Type: sqltypes.TypeInt}}
-	if err := c.DeployForeignTable(context.Background(), "ft", cols, "self", "v1", false); err != nil {
-		t.Fatal(err)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("script outcomes = %v", errs)
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "dbx") {
+		t.Errorf("the failing statement's outcome = %v, want the remote's error", errs[1])
 	}
 	// Querying ft requires the engine's FDW to be configured.
 	e.SetRemote(&wire.FDW{Client: wire.NewClient("dbx", netsim.Unshaped("dbx"))})
@@ -196,6 +205,38 @@ func TestDeployHelpers(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != 10 {
 		t.Errorf("foreign count = %v", res.Rows[0][0])
+	}
+}
+
+// TestCostOperatorsOneRoundTrip: a consultation of several probes is one
+// request, and each answer is the calibrated cost CostOperator would give.
+func TestCostOperatorsOneRoundTrip(t *testing.T) {
+	_, c := newConnectedEngine(t, engine.VendorMariaDB)
+	if err := c.Calibrate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	probes := []CostProbe{
+		{Kind: engine.CostJoinStream, Left: 1000, Right: 200, Out: 500},
+		{Kind: engine.CostJoin, Left: 1000, Right: 200, Out: 500},
+		{Kind: engine.CostScan, Left: 1000},
+	}
+	before := c.Transport()
+	costs, errs, err := c.CostOperators(context.Background(), probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Transport()
+	if got := (after.Dials + after.Reuses) - (before.Dials + before.Reuses); got != 1 {
+		t.Errorf("%d requests for one consultation, want 1", got)
+	}
+	for i, p := range probes {
+		want, err := c.CostOperator(context.Background(), p.Kind, p.Left, p.Right, p.Out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[i] != nil || costs[i] != want {
+			t.Errorf("probe %d = %v, %v; CostOperator says %v", i, costs[i], errs[i], want)
+		}
 	}
 }
 

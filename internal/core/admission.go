@@ -37,9 +37,6 @@ const (
 	// DefaultDrainGrace bounds how long Close waits for in-flight
 	// queries before giving up on a graceful drain.
 	DefaultDrainGrace = 5 * time.Second
-	// defaultDeployFanout bounds a task's concurrent input deployments
-	// when MaxPerNode does not set a tighter bound.
-	defaultDeployFanout = 4
 )
 
 // OverloadError is returned when admission sheds a query instead of
@@ -481,13 +478,3 @@ func (s *System) Drain(ctx context.Context) error {
 // AdmissionStats returns a snapshot of the admission controller: current
 // occupancy, shed counters, and high-water marks.
 func (s *System) AdmissionStats() AdmissionStats { return s.admit.snapshot() }
-
-// deployFanout bounds one task's concurrent input deployments: MaxPerNode
-// when set (the node budget is the natural bound), defaultDeployFanout
-// otherwise.
-func (s *System) deployFanout() int {
-	if s.opts.MaxPerNode > 0 {
-		return s.opts.MaxPerNode
-	}
-	return defaultDeployFanout
-}

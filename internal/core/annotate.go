@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/obs"
 )
@@ -32,10 +33,12 @@ import (
 // Coster abstracts the consulting interface the annotator uses — the
 // System implements it over the wire connectors; tests may fake it.
 type Coster interface {
-	// CostOperator prices an operator at a DBMS in calibrated common
-	// units (one consultation round trip). The context bounds the probe;
-	// cancelling it degrades the estimate to the local cost model.
-	CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (float64, error)
+	// CostOperators prices operators at a DBMS in calibrated common units:
+	// one consultation round trip for all of them. costs[i] and errs[i]
+	// answer probes[i]; a round trip that fails fails every probe. The
+	// context bounds the round trip; cancelling it degrades the estimates
+	// to the local cost model.
+	CostOperators(ctx context.Context, node string, probes []connector.CostProbe) (costs []float64, errs []error)
 	// AllNodes lists every registered DBMS (for the FullCandidateSet
 	// ablation).
 	AllNodes() []string
@@ -64,7 +67,8 @@ type Annotation struct {
 	// sides differ in annotation.
 	Move map[Op]Movement
 	// ConsultRounds counts the cost probes issued (Fig. 15's
-	// "consultation roundtrips").
+	// "consultation roundtrips"). It counts probes, not round trips: the
+	// probes of one candidate of one Rule-4 decision travel together.
 	ConsultRounds int
 	// DegradedProbes counts the decisions made without consulting a
 	// DBMS: placement candidates excluded because their breaker is open,
@@ -84,21 +88,9 @@ type Annotation struct {
 	cache consultCacher
 }
 
-func (a *Annotation) addConsult() {
-	a.mu.Lock()
-	a.ConsultRounds++
-	a.mu.Unlock()
-}
-
 func (a *Annotation) addDegraded(n int) {
 	a.mu.Lock()
 	a.DegradedProbes += n
-	a.mu.Unlock()
-}
-
-func (a *Annotation) addCached() {
-	a.mu.Lock()
-	a.CachedProbes++
 	a.mu.Unlock()
 }
 
@@ -236,11 +228,10 @@ type placeDecision struct {
 
 // evalCandidate prices one candidate site of a Rule-4 decision: movement
 // costs for the remote inputs plus the cheapest movement combination's
-// join cost at the candidate. The memo dedupes probes within the decision
-// — movement combinations share scan and stream-join consultations, and
-// issuing each once is both correct and one fewer round trip.
+// join cost at the candidate. It is one consultation round: the probes
+// every movement combination needs are collected first, consult answers
+// them together, and the combinations are reduced over the answers.
 func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, opts Options, cand, ln, rn string) placeDecision {
-	memo := map[consultKey]float64{}
 	d := placeDecision{node: cand, moveL: MoveImplicit, moveR: MoveImplicit}
 	var total float64
 
@@ -265,18 +256,34 @@ func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, 
 		}
 	}
 
-	// Join cost at the candidate under each movement combination of the
-	// remote sides; pick the cheapest combination.
+	// Collect: per movement combination of the remote sides, the join at
+	// the candidate, then a scan of each explicit side's stored copy.
+	combos := movementCombos(sides[0].local, sides[1].local, opts.ForceMovement)
+	var asks []connector.CostProbe
+	for _, combo := range combos {
+		asks = append(asks, joinProbe(j, combo[0] == MoveImplicit && !sides[0].local, combo[1] == MoveImplicit && !sides[1].local))
+		for i, mv := range combo {
+			if !sides[i].local && mv == MoveExplicit {
+				asks = append(asks, connector.CostProbe{Kind: engine.CostScan, Left: sides[i].op.Est()})
+			}
+		}
+	}
+	costs := a.consult(ctx, coster, cand, asks)
+
+	// Reduce, in the order asked: pick the cheapest combination.
 	bestJoin := math.Inf(1)
 	var bestMoves [2]Movement
-	for _, combo := range movementCombos(sides[0].local, sides[1].local, opts.ForceMovement) {
-		jc := a.joinCostAt(ctx, coster, memo, cand, j, sides[0].op, sides[1].op, combo[0] == MoveImplicit && !sides[0].local, combo[1] == MoveImplicit && !sides[1].local)
+	next := 0
+	for _, combo := range combos {
+		jc := costs[next]
+		next++
 		// Explicit sides pay the materialization write plus the scan of
 		// the stored copy (Eq. 3's scanCost term; the write is the same
 		// volume).
 		for i, mv := range combo {
 			if !sides[i].local && mv == MoveExplicit {
-				jc += 2 * a.probe(ctx, coster, memo, cand, engine.CostScan, sides[i].op.Est(), 0, 0)
+				jc += 2 * costs[next]
+				next++
 			}
 		}
 		if jc < bestJoin {
@@ -319,98 +326,121 @@ func movementCombos(lLocal, rLocal bool, force Movement) [][2]Movement {
 	return out
 }
 
-// joinCostAt consults the candidate DBMS for the join cost given which
-// inputs arrive as streams.
-func (a *Annotation) joinCostAt(ctx context.Context, coster Coster, memo map[consultKey]float64, cand string, j *Join, l, r Op, lStream, rStream bool) float64 {
-	out := j.Est()
-	var kind engine.CostKind
-	var left, right float64
+// joinProbe is the consultation for the join's cost at a candidate, given
+// which inputs arrive as streams.
+func joinProbe(j *Join, lStream, rStream bool) connector.CostProbe {
+	l, r := j.L.Est(), j.R.Est()
+	p := connector.CostProbe{Kind: engine.CostJoin, Left: l, Right: r, Out: j.Est()}
 	switch {
 	case lStream && rStream:
 		// Both inputs stream (only possible with the full candidate set):
 		// the larger stream probes a build over the smaller, which must
 		// first be buffered — price as a stream join plus a scan of the
 		// buffered side.
-		big, small := l.Est(), r.Est()
-		if big < small {
-			big, small = small, big
+		if l < r {
+			l, r = r, l
 		}
-		kind, left, right = engine.CostJoinStream, big, small
+		p.Kind, p.Left, p.Right = engine.CostJoinStream, l, r
 	case lStream:
-		kind, left, right = engine.CostJoinStream, l.Est(), r.Est()
+		p.Kind = engine.CostJoinStream
 	case rStream:
-		kind, left, right = engine.CostJoinStream, r.Est(), l.Est()
-	default:
-		kind, left, right = engine.CostJoin, l.Est(), r.Est()
+		p.Kind, p.Left, p.Right = engine.CostJoinStream, r, l
 	}
-	return a.probe(ctx, coster, memo, cand, kind, left, right, out)
+	return p
 }
 
-// probe consults one DBMS for an operator cost, falling back to the local
-// cost model when the node cannot answer — an erroring probe or an open
-// breaker must degrade the estimate, not abort the plan (the middleware
-// owns failure handling for the engines it coordinates). Fallbacks are
-// counted in DegradedProbes; only real round trips count as consult
-// rounds. Before spending a round trip, the probe is served from the
-// per-decision memo (exact-argument dedupe, always on) and then from the
-// cross-query consult cache (Options.ConsultCacheTTL); both count in
-// CachedProbes with span outcome=cached. Failed probes memoize their
-// local fallback within the decision — re-asking a node that just failed
-// would only burn another round trip — but never reach the shared cache.
-func (a *Annotation) probe(ctx context.Context, coster Coster, memo map[consultKey]float64, node string, kind engine.CostKind, left, right, out float64) float64 {
-	sp := obs.SpanFrom(ctx).Child("probe")
-	sp.Set("node", node)
-	sp.Set("kind", string(kind))
+// consult answers the probes one candidate site of one Rule-4 decision
+// asks of its DBMS — asks, in the order asked, duplicates included — in at
+// most one round trip. A probe never aborts the plan: when the node cannot
+// answer — an open breaker, a failed round trip, an erroring probe — it
+// falls back to the local cost model (the middleware owns failure handling
+// for the engines it coordinates), counted in DegradedProbes. Before a
+// round trip is spent, a probe is served from the decision's memo (movement
+// combinations share scan and stream-join consultations; exact-argument
+// dedupe, always on) and then from the cross-query consult cache
+// (Options.ConsultCacheTTL); both count in CachedProbes with span
+// outcome=cached. The misses travel together and count one each in
+// ConsultRounds. A failed probe's local fallback is memoized within the
+// decision but never reaches the shared cache. Every ask leaves one "probe"
+// span.
+func (a *Annotation) consult(ctx context.Context, coster Coster, node string, asks []connector.CostProbe) []float64 {
+	costs := make([]float64, len(asks))
+	spans := make([]*obs.Span, len(asks))
+	for i, p := range asks {
+		spans[i] = obs.SpanFrom(ctx).Child("probe")
+		spans[i].Set("node", node)
+		spans[i].Set("kind", string(p.Kind))
+	}
+	settle := func(i int, outcome string, cost float64) {
+		costs[i] = cost
+		spans[i].Set("outcome", outcome)
+		spans[i].Finish()
+	}
 	if !coster.Healthy(node) {
-		a.addDegraded(1)
-		sp.Set("outcome", "degraded_breaker")
-		sp.Finish()
-		return localCost(kind, left, right, out)
-	}
-	key := consultKey{node: node, kind: kind, left: left, right: right, out: out}
-	if memo != nil {
-		if v, ok := memo[key]; ok {
-			a.addCached()
-			sp.Set("outcome", "cached")
-			sp.Finish()
-			return v
+		a.addDegraded(len(asks))
+		for i, p := range asks {
+			settle(i, "degraded_breaker", localCost(p.Kind, p.Left, p.Right, p.Out))
 		}
+		return costs
 	}
-	if a.cache != nil {
-		if v, ok := a.cache.LookupCost(node, kind, left, right, out); ok {
-			if memo != nil {
-				memo[key] = v
+
+	// first[i] is the first ask of ask i's probe — i itself unless the
+	// probe was asked before in this decision; sent lists the first asks
+	// that need the round trip.
+	memo := map[connector.CostProbe]int{}
+	first := make([]int, len(asks))
+	var sent []int
+	cached, degraded := 0, 0
+	for i, p := range asks {
+		if f, repeat := memo[p]; repeat {
+			first[i] = f
+			cached++
+			continue
+		}
+		memo[p], first[i] = i, i
+		if a.cache != nil {
+			if v, ok := a.cache.LookupCost(node, p.Kind, p.Left, p.Right, p.Out); ok {
+				cached++
+				settle(i, "cached", v)
+				continue
 			}
-			a.addCached()
-			sp.Set("outcome", "cached")
-			sp.Finish()
-			return v
+		}
+		sent = append(sent, i)
+	}
+	if len(sent) > 0 {
+		probes := make([]connector.CostProbe, len(sent))
+		for k, i := range sent {
+			probes[k] = asks[i]
+		}
+		start := time.Now()
+		answers, errs := coster.CostOperators(ctx, node, probes)
+		rtt := time.Since(start)
+		for k, i := range sent {
+			p := asks[i]
+			observeSeconds(met.probeDur, rtt)
+			if errs[k] != nil {
+				degraded++
+				spans[i].SetErr(errs[k])
+				settle(i, "degraded_error", localCost(p.Kind, p.Left, p.Right, p.Out))
+				continue
+			}
+			if a.cache != nil {
+				a.cache.StoreCost(node, p.Kind, p.Left, p.Right, p.Out, answers[k])
+			}
+			settle(i, "consulted", answers[k])
 		}
 	}
-	a.addConsult()
-	start := time.Now()
-	c, err := coster.CostOperator(ctx, node, kind, left, right, out)
-	observeSeconds(met.probeDur, time.Since(start))
-	if err != nil {
-		a.addDegraded(1)
-		c = localCost(kind, left, right, out)
-		if memo != nil {
-			memo[key] = c
+	for i, f := range first {
+		if f != i {
+			settle(i, "cached", costs[f])
 		}
-		sp.Set("outcome", "degraded_error")
-		sp.SetErr(err)
-		sp.Finish()
-		return c
 	}
-	if memo != nil {
-		memo[key] = c
-	}
-	if a.cache != nil {
-		a.cache.StoreCost(node, kind, left, right, out, c)
-	}
-	sp.Set("outcome", "consulted")
-	sp.Finish()
-	return c
+	a.mu.Lock()
+	a.ConsultRounds += len(sent)
+	a.CachedProbes += cached
+	a.DegradedProbes += degraded
+	a.mu.Unlock()
+	return costs
 }
 
 // localCost is the middleware's own calibrated cost model: the same

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
 )
@@ -32,6 +33,10 @@ func (d *degradedCoster) CostOperator(ctx context.Context, node string, kind eng
 		return 0, fmt.Errorf("probe to %s failed", node)
 	}
 	return d.fakeCoster.CostOperator(ctx, node, kind, l, r, o)
+}
+
+func (d *degradedCoster) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) ([]float64, []error) {
+	return eachProbe(ctx, node, probes, d.CostOperator)
 }
 
 func (d *degradedCoster) probesTo(node string) int {

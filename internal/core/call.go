@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"xdb/internal/connector"
@@ -14,7 +16,11 @@ import (
 // drops it again, and every one of those round trips follows the same
 // discipline. It is stated here once: call is the guarded RPC, drop its
 // detached-context sibling for cleanup, and fanOutFirstErr (admission.go)
-// the one way to run several of them at a time.
+// the one way to run several of them at a time. A round trip may carry a
+// batch — a decision's cost probes, a node's DDL script, a node's DROP
+// script: one round trip per node per phase. A batch passes call once:
+// one gate, the budget at its heaviest item's weight, one deadline, one
+// breaker feed, one attribution.
 
 // NoConnectorError reports a call to a node no connector is registered
 // for — a deployment handed to the wrong System, or a plan cached before
@@ -95,27 +101,96 @@ func (s *System) reqCtx(ctx context.Context) (context.Context, context.CancelFun
 	return context.WithCancel(ctx)
 }
 
-// drop runs one DROP of a short-lived relation and feeds the outcome to
-// the node's breaker. It is call without the query: the context is
+// drop runs the DROPs of a node's short-lived relations as one script — one
+// round trip — and feeds its outcome to the node's breaker. errs[i] is
+// statement i's own outcome; err is the round trip's, and then no drop is
+// known to have run. It is call without the query: the context is
 // deliberately detached (cleanupCtx) — a cancelled query must still drop
 // what it deployed, or every cancellation would park avoidable orphans —
 // and takes none of the node's budget, which throttles queries, not their
 // undoing. The breaker gate is the caller's decision: query cleanup skips
 // a node whose breaker is open, the orphan sweep does not, because the
 // sweep is the recovery probe.
-func (s *System) drop(node, sql string) error {
+func (s *System) drop(node string, sqls []string) (errs []error, err error) {
 	c, ok := s.connectors[node]
 	if !ok {
-		return &NoConnectorError{Node: node}
+		return nil, &NoConnectorError{Node: node}
 	}
 	ctx, cancel := s.cleanupCtx()
 	defer cancel()
-	err := c.Exec(ctx, sql)
-	s.health.record(node, err)
-	return err
+	errs, err = c.ExecScript(ctx, sqls)
+	s.health.record(node, firstErr(err, errs))
+	return errs, err
 }
 
-// cleanupCtx returns the context bounding one drop: CleanupTimeout,
+// firstErr is a script's outcome as one error: the round trip's, else the
+// first failing statement's.
+func firstErr(err error, errs []error) error {
+	if err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// itemErrs is a batch's outcome item by item: each of its n items' own, or
+// the round trip's failure for all of them.
+func itemErrs(err error, errs []error, n int) []error {
+	if err == nil {
+		return errs
+	}
+	errs = make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return errs
+}
+
+// dropItems drops short-lived relations: one script per node, the nodes at
+// once, each node's statements in the order given. It returns every item's
+// outcome. With gated set, a node whose breaker is open is sent nothing
+// and its items fail with NodeUnavailableError.
+func (s *System) dropItems(items []cleanupItem, gated bool) []error {
+	nodes, byNode := groupByNode(len(items), func(i int) string { return items[i].node })
+	out := make([]error, len(items))
+	fanOutFirstErr(context.Background(), len(nodes), 0, s.opts.serial, func(_ context.Context, n int) error {
+		node, idx := nodes[n], byNode[nodes[n]]
+		var errs []error
+		var err error
+		if gated {
+			err = s.health.allow(node)
+		}
+		if err == nil {
+			sqls := make([]string, len(idx))
+			for k, i := range idx {
+				sqls[k] = items[i].sql
+			}
+			errs, err = s.drop(node, sqls)
+		}
+		for k, err := range itemErrs(err, errs, len(idx)) {
+			out[idx[k]] = err
+		}
+		return nil // a node's failure is its items', never its siblings'
+	})
+	return out
+}
+
+// groupByNode splits the items 0..n-1 by the node each belongs to: the
+// nodes in sorted order, and each node's item indexes in item order — the
+// shape of a round that sends one script per node.
+func groupByNode(n int, node func(i int) string) (nodes []string, byNode map[string][]int) {
+	byNode = map[string][]int{}
+	for i := 0; i < n; i++ {
+		name := node(i)
+		if _, ok := byNode[name]; !ok {
+			nodes = append(nodes, name)
+		}
+		byNode[name] = append(byNode[name], i)
+	}
+	sort.Strings(nodes)
+	return nodes, byNode
+}
+
+// cleanupCtx returns the context bounding one drop script: CleanupTimeout,
 // falling back to RequestTimeout, and nothing of the query's.
 func (s *System) cleanupCtx() (context.Context, context.CancelFunc) {
 	d := s.opts.CleanupTimeout

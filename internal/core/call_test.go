@@ -195,6 +195,46 @@ func TestCall(t *testing.T) {
 	}
 }
 
+// TestProbeBatchToWedgedNode: a candidate's consultation is one round trip;
+// when the node never answers, every probe that rode it degrades to the
+// local cost model and counts in DegradedProbes, and the breaker hears of
+// one failure, not one per probe.
+func TestProbeBatchToWedgedNode(t *testing.T) {
+	sys, client := callCluster(t, Options{RequestTimeout: 80 * time.Millisecond})
+	asks := []connector.CostProbe{
+		{Kind: engine.CostJoinStream, Left: 400, Right: 100, Out: 400},
+		{Kind: engine.CostJoin, Left: 400, Right: 100, Out: 400},
+		{Kind: engine.CostScan, Left: 400},
+		{Kind: engine.CostJoinStream, Left: 400, Right: 100, Out: 400}, // asked before in this decision
+	}
+	a := &Annotation{}
+	before := requests(client)
+	costs := a.consult(context.Background(), sys, "hung", asks)
+	sent := requests(client) - before
+	for i, p := range asks {
+		if want := localCost(p.Kind, p.Left, p.Right, p.Out); costs[i] != want {
+			t.Errorf("probe %d priced %v, want the local model's %v", i, costs[i], want)
+		}
+	}
+	if a.ConsultRounds != 3 || a.DegradedProbes != 3 || a.CachedProbes != 1 {
+		t.Errorf("consulted/degraded/cached = %d/%d/%d, want 3/3/1", a.ConsultRounds, a.DegradedProbes, a.CachedProbes)
+	}
+	if sent != 1 {
+		t.Errorf("%d requests reached the node, want 1", sent)
+	}
+	if got := sys.NodeHealth()["hung"].Failures; got != 1 {
+		t.Errorf("breaker was fed %d failures, want 1", got)
+	}
+
+	// The live node answers the same consultation in one round trip too.
+	a = &Annotation{}
+	before = requests(client)
+	a.consult(context.Background(), sys, "db1", asks)
+	if got := requests(client) - before; got != 1 || a.ConsultRounds != 3 || a.DegradedProbes != 0 {
+		t.Errorf("live node: %d requests, %d consulted, %d degraded; want 1, 3, 0", got, a.ConsultRounds, a.DegradedProbes)
+	}
+}
+
 // TestNoConnectorEveryEntryPoint: a node no connector is registered for
 // yields the same typed error whichever way the middleware reaches for it.
 func TestNoConnectorEveryEntryPoint(t *testing.T) {
@@ -225,7 +265,10 @@ func TestNoConnectorEveryEntryPoint(t *testing.T) {
 			_, err := sys.executeDeployment(ctx, nil, &Deployment{Node: "ghost", XDBQuery: "SELECT 1"})
 			return err
 		},
-		"drop": func() error { return sys.drop("ghost", "DROP VIEW IF EXISTS xdb1_t1") },
+		"drop": func() error {
+			_, err := sys.drop("ghost", []string{"DROP VIEW IF EXISTS xdb1_t1"})
+			return err
+		},
 	}
 	for name, entry := range entries {
 		var nce *NoConnectorError
@@ -256,9 +299,9 @@ func TestFailedQueryKeepsPhaseTimes(t *testing.T) {
 	}
 }
 
-// TestSerialDelegationOrder: under Options.serial the deploy fan-out runs
-// inline too, so a task's inputs deploy in index order and the whole
-// delegation issues its DDL in Algorithm 1's depth-first order.
+// TestSerialDelegationOrder: under Options.serial the deploy round runs
+// inline too — one script per node, the nodes in sorted order, and inside
+// a node the statements in Algorithm 1's depth-first order.
 func TestSerialDelegationOrder(t *testing.T) {
 	opts := chaosOptions()
 	opts.serial = true
@@ -284,22 +327,27 @@ func TestSerialDelegationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The expected order, from the plan alone.
-	var want []string
+	// The expected order, from the plan alone: Algorithm 1's traversal,
+	// split by the node each statement lands on.
+	perNode := map[string][]string{}
 	wide := false
 	var walk func(task *Task)
 	walk = func(task *Task) {
 		wide = wide || len(task.Inputs) > 1
 		for _, e := range task.Inputs {
 			walk(e.From)
-			want = append(want, fmt.Sprintf("xdb%d_ft%d", res.QID, e.From.ID))
+			perNode[task.Node] = append(perNode[task.Node], fmt.Sprintf("xdb%d_ft%d", res.QID, e.From.ID))
 		}
-		want = append(want, fmt.Sprintf("xdb%d_t%d", res.QID, task.ID))
+		perNode[task.Node] = append(perNode[task.Node], fmt.Sprintf("xdb%d_t%d", res.QID, task.ID))
 	}
 	walk(res.Plan.Root)
-	if !wide {
+	if !wide || len(perNode) < 2 {
 		desc, _ := res.Plan.Describe()
-		t.Fatalf("no task with two inputs — the plan cannot tell serial from concurrent:\n%s", desc)
+		t.Fatalf("no task with two inputs, or a single node — the plan cannot tell the order:\n%s", desc)
+	}
+	var want []string
+	for _, node := range []string{"db1", "db2", "db3"} {
+		want = append(want, perNode[node]...)
 	}
 	var got []string
 	res.Trace.Walk(func(_ int, sp *obs.Span) {

@@ -51,42 +51,8 @@ func chaosSite(node string) netsim.Site {
 
 func newChaosCluster(t testing.TB, opts Options) *chaosCluster {
 	t.Helper()
-	topo := netsim.NewTopology()
-	dbNodes := []string{"db1", "db2", "db3"}
-	for _, n := range append(append([]string{}, dbNodes...), "xdb", "client") {
-		topo.AddNode(n, chaosSite(n))
-	}
-	topo.SetDefaultLink(netsim.LANLink)
-	topo.TimeScale = 1000 // collapse shaping delays: chaos tests probe faults, not timing
-
-	cl := &chaosCluster{
-		topo:    topo,
-		engines: map[string]*engine.Engine{},
-		servers: map[string]*wire.Server{},
-		clients: map[string]*wire.Client{},
-	}
-	t.Cleanup(func() { cl.close() })
-
-	for _, name := range dbNodes {
-		eng := engine.New(engine.Config{Name: name, Vendor: engine.VendorTest})
-		fdw := wire.NewClientWith(name, topo, opts.Wire)
-		cl.clients[name] = fdw
-		eng.SetRemote(&wire.FDW{Client: fdw})
-		srv, err := wire.NewServer(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.engines[name] = eng
-		cl.servers[name] = srv
-	}
-
-	sys := NewSystem("xdb", "client", topo, opts)
-	mw := wire.NewClientWith("xdb", topo, opts.Wire)
-	cl.clients["mw"] = mw
-	for _, name := range dbNodes {
-		sys.Register(connector.New(name, cl.servers[name].Addr(), engine.VendorTest, mw))
-	}
-	cl.sys = sys
+	cl := newCluster(t, opts, "db1", "db2", "db3")
+	sys := cl.sys
 
 	// users on db1, orders on db2; db3 holds no data — it only matters as
 	// a placement candidate under FullCandidateSet.
@@ -150,6 +116,47 @@ func (cl *chaosCluster) assertTransportBalanced(t *testing.T) {
 		check(owner, c.Transport())
 	}
 	check("sys", cl.sys.clientWire.Transport())
+}
+
+// newCluster starts the named DBMS nodes, each on its own site with its own
+// FDW client, and a System on the shared middleware site. No tables.
+func newCluster(t testing.TB, opts Options, dbNodes ...string) *chaosCluster {
+	t.Helper()
+	topo := netsim.NewTopology()
+	for _, n := range append(append([]string{}, dbNodes...), "xdb", "client") {
+		topo.AddNode(n, chaosSite(n))
+	}
+	topo.SetDefaultLink(netsim.LANLink)
+	topo.TimeScale = 1000 // collapse shaping delays: chaos tests probe faults, not timing
+
+	cl := &chaosCluster{
+		topo:    topo,
+		engines: map[string]*engine.Engine{},
+		servers: map[string]*wire.Server{},
+		clients: map[string]*wire.Client{},
+	}
+	t.Cleanup(func() { cl.close() })
+
+	for _, name := range dbNodes {
+		eng := engine.New(engine.Config{Name: name, Vendor: engine.VendorTest})
+		fdw := wire.NewClientWith(name, topo, opts.Wire)
+		cl.clients[name] = fdw
+		eng.SetRemote(&wire.FDW{Client: fdw})
+		srv, err := wire.NewServer(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.engines[name] = eng
+		cl.servers[name] = srv
+	}
+
+	cl.sys = NewSystem("xdb", "client", topo, opts)
+	mw := wire.NewClientWith("xdb", topo, opts.Wire)
+	cl.clients["mw"] = mw
+	for _, name := range dbNodes {
+		cl.sys.Register(connector.New(name, cl.servers[name].Addr(), engine.VendorTest, mw))
+	}
+	return cl
 }
 
 // chaosOptions are timeouts tight enough that a dead node cannot stall a

@@ -2,16 +2,20 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"xdb/internal/connector"
 	"xdb/internal/engine"
+	"xdb/internal/netsim"
+	"xdb/internal/tpch"
 	"xdb/internal/wire"
 )
 
@@ -111,66 +115,150 @@ func TestCleanupUnboundedWithoutTimeouts(t *testing.T) {
 	}
 }
 
-// TestRegisterServerDedupes: concurrent registrations for one (consumer,
-// producer) pair must run the create exactly once and share its outcome;
-// distinct pairs must not be serialized into one.
-func TestRegisterServerDedupes(t *testing.T) {
-	dep := &Deployment{}
-	var creates int
-	var mu sync.Mutex
-	const workers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := "db1\x00db2"
-			if i%4 == 3 {
-				key = "db3\x00db2" // a different consumer: its own registration
-			}
-			errs[i] = dep.registerServer(key, func() error {
-				mu.Lock()
-				creates++
-				mu.Unlock()
-				time.Sleep(10 * time.Millisecond) // widen the race window
-				dep.addDDL(1)
-				return nil
+// TestDeployScriptBooks: what a delegation script's outcome does to the
+// deployment's books, statement by statement. The DBMS runs every
+// statement of a script, so each one's outcome is its own.
+func TestDeployScriptBooks(t *testing.T) {
+	script := func(second string) []*deployStmt {
+		var stmts []*deployStmt
+		for i, sel := range []string{"SELECT u.u_id FROM users u", second, "SELECT v.u_id FROM xdb9_t1 v"} {
+			name := fmt.Sprintf("xdb9_t%d", i+1)
+			stmts = append(stmts, &deployStmt{
+				node: "db1", kind: "view", object: name, weight: 1,
+				sql: "CREATE VIEW " + name + " AS " + sel, undo: "DROP VIEW IF EXISTS " + name,
+				sig: name, obj: deployedObj{name: name, node: "db1", nodes: []string{"db1"}},
 			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("worker %d: %v", i, err)
 		}
+		return stmts
 	}
-	if creates != 2 {
-		t.Errorf("create ran %d times, want 2 (one per distinct node pair)", creates)
-	}
-	if dep.DDLCount != 2 {
-		t.Errorf("DDLCount = %d, want 2 — duplicate CREATE SERVER double-counted", dep.DDLCount)
+	parked := func(sys *System) []string {
+		var out []string
+		for _, o := range sys.Orphans() {
+			out = append(out, o.Node+": "+o.SQL)
+		}
+		sort.Strings(out)
+		return out
 	}
 
-	// A failed registration is shared by every waiter for that key.
-	dep2 := &Deployment{}
-	failErr := fmt.Errorf("node down")
-	var wg2 sync.WaitGroup
-	errs2 := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		wg2.Add(1)
-		go func(i int) {
-			defer wg2.Done()
-			errs2[i] = dep2.registerServer("a\x00b", func() error {
-				time.Sleep(5 * time.Millisecond)
-				return failErr
-			})
-		}(i)
+	t.Run("the second statement is refused", func(t *testing.T) {
+		cl := newChaosCluster(t, chaosOptions())
+		dep := &Deployment{QID: 9}
+		err := cl.sys.deployScript(context.Background(), dep, "db1", script("SELECT u.nosuch FROM users u"))
+		if err == nil || !strings.Contains(err.Error(), "deploy view xdb9_t2 on db1") {
+			t.Fatalf("err = %v, want the second statement's", err)
+		}
+		// The first and — the script ran on — the third are deployed and
+		// recorded; only the refused one is parked.
+		if idx := dep.objectIndex(); dep.DDLCount != 2 || len(idx) != 2 || idx["xdb9_t2"].name != "" {
+			t.Errorf("DDLCount = %d, index = %v; want statements 1 and 3", dep.DDLCount, idx)
+		}
+		if got := parked(cl.sys); len(got) != 1 || got[0] != "db1: DROP VIEW IF EXISTS xdb9_t2" {
+			t.Errorf("parked = %v, want only the refused statement's drop", got)
+		}
+		if got := leftoverXDB(cl.engines, nil); len(got) != 2 {
+			t.Errorf("deployed = %v, want xdb9_t1 and xdb9_t3", got)
+		}
+		// The deployment's own cleanup drops what ran and un-parks the rest.
+		if err := cl.sys.cleanupDeployment(context.Background(), dep); err != nil {
+			t.Errorf("cleanup: %v", err)
+		}
+		assertQuiescent(t, cl.sys, cl.engines)
+		if h := cl.sys.NodeHealth()["db1"]; h.Failures != 1 {
+			t.Errorf("the script fed the breaker %d failures, want 1", h.Failures)
+		}
+	})
+
+	t.Run("the reply is lost", func(t *testing.T) {
+		cl := newChaosCluster(t, chaosOptions())
+		if _, err := cl.sys.Query(chaosQuery); err != nil {
+			t.Fatal(err) // a pooled connection to db1: the script pays no handshake
+		}
+		// A coin-flip link and the seed that lets the first frame — the
+		// script — through and drops the second, its reply.
+		seed := int64(1)
+		for ; ; seed++ {
+			if r := rand.New(rand.NewSource(seed)); r.Float64() >= 0.5 && r.Float64() < 0.5 {
+				break
+			}
+		}
+		cl.topo.SetFaultSeed(seed)
+		cl.topo.SetFlake(chaosSite("xdb"), chaosSite("db1"), netsim.Flake{DropRate: 0.5})
+		dep := &Deployment{QID: 9}
+		err := cl.sys.deployScript(context.Background(), dep, "db1", script("SELECT u.u_name FROM users u"))
+		cl.topo.SetFlake(chaosSite("xdb"), chaosSite("db1"), netsim.Flake{})
+		var fe *netsim.FaultError
+		if !errors.As(err, &fe) || fe.From != "db1" {
+			t.Fatalf("err = %v, want the fault on the return path", err)
+		}
+		// The script ran; the middleware cannot know: nothing is recorded,
+		// every statement's drop is parked.
+		if got := leftoverXDB(cl.engines, nil); len(got) != 3 {
+			t.Fatalf("on db1: %v, want all three views (the request was delivered)", got)
+		}
+		dep.mu.Lock()
+		items, ddls, objs := len(dep.cleanup), dep.DDLCount, len(dep.objects)
+		dep.mu.Unlock()
+		if items != 0 || ddls != 0 || objs != 0 {
+			t.Errorf("books after a lost reply: %d cleanup items, DDLCount %d, %d objects; want none", items, ddls, objs)
+		}
+		if got := parked(cl.sys); len(got) != 3 {
+			t.Errorf("parked = %v, want every statement's drop", got)
+		}
+		if err := cl.sys.cleanupDeployment(context.Background(), dep); err != nil {
+			t.Errorf("cleanup of a deployment with nothing on its books: %v", err)
+		}
+		dropped, remaining, err := cl.sys.SweepOrphans()
+		if dropped != 3 || remaining != 0 || err != nil {
+			t.Errorf("sweep: dropped=%d remaining=%d err=%v", dropped, remaining, err)
+		}
+		assertQuiescent(t, cl.sys, cl.engines)
+	})
+}
+
+// TestDeployRegistersServerOncePerPair: two edges between the same
+// consumer and producer share one SQL/MED server registration — rendered
+// once, sent once, counted once — and every statement of a node travels in
+// that node's one script.
+func TestDeployRegistersServerOncePerPair(t *testing.T) {
+	cl := newTPCHCluster(t, chaosOptions())
+	// Under TD1 Q8's root task pulls nation twice and supplier from db3.
+	plan, _, err := cl.sys.Plan(tpch.Queries["Q8"])
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg2.Wait()
-	for i, err := range errs2 {
-		if err != failErr {
-			t.Errorf("worker %d: err = %v, want the shared failure", i, err)
+	twice := false
+	for _, task := range plan.Tasks {
+		from := map[string]int{}
+		for _, e := range task.Inputs {
+			from[e.From.Node]++
+			twice = twice || from[e.From.Node] > 1
 		}
 	}
+	if !twice {
+		desc, _ := plan.Describe()
+		t.Fatalf("no task with two inputs from one node:\n%s", desc)
+	}
+	before := requests(cl.clients["mw"])
+	dep, err := cl.sys.deployReusing(context.Background(), plan, 778, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := map[string]bool{}
+	nodes := map[string]bool{}
+	for _, task := range plan.Tasks {
+		nodes[task.Node] = true
+		for _, e := range task.Inputs {
+			servers[task.Node+"<-"+e.From.Node] = true
+		}
+	}
+	if want := len(plan.Tasks) + len(plan.Edges) + len(servers); dep.DDLCount != want {
+		t.Errorf("DDLCount = %d, want %d: a view per task, a foreign table per edge, a server per node pair", dep.DDLCount, want)
+	}
+	if got := requests(cl.clients["mw"]) - before; got != int64(len(nodes)) {
+		t.Errorf("%d deploy requests for %d nodes", got, len(nodes))
+	}
+	if err := cl.sys.cleanupDeployment(context.Background(), dep); err != nil {
+		t.Error(err)
+	}
+	assertQuiescent(t, cl.sys, cl.engines)
 }

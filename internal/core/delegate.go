@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,7 +12,6 @@ import (
 	"time"
 
 	"xdb/internal/connector"
-	"xdb/internal/dialect"
 	"xdb/internal/obs"
 	"xdb/internal/sqltypes"
 )
@@ -24,6 +25,16 @@ import (
 // the DBMSes; no data moves until the XDB query is executed. The returned
 // XDB query — SELECT * FROM <root view> on the root task's DBMS — is what
 // the client runs to trigger the in-situ cascade of Fig. 8.
+//
+// The traversal renders; it sends nothing. Every object name is known
+// before anything exists (xdb<qid>_t<task>, xdb<qid>_ft<task>), so the
+// statements are rendered up front in Algorithm 1's order, grouped by node,
+// and sent as one script per node, all nodes at once: one deploy round.
+// That is legal because a node's objects depend only on objects of the same
+// node — a view reads base tables and foreign tables of its own DBMS, and a
+// foreign table declares its schema and its row estimate (the rows option)
+// instead of asking its producer for them. It binds to the producer when
+// it is scanned, and by then the round has finished on every node.
 
 // Deployment is the result of delegating one plan.
 type Deployment struct {
@@ -40,10 +51,6 @@ type Deployment struct {
 	cleanup []cleanupItem
 	// DDLCount is the number of DDL statements deployed.
 	DDLCount int
-	// servers dedupes SQL/MED server registrations per (consumer,
-	// producer) node pair: sibling edges deploying concurrently must
-	// issue the CREATE SERVER exactly once and count it once.
-	servers map[string]*serverReg
 	// objects indexes the deployment's relations by structural signature
 	// (see taskSig/edgeSig) — both the ones this attempt created and the
 	// ones it adopted from a prior failover attempt. Mid-query failover
@@ -58,55 +65,15 @@ type Deployment struct {
 type deployedObj struct {
 	name string // created object name (view or foreign table)
 	node string // node it was created on
-	// materialized marks an explicit-movement foreign table whose rows
-	// were fetched and stored at deploy time — a completed stage whose
+	// materialized marks an explicit-movement foreign table: the engine
+	// fetches and stores its rows on the first scan (a reopt barrier, or
+	// the execution itself), and from then on it is a completed stage whose
 	// result survives its producer's death.
 	materialized bool
 	// nodes is every node the object depends on at execution time: its
 	// host plus, transitively, the implicit-edge subtree feeding it.
 	// Reuse requires all of them healthy.
 	nodes []string
-}
-
-// serverReg tracks one in-flight or completed server registration.
-type serverReg struct {
-	done chan struct{}
-	err  error
-}
-
-// registerServer runs create exactly once per key within the deployment.
-// The first caller issues the DDL; concurrent callers for the same key
-// block until it completes and share its outcome, so a foreign table is
-// never deployed against a server registration that has not finished.
-func (d *Deployment) registerServer(key string, create func() error) error {
-	d.mu.Lock()
-	if d.servers == nil {
-		d.servers = map[string]*serverReg{}
-	}
-	if reg, ok := d.servers[key]; ok {
-		d.mu.Unlock()
-		<-reg.done
-		return reg.err
-	}
-	reg := &serverReg{done: make(chan struct{})}
-	d.servers[key] = reg
-	d.mu.Unlock()
-	reg.err = create()
-	close(reg.done)
-	return reg.err
-}
-
-func (d *Deployment) record(item cleanupItem, ddls int) {
-	d.mu.Lock()
-	d.cleanup = append(d.cleanup, item)
-	d.DDLCount += ddls
-	d.mu.Unlock()
-}
-
-func (d *Deployment) addDDL(n int) {
-	d.mu.Lock()
-	d.DDLCount += n
-	d.mu.Unlock()
 }
 
 // recordObject indexes a relation under its structural signature. Adopted
@@ -132,12 +99,39 @@ func (d *Deployment) objectIndex() map[string]deployedObj {
 	return out
 }
 
+// deployStmt is one rendered statement of a delegation: where it runs, what
+// it creates, how that is undone, and what the deployment's books record
+// once it has run.
+type deployStmt struct {
+	node, kind, object string
+	sql                string
+	// undo is the DROP that undoes the statement; "" for a server
+	// registration, which nothing drops. Drops render as IF EXISTS, so
+	// sweeping a never-created object is a no-op.
+	undo string
+	// weight is the statement's share of the node's budget: a materializing
+	// foreign table weighs double — fetch-and-store makes the node pull and
+	// write the whole input, the heaviest thing the delegation asks for.
+	weight int
+	// attrs are extra attributes of the statement's ddl span.
+	attrs []string
+	// sig and obj are the signature-index entry of the created relation
+	// (sig "" for a server registration).
+	sig string
+	obj deployedObj
+}
+
 // deployRun threads one deployment attempt through the Algorithm 1
-// traversal: the deployment being built plus the reusable-object index
-// from prior attempts (nil on a first deployment).
+// traversal: the deployment being built, the reusable-object index from
+// prior attempts (nil on a first deployment), and the statements rendered
+// so far, in Algorithm 1's order.
 type deployRun struct {
 	dep   *Deployment
 	reuse map[string]deployedObj
+	stmts []*deployStmt
+	// servers holds the (consumer, producer) node pairs whose SQL/MED server
+	// registration is already rendered: sibling edges share one.
+	servers map[string]bool
 }
 
 type cleanupItem struct {
@@ -158,8 +152,11 @@ func (s *System) deployReusing(ctx context.Context, plan *Plan, qid int64, reuse
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := &deployRun{dep: &Deployment{QID: qid}, reuse: reuse}
-	rootView, err := s.processTask(ctx, plan, plan.Root, qid, run)
+	run := &deployRun{dep: &Deployment{QID: qid}, reuse: reuse, servers: map[string]bool{}}
+	rootView, err := s.scriptTask(plan.Root, run)
+	if err == nil {
+		err = s.deployScripts(ctx, run)
+	}
 	if err != nil {
 		return run.dep, err
 	}
@@ -174,13 +171,13 @@ func (s *System) deployReusing(ctx context.Context, plan *Plan, qid int64, reuse
 // statement on the issued-DDL counter regardless of outcome: a deployment
 // that fails halfway still reports every DDL it actually sent. Nil-safe
 // end to end: with tracing off only the metric observations remain.
-func startDDLSpan(ctx context.Context, node, kind, object string, kv ...string) func(error) {
+func startDDLSpan(ctx context.Context, st *deployStmt) func(error) {
 	sp := obs.SpanFrom(ctx).Child("ddl")
-	sp.Set("node", node)
-	sp.Set("kind", kind)
-	sp.Set("object", object)
-	for i := 0; i+1 < len(kv); i += 2 {
-		sp.Set(kv[i], kv[i+1])
+	sp.Set("node", st.node)
+	sp.Set("kind", st.kind)
+	sp.Set("object", st.object)
+	for i := 0; i+1 < len(st.attrs); i += 2 {
+		sp.Set(st.attrs[i], st.attrs[i+1])
 	}
 	start := time.Now()
 	return func(err error) {
@@ -191,50 +188,94 @@ func startDDLSpan(ctx context.Context, node, kind, object string, kv ...string) 
 	}
 }
 
-// ddl deploys one statement of Algorithm 1 on node — a call — and keeps
-// the deployment's books around it. The span and the DDL metrics cover
-// the statement once it is actually sent (past the gate and the budget).
-// drop renders the statement that undoes it (nil for a server
-// registration, which nothing drops): on success it becomes the
-// deployment's cleanup item; on failure the outcome is ambiguous — the
-// response frame may have been lost after the DDL executed — so it is
-// parked as an orphan pessimistically. Drops render as IF EXISTS, so
-// sweeping a never-created object is a no-op.
-func (s *System) ddl(ctx context.Context, dep *Deployment, node string, weight int, kind, object string,
-	drop func(dialect.Dialect, string) string,
-	deploy func(context.Context, *connector.Connector) error, kv ...string) error {
-	var undo string
-	err := s.call(ctx, node, weight, func(rctx context.Context, c *connector.Connector) error {
-		if drop != nil {
-			undo = drop(c.Dialect, object)
+// deployScripts sends the rendered statements: one script per node, every
+// node at once (in sorted order, one after the other, under
+// Options.serial). A node's failure does not cancel its siblings — an
+// abandoned script is one whose every statement must be parked as an
+// orphan — so the round always runs to its end, and the error returned is
+// the first failing node's.
+func (s *System) deployScripts(ctx context.Context, run *deployRun) error {
+	nodes, byNode := groupByNode(len(run.stmts), func(i int) string { return run.stmts[i].node })
+	errs := make([]error, len(nodes))
+	fanOutFirstErr(ctx, len(nodes), 0, s.opts.serial, func(fctx context.Context, n int) error {
+		stmts := make([]*deployStmt, len(byNode[nodes[n]]))
+		for k, i := range byNode[nodes[n]] {
+			stmts[k] = run.stmts[i]
 		}
-		done := startDDLSpan(ctx, node, kind, object, kv...)
-		err := deploy(rctx, c)
-		done(err)
-		if err != nil && undo != "" {
-			s.orphans.add(node, undo, err.Error())
-		}
-		return err
+		errs[n] = s.deployScript(fctx, run.dep, nodes[n], stmts)
+		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("core: deploy %s %s on %s: %w", kind, object, node, err)
-	}
-	if undo == "" {
-		dep.addDDL(1)
-	} else {
-		dep.record(cleanupItem{node: node, sql: undo}, 1)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// processTask implements PROCESSTASK of Algorithm 1. A task's inputs are
-// roots of independent subtrees, so they deploy concurrently — the
-// parallelization of delegation the paper's dataflow dependencies permit
-// (Sec. IV-A: "this allows us to parallelize certain parts of the
-// delegation and execution") — but at most deployFanout at a time, so a
-// wide task cannot spawn a goroutine per input. The first failure cancels
-// the siblings, which then send no further DDL.
-func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64, run *deployRun) (string, error) {
+// deployScript deploys one node's statements as one script — a call, at
+// the heaviest statement's weight — and keeps the deployment's books
+// statement by statement. Each statement gets its ddl span and its DDL
+// metrics once the script is actually sent (past the gate and the budget),
+// for the script's round trip. A statement that ran becomes a cleanup item
+// and joins the signature index. A statement the DBMS refused is parked as
+// an orphan, pessimistically, and its drop is listed for the deployment's
+// own cleanup as well, which un-parks it when it goes through. When the
+// script's reply is lost nothing is known — any statement may have run, or
+// may still be running — so every statement's drop is parked and left to
+// the sweep.
+func (s *System) deployScript(ctx context.Context, dep *Deployment, node string, stmts []*deployStmt) error {
+	weight := 0
+	sqls := make([]string, len(stmts))
+	for i, st := range stmts {
+		weight = max(weight, st.weight)
+		sqls[i] = st.sql
+	}
+	return s.call(ctx, node, weight, func(rctx context.Context, c *connector.Connector) error {
+		done := make([]func(error), len(stmts))
+		for i, st := range stmts {
+			done[i] = startDDLSpan(ctx, st)
+		}
+		errs, lost := c.ExecScript(rctx, sqls)
+		var first error
+		for i, err := range itemErrs(lost, errs, len(stmts)) {
+			st := stmts[i]
+			done[i](err)
+			dep.book(st, err, lost != nil)
+			if err != nil {
+				if st.undo != "" {
+					s.orphans.add(node, st.undo, err.Error())
+				}
+				if first == nil {
+					first = fmt.Errorf("core: deploy %s %s on %s: %w", st.kind, st.object, node, err)
+				}
+			}
+		}
+		return first
+	})
+}
+
+// book records one sent statement's outcome: the DDL count and the
+// signature index when it ran, and its drop as a cleanup item unless the
+// script's reply was lost (then the orphan sweep owns it).
+func (d *Deployment) book(st *deployStmt, err error, lost bool) {
+	d.mu.Lock()
+	if st.undo != "" && !lost {
+		d.cleanup = append(d.cleanup, cleanupItem{node: st.node, sql: st.undo})
+	}
+	if err == nil {
+		d.DDLCount++
+	}
+	d.mu.Unlock()
+	if err == nil && st.sig != "" {
+		d.recordObject(st.sig, st.obj)
+	}
+}
+
+// scriptTask implements PROCESSTASK of Algorithm 1 as rendering: the
+// task's inputs first, depth-first, then the task's own virtual relation
+// (line 12). It returns the view's name.
+func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
 	sig := taskSig(t)
 	if obj, ok := run.reuse[sig]; ok {
 		// The identical fragment survives from a prior attempt: adopt its
@@ -244,37 +285,39 @@ func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64
 		t.ViewName = obj.name
 		return obj.name, nil
 	}
-	// Fail fast before descending into the subtree: deploying onto a
-	// node with an open breaker would only park more orphans.
+	// Fail fast, before anything is sent anywhere: deploying the rest of
+	// the plan around a node with an open breaker would only make work to
+	// undo.
+	c, ok := s.connectors[t.Node]
+	if !ok {
+		return "", &NoConnectorError{Node: t.Node}
+	}
 	if err := s.health.allow(t.Node); err != nil {
 		return "", err
 	}
-	err := fanOutFirstErr(ctx, len(t.Inputs), s.deployFanout(), s.opts.serial, func(fctx context.Context, i int) error {
-		return s.deployInput(fctx, plan, t, t.Inputs[i], qid, run)
-	})
-	if err != nil {
-		return "", err
+	for _, edge := range t.Inputs {
+		if err := s.scriptInput(t, edge, c, run); err != nil {
+			return "", err
+		}
 	}
-
-	// CREATE the task's virtual relation (line 12).
 	sel, err := renderTask(t)
 	if err != nil {
 		return "", err
 	}
-	viewName := fmt.Sprintf("xdb%d_t%d", qid, t.ID)
-	err = s.ddl(ctx, run.dep, t.Node, 1, "view", viewName, dialect.Dialect.DropView,
-		func(rctx context.Context, c *connector.Connector) error { return c.DeployView(rctx, viewName, sel) })
-	if err != nil {
-		return "", err
-	}
-	run.dep.recordObject(sig, deployedObj{name: viewName, node: t.Node, nodes: depNodes(t)})
+	viewName := fmt.Sprintf("xdb%d_t%d", run.dep.QID, t.ID)
+	run.stmts = append(run.stmts, &deployStmt{
+		node: t.Node, kind: "view", object: viewName, weight: 1,
+		sql: c.Dialect.CreateView(viewName, sel), undo: c.Dialect.DropView(viewName),
+		sig: sig, obj: deployedObj{name: viewName, node: t.Node, nodes: depNodes(t)},
+	})
 	t.ViewName = viewName
 	return viewName, nil
 }
 
-// deployInput wires one dataflow edge: the producing subtree, the SQL/MED
-// server registration, and the foreign table on the consumer.
-func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edge, qid int64, run *deployRun) error {
+// scriptInput wires one dataflow edge of task t, whose connector is c: the
+// producing subtree, the SQL/MED server registration, and the foreign table
+// on the consumer.
+func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *deployRun) error {
 	// A4 ablation: a child task that is a bare (filtered, pruned) scan is
 	// not wrapped in a virtual relation — the foreign table points
 	// straight at the base table and exposes its full schema, relying on
@@ -303,13 +346,20 @@ func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edg
 		cols   []sqltypes.Column
 		err    error
 	)
+	// The foreign table declares how many rows to expect, so the consumer
+	// plans over it without asking the producer: the edge's estimate, or
+	// for A4's raw table the catalog's row count of the base table.
+	rows := edge.EstRows
 	if raw != nil {
 		remote = raw.Table
 		for _, c := range raw.Schema.Columns {
 			cols = append(cols, sqltypes.Column{Name: c.Name, Type: c.Type})
 		}
+		if info, ok := s.catalog.Lookup(raw.Table); ok && info.Stats != nil {
+			rows = float64(info.Stats.RowCount)
+		}
 	} else {
-		if remote, err = s.processTask(ctx, plan, edge.From, qid, run); err != nil {
+		if remote, err = s.scriptTask(edge.From, run); err != nil {
 			return err
 		}
 		for i, gid := range edge.Placeholder.Cols {
@@ -317,44 +367,47 @@ func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edg
 		}
 	}
 
-	// CREATE SERVER, exactly once per (consumer, producer) pair even when
-	// sibling edges deploy concurrently, and counted once.
+	// CREATE SERVER, once per (consumer, producer) pair.
 	serverName := "xdbsrv_" + edge.From.Node
-	err = run.dep.registerServer(t.Node+"\x00"+edge.From.Node, func() error {
-		return s.ddl(ctx, run.dep, t.Node, 1, "server", serverName, nil,
-			func(rctx context.Context, c *connector.Connector) error {
-				return c.DeployServer(rctx, serverName, producer.Addr, edge.From.Node)
-			})
-	})
-	if err != nil {
-		return err
+	if pair := t.Node + "\x00" + edge.From.Node; !run.servers[pair] {
+		run.servers[pair] = true
+		run.stmts = append(run.stmts, &deployStmt{
+			node: t.Node, kind: "server", object: serverName, weight: 1,
+			sql: c.Dialect.CreateServer(serverName, producer.Addr, edge.From.Node),
+		})
 	}
 
 	// CREATE FOREIGN TABLE (Algorithm 1, line 7), with fetch-and-store
-	// semantics when the movement is explicit (line 9). A materializing
-	// deploy weighs double on the consumer's budget: fetch-and-store makes
-	// the node pull and write the whole input, the heaviest DDL the
-	// delegation issues.
-	ftName := fmt.Sprintf("xdb%d_ft%d", qid, edge.From.ID)
+	// semantics when the movement is explicit (line 9).
+	ftName := fmt.Sprintf("xdb%d_ft%d", run.dep.QID, edge.From.ID)
 	materialize, weight := edge.Move == MoveExplicit, 1
 	if materialize {
 		weight = 2
 	}
-	err = s.ddl(ctx, run.dep, t.Node, weight, "foreign_table", ftName, dialect.Dialect.DropTable,
-		func(rctx context.Context, c *connector.Connector) error {
-			return c.DeployForeignTable(rctx, ftName, cols, serverName, remote, materialize)
-		}, "materialize", strconv.FormatBool(materialize))
-	if err != nil {
-		return err
-	}
-	run.dep.recordObject(sig, deployedObj{
-		name: ftName, node: t.Node, materialized: materialize,
-		nodes: ftDepNodes(t, edge, materialize),
+	run.stmts = append(run.stmts, &deployStmt{
+		node: t.Node, kind: "foreign_table", object: ftName, weight: weight,
+		sql:   c.Dialect.CreateForeignTable(ftName, cols, serverName, remote, materialize, declaredRows(rows)),
+		undo:  c.Dialect.DropTable(ftName),
+		attrs: []string{"materialize", strconv.FormatBool(materialize)},
+		sig:   sig,
+		obj: deployedObj{
+			name: ftName, node: t.Node, materialized: materialize,
+			nodes: ftDepNodes(t, edge, materialize),
+		},
 	})
 
 	// Replace the ? in the task's instruction (lines 10–12).
 	edge.Placeholder.Rel, edge.Placeholder.RawScan = ftName, raw
 	return nil
+}
+
+// declaredRows is a row estimate as a foreign table's rows option: a
+// positive integer, or 0 (none declared) when the estimate is not finite.
+func declaredRows(est float64) int64 {
+	if math.IsNaN(est) || math.IsInf(est, 0) {
+		return 0
+	}
+	return int64(math.Max(math.Round(est), 1))
 }
 
 // isBareScan reports whether the task's fragment is a single scan (with
@@ -461,9 +514,9 @@ func logicalSig(op Op, ph map[*Placeholder]*Edge) string {
 
 // depNodes returns every node a task's virtual relation touches at
 // execution time: its own, plus — through implicit edges only — its
-// producing subtrees'. Explicit edges cut the dependency: their foreign
-// tables were materialized at deploy time, so the producer side need not
-// survive.
+// producing subtrees'. Explicit edges cut the dependency: once their
+// foreign tables have fetched and stored their rows (on the first scan),
+// the producer side need not survive.
 func depNodes(t *Task) []string {
 	seen := map[string]bool{}
 	var walk func(t *Task)
@@ -495,17 +548,18 @@ func ftDepNodes(t *Task, e *Edge, materialized bool) []string {
 	return append([]string{t.Node}, depNodes(e.From)...)
 }
 
-// cleanupDeployment drops the query's short-lived relations in reverse
-// creation order. Each drop is individually bounded by CleanupTimeout
-// (falling back to RequestTimeout), so a dead or hung node cannot stall
-// the sweep, and a node whose breaker is open is skipped without burning
-// its timeout. Errors are collected but do not stop the sweep; failed
-// items are RETAINED — on the deployment (so a direct retry is possible)
-// and in the system's orphan registry, where the janitor retries them on
-// node recovery or an explicit SweepOrphans. The returned error names the
-// node and statement of every failed drop. The caller's context is used
-// only to attach the "cleanup" trace span; the drops themselves run on
-// detached per-drop contexts so a cancelled query still cleans up.
+// cleanupDeployment drops the query's short-lived relations: one DROP
+// script per node, the nodes at once, each node's statements in reverse
+// creation order. Each script is bounded by CleanupTimeout (falling back
+// to RequestTimeout), so a dead or hung node cannot stall the others, and a
+// node whose breaker is open is skipped without burning its timeout.
+// Failed items are RETAINED — on the deployment (so a direct retry is
+// possible) and in the system's orphan registry, where the janitor retries
+// them on node recovery or an explicit SweepOrphans; a drop that goes
+// through un-parks its object. The returned error names the node and
+// statement of every failed drop. The caller's context is used only to
+// attach the "cleanup" trace span; the drops themselves run on detached
+// contexts so a cancelled query still cleans up.
 func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err error) {
 	sp := obs.SpanFrom(qctx).Child("cleanup")
 	dep.mu.Lock()
@@ -518,25 +572,22 @@ func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err e
 		sp.Finish()
 	}()
 
+	slices.Reverse(items)
 	var errs []string
 	var failed []cleanupItem
-	for i := len(items) - 1; i >= 0; i-- {
+	for i, err := range s.dropItems(items, true) {
 		item := items[i]
-		err := s.health.allow(item.node)
 		if err == nil {
-			err = s.drop(item.node, item.sql)
+			s.orphans.remove(item.node, item.sql)
+			continue
 		}
-		if err != nil {
-			failed = append(failed, item)
-			s.orphans.add(item.node, item.sql, err.Error())
-			errs = append(errs, fmt.Sprintf("%s on %s: %v", item.sql, item.node, err))
-		}
+		failed = append(failed, item)
+		s.orphans.add(item.node, item.sql, err.Error())
+		errs = append(errs, fmt.Sprintf("%s on %s: %v", item.sql, item.node, err))
 	}
 	if len(failed) > 0 {
-		// Restore reverse-of-creation order for any later direct retry.
-		for i, j := 0, len(failed)-1; i < j; i, j = i+1, j-1 {
-			failed[i], failed[j] = failed[j], failed[i]
-		}
+		// Restore creation order for any later direct retry.
+		slices.Reverse(failed)
 		dep.mu.Lock()
 		dep.cleanup = append(failed, dep.cleanup...)
 		dep.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
@@ -292,6 +293,22 @@ func (f *fakeCoster) CostOperator(_ context.Context, node string, kind engine.Co
 	default:
 		return l, nil
 	}
+}
+
+// CostOperators implements Coster: the fake's round trip answers each probe
+// with CostOperator.
+func (f *fakeCoster) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) ([]float64, []error) {
+	return eachProbe(ctx, node, probes, f.CostOperator)
+}
+
+// eachProbe answers a consultation probe by probe.
+func eachProbe(ctx context.Context, node string, probes []connector.CostProbe,
+	one func(context.Context, string, engine.CostKind, float64, float64, float64) (float64, error)) ([]float64, []error) {
+	costs, errs := make([]float64, len(probes)), make([]error, len(probes))
+	for i, p := range probes {
+		costs[i], errs[i] = one(ctx, node, p.Kind, p.Left, p.Right, p.Out)
+	}
+	return costs, errs
 }
 
 func (f *fakeCoster) AllNodes() []string { return f.nodes }

@@ -92,7 +92,8 @@ func (r *orphanRegistry) count() int {
 func (s *System) Orphans() []Orphan { return s.orphans.snapshot("") }
 
 // SweepOrphans retries every parked drop (or only one node's when node is
-// non-empty — the recovery path). Collected orphans leave the registry;
+// non-empty — the recovery path), one DROP script per node, the nodes at
+// once. Collected orphans leave the registry;
 // drops that fail again stay parked with their updated error. It returns
 // the number of objects dropped and the number still parked, plus an error
 // summarizing the remaining failures.
@@ -107,9 +108,17 @@ func (s *System) SweepOrphans() (dropped, remaining int, err error) {
 func (s *System) sweepOrphans(node string) (dropped, remaining int, err error) {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
+	orphans := s.orphans.snapshot(node)
+	items := make([]cleanupItem, len(orphans))
+	for i, o := range orphans {
+		items[i] = cleanupItem{node: o.Node, sql: o.SQL}
+	}
 	var errs []string
-	for _, o := range s.orphans.snapshot(node) {
-		if dropErr := s.drop(o.Node, o.SQL); dropErr != nil {
+	// Ungated: the sweep is the recovery probe of a node whose breaker is
+	// open.
+	for i, dropErr := range s.dropItems(items, false) {
+		o := orphans[i]
+		if dropErr != nil {
 			s.orphans.add(o.Node, o.SQL, dropErr.Error())
 			remaining++
 			errs = append(errs, fmt.Sprintf("%s on %s: %v", o.SQL, o.Node, dropErr))

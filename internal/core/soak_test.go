@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xdb/internal/wire"
 )
 
 // The concurrency soak: the chaos cluster (chaos_test.go) driven by many
@@ -45,7 +47,7 @@ func TestSoakBurst(t *testing.T) {
 	}
 	warm := cl.sys.AdmissionStats()
 
-	before := runtime.NumGoroutine()
+	before := cl.busyGoroutines()
 
 	const burst = 64
 	var (
@@ -103,9 +105,11 @@ func TestSoakBurst(t *testing.T) {
 		t.Errorf("PeakQueued = %d, exceeds MaxQueue=8", st.PeakQueued)
 	}
 
-	// No goroutine may outlive its query (modest tolerance for runtime and
-	// pool housekeeping).
-	waitForGoroutines(t, before+10)
+	// No goroutine may outlive its query. A pooled connection keeps one
+	// server handler parked on it, and how many are pooled after a burst
+	// depends on how the queries overlapped, so those are counted out
+	// exactly; what is left gets a small tolerance for the runtime.
+	waitForGoroutines(t, cl.busyGoroutines, before+2)
 
 	// Drain: returns with nothing in flight, then refuses queries.
 	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -244,19 +248,31 @@ func TestSoakDrainUnderLoad(t *testing.T) {
 	cl.assertTransportBalanced(t)
 }
 
-// waitForGoroutines waits for the goroutine count to settle at or below
-// limit, failing the test if it never does.
-func waitForGoroutines(t *testing.T, limit int) {
+// busyGoroutines is the goroutine count less one per open pooled
+// connection of the cluster's wire clients — the server handler parked on
+// it — so what remains is work, not idle pool occupancy.
+func (cl *chaosCluster) busyGoroutines() int {
+	n := runtime.NumGoroutine()
+	open := func(st wire.TransportStats) int { return int(st.Dials - st.Closes) }
+	for _, c := range cl.clients {
+		n -= open(c.Transport())
+	}
+	return n - open(cl.sys.clientWire.Transport())
+}
+
+// waitForGoroutines waits for count to settle at or below limit, failing
+// with a full goroutine dump if it does not within a few seconds.
+func waitForGoroutines(t *testing.T, count func() int, limit int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n := runtime.NumGoroutine()
+		n := count()
 		if n <= limit {
 			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d alive, want <= %d\n%s",
+			t.Fatalf("goroutine leak: %d busy, want <= %d\n%s",
 				n, limit, buf[:runtime.Stack(buf, true)])
 		}
 		runtime.GC()

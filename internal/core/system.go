@@ -325,14 +325,25 @@ func (b Breakdown) Work() time.Duration {
 // Coster implementation: the annotator consults through the system's
 // connectors.
 
-// CostOperator implements Coster: one consultation round trip, a call
-// taking one unit of the node's budget.
-func (s *System) CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (v float64, err error) {
-	err = s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-		v, err = c.CostOperator(rctx, kind, left, right, out)
-		return err
+// CostOperators implements Coster: one consultation round trip carrying
+// every probe — a call taking one unit of the node's budget, fed to the
+// breaker once. A round trip that fails, or never starts, fails every
+// probe.
+func (s *System) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) (costs []float64, errs []error) {
+	err := s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
+		costs, errs, err = c.CostOperators(rctx, probes)
+		return firstErr(err, errs)
 	})
-	return v, err
+	if errs == nil { // the round trip failed, or never started
+		costs, errs = make([]float64, len(probes)), itemErrs(err, nil, len(probes))
+	}
+	return costs, errs
+}
+
+// CostOperator is CostOperators for one probe.
+func (s *System) CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (float64, error) {
+	costs, errs := s.CostOperators(ctx, node, []connector.CostProbe{{Kind: kind, Left: left, Right: right, Out: out}})
+	return costs[0], errs[0]
 }
 
 // Healthy implements Coster: false while the node's breaker is open, so

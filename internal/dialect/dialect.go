@@ -28,8 +28,10 @@ type Dialect interface {
 	CreateServer(name, addr, node string) string
 	// CreateForeignTable renders the foreign-table declaration for
 	// remoteTable on server, exposing the given columns locally as name.
-	// materialize requests fetch-and-store semantics (explicit movement).
-	CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool) string
+	// materialize requests fetch-and-store semantics (explicit movement);
+	// rows, when positive, declares the remote relation's row estimate, so
+	// the DBMS plans over the foreign table without asking the remote.
+	CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool, rows int64) string
 	// CreateView renders a view over the query.
 	CreateView(name string, query *sqlparser.Select) string
 	// CreateTableAs renders the explicit materialization of a query.
@@ -107,13 +109,16 @@ func (Postgres) CreateServer(name, addr, node string) string {
 }
 
 // CreateForeignTable implements Dialect.
-func (d Postgres) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool) string {
-	mat := ""
+func (d Postgres) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool, rows int64) string {
+	opts := ""
 	if materialize {
-		mat = ", materialize 'true'"
+		opts = ", materialize 'true'"
+	}
+	if rows > 0 {
+		opts += fmt.Sprintf(", rows '%d'", rows)
 	}
 	return fmt.Sprintf("CREATE FOREIGN TABLE %s (%s) SERVER %s OPTIONS (table_name %s%s)",
-		name, renderColumnDefs(d, cols), server, sqltypes.QuoteString(remoteTable), mat)
+		name, renderColumnDefs(d, cols), server, sqltypes.QuoteString(remoteTable), opts)
 }
 
 // CreateView implements Dialect.
@@ -174,13 +179,20 @@ func (MariaDB) CreateServer(name, addr, node string) string {
 }
 
 // CreateForeignTable implements Dialect.
-func (d MariaDB) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool) string {
-	mat := ""
+func (d MariaDB) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool, rows int64) string {
+	var opts []string
 	if materialize {
-		mat = "?materialize=1"
+		opts = append(opts, "materialize=1")
+	}
+	if rows > 0 {
+		opts = append(opts, fmt.Sprintf("rows=%d", rows))
+	}
+	query := ""
+	if len(opts) > 0 {
+		query = "?" + strings.Join(opts, "&")
 	}
 	return fmt.Sprintf("CREATE TABLE %s (%s) ENGINE=FEDERATED CONNECTION='%s/%s%s'",
-		name, renderColumnDefs(d, cols), server, remoteTable, mat)
+		name, renderColumnDefs(d, cols), server, remoteTable, query)
 }
 
 // CreateView implements Dialect.
@@ -238,13 +250,16 @@ func (Hive) CreateServer(name, addr, node string) string {
 }
 
 // CreateForeignTable implements Dialect.
-func (d Hive) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool) string {
-	mat := ""
+func (d Hive) CreateForeignTable(name string, cols []sqltypes.Column, server, remoteTable string, materialize bool, rows int64) string {
+	props := ""
 	if materialize {
-		mat = ", 'materialize' 'true'"
+		props = ", 'materialize' 'true'"
+	}
+	if rows > 0 {
+		props += fmt.Sprintf(", 'rows' '%d'", rows)
 	}
 	return fmt.Sprintf("CREATE EXTERNAL TABLE %s (%s) STORED BY 'xdb' TBLPROPERTIES ('server' '%s', 'table' '%s'%s)",
-		name, renderColumnDefs(d, cols), server, remoteTable, mat)
+		name, renderColumnDefs(d, cols), server, remoteTable, props)
 }
 
 // CreateView implements Dialect.

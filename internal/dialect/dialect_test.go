@@ -1,6 +1,7 @@
 package dialect
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,15 +35,22 @@ func TestForVendor(t *testing.T) {
 
 // TestForeignTableDDLRoundTrips checks the critical contract: every
 // dialect's foreign-table DDL must parse back into the same logical
-// declaration (that is what the engines execute).
+// declaration (that is what the engines execute) — the materialize flag
+// and the declared row estimate included — and that declaration must
+// survive the parser's own rendering (parse → render → parse).
 func TestForeignTableDDLRoundTrips(t *testing.T) {
+	type decl struct {
+		mat  bool
+		rows int64
+	}
 	for _, v := range []engine.Vendor{engine.VendorPostgres, engine.VendorMariaDB, engine.VendorHive} {
-		for _, mat := range []bool{false, true} {
+		for _, want := range []decl{{false, 0}, {true, 0}, {false, 6696}, {true, 25}} {
+			mat := want.mat
 			d := ForVendor(v)
-			ddl := d.CreateForeignTable("ft1", testCols, "srv", "remote_rel", mat)
+			ddl := d.CreateForeignTable("ft1", testCols, "srv", "remote_rel", want.mat, want.rows)
 			stmt, err := sqlparser.Parse(ddl)
 			if err != nil {
-				t.Errorf("%s (mat=%v): DDL does not parse: %v\n%s", v, mat, err, ddl)
+				t.Errorf("%s (%+v): DDL does not parse: %v\n%s", v, want, err, ddl)
 				continue
 			}
 			ft, ok := stmt.(*sqlparser.CreateForeignTable)
@@ -55,6 +63,15 @@ func TestForeignTableDDLRoundTrips(t *testing.T) {
 			}
 			if ft.Materialize != mat {
 				t.Errorf("%s: materialize = %v, want %v", v, ft.Materialize, mat)
+			}
+			if ft.Rows != want.rows {
+				t.Errorf("%s: rows = %d, want %d\n%s", v, ft.Rows, want.rows, ddl)
+			}
+			again, err := sqlparser.Parse(ft.String())
+			if err != nil {
+				t.Errorf("%s (%+v): the parser's rendering does not parse: %v\n%s", v, want, err, ft)
+			} else if !reflect.DeepEqual(again, stmt) {
+				t.Errorf("%s (%+v): parse → render → parse changed the declaration:\n%+v\n%+v", v, want, stmt, again)
 			}
 			if len(ft.Columns) != len(testCols) {
 				t.Errorf("%s: %d columns, want %d", v, len(ft.Columns), len(testCols))

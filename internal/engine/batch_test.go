@@ -327,10 +327,6 @@ func (r *slabRemote) QueryRemote(*Server, string) (*sqltypes.Schema, BatchIter, 
 	return boundarySchema, &slabIter{rows: r.rows}, nil
 }
 
-func (r *slabRemote) StatsRemote(*Server, string) (*TableStats, error) {
-	return &TableStats{RowCount: int64(len(r.rows)), AvgRowBytes: 40}, nil
-}
-
 // TestRetainedRowsSurviveSlabReuse: every consumer that keeps rows past
 // its producer's next call — hash build, sort, a materialized foreign
 // table, CREATE TABLE AS, Drain — must own them. The producer here reuses

@@ -41,10 +41,26 @@ type ForeignTable struct {
 	// materializes the producing task's output locally during execution,
 	// enabling local optimizations at the cost of pipeline parallelism.
 	Materialize bool
+	// Rows is the remote relation's declared row estimate (0: none was
+	// declared). Scans of the foreign table are planned from it, so
+	// planning never leaves the engine; see estRows.
+	Rows int64
 
 	mu     sync.Mutex
 	cached []sqltypes.Row
 	filled bool
+}
+
+// defaultForeignRows is the planner's guess for a foreign table declared
+// without a row estimate.
+const defaultForeignRows = 1000
+
+// estRows is the row estimate scans of the foreign table are planned with.
+func (f *ForeignTable) estRows() float64 {
+	if f.Rows > 0 {
+		return float64(f.Rows)
+	}
+	return defaultForeignRows
 }
 
 // Server is a SQL/MED foreign server registration.

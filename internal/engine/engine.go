@@ -28,8 +28,6 @@ type RemoteQuerier interface {
 	// and a streaming batch iterator. The iterator's Close must release
 	// the underlying connection.
 	QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error)
-	// StatsRemote fetches table statistics from the server.
-	StatsRemote(srv *Server, table string) (*TableStats, error)
 }
 
 // Engine is one emulated DBMS instance.
@@ -224,7 +222,7 @@ func (e *Engine) ExecStmt(stmt sqlparser.Statement) error {
 		}
 		return e.catalog.PutForeign(&ForeignTable{
 			Name: s.Name, Schema: schema, Server: s.Server,
-			RemoteTable: s.RemoteTable, Materialize: s.Materialize,
+			RemoteTable: s.RemoteTable, Materialize: s.Materialize, Rows: s.Rows,
 		})
 
 	case *sqlparser.CreateServer:
@@ -354,7 +352,9 @@ func explainText(b *strings.Builder, n *planNode, depth int) {
 }
 
 // Stats returns the statistics of a base table, view (estimated by
-// planning its query), or foreign table (fetched from the remote).
+// planning its query), or foreign table (its declared row estimate). None
+// of them leaves the engine: what a node believes about a remote relation
+// is what the foreign table's declaration said.
 func (e *Engine) Stats(table string) (*TableStats, error) {
 	if t, ok := e.catalog.Table(table); ok {
 		return e.skewed(table, t.Stats), nil
@@ -370,11 +370,10 @@ func (e *Engine) Stats(table string) (*TableStats, error) {
 		}, nil
 	}
 	if f, ok := e.catalog.Foreign(table); ok {
-		srv, ok := e.catalog.Server(f.Server)
-		if !ok || e.remote == nil {
-			return nil, fmt.Errorf("engine %s: cannot reach server for foreign table %s", e.name, table)
-		}
-		return e.remote.StatsRemote(srv, f.RemoteTable)
+		return &TableStats{
+			RowCount:    int64(f.estRows()),
+			AvgRowBytes: estimateRowBytes(f.Schema),
+		}, nil
 	}
 	return nil, fmt.Errorf("engine %s: unknown relation %q", e.name, table)
 }

@@ -648,6 +648,51 @@ func TestForeignTableErrors(t *testing.T) {
 	}
 }
 
+// TestForeignTableDeclaredEstimate: a foreign table is planned from the
+// row estimate its DDL declared (1000 without one), in every dialect's
+// spelling; EXPLAIN of a view over it and Stats on it report that number;
+// and neither contacts the remote — planning is local, the foreign table
+// binds to its producer when it is scanned.
+func TestForeignTableDeclaredEstimate(t *testing.T) {
+	e := newTestEngine(t)
+	remote := &fakeRemote{}
+	e.SetRemote(remote)
+	for _, ddl := range []string{
+		"CREATE SERVER r FOREIGN DATA WRAPPER xdb OPTIONS (host '127.0.0.1', port '1')", // nobody listens there
+		"CREATE FOREIGN TABLE pg (id BIGINT) SERVER r OPTIONS (table_name 'rel', rows '6696')",
+		"CREATE TABLE maria (id BIGINT) ENGINE=FEDERATED CONNECTION='r/rel?materialize=1&rows=25'",
+		"CREATE EXTERNAL TABLE hive (id BIGINT) STORED BY 'xdb' TBLPROPERTIES ('server' 'r', 'table' 'rel', 'rows' '7')",
+		"CREATE FOREIGN TABLE plain (id BIGINT) SERVER r OPTIONS (table_name 'rel')",
+		"CREATE VIEW over_pg AS SELECT p.id FROM pg p",
+	} {
+		if err := e.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	for table, want := range map[string]int64{"pg": 6696, "maria": 25, "hive": 7, "plain": 1000} {
+		st, err := e.Stats(table)
+		if err != nil {
+			t.Fatalf("Stats(%s): %v", table, err)
+		}
+		if st.RowCount != want {
+			t.Errorf("Stats(%s).RowCount = %d, want the declared %d", table, st.RowCount, want)
+		}
+	}
+	info, err := e.Explain("SELECT * FROM over_pg")
+	if err != nil {
+		t.Fatalf("EXPLAIN of a view over a foreign table: %v", err)
+	}
+	if info.Rows != 6696 || !strings.Contains(info.Text, "ForeignScan pg") || !strings.Contains(info.Text, "rows=6696") {
+		t.Errorf("EXPLAIN rows = %v, want the declared 6696:\n%s", info.Rows, info.Text)
+	}
+	if st, err := e.Stats("over_pg"); err != nil || st.RowCount != 6696 {
+		t.Errorf("Stats(over_pg) = %+v, %v; want 6696 rows", st, err)
+	}
+	if remote.lastSQL != "" {
+		t.Errorf("planning contacted the remote: %q", remote.lastSQL)
+	}
+}
+
 type fakeRemote struct {
 	schema  *sqltypes.Schema
 	rows    []sqltypes.Row
@@ -657,10 +702,6 @@ type fakeRemote struct {
 func (f *fakeRemote) QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error) {
 	f.lastSQL = sql
 	return f.schema, &scanIter{rows: f.rows}, nil
-}
-
-func (f *fakeRemote) StatsRemote(srv *Server, table string) (*TableStats, error) {
-	return &TableStats{RowCount: int64(len(f.rows)), AvgRowBytes: 16}, nil
 }
 
 func TestCostOperator(t *testing.T) {

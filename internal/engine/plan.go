@@ -283,7 +283,9 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 // planForeignScan builds the SQL/MED remote fetch. The remote query is
 // always SELECT * FROM <remote> — the paper's delegation scheme arranges
 // for the remote relation to already be the right virtual relation, so the
-// wrapper never needs to push anything down (Sec. V).
+// wrapper never needs to push anything down (Sec. V). Planning is local:
+// the row estimate is the foreign table's declared one, and the remote is
+// first contacted when the scan is opened.
 func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, error) {
 	srv, ok := e.catalog.Server(f.Server)
 	if !ok {
@@ -294,7 +296,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	}
 	schema := aliasSchema(f.Schema, alias)
 	remoteSQL := "SELECT * FROM " + f.RemoteTable
-	est := e.foreignEstimate(srv, f.RemoteTable)
+	est := f.estRows()
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 	open := func() (BatchIter, error) {
@@ -346,19 +348,6 @@ func (f *ForeignTable) materialized(rq RemoteQuerier, srv *Server, remoteSQL str
 	f.cached = rows
 	f.filled = true
 	return rows, nil
-}
-
-// foreignEstimate asks the remote for a row-count estimate; failures fall
-// back to a default guess (the planner must not fail because a peer is
-// temporarily unreachable).
-func (e *Engine) foreignEstimate(srv *Server, remoteTable string) float64 {
-	if e.remote == nil {
-		return 1000
-	}
-	if st, err := e.remote.StatsRemote(srv, remoteTable); err == nil && st != nil {
-		return float64(st.RowCount)
-	}
-	return 1000
 }
 
 // planFilter wraps a node with a predicate.

@@ -91,9 +91,9 @@ func (*CreateView) stmt() {}
 // CreateForeignTable is the SQL/MED foreign table declaration in any of the
 // vendor dialect spellings:
 //
-//	CREATE FOREIGN TABLE t (cols) SERVER s OPTIONS (table_name 'x')   -- postgres
-//	CREATE TABLE t (cols) ENGINE=FEDERATED CONNECTION='s/x'           -- mariadb
-//	CREATE EXTERNAL TABLE t (cols) STORED BY 'xdb' TBLPROPERTIES (...) -- hive
+//	CREATE FOREIGN TABLE t (cols) SERVER s OPTIONS (table_name 'x', rows '9')  -- postgres
+//	CREATE TABLE t (cols) ENGINE=FEDERATED CONNECTION='s/x?rows=9'             -- mariadb
+//	CREATE EXTERNAL TABLE t (cols) STORED BY 'xdb' TBLPROPERTIES (...)         -- hive
 type CreateForeignTable struct {
 	Name    string
 	Columns []ColumnDef
@@ -104,6 +104,10 @@ type CreateForeignTable struct {
 	// relation on first access instead of streaming it per scan — the
 	// engine-level mechanism behind XDB's explicit data movement.
 	Materialize bool
+	// Rows is the declared row-count estimate of the remote relation (the
+	// rows option; 0 when absent). The DBMS plans scans of the foreign
+	// table from it instead of asking the remote at plan time.
+	Rows int64
 }
 
 func (*CreateForeignTable) stmt() {}

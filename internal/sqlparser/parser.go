@@ -432,6 +432,9 @@ func (p *parser) parseCreate() (Statement, error) {
 				ft.RemoteTable = v
 			}
 			ft.Materialize = isTrueOption(opts["materialize"])
+			if ft.Rows, err = p.rowsOption(opts["rows"]); err != nil {
+				return nil, err
+			}
 		}
 		return ft, nil
 
@@ -473,6 +476,9 @@ func (p *parser) parseCreate() (Statement, error) {
 				ft.RemoteTable = v
 			}
 			ft.Materialize = isTrueOption(opts["materialize"])
+			if ft.Rows, err = p.rowsOption(opts["rows"]); err != nil {
+				return nil, err
+			}
 		}
 		if ft.Server == "" {
 			return nil, p.errf("external table %s: missing 'server' property", name)
@@ -550,13 +556,22 @@ func (p *parser) parseCreate() (Statement, error) {
 			if !ok {
 				return nil, p.errf("bad federated connection %q: want 'server/table'", t.text)
 			}
-			// A "?materialize=1" query suffix requests fetch-and-store
-			// semantics (explicit movement).
+			// The query suffix carries the options: "materialize=1" requests
+			// fetch-and-store semantics (explicit movement), "rows=N"
+			// declares the remote relation's row estimate.
 			remote, query, _ := strings.Cut(remote, "?")
-			return &CreateForeignTable{
-				Name: name, Columns: cols, Server: server, RemoteTable: remote,
-				Materialize: strings.Contains(query, "materialize=1"),
-			}, nil
+			ft := &CreateForeignTable{Name: name, Columns: cols, Server: server, RemoteTable: remote}
+			for _, opt := range strings.Split(query, "&") {
+				switch k, v, _ := strings.Cut(opt, "="); k {
+				case "materialize":
+					ft.Materialize = isTrueOption(v)
+				case "rows":
+					if ft.Rows, err = p.rowsOption(v); err != nil {
+						return nil, err
+					}
+				}
+			}
+			return ft, nil
 		}
 		// CREATE TABLE t (cols) AS SELECT — used by explicit materialization.
 		if p.acceptKw("AS") {
@@ -658,6 +673,19 @@ func (p *parser) parseOptions() (map[string]string, error) {
 }
 
 func isTrueOption(v string) bool { return v == "true" || v == "1" }
+
+// rowsOption parses a foreign table's declared row estimate; absent, it is
+// 0.
+func (p *parser) rowsOption(v string) (int64, error) {
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < 0 {
+		return 0, p.errf("bad rows option %q: want a non-negative integer", v)
+	}
+	return n, nil
+}
 
 func (p *parser) parseDrop() (Statement, error) {
 	if err := p.expectKw("DROP"); err != nil {

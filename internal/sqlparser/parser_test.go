@@ -240,6 +240,26 @@ func TestParseForeignTableDialects(t *testing.T) {
 	if ft.Server != "vdb" || ft.RemoteTable != "VVN" {
 		t.Fatalf("%+v", ft)
 	}
+
+	// The declared row estimate, in each spelling; a malformed one is an
+	// error, not a silent default.
+	for _, ddl := range []string{
+		"CREATE FOREIGN TABLE vvn (c_id BIGINT) SERVER vdb OPTIONS (table_name 'VVN', materialize 'true', rows '6696')",
+		"CREATE TABLE vvn (c_id BIGINT) ENGINE=FEDERATED CONNECTION='vdb/VVN?materialize=1&rows=6696'",
+		"CREATE EXTERNAL TABLE vvn (c_id BIGINT) STORED BY 'xdb' TBLPROPERTIES ('server' 'vdb', 'table' 'VVN', 'materialize' 'true', 'rows' '6696')",
+	} {
+		stmt, err := Parse(ddl)
+		if err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+		ft := stmt.(*CreateForeignTable)
+		if ft.Rows != 6696 || !ft.Materialize || ft.RemoteTable != "VVN" {
+			t.Errorf("%s\nparsed to %+v", ddl, ft)
+		}
+		if _, err := Parse(strings.Replace(ddl, "6696", "many", 1)); err == nil {
+			t.Errorf("rows 'many' parsed: %s", ddl)
+		}
+	}
 }
 
 func TestParseCreateServer(t *testing.T) {

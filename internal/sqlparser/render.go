@@ -99,12 +99,15 @@ func (c *CreateView) String() string {
 }
 
 func (c *CreateForeignTable) String() string {
-	mat := ""
+	opts := ""
 	if c.Materialize {
-		mat = ", materialize 'true'"
+		opts = ", materialize 'true'"
+	}
+	if c.Rows > 0 {
+		opts += fmt.Sprintf(", rows '%d'", c.Rows)
 	}
 	return fmt.Sprintf("CREATE FOREIGN TABLE %s (%s) SERVER %s OPTIONS (table_name %s%s)",
-		c.Name, renderColumnDefs(c.Columns), c.Server, sqltypes.QuoteString(c.RemoteTable), mat)
+		c.Name, renderColumnDefs(c.Columns), c.Server, sqltypes.QuoteString(c.RemoteTable), opts)
 }
 
 func (c *CreateServer) String() string {
@@ -141,10 +144,16 @@ func (i *Insert) String() string {
 
 func (e *Explain) String() string { return "EXPLAIN " + e.Stmt.String() }
 
+// renderColumnDefs renders a DDL column list. A name that would lex as a
+// reserved keyword is quoted, so the rendering parses back.
 func renderColumnDefs(cols []ColumnDef) string {
 	var parts []string
 	for _, c := range cols {
-		parts = append(parts, c.Name+" "+c.Type.String())
+		name := c.Name
+		if up := strings.ToUpper(name); keywords[up] && !nonReserved[up] {
+			name = `"` + name + `"`
+		}
+		parts = append(parts, name+" "+c.Type.String())
 	}
 	return strings.Join(parts, ", ")
 }

@@ -21,10 +21,10 @@ import (
 //
 // Connections are pooled per target address (bounded, with idle reaping
 // and broken-connection eviction), so a client amortizes its dials across
-// the chatty consult/delegate RPC cascade. Requests carry deadlines (from
+// the consult/delegate/cleanup rounds. Requests carry deadlines (from
 // the context or the configured RequestTimeout), and idempotent probe RPCs
-// are retried with exponential backoff; DDL/DML never is. One Client is
-// safe for concurrent use.
+// are retried with exponential backoff; DDL/DML — and a Batch holding any —
+// never is. One Client is safe for concurrent use.
 type Client struct {
 	// FromNode is the node the caller runs on (a DBMS node for FDW
 	// traffic, the middleware node for XDB/mediator control traffic).
@@ -200,84 +200,198 @@ func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType b
 // connection back to the pool. The connection is positioned at the next
 // request even when the server answered with an error frame, so it is
 // pooled either way.
-func (c *Client) roundTrip(ctx context.Context, addr, toNode string, reqType byte, payload []byte, idempotent bool) (byte, []byte, error) {
+func (c *Client) roundTrip(ctx context.Context, addr, toNode string, reqType byte, payload []byte, idempotent bool) (Reply, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	conn, typ, resp, err := c.sendRequest(ctx, addr, toNode, reqType, payload, idempotent)
 	if err != nil {
-		return 0, nil, err
+		return Reply{}, err
 	}
 	c.putConn(addr, conn)
-	if typ == msgError {
-		return typ, nil, fmt.Errorf("remote %s: %s", toNode, resp)
-	}
-	return typ, resp, nil
+	return Reply{node: toNode, typ: typ, payload: resp}, nil
 }
 
-// Exec runs a DDL/DML statement remotely. It is never retried.
-func (c *Client) Exec(ctx context.Context, addr, toNode, sql string) error {
-	typ, _, err := c.roundTrip(ctx, addr, toNode, msgExec, []byte(sql), false)
-	if err != nil {
-		return err
+// Reply is the server's response frame to one non-streaming request — sent
+// alone, or as an item of a Batch. Each accessor decodes the response of
+// the request it is named after and returns the remote's error when the
+// server answered with an error frame instead.
+type Reply struct {
+	node    string
+	typ     byte
+	payload []byte
+}
+
+// expect checks the frame type against the one the request is answered by.
+func (r Reply) expect(want byte, request string) error {
+	if r.typ == msgError {
+		return fmt.Errorf("remote %s: %s", r.node, r.payload)
 	}
-	if typ != msgOK {
-		return fmt.Errorf("wire: unexpected response type %d to Exec", typ)
+	if r.typ != want {
+		return fmt.Errorf("wire: unexpected response type %d to %s", r.typ, request)
 	}
 	return nil
 }
 
-// Explain fetches the remote engine's cost/row estimates for a query.
-func (c *Client) Explain(ctx context.Context, addr, toNode, sql string) (*engine.ExplainInfo, error) {
-	typ, resp, err := c.roundTrip(ctx, addr, toNode, msgExplain, []byte(sql), true)
+// Err is the outcome of an Exec.
+func (r Reply) Err() error { return r.expect(msgOK, "Exec") }
+
+// Explain decodes the response to an Explain.
+func (r Reply) Explain() (*engine.ExplainInfo, error) {
+	if err := r.expect(msgExplainRes, "Explain"); err != nil {
+		return nil, err
+	}
+	return decodeExplain(r.payload)
+}
+
+// Stats decodes the response to a Stats.
+func (r Reply) Stats() (*engine.TableStats, error) {
+	if err := r.expect(msgStatsRes, "Stats"); err != nil {
+		return nil, err
+	}
+	return decodeStats(r.payload)
+}
+
+// TableSchema decodes the response to a TableSchema.
+func (r Reply) TableSchema() (*sqltypes.Schema, error) {
+	if err := r.expect(msgSchema, "TableSchema"); err != nil {
+		return nil, err
+	}
+	schema, _, err := sqltypes.DecodeSchema(r.payload)
+	return schema, err
+}
+
+// Cost decodes the response to a Cost.
+func (r Reply) Cost() (float64, error) {
+	if err := r.expect(msgCostRes, "Cost"); err != nil {
+		return 0, err
+	}
+	rd := &reader{b: r.payload}
+	v := rd.float64()
+	return v, rd.err
+}
+
+// Sample decodes the response to a Sample.
+func (r Reply) Sample() (*engine.SampleResult, error) {
+	if err := r.expect(msgSampleRes, "Sample"); err != nil {
+		return nil, err
+	}
+	return decodeSampleRes(r.payload)
+}
+
+// Batch is an ordered list of non-streaming requests that travels as one
+// frame and is answered by one: a round trip for the lot. The server runs
+// every item in order, whatever the items before it returned, and Replies
+// come back in the same order. A batch holding an Exec is, like Exec
+// itself, never retried; any other batch retries like the idempotent reads
+// it is made of.
+type Batch struct {
+	items   []batchItem
+	mutates bool
+}
+
+// Len returns the number of requests added so far.
+func (b *Batch) Len() int { return len(b.items) }
+
+func (b *Batch) add(typ byte, payload []byte) {
+	b.items = append(b.items, batchItem{typ: typ, payload: payload})
+}
+
+// Exec adds a DDL/DML statement.
+func (b *Batch) Exec(sql string) {
+	b.add(msgExec, []byte(sql))
+	b.mutates = true
+}
+
+// Explain adds an estimate request for a query.
+func (b *Batch) Explain(sql string) { b.add(msgExplain, []byte(sql)) }
+
+// Stats adds a statistics request for a relation.
+func (b *Batch) Stats(table string) { b.add(msgStats, []byte(table)) }
+
+// TableSchema adds a schema request for a relation.
+func (b *Batch) TableSchema(table string) { b.add(msgTblSch, []byte(table)) }
+
+// Cost adds an operator-cost probe.
+func (b *Batch) Cost(kind engine.CostKind, left, right, out float64) {
+	b.add(msgCost, encodeCostProbe(kind, left, right, out))
+}
+
+// Sample adds a bounded-sample probe.
+func (b *Batch) Sample(table, alias, filter string, limit int64) {
+	b.add(msgSample, encodeSampleProbe(table, alias, filter, limit))
+}
+
+// Do sends the batch and returns one Reply per request, in order. The
+// error is the round trip's: then no item's outcome is known — any of an
+// Exec batch's statements may or may not have run.
+func (c *Client) Do(ctx context.Context, addr, toNode string, b *Batch) ([]Reply, error) {
+	r, err := c.roundTrip(ctx, addr, toNode, msgBatch, appendBatch(nil, b.items), !b.mutates)
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgExplainRes {
-		return nil, fmt.Errorf("wire: unexpected response type %d to Explain", typ)
+	if err := r.expect(msgBatchRes, "Batch"); err != nil {
+		return nil, err
 	}
-	return decodeExplain(resp)
+	items, err := decodeBatch(r.payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(items) != len(b.items) {
+		return nil, fmt.Errorf("wire: %d responses to a batch of %d requests", len(items), len(b.items))
+	}
+	replies := make([]Reply, len(items))
+	for i, it := range items {
+		replies[i] = Reply{node: toNode, typ: it.typ, payload: it.payload}
+	}
+	return replies, nil
+}
+
+// Exec runs a DDL/DML statement remotely. It is never retried.
+func (c *Client) Exec(ctx context.Context, addr, toNode, sql string) error {
+	r, err := c.roundTrip(ctx, addr, toNode, msgExec, []byte(sql), false)
+	if err != nil {
+		return err
+	}
+	return r.Err()
+}
+
+// Explain fetches the remote engine's cost/row estimates for a query.
+func (c *Client) Explain(ctx context.Context, addr, toNode, sql string) (*engine.ExplainInfo, error) {
+	r, err := c.roundTrip(ctx, addr, toNode, msgExplain, []byte(sql), true)
+	if err != nil {
+		return nil, err
+	}
+	return r.Explain()
 }
 
 // Stats fetches table statistics from a remote engine.
 func (c *Client) Stats(ctx context.Context, addr, toNode, table string) (*engine.TableStats, error) {
-	typ, resp, err := c.roundTrip(ctx, addr, toNode, msgStats, []byte(table), true)
+	r, err := c.roundTrip(ctx, addr, toNode, msgStats, []byte(table), true)
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgStatsRes {
-		return nil, fmt.Errorf("wire: unexpected response type %d to Stats", typ)
-	}
-	return decodeStats(resp)
+	return r.Stats()
 }
 
 // TableSchema fetches the column schema of a remote relation.
 func (c *Client) TableSchema(ctx context.Context, addr, toNode, table string) (*sqltypes.Schema, error) {
-	typ, resp, err := c.roundTrip(ctx, addr, toNode, msgTblSch, []byte(table), true)
+	r, err := c.roundTrip(ctx, addr, toNode, msgTblSch, []byte(table), true)
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgSchema {
-		return nil, fmt.Errorf("wire: unexpected response type %d to TableSchema", typ)
-	}
-	schema, _, err := sqltypes.DecodeSchema(resp)
-	return schema, err
+	return r.TableSchema()
 }
 
 // Cost asks the remote engine to price an operator over hypothetical
 // cardinalities, in the remote's own cost units (the consulting probe of
 // Sec. IV-B2).
 func (c *Client) Cost(ctx context.Context, addr, toNode string, kind engine.CostKind, left, right, out float64) (float64, error) {
-	typ, resp, err := c.roundTrip(ctx, addr, toNode, msgCost, encodeCostProbe(kind, left, right, out), true)
+	r, err := c.roundTrip(ctx, addr, toNode, msgCost, encodeCostProbe(kind, left, right, out), true)
 	if err != nil {
 		return 0, err
 	}
-	if typ != msgCostRes {
-		return 0, fmt.Errorf("wire: unexpected response type %d to Cost", typ)
-	}
-	r := &reader{b: resp}
-	v := r.float64()
-	return v, r.err
+	return r.Cost()
 }
 
 // Sample asks the remote engine to scan at most limit rows of a base
@@ -285,14 +399,11 @@ func (c *Client) Cost(ctx context.Context, addr, toNode string, kind engine.Cost
 // over the scanned rows — the bounded-sample refinement probe. Idempotent
 // and retriable: a sample reads, it never mutates.
 func (c *Client) Sample(ctx context.Context, addr, toNode, table, alias, filter string, limit int64) (*engine.SampleResult, error) {
-	typ, resp, err := c.roundTrip(ctx, addr, toNode, msgSample, encodeSampleProbe(table, alias, filter, limit), true)
+	r, err := c.roundTrip(ctx, addr, toNode, msgSample, encodeSampleProbe(table, alias, filter, limit), true)
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgSampleRes {
-		return nil, fmt.Errorf("wire: unexpected response type %d to Sample", typ)
-	}
-	return decodeSampleRes(resp)
+	return r.Sample()
 }
 
 // Query runs a SELECT remotely and returns the result schema plus a
@@ -473,9 +584,4 @@ type FDW struct {
 // QueryRemote implements engine.RemoteQuerier.
 func (f *FDW) QueryRemote(srv *engine.Server, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
 	return f.Client.Query(context.Background(), srv.Addr, srv.Node, sql)
-}
-
-// StatsRemote implements engine.RemoteQuerier.
-func (f *FDW) StatsRemote(srv *engine.Server, table string) (*engine.TableStats, error) {
-	return f.Client.Stats(context.Background(), srv.Addr, srv.Node, table)
 }

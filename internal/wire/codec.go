@@ -28,19 +28,31 @@ func encodeStats(st *engine.TableStats) []byte {
 	return b
 }
 
-// decodeStats parses a TableStats payload.
+// minColumnStatsBytes is the smallest encodable ColumnStats: an empty name
+// (4), the distinct count and null fraction (8 + 8), and two NULL bounds
+// (1 + 1).
+const minColumnStatsBytes = 22
+
+// decodeStats parses a TableStats payload. The column count is checked
+// against the bytes that follow it before anything is allocated.
 func decodeStats(payload []byte) (*engine.TableStats, error) {
 	r := &reader{b: payload}
 	st := &engine.TableStats{
 		RowCount:    int64(r.uint64()),
 		AvgRowBytes: r.float64(),
 	}
-	n := int(r.uint64())
+	n := r.uint64()
 	if r.err != nil {
 		return nil, r.err
 	}
+	if st.RowCount < 0 {
+		return nil, fmt.Errorf("wire: stats claim %d rows", st.RowCount)
+	}
+	if rest := len(payload) - r.off; n > uint64(rest/minColumnStatsBytes) {
+		return nil, fmt.Errorf("wire: stats claim %d columns in %d bytes", n, rest)
+	}
 	st.Columns = make([]engine.ColumnStats, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		c := engine.ColumnStats{
 			Name:     r.string32(),
 			Distinct: int64(r.uint64()),
@@ -49,18 +61,14 @@ func decodeStats(payload []byte) (*engine.TableStats, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		v, sz, err := sqltypes.DecodeValue(payload[r.off:])
-		if err != nil {
-			return nil, err
+		for _, bound := range []*sqltypes.Value{&c.Min, &c.Max} {
+			v, sz, err := sqltypes.DecodeValue(payload[r.off:])
+			if err != nil {
+				return nil, err
+			}
+			r.off += sz
+			*bound = v
 		}
-		r.off += sz
-		c.Min = v
-		v, sz, err = sqltypes.DecodeValue(payload[r.off:])
-		if err != nil {
-			return nil, err
-		}
-		r.off += sz
-		c.Max = v
 		st.Columns = append(st.Columns, c)
 	}
 	return st, r.err
@@ -153,6 +161,59 @@ func decodeSampleRes(payload []byte) (*engine.SampleResult, error) {
 	}
 	res.Stats = st
 	return res, nil
+}
+
+// batchItem is one frame riding inside a batch frame: a request on the way
+// out, its response on the way back.
+type batchItem struct {
+	typ     byte
+	payload []byte
+}
+
+// batchItemHeader is an item's type byte and 4-byte payload length.
+const batchItemHeader = 5
+
+// appendBatch serializes a msgBatch or msgBatchRes payload: the item count,
+// then every item as a frame of its own (type, length, payload).
+func appendBatch(dst []byte, items []batchItem) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(items)))
+	for _, it := range items {
+		dst = append(dst, it.typ)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(it.payload)))
+		dst = append(dst, it.payload...)
+	}
+	return dst
+}
+
+// decodeBatch parses a msgBatch or msgBatchRes payload; the items alias it.
+// The count and every length are checked against the bytes that follow
+// them, and nothing may follow the last item.
+func decodeBatch(payload []byte) ([]batchItem, error) {
+	if len(payload) < 4 {
+		return nil, fmt.Errorf("wire: truncated payload")
+	}
+	n := binary.LittleEndian.Uint32(payload)
+	rest := payload[4:]
+	if uint64(n) > uint64(len(rest)/batchItemHeader) {
+		return nil, fmt.Errorf("wire: batch claims %d items in %d bytes", n, len(rest))
+	}
+	items := make([]batchItem, n)
+	for i := range items {
+		if len(rest) < batchItemHeader {
+			return nil, fmt.Errorf("wire: truncated payload")
+		}
+		size := binary.LittleEndian.Uint32(rest[1:])
+		if uint64(size) > uint64(len(rest)-batchItemHeader) {
+			return nil, fmt.Errorf("wire: batch item claims %d bytes of %d", size, len(rest)-batchItemHeader)
+		}
+		end := batchItemHeader + int(size)
+		items[i] = batchItem{typ: rest[0], payload: rest[batchItemHeader:end]}
+		rest = rest[end:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("wire: %d bytes after the batch's last item", len(rest))
+	}
+	return items, nil
 }
 
 // rowFrame accumulates the payload of one row-batch frame: a row count

@@ -23,6 +23,7 @@ const (
 	msgCost    byte = 5 // payload: cost probe; response: CostRes | Error
 	msgTblSch  byte = 6 // payload: table name; response: Schema | Error
 	msgSample  byte = 7 // payload: sample probe; response: SampleRes | Error
+	msgBatch   byte = 8 // payload: item count + (type, payload)* of the requests above, msgQuery excepted; response: BatchRes | Error
 )
 
 // frame types, server -> client.
@@ -37,6 +38,7 @@ const (
 	msgStatsRes   byte = 17 // payload: encoded TableStats
 	msgCostRes    byte = 18 // payload: cost float64
 	msgSampleRes  byte = 19 // payload: encoded sample result (counts + stats sketch)
+	msgBatchRes   byte = 20 // payload: item count + (type, payload)*: each item's own response frame, in request order
 )
 
 // maxFrame bounds a frame payload; large results are split into many row

@@ -44,3 +44,123 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		}
 	})
 }
+
+// fuzzStats is a real statistics value for the seed corpora.
+func fuzzStats() *engine.TableStats {
+	return &engine.TableStats{
+		RowCount: 3, AvgRowBytes: 21.5,
+		Columns: []engine.ColumnStats{
+			{Name: "id", Distinct: 3, Min: sqltypes.NewInt(1), Max: sqltypes.NewInt(3)},
+			{Name: "", Distinct: 0, NullFrac: 1, Min: sqltypes.Null, Max: sqltypes.Null},
+			{Name: "s", Distinct: 2, NullFrac: 0.5, Min: sqltypes.NewString("a"), Max: sqltypes.NewString("zz")},
+		},
+	}
+}
+
+// hostileStats claims 2^60 columns in the few bytes that follow the count
+// — the payload that made decodeStats panic in makeslice.
+func hostileStats() []byte {
+	b := appendUint64(nil, 3)
+	b = appendFloat64(b, 8)
+	return append(appendUint64(b, 1<<60), 0, 0, 0)
+}
+
+// checkStats is the decoders' shared invariant: no more columns than the
+// payload has bytes to back, and a row count that is one.
+func checkStats(t *testing.T, st *engine.TableStats, payload []byte) {
+	t.Helper()
+	if len(st.Columns)*minColumnStatsBytes > len(payload) || st.RowCount < 0 {
+		t.Fatalf("%d columns, %d rows from a %d-byte payload", len(st.Columns), st.RowCount, len(payload))
+	}
+}
+
+// FuzzDecodeStats feeds the msgStatsRes decoder arbitrary payloads: stats
+// or an error, never a panic or an allocation the payload cannot back.
+func FuzzDecodeStats(f *testing.F) {
+	real := encodeStats(fuzzStats())
+	f.Add(real)
+	f.Add(real[:len(real)-5])
+	f.Add(hostileStats())
+	f.Add(appendUint64(nil, 1<<63)) // a negative row count
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if st, err := decodeStats(payload); err == nil {
+			checkStats(t, st, payload)
+		}
+	})
+}
+
+// FuzzDecodeSampleRes is FuzzDecodeStats for msgSampleRes, which embeds
+// the same sketch behind its counts.
+func FuzzDecodeSampleRes(f *testing.F) {
+	real := encodeSampleRes(&engine.SampleResult{Scanned: 10, Matched: 4, Exhausted: true, Stats: fuzzStats()})
+	f.Add(real)
+	f.Add(real[:len(real)-5])
+	f.Add(append(real[:24:24], hostileStats()...))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if res, err := decodeSampleRes(payload); err == nil {
+			checkStats(t, res.Stats, payload)
+		}
+	})
+}
+
+// FuzzBatch feeds one payload to both ends of msgBatch. As a request it
+// goes through the server's batch handler — item decoding, each item's own
+// request decoder, the engine — which must answer every item it was given.
+// As a response it goes through the client's decoder and every Reply
+// accessor. Neither end may panic or hold more items than the payload has
+// bytes for.
+func FuzzBatch(f *testing.F) {
+	var b Batch
+	b.Exec("CREATE TABLE made (a BIGINT)")
+	b.Cost(engine.CostJoin, 10, 20, 5)
+	b.Stats("t")
+	b.TableSchema("t")
+	b.Explain("SELECT * FROM t")
+	b.Sample("t", "t", "", 2)
+	b.add(msgQuery, []byte("\x00SELECT * FROM t"))
+	f.Add(appendBatch(nil, b.items))
+	f.Add(appendBatch(nil, []batchItem{
+		{typ: msgOK}, {typ: msgError, payload: []byte("boom")},
+		{typ: msgCostRes, payload: appendFloat64(nil, 1.5)},
+		{typ: msgStatsRes, payload: encodeStats(fuzzStats())},
+		{typ: msgStatsRes, payload: hostileStats()},
+		{typ: msgBatchRes, payload: appendBatch(nil, []batchItem{{typ: msgOK}})},
+	}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, msgExec, 1, 0, 0, 0, 'x'}) // 2^32-1 items in 6 bytes
+	f.Add([]byte{1, 0, 0, 0, msgExec, 0xFF, 0xFF, 0xFF, 0x7F})      // an item longer than the frame
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		items, err := decodeBatch(payload)
+		if err != nil {
+			return
+		}
+		if len(items)*batchItemHeader > len(payload) {
+			t.Fatalf("%d items from a %d-byte payload", len(items), len(payload))
+		}
+		// The request side, on a fresh engine: statements in the payload run.
+		eng := engine.New(engine.Config{Name: "db1", Vendor: engine.VendorTest})
+		schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+		eng.LoadTable("t", schema, []sqltypes.Row{{sqltypes.NewInt(1)}, {sqltypes.NewInt(2)}})
+		resp, err := (&Server{eng: eng}).answerBatch(payload)
+		if err != nil {
+			t.Fatalf("a well-formed batch was refused whole: %v", err)
+		}
+		if answers, err := decodeBatch(resp); err != nil || len(answers) != len(items) {
+			t.Fatalf("%d answers (%v) to %d requests", len(answers), err, len(items))
+		}
+		// The response side.
+		for _, it := range items {
+			r := Reply{node: "db1", typ: it.typ, payload: it.payload}
+			r.Err()
+			r.Cost()
+			r.Explain()
+			r.TableSchema()
+			if st, err := r.Stats(); err == nil {
+				checkStats(t, st, it.payload)
+			}
+			if res, err := r.Sample(); err == nil {
+				checkStats(t, res.Stats, it.payload)
+			}
+		}
+	})
+}

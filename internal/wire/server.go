@@ -106,94 +106,98 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		switch typ {
-		case msgQuery:
-			if len(payload) < 1 {
-				if werr := s.writeError(conn, fmt.Errorf("wire: empty query payload")); werr != nil {
-					return
-				}
-				continue
-			}
-			forceText := payload[0] == 1
-			if err := s.handleQuery(conn, string(payload[1:]), forceText); err != nil {
+		if typ != msgQuery {
+			rtyp, resp := s.answer(typ, payload)
+			if _, err := writeFrame(conn, rtyp, resp); err != nil {
 				return
 			}
-		case msgExec:
-			if err := s.eng.Exec(string(payload)); err != nil {
-				if werr := s.writeError(conn, err); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := writeFrame(conn, msgOK, nil); err != nil {
+			continue
+		}
+		if len(payload) < 1 {
+			if werr := s.writeError(conn, fmt.Errorf("wire: empty query payload")); werr != nil {
 				return
 			}
-		case msgExplain:
-			info, err := s.eng.Explain(string(payload))
-			if err != nil {
-				if werr := s.writeError(conn, err); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := writeFrame(conn, msgExplainRes, encodeExplain(info)); err != nil {
-				return
-			}
-		case msgStats:
-			st, err := s.eng.Stats(string(payload))
-			if err != nil {
-				if werr := s.writeError(conn, err); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := writeFrame(conn, msgStatsRes, encodeStats(st)); err != nil {
-				return
-			}
-		case msgTblSch:
-			schema, err := s.eng.TableSchema(string(payload))
-			if err != nil {
-				if werr := s.writeError(conn, err); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := writeFrame(conn, msgSchema, sqltypes.AppendSchema(nil, schema)); err != nil {
-				return
-			}
-		case msgCost:
-			kind, l, r, o, err := decodeCostProbe(payload)
-			if err != nil {
-				if werr := s.writeError(conn, err); werr != nil {
-					return
-				}
-				continue
-			}
-			cost := s.eng.CostOperator(kind, l, r, o)
-			if _, err := writeFrame(conn, msgCostRes, appendFloat64(nil, cost)); err != nil {
-				return
-			}
-		case msgSample:
-			table, alias, filter, limit, err := decodeSampleProbe(payload)
-			if err == nil {
-				var res *engine.SampleResult
-				res, err = s.eng.Sample(table, alias, filter, limit)
-				if err == nil {
-					if _, werr := writeFrame(conn, msgSampleRes, encodeSampleRes(res)); werr != nil {
-						return
-					}
-					continue
-				}
-			}
-			if werr := s.writeError(conn, err); werr != nil {
-				return
-			}
-		default:
-			if werr := s.writeError(conn, fmt.Errorf("wire: unknown request type %d", typ)); werr != nil {
-				return
-			}
+			continue
+		}
+		forceText := payload[0] == 1
+		if err := s.handleQuery(conn, string(payload[1:]), forceText); err != nil {
+			return
 		}
 	}
+}
+
+// answer runs one non-streaming request and returns its response frame:
+// the request's own response type, or msgError with the engine's error.
+func (s *Server) answer(typ byte, payload []byte) (byte, []byte) {
+	var err error
+	switch typ {
+	case msgExec:
+		if err = s.eng.Exec(string(payload)); err == nil {
+			return msgOK, nil
+		}
+	case msgExplain:
+		var info *engine.ExplainInfo
+		if info, err = s.eng.Explain(string(payload)); err == nil {
+			return msgExplainRes, encodeExplain(info)
+		}
+	case msgStats:
+		var st *engine.TableStats
+		if st, err = s.eng.Stats(string(payload)); err == nil {
+			return msgStatsRes, encodeStats(st)
+		}
+	case msgTblSch:
+		var schema *sqltypes.Schema
+		if schema, err = s.eng.TableSchema(string(payload)); err == nil {
+			return msgSchema, sqltypes.AppendSchema(nil, schema)
+		}
+	case msgCost:
+		var kind engine.CostKind
+		var l, r, o float64
+		if kind, l, r, o, err = decodeCostProbe(payload); err == nil {
+			return msgCostRes, appendFloat64(nil, s.eng.CostOperator(kind, l, r, o))
+		}
+	case msgSample:
+		var table, alias, filter string
+		var limit int64
+		if table, alias, filter, limit, err = decodeSampleProbe(payload); err == nil {
+			var res *engine.SampleResult
+			if res, err = s.eng.Sample(table, alias, filter, limit); err == nil {
+				return msgSampleRes, encodeSampleRes(res)
+			}
+		}
+	case msgBatch:
+		var resp []byte
+		if resp, err = s.answerBatch(payload); err == nil {
+			return msgBatchRes, resp
+		}
+	default:
+		err = fmt.Errorf("wire: unknown request type %d", typ)
+	}
+	return msgError, []byte(err.Error())
+}
+
+// answerBatch runs every item of a batch in order — all of them, whatever
+// the items before returned, so an item's response says what happened to
+// that item and nothing else — and returns the msgBatchRes payload. A
+// result stream does not fit in a response item and a batch does not nest:
+// those items are answered with an error frame.
+func (s *Server) answerBatch(payload []byte) ([]byte, error) {
+	items, err := decodeBatch(payload)
+	if err != nil {
+		return nil, err
+	}
+	for i, it := range items {
+		if it.typ == msgQuery || it.typ == msgBatch {
+			items[i] = batchItem{typ: msgError, payload: []byte(fmt.Sprintf("wire: request type %d cannot ride in a batch", it.typ))}
+			continue
+		}
+		items[i].typ, items[i].payload = s.answer(it.typ, it.payload)
+	}
+	resp := appendBatch(nil, items)
+	if len(resp) > maxFrame {
+		return nil, fmt.Errorf("wire: batch response of %d bytes exceeds the frame limit", len(resp))
+	}
+	return resp, nil
 }
 
 // handleQuery streams a SELECT's result. A non-nil return means the
