@@ -11,12 +11,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The transport, connector and delegation layers carry the
+# The transport, connector, delegation and engine layers carry the
 # concurrency-sensitive code (connection pool checkout, calibration,
-# concurrent candidate consultation, the per-node deploy and drop rounds);
-# run them under the race detector.
+# concurrent candidate consultation, the per-node deploy and drop rounds,
+# engines serving concurrent queries over a shared catalog and foreign-table
+# cache); run them under the race detector.
 race:
-	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/...
+	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/engine/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed

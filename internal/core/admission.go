@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -405,15 +404,14 @@ func (l *nodeLimiter) acquire(ctx context.Context, node string, w int) (func(), 
 	return sem.acquire(ctx, w)
 }
 
-// fanOutFirstErr runs fn(ctx, i) for every i in [0, n), at most limit at a
-// time (0: all at once), and waits for them — the one fan-out of the
-// package. The first error cancels the shared context so siblings stop
-// early, and is the error returned; the worker that hit it takes no
-// further item. Sibling failures induced by that cancellation surface as
+// fanOutFirstErr runs fn(ctx, i) for every i in [0, n), all at once, and
+// waits for them — the one fan-out of the package. The first error cancels
+// the shared context so siblings stop early, and is the error returned.
+// Sibling failures induced by that cancellation surface as
 // context.Canceled, which the health tracker already treats as a
 // non-signal. With fewer than two items, or serial set (Options.serial),
 // the calls run inline in index order and stop at the first error.
-func fanOutFirstErr(ctx context.Context, n, limit int, serial bool, fn func(ctx context.Context, i int) error) error {
+func fanOutFirstErr(ctx context.Context, n int, serial bool, fn func(ctx context.Context, i int) error) error {
 	if serial || n < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(ctx, i); err != nil {
@@ -422,29 +420,22 @@ func fanOutFirstErr(ctx context.Context, n, limit int, serial bool, fn func(ctx 
 		}
 		return nil
 	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		once     sync.Once
 		firstErr error
-		next     atomic.Int64
 	)
-	for w := 0; w < limit; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
-				if err := fn(fctx, int(i)); err != nil {
-					once.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
+			if err := fn(fctx, i); err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
 		}()
 	}

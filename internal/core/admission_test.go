@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -387,30 +386,25 @@ func TestNodeLimiterDisabled(t *testing.T) {
 	}
 }
 
-// TestFanOutBound: the one fan-out runs every item, never more than its
-// bound at a time (0: all at once), inline and in index order under
-// serial.
+// TestFanOutBound: the one fan-out runs every item, all at once, and
+// inline and in index order under serial.
 func TestFanOutBound(t *testing.T) {
 	const n = 12
 	cases := []struct {
 		name    string
-		limit   int
 		serial  bool
 		wantMax int // exact when ordered, an upper bound otherwise
 		ordered bool
 	}{
-		{name: "unbounded", limit: 0, wantMax: n},
-		{name: "bound 3", limit: 3, wantMax: 3},
-		{name: "bound above n", limit: 99, wantMax: n},
-		{name: "bound 1", limit: 1, wantMax: 1, ordered: true},
-		{name: "serial overrides the bound", limit: 3, serial: true, wantMax: 1, ordered: true},
+		{name: "unbounded", wantMax: n},
+		{name: "serial", serial: true, wantMax: 1, ordered: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var running, peak int
 			var order []int
-			err := fanOutFirstErr(context.Background(), n, tc.limit, tc.serial, func(_ context.Context, i int) error {
+			err := fanOutFirstErr(context.Background(), n, tc.serial, func(_ context.Context, i int) error {
 				mu.Lock()
 				running++
 				if running > peak {
@@ -433,8 +427,8 @@ func TestFanOutBound(t *testing.T) {
 			if peak > tc.wantMax {
 				t.Errorf("%d items ran at once, bound is %d", peak, tc.wantMax)
 			}
-			if tc.limit == 3 && !tc.serial && peak < 2 {
-				t.Errorf("peak concurrency %d under bound 3: the fan-out did not fan out", peak)
+			if !tc.serial && peak < 2 {
+				t.Errorf("peak concurrency %d: the fan-out did not fan out", peak)
 			}
 			for i, got := range order {
 				if tc.ordered && got != i {
@@ -445,28 +439,20 @@ func TestFanOutBound(t *testing.T) {
 	}
 }
 
-// TestFanOutFirstErrorCancelsSiblings: under a bound as without one, the
-// first failure is the error returned and cancels the items in flight;
-// bounded workers then take no further item.
+// TestFanOutFirstErrorCancelsSiblings: the first failure is the error
+// returned and cancels the items in flight.
 func TestFanOutFirstErrorCancelsSiblings(t *testing.T) {
 	boom := errors.New("boom")
 	const n = 9
-	for _, limit := range []int{0, 3} {
-		var started atomic.Int64
-		err := fanOutFirstErr(context.Background(), n, limit, false, func(ctx context.Context, i int) error {
-			started.Add(1)
-			if i == 0 {
-				return boom
-			}
-			<-ctx.Done() // a sibling in flight: only the cancellation ends it
-			return ctx.Err()
-		})
-		if err != boom {
-			t.Errorf("limit %d: err = %v, want the first failure", limit, err)
+	err := fanOutFirstErr(context.Background(), n, false, func(ctx context.Context, i int) error {
+		if i == 0 {
+			return boom
 		}
-		if got := started.Load(); limit > 0 && got > int64(limit) {
-			t.Errorf("limit %d: %d items started, want the workers to stop at the failure", limit, got)
-		}
+		<-ctx.Done() // a sibling in flight: only the cancellation ends it
+		return ctx.Err()
+	})
+	if err != boom {
+		t.Errorf("err = %v, want the first failure", err)
 	}
 }
 

@@ -183,7 +183,7 @@ func (a *Annotation) placeCrossJoin(ctx context.Context, j *Join, coster Coster,
 	// keeps the paper's sequential tie-break (first strictly cheaper wins),
 	// so the chosen plan is identical to pricing them one by one.
 	decisions := make([]placeDecision, len(candidates))
-	fanOutFirstErr(ctx, len(candidates), 0, opts.serial, func(fctx context.Context, i int) error {
+	fanOutFirstErr(ctx, len(candidates), opts.serial, func(fctx context.Context, i int) error {
 		decisions[i] = a.evalCandidate(fctx, j, coster, opts, candidates[i], ln, rn)
 		return nil
 	})

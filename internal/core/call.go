@@ -152,7 +152,7 @@ func itemErrs(err error, errs []error, n int) []error {
 func (s *System) dropItems(items []cleanupItem, gated bool) []error {
 	nodes, byNode := groupByNode(len(items), func(i int) string { return items[i].node })
 	out := make([]error, len(items))
-	fanOutFirstErr(context.Background(), len(nodes), 0, s.opts.serial, func(_ context.Context, n int) error {
+	fanOutFirstErr(context.Background(), len(nodes), s.opts.serial, func(_ context.Context, n int) error {
 		node, idx := nodes[n], byNode[nodes[n]]
 		var errs []error
 		var err error

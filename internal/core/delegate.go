@@ -197,7 +197,7 @@ func startDDLSpan(ctx context.Context, st *deployStmt) func(error) {
 func (s *System) deployScripts(ctx context.Context, run *deployRun) error {
 	nodes, byNode := groupByNode(len(run.stmts), func(i int) string { return run.stmts[i].node })
 	errs := make([]error, len(nodes))
-	fanOutFirstErr(ctx, len(nodes), 0, s.opts.serial, func(fctx context.Context, n int) error {
+	fanOutFirstErr(ctx, len(nodes), s.opts.serial, func(fctx context.Context, n int) error {
 		stmts := make([]*deployStmt, len(byNode[nodes[n]]))
 		for k, i := range byNode[nodes[n]] {
 			stmts[k] = run.stmts[i]
@@ -418,17 +418,19 @@ func isBareScan(t *Task) bool {
 }
 
 // taskSig returns a structural, name-independent signature of a task: the
-// node it runs on plus its fragment's operator tree, recursing through
-// placeholders into the producing subtrees. Two tasks with equal
-// signatures deploy semantically identical objects (the created names
-// differ only by qid), which is what lets a replanned plan recognize and
-// reuse a prior attempt's surviving deployments.
+// node it runs on, the columns it exports, and its fragment's operator
+// tree, recursing through placeholders into the producing subtrees. Two
+// tasks with equal signatures deploy semantically identical objects (the
+// created names differ only by qid), which is what lets a replanned plan
+// recognize and reuse a prior attempt's surviving deployments. The export
+// list is part of it because exports depend on the consumer: a surviving
+// view that lacks a column a new consumer reads is not the same object.
 func taskSig(t *Task) string {
 	ph := make(map[*Placeholder]*Edge, len(t.Inputs))
 	for _, e := range t.Inputs {
 		ph[e.Placeholder] = e
 	}
-	return "t|" + t.Node + "|" + opSig(t.Root, ph)
+	return "t|" + t.Node + "|[" + strings.Join(t.exports, ",") + "]|" + opSig(t.Root, ph)
 }
 
 // edgeSig identifies one dataflow edge's foreign table: the consuming

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
 )
@@ -162,8 +164,68 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					t.Fatalf("diverged on:\n%s\nxdb: %d rows\nref: %d rows\nxdb: %v\nref: %v\nplan:\n%s",
 						sql, len(got.Rows), len(want.Rows), sample(got.Rows), sample(want.Rows), got.Plan)
 				}
+				checkExportsRead(t, sql, got.Plan)
 			}
 		})
+	}
+}
+
+// checkExportsRead fails unless every column an intermediate task exports
+// is read by its consumer's fragment: a join key, a residual, the Final
+// block, or the consumer's own export to its parent. The one exception is
+// a relation nothing above reads, which still exports a single column so
+// it renders.
+func checkExportsRead(t *testing.T, sql string, plan *core.Plan) {
+	t.Helper()
+	exports := map[*core.Task][]string{}
+	for _, e := range plan.Edges {
+		exports[e.From] = e.Placeholder.Cols
+	}
+	for _, e := range plan.Edges {
+		reads := map[string]bool{}
+		note := func(exprs ...sqlparser.Expr) {
+			for _, x := range exprs {
+				for _, cr := range sqlparser.ColumnsIn(x) {
+					reads[strings.ToLower(cr.Table+"."+cr.Name)] = true
+				}
+			}
+		}
+		for _, c := range exports[e.To] {
+			reads[strings.ToLower(c)] = true
+		}
+		var walk func(op core.Op)
+		walk = func(op core.Op) {
+			switch o := op.(type) {
+			case *core.Join:
+				for _, k := range o.Keys {
+					note(k.L, k.R)
+				}
+				note(o.Residual...)
+				walk(o.L)
+				walk(o.R)
+			case *core.Final:
+				for _, p := range o.Sel.Projections {
+					note(p.Expr)
+				}
+				note(o.Sel.GroupBy...)
+				note(o.Sel.Having)
+				for _, ob := range o.Sel.OrderBy {
+					note(ob.Expr)
+				}
+				walk(o.In)
+			}
+		}
+		walk(e.To.Root)
+		var unread []string
+		for _, c := range e.Placeholder.Cols {
+			if !reads[strings.ToLower(c)] {
+				unread = append(unread, c)
+			}
+		}
+		if len(unread) > 0 && len(e.Placeholder.Cols) > 1 {
+			t.Fatalf("t%d exports %v to t%d, which never reads %v\nquery: %s\nplan:\n%s",
+				e.From.ID, e.Placeholder.Cols, e.To.ID, unread, sql, plan)
+		}
 	}
 }
 

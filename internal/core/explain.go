@@ -50,8 +50,8 @@ func (r *Result) Analyze() string {
 		if len(r.Plan.Edges) > 0 {
 			b.WriteString("edges (est vs observed):\n")
 			for _, e := range r.Plan.Edges {
-				fmt.Fprintf(&b, "  t%d --%s--> t%d [%s -> %s]: est %.0f rows",
-					e.From.ID, e.Move, e.To.ID, e.From.Node, e.To.Node, e.EstRows)
+				fmt.Fprintf(&b, "  t%d --%s--> t%d [%s -> %s]: %d cols, est %.0f rows",
+					e.From.ID, e.Move, e.To.ID, e.From.Node, e.To.Node, len(e.Placeholder.Cols), e.EstRows)
 				if f, ok := byTask[e.From.ID]; ok && (f.FramesRecv > 0 || f.FramesSent > 0) {
 					fmt.Fprintf(&b, ", actual %d rows%s, %s over %d frames",
 						f.Rows(), divergenceVerdict(e.EstRows, float64(f.Rows())),

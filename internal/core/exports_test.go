@@ -1,0 +1,116 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"xdb/internal/tpch"
+)
+
+// TestExportsPinnedPerEdge pins projection pushdown across task
+// boundaries: under TD1, every edge of Q3/Q5/Q8/Q10 carries exactly the
+// columns read above it — a join key its producer already consumed and a
+// column only a pushed-down filter used stay behind, a pass-through column
+// an ancestor reads rides along (Q8's region.r_regionkey, read by t7's
+// join with n1) — and the stream each edge moves is exactly that wide.
+// Stream frames carry mangled column names but no query id, so the byte
+// counts of a cold run repeat exactly.
+func TestExportsPinnedPerEdge(t *testing.T) {
+	cases := []struct {
+		query, edge, cols string
+		bytes             int64
+	}{
+		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 7466},
+		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 162},
+		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 2166},
+		{"Q8", "t1->t2", "region.r_regionkey", 39},
+		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 114},
+		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 5661},
+		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 576},
+		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 466},
+		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 653},
+		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 653},
+		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 22104},
+	}
+	cl := newTPCHCluster(t, Options{})
+	if _, err := cl.sys.Query(tpch.Queries["Q3"]); err != nil {
+		t.Fatal(err) // calibration and the pools
+	}
+	type edgeGot struct {
+		cols  string
+		bytes int64
+	}
+	got := map[string]map[string]edgeGot{}
+	for _, qn := range []string{"Q3", "Q5", "Q8", "Q10"} {
+		res, err := cl.sys.Query(tpch.Queries[qn])
+		if err != nil {
+			t.Fatal(err)
+		}
+		byTask := map[int]int64{}
+		for _, f := range res.Flows {
+			if f.QID == res.QID {
+				byTask[f.Task] = f.Bytes()
+			}
+		}
+		got[qn] = map[string]edgeGot{}
+		for _, e := range res.Plan.Edges {
+			got[qn][fmt.Sprintf("t%d->t%d", e.From.ID, e.To.ID)] = edgeGot{
+				cols:  strings.Join(e.Placeholder.Cols, ","),
+				bytes: byTask[e.From.ID],
+			}
+		}
+	}
+	want := map[string]int{}
+	for _, tc := range cases {
+		want[tc.query]++
+		g, ok := got[tc.query][tc.edge]
+		if !ok {
+			t.Errorf("%s: no edge %s in the plan", tc.query, tc.edge)
+			continue
+		}
+		if g.cols != tc.cols {
+			t.Errorf("%s %s exports\n  %s\nwant\n  %s", tc.query, tc.edge, g.cols, tc.cols)
+		}
+		if g.bytes != tc.bytes {
+			t.Errorf("%s %s streamed %d B, want %d", tc.query, tc.edge, g.bytes, tc.bytes)
+		}
+	}
+	for qn, n := range want {
+		if len(got[qn]) != n {
+			t.Errorf("%s has %d edges, the table pins %d", qn, len(got[qn]), n)
+		}
+	}
+}
+
+// TestFailoverSigCoversExports: a task's exports depend on its consumer,
+// so one producing subtree under two consumers that read different columns
+// must sign differently — otherwise failover's reuse-by-signature could
+// adopt a surviving view that lacks a column the new consumer's foreign
+// table declares.
+func TestFailoverSigCoversExports(t *testing.T) {
+	producer := func(sql string) (*Task, *Edge) {
+		t.Helper()
+		root, ann, b := buildAnnotatedPlan(t, sql, Options{})
+		plan := finalize(root, ann, collectColTypes(b))
+		if len(plan.Edges) != 1 {
+			t.Fatalf("want one edge:\n%s", plan)
+		}
+		return plan.Edges[0].From, plan.Edges[0]
+	}
+	const where = " FROM small s, medium m WHERE s.s_id = m.m_sid AND m.m_tag = 'x'"
+	keyOnly, keyEdge := producer("SELECT s.s_name" + where)
+	withTag, tagEdge := producer("SELECT s.s_name, m.m_tag" + where)
+	if OpString(keyOnly.Root) != OpString(withTag.Root) || keyOnly.Node != withTag.Node {
+		t.Fatalf("the producing subtrees differ: %s vs %s", keyOnly, withTag)
+	}
+	if a, b := strings.Join(keyOnly.exports, ","), strings.Join(withTag.exports, ","); a != "m.m_sid" || b != "m.m_sid,m.m_tag" {
+		t.Fatalf("exports %q and %q, want m.m_sid and m.m_sid,m.m_tag", a, b)
+	}
+	if taskSig(keyOnly) == taskSig(withTag) {
+		t.Errorf("producers exporting different columns share taskSig %s", taskSig(keyOnly))
+	}
+	if edgeSig(keyEdge.To, keyEdge) == edgeSig(tagEdge.To, tagEdge) {
+		t.Errorf("edges moving different columns share edgeSig %s", edgeSig(keyEdge.To, keyEdge))
+	}
+}

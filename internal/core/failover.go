@@ -198,7 +198,7 @@ func (s *System) mediatorFallback(ctx context.Context, qspan *obs.Span, sql stri
 		return nil, err
 	}
 	frags := make([]LocalFragment, len(a.Scans))
-	err = fanOutFirstErr(ctx, len(a.Scans), 0, s.opts.serial, func(fctx context.Context, i int) error {
+	err = fanOutFirstErr(ctx, len(a.Scans), s.opts.serial, func(fctx context.Context, i int) error {
 		fsql, cols := renderScanFragment(a.Scans[i])
 		return s.call(fctx, a.Scans[i].Node, 1, func(rctx context.Context, c *connector.Connector) error {
 			fres, err := c.Query(rctx, fsql)

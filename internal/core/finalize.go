@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
+	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
 
@@ -27,6 +29,10 @@ type Task struct {
 	// ViewName is the virtual relation the delegation engine created for
 	// this task (set during deployment).
 	ViewName string
+	// exports are the global column identities the task's virtual relation
+	// exports: exactly what its consumer reads (nil for the root task,
+	// whose output is its Final block).
+	exports []string
 }
 
 // String renders the task in the paper's a:expr notation.
@@ -107,11 +113,16 @@ type finalizer struct {
 	// logicalSig can expand placeholders back into the producing
 	// subtrees when signing an edge's moved relation.
 	phIndex map[*Placeholder]*Edge
+	// readAbove maps every operator of the uncut tree to the lower-cased
+	// global column identities read above it (see noteReads).
+	readAbove map[Op]map[string]bool
 }
 
 // finalize cuts the annotated logical plan into a delegation plan.
 func finalize(root Op, ann *Annotation, colTypes map[string]sqltypes.Type) *Plan {
-	f := &finalizer{ann: ann, colTypes: colTypes, nextID: 1, phIndex: map[*Placeholder]*Edge{}}
+	f := &finalizer{ann: ann, colTypes: colTypes, nextID: 1,
+		phIndex: map[*Placeholder]*Edge{}, readAbove: map[Op]map[string]bool{}}
+	f.noteReads(root, nil)
 	rootTask := f.makeTask(root)
 	return &Plan{
 		Root:       rootTask,
@@ -119,6 +130,49 @@ func finalize(root Op, ann *Annotation, colTypes map[string]sqltypes.Type) *Plan
 		Edges:      f.edges,
 		Annotation: ann,
 		ColTypes:   colTypes,
+	}
+}
+
+// noteReads is projection pushdown across task boundaries: a top-down pass
+// over the uncut tree recording, for every operator, the columns read above
+// it — what a task cut there must export. A Final reads its block's
+// columns; a Join reads its keys and residuals and passes on what its
+// parent reads. A scan's filter runs inside the scan, so a column only the
+// filter uses is read by nothing above it.
+func (f *finalizer) noteReads(op Op, above map[string]bool) {
+	f.readAbove[op] = above
+	var kids []Op
+	var reads []sqlparser.Expr
+	switch o := op.(type) {
+	case *Final:
+		kids = []Op{o.In}
+		for _, p := range o.Sel.Projections {
+			reads = append(reads, p.Expr)
+		}
+		reads = append(append(reads, o.Sel.GroupBy...), o.Sel.Having)
+		for _, ob := range o.Sel.OrderBy {
+			reads = append(reads, ob.Expr)
+		}
+	case *Join:
+		kids = []Op{o.L, o.R}
+		for _, k := range o.Keys {
+			reads = append(reads, k.L, k.R)
+		}
+		reads = append(reads, o.Residual...)
+	default:
+		return
+	}
+	in := make(map[string]bool, len(above))
+	maps.Copy(in, above)
+	for _, e := range reads {
+		for _, cr := range sqlparser.ColumnsIn(e) {
+			if cr.Table != "" { // a bare name is a projection alias
+				in[strings.ToLower(cr.Table+"."+cr.Name)] = true
+			}
+		}
+	}
+	for _, k := range kids {
+		f.noteReads(k, in)
 	}
 }
 
@@ -155,13 +209,23 @@ func (f *finalizer) absorbChild(child Op, t *Task) Op {
 		return f.absorb(child, t)
 	}
 	// Cut: the child subtree becomes its own task, replaced by a
-	// placeholder carrying the child's exported columns.
+	// placeholder carrying the child's exported columns — its output
+	// columns, in order, that something above the cut reads.
 	childTask := f.makeTask(child)
 	move := f.ann.Move[child]
 	if move == 0 {
 		move = MoveImplicit
 	}
-	cols := child.OutCols()
+	var cols []string
+	for _, c := range child.OutCols() {
+		if f.readAbove[child][strings.ToLower(c)] {
+			cols = append(cols, c)
+		}
+	}
+	if len(cols) == 0 {
+		// Keep at least one column so the relation renders.
+		cols = child.OutCols()[:1]
+	}
 	types := make([]sqltypes.Type, len(cols))
 	for i, c := range cols {
 		types[i] = f.colTypes[strings.ToLower(c)]
@@ -186,9 +250,9 @@ func (f *finalizer) absorbChild(child Op, t *Task) Op {
 	return ph
 }
 
-// attachParentEdge is a hook point kept for symmetry; tasks only track
-// their inputs.
-func (t *Task) attachParentEdge(*Edge) {}
+// attachParentEdge records what the task exports: exactly the columns its
+// consumer's placeholder declares.
+func (t *Task) attachParentEdge(e *Edge) { t.exports = e.Placeholder.Cols }
 
 // collectColTypes builds the global column-type map from the builder's
 // scans.

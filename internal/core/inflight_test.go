@@ -195,7 +195,7 @@ func TestAnalyzeShowsEstVsActual(t *testing.T) {
 	for _, want := range []string{
 		"EXPLAIN ANALYZE",
 		"edges (est vs observed):",
-		"est ",
+		"]: 2 cols, est ", // either side of the join exports its key and one read column
 		", actual ",
 		"result delivery:",
 		"phases:",

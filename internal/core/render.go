@@ -14,11 +14,13 @@ import (
 // child-task outputs — optionally topped by the query's Final block in the
 // root task.
 //
-// Column identity across tasks: a task exports its output columns under
-// deterministic mangled names ("alias.col" -> "alias_col"), so a parent
-// task — and the parent's parent — can reference any exported column by
-// recomputing the mangling, without coordinating schemas at deployment
-// time.
+// Column identity across tasks: a task exports under deterministic mangled
+// names ("alias.col" -> "alias_col"), so a parent task — and the parent's
+// parent — can reference any exported column by recomputing the mangling,
+// without coordinating schemas at deployment time. It exports exactly the
+// columns read above it (finalizer.noteReads), pass-through columns for
+// its ancestors included: a join key its own fragment consumed, or a
+// column only a filter used, does not cross the wire.
 
 // MangleCol converts a global column identity to its exported name.
 func MangleCol(globalID string) string {
@@ -149,9 +151,9 @@ func renderTask(t *Task) (*sqlparser.Select, error) {
 		return sel, nil
 	}
 
-	// Intermediate task: export the fragment's output columns under their
-	// mangled names.
-	for _, gid := range t.Root.OutCols() {
+	// Intermediate task: export what the consumer reads under the mangled
+	// names.
+	for _, gid := range t.exports {
 		loc, ok := r.resolve[strings.ToLower(gid)]
 		if !ok {
 			return nil, fmt.Errorf("core: render: column %s not resolvable in task t%d", gid, t.ID)

@@ -75,7 +75,7 @@ func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter 
 func (s *System) sampleRefine(ctx context.Context, scans []*Scan) int {
 	limit := int64(s.opts.SampleLimit)
 	cands := s.sampleCandidates(scans, limit)
-	fanOutFirstErr(ctx, len(cands), 0, s.opts.serial, func(fctx context.Context, i int) error {
+	fanOutFirstErr(ctx, len(cands), s.opts.serial, func(fctx context.Context, i int) error {
 		s.sampleScan(fctx, cands[i], limit)
 		return nil
 	})

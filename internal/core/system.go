@@ -544,7 +544,7 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 		}
 		work = append(work, info)
 	}
-	return fanOutFirstErr(ctx, len(work), 0, s.opts.serial, func(fctx context.Context, i int) error {
+	return fanOutFirstErr(ctx, len(work), s.opts.serial, func(fctx context.Context, i int) error {
 		return s.fetchTableMetadata(fctx, work[i])
 	})
 }
