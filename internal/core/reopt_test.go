@@ -460,9 +460,12 @@ func TestReoptLogicalSigPlacementIndependent(t *testing.T) {
 
 // loadSavingsTables builds the transfer-savings scenario on a chaos
 // cluster: members (db1, 10 rows per key), tickets (db2, the table whose
-// statistics will be skewed), and scans (db3, several rows per ticket).
-// The fan-out sits in the joins, so a misestimate on tickets deflates
-// the tickets-scans join output estimate and mis-places the final join.
+// statistics will be skewed), and scans (db3, several rows per ticket,
+// each with a note the query selects). The fan-out sits in the joins, so
+// a misestimate on tickets deflates the tickets-scans join output
+// estimate and mis-places the final join. The notes make the shipped rows
+// outweigh a re-plan's fixed control-plane cost (barrier, re-deploy DDL)
+// under the compact binary row codec, where keys take a byte or two.
 func loadSavingsTables(t testing.TB, cl *chaosCluster) {
 	t.Helper()
 	load := func(node, table string, schema *sqltypes.Schema, rows []sqltypes.Row) {
@@ -498,17 +501,19 @@ func loadSavingsTables(t testing.TB, cl *chaosCluster) {
 	scans := sqltypes.NewSchema(
 		sqltypes.Column{Name: "s_id", Type: sqltypes.TypeInt},
 		sqltypes.Column{Name: "s_tid", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "s_note", Type: sqltypes.TypeString},
 	)
 	var srows []sqltypes.Row
 	for i := 0; i < 300; i++ { // 6 scans per ticket
 		srows = append(srows, sqltypes.Row{
 			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 50)),
+			sqltypes.NewString(fmt.Sprintf("scan %03d of ticket %02d, read at the gate", i, i%50)),
 		})
 	}
 	load("db3", "scans", scans, srows)
 }
 
-const reoptSavingsQuery = "SELECT m.m_name, t.t_id, s.s_id FROM members m, tickets t, scans s " +
+const reoptSavingsQuery = "SELECT m.m_name, t.t_id, s.s_id, s.s_note FROM members m, tickets t, scans s " +
 	"WHERE m.m_id = t.t_mid AND t.t_id = s.s_tid ORDER BY s.s_id, m.m_name"
 
 // TestReoptTransferSavings measures the robustness win end to end. With

@@ -2,17 +2,23 @@ package sqltypes
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
 // The binary row codec used on the wire between DBMSes. The format is the
-// "binary transfer protocol" of the reproduction: a compact, typed,
-// little-endian encoding. Per the paper's observation that Presto's
-// JDBC-based connectors are more expensive than PostgreSQL's binary
-// protocol, the presto baseline layers a text encoding (EncodeRowText) on
-// top of the same framing, which costs more bytes and more CPU per row.
+// "binary transfer protocol" of the reproduction: a compact, typed encoding.
+// A row is a uvarint column count followed by its values; a value is a type
+// tag byte and its payload — a zigzag varint for TypeInt and TypeDate, a
+// uvarint length and the bytes for TypeString, 8 little-endian bytes for
+// TypeFloat, one byte for TypeBool, nothing for TypeNull. Per the paper's
+// observation that Presto's JDBC-based connectors are more expensive than
+// PostgreSQL's binary protocol, the presto baseline layers a text encoding
+// (AppendRowText) on top of the same framing, which costs more bytes and
+// more CPU per row.
 
 // AppendValue appends the binary encoding of v to dst.
 func AppendValue(dst []byte, v Value) []byte {
@@ -26,15 +32,27 @@ func AppendValue(dst []byte, v Value) []byte {
 			dst = append(dst, 0)
 		}
 	case TypeString:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.S)))
-		dst = append(dst, v.S...)
+		dst = appendString(dst, v.S)
 	case TypeFloat:
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	default: // TypeInt, TypeDate
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+		dst = appendUvarint(dst, zigzag(v.I))
 	}
 	return dst
 }
+
+func zigzag(i int64) uint64 { return uint64(i<<1) ^ uint64(i>>63) }
+
+// appendUvarint is binary.AppendUvarint, inlined for the one-byte case.
+func appendUvarint(dst []byte, x uint64) []byte {
+	if x < 1<<7 {
+		return append(dst, byte(x))
+	}
+	return binary.AppendUvarint(dst, x)
+}
+
+// uvarintLen is the length appendUvarint produces for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // bytestr is the decoders' input: a []byte decodes into strings of their
 // own, a string into substrings of itself — the wire client copies a frame
@@ -47,6 +65,34 @@ func le32[B bytestr](b B) uint32 {
 
 func le64[B bytestr](b B) uint64 {
 	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
+}
+
+var errVarint = errors.New("sqltypes: truncated varint or one overflowing 64 bits")
+
+// uvarint reads a uvarint from the front of b and returns it with its
+// length, inlined for the one-byte case.
+func uvarint[B bytestr](b B) (uint64, int, error) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1, nil
+	}
+	return uvarintSlow(b)
+}
+
+// uvarintSlow is binary.Uvarint for either input type. A varint that ends
+// past its tenth byte, or whose tenth byte carries more than the 64th bit,
+// is an error.
+func uvarintSlow[B bytestr](b B) (uint64, int, error) {
+	var x uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		x |= uint64(b[i]&0x7f) << (7 * i)
+		if b[i] < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b[i] > 1 {
+				break
+			}
+			return x, i + 1, nil
+		}
+	}
+	return 0, 0, errVarint
 }
 
 // DecodeValue decodes one value from b, returning the value and the number
@@ -67,51 +113,62 @@ func decodeValue[B bytestr](b B) (Value, int, error) {
 		}
 		return NewBool(b[1] != 0), 2, nil
 	case TypeString:
-		if len(b) < 5 {
-			return Null, 0, fmt.Errorf("sqltypes: truncated string header")
+		s, n, err := decodeString(b[1:])
+		if err != nil {
+			return Null, 0, err
 		}
-		n := int(le32(b[1:]))
-		if len(b)-5 < n {
-			return Null, 0, fmt.Errorf("sqltypes: truncated string payload (%d of %d bytes)", len(b)-5, n)
-		}
-		return NewString(string(b[5 : 5+n])), 5 + n, nil
+		return NewString(s), 1 + n, nil
 	case TypeFloat:
 		if len(b) < 9 {
 			return Null, 0, fmt.Errorf("sqltypes: truncated float")
 		}
 		return NewFloat(math.Float64frombits(le64(b[1:]))), 9, nil
 	case TypeInt, TypeDate:
-		if len(b) < 9 {
-			return Null, 0, fmt.Errorf("sqltypes: truncated int")
+		u, k, err := uvarint(b[1:])
+		if err != nil {
+			return Null, 0, err
 		}
-		return Value{T: t, I: int64(le64(b[1:]))}, 9, nil
+		return Value{T: t, I: int64(u>>1) ^ -int64(u&1)}, 1 + k, nil
 	default:
 		return Null, 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
 	}
 }
 
-// AppendRow appends the binary encoding of r to dst: a 4-byte column count
+// AppendRow appends the binary encoding of r to dst: a uvarint column count
 // followed by each value.
 func AppendRow(dst []byte, r Row) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r)))
+	dst = appendUvarint(dst, uint64(len(r)))
 	for _, v := range r {
 		dst = AppendValue(dst, v)
 	}
 	return dst
 }
 
-// rowHeader reads a row's column count. Every encoded value takes at least
-// one byte, so a count beyond the bytes that follow is a corrupt or hostile
-// header; rejecting it here bounds what the decoders allocate.
-func rowHeader[B bytestr](b B) (int, error) {
+// rowHeader reads a binary row's column count and returns it with the
+// header's length. Every encoded value takes at least one byte, so a count
+// beyond the bytes that follow is a corrupt or hostile header; rejecting it
+// here bounds what the decoders allocate.
+func rowHeader[B bytestr](b B) (int, int, error) {
+	n, k, err := uvarint(b)
+	if err != nil {
+		return 0, 0, fmt.Errorf("row header: %w", err)
+	}
+	if n > uint64(len(b)-k) {
+		return 0, 0, fmt.Errorf("sqltypes: row header claims %d columns in %d bytes", n, len(b)-k)
+	}
+	return int(n), k, nil
+}
+
+// textRowHeader is rowHeader for the text encoding's 4-byte count.
+func textRowHeader[B bytestr](b B) (int, int, error) {
 	if len(b) < 4 {
-		return 0, fmt.Errorf("sqltypes: truncated row header")
+		return 0, 0, fmt.Errorf("sqltypes: truncated row header")
 	}
 	n := le32(b)
 	if uint64(n) > uint64(len(b)-4) {
-		return 0, fmt.Errorf("sqltypes: row header claims %d columns in %d bytes", n, len(b)-4)
+		return 0, 0, fmt.Errorf("sqltypes: row header claims %d columns in %d bytes", n, len(b)-4)
 	}
-	return int(n), nil
+	return int(n), 4, nil
 }
 
 // decodeRow fills row from the binary values that follow a row header.
@@ -130,74 +187,95 @@ func decodeRow[B bytestr](b B, row Row) (int, error) {
 
 // DecodeRow decodes one row from b, returning the row and bytes consumed.
 func DecodeRow(b []byte) (Row, int, error) {
-	n, err := rowHeader(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	row := make(Row, n)
-	used, err := decodeRow(b[4:], row)
-	if err != nil {
-		return nil, 0, err
-	}
-	return row, 4 + used, nil
-}
-
-// DecodeRow decodes one binary row from src into a row carved from the
-// batch's slab and returns the bytes consumed. String values alias src.
-func (b *Batch) DecodeRow(src string) (int, error) {
-	return b.decode(src, decodeRow[string])
-}
-
-// DecodeRowText is DecodeRow for the text encoding.
-func (b *Batch) DecodeRowText(src string) (int, error) {
-	return b.decode(src, decodeRowText[string])
-}
-
-func (b *Batch) decode(src string, values func(string, Row) (int, error)) (int, error) {
-	n, err := rowHeader(src)
-	if err != nil {
-		return 0, err
-	}
-	used, err := values(src[4:], b.NewRow(n))
-	if err != nil {
-		b.Rows = b.Rows[:len(b.Rows)-1]
-		return 0, err
-	}
-	return 4 + used, nil
-}
-
-// AppendRowText appends the "JDBC-style" text encoding of the row: every
-// value is shipped as its rendered string plus a type tag and length. It
-// costs more bytes and more CPU than the binary codec for numeric-heavy
-// rows — the source of the connector overhead the paper attributes to
-// Presto's JDBC connectors (Sec. VI-B).
-func AppendRowText(dst []byte, r Row) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r)))
-	for _, v := range r {
-		dst = append(dst, byte(v.T))
-		s := ""
-		if !v.IsNull() {
-			s = v.String()
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst
+	return decodeOne(b, rowHeader[[]byte], decodeRow[[]byte])
 }
 
 // DecodeRowText decodes a row encoded with AppendRowText, parsing each
 // value back from its text rendering.
 func DecodeRowText(b []byte) (Row, int, error) {
-	n, err := rowHeader(b)
+	return decodeOne(b, textRowHeader[[]byte], decodeRowText[[]byte])
+}
+
+func decodeOne(b []byte, header func([]byte) (int, int, error), values func([]byte, Row) (int, error)) (Row, int, error) {
+	n, k, err := header(b)
 	if err != nil {
 		return nil, 0, err
 	}
 	row := make(Row, n)
-	used, err := decodeRowText(b[4:], row)
+	used, err := values(b[k:], row)
 	if err != nil {
 		return nil, 0, err
 	}
-	return row, 4 + used, nil
+	return row, k + used, nil
+}
+
+// DecodeRow decodes one binary row from src into a row carved from the
+// batch's slab and returns the bytes consumed. String values alias src.
+func (b *Batch) DecodeRow(src string) (int, error) {
+	return b.decode(src, rowHeader[string], decodeRow[string])
+}
+
+// DecodeRowText is DecodeRow for the text encoding.
+func (b *Batch) DecodeRowText(src string) (int, error) {
+	return b.decode(src, textRowHeader[string], decodeRowText[string])
+}
+
+func (b *Batch) decode(src string, header func(string) (int, int, error), values func(string, Row) (int, error)) (int, error) {
+	n, k, err := header(src)
+	if err != nil {
+		return 0, err
+	}
+	used, err := values(src[k:], b.NewRow(n))
+	if err != nil {
+		b.Rows = b.Rows[:len(b.Rows)-1]
+		return 0, err
+	}
+	return k + used, nil
+}
+
+// AppendRowText appends the "JDBC-style" text encoding of the row: a 4-byte
+// column count, then every value as a type tag, a 4-byte length and its
+// rendering as Value.String prints it (NULL as the empty string). It costs
+// more bytes and more CPU than the binary codec for numeric-heavy rows —
+// the source of the connector overhead the paper attributes to Presto's
+// JDBC connectors (Sec. VI-B).
+func AppendRowText(dst []byte, r Row) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r)))
+	for _, v := range r {
+		dst = append(dst, byte(v.T), 0, 0, 0, 0)
+		start := len(dst)
+		dst = appendText(dst, v)
+		binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(dst)-start))
+	}
+	return dst
+}
+
+// appendText appends v.String() to dst without allocating; NULL appends
+// nothing. (v.String() of a string or a bool allocates nothing either.)
+func appendText(dst []byte, v Value) []byte {
+	switch v.T {
+	case TypeNull:
+		return dst
+	case TypeInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case TypeFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case TypeDate:
+		return appendDate(dst, v.I)
+	}
+	return append(dst, v.String()...)
+}
+
+// appendDate appends the YYYY-MM-DD rendering of a day count, as
+// Value.String prints it.
+func appendDate(dst []byte, days int64) []byte {
+	t := NewDate(days).Time()
+	y, m, d := t.Date()
+	if y < 0 || y > 9999 {
+		return t.AppendFormat(dst, "2006-01-02")
+	}
+	return append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
 }
 
 // decodeRowText fills row from the text values that follow a row header.
@@ -253,18 +331,23 @@ func parseTextValue(t Type, s string) (Value, error) {
 // TextEncodedSize returns the byte size AppendRowText produces for r.
 func TextEncodedSize(r Row) int {
 	n := 4
+	var buf [32]byte
 	for _, v := range r {
 		n += 5
-		if !v.IsNull() {
-			n += len(v.String())
+		if v.T == TypeString {
+			n += len(v.S)
+		} else {
+			n += len(appendText(buf[:0], v))
 		}
 	}
 	return n
 }
 
-// AppendSchema appends the binary encoding of a schema to dst.
+// AppendSchema appends the binary encoding of a schema to dst: a uvarint
+// column count, then each column's name and table (uvarint length and
+// bytes) and type byte.
 func AppendSchema(dst []byte, s *Schema) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Columns)))
+	dst = appendUvarint(dst, uint64(len(s.Columns)))
 	for _, c := range s.Columns {
 		dst = appendString(dst, c.Name)
 		dst = appendString(dst, c.Table)
@@ -275,16 +358,15 @@ func AppendSchema(dst []byte, s *Schema) []byte {
 
 // DecodeSchema decodes a schema from b, returning bytes consumed.
 func DecodeSchema(b []byte) (*Schema, int, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("sqltypes: truncated schema header")
+	n, off, err := uvarint(b)
+	if err != nil {
+		return nil, 0, fmt.Errorf("schema header: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(b[:4]))
-	off := 4
-	if n > (len(b)-off)/9 { // two length prefixes and a type byte per column
+	if n > uint64((len(b)-off)/3) { // two length prefixes and a type byte per column
 		return nil, 0, fmt.Errorf("sqltypes: schema header claims %d columns in %d bytes", n, len(b)-off)
 	}
 	s := &Schema{Columns: make([]Column, n)}
-	for i := 0; i < n; i++ {
+	for i := range s.Columns {
 		name, sz, err := decodeString(b[off:])
 		if err != nil {
 			return nil, 0, err
@@ -305,17 +387,17 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 }
 
 func appendString(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	dst = appendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func decodeString(b []byte) (string, int, error) {
-	if len(b) < 4 {
-		return "", 0, fmt.Errorf("sqltypes: truncated string header")
+func decodeString[B bytestr](b B) (string, int, error) {
+	n, k, err := uvarint(b)
+	if err != nil {
+		return "", 0, fmt.Errorf("string length: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(b[:4]))
-	if len(b) < 4+n {
-		return "", 0, fmt.Errorf("sqltypes: truncated string payload")
+	if n > uint64(len(b)-k) {
+		return "", 0, fmt.Errorf("sqltypes: truncated string payload (%d of %d bytes)", len(b)-k, n)
 	}
-	return string(b[4 : 4+n]), 4 + n, nil
+	return string(b[k : k+int(n)]), k + int(n), nil
 }

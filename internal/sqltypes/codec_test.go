@@ -1,8 +1,11 @@
 package sqltypes
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +110,49 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, _, err := DecodeValue([]byte{250}); err == nil {
 		t.Error("DecodeValue of unknown tag succeeded")
+	}
+	// An 11-byte varint, a 10th byte carrying more than the 64th bit, and
+	// a string length of 2^62 in a few bytes.
+	for _, b := range [][]byte{
+		{byte(TypeInt), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		{byte(TypeInt), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02},
+		append([]byte{byte(TypeString)}, binary.AppendUvarint(nil, 1<<62)...),
+	} {
+		if v, _, err := DecodeValue(b); err == nil {
+			t.Errorf("DecodeValue(% x) = %v, want an error", b, v)
+		}
+	}
+}
+
+// TestEncodedSizeExact pins the binary format's size of every value shape:
+// a 1-byte tag, then a zigzag varint for ints and dates, a uvarint length
+// for strings, 8 bytes for floats and one for bools.
+func TestEncodedSizeExact(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		size int
+	}{
+		{NewInt(0), 2}, {NewInt(1), 2}, {NewInt(-1), 2}, {NewInt(-64), 2}, {NewInt(64), 3},
+		{NewInt(math.MinInt64), 11}, {NewInt(math.MaxInt64), 11},
+		{DateFromYMD(1969, 12, 31), 2}, {DateFromYMD(1960, 1, 1), 3}, {DateFromYMD(1995, 3, 15), 4},
+		{NewString(""), 2}, {NewString(strings.Repeat("x", 127)), 129}, {NewString(strings.Repeat("x", 200)), 203},
+		{Null, 1}, {NewBool(true), 2}, {NewBool(false), 2}, {NewFloat(-0.5), 9},
+	} {
+		enc := AppendValue(nil, tc.v)
+		if len(enc) != tc.size || tc.v.EncodedSize() != tc.size {
+			t.Errorf("%v: encoded %d bytes, EncodedSize %d, want %d", tc.v, len(enc), tc.v.EncodedSize(), tc.size)
+		}
+		if got, n, err := DecodeValue(enc); err != nil || n != len(enc) || got != tc.v {
+			t.Errorf("%v: decoded %v from %d of %d bytes, err %v", tc.v, got, n, len(enc), err)
+		}
+	}
+	for _, tc := range []struct {
+		row  Row
+		size int
+	}{{Row{}, 1}, {Row{Null}, 2}, {make(Row, 127), 128}, {make(Row, 128), 130}} {
+		if got := len(AppendRow(nil, tc.row)); got != tc.size || tc.row.EncodedSize() != tc.size {
+			t.Errorf("%d-column row: encoded %d bytes, EncodedSize %d, want %d", len(tc.row), got, tc.row.EncodedSize(), tc.size)
+		}
 	}
 }
 

@@ -2,13 +2,13 @@ package sqltypes
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
 // fuzzSeeds are encoded rows plus the hostile shapes the decoders must
-// reject without allocating for them: a column count far beyond the bytes
-// that follow, and a string length doing the same.
-func fuzzSeeds(encode func([]byte, Row) []byte) [][]byte {
+// reject without allocating for them.
+func fuzzSeeds(encode func([]byte, Row) []byte, hostile ...[]byte) [][]byte {
 	rows := []Row{
 		{},
 		{NewInt(-7), NewFloat(2.5), NewString("héllo"), DateFromYMD(1995, 3, 15), NewBool(true), Null},
@@ -19,9 +19,26 @@ func fuzzSeeds(encode func([]byte, Row) []byte) [][]byte {
 		enc := encode(nil, r)
 		seeds = append(seeds, enc, enc[:len(enc)/2])
 	}
+	return append(seeds, hostile...)
+}
+
+// varintSeeds are the binary format's hostile shapes: a column count of
+// 2^40 and a string length of 2^62 in a few bytes, an 11-byte overlong
+// varint, and a 10th varint byte carrying more than the 64th bit.
+func varintSeeds() [][]byte {
+	hugeCount := binary.AppendUvarint(nil, 1<<40)
+	hugeString := append([]byte{1, byte(TypeString)}, binary.AppendUvarint(nil, 1<<62)...)
+	overlong := []byte{1, byte(TypeInt), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	overflow := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0}
+	return [][]byte{hugeCount, append(hugeCount, 0, 0, 0), hugeString, overlong, overflow}
+}
+
+// textSeeds are the text format's hostile shapes: its fixed 4-byte column
+// count and value length, each far beyond the bytes that follow.
+func textSeeds() [][]byte {
 	hugeCount := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
 	hugeString := append(binary.LittleEndian.AppendUint32(nil, 1), byte(TypeString), 0xF0, 0xFF, 0xFF, 0xFF)
-	return append(seeds, hugeCount, append(hugeCount, 0, 0, 0), hugeString)
+	return [][]byte{hugeCount, append(hugeCount, 0, 0, 0), hugeString}
 }
 
 // checkDecode holds for both encodings: a decode never reads past its
@@ -71,7 +88,7 @@ func sameValues(a, b Row) bool {
 }
 
 func FuzzDecodeRow(f *testing.F) {
-	for _, s := range fuzzSeeds(AppendRow) {
+	for _, s := range fuzzSeeds(AppendRow, varintSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -80,10 +97,40 @@ func FuzzDecodeRow(f *testing.F) {
 }
 
 func FuzzDecodeRowText(f *testing.F) {
-	for _, s := range fuzzSeeds(AppendRowText) {
+	for _, s := range fuzzSeeds(AppendRowText, textSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecode(t, b, DecodeRowText, (*Batch).DecodeRowText, AppendRowText)
+	})
+}
+
+// FuzzDecodeSchema holds the schema decoder to the row decoders' rules: a
+// schema or an error, never a panic; no more columns than the input has
+// bytes to back (a column is at least two length bytes and a type byte);
+// and what decoded once survives an encode/decode round trip.
+func FuzzDecodeSchema(f *testing.F) {
+	enc := AppendSchema(nil, NewSchema(
+		Column{Name: "o_orderkey", Table: "orders", Type: TypeInt},
+		Column{Name: "revenue", Type: TypeFloat},
+	))
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(AppendSchema(nil, NewSchema()))
+	for _, hostile := range varintSeeds() {
+		f.Add(hostile)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, used, err := DecodeSchema(b)
+		if err != nil {
+			return
+		}
+		if used > len(b) || 3*s.Len() > len(b) {
+			t.Fatalf("decoded %d columns from %d of %d bytes", s.Len(), used, len(b))
+		}
+		again, n, err := DecodeSchema(AppendSchema(nil, s))
+		if err != nil || !reflect.DeepEqual(again, s) || n != len(AppendSchema(nil, s)) {
+			t.Fatalf("round trip of %v: %v (%d bytes), err %v", s, again, n, err)
+		}
 	})
 }

@@ -134,7 +134,7 @@ func (r Row) Clone() Row {
 // EncodedSize returns the binary-codec size of the row, used for byte
 // accounting of inter-DBMS transfers.
 func (r Row) EncodedSize() int {
-	n := 4 // column count prefix
+	n := uvarintLen(uint64(len(r))) // column count prefix
 	for _, v := range r {
 		n += v.EncodedSize()
 	}

@@ -335,10 +335,12 @@ func (v Value) EncodedSize() int {
 	case TypeNull:
 		return 1
 	case TypeString:
-		return 1 + 4 + len(v.S)
+		return 1 + uvarintLen(uint64(len(v.S))) + len(v.S)
 	case TypeBool:
 		return 2
-	default:
+	case TypeFloat:
 		return 1 + 8
+	default: // TypeInt, TypeDate
+		return 1 + uvarintLen(zigzag(v.I))
 	}
 }

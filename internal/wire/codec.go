@@ -265,18 +265,22 @@ func decodeRowBatch(payload []byte, typ byte, b *sqltypes.Batch) error {
 	}
 	n := binary.LittleEndian.Uint64(payload)
 	src := string(payload[8:])
-	if n > uint64(len(src)/4) { // a row is at least its 4-byte header
-		return fmt.Errorf("wire: row batch claims %d rows in %d bytes", n, len(src))
-	}
-	decode := b.DecodeRow
+	// A row is at least its header: one uvarint byte, four text bytes.
+	decode, minRow := b.DecodeRow, 1
 	if typ == msgRowsText {
-		decode = b.DecodeRowText
+		decode, minRow = b.DecodeRowText, 4
+	}
+	if n > uint64(len(src)/minRow) {
+		return fmt.Errorf("wire: row batch claims %d rows in %d bytes", n, len(src))
 	}
 	if n > 0 {
 		// Rows of a result share a width: size the slab for all of them
 		// (a value is at least a byte, which bounds a hostile width).
-		width := binary.LittleEndian.Uint32(payload[8:])
-		b.Grow(min(int(n)*int(width), len(src)))
+		width, _ := binary.Uvarint(payload[8:])
+		if typ == msgRowsText {
+			width = uint64(binary.LittleEndian.Uint32(payload[8:]))
+		}
+		b.Grow(int(min(n*width, uint64(len(src)))))
 	}
 	for i := 0; i < int(n); i++ {
 		used, err := decode(src)

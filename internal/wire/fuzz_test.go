@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"xdb/internal/engine"
@@ -25,6 +26,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	f.Add(hostile, false)
 	f.Add(append(hostile, 0xF0, 0xFF, 0xFF, 0xFF), true)
 	f.Add([]byte{1, 0, 0}, false)
+	f.Add(append(appendUint64(nil, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x40), false) // one row of 2^41 columns
 
 	var batch sqltypes.Batch // reused across inputs, as a stream reuses it
 	f.Fuzz(func(t *testing.T, payload []byte, text bool) {
@@ -35,11 +37,14 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		if err := decodeRowBatch(payload, typ, &batch); err != nil {
 			return
 		}
-		values := 0
+		values, minRow := 0, 1 // a row is at least its header: 1 binary byte, 4 text bytes
+		if text {
+			minRow = 4
+		}
 		for _, r := range batch.Rows {
 			values += len(r)
 		}
-		if 4*len(batch.Rows) > len(payload) || values > len(payload) {
+		if minRow*len(batch.Rows) > len(payload) || values > len(payload) {
 			t.Fatalf("%d rows, %d values from a %d-byte payload", len(batch.Rows), values, len(payload))
 		}
 	})
@@ -161,6 +166,39 @@ func FuzzBatch(f *testing.F) {
 			if res, err := r.Sample(); err == nil {
 				checkStats(t, res.Stats, it.payload)
 			}
+		}
+	})
+}
+
+// FuzzReadFrame feeds the frame reader arbitrary streams. readFrame and
+// readFrameInto (with a small reused buffer, as a result stream reuses one)
+// must agree: a frame or an error, never a panic, never a payload past the
+// stream's end or the frame limit; and a frame read is exactly the bytes
+// writeFrame puts on the wire for it.
+func FuzzReadFrame(f *testing.F) {
+	var stream bytes.Buffer
+	writeFrame(&stream, msgQuery, []byte("\x00SELECT 1"))
+	writeFrame(&stream, msgOK, nil)
+	f.Add(stream.Bytes())
+	f.Add(stream.Bytes()[:7])
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, msgRows})    // beyond the frame limit
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, msgRows, 1}) // 16 MiB claimed, 1 byte sent
+	buf := make([]byte, 0, 16)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		typ, payload, n, err := readFrame(bytes.NewReader(b))
+		ityp, ipayload, in, ierr := readFrameInto(bytes.NewReader(b), buf)
+		if (err == nil) != (ierr == nil) || typ != ityp || !bytes.Equal(payload, ipayload) || n != in {
+			t.Fatalf("readFrame: %d %q %d %v; readFrameInto: %d %q %d %v", typ, payload, n, err, ityp, ipayload, in, ierr)
+		}
+		if err != nil {
+			return
+		}
+		if n > len(b) || len(payload) > maxFrame || n != 5+len(payload) {
+			t.Fatalf("a %d-byte frame with a %d-byte payload from %d bytes", n, len(payload), len(b))
+		}
+		var again bytes.Buffer
+		if _, err := writeFrame(&again, typ, payload); err != nil || !bytes.Equal(again.Bytes(), b[:n]) {
+			t.Fatalf("re-written frame % x, read % x (err %v)", again.Bytes(), b[:n], err)
 		}
 	})
 }

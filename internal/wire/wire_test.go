@@ -366,10 +366,11 @@ func mustExec(t *testing.T, e *engine.Engine, sql string) {
 
 // TestStreamFrameInvariance pins what SELECT * FROM lineitem LIMIT 10000
 // puts on the wire — ledger bytes and frames, request and response — in
-// both row encodings. The values are those of the row-at-a-time executor
-// this batch path replaced: a frame must still be cut at exactly the row
-// where its binary size reaches 32 KiB or its row count 1024, whatever the
-// engine's batch boundaries are.
+// both row encodings. A frame is cut at exactly the row where its binary
+// (varint) size reaches 32 KiB or its row count 1024, whatever the engine's
+// batch boundaries are, so the text stream is cut where the binary one is:
+// its rows keep every byte of the fixed-width text encoding, and only its
+// frame headers and the schema frame shrink with the binary format.
 func TestStreamFrameInvariance(t *testing.T) {
 	gen := tpch.NewGenerator(0.002, 42)
 	lineitem := gen.GenLineitem(gen.GenOrders())
@@ -386,8 +387,8 @@ func TestStreamFrameInvariance(t *testing.T) {
 		text          bool
 		bytes, frames int64
 	}{
-		{"binary", false, 1821604, 59},
-		{"text", true, 1971872, 59},
+		{"binary", false, 1228241, 41},
+		{"text", true, 1971539, 41},
 	} {
 		topo := netsim.Unshaped("client", "db1")
 		c := NewClient("client", topo)
