@@ -60,10 +60,20 @@ loc:
 
 # The benchmark record: four workloads, end-to-end and per-layer metrics,
 # every answer checked against the oracle (bench/README.md), then the diff
-# against the committed baseline.
+# against a record of the base commit BASE, made with the same flags from a
+# temporary git worktree, as CI's advisory bench job does. BASE defaults to
+# HEAD while the working tree has changes (the change is not committed yet)
+# and to HEAD^ once it is clean (the change is the last commit); set it to
+# the change's base commit in any other case.
+BASE ?= $(if $(shell git status --porcelain),HEAD,HEAD^)
+BASE_TREE = bench/out/base-tree
 bench-json:
 	$(GO) run ./bench -runs 3 -out bench/out/BENCH.json
-	$(GO) run ./bench -diff bench/baseline/BENCH_12.json bench/out/BENCH.json
+	rm -rf $(BASE_TREE) && git worktree prune
+	git worktree add --detach $(BASE_TREE) $(BASE)
+	cd $(BASE_TREE) && $(GO) run ./bench -runs 3 -out $(CURDIR)/bench/out/BASE.json; \
+		status=$$?; cd $(CURDIR) && git worktree remove --force $(BASE_TREE); exit $$status
+	$(GO) run ./bench -diff bench/out/BASE.json bench/out/BENCH.json
 
 # Full experiment regeneration (slow; see EXPERIMENTS.md).
 bench:

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"xdb/internal/sqltypes"
 )
@@ -54,12 +54,22 @@ func boundaryRows(n, salt int) []sqltypes.Row {
 }
 
 // boundaryEngine loads t1 (n rows), t2 (131 rows, the small side of the
-// joins) and u (n rows, a large build side).
-func boundaryEngine(t *testing.T, n int) (e *Engine, t1, t2 []sqltypes.Row) {
+// joins) and u (n rows, a large build side). With remoteBuilds, t2 and u
+// are foreign tables whose streams take a while to open, so a join with a
+// local probe side reads it ahead while its build side is on the way.
+func boundaryEngine(t *testing.T, n int, remoteBuilds bool) (e *Engine, t1, t2 []sqltypes.Row) {
 	t.Helper()
-	e = New(Config{Name: "b", Vendor: VendorTest})
 	t1, t2 = boundaryRows(n, 0), boundaryRows(131, 3)
-	for name, rows := range map[string][]sqltypes.Row{"t1": t1, "t2": t2, "u": t1} {
+	local := map[string][]sqltypes.Row{"t1": t1, "t2": t2, "u": t1}
+	if !remoteBuilds {
+		e = New(Config{Name: "b", Vendor: VendorTest})
+	} else {
+		const d = 5 * time.Millisecond
+		remote := &stagedRemote{rels: map[string]*stagedRel{"t2": {rows: t2, openDelay: d}, "u": {rows: t1, openDelay: d}}}
+		e = stagedEngine(t, Profiles(VendorTest), remote, foreignDDL("t2", "t2", len(t2), false), foreignDDL("u", "u", n, false))
+		local = map[string][]sqltypes.Row{"t1": t1}
+	}
+	for name, rows := range local {
 		if err := e.LoadTable(name, boundarySchema, rows); err != nil {
 			t.Fatal(err)
 		}
@@ -189,85 +199,92 @@ func expectBag(t *testing.T, what string, got, want []sqltypes.Row) {
 func TestBatchBoundaries(t *testing.T) {
 	for _, n := range boundarySizes {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			e, t1, t2 := boundaryEngine(t, n)
-			run := func(sql string) []sqltypes.Row {
-				t.Helper()
-				res, err := e.QueryAll(sql)
-				if err != nil {
-					t.Fatalf("%s: %v", sql, err)
-				}
-				return res.Rows
-			}
-			all := func(sqltypes.Row) bool { return true }
-			vw := func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], r[colV]} }
-
-			expectRows(t, "scan", run("SELECT * FROM t1"), t1)
-			expectRows(t, "filter",
-				run("SELECT v, s FROM t1 WHERE g < 3 AND v >= 5"),
-				refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I < 3 && r[colV].I >= 5 },
-					func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
-
-			for _, j := range []struct {
-				name, cond string
-				on         func(l, r sqltypes.Row) bool
-			}{
-				{"int key", "t1.k = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
-				{"string key", "t1.s = t2.s", func(l, r sqltypes.Row) bool { return sqlEq(l[colS], r[colS]) }},
-				{"int/float key", "t1.f = t2.f", func(l, r sqltypes.Row) bool { return sqlEq(l[colF], r[colF]) }},
-				{"two keys", "t1.k = t2.k AND t1.s = t2.s", func(l, r sqltypes.Row) bool {
-					return sqlEq(l[colK], r[colK]) && sqlEq(l[colS], r[colS])
-				}},
-				{"residual", "t1.k = t2.k AND t1.v > t2.v + 40", func(l, r sqltypes.Row) bool {
-					return sqlEq(l[colK], r[colK]) && l[colV].I > r[colV].I+40
-				}},
-				{"nested loop", "t1.k + 0 = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
-			} {
-				expectBag(t, "join, "+j.name,
-					run("SELECT t1.v, t2.v FROM t1, t2 WHERE "+j.cond), refJoin(t1, t2, j.on, vw))
-			}
-			// A build side as large as the probe side.
-			expectBag(t, "join, large build",
-				run("SELECT a.v, b.g FROM t1 a, u b WHERE a.v = b.v"),
-				refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) }))
-
-			expectRows(t, "aggregate, no keys",
-				run("SELECT COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1"),
-				func() []sqltypes.Row {
-					if n == 0 { // one group even over no rows; SUM of nothing is NULL
-						return []sqltypes.Row{{sqltypes.NewInt(0), sqltypes.Null, sqltypes.NewInt(0)}}
-					}
-					return refGroup(t1)
-				}())
-			expectRows(t, "aggregate, one key",
-				run("SELECT g, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY g"), refGroup(t1, colG))
-			expectRows(t, "aggregate, many groups",
-				run("SELECT k, s, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY k, s"), refGroup(t1, colK, colS))
-
-			sorted := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
-			sort.SliceStable(sorted, func(i, j int) bool {
-				if sorted[i][1].I != sorted[j][1].I {
-					return sorted[i][1].I > sorted[j][1].I
-				}
-				return sorted[i][0].I < sorted[j][0].I
-			})
-			expectRows(t, "sort", run("SELECT v, g FROM t1 ORDER BY g DESC, v"), sorted)
-			expectRows(t, "sort+limit", run("SELECT v, g FROM t1 ORDER BY g DESC, v LIMIT 10"), sorted[:min(10, n)])
-
-			seen := map[string]bool{}
-			expectRows(t, "distinct", run("SELECT DISTINCT g, k FROM t1"),
-				refFilter(t1, func(r sqltypes.Row) bool {
-					key := rowKey(pick(r, colG, colK))
-					dup := seen[key]
-					seen[key] = true
-					return !dup
-				}, func(r sqltypes.Row) sqltypes.Row { return pick(r, colG, colK) }))
-
-			unsorted := refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I != 0 },
-				func(r sqltypes.Row) sqltypes.Row { return pick(r, colV) })
-			expectRows(t, "limit without order",
-				run("SELECT v FROM t1 WHERE g <> 0 LIMIT 1030"), unsorted[:min(1030, len(unsorted))])
+			checkBoundaries(t, n, false)
+			t.Run("read-ahead", func(t *testing.T) { checkBoundaries(t, n, true) })
 		})
 	}
+}
+
+// checkBoundaries runs every operator over n-row inputs against the naive
+// evaluation.
+func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
+	e, t1, t2 := boundaryEngine(t, n, remoteBuilds)
+	run := func(sql string) []sqltypes.Row {
+		t.Helper()
+		res, err := e.QueryAll(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Rows
+	}
+	all := func(sqltypes.Row) bool { return true }
+	vw := func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], r[colV]} }
+
+	expectRows(t, "scan", run("SELECT * FROM t1"), t1)
+	expectRows(t, "filter",
+		run("SELECT v, s FROM t1 WHERE g < 3 AND v >= 5"),
+		refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I < 3 && r[colV].I >= 5 },
+			func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
+
+	for _, j := range []struct {
+		name, cond string
+		on         func(l, r sqltypes.Row) bool
+	}{
+		{"int key", "t1.k = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
+		{"string key", "t1.s = t2.s", func(l, r sqltypes.Row) bool { return sqlEq(l[colS], r[colS]) }},
+		{"int/float key", "t1.f = t2.f", func(l, r sqltypes.Row) bool { return sqlEq(l[colF], r[colF]) }},
+		{"two keys", "t1.k = t2.k AND t1.s = t2.s", func(l, r sqltypes.Row) bool {
+			return sqlEq(l[colK], r[colK]) && sqlEq(l[colS], r[colS])
+		}},
+		{"residual", "t1.k = t2.k AND t1.v > t2.v + 40", func(l, r sqltypes.Row) bool {
+			return sqlEq(l[colK], r[colK]) && l[colV].I > r[colV].I+40
+		}},
+		{"nested loop", "t1.k + 0 = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
+	} {
+		expectBag(t, "join, "+j.name,
+			run("SELECT t1.v, t2.v FROM t1, t2 WHERE "+j.cond), refJoin(t1, t2, j.on, vw))
+	}
+	// A build side as large as the probe side.
+	expectBag(t, "join, large build",
+		run("SELECT a.v, b.g FROM t1 a, u b WHERE a.v = b.v"),
+		refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) }))
+
+	expectRows(t, "aggregate, no keys",
+		run("SELECT COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1"),
+		func() []sqltypes.Row {
+			if n == 0 { // one group even over no rows; SUM of nothing is NULL
+				return []sqltypes.Row{{sqltypes.NewInt(0), sqltypes.Null, sqltypes.NewInt(0)}}
+			}
+			return refGroup(t1)
+		}())
+	expectRows(t, "aggregate, one key",
+		run("SELECT g, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY g"), refGroup(t1, colG))
+	expectRows(t, "aggregate, many groups",
+		run("SELECT k, s, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM t1 GROUP BY k, s"), refGroup(t1, colK, colS))
+
+	sorted := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i][1].I != sorted[j][1].I {
+			return sorted[i][1].I > sorted[j][1].I
+		}
+		return sorted[i][0].I < sorted[j][0].I
+	})
+	expectRows(t, "sort", run("SELECT v, g FROM t1 ORDER BY g DESC, v"), sorted)
+	expectRows(t, "sort+limit", run("SELECT v, g FROM t1 ORDER BY g DESC, v LIMIT 10"), sorted[:min(10, n)])
+
+	seen := map[string]bool{}
+	expectRows(t, "distinct", run("SELECT DISTINCT g, k FROM t1"),
+		refFilter(t1, func(r sqltypes.Row) bool {
+			key := rowKey(pick(r, colG, colK))
+			dup := seen[key]
+			seen[key] = true
+			return !dup
+		}, func(r sqltypes.Row) sqltypes.Row { return pick(r, colG, colK) }))
+
+	unsorted := refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I != 0 },
+		func(r sqltypes.Row) sqltypes.Row { return pick(r, colV) })
+	expectRows(t, "limit without order",
+		run("SELECT v FROM t1 WHERE g <> 0 LIMIT 1030"), unsorted[:min(1030, len(unsorted))])
 }
 
 // TestHashJoinNullKeysMatchNestedLoop: NULL = NULL is not true, whichever
@@ -298,43 +315,22 @@ func TestHashJoinNullKeysMatchNestedLoop(t *testing.T) {
 	}
 }
 
-// slabRemote is a foreign data wrapper whose streams behave like the
-// wire client's: every batch is carved from one slab that the next call
-// overwrites unless the consumer took ownership.
-type slabRemote struct{ rows []sqltypes.Row }
-
-type slabIter struct {
-	rows  []sqltypes.Row
-	batch sqltypes.Batch
-}
-
-func (s *slabIter) Next() (*sqltypes.Batch, error) {
-	if len(s.rows) == 0 {
-		return nil, io.EOF
-	}
-	n := min(len(s.rows), 700) // not a divisor of BatchRows: boundaries drift
-	s.batch.Reset()
-	for _, r := range s.rows[:n] {
-		copy(s.batch.NewRow(len(r)), r)
-	}
-	s.rows = s.rows[n:]
-	return &s.batch, nil
-}
-
-func (s *slabIter) Close() error { return nil }
-
-func (r *slabRemote) QueryRemote(*Server, string) (*sqltypes.Schema, BatchIter, error) {
-	return boundarySchema, &slabIter{rows: r.rows}, nil
-}
-
 // TestRetainedRowsSurviveSlabReuse: every consumer that keeps rows past
-// its producer's next call — hash build, sort, a materialized foreign
-// table, CREATE TABLE AS, Drain — must own them. The producer here reuses
-// its slab, so a consumer that kept bare views would read later rows'
-// values in earlier rows' places.
+// its producer's next call — hash build, probe rows a join read ahead,
+// sort, a materialized foreign table, CREATE TABLE AS, Drain — must own
+// them. The producer here reuses its slab, so a consumer that kept bare
+// views would read later rows' values in earlier rows' places.
 func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 	remote := boundaryRows(2500, 0)
-	e := New(Config{Name: "o", Vendor: VendorTest, Remote: &slabRemote{rows: remote}})
+	// The join's probe side ra is read ahead whole while its build side rg
+	// waits for ra's stream to end.
+	readAhead := make(chan struct{})
+	rels := map[string]*stagedRel{
+		"r":  {rows: remote},
+		"ra": {rows: remote, done: readAhead},
+		"rg": {rows: remote, after: readAhead},
+	}
+	e := New(Config{Name: "o", Vendor: VendorTest, Remote: &stagedRemote{rels: rels}})
 	if err := e.LoadTable("big", boundarySchema, boundaryRows(6000, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +339,8 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 		"CREATE FOREIGN TABLE f (k BIGINT, s TEXT, f DOUBLE, v BIGINT, g BIGINT) SERVER s OPTIONS (table_name 'r')",
 		"CREATE FOREIGN TABLE fm (k BIGINT, s TEXT, f DOUBLE, v BIGINT, g BIGINT) SERVER s OPTIONS (table_name 'r', materialize 'true')",
 		"CREATE TABLE c AS SELECT * FROM f",
+		foreignDDL("fa", "ra", 100_000, false),
+		foreignDDL("fg", "rg", 10, false),
 	} {
 		if err := e.Exec(ddl); err != nil {
 			t.Fatalf("%s: %v", ddl, err)
@@ -378,4 +376,8 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 			refFilter(remote, func(r sqltypes.Row) bool { return where == "" || r[colG].I == 3 },
 				func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
 	}
+	expectRows(t, "probe rows read ahead",
+		run("SELECT fa.v, fa.s FROM fa, fg WHERE fa.v = fg.v"),
+		refFilter(remote, func(sqltypes.Row) bool { return true },
+			func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
 }

@@ -132,13 +132,15 @@ func (e *Engine) Query(sql string) (*sqltypes.Schema, BatchIter, error) {
 	return e.QuerySelect(sel)
 }
 
-// QuerySelect is Query for a pre-parsed statement.
+// QuerySelect is Query for a pre-parsed statement. Each call is one
+// statement, a backend of its own: its operators, views planned inline
+// included, model one CPU between them (cpuThrottle).
 func (e *Engine) QuerySelect(sel *sqlparser.Select) (*sqltypes.Schema, BatchIter, error) {
 	node, err := e.planSelect(sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	it, err := node.open()
+	it, err := node.open(new(sync.Mutex))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,8 +4,8 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
-	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
 
@@ -299,6 +299,13 @@ func intHash(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
 // Streaming the probe side is what makes implicit (pipelined) data
 // movement between DBMSes effective: a foreign scan on the probe side never
 // materializes.
+//
+// openJoin starts both inputs together. The build input is opened and
+// drained on a goroutine of its own; meanwhile the probe input is opened
+// and, until the table is ready, read ahead into owned batches. Down a
+// left-deep tree this starts every build side of a statement, and the head
+// of its probe pipeline, at once: a task waits for its slowest input, not
+// for the sum of them.
 type joinIter struct {
 	probe     BatchIter
 	table     *joinTable
@@ -316,19 +323,95 @@ type joinIter struct {
 	done bool
 }
 
-func newJoin(probe, build BatchIter, probeKeys, buildKeys []int, out joinOutput, est float64, nsPerRow int64) (*joinIter, error) {
-	out.expect(est)
-	j := &joinIter{probe: probe, probeKeys: probeKeys, joinOutput: out, throttle: cpuThrottle{nsPerRow: nsPerRow}, perProbe: 1}
-	var err error
-	if j.table, err = newJoinTable(build, buildKeys, &j.throttle); err != nil {
-		probe.Close()
+// pullAheadBatches bounds the probe batches a join reads ahead while its
+// table is being built. Past it the join waits and its probe producer
+// feels back pressure, as before the build was concurrent. The bound is
+// measured, not derived (EXPERIMENTS.md "Opening a join's inputs
+// together"): on the benchmark's cold-lan workload a bound of 0, 4, 16 and
+// 64 batches cut Q8's median latency by 22, 25, 27 and 31 % and Q3's by 0,
+// 0, 3 and 14 %, while each batch read ahead is one more owned copy that
+// plan-raw, with nothing to wait for, pays in CPU (+2, +5 and +10 % per
+// query at 0, 4 and 64).
+const pullAheadBatches = 64
+
+// openJoin opens a join's two inputs together (see joinIter). The build
+// goroutine never outlives openJoin: every path waits for it. On an error
+// the other side is closed before openJoin returns; a table built for a
+// failed probe side is discarded (its input is closed once drained).
+func openJoin(probeOpen, buildOpen opener, cpu *sync.Mutex, probeKeys, buildKeys []int, out joinOutput, est float64, nsPerRow int64) (*joinIter, error) {
+	type built struct {
+		table    *joinTable
+		throttle cpuThrottle // its pending work carries over to the probe
+		err      error
+	}
+	ready := make(chan built, 1)
+	go func() {
+		r := built{throttle: cpuThrottle{nsPerRow: nsPerRow, cpu: cpu}}
+		b, err := buildOpen(cpu)
+		if err == nil {
+			r.table, err = newJoinTable(b, buildKeys, &r.throttle)
+		}
+		r.err = err
+		ready <- r
+	}()
+
+	probe, err := probeOpen(cpu)
+	if err != nil {
+		<-ready
 		return nil, err
 	}
+	// Read ahead while the table is not ready: len(ready) is 1 once the
+	// build goroutine has sent.
+	ahead := &aheadIter{in: probe}
+	for n := 0; n < pullAheadBatches && !ahead.eof && len(ready) == 0; n++ {
+		b, err := probe.Next()
+		switch {
+		case err == io.EOF:
+			ahead.eof = true
+		case err != nil:
+			<-ready
+			probe.Close()
+			return nil, err
+		default:
+			ahead.batches = append(ahead.batches, b.AppendOwned(make([]sqltypes.Row, 0, len(b.Rows))))
+		}
+	}
+	r := <-ready
+	if r.err != nil {
+		probe.Close()
+		return nil, r.err
+	}
+
+	out.expect(est)
+	j := &joinIter{probe: ahead, table: r.table, probeKeys: probeKeys, joinOutput: out, throttle: r.throttle, perProbe: 1}
 	if len(buildKeys) == 0 {
 		j.perProbe = int64(len(j.table.rows))
 	}
 	return j, nil
 }
+
+// aheadIter is a join's probe input: the batches openJoin read ahead, as
+// the probe produced them, then the rest of the stream.
+type aheadIter struct {
+	batches [][]sqltypes.Row // read ahead and owned; each dropped once handed on
+	batch   sqltypes.Batch
+	in      BatchIter
+	eof     bool // in has returned io.EOF
+}
+
+func (a *aheadIter) Next() (*sqltypes.Batch, error) {
+	if len(a.batches) > 0 {
+		a.batch.Rows, a.batches[0] = a.batches[0], nil
+		a.batches = a.batches[1:]
+		return &a.batch, nil
+	}
+	if a.eof {
+		return nil, io.EOF
+	}
+	return a.in.Next()
+}
+
+func (a *aheadIter) Close() error { return a.in.Close() }
 
 // seek starts the chain of candidates for probe row r.
 func (j *joinIter) seek(r sqltypes.Row) {
@@ -542,7 +625,7 @@ func sameRow(a, b sqltypes.Row) bool {
 // hashAggregate fully consumes the input and emits one row per group, in
 // order of first appearance: [group key values..., aggregate results...].
 // With no group keys it emits exactly one row (global aggregation).
-func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, nsPerRow int64) (BatchIter, error) {
+func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, throttle cpuThrottle) (BatchIter, error) {
 	defer in.Close()
 	groups := newRowSet(len(keys))
 	var states []aggState // len(aggs) per group, in group order
@@ -559,7 +642,6 @@ func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, nsPerRow i
 	if len(keys) == 0 {
 		group() // a global aggregate is one group, even over no input
 	}
-	throttle := cpuThrottle{nsPerRow: nsPerRow}
 
 	for {
 		b, err := in.Next()
@@ -605,16 +687,15 @@ func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, nsPerRow i
 	return &rowsIter{rows: out.Rows}, nil
 }
 
-// sortRows materializes and sorts the input by the given key expressions.
-func sortRows(in BatchIter, items []sqlparser.OrderItem, schema *sqltypes.Schema) (BatchIter, error) {
-	keys := make([]compiledExpr, len(items))
-	for i, it := range items {
-		var err error
-		keys[i], err = compileExpr(it.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
-	}
+// sortKey is one compiled ORDER BY key.
+type sortKey struct {
+	fn   compiledExpr
+	desc bool
+}
+
+// sortRows materializes and sorts the input by the given keys. Draining
+// closes the input before anything else can fail.
+func sortRows(in BatchIter, keys []sortKey) (BatchIter, error) {
 	rows, err := Drain(in)
 	if err != nil {
 		return nil, err
@@ -628,7 +709,7 @@ func sortRows(in BatchIter, items []sqlparser.OrderItem, schema *sqltypes.Schema
 	for i, r := range rows {
 		kv := slab[i*len(keys) : (i+1)*len(keys)]
 		for j, k := range keys {
-			kv[j], err = k(r)
+			kv[j], err = k.fn(r)
 			if err != nil {
 				return nil, err
 			}
@@ -646,7 +727,7 @@ func sortRows(in BatchIter, items []sqlparser.OrderItem, schema *sqltypes.Schema
 			if c == 0 {
 				continue
 			}
-			if items[x].Desc {
+			if keys[x].desc {
 				return c > 0
 			}
 			return c < 0

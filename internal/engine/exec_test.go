@@ -2,6 +2,7 @@ package engine
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	"xdb/internal/sqltypes"
@@ -20,6 +21,17 @@ func rowsOf(vals ...int64) []sqltypes.Row {
 
 // allCols is a joinOutput that emits every column of one-column inputs.
 func allCols() joinOutput { return joinOutput{probeCols: []int{0}, buildCols: []int{0}} }
+
+// opened is an opener handing out an iterator that is already open.
+func opened(it BatchIter) opener {
+	return func(*sync.Mutex) (BatchIter, error) { return it, nil }
+}
+
+// joinOf joins two open one-column iterators, unthrottled, as a statement
+// of its own.
+func joinOf(probe, build BatchIter, probeKeys, buildKeys []int) (*joinIter, error) {
+	return openJoin(opened(probe), opened(build), new(sync.Mutex), probeKeys, buildKeys, allCols(), 1, 0)
+}
 
 func TestRowsIterAndDrain(t *testing.T) {
 	it := &rowsIter{rows: rowsOf(1, 2, 3)}
@@ -63,7 +75,7 @@ func TestHashJoinCollisionSafety(t *testing.T) {
 	// Values that may collide in the hash must still compare by value.
 	probe := &rowsIter{rows: rowsOf(1, 2, 3, 4)}
 	build := &rowsIter{rows: rowsOf(2, 4, 6)}
-	j, err := newJoin(probe, build, []int{0}, []int{0}, allCols(), 1, 0)
+	j, err := joinOf(probe, build, []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +96,7 @@ func TestHashJoinCollisionSafety(t *testing.T) {
 func TestHashJoinDuplicateKeys(t *testing.T) {
 	probe := &rowsIter{rows: rowsOf(1, 1)}
 	build := &rowsIter{rows: rowsOf(1, 1, 1)}
-	j, err := newJoin(probe, build, []int{0}, []int{0}, allCols(), 1, 0)
+	j, err := joinOf(probe, build, []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 func TestNestedLoopCrossAndConditional(t *testing.T) {
 	left := &rowsIter{rows: rowsOf(1, 2)}
 	right := &rowsIter{rows: rowsOf(10, 20, 30)}
-	nl, err := newJoin(left, right, nil, nil, allCols(), 1, 0)
+	nl, err := joinOf(left, right, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +219,7 @@ func TestSumIntegerStaysInteger(t *testing.T) {
 
 func TestCPUThrottleAccumulation(t *testing.T) {
 	// Sub-millisecond work accumulates instead of sleeping per row.
-	th := cpuThrottle{nsPerRow: 100}
+	th := cpuThrottle{nsPerRow: 100, cpu: new(sync.Mutex)}
 	for i := 0; i < 100; i++ {
 		th.charge(1)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"xdb/internal/joinorder"
 	"xdb/internal/sqlparser"
@@ -21,9 +22,14 @@ type planNode struct {
 	schema *sqltypes.Schema
 	est    float64 // estimated output rows
 	cost   float64 // cumulative cost in engine-internal units
-	open   func() (BatchIter, error)
+	open   opener
 	kids   []*planNode
 }
+
+// opener opens a plan node's iterator for one execution. cpu is the
+// executing statement's token, which every throttle of the execution
+// sleeps under (see cpuThrottle).
+type opener func(cpu *sync.Mutex) (BatchIter, error)
 
 // Internal cost-model constants (engine units; vendors scale these through
 // Profile.CostUnit when reporting via EXPLAIN).
@@ -103,15 +109,9 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 		// projection dropped (e.g. SELECT name FROM t ORDER BY age) —
 		// then the sort runs on the pre-projection input instead, with
 		// projection aliases substituted into the keys.
-		resolvesOnOutput := true
-		for _, it := range sel.OrderBy {
-			if _, err := compileExpr(it.Expr, out.schema); err != nil {
-				resolvesOnOutput = false
-				break
-			}
-		}
-		if resolvesOnOutput {
-			out = planSort(out, sel.OrderBy)
+		sorted, err := planSort(out, sel.OrderBy)
+		if err == nil {
+			out = sorted
 		} else {
 			hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
 			for _, p := range sel.Projections {
@@ -121,24 +121,16 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			}
 			if hasAgg {
 				// Aggregated output has no pre-projection row to sort.
-				for _, it := range sel.OrderBy {
-					if _, err := compileExpr(it.Expr, out.schema); err != nil {
-						return nil, fmt.Errorf("ORDER BY: %w", err)
-					}
-				}
+				return nil, fmt.Errorf("ORDER BY: %w", err)
 			}
 			items := make([]sqlparser.OrderItem, len(sel.OrderBy))
 			for i, it := range sel.OrderBy {
 				items[i] = sqlparser.OrderItem{Expr: substituteAlias(it.Expr, sel.Projections), Desc: it.Desc}
 			}
-			for _, it := range items {
-				if _, err := compileExpr(it.Expr, joined.schema); err != nil {
-					return nil, fmt.Errorf("ORDER BY: %w", err)
-				}
+			if sorted, err = planSort(joined, items); err != nil {
+				return nil, fmt.Errorf("ORDER BY: %w", err)
 			}
-			sorted := planSort(joined, items)
-			out, err = e.planProjection(sorted, sel)
-			if err != nil {
+			if out, err = e.planProjection(sorted, sel); err != nil {
 				return nil, err
 			}
 		}
@@ -151,8 +143,8 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    in.est * 0.9,
 			cost:   in.cost + in.est*cAggTuple,
 			kids:   []*planNode{in},
-			open: func() (BatchIter, error) {
-				it, err := in.open()
+			open: func(cpu *sync.Mutex) (BatchIter, error) {
+				it, err := in.open(cpu)
 				if err != nil {
 					return nil, err
 				}
@@ -170,8 +162,8 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    est,
 			cost:   in.cost,
 			kids:   []*planNode{in},
-			open: func() (BatchIter, error) {
-				it, err := in.open()
+			open: func(cpu *sync.Mutex) (BatchIter, error) {
+				it, err := in.open(cpu)
 				if err != nil {
 					return nil, err
 				}
@@ -182,26 +174,33 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 	return out, nil
 }
 
-// planSort wraps a node with a materializing sort on the given keys
-// (which must compile against the node's schema).
-func planSort(in *planNode, items []sqlparser.OrderItem) *planNode {
+// planSort wraps a node with a materializing sort on the given keys,
+// compiled here against the node's schema once for every execution.
+func planSort(in *planNode, items []sqlparser.OrderItem) (*planNode, error) {
+	keys := make([]sortKey, len(items))
+	for i, it := range items {
+		fn, err := compileExpr(it.Expr, in.schema)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = sortKey{fn: fn, desc: it.Desc}
+	}
 	n := in.est
-	schema := in.schema
 	inOpen := in.open
 	return &planNode{
 		desc:   "Sort",
-		schema: schema,
+		schema: in.schema,
 		est:    n,
 		cost:   in.cost + cSortFactor*n*math.Log2(n+2),
 		kids:   []*planNode{in},
-		open: func() (BatchIter, error) {
-			it, err := inOpen()
+		open: func(cpu *sync.Mutex) (BatchIter, error) {
+			it, err := inOpen(cpu)
 			if err != nil {
 				return nil, err
 			}
-			return sortRows(it, items, schema)
+			return sortRows(it, keys)
 		},
-	}
+	}, nil
 }
 
 // planConstSelect handles SELECT without FROM (SELECT 1, used by probes).
@@ -227,7 +226,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 		schema: outSchema,
 		est:    1,
 		cost:   1,
-		open: func() (BatchIter, error) {
+		open: func(*sync.Mutex) (BatchIter, error) {
 			row := make(sqltypes.Row, len(exprs))
 			for i, fn := range exprs {
 				v, err := fn(nil)
@@ -254,8 +253,8 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 			schema: schema,
 			est:    float64(len(rows)),
 			cost:   float64(len(rows)) * cScanTuple,
-			open: func() (BatchIter, error) {
-				return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: ns}}, nil
+			open: func(cpu *sync.Mutex) (BatchIter, error) {
+				return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
 			},
 		}, nil
 	}
@@ -299,7 +298,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	est := f.estRows()
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
-	open := func() (BatchIter, error) {
+	open := func(*sync.Mutex) (BatchIter, error) {
 		_, it, err := rq.QueryRemote(srv, remoteSQL)
 		if err != nil {
 			return nil, fmt.Errorf("foreign scan %s: %w", f.Name, err)
@@ -312,12 +311,12 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 		// copy (and every later scan hits the copy).
 		desc = fmt.Sprintf("MaterializedForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 		cost = est*cForeignTuple + est*cScanTuple
-		open = func() (BatchIter, error) {
+		open = func(cpu *sync.Mutex) (BatchIter, error) {
 			rows, err := f.materialized(rq, srv, remoteSQL)
 			if err != nil {
 				return nil, err
 			}
-			return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: e.profile.ScanNsPerRow}}, nil
+			return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: e.profile.ScanNsPerRow, cpu: cpu}}, nil
 		}
 	}
 	return &planNode{
@@ -364,8 +363,8 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 		est:    math.Max(in.est*sel, 1),
 		cost:   in.cost + in.est*cFilterTuple,
 		kids:   []*planNode{in},
-		open: func() (BatchIter, error) {
-			it, err := inOpen()
+		open: func(cpu *sync.Mutex) (BatchIter, error) {
+			it, err := inOpen(cpu)
 			if err != nil {
 				return nil, err
 			}
@@ -682,17 +681,8 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 	}
 	ns, est := e.profile.JoinNsPerRow, node.est
 	probeOpen, buildOpen := probe.open, build.open
-	node.open = func() (BatchIter, error) {
-		b, err := buildOpen()
-		if err != nil {
-			return nil, err
-		}
-		p, err := probeOpen()
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-		return newJoin(p, b, probeIdx, buildIdx, out, est, ns)
+	node.open = func(cpu *sync.Mutex) (BatchIter, error) {
+		return openJoin(probeOpen, buildOpen, cpu, probeIdx, buildIdx, out, est, ns)
 	}
 	return node, used, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
@@ -65,8 +66,8 @@ func (e *Engine) planSimpleProjection(in *planNode, projections []sqlparser.Sele
 	inOpen := in.open
 	open := inOpen
 	if !identity {
-		open = func() (BatchIter, error) {
-			it, err := inOpen()
+		open = func(cpu *sync.Mutex) (BatchIter, error) {
+			it, err := inOpen(cpu)
 			if err != nil {
 				return nil, err
 			}
@@ -200,12 +201,12 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 		est:    groups,
 		cost:   in.cost + in.est*cAggTuple + groups*cProjectTuple,
 		kids:   []*planNode{in},
-		open: func() (BatchIter, error) {
-			it, err := inOpen()
+		open: func(cpu *sync.Mutex) (BatchIter, error) {
+			it, err := inOpen(cpu)
 			if err != nil {
 				return nil, err
 			}
-			agg, err := hashAggregate(it, keyFns, aggSpecs, ns)
+			agg, err := hashAggregate(it, keyFns, aggSpecs, cpuThrottle{nsPerRow: ns, cpu: cpu})
 			if err != nil {
 				return nil, err
 			}

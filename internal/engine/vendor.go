@@ -1,6 +1,9 @@
 package engine
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Vendor identifies the emulated DBMS product of an engine instance. The
 // paper's testbed mixes PostgreSQL, MariaDB, and Hive; XDB treats each as a
@@ -115,9 +118,17 @@ func Profiles(v Vendor) Profile {
 // cpuThrottle charges simulated CPU time for n rows at nsPerRow. It
 // accumulates fractional work and sleeps in coarse slices so that the
 // throttle costs little real scheduling overhead.
+//
+// Every sleep holds cpu, the token of the statement the operator works
+// for (one per QuerySelect execution). A statement models one processor:
+// a join's build goroutine and its probe pipeline run at once, but their
+// modelled work adds up, so concurrency shortens a statement only where it
+// waits on another DBMS — the network, a remote engine's work, a remote
+// vendor's startup latency.
 type cpuThrottle struct {
 	nsPerRow int64
 	pending  int64
+	cpu      *sync.Mutex
 }
 
 // charge adds n rows of work and sleeps when at least one millisecond of
@@ -128,16 +139,16 @@ func (c *cpuThrottle) charge(n int64) {
 	}
 	c.pending += n * c.nsPerRow
 	if c.pending >= int64(time.Millisecond) {
-		d := time.Duration(c.pending)
-		c.pending = 0
-		time.Sleep(d)
+		c.flush()
 	}
 }
 
 // flush sleeps off any remaining accumulated work.
 func (c *cpuThrottle) flush() {
 	if c.pending > 0 {
+		c.cpu.Lock()
 		time.Sleep(time.Duration(c.pending))
+		c.cpu.Unlock()
 		c.pending = 0
 	}
 }
