@@ -13,11 +13,12 @@ vet:
 
 # The transport, connector, delegation and engine layers carry the
 # concurrency-sensitive code (connection pool checkout, calibration,
-# concurrent candidate consultation, the per-node deploy and drop rounds,
-# engines serving concurrent queries over a shared catalog and foreign-table
-# cache); run them under the race detector.
+# concurrent candidate consultation, the per-node metadata, sampling, deploy
+# and drop rounds, engines serving concurrent queries over a shared catalog
+# and foreign-table cache), and the mediator and sclera baselines fan their
+# metadata out over nodes through core; run them under the race detector.
 race:
-	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/engine/...
+	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/engine/... ./internal/mediator/... ./internal/sclera/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed

@@ -19,18 +19,6 @@ import (
 	"xdb/internal/wire"
 )
 
-// Connectors are context-first: every RPC takes the caller's context,
-// which bounds the round trip (tightened by the wire client's configured
-// RequestTimeout) and aborts it on cancellation. A nil context is
-// normalized to context.Background so legacy call sites cannot panic the
-// transport.
-func reqCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // Connector is XDB's handle on one underlying DBMS.
 type Connector struct {
 	// Node is the DBMS's node name — also the annotation the optimizer
@@ -50,9 +38,6 @@ type Connector struct {
 	// recalibrate a recovered node while another query's annotation
 	// consults it.
 	calibration atomic.Uint64
-	// probes counts consulting round trips (EXPLAIN/cost/stats RPCs), for
-	// the Fig. 15 breakdown analysis.
-	probes atomic.Int64
 }
 
 // New creates a connector that issues requests from the given client
@@ -69,13 +54,10 @@ func New(node, addr string, vendor engine.Vendor, client *wire.Client) *Connecto
 	return c
 }
 
-// Probes returns the number of consulting round trips made so far.
-func (c *Connector) Probes() int64 { return c.probes.Load() }
-
 // Transport returns the wire transport counters (dials, reuses, retries,
-// timeouts) of the client this connector issues requests through — the
-// connection-level complement of Probes(). Connectors created from the
-// same client share one transport, so the counters aggregate across them.
+// timeouts) of the client this connector issues requests through.
+// Connectors created from the same client share one transport, so the
+// counters aggregate across them.
 func (c *Connector) Transport() wire.TransportStats { return c.client.Transport() }
 
 // Client exposes the underlying wire client. System.Stats uses its
@@ -83,9 +65,27 @@ func (c *Connector) Transport() wire.TransportStats { return c.client.Transport(
 // connectors that share one client.
 func (c *Connector) Client() *wire.Client { return c.client }
 
-// ResetProbes clears the probe counter (called per query by the breakdown
-// instrumentation).
-func (c *Connector) ResetProbes() { c.probes.Store(0) }
+// Do sends a batch of control-plane requests to the DBMS in one round
+// trip — the one shape every non-streaming request takes — and returns
+// one Reply per request, in order. The error is the round trip's, and then
+// no item's outcome is known. Connectors are context-first: the context
+// bounds the round trip (tightened by the wire client's configured
+// RequestTimeout) and aborts it on cancellation; nil means
+// context.Background.
+func (c *Connector) Do(ctx context.Context, b *wire.Batch) ([]wire.Reply, error) {
+	return c.client.Do(ctx, c.Addr, c.Node, b)
+}
+
+// one sends a batch of one request and returns its reply.
+func (c *Connector) one(ctx context.Context, add func(*wire.Batch)) (wire.Reply, error) {
+	var b wire.Batch
+	add(&b)
+	replies, err := c.Do(ctx, &b)
+	if err != nil {
+		return wire.Reply{}, err
+	}
+	return replies[0], nil
+}
 
 // Calibrate aligns the DBMS's cost units with XDB's common currency by
 // probing the cost of a canonical operator whose true cost XDB defines to
@@ -93,8 +93,11 @@ func (c *Connector) ResetProbes() { c.probes.Store(0) }
 // the paper's footnote 6.
 func (c *Connector) Calibrate(ctx context.Context) error {
 	const canonicalRows = 100000
-	c.probes.Add(1)
-	raw, err := c.client.Cost(ctx, c.Addr, c.Node, engine.CostScan, canonicalRows, 0, 0)
+	r, err := c.one(ctx, func(b *wire.Batch) { b.Cost(engine.CostScan, canonicalRows, 0, 0) })
+	var raw float64
+	if err == nil {
+		raw, err = r.Cost()
+	}
 	if err != nil {
 		return fmt.Errorf("connector %s: calibrate: %w", c.Node, err)
 	}
@@ -108,29 +111,40 @@ func (c *Connector) Calibrate(ctx context.Context) error {
 // Calibration returns the current unit-conversion factor.
 func (c *Connector) Calibration() float64 { return math.Float64frombits(c.calibration.Load()) }
 
-// Exec deploys a DDL statement. DDL is never retried by the transport;
-// the context (or the client's configured RequestTimeout) bounds it.
+// The single-request methods below — Exec, Explain, Stats, CostOperator
+// and DeployView — are batches of one. The middleware and the baselines
+// batch per node (Do, CostOperators, ExecScript); these exist for the
+// benchmark's per-layer probes, which time one round trip of each kind.
+
+// Exec deploys a DDL statement. DDL is never retried by the transport.
 func (c *Connector) Exec(ctx context.Context, ddl string) error {
-	return c.client.Exec(reqCtx(ctx), c.Addr, c.Node, ddl)
+	r, err := c.one(ctx, func(b *wire.Batch) { b.Exec(ddl) })
+	if err != nil {
+		return err
+	}
+	return r.Err()
 }
 
 // Query runs a SELECT and streams results (used by the mediator baselines
 // and the XDB client).
 func (c *Connector) Query(ctx context.Context, sql string) (*engine.Result, error) {
-	return c.client.QueryAll(reqCtx(ctx), c.Addr, c.Node, sql)
+	return c.client.QueryAll(ctx, c.Addr, c.Node, sql)
 }
 
 // QueryStream runs a SELECT and returns the result schema and streaming
 // batch iterator.
 func (c *Connector) QueryStream(ctx context.Context, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
-	return c.client.Query(reqCtx(ctx), c.Addr, c.Node, sql)
+	return c.client.Query(ctx, c.Addr, c.Node, sql)
 }
 
 // Explain fetches calibrated cost and row estimates for a query on the
 // DBMS.
 func (c *Connector) Explain(ctx context.Context, sql string) (cost, rows float64, err error) {
-	c.probes.Add(1)
-	info, err := c.client.Explain(ctx, c.Addr, c.Node, sql)
+	r, err := c.one(ctx, func(b *wire.Batch) { b.Explain(sql) })
+	var info *engine.ExplainInfo
+	if err == nil {
+		info, err = r.Explain()
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("connector %s: explain: %w", c.Node, err)
 	}
@@ -139,34 +153,31 @@ func (c *Connector) Explain(ctx context.Context, sql string) (cost, rows float64
 
 // Stats fetches table statistics.
 func (c *Connector) Stats(ctx context.Context, table string) (*engine.TableStats, error) {
-	c.probes.Add(1)
-	st, err := c.client.Stats(ctx, c.Addr, c.Node, table)
+	r, err := c.one(ctx, func(b *wire.Batch) { b.Stats(table) })
+	var st *engine.TableStats
+	if err == nil {
+		st, err = r.Stats()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("connector %s: stats(%s): %w", c.Node, table, err)
 	}
 	return st, nil
 }
 
-// TableSchema fetches the column schema of a relation on the DBMS.
-func (c *Connector) TableSchema(ctx context.Context, table string) (*sqltypes.Schema, error) {
-	c.probes.Add(1)
-	schema, err := c.client.TableSchema(ctx, c.Addr, c.Node, table)
-	if err != nil {
-		return nil, fmt.Errorf("connector %s: schema(%s): %w", c.Node, table, err)
-	}
-	return schema, nil
-}
-
 // CostOperator consults the DBMS for the calibrated cost of an operator
 // over hypothetical cardinalities — one "consultation roundtrip" of
 // Sec. IV-B2.
 func (c *Connector) CostOperator(ctx context.Context, kind engine.CostKind, left, right, out float64) (float64, error) {
-	c.probes.Add(1)
-	raw, err := c.client.Cost(ctx, c.Addr, c.Node, kind, left, right, out)
+	costs, errs, err := c.CostOperators(ctx, []CostProbe{{Kind: kind, Left: left, Right: right, Out: out}})
 	if err != nil {
-		return 0, fmt.Errorf("connector %s: cost probe: %w", c.Node, err)
+		return 0, err
 	}
-	return raw * c.Calibration(), nil
+	return costs[0], errs[0]
+}
+
+// DeployView creates a view through the vendor dialect.
+func (c *Connector) DeployView(ctx context.Context, name string, query *sqlparser.Select) error {
+	return c.Exec(ctx, c.Dialect.CreateView(name, query))
 }
 
 // CostProbe is one question of a consultation: an operator priced over
@@ -184,8 +195,7 @@ func (c *Connector) CostOperators(ctx context.Context, probes []CostProbe) (cost
 	for _, p := range probes {
 		b.Cost(p.Kind, p.Left, p.Right, p.Out)
 	}
-	c.probes.Add(1)
-	replies, err := c.client.Do(reqCtx(ctx), c.Addr, c.Node, &b)
+	replies, err := c.Do(ctx, &b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("connector %s: cost probes: %w", c.Node, err)
 	}
@@ -210,7 +220,7 @@ func (c *Connector) ExecScript(ctx context.Context, stmts []string) (errs []erro
 	for _, sql := range stmts {
 		b.Exec(sql)
 	}
-	replies, err := c.client.Do(reqCtx(ctx), c.Addr, c.Node, &b)
+	replies, err := c.Do(ctx, &b)
 	if err != nil {
 		return nil, err
 	}
@@ -219,28 +229,4 @@ func (c *Connector) ExecScript(ctx context.Context, stmts []string) (errs []erro
 		errs[i] = r.Err()
 	}
 	return errs, nil
-}
-
-// Sample asks the DBMS to scan at most limit rows of a base table and
-// report the predicate match count plus a statistics sketch over the
-// scanned rows — the bounded-sample refinement probe (a consulting round
-// trip, like CostOperator, so it counts on Probes).
-func (c *Connector) Sample(ctx context.Context, table, alias, filter string, limit int64) (*engine.SampleResult, error) {
-	c.probes.Add(1)
-	res, err := c.client.Sample(reqCtx(ctx), c.Addr, c.Node, table, alias, filter, limit)
-	if err != nil {
-		return nil, fmt.Errorf("connector %s: sample(%s): %w", c.Node, table, err)
-	}
-	return res, nil
-}
-
-// DeployView creates a view through the vendor dialect.
-func (c *Connector) DeployView(ctx context.Context, name string, query *sqlparser.Select) error {
-	return c.Exec(ctx, c.Dialect.CreateView(name, query))
-}
-
-// DeployTableAs materializes a query into a local table (explicit data
-// movement).
-func (c *Connector) DeployTableAs(ctx context.Context, name string, query *sqlparser.Select) error {
-	return c.Exec(ctx, c.Dialect.CreateTableAs(name, query))
 }

@@ -122,6 +122,7 @@ func TestCalibrationPreservesVendorDifferences(t *testing.T) {
 func TestStatsAndSchemaAndExplain(t *testing.T) {
 	e, c := newConnectedEngine(t, engine.VendorPostgres)
 	loadSample(t, e)
+	led := c.Client().Topo.Ledger()
 	st, err := c.Stats(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,13 @@ func TestStatsAndSchemaAndExplain(t *testing.T) {
 	if st.RowCount != 1000 {
 		t.Errorf("rows = %d", st.RowCount)
 	}
-	schema, err := c.TableSchema(context.Background(), "t")
+	var b wire.Batch
+	b.TableSchema("t")
+	replies, err := c.Do(context.Background(), &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := replies[0].TableSchema()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +150,22 @@ func TestStatsAndSchemaAndExplain(t *testing.T) {
 	if cost <= 0 || rows <= 0 {
 		t.Errorf("explain = %v, %v", cost, rows)
 	}
-	if c.Probes() < 3 {
-		t.Errorf("probes = %d", c.Probes())
+	// Each was one request and one response.
+	if out, in := led.FramesBetween("xdb", "dbx"), led.FramesBetween("dbx", "xdb"); out != 3 || in != 3 {
+		t.Errorf("frames out/in = %d/%d, want 3/3", out, in)
 	}
-	c.ResetProbes()
-	if c.Probes() != 0 {
-		t.Error("ResetProbes failed")
+}
+
+// TestNilContext: a nil context means context.Background on every path a
+// connector sends through — the control-plane batch and the result stream.
+func TestNilContext(t *testing.T) {
+	e, c := newConnectedEngine(t, engine.VendorPostgres)
+	loadSample(t, e)
+	if err := c.Exec(nil, "CREATE VIEW nilctx AS SELECT id FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Query(nil, "SELECT COUNT(*) FROM nilctx"); err != nil || res.Rows[0][0].Int() != 1000 {
+		t.Fatalf("Query(nil) = %v, %v", res, err)
 	}
 }
 
@@ -169,7 +186,7 @@ func TestDeployHelpers(t *testing.T) {
 	if res.Rows[0][0].Int() != 10 {
 		t.Errorf("view count = %v", res.Rows[0][0])
 	}
-	if err := c.DeployTableAs(context.Background(), "t2", q); err != nil {
+	if err := c.Exec(context.Background(), c.Dialect.CreateTableAs("t2", q)); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Query(context.Background(), "SELECT COUNT(*) FROM t2")

@@ -38,15 +38,16 @@ func requests(c *wire.Client) int64 {
 }
 
 // TestColdQueryRoundTripBudget counts every request a cold Q8 makes and
-// holds each phase to one round trip per node: a table's metadata is its
-// statistics plus, the first time it is seen, its schema; a Rule-4
-// decision asks each candidate at most once; delegation
-// is one script per node and so is cleanup, and the engines ask each other
-// for rows only — never for statistics. The counts are exact (the ledger
-// sees one frame per request), so a round trip added anywhere fails here
-// however noisy the box. Before the control plane was batched this query
-// made 77 middleware requests and its engines 24 of each other (18 of them
-// for statistics); now 31 and 6.
+// holds each phase to one round trip per node: metadata is one batch per
+// node holding its tables' statistics plus, the first time a table is
+// seen, its schema; a Rule-4 decision asks each candidate at most once;
+// delegation is one script per node and so is cleanup, and the engines ask
+// each other for rows only — never for statistics. The counts are exact
+// (the ledger sees one frame per request), so a round trip added anywhere
+// fails here however noisy the box. Before the control plane was batched
+// this query made 77 middleware requests and its engines 24 of each other
+// (18 of them for statistics); batching consultation, deploy and drop made
+// that 31 and 6, and batching metadata per node 24 and 6.
 func TestColdQueryRoundTripBudget(t *testing.T) {
 	cl := newTPCHCluster(t, Options{Trace: true})
 	if _, err := cl.sys.Query(tpch.Queries["Q3"]); err != nil {
@@ -62,8 +63,8 @@ func TestColdQueryRoundTripBudget(t *testing.T) {
 		}
 		return toNode, requests(cl.clients["mw"]), engines
 	}
-	// What the query owes each node: for its metadata, from the catalog as
-	// the query finds it ...
+	// What the query owes each node: one metadata batch to every node
+	// holding a table it reads ...
 	want := map[string]int64{}
 	sel, err := sqlparser.ParseSelect(tpch.Queries["Q8"])
 	if err != nil {
@@ -77,10 +78,7 @@ func TestColdQueryRoundTripBudget(t *testing.T) {
 		}
 		seen[name] = true
 		info, _ := cl.sys.Catalog().Lookup(name)
-		want[info.Node]++ // statistics
-		if info.Schema == nil {
-			want[info.Node]++
-		}
+		want[info.Node] = 1
 	}
 
 	nodeBefore, mwBefore, engBefore := sent()
@@ -128,8 +126,8 @@ func TestColdQueryRoundTripBudget(t *testing.T) {
 	if decisions < 3 || res.Breakdown.ConsultRounds <= 2*decisions {
 		t.Errorf("%d Rule-4 decisions, %d probes: the query does not exercise consultation batching", decisions, res.Breakdown.ConsultRounds)
 	}
-	if total > 35 {
-		t.Errorf("%d middleware requests for a cold Q8, budget 35", total)
+	if total != 24 {
+		t.Errorf("%d middleware requests for a cold Q8, want 24 (db1 5, db2 7, db3 7, db4 5)", total)
 	}
 	t.Logf("cold Q8: %d middleware requests (%d decisions, %d probes, %d DDLs); per node %v", total, decisions, res.Breakdown.ConsultRounds, res.Breakdown.DDLCount, want)
 

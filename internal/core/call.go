@@ -150,10 +150,15 @@ func itemErrs(err error, errs []error, n int) []error {
 // outcome. With gated set, a node whose breaker is open is sent nothing
 // and its items fail with NodeUnavailableError.
 func (s *System) dropItems(items []cleanupItem, gated bool) []error {
-	nodes, byNode := groupByNode(len(items), func(i int) string { return items[i].node })
+	idx := make([]int, len(items))
+	for i := range idx {
+		idx[i] = i
+	}
+	groups := groupByNode(idx, func(i int) string { return items[i].node })
 	out := make([]error, len(items))
-	fanOutFirstErr(context.Background(), len(nodes), s.opts.serial, func(_ context.Context, n int) error {
-		node, idx := nodes[n], byNode[nodes[n]]
+	fanOutFirstErr(context.Background(), len(groups), s.opts.serial, func(_ context.Context, n int) error {
+		idx := groups[n]
+		node := items[idx[0]].node
 		var errs []error
 		var err error
 		if gated {
@@ -174,20 +179,25 @@ func (s *System) dropItems(items []cleanupItem, gated bool) []error {
 	return out
 }
 
-// groupByNode splits the items 0..n-1 by the node each belongs to: the
-// nodes in sorted order, and each node's item indexes in item order — the
-// shape of a round that sends one script per node.
-func groupByNode(n int, node func(i int) string) (nodes []string, byNode map[string][]int) {
-	byNode = map[string][]int{}
-	for i := 0; i < n; i++ {
-		name := node(i)
+// groupByNode splits items by the node each belongs to: one group per
+// node, the nodes in sorted order, each group's items in item order — the
+// shape of a round that sends one batch per node.
+func groupByNode[T any](items []T, node func(T) string) [][]T {
+	byNode := map[string][]T{}
+	var nodes []string
+	for _, it := range items {
+		name := node(it)
 		if _, ok := byNode[name]; !ok {
 			nodes = append(nodes, name)
 		}
-		byNode[name] = append(byNode[name], i)
+		byNode[name] = append(byNode[name], it)
 	}
 	sort.Strings(nodes)
-	return nodes, byNode
+	groups := make([][]T, len(nodes))
+	for i, name := range nodes {
+		groups[i] = byNode[name]
+	}
+	return groups
 }
 
 // cleanupCtx returns the context bounding one drop script: CleanupTimeout,

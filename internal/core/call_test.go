@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,8 +255,7 @@ func TestNoConnectorEveryEntryPoint(t *testing.T) {
 			return err
 		},
 		"sample": func() error {
-			_, err := sys.SampleRelation(ctx, "ghost", "t", "t", "", 10)
-			return err
+			return sys.sampleNode(ctx, "ghost", []*Scan{{Table: "t", Alias: "t"}}, 10)
 		},
 		"deploy": func() error {
 			_, err := sys.deployReusing(ctx, plan, nextQID(), nil)
@@ -357,5 +357,66 @@ func TestSerialDelegationOrder(t *testing.T) {
 	})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("DDL order under serial:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNodeMetadataOutcomePerTable: a node holding two tables of a query
+// gets one metadata batch, and each table's outcome is its own. v is a
+// view whose base table is dropped after registration, so its schema item
+// succeeds and its stats item fails: the query fails with v's error, yet
+// t's entry and v's schema are published, and the next query's batch to
+// the node carries only what is still missing — v's statistics.
+func TestNodeMetadataOutcomePerTable(t *testing.T) {
+	cl := newCluster(t, Options{}, "db1")
+	cl.sys.CacheStats = true
+	eng := cl.engines["db1"]
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+	for _, table := range []string{"t", "base"} {
+		if err := eng.LoadTable(table, schema, []sqltypes.Row{{sqltypes.NewInt(1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Exec("CREATE VIEW v AS SELECT a FROM base"); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"t", "v"} {
+		if err := cl.sys.RegisterTable(table, "db1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Exec("DROP TABLE base"); err != nil {
+		t.Fatal(err)
+	}
+	const query = "SELECT t.a FROM t, v WHERE t.a = v.a"
+	led := cl.topo.Ledger()
+	frames := func() int64 { return led.FramesBetween("xdb", "db1") }
+	bytes := func() int64 { return led.Between("xdb", "db1") }
+
+	if _, err := cl.sys.Query(query); err == nil || !strings.Contains(err.Error(), "metadata of v") {
+		t.Fatalf("query over a view that cannot report statistics: err = %v, want v's error", err)
+	}
+	if info, _ := cl.sys.Catalog().Lookup("t"); info.Schema == nil || info.Stats == nil {
+		t.Errorf("sibling t not published in full: %+v", info)
+	}
+	if info, _ := cl.sys.Catalog().Lookup("v"); info.Schema == nil || info.Stats != nil {
+		t.Errorf("v = %+v, want its schema published and no statistics", info)
+	}
+
+	// What a batch of v's statistics alone puts on the wire.
+	conn, _ := cl.sys.Connector("db1")
+	var only wire.Batch
+	only.Stats("v")
+	f0, b0 := frames(), bytes()
+	if _, err := conn.Do(context.Background(), &only); err != nil {
+		t.Fatal(err)
+	}
+	wantFrames, wantBytes := frames()-f0, bytes()-b0
+
+	f0, b0 = frames(), bytes()
+	if _, err := cl.sys.Query(query); err == nil || !strings.Contains(err.Error(), "metadata of v") {
+		t.Fatalf("second query: err = %v, want v's error", err)
+	}
+	if f, b := frames()-f0, bytes()-b0; f != wantFrames || b != wantBytes {
+		t.Errorf("second query sent db1 %d frames of %d bytes, want one batch of v's statistics (%d frames, %d bytes)", f, b, wantFrames, wantBytes)
 	}
 }

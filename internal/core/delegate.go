@@ -195,14 +195,10 @@ func startDDLSpan(ctx context.Context, st *deployStmt) func(error) {
 // orphan — so the round always runs to its end, and the error returned is
 // the first failing node's.
 func (s *System) deployScripts(ctx context.Context, run *deployRun) error {
-	nodes, byNode := groupByNode(len(run.stmts), func(i int) string { return run.stmts[i].node })
-	errs := make([]error, len(nodes))
-	fanOutFirstErr(ctx, len(nodes), s.opts.serial, func(fctx context.Context, n int) error {
-		stmts := make([]*deployStmt, len(byNode[nodes[n]]))
-		for k, i := range byNode[nodes[n]] {
-			stmts[k] = run.stmts[i]
-		}
-		errs[n] = s.deployScript(fctx, run.dep, nodes[n], stmts)
+	groups := groupByNode(run.stmts, func(st *deployStmt) string { return st.node })
+	errs := make([]error, len(groups))
+	fanOutFirstErr(ctx, len(groups), s.opts.serial, func(fctx context.Context, n int) error {
+		errs[n] = s.deployScript(fctx, run.dep, groups[n][0].node, groups[n])
 		return nil
 	})
 	for _, err := range errs {

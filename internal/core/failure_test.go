@@ -143,7 +143,7 @@ func TestConcurrentXDBQueries(t *testing.T) {
 }
 
 func TestStatsCacheReducesPrepProbes(t *testing.T) {
-	tb, err := testbed.NewTPCH("TD1", 0.001, testbed.Config{DefaultVendor: engine.VendorTest})
+	tb, err := testbed.NewTPCH("TD1", 0.001, testbed.Config{DefaultVendor: engine.VendorTest, Options: core.Options{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestStatsCacheReducesPrepProbes(t *testing.T) {
 	if _, err := tb.System.Query(tpch.Queries["Q3"]); err != nil {
 		t.Fatal(err)
 	}
-	// Second run: stats come from the cache, so the only probes are the
-	// annotation's cost consulting.
-	conn, _ := tb.System.Connector("db2")
-	conn.ResetProbes()
+	// Second run: stats come from the cache, so the only requests are the
+	// annotation's cost consulting and the query's deploy and drop scripts.
+	led := tb.Topo.Ledger()
+	before := led.FramesBetween(testbed.MiddlewareNode, "db2")
 	res, err := tb.System.Query(tpch.Queries["Q3"])
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +165,13 @@ func TestStatsCacheReducesPrepProbes(t *testing.T) {
 	if bd.ConsultRounds == 0 {
 		t.Error("no consulting at all")
 	}
-	// db2 should see only cost probes now (no stats/schema fetches):
-	// with Q3's single cross-database join that is a handful.
-	if got := conn.Probes(); got > int64(bd.ConsultRounds) {
-		t.Errorf("db2 probes = %d > consult rounds %d — stats cache ineffective", got, bd.ConsultRounds)
+	if sp := res.Trace.Find("metadata"); sp != nil {
+		t.Errorf("a fully cached catalog still fetched metadata: %v", sp)
+	}
+	// db2 should see only cost probes now (no stats/schema fetches): with
+	// Q3's single cross-database join that is a handful.
+	if got := led.FramesBetween(testbed.MiddlewareNode, "db2") - before; got > int64(bd.ConsultRounds)+2 {
+		t.Errorf("db2 served %d requests > %d consult rounds + deploy + drop — stats cache ineffective", got, bd.ConsultRounds)
 	}
 }
 

@@ -125,7 +125,7 @@ func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan 
 // statsOverride corrects one table's statistics with an observed row
 // count. base is the stale snapshot the correction was derived against;
 // as long as the node keeps reporting exactly base, metadata refreshes
-// substitute corrected (see fetchTableMetadata). The moment the node
+// substitute corrected (see freshStats). The moment the node
 // reports anything else, the table genuinely changed and the override
 // is dropped in favour of the fresh truth.
 type statsOverride struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/obs"
+	"xdb/internal/wire"
 )
 
 // Proactive sampling-based estimate refinement: the optimistic half of the
@@ -38,10 +40,11 @@ import (
 //	    truth costs no more than the estimate it verifies, and a
 //	    deflated report is discovered rather than believed.
 //
-// Probes are control-plane calls like consultations (call.go), fanned out
-// concurrently; an open breaker skips the probe — it never fires against a
-// node that cannot answer — and any fault degrades to the plain estimate.
-// Sampling never fails a query.
+// Probes are control-plane calls like consultations (call.go): one batch
+// per node, the nodes at once; an open breaker skips the node's probes —
+// they never fire against a node that cannot answer — and any fault
+// degrades the probe it hit to the plain estimate. Sampling never fails a
+// query.
 
 // DefaultSampleTrigger is the shipping-volume ratio under which a
 // movement decision counts as ambiguous (trigger c) when
@@ -56,27 +59,18 @@ func (s *System) sampleTrigger() float64 {
 	return DefaultSampleTrigger
 }
 
-// SampleRelation issues one bounded-sample probe against a relation's
-// home DBMS: a call taking one unit of the node's budget, like any
-// consultation.
-func (s *System) SampleRelation(ctx context.Context, node, table, alias, filter string, limit int64) (res *engine.SampleResult, err error) {
-	err = s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-		res, err = c.Sample(rctx, table, alias, filter, limit)
-		return err
-	})
-	return res, err
-}
-
 // sampleRefine runs the sampling pre-pass over the query's scans and
 // returns the number of probes considered (including skipped and failed
 // ones — the Breakdown counts decisions, the metrics split outcomes).
 // It mutates the triggered scans' estimates and statistics in place, so
-// join ordering and annotation both see the refined cardinalities.
+// join ordering and annotation both see the refined cardinalities. Each
+// node gets one batch of probes, the nodes at once.
 func (s *System) sampleRefine(ctx context.Context, scans []*Scan) int {
 	limit := int64(s.opts.SampleLimit)
 	cands := s.sampleCandidates(scans, limit)
-	fanOutFirstErr(ctx, len(cands), s.opts.serial, func(fctx context.Context, i int) error {
-		s.sampleScan(fctx, cands[i], limit)
+	groups := groupByNode(cands, func(sc *Scan) string { return sc.Node })
+	fanOutFirstErr(ctx, len(groups), s.opts.serial, func(fctx context.Context, n int) error {
+		s.sampleNode(fctx, groups[n][0].Node, groups[n], limit)
 		return nil
 	})
 	return len(cands)
@@ -142,54 +136,77 @@ func (s *System) hasStatsOverride(table string) bool {
 	return ok
 }
 
-// sampleScan issues one probe and applies its result. An exhausted probe
-// saw the whole relation, so its counts and sketch are exact: the scan
-// adopts them outright and the correction is fed to the cross-query
-// statistics loop. A truncated probe only ever *raises* the estimate to
-// the observed match count — the unscanned remainder is unknown, and a
-// lower bound must never argue an estimate down.
-func (s *System) sampleScan(ctx context.Context, sc *Scan, limit int64) {
-	sp := obs.SpanFrom(ctx).Child("sample")
-	sp.Set("node", sc.Node)
-	sp.Set("table", sc.Table)
-	if !s.health.healthy(sc.Node) {
-		met.sampleProbes.With("skipped_breaker").Inc()
-		sp.Set("outcome", "skipped_breaker")
-		sp.Finish()
-		return
+// sampleNode probes one node's scans with one batch — a call taking one
+// unit of the node's budget, like any consultation — and applies each
+// result to its own scan; a failed probe degrades only its own scan to the
+// plain estimate. An exhausted probe saw the whole relation, so its counts
+// and sketch are exact: the scan adopts them outright and the correction
+// is fed to the cross-query statistics loop. A truncated probe only ever
+// *raises* the estimate to the observed match count — the unscanned
+// remainder is unknown, and a lower bound must never argue an estimate
+// down. The error is the call's.
+func (s *System) sampleNode(ctx context.Context, node string, scans []*Scan, limit int64) error {
+	var b wire.Batch
+	spans := make([]*obs.Span, len(scans))
+	for i, sc := range scans {
+		filter := ""
+		if sc.Filter != nil {
+			filter = sc.Filter.String()
+		}
+		b.Sample(sc.Table, sc.Alias, filter, limit)
+		spans[i] = obs.SpanFrom(ctx).Child("sample")
+		spans[i].Set("node", node)
+		spans[i].Set("table", sc.Table)
 	}
-	filter := ""
-	if sc.Filter != nil {
-		filter = sc.Filter.String()
+	finish := func(i int, outcome string) {
+		met.sampleProbes.With(outcome).Inc()
+		spans[i].Set("outcome", outcome)
+		spans[i].Finish()
 	}
+	if !s.health.healthy(node) {
+		for i := range scans {
+			finish(i, "skipped_breaker")
+		}
+		return nil
+	}
+	results, errs := make([]*engine.SampleResult, len(scans)), make([]error, len(scans))
 	start := time.Now()
-	res, err := s.SampleRelation(ctx, sc.Node, sc.Table, sc.Alias, filter, limit)
+	err := s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) error {
+		replies, err := c.Do(rctx, &b)
+		if err != nil {
+			return err
+		}
+		for i, r := range replies {
+			results[i], errs[i] = r.Sample()
+		}
+		return firstErr(nil, errs)
+	})
 	observeSeconds(met.sampleDur, time.Since(start))
-	if err != nil {
-		met.sampleProbes.With("degraded_error").Inc()
-		sp.Set("outcome", "degraded_error")
-		sp.SetErr(err)
-		sp.Finish()
-		return
-	}
-	sp.Set("scanned", strconv.FormatInt(res.Scanned, 10))
-	sp.Set("matched", strconv.FormatInt(res.Matched, 10))
-	outcome := "agreed"
-	if res.Exhausted {
-		exact := math.Max(float64(res.Matched), 1)
-		if sc.est != exact || !statsEqual(sc.Stats, res.Stats) {
+	for i, sc := range scans {
+		res := results[i]
+		if res == nil { // the probe failed, or the round trip did
+			spans[i].SetErr(cmp.Or(errs[i], err))
+			finish(i, "degraded_error")
+			continue
+		}
+		spans[i].Set("scanned", strconv.FormatInt(res.Scanned, 10))
+		spans[i].Set("matched", strconv.FormatInt(res.Matched, 10))
+		outcome := "agreed"
+		if res.Exhausted {
+			exact := math.Max(float64(res.Matched), 1)
+			if sc.est != exact || !statsEqual(sc.Stats, res.Stats) {
+				outcome = "sampled"
+			}
+			sc.Stats = res.Stats
+			sc.est = exact
+			sc.width = estimateWidth(sc)
+			s.learnStats(sc.Table, res.Stats)
+		} else if lb := float64(res.Matched); lb > sc.est {
+			// At least lb rows match among the first Scanned alone.
+			sc.est = lb
 			outcome = "sampled"
 		}
-		sc.Stats = res.Stats
-		sc.est = exact
-		sc.width = estimateWidth(sc)
-		s.learnStats(sc.Table, res.Stats)
-	} else if lb := float64(res.Matched); lb > sc.est {
-		// At least lb rows match among the first Scanned alone.
-		sc.est = lb
-		outcome = "sampled"
+		finish(i, outcome)
 	}
-	met.sampleProbes.With(outcome).Inc()
-	sp.Set("outcome", outcome)
-	sp.Finish()
+	return err
 }

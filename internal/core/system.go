@@ -62,15 +62,14 @@ type System struct {
 	metricsLn  net.Listener
 	metricsSrv *http.Server
 
-	calibrated bool
-	calMu      sync.Mutex
+	calMu sync.Mutex
 	// calNodes remembers which connectors calibrated successfully, so a
 	// node that was down during the first calibration pass is retried
 	// once it recovers.
 	calNodes map[string]bool
 	// statsFeedback holds per-table cardinality corrections learned from
 	// barriers, finished pulls, and sample probes (see learnStats);
-	// fetchTableMetadata substitutes a correction for the stale snapshot it
+	// freshStats substitutes a correction for the stale snapshot it
 	// was derived against until the source reports genuinely new
 	// statistics.
 	statsFeedback sync.Map // table name -> *statsOverride
@@ -405,24 +404,13 @@ func (s *System) LinkFactor(from, to string) float64 {
 func (s *System) calibrate(ctx context.Context) {
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
-	if s.calibrated {
-		return
-	}
-	allOK := true
 	for name := range s.connectors {
-		if s.calNodes[name] {
-			continue
+		if !s.calNodes[name] {
+			s.calNodes[name] = s.call(ctx, name, 1, func(rctx context.Context, c *connector.Connector) error {
+				return c.Calibrate(rctx)
+			}) == nil
 		}
-		err := s.call(ctx, name, 1, func(rctx context.Context, c *connector.Connector) error {
-			return c.Calibrate(rctx)
-		})
-		if err != nil {
-			allOK = false
-			continue
-		}
-		s.calNodes[name] = true
 	}
-	s.calibrated = allOK
 }
 
 // Plan is PlanContext with a background context, kept so existing
@@ -523,69 +511,38 @@ func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (b *bui
 
 // gatherMetadata fetches schema and statistics for every referenced table,
 // republishing catalog entries immutably so concurrent queries never
-// observe a half-updated entry. Tables on different nodes fetch in
-// parallel (the per-node semaphores still bound what any single DBMS
-// sees); the first failure cancels the rest of the fan-out.
+// observe a half-updated entry. Each node gets one metadata batch under
+// one call — the tables' home must answer, a query referencing them cannot
+// degrade around the node that holds their rows — and the nodes fetch at
+// once; the first failure cancels the rest of the fan-out.
 func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) error {
-	seen := map[string]bool{}
-	var work []*TableInfo
-	for _, ref := range sel.From {
-		key := strings.ToLower(ref.Name)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		info, ok := s.catalog.Lookup(ref.Name)
-		if !ok {
-			return fmt.Errorf("core: unknown table %q in global catalog", ref.Name)
-		}
-		if s.CacheStats && info.Schema != nil && info.Stats != nil {
-			continue // fully cached entry
-		}
-		work = append(work, info)
+	work, err := metadataWork(s.catalog, sel, s.CacheStats)
+	if err != nil {
+		return err
 	}
-	return fanOutFirstErr(ctx, len(work), s.opts.serial, func(fctx context.Context, i int) error {
-		return s.fetchTableMetadata(fctx, work[i])
+	return fanOutFirstErr(ctx, len(work), s.opts.serial, func(fctx context.Context, n int) (err error) {
+		infos := work[n]
+		mdSpan := obs.SpanFrom(fctx).Child("metadata")
+		mdSpan.Set("node", infos[0].Node)
+		mdSpan.Set("tables", strconv.Itoa(len(infos)))
+		defer func() {
+			mdSpan.SetErr(err)
+			mdSpan.Finish()
+		}()
+		return s.call(fctx, infos[0].Node, 1, func(rctx context.Context, c *connector.Connector) error {
+			return fetchMetadata(rctx, c, s.catalog, infos, s.freshStats)
+		})
 	})
 }
 
-// fetchTableMetadata fetches one table's missing schema and statistics —
-// one call each; the table's home must answer, a query referencing it
-// cannot degrade around the node that holds its rows — and republishes
-// its catalog entry. A stats-RPC failure still publishes the schema
-// fetched before it, so the next attempt resumes from the partial entry
-// instead of paying the schema round trip again.
-func (s *System) fetchTableMetadata(ctx context.Context, info *TableInfo) (err error) {
-	mdSpan := obs.SpanFrom(ctx).Child("metadata")
-	mdSpan.Set("table", info.Name)
-	mdSpan.Set("node", info.Node)
-	defer func() {
-		mdSpan.SetErr(err)
-		mdSpan.Finish()
-	}()
-	updated := &TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: info.Stats}
-	if updated.Schema == nil {
-		err := s.call(ctx, info.Node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-			updated.Schema, err = c.TableSchema(rctx, info.Name)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	var st *engine.TableStats
-	err = s.call(ctx, info.Node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-		st, err = c.Stats(rctx, info.Name)
-		return err
-	})
-	if err != nil {
-		s.catalog.Put(updated) // keep the schema: partial beats absent
-		return err
-	}
-	// A learned correction (learnStats) keeps standing in for the stale
-	// snapshot it was derived against for as long as the node reports
-	// exactly that snapshot. If the node reports anything else, the table
-	// genuinely changed and the override is dropped.
+// freshStats vets a table's freshly fetched statistics before they are
+// published. A learned correction (learnStats) keeps standing in for the
+// stale snapshot it was derived against for as long as the node reports
+// exactly that snapshot; if the node reports anything else, the table
+// genuinely changed and the override is dropped. A refresh that actually
+// changed the table's statistics invalidates what was consulted and
+// planned against the old ones.
+func (s *System) freshStats(info *TableInfo, st *engine.TableStats) *engine.TableStats {
 	key := strings.ToLower(info.Name)
 	if ov, ok := s.statsFeedback.Load(key); ok {
 		o := ov.(*statsOverride)
@@ -595,14 +552,10 @@ func (s *System) fetchTableMetadata(ctx context.Context, info *TableInfo) (err e
 			s.statsFeedback.Delete(key)
 		}
 	}
-	// A refresh that actually changed the table's statistics invalidates
-	// what was consulted and planned against the old ones.
 	if info.Stats != nil && !statsEqual(info.Stats, st) {
 		s.invalidateNode(info.Node)
 	}
-	updated.Stats = st
-	s.catalog.Put(updated)
-	return nil
+	return st
 }
 
 // statsEqual reports whether a freshly fetched statistics snapshot

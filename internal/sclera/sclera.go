@@ -118,9 +118,9 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 		conn := s.cfg.Connectors[node]
 		cleanup = append(cleanup, func() {
 			if kind == "VIEW" {
-				conn.Exec(context.Background(), conn.Dialect.DropView(name))
+				exec(conn, conn.Dialect.DropView(name))
 			} else {
-				conn.Exec(context.Background(), conn.Dialect.DropTable(name))
+				exec(conn, conn.Dialect.DropTable(name))
 			}
 		})
 	}
@@ -245,7 +245,7 @@ func (s *Sclera) scanView(sc *core.Scan, qid int64, idx int, drop func(node, kin
 	}
 	conn := s.cfg.Connectors[sc.Node]
 	name := fmt.Sprintf("sclera%d_s%d", qid, idx)
-	if err := conn.DeployView(context.Background(), name, sel); err != nil {
+	if err := exec(conn, conn.Dialect.CreateView(name, sel)); err != nil {
 		return nil, err
 	}
 	drop(sc.Node, "VIEW", name)
@@ -280,7 +280,7 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 	for i, gid := range from.cols {
 		defs = append(defs, fmt.Sprintf("%s %s", core.MangleCol(gid), schema.Columns[i].Type))
 	}
-	if err := dstConn.Exec(context.Background(), fmt.Sprintf("CREATE TABLE %s (%s)", name, strings.Join(defs, ", "))); err != nil {
+	if err := exec(dstConn, fmt.Sprintf("CREATE TABLE %s (%s)", name, strings.Join(defs, ", "))); err != nil {
 		return nil, 0, err
 	}
 	drop(toNode, "TABLE", name)
@@ -305,7 +305,7 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 			}
 			b.WriteByte(')')
 		}
-		if err := dstConn.Exec(context.Background(), b.String()); err != nil {
+		if err := exec(dstConn, b.String()); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -346,7 +346,7 @@ func (s *Sclera) joinStep(l, r *step, conjs []sqlparser.Expr, colTypes map[strin
 
 	conn := s.cfg.Connectors[l.node]
 	name := fmt.Sprintf("sclera%d_j%d", qid, idx)
-	if err := conn.DeployTableAs(context.Background(), name, sel); err != nil {
+	if err := exec(conn, conn.Dialect.CreateTableAs(name, sel)); err != nil {
 		return nil, err
 	}
 	drop(l.node, "TABLE", name)
@@ -417,11 +417,21 @@ func (s *Sclera) finalBlock(a *core.Analysis, cur *step, qid int64, drop func(no
 
 	conn := s.cfg.Connectors[cur.node]
 	name := fmt.Sprintf("sclera%d_final", qid)
-	if err := conn.DeployView(context.Background(), name, sel); err != nil {
+	if err := exec(conn, conn.Dialect.CreateView(name, sel)); err != nil {
 		return nil, err
 	}
 	drop(cur.node, "VIEW", name)
 	return s.client.QueryAll(context.Background(), conn.Addr, cur.node, "SELECT * FROM "+name)
+}
+
+// exec runs one statement on a DBMS: a script of one, the connector's
+// control-plane request shape.
+func exec(conn *connector.Connector, sql string) error {
+	errs, err := conn.ExecScript(context.Background(), []string{sql})
+	if err != nil {
+		return err
+	}
+	return errs[0]
 }
 
 func rewriteRefs(e sqlparser.Expr, resolve map[string][2]string) (sqlparser.Expr, error) {

@@ -178,3 +178,45 @@ func TestForeignTablePlansWithoutItsProducer(t *testing.T) {
 		t.Error("scanning a foreign table of an unreachable server succeeded")
 	}
 }
+
+// TestTopLevelTakesOnlyQueryAndBatch: a request type other than a query or
+// a batch, sent as a frame of its own, is refused with an error frame —
+// and the connection stays usable: the batch after it on the same
+// connection is answered, and inside it the same request type is served.
+func TestTopLevelTakesOnlyQueryAndBatch(t *testing.T) {
+	e, s := newServedEngine(t, "db1", engine.VendorTest)
+	loadNumbers(t, e, "t", 10)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, typ := range []byte{msgExec, msgExplain, msgStats, msgCost, msgTblSch, msgSample, msgOK, 99} {
+		if _, err := writeFrame(conn, typ, []byte("t")); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, resp, _, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("type %d: the connection broke: %v", typ, err)
+		}
+		if rtyp != msgError || !strings.Contains(string(resp), "must ride in a batch") {
+			t.Errorf("type %d at top level answered %d %q, want it refused", typ, rtyp, resp)
+		}
+	}
+	var b Batch
+	b.Stats("t")
+	if _, err := writeFrame(conn, msgBatch, appendBatch(nil, b.items)); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, resp, _, err := readFrame(conn)
+	if err != nil || rtyp != msgBatchRes {
+		t.Fatalf("batch after the refusals: %d, %v", rtyp, err)
+	}
+	items, err := decodeBatch(resp)
+	if err != nil || len(items) != 1 {
+		t.Fatalf("batch response: %d items, %v", len(items), err)
+	}
+	if st, err := (Reply{node: "db1", typ: items[0].typ, payload: items[0].payload}).Stats(); err != nil || st.RowCount != 10 {
+		t.Errorf("Stats inside the batch = %+v, %v", st, err)
+	}
+}

@@ -22,9 +22,9 @@ import (
 // Connections are pooled per target address (bounded, with idle reaping
 // and broken-connection eviction), so a client amortizes its dials across
 // the consult/delegate/cleanup rounds. Requests carry deadlines (from
-// the context or the configured RequestTimeout), and idempotent probe RPCs
-// are retried with exponential backoff; DDL/DML — and a Batch holding any —
-// never is. One Client is safe for concurrent use.
+// the context or the configured RequestTimeout), and a Batch of idempotent
+// probes is retried with exponential backoff; a Batch holding DDL/DML never
+// is. One Client is safe for concurrent use.
 type Client struct {
 	// FromNode is the node the caller runs on (a DBMS node for FDW
 	// traffic, the middleware node for XDB/mediator control traffic).
@@ -173,8 +173,8 @@ func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType b
 				return nil, 0, nil, deadlineErr(toNode, err)
 			}
 			lastErr = fmt.Errorf("wire: response from %s: %w", toNode, err)
-			// Once the request was written, only idempotent RPCs may
-			// retry: an Exec might already have executed server-side.
+			// Once the request was written, only idempotent requests
+			// may retry: an Exec might already have run server-side.
 			if idempotent {
 				if reused && !staleRedial {
 					staleRedial = true
@@ -196,26 +196,9 @@ func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType b
 	}
 }
 
-// roundTrip sends one request and reads one response frame, releasing the
-// connection back to the pool. The connection is positioned at the next
-// request even when the server answered with an error frame, so it is
-// pooled either way.
-func (c *Client) roundTrip(ctx context.Context, addr, toNode string, reqType byte, payload []byte, idempotent bool) (Reply, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	conn, typ, resp, err := c.sendRequest(ctx, addr, toNode, reqType, payload, idempotent)
-	if err != nil {
-		return Reply{}, err
-	}
-	c.putConn(addr, conn)
-	return Reply{node: toNode, typ: typ, payload: resp}, nil
-}
-
-// Reply is the server's response frame to one non-streaming request — sent
-// alone, or as an item of a Batch. Each accessor decodes the response of
-// the request it is named after and returns the remote's error when the
-// server answered with an error frame instead.
+// Reply is the server's response to one item of a Batch. Each accessor
+// decodes the response of the request it is named after and returns the
+// remote's error when the server answered with an error frame instead.
 type Reply struct {
 	node    string
 	typ     byte
@@ -280,11 +263,12 @@ func (r Reply) Sample() (*engine.SampleResult, error) {
 }
 
 // Batch is an ordered list of non-streaming requests that travels as one
-// frame and is answered by one: a round trip for the lot. The server runs
+// frame and is answered by one: a round trip for the lot. It is the only
+// shape a control-plane request takes — one item or many. The server runs
 // every item in order, whatever the items before it returned, and Replies
-// come back in the same order. A batch holding an Exec is, like Exec
-// itself, never retried; any other batch retries like the idempotent reads
-// it is made of.
+// come back in the same order. A batch holding an Exec is never retried
+// once delivered (its statements may have run); any other batch retries
+// like the idempotent reads it is made of.
 type Batch struct {
 	items   []batchItem
 	mutates bool
@@ -324,16 +308,23 @@ func (b *Batch) Sample(table, alias, filter string, limit int64) {
 
 // Do sends the batch and returns one Reply per request, in order. The
 // error is the round trip's: then no item's outcome is known — any of an
-// Exec batch's statements may or may not have run.
+// Exec batch's statements may or may not have run. A nil context means
+// context.Background.
 func (c *Client) Do(ctx context.Context, addr, toNode string, b *Batch) ([]Reply, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgBatch, appendBatch(nil, b.items), !b.mutates)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	conn, typ, resp, err := c.sendRequest(ctx, addr, toNode, msgBatch, appendBatch(nil, b.items), !b.mutates)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.expect(msgBatchRes, "Batch"); err != nil {
+	// The connection is positioned at the next request even when the
+	// server answered with an error frame, so it is pooled either way.
+	c.putConn(addr, conn)
+	if err := (Reply{node: toNode, typ: typ, payload: resp}).expect(msgBatchRes, "Batch"); err != nil {
 		return nil, err
 	}
-	items, err := decodeBatch(r.payload)
+	items, err := decodeBatch(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -347,63 +338,18 @@ func (c *Client) Do(ctx context.Context, addr, toNode string, b *Batch) ([]Reply
 	return replies, nil
 }
 
-// Exec runs a DDL/DML statement remotely. It is never retried.
-func (c *Client) Exec(ctx context.Context, addr, toNode, sql string) error {
-	r, err := c.roundTrip(ctx, addr, toNode, msgExec, []byte(sql), false)
-	if err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-// Explain fetches the remote engine's cost/row estimates for a query.
-func (c *Client) Explain(ctx context.Context, addr, toNode, sql string) (*engine.ExplainInfo, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgExplain, []byte(sql), true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Explain()
-}
-
-// Stats fetches table statistics from a remote engine.
-func (c *Client) Stats(ctx context.Context, addr, toNode, table string) (*engine.TableStats, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgStats, []byte(table), true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Stats()
-}
-
-// TableSchema fetches the column schema of a remote relation.
-func (c *Client) TableSchema(ctx context.Context, addr, toNode, table string) (*sqltypes.Schema, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgTblSch, []byte(table), true)
-	if err != nil {
-		return nil, err
-	}
-	return r.TableSchema()
-}
-
 // Cost asks the remote engine to price an operator over hypothetical
-// cardinalities, in the remote's own cost units (the consulting probe of
-// Sec. IV-B2).
+// cardinalities, in the remote's own cost units: a batch of one Cost item.
+// It exists for the benchmark's transport probe, which times a single
+// control-plane round trip; the middleware batches its probes.
 func (c *Client) Cost(ctx context.Context, addr, toNode string, kind engine.CostKind, left, right, out float64) (float64, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgCost, encodeCostProbe(kind, left, right, out), true)
+	var b Batch
+	b.Cost(kind, left, right, out)
+	replies, err := c.Do(ctx, addr, toNode, &b)
 	if err != nil {
 		return 0, err
 	}
-	return r.Cost()
-}
-
-// Sample asks the remote engine to scan at most limit rows of a base
-// table and report the predicate match count plus a statistics sketch
-// over the scanned rows — the bounded-sample refinement probe. Idempotent
-// and retriable: a sample reads, it never mutates.
-func (c *Client) Sample(ctx context.Context, addr, toNode, table, alias, filter string, limit int64) (*engine.SampleResult, error) {
-	r, err := c.roundTrip(ctx, addr, toNode, msgSample, encodeSampleProbe(table, alias, filter, limit), true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Sample()
+	return replies[0].Cost()
 }
 
 // Query runs a SELECT remotely and returns the result schema plus a

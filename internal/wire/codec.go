@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -170,16 +171,18 @@ type batchItem struct {
 	payload []byte
 }
 
-// batchItemHeader is an item's type byte and 4-byte payload length.
-const batchItemHeader = 5
+// minBatchItem is the smallest encoded item: its type byte and a one-byte
+// uvarint length.
+const minBatchItem = 2
 
-// appendBatch serializes a msgBatch or msgBatchRes payload: the item count,
-// then every item as a frame of its own (type, length, payload).
+// appendBatch serializes a msgBatch or msgBatchRes payload: the item count
+// as a uvarint, then every item as its type byte, its payload length as a
+// uvarint, and the payload.
 func appendBatch(dst []byte, items []batchItem) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(items)))
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
 	for _, it := range items {
 		dst = append(dst, it.typ)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(it.payload)))
+		dst = binary.AppendUvarint(dst, uint64(len(it.payload)))
 		dst = append(dst, it.payload...)
 	}
 	return dst
@@ -189,32 +192,37 @@ func appendBatch(dst []byte, items []batchItem) []byte {
 // The count and every length are checked against the bytes that follow
 // them, and nothing may follow the last item.
 func decodeBatch(payload []byte) ([]batchItem, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: truncated payload")
+	n, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return nil, errBatchVarint
 	}
-	n := binary.LittleEndian.Uint32(payload)
-	rest := payload[4:]
-	if uint64(n) > uint64(len(rest)/batchItemHeader) {
+	rest := payload[k:]
+	if n > uint64(len(rest)/minBatchItem) {
 		return nil, fmt.Errorf("wire: batch claims %d items in %d bytes", n, len(rest))
 	}
 	items := make([]batchItem, n)
 	for i := range items {
-		if len(rest) < batchItemHeader {
+		if len(rest) < minBatchItem {
 			return nil, fmt.Errorf("wire: truncated payload")
 		}
-		size := binary.LittleEndian.Uint32(rest[1:])
-		if uint64(size) > uint64(len(rest)-batchItemHeader) {
-			return nil, fmt.Errorf("wire: batch item claims %d bytes of %d", size, len(rest)-batchItemHeader)
+		size, k := binary.Uvarint(rest[1:])
+		if k <= 0 {
+			return nil, errBatchVarint
 		}
-		end := batchItemHeader + int(size)
-		items[i] = batchItem{typ: rest[0], payload: rest[batchItemHeader:end]}
-		rest = rest[end:]
+		body := rest[1+k:]
+		if size > uint64(len(body)) {
+			return nil, fmt.Errorf("wire: batch item claims %d bytes of %d", size, len(body))
+		}
+		items[i] = batchItem{typ: rest[0], payload: body[:size]}
+		rest = body[size:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("wire: %d bytes after the batch's last item", len(rest))
 	}
 	return items, nil
 }
+
+var errBatchVarint = errors.New("wire: truncated batch varint or one overflowing 64 bits")
 
 // rowFrame accumulates the payload of one row-batch frame: a row count
 // followed by the rows in the stream's encoding. Its buffer is reused from

@@ -20,12 +20,12 @@ func TestCrashedNodeFailsRequests(t *testing.T) {
 	defer c.Close()
 
 	// Warm the pool with a healthy request.
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "CREATE TABLE t (a BIGINT)"); err != nil {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "CREATE TABLE t (a BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
 
 	topo.CrashNode("db1")
-	err := c.Exec(context.Background(), s.Addr(), "db1", "CREATE TABLE ghost (a BIGINT)")
+	err := execOne(c, context.Background(), s.Addr(), "db1", "CREATE TABLE ghost (a BIGINT)")
 	if err == nil {
 		t.Fatal("Exec against crashed node succeeded")
 	}
@@ -40,12 +40,12 @@ func TestCrashedNodeFailsRequests(t *testing.T) {
 		}
 	}
 	// Idempotent probes fail too (after burning their retries).
-	if _, err := c.Stats(context.Background(), s.Addr(), "db1", "t"); err == nil {
+	if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err == nil {
 		t.Error("Stats against crashed node succeeded")
 	}
 
 	topo.ReviveNode("db1")
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "CREATE TABLE t2 (a BIGINT)"); err != nil {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "CREATE TABLE t2 (a BIGINT)"); err != nil {
 		t.Fatalf("Exec after revive: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestPartitionFailsDialAndIsAttributed(t *testing.T) {
 	defer c.Close()
 
 	topo.PartitionSites(netsim.SiteCloud, netsim.SiteOnPrem)
-	_, err := c.Stats(context.Background(), s.Addr(), "db1", "t")
+	_, err := statsOne(c, context.Background(), s.Addr(), "db1", "t")
 	if err == nil {
 		t.Fatal("request across partition succeeded")
 	}
@@ -69,7 +69,7 @@ func TestPartitionFailsDialAndIsAttributed(t *testing.T) {
 		t.Errorf("error does not name the partition: %v", err)
 	}
 	topo.Heal()
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "CREATE TABLE t (a BIGINT)"); err != nil {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "CREATE TABLE t (a BIGINT)"); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestFlakyLinkRetriesIdempotentProbes(t *testing.T) {
 
 	ok := 0
 	for i := 0; i < 40; i++ {
-		if _, err := c.Stats(context.Background(), s.Addr(), "db1", "t"); err == nil {
+		if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err == nil {
 			ok++
 		}
 	}

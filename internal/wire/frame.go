@@ -14,7 +14,8 @@ import (
 	"io"
 )
 
-// frame types, client -> server.
+// frame types, client -> server. Only msgQuery and msgBatch travel as
+// frames of their own; the rest are the items a batch carries.
 const (
 	msgQuery   byte = 1 // payload: 1 flag byte (encoding) + SQL text; response: Schema, Rows*, End | Error
 	msgExec    byte = 2 // payload: SQL text; response: OK | Error
@@ -23,7 +24,7 @@ const (
 	msgCost    byte = 5 // payload: cost probe; response: CostRes | Error
 	msgTblSch  byte = 6 // payload: table name; response: Schema | Error
 	msgSample  byte = 7 // payload: sample probe; response: SampleRes | Error
-	msgBatch   byte = 8 // payload: item count + (type, payload)* of the requests above, msgQuery excepted; response: BatchRes | Error
+	msgBatch   byte = 8 // payload: uvarint item count + (type, uvarint length, payload)* of the requests above, msgQuery excepted; response: BatchRes | Error
 )
 
 // frame types, server -> client.
@@ -38,7 +39,7 @@ const (
 	msgStatsRes   byte = 17 // payload: encoded TableStats
 	msgCostRes    byte = 18 // payload: cost float64
 	msgSampleRes  byte = 19 // payload: encoded sample result (counts + stats sketch)
-	msgBatchRes   byte = 20 // payload: item count + (type, payload)*: each item's own response frame, in request order
+	msgBatchRes   byte = 20 // payload: as msgBatch: each item's own response, in request order
 )
 
 // maxFrame bounds a frame payload; large results are split into many row

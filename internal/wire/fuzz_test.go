@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"xdb/internal/engine"
@@ -131,15 +132,19 @@ func FuzzBatch(f *testing.F) {
 		{typ: msgStatsRes, payload: hostileStats()},
 		{typ: msgBatchRes, payload: appendBatch(nil, []batchItem{{typ: msgOK}})},
 	}))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, msgExec, 1, 0, 0, 0, 'x'}) // 2^32-1 items in 6 bytes
-	f.Add([]byte{1, 0, 0, 0, msgExec, 0xFF, 0xFF, 0xFF, 0x7F})      // an item longer than the frame
+	f.Add(append(binary.AppendUvarint(nil, 1<<32-1), msgExec, 1, 'x'))                        // 2^32-1 items in 8 bytes
+	f.Add([]byte{1, msgExec, 0xFF, 0xFF, 0xFF, 0x7F})                                         // an item longer than the frame
+	f.Add([]byte{0x80})                                                                       // a truncated count
+	f.Add([]byte{1, msgExec, 0x80})                                                           // a truncated length
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, msgOK, 0}) // an 11-byte count
+	f.Add([]byte{1, msgExec, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02})     // a length overflowing 64 bits
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		items, err := decodeBatch(payload)
 		if err != nil {
 			return
 		}
-		if len(items)*batchItemHeader > len(payload) {
+		if len(items)*minBatchItem > len(payload) {
 			t.Fatalf("%d items from a %d-byte payload", len(items), len(payload))
 		}
 		// The request side, on a fresh engine: statements in the payload run.

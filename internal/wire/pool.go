@@ -70,8 +70,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	return cfg
 }
 
-// TransportStats is a snapshot of a client's connection-level counters —
-// the transport complement of the connectors' Probes() RPC counter.
+// TransportStats is a snapshot of a client's connection-level counters.
 type TransportStats struct {
 	// Dials counts fresh TCP connections established.
 	Dials int64

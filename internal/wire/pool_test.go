@@ -22,7 +22,7 @@ func TestPoolReuse(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := c.Stats(context.Background(), s.Addr(), "db1", "t"); err != nil {
+		if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,13 +93,13 @@ func TestPoolReuseAcrossRPCKinds(t *testing.T) {
 	defer c.Close()
 
 	ctx := context.Background()
-	if _, err := c.TableSchema(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := schemaOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Exec(ctx, s.Addr(), "db1", "CREATE VIEW v AS SELECT id FROM t"); err != nil {
+	if err := execOne(c, ctx, s.Addr(), "db1", "CREATE VIEW v AS SELECT id FROM t"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.QueryAll(ctx, s.Addr(), "db1", "SELECT COUNT(*) FROM v"); err != nil {
@@ -109,7 +109,7 @@ func TestPoolReuseAcrossRPCKinds(t *testing.T) {
 	if _, err := c.QueryAll(ctx, s.Addr(), "db1", "SELECT * FROM nosuch"); err == nil {
 		t.Fatal("query of missing table succeeded")
 	}
-	if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
 	if ts := c.Transport(); ts.Dials != 1 {
@@ -126,7 +126,7 @@ func TestDisablePool(t *testing.T) {
 
 	const n = 5
 	for i := 0; i < n; i++ {
-		if _, err := c.Stats(context.Background(), s.Addr(), "db1", "t"); err != nil {
+		if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestPoolEvictionAfterRestart(t *testing.T) {
 	c := NewClient("client", nil)
 	defer c.Close()
 
-	if _, err := c.Stats(context.Background(), addr, "db1", "t"); err != nil {
+	if _, err := statsOne(c, context.Background(), addr, "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the server; the parked connection is now stale.
@@ -170,7 +170,7 @@ func TestPoolEvictionAfterRestart(t *testing.T) {
 
 	// The probe must succeed by evicting the stale connection and dialing
 	// the restarted server.
-	if _, err := c.Stats(context.Background(), addr, "db1", "t"); err != nil {
+	if _, err := statsOne(c, context.Background(), addr, "db1", "t"); err != nil {
 		t.Fatalf("probe after restart: %v", err)
 	}
 	ts := c.Transport()
@@ -207,26 +207,27 @@ func TestExecNotRetriedAfterDelivery(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				for {
-					typ, payload, _, err := readFrame(conn)
-					if err != nil {
-						return
-					}
-					if typ == msgExec {
+				typ, payload, _, err := readFrame(conn)
+				if err != nil || typ != msgBatch {
+					return
+				}
+				items, _ := decodeBatch(payload)
+				for _, it := range items {
+					if it.typ == msgExec {
 						mu.Lock()
 						execs++
 						mu.Unlock()
-						e.Exec(string(payload))
-						return // drop the connection without replying
+						e.Exec(string(it.payload))
 					}
 				}
+				// drop the connection without replying
 			}(conn)
 		}
 	}()
 
 	c := NewClient("client", nil)
 	defer c.Close()
-	err = c.Exec(context.Background(), ln.Addr().String(), "db1", "CREATE TABLE x (a BIGINT)")
+	err = execOne(c, context.Background(), ln.Addr().String(), "db1", "CREATE TABLE x (a BIGINT)")
 	if err == nil {
 		t.Fatal("Exec over dropped connection succeeded")
 	}
@@ -256,12 +257,12 @@ func TestConcurrentCheckoutStress(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				switch i % 3 {
 				case 0:
-					if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+					if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 						errCh <- err
 						return
 					}
 				case 1:
-					if _, err := c.TableSchema(ctx, s.Addr(), "db1", "t"); err != nil {
+					if _, err := schemaOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 						errCh <- err
 						return
 					}
@@ -319,7 +320,7 @@ func TestDeadlineExceededAttribution(t *testing.T) {
 	c := NewClientWith("client", nil, ClientConfig{RequestTimeout: 100 * time.Millisecond})
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Stats(context.Background(), ln.Addr().String(), "hungdb", "t")
+	_, err = statsOne(c, context.Background(), ln.Addr().String(), "hungdb", "t")
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("probe against hung server succeeded")
@@ -339,7 +340,7 @@ func TestDeadlineExceededAttribution(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	if _, err := c.Stats(ctx, ln.Addr().String(), "hungdb", "t"); err == nil {
+	if _, err := statsOne(c, ctx, ln.Addr().String(), "hungdb", "t"); err == nil {
 		t.Fatal("probe with expired ctx succeeded")
 	}
 	if e := time.Since(start); e > time.Second {
@@ -491,11 +492,11 @@ func TestIdleReaping(t *testing.T) {
 	defer c.Close()
 
 	ctx := context.Background()
-	if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
 	ts := c.Transport()
@@ -557,13 +558,13 @@ func TestRetryBudgetExhausted(t *testing.T) {
 
 	c := NewClientWith("client", nil, ClientConfig{MaxRetries: 2, RetryBackoff: time.Millisecond})
 	defer c.Close()
-	if _, err := c.Stats(context.Background(), addr, "db1", "t"); err == nil {
+	if _, err := statsOne(c, context.Background(), addr, "db1", "t"); err == nil {
 		t.Fatal("probe of dead address succeeded")
 	}
 	if ts := c.Transport(); ts.Retries != 2 {
 		t.Errorf("retries = %d, want 2", ts.Retries)
 	}
-	if err := c.Exec(context.Background(), addr, "db1", "CREATE TABLE x (a BIGINT)"); err == nil {
+	if err := execOne(c, context.Background(), addr, "db1", "CREATE TABLE x (a BIGINT)"); err == nil {
 		t.Fatal("exec against dead address succeeded")
 	}
 	if ts := c.Transport(); ts.Retries != 2 {
@@ -580,13 +581,13 @@ func TestPooledConnsCarryNoStaleDeadline(t *testing.T) {
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	if _, err := c.Stats(ctx, s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, ctx, s.Addr(), "db1", "t"); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 	// Outlive the first request's deadline, then reuse the parked conn.
 	time.Sleep(1100 * time.Millisecond)
-	if _, err := c.Stats(context.Background(), s.Addr(), "db1", "t"); err != nil {
+	if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err != nil {
 		t.Fatalf("reused conn inherited a stale deadline: %v", err)
 	}
 	if ts := c.Transport(); ts.Dials != 1 {

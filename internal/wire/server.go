@@ -106,28 +106,33 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if typ != msgQuery {
-			rtyp, resp := s.answer(typ, payload)
-			if _, err := writeFrame(conn, rtyp, resp); err != nil {
-				return
+		switch typ {
+		case msgQuery:
+			if len(payload) < 1 {
+				err = s.writeError(conn, fmt.Errorf("wire: empty query payload"))
+			} else {
+				err = s.handleQuery(conn, string(payload[1:]), payload[0] == 1)
 			}
-			continue
-		}
-		if len(payload) < 1 {
-			if werr := s.writeError(conn, fmt.Errorf("wire: empty query payload")); werr != nil {
-				return
+		case msgBatch:
+			var resp []byte
+			if resp, err = s.answerBatch(payload); err == nil {
+				_, err = writeFrame(conn, msgBatchRes, resp)
+			} else {
+				err = s.writeError(conn, err)
 			}
-			continue
+		default:
+			// Every other request rides in a batch; the error frame
+			// leaves the connection positioned at the next request.
+			err = s.writeError(conn, fmt.Errorf("wire: request type %d must ride in a batch", typ))
 		}
-		forceText := payload[0] == 1
-		if err := s.handleQuery(conn, string(payload[1:]), forceText); err != nil {
+		if err != nil {
 			return
 		}
 	}
 }
 
-// answer runs one non-streaming request and returns its response frame:
-// the request's own response type, or msgError with the engine's error.
+// answer runs one batch item and returns its response: the request's own
+// response type, or msgError with the engine's error.
 func (s *Server) answer(typ byte, payload []byte) (byte, []byte) {
 	var err error
 	switch typ {
@@ -165,13 +170,8 @@ func (s *Server) answer(typ byte, payload []byte) (byte, []byte) {
 				return msgSampleRes, encodeSampleRes(res)
 			}
 		}
-	case msgBatch:
-		var resp []byte
-		if resp, err = s.answerBatch(payload); err == nil {
-			return msgBatchRes, resp
-		}
 	default:
-		err = fmt.Errorf("wire: unknown request type %d", typ)
+		err = fmt.Errorf("wire: request type %d cannot ride in a batch", typ)
 	}
 	return msgError, []byte(err.Error())
 }
@@ -180,17 +180,13 @@ func (s *Server) answer(typ byte, payload []byte) (byte, []byte) {
 // the items before returned, so an item's response says what happened to
 // that item and nothing else — and returns the msgBatchRes payload. A
 // result stream does not fit in a response item and a batch does not nest:
-// those items are answered with an error frame.
+// those items, like any unknown type, are answered with an error frame.
 func (s *Server) answerBatch(payload []byte) ([]byte, error) {
 	items, err := decodeBatch(payload)
 	if err != nil {
 		return nil, err
 	}
 	for i, it := range items {
-		if it.typ == msgQuery || it.typ == msgBatch {
-			items[i] = batchItem{typ: msgError, payload: []byte(fmt.Sprintf("wire: request type %d cannot ride in a batch", it.typ))}
-			continue
-		}
 		items[i].typ, items[i].payload = s.answer(it.typ, it.payload)
 	}
 	resp := appendBatch(nil, items)

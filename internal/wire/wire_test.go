@@ -23,6 +23,58 @@ func newServedEngine(t *testing.T, name string, vendor engine.Vendor) (*engine.E
 	return e, s
 }
 
+// one sends a request as a batch of one item — the shape every single
+// control-plane exchange takes — and returns the item's reply.
+func one(c *Client, ctx context.Context, addr, node string, add func(*Batch)) (Reply, error) {
+	var b Batch
+	add(&b)
+	replies, err := c.Do(ctx, addr, node, &b)
+	if err != nil {
+		return Reply{}, err
+	}
+	return replies[0], nil
+}
+
+func execOne(c *Client, ctx context.Context, addr, node, sql string) error {
+	r, err := one(c, ctx, addr, node, func(b *Batch) { b.Exec(sql) })
+	if err != nil {
+		return err
+	}
+	return r.Err()
+}
+
+func statsOne(c *Client, ctx context.Context, addr, node, table string) (*engine.TableStats, error) {
+	r, err := one(c, ctx, addr, node, func(b *Batch) { b.Stats(table) })
+	if err != nil {
+		return nil, err
+	}
+	return r.Stats()
+}
+
+func schemaOne(c *Client, ctx context.Context, addr, node, table string) (*sqltypes.Schema, error) {
+	r, err := one(c, ctx, addr, node, func(b *Batch) { b.TableSchema(table) })
+	if err != nil {
+		return nil, err
+	}
+	return r.TableSchema()
+}
+
+func explainOne(c *Client, ctx context.Context, addr, node, sql string) (*engine.ExplainInfo, error) {
+	r, err := one(c, ctx, addr, node, func(b *Batch) { b.Explain(sql) })
+	if err != nil {
+		return nil, err
+	}
+	return r.Explain()
+}
+
+func sampleOne(c *Client, ctx context.Context, addr, node, table, alias, filter string, limit int64) (*engine.SampleResult, error) {
+	r, err := one(c, ctx, addr, node, func(b *Batch) { b.Sample(table, alias, filter, limit) })
+	if err != nil {
+		return nil, err
+	}
+	return r.Sample()
+}
+
 func loadNumbers(t *testing.T, e *engine.Engine, table string, n int) {
 	t.Helper()
 	schema := sqltypes.NewSchema(
@@ -79,10 +131,10 @@ func TestQueryStreamingBatches(t *testing.T) {
 func TestExecAndErrors(t *testing.T) {
 	_, s := newServedEngine(t, "db1", engine.VendorTest)
 	c := NewClient("client", nil)
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "CREATE TABLE x (a BIGINT)"); err != nil {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "CREATE TABLE x (a BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "INSERT INTO x VALUES (1), (2)"); err != nil {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "INSERT INTO x VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.QueryAll(context.Background(), s.Addr(), "db1", "SELECT COUNT(*) FROM x")
@@ -93,7 +145,7 @@ func TestExecAndErrors(t *testing.T) {
 		t.Fatalf("%v", res.Rows)
 	}
 	// Remote errors surface with the node name.
-	if err := c.Exec(context.Background(), s.Addr(), "db1", "DROP TABLE nosuch"); err == nil || !strings.Contains(err.Error(), "db1") {
+	if err := execOne(c, context.Background(), s.Addr(), "db1", "DROP TABLE nosuch"); err == nil || !strings.Contains(err.Error(), "db1") {
 		t.Errorf("err = %v", err)
 	}
 	if _, err := c.QueryAll(context.Background(), s.Addr(), "db1", "SELECT * FROM nosuch"); err == nil {
@@ -109,14 +161,14 @@ func TestExplainAndStatsRPC(t *testing.T) {
 	e, s := newServedEngine(t, "db1", engine.VendorPostgres)
 	loadNumbers(t, e, "t", 1000)
 	c := NewClient("client", nil)
-	info, err := c.Explain(context.Background(), s.Addr(), "db1", "SELECT * FROM t WHERE id > 10")
+	info, err := explainOne(c, context.Background(), s.Addr(), "db1", "SELECT * FROM t WHERE id > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Cost <= 0 || info.Rows <= 0 || info.Text == "" {
 		t.Fatalf("%+v", info)
 	}
-	st, err := c.Stats(context.Background(), s.Addr(), "db1", "t")
+	st, err := statsOne(c, context.Background(), s.Addr(), "db1", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +188,7 @@ func TestSampleRPC(t *testing.T) {
 	loadNumbers(t, e, "t", 100)
 	c := NewClient("client", nil)
 	// Truncated probe: bounded scan, lower-bound counts, no exhaustion.
-	res, err := c.Sample(context.Background(), s.Addr(), "db1", "t", "x", "x.id < 500", 40)
+	res, err := sampleOne(c, context.Background(), s.Addr(), "db1", "t", "x", "x.id < 500", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +196,7 @@ func TestSampleRPC(t *testing.T) {
 		t.Fatalf("truncated probe = %+v, want scanned 40, matched 40, not exhausted", res)
 	}
 	// Exhausted probe: the stats sketch round-trips exactly.
-	res, err = c.Sample(context.Background(), s.Addr(), "db1", "t", "x", "x.id < 25", 1000)
+	res, err = sampleOne(c, context.Background(), s.Addr(), "db1", "t", "x", "x.id < 25", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +210,7 @@ func TestSampleRPC(t *testing.T) {
 		t.Fatalf("id stats after round trip: %+v", cs)
 	}
 	// Remote errors surface with the node name, like every other RPC.
-	if _, err := c.Sample(context.Background(), s.Addr(), "db1", "nosuch", "", "", 10); err == nil || !strings.Contains(err.Error(), "db1") {
+	if _, err := sampleOne(c, context.Background(), s.Addr(), "db1", "nosuch", "", "", 10); err == nil || !strings.Contains(err.Error(), "db1") {
 		t.Errorf("unknown-table sample error = %v", err)
 	}
 }
