@@ -52,12 +52,18 @@ fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
 
 # Non-test, non-comment, non-blank Go lines per internal/ package and in
-# total — the numbers a simplicity PR quotes before and after.
+# total, then the exported fields of the two configuration structs (the
+# knobs) — the numbers a simplicity PR quotes before and after.
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cvE '^\s*(//|$$)'); \
 		printf '%6d %s\n' "$$n" "$$d"; total=$$((total + n)); \
 	done; printf '%6d total\n' "$$total"
+	@for s in 'core.Options internal/core/optimize.go' 'wire.ClientConfig internal/wire/pool.go'; do \
+		set -- $$s; \
+		n=$$(sed -n "/^type $${1#*.} struct {/,/^}/p" $$2 | grep -cE '^[[:space:]][A-Z][A-Za-z0-9]*[[:space:]]'); \
+		printf '%6d exported fields in %s\n' "$$n" "$$1"; \
+	done
 
 # The benchmark record: four workloads, end-to-end and per-layer metrics,
 # every answer checked against the oracle (bench/README.md), then the diff

@@ -26,11 +26,8 @@
 //	-max-replans <n>  re-plan around up to n mid-query node faults
 //	-mediator-fallback  finish on the middleware when replans are exhausted
 //	-max-reopts <n>   re-optimize the suffix around up to n misestimates
-//	-reopt-threshold <f>  estimate-vs-actual ratio that triggers one (default 4)
 //	-sample-limit <n>  probe low-confidence relations with bounded samples
 //	                  of up to n rows before placement (0 disables)
-//	-sample-trigger <f>  shipping-volume ratio under which a movement
-//	                  decision counts as ambiguous and gets sampled (default 2)
 //	-inspect          poll /debug/queries while the query runs and print
 //	                  the live in-flight snapshots (xdb system only)
 //	-explain-analyze  print EXPLAIN ANALYZE after the run: the executed
@@ -67,9 +64,7 @@ func main() {
 	maxReplans := flag.Int("max-replans", 0, "re-plan around up to n mid-query node faults (0 disables failover)")
 	mediatorFallback := flag.Bool("mediator-fallback", false, "finish on the middleware when replans are exhausted")
 	maxReopts := flag.Int("max-reopts", 0, "re-optimize the unexecuted suffix around up to n cardinality misestimates (0 disables)")
-	reoptThreshold := flag.Float64("reopt-threshold", 0, "estimate-vs-actual ratio that triggers a re-optimization (default 4)")
 	sampleLimit := flag.Int("sample-limit", 0, "probe low-confidence relations with bounded samples of up to n rows before placement (0 disables)")
-	sampleTrigger := flag.Float64("sample-trigger", 0, "shipping-volume ratio under which a movement decision counts as ambiguous and gets sampled (default 2)")
 	inspect := flag.Bool("inspect", false, "poll /debug/queries while the query runs and print live snapshots (xdb system only)")
 	explainAnalyze := flag.Bool("explain-analyze", false, "print EXPLAIN ANALYZE after the run (xdb system only)")
 	flag.Parse()
@@ -110,9 +105,7 @@ func main() {
 			MaxReplans:         *maxReplans,
 			MediatorFallback:   *mediatorFallback,
 			MaxReopts:          *maxReopts,
-			ReoptThreshold:     *reoptThreshold,
 			SampleLimit:        *sampleLimit,
-			SampleTrigger:      *sampleTrigger,
 		},
 	})
 	if err != nil {

@@ -32,7 +32,6 @@ func main() {
 			MaxInFlight:    3,               // admit at most 3 concurrent queries
 			MaxQueue:       6,               // park at most 6 more; shed the rest
 			MaxPerNode:     2,               // at most 2 concurrent RPCs per DBMS
-			DrainGrace:     5 * time.Second,
 		},
 	})
 	if err != nil {

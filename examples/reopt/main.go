@@ -8,7 +8,7 @@
 // consumer, so before running the query the middleware forces each
 // materialization with a COUNT(*) barrier and compares the actual row
 // count against the optimizer's estimate. A divergence beyond
-// Options.ReoptThreshold (default 4x, either direction) re-runs
+// xdb.DefaultReoptThreshold (4x, either direction) re-runs
 // annotation for the unexecuted suffix with the observed cardinality
 // substituted — flipping the join placement or movement the stale
 // statistics got wrong — while every already-materialized stage is

@@ -31,12 +31,9 @@ import (
 // as a whole is serving → draining → drained. Both transitions are
 // one-way per System (a drained system stays drained until discarded).
 
-// Admission defaults; override via Options.
-const (
-	// DefaultDrainGrace bounds how long Close waits for in-flight
-	// queries before giving up on a graceful drain.
-	DefaultDrainGrace = 5 * time.Second
-)
+// DefaultDrainGrace bounds how long Close waits for in-flight queries
+// before giving up on a graceful drain.
+const DefaultDrainGrace = 5 * time.Second
 
 // OverloadError is returned when admission sheds a query instead of
 // running it: the in-flight cap is reached and the wait queue is full, or

@@ -6,8 +6,8 @@ import (
 	"fmt"
 
 	"xdb/internal/connector"
-	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
+	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
 )
 
@@ -54,7 +54,8 @@ func GatherMetadata(ctx context.Context, catalog *Catalog, connectors map[string
 		if conn == nil {
 			return &NoConnectorError{Node: work[n][0].Node}
 		}
-		return fetchMetadata(fctx, conn, catalog, work[n], func(_ *TableInfo, st *engine.TableStats) *engine.TableStats { return st })
+		_, err := fetchMetadata(fctx, conn, catalog, work[n])
+		return err
 	})
 }
 
@@ -81,13 +82,14 @@ func metadataWork(catalog *Catalog, sel *sqlparser.Select, cached bool) ([][]*Ta
 
 // fetchMetadata is one node's metadata round trip — one batch holding a
 // TableSchema item for every entry still missing its schema and a Stats
-// item for every entry — and republishes each table's entry immutably, on
-// the table's own outcome: in full when its items succeeded (its
-// statistics vetted by fresh); with just the schema when
-// that was fetched and the stats item failed, so the next attempt resumes
-// from the partial entry instead of asking for the schema again. The error
-// is the round trip's, else the first failing table's.
-func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog, infos []*TableInfo, fresh func(*TableInfo, *engine.TableStats) *engine.TableStats) error {
+// item for every entry — and folds each table's report into the catalog
+// (Catalog.Refresh) on the table's own outcome: in full when its items
+// succeeded; with just the schema when that was fetched and the stats
+// item failed, so the next attempt resumes from the partial entry instead
+// of asking for the schema again. changed reports that some table's
+// planning statistics changed; the error is the round trip's, else the
+// first failing table's.
+func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog, infos []*TableInfo) (changed bool, err error) {
 	var b wire.Batch
 	for _, info := range infos {
 		if info.Schema == nil {
@@ -97,25 +99,26 @@ func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog
 	}
 	replies, err := c.Do(ctx, &b)
 	if err != nil {
-		return err
+		return false, err
 	}
 	for _, info := range infos {
-		updated := &TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: info.Stats}
+		var schema *sqltypes.Schema
 		var terr error
 		if info.Schema == nil {
-			updated.Schema, terr = replies[0].TableSchema()
+			schema, terr = replies[0].TableSchema()
 			replies = replies[1:]
 		}
 		st, serr := replies[0].Stats()
 		replies = replies[1:]
-		if terr = cmp.Or(terr, serr); terr == nil {
-			updated.Stats = fresh(info, st)
-		} else if err == nil {
-			err = fmt.Errorf("core: metadata of %s: %w", info.Name, terr)
+		if terr = cmp.Or(terr, serr); terr != nil {
+			st = nil
+			if err == nil {
+				err = fmt.Errorf("core: metadata of %s: %w", info.Name, terr)
+			}
 		}
-		if updated.Schema != nil {
-			catalog.Put(updated)
+		if catalog.Refresh(info.Name, schema, st) {
+			changed = true
 		}
 	}
-	return err
+	return changed, err
 }

@@ -83,9 +83,9 @@ type Annotation struct {
 	// mu guards the counters above during the parallel Rule-4 candidate
 	// fan-out; reads after annotate returns need no lock.
 	mu sync.Mutex
-	// cache is the Coster's cross-query consult cache, when it maintains
-	// one (nil for test fakes and when ConsultCacheTTL is 0).
-	cache consultCacher
+	// cache is the cross-query consult cache (nil when ConsultCacheTTL is
+	// 0, and for test fakes; a nil cache misses and stores nothing).
+	cache *consultCache
 }
 
 func (a *Annotation) addDegraded(n int) {
@@ -94,13 +94,11 @@ func (a *Annotation) addDegraded(n int) {
 	a.mu.Unlock()
 }
 
-// annotate runs the annotation pass over the logical plan. The context
-// bounds the consultation probes; cancellation aborts the pass.
-func annotate(ctx context.Context, root Op, coster Coster, opts Options) (*Annotation, error) {
-	a := &Annotation{Node: map[Op]string{}, Move: map[Op]Movement{}}
-	if cc, ok := coster.(consultCacher); ok {
-		a.cache = cc
-	}
+// annotate runs the annotation pass over the logical plan, serving probes
+// from cache before spending a round trip. The context bounds the
+// consultation probes; cancellation aborts the pass.
+func annotate(ctx context.Context, root Op, coster Coster, cache *consultCache, opts Options) (*Annotation, error) {
+	a := &Annotation{Node: map[Op]string{}, Move: map[Op]Movement{}, cache: cache}
 	if err := a.visit(ctx, root, coster, opts); err != nil {
 		return nil, err
 	}
@@ -398,12 +396,10 @@ func (a *Annotation) consult(ctx context.Context, coster Coster, node string, as
 			continue
 		}
 		memo[p], first[i] = i, i
-		if a.cache != nil {
-			if v, ok := a.cache.LookupCost(node, p.Kind, p.Left, p.Right, p.Out); ok {
-				cached++
-				settle(i, "cached", v)
-				continue
-			}
+		if v, ok := a.cache.lookup(node, p.Kind, p.Left, p.Right, p.Out); ok {
+			cached++
+			settle(i, "cached", v)
+			continue
 		}
 		sent = append(sent, i)
 	}
@@ -424,9 +420,7 @@ func (a *Annotation) consult(ctx context.Context, coster Coster, node string, as
 				settle(i, "degraded_error", localCost(p.Kind, p.Left, p.Right, p.Out))
 				continue
 			}
-			if a.cache != nil {
-				a.cache.StoreCost(node, p.Kind, p.Left, p.Right, p.Out, answers[k])
-			}
+			a.cache.store(node, p.Kind, p.Left, p.Right, p.Out, answers[k])
 			settle(i, "consulted", answers[k])
 		}
 	}

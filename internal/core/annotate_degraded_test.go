@@ -126,7 +126,7 @@ func TestAnnotateDegraded(t *testing.T) {
 				coster.erroring[n] = true
 			}
 			root := &Final{In: joined, Sel: canon}
-			ann, err := annotate(context.Background(), root, coster, tc.opts)
+			ann, err := annotate(context.Background(), root, coster, nil, tc.opts)
 			if err != nil {
 				t.Fatalf("annotate must not abort under degradation: %v", err)
 			}

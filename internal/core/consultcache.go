@@ -183,13 +183,3 @@ func (c *consultCache) stats() ConsultCacheStats {
 		Evictions: c.evictions,
 	}
 }
-
-// consultCacher is implemented by Costers that maintain a cross-query
-// consult cache (the System). The annotator serves probes from it before
-// spending a round trip; test fakes simply don't implement it.
-type consultCacher interface {
-	// LookupCost returns a previously consulted cost for the probe.
-	LookupCost(node string, kind engine.CostKind, left, right, out float64) (float64, bool)
-	// StoreCost memoizes a successfully consulted cost.
-	StoreCost(node string, kind engine.CostKind, left, right, out, cost float64)
-}

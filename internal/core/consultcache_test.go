@@ -156,7 +156,7 @@ func annotateFake(t *testing.T, sql string, opts Options) (*Annotation, *fakeCos
 	}
 	root := &Final{In: joined, Sel: canon}
 	coster := &fakeCoster{nodes: []string{"db1", "db2", "db3"}}
-	ann, err := annotate(context.Background(), root, coster, opts)
+	ann, err := annotate(context.Background(), root, coster, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestConsultCacheWarmRepeat(t *testing.T) {
 		t.Errorf("warm plan shape = %s, want %s", got, want)
 	}
 
-	cs := cl.sys.ConsultCacheStats()
+	cs := cl.sys.consults.stats()
 	if cs.Entries == 0 {
 		t.Error("cache empty after two queries")
 	}
@@ -305,7 +305,7 @@ func TestChaosConsultCacheBreakerInvalidation(t *testing.T) {
 	if warm.Breakdown.ConsultRounds != 0 {
 		t.Fatalf("warm repeat consulted %d times, want 0", warm.Breakdown.ConsultRounds)
 	}
-	before := cl.sys.ConsultCacheStats()
+	before := cl.sys.Stats().ConsultCache
 	if before.Entries != 6 {
 		t.Fatalf("warm cache holds %d entries, want 6 (3 per candidate node)", before.Entries)
 	}
@@ -320,7 +320,7 @@ func TestChaosConsultCacheBreakerInvalidation(t *testing.T) {
 	if st := cl.sys.NodeHealth()["db2"].State; st != BreakerOpen {
 		t.Fatalf("db2 breaker = %v, want open", st)
 	}
-	after := cl.sys.ConsultCacheStats()
+	after := cl.sys.Stats().ConsultCache
 	if after.Entries != 3 {
 		t.Errorf("entries after breaker opened = %d, want 3 (db2's dropped, db1's kept)", after.Entries)
 	}

@@ -364,7 +364,7 @@ func TestReplanWaitBacksOffAndHonoursContext(t *testing.T) {
 }
 
 // TestBreakerBackoffExponential pins the satellite: each consecutive open
-// doubles the window up to BreakerBackoffMax, the wait is jittered into
+// doubles the window up to the backoffMax cap, the wait is jittered into
 // [window/2, window], and a close resets the exponent.
 func TestBreakerBackoffExponential(t *testing.T) {
 	base, max := 100*time.Millisecond, 350*time.Millisecond

@@ -20,12 +20,12 @@ import (
 // orphaned short-lived relations (see orphans.go).
 //
 // The backoff window is exponential with jitter: each consecutive open
-// doubles the base window (capped at BreakerBackoffMax) and the actual
-// wait is drawn uniformly from [window/2, window], so concurrent queries
-// don't retry a flapping node in lockstep.
+// doubles the base window (capped at DefaultBreakerBackoffMax) and the
+// actual wait is drawn uniformly from [window/2, window], so concurrent
+// queries don't retry a flapping node in lockstep.
 
-// Breaker defaults; override via Options.BreakerThreshold/BreakerBackoff/
-// BreakerBackoffMax.
+// Breaker defaults; Options.BreakerThreshold and BreakerBackoff override
+// the first two.
 const (
 	// DefaultBreakerThreshold is the consecutive-failure count that opens
 	// a node's breaker.
@@ -33,7 +33,8 @@ const (
 	// DefaultBreakerBackoff is the base window an open breaker fails fast
 	// before going half-open; consecutive opens double it.
 	DefaultBreakerBackoff = 2 * time.Second
-	// DefaultBreakerBackoffMax caps the exponential backoff window.
+	// DefaultBreakerBackoffMax caps the exponential backoff window (or
+	// the base window, when that is larger).
 	DefaultBreakerBackoffMax = 30 * time.Second
 )
 
@@ -129,9 +130,6 @@ func newHealthTracker(threshold int, backoff, backoffMax time.Duration, onRecove
 	}
 	if backoff <= 0 {
 		backoff = DefaultBreakerBackoff
-	}
-	if backoffMax <= 0 {
-		backoffMax = DefaultBreakerBackoffMax
 	}
 	if backoffMax < backoff {
 		backoffMax = backoff

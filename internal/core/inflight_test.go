@@ -123,7 +123,7 @@ func TestInflightLifecycleAndDebugEndpoint(t *testing.T) {
 // OFF — no barriers exist, so the only cardinality observation is the
 // wire flow accounting on the pulls themselves. Run 1 plans against the
 // skew and mis-ships the inflated intermediate; its finished pull
-// streams feed the observed tickets count into the statsOverride loop;
+// streams feed the observed tickets count into the learned-statistics loop;
 // run 2 — same cluster, same SQL — must plan against the corrected
 // statistics and move strictly fewer bytes for an identical result.
 func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
@@ -147,7 +147,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	var ticketsFlow *EdgeFlow
 	for i, f := range res1.Flows {
 		if f.Kind == "implicit" && f.Done && f.EstRows > 0 &&
-			reoptDiverges(f.EstRows, float64(f.Rows()), cl.sys.reoptThreshold()) {
+			reoptDiverges(f.EstRows, float64(f.Rows()), DefaultReoptThreshold) {
 			ticketsFlow = &res1.Flows[i]
 		}
 	}

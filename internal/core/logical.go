@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -26,19 +27,27 @@ import (
 )
 
 // TableInfo is one entry of XDB's global catalog: a table, its home DBMS,
-// its schema, and statistics gathered during the preparation phase.
-// Entries are treated as immutable once published — metadata refreshes
-// replace the entry rather than mutating it, so concurrent queries each
-// plan against a consistent snapshot.
+// its schema, and what the middleware believes about its statistics.
+// Stats is what planning uses; Reported is the home DBMS's last report
+// (nil until Refresh brings one). Once reported, the two differ only
+// while Learned is set: an observed cardinality (a re-optimization
+// barrier, a finished implicit pull, an exhausted sample probe)
+// contradicted the report, and the correction stands in for it. Entries
+// are immutable once published — Refresh and Learn replace the entry
+// rather than mutating it, so concurrent queries each plan against a
+// consistent snapshot.
 type TableInfo struct {
-	Name   string
-	Node   string
-	Schema *sqltypes.Schema
-	Stats  *engine.TableStats
+	Name     string
+	Node     string
+	Schema   *sqltypes.Schema
+	Stats    *engine.TableStats
+	Reported *engine.TableStats
+	Learned  bool
 }
 
 // Catalog is XDB's global catalog — the Global-as-a-View union of the
-// local schemas (Sec. III). It is safe for concurrent use.
+// local schemas (Sec. III) — and the one owner of what the middleware
+// believes about each table. It is safe for concurrent use.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*TableInfo
@@ -49,11 +58,70 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*TableInfo)}
 }
 
-// Put registers or replaces a table entry.
+// Put registers or replaces a table entry; a re-registered table starts
+// over, its learned facts forgotten.
 func (c *Catalog) Put(info *TableInfo) {
 	c.mu.Lock()
 	c.tables[strings.ToLower(info.Name)] = info
 	c.mu.Unlock()
+}
+
+// Refresh folds a fresh report from the table's home DBMS into its entry:
+// a schema (nil when not fetched) and statistics (nil when the fetch
+// failed). A learned correction is kept while the node repeats the report
+// it was learned against; any other report is adopted and clears the
+// mark. changed reports that the planning statistics were replaced by
+// different ones — what was consulted and planned against the old ones is
+// stale.
+func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine.TableStats) (changed bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := strings.ToLower(name)
+	cur, ok := c.tables[key]
+	if !ok {
+		return false
+	}
+	next := *cur
+	if schema != nil {
+		next.Schema = schema
+	}
+	switch {
+	case reported == nil, cur.Learned && statsEqual(cur.Reported, reported):
+		// Nothing reported, or the report the correction stands in for.
+	case cur.Learned || !statsEqual(cur.Stats, reported):
+		changed = cur.Stats != nil && !statsEqual(cur.Stats, reported)
+		next.Stats, next.Reported, next.Learned = reported, reported, false
+	}
+	// An unchanged entry keeps its identity, so a correction derived from
+	// it concurrently is not refused by a report that changed nothing.
+	if next != *cur {
+		c.tables[key] = &next
+	}
+	return changed
+}
+
+// Learn publishes corrected as the planning statistics of the table whose
+// entry was from, marked learned, and reports whether it did. It refuses
+// when from is no longer the published entry (a refresh or another
+// correction came first), when from carries no statistics, and when
+// corrected is what from already holds.
+func (c *Catalog) Learn(from *TableInfo, corrected *engine.TableStats) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := strings.ToLower(from.Name)
+	if c.tables[key] != from || from.Stats == nil || statsEqual(from.Stats, corrected) {
+		return false
+	}
+	next := *from
+	next.Stats, next.Learned = corrected, true
+	c.tables[key] = &next
+	return true
+}
+
+// statsEqual reports whether two statistics snapshots match (row count
+// and all column stats).
+func statsEqual(a, b *engine.TableStats) bool {
+	return reflect.DeepEqual(a, b)
 }
 
 // Lookup resolves a table name.

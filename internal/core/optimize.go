@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"math/bits"
 	"strings"
@@ -21,8 +20,12 @@ import (
 // intermediate data" objective of the paper, which matters doubly here
 // because intermediate size is also inter-DBMS transfer volume.
 
-// Options tunes the optimizer; zero value is the paper's configuration.
-// The non-default settings exist for the ablation studies in DESIGN.md §5.
+// Options configures the middleware; the zero value is the paper's
+// configuration. The first group switches optimizer behaviour off or on
+// for the ablation studies (DESIGN.md §5); the rest bound its operation —
+// timeouts, breakers, failover and re-optimization budgets, sampling,
+// caches, admission, and observability. Every threshold not listed here
+// is a Default* constant.
 type Options struct {
 	// NoJoinReorder delegates the user's syntactic join order (ablation
 	// A3).
@@ -62,13 +65,9 @@ type Options struct {
 	BreakerThreshold int
 	// BreakerBackoff is the base window an open breaker fails fast before
 	// half-opening to probe the node again; consecutive opens double the
-	// window (with jitter) up to BreakerBackoffMax. Zero means
-	// DefaultBreakerBackoff.
+	// window (with jitter) up to DefaultBreakerBackoffMax, or up to
+	// BreakerBackoff when that is larger. Zero means DefaultBreakerBackoff.
 	BreakerBackoff time.Duration
-	// BreakerBackoffMax caps the exponential breaker backoff window. Zero
-	// means DefaultBreakerBackoffMax; values below BreakerBackoff are
-	// raised to it.
-	BreakerBackoffMax time.Duration
 
 	// MaxReplans is how many times one query may re-plan and re-deploy
 	// after a node-attributable mid-query fault (crash, partition, open
@@ -94,32 +93,24 @@ type Options struct {
 	// estimate: each explicit-movement (materialized) stage is a
 	// barrier where the actual row count is read back and compared
 	// against the plan's annotation-time estimate; a divergence beyond
-	// ReoptThreshold re-runs annotation for the rest of the plan with
-	// the observed cardinalities substituted, reusing every already
-	// deployed (and in particular every already materialized) fragment.
+	// DefaultReoptThreshold (strictly, in either direction) re-runs
+	// annotation for the rest of the plan with the observed
+	// cardinalities substituted, reusing every already deployed (and in
+	// particular every already materialized) fragment.
 	// Zero (the paper configuration) disables the feedback loop
 	// entirely — no barrier is probed and plans are never revised
 	// mid-query. Re-optimizations do not consume the MaxReplans fault
 	// budget.
 	MaxReopts int
-	// ReoptThreshold is the estimate-vs-actual cardinality ratio (in
-	// either direction) a materialized edge must exceed — strictly — to
-	// trigger a suffix re-optimization. Zero means
-	// DefaultReoptThreshold.
-	ReoptThreshold float64
 	// SampleLimit enables proactive sampling-based estimate refinement:
 	// before a cross-database query's joins are ordered and placed, each
-	// low-confidence relation (no column statistics, a known-stale
-	// statsOverride, an ambiguous movement decision, or a reported row
+	// low-confidence relation (no column statistics, a learned
+	// correction, an ambiguous movement decision, or a reported row
 	// count the probe can verify outright — see sample.go) is probed with
 	// a bounded sample of at most SampleLimit rows, and the observed
 	// match count and statistics sketch replace the plain estimate before
 	// anything ships. Zero (the paper configuration) disables sampling.
 	SampleLimit int
-	// SampleTrigger is the shipping-volume ratio under which the two
-	// cheapest relations' movement decision counts as ambiguous and both
-	// get sample-verified. Zero means DefaultSampleTrigger.
-	SampleTrigger float64
 
 	// ConsultCacheTTL enables the cross-query consult cache: successful
 	// CostOperator probe results are memoized per (node, operator kind,
@@ -172,10 +163,6 @@ type Options struct {
 	// deploy DDL) concurrently in flight against any single DBMS node,
 	// and bounds each task's deploy fan-out. Zero means unlimited.
 	MaxPerNode int
-	// DrainGrace is how long Close waits for in-flight queries before
-	// abandoning the graceful drain. Zero means DefaultDrainGrace;
-	// negative skips the wait entirely.
-	DrainGrace time.Duration
 
 	// Trace records a span tree for every query — admission wait, each
 	// optimizer phase, every consultation probe, every deployed DDL
@@ -186,11 +173,9 @@ type Options struct {
 	// SlowQueryThreshold emits one structured (slog) record for every
 	// query whose wall time meets the threshold, carrying the phase
 	// breakdown, the delegation plan shape, and the span summary.
-	// Setting it implies per-query tracing. Zero disables the log.
+	// Setting it implies per-query tracing; records go to
+	// slog.Default(). Zero disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogger receives slow-query records; nil means
-	// slog.Default().
-	SlowQueryLogger *slog.Logger
 	// MetricsAddr, when non-empty, serves the process-wide metrics
 	// registry in Prometheus text format on this listen address
 	// (GET /metrics and /) for the System's lifetime. Use "127.0.0.1:0"

@@ -339,7 +339,7 @@ func buildAnnotatedPlan(t *testing.T, sql string, opts Options) (Op, *Annotation
 	}
 	root := &Final{In: joined, Sel: canon}
 	coster := &fakeCoster{nodes: []string{"db1", "db2", "db3"}}
-	ann, err := annotate(context.Background(), root, coster, opts)
+	ann, err := annotate(context.Background(), root, coster, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestAnnotateRule3SameNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	coster := &fakeCoster{nodes: []string{"db1", "db2"}}
-	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, Options{})
+	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestLinkFactorShiftsPlacement(t *testing.T) {
 		nodes:       []string{"db1", "db2"},
 		linkFactors: map[string]float64{"db1->db2": 100, "db2->db1": 1},
 	}
-	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, Options{})
+	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"xdb/internal/engine"
 	"xdb/internal/obs"
@@ -25,9 +24,9 @@ import (
 //	deploy ──► for each explicit edge, in dependency order:
 //	           force the materialization (SELECT COUNT(*) barrier)
 //	           and read back the actual row count
-//	       ──► actual vs EstRows diverged beyond Options.ReoptThreshold?
+//	       ──► actual vs EstRows diverged beyond DefaultReoptThreshold?
 //	           record the actual under the edge's logical signature,
-//	           refresh the source table's statistics (statsOverride),
+//	           correct the source table's statistics (Catalog.Learn),
 //	           and re-run the optimizer pipeline for the whole statement
 //	           — annotation now costs the unexecuted suffix with actuals
 //	       ──► re-deploy, adopting every surviving object by structural
@@ -41,16 +40,8 @@ import (
 
 // DefaultReoptThreshold is the estimate-vs-actual cardinality ratio a
 // materialized edge must exceed (strictly, in either direction) to
-// trigger a suffix re-optimization when Options.ReoptThreshold is unset.
+// trigger a suffix re-optimization.
 const DefaultReoptThreshold = 4.0
-
-// reoptThreshold resolves the configured divergence threshold.
-func (s *System) reoptThreshold() float64 {
-	if s.opts.ReoptThreshold > 0 {
-		return s.opts.ReoptThreshold
-	}
-	return DefaultReoptThreshold
-}
 
 // reoptDiverges reports whether an estimate and an observation disagree
 // by strictly more than the threshold ratio, in either direction. Both
@@ -80,7 +71,6 @@ func reoptDiverges(est, actual, threshold float64) bool {
 // re-optimized plan that kept an edge does not re-pay its barrier.
 // A barrier failure is returned node-attributed for the fault loop.
 func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan *Plan, fb map[string]float64) (*Edge, error) {
-	threshold := s.reoptThreshold()
 	for _, e := range plan.Edges {
 		if e.Move != MoveExplicit || e.Placeholder == nil || e.Placeholder.Rel == "" || e.Sig == "" {
 			continue
@@ -115,22 +105,11 @@ func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan 
 		sp.Finish()
 		fb[e.Sig] = actual
 		s.feedObservedRows(e, actual)
-		if reoptDiverges(e.EstRows, actual, threshold) {
+		if reoptDiverges(e.EstRows, actual, DefaultReoptThreshold) {
 			return e, nil
 		}
 	}
 	return nil, nil
-}
-
-// statsOverride corrects one table's statistics with an observed row
-// count. base is the stale snapshot the correction was derived against;
-// as long as the node keeps reporting exactly base, metadata refreshes
-// substitute corrected (see freshStats). The moment the node
-// reports anything else, the table genuinely changed and the override
-// is dropped in favour of the fresh truth.
-type statsOverride struct {
-	base      *engine.TableStats
-	corrected *engine.TableStats
 }
 
 // feedObservedRows closes the cross-query half of the feedback loop:
@@ -156,44 +135,31 @@ func (s *System) feedObservedRows(e *Edge, actual float64) {
 			implied = math.Max(implied/sel, implied)
 		}
 	}
-	if !reoptDiverges(float64(info.Stats.RowCount), implied, s.reoptThreshold()) {
+	if !reoptDiverges(float64(info.Stats.RowCount), implied, DefaultReoptThreshold) {
 		return
 	}
-	s.learnStats(sc.Table, scaleStats(info.Stats, int64(math.Round(implied))))
+	s.learnStats(info, scaleStats(info.Stats, int64(math.Round(implied))))
 }
 
-// learnStats is the one writer of cardinality corrections, whatever their
-// source (a barrier, a finished implicit pull, an exhausted sample probe):
-// it registers the statsOverride, republishes the catalog entry with the
-// corrected statistics, and drops the node's consulted costs and cached
-// plans, which were built on the disproved ones. One observation thereby
-// benefits every subsequent query. The drift sentinel stays the original
-// stale snapshot across corrections — the catalog may already hold a
-// corrected version while the node still reports the original — and the
-// swap is atomic, so concurrent queries cannot clobber it. Statistics the
-// catalog already holds teach nothing.
-func (s *System) learnStats(table string, corrected *engine.TableStats) {
-	info, ok := s.catalog.Lookup(table)
-	if !ok || info.Stats == nil || statsEqual(info.Stats, corrected) {
-		return
+// learnStats feeds a cardinality correction derived from the catalog entry
+// from, whatever its source (a barrier, a finished implicit pull, an
+// exhausted sample probe), to Catalog.Learn, and when it is published
+// drops the node's consulted costs and cached plans, which were built on
+// the disproved statistics. One observation thereby benefits every
+// subsequent query. A correction the catalog refuses — the entry moved on
+// since it was read, or it already holds these statistics — teaches
+// nothing.
+func (s *System) learnStats(from *TableInfo, corrected *engine.TableStats) {
+	if s.catalog.Learn(from, corrected) {
+		s.invalidateNode(from.Node)
 	}
-	key := strings.ToLower(table)
-	for {
-		prev, loaded := s.statsFeedback.LoadOrStore(key, &statsOverride{base: info.Stats, corrected: corrected})
-		if !loaded || s.statsFeedback.CompareAndSwap(key, prev,
-			&statsOverride{base: prev.(*statsOverride).base, corrected: corrected}) {
-			break
-		}
-	}
-	s.catalog.Put(&TableInfo{Name: info.Name, Node: info.Node, Schema: info.Schema, Stats: corrected})
-	s.invalidateNode(info.Node)
 }
 
 // feedImplicitFlows closes the feedback loop for the edges the barriers
 // cannot see: implicit movements never materialize, but the wire flow
 // accounting observed their pull streams' actual row counts while the
 // query executed. After a clean execution each finished implicit pull
-// feeds the same statsOverride path the explicit barriers use — strictly
+// feeds the same learnStats path the explicit barriers use — strictly
 // post-hoc and cross-query: the finished query is untouched, no
 // mid-query re-optimization triggers from an implicit edge, but the next
 // misestimated pull-heavy query plans against corrected statistics.

@@ -332,7 +332,7 @@ func TestReoptCrossQueryFeedback(t *testing.T) {
 	if fourth.Breakdown.Reopts != 0 {
 		t.Errorf("accurate stats after drift still re-optimized: reopts=%d", fourth.Breakdown.Reopts)
 	}
-	if _, ok := cl.sys.statsFeedback.Load("orders"); ok {
+	if info, _ := cl.sys.catalog.Lookup("orders"); info.Learned {
 		t.Error("stats override survived the node reporting fresh statistics")
 	}
 }

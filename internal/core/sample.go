@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"xdb/internal/connector"
@@ -24,16 +23,18 @@ import (
 // predicate matches, sketch per-column statistics — against the
 // relation's home DBMS, and substitutes the observed truth into the same
 // machinery the barriers feed: the scan's estimate and statistics for
-// this query, and a statsOverride for every subsequent one.
+// this query, and a learned correction in the catalog for every
+// subsequent one.
 //
 // A probe is low-confidence-triggered, never unconditional:
 //
 //	(a) the relation has no column statistics at all;
-//	(b) a prior statsOverride marks the home DBMS's reported statistics
-//	    as known-stale — re-verify them for the price of one bounded
-//	    scan instead of trusting either side blindly;
+//	(b) a learned correction (TableInfo.Learned) marks the home DBMS's
+//	    reported statistics as known-stale — re-verify them for the
+//	    price of one bounded scan instead of trusting either side
+//	    blindly;
 //	(c) the two cheapest relations' estimated shipping volumes are
-//	    within Options.SampleTrigger of each other — the movement
+//	    within DefaultSampleTrigger of each other — the movement
 //	    decision is ambiguous, and a wrong pick ships the wrong side;
 //	(d) the relation's reported row count is at most the sample limit —
 //	    the probe will scan the whole relation (as reported), so exact
@@ -47,17 +48,8 @@ import (
 // query.
 
 // DefaultSampleTrigger is the shipping-volume ratio under which a
-// movement decision counts as ambiguous (trigger c) when
-// Options.SampleTrigger is unset.
+// movement decision counts as ambiguous (trigger c).
 const DefaultSampleTrigger = 2.0
-
-// sampleTrigger resolves the configured ambiguity threshold.
-func (s *System) sampleTrigger() float64 {
-	if s.opts.SampleTrigger > 0 {
-		return s.opts.SampleTrigger
-	}
-	return DefaultSampleTrigger
-}
 
 // sampleRefine runs the sampling pre-pass over the query's scans and
 // returns the number of probes considered (including skipped and failed
@@ -108,16 +100,17 @@ func (s *System) sampleCandidates(scans []*Scan, limit int64) []*Scan {
 	ambiguous := false
 	if i1 >= 0 && i2 >= 0 {
 		lo, hi := moveCost(scans[i1], 1), moveCost(scans[i2], 1)
-		ambiguous = lo > 0 && hi/lo < s.sampleTrigger()
+		ambiguous = lo > 0 && hi/lo < DefaultSampleTrigger
 	}
 
 	var out []*Scan
 	for i, sc := range scans {
+		info, _ := s.catalog.Lookup(sc.Table)
 		switch {
 		case sc.Stats == nil:
 			continue // nothing reported at all; metadata gathering failed upstream
 		case len(sc.Stats.Columns) == 0: // trigger (a)
-		case s.hasStatsOverride(sc.Table): // trigger (b)
+		case info != nil && info.Learned: // trigger (b)
 		case sc.Stats.RowCount <= limit: // trigger (d)
 		case ambiguous && (i == i1 || i == i2): // trigger (c)
 		default:
@@ -126,14 +119,6 @@ func (s *System) sampleCandidates(scans []*Scan, limit int64) []*Scan {
 		out = append(out, sc)
 	}
 	return out
-}
-
-// hasStatsOverride reports whether a cardinality-feedback override is
-// registered for the table — the signal that its home DBMS's reported
-// statistics were observed to be stale.
-func (s *System) hasStatsOverride(table string) bool {
-	_, ok := s.statsFeedback.Load(strings.ToLower(table))
-	return ok
 }
 
 // sampleNode probes one node's scans with one batch — a call taking one
@@ -200,7 +185,9 @@ func (s *System) sampleNode(ctx context.Context, node string, scans []*Scan, lim
 			sc.Stats = res.Stats
 			sc.est = exact
 			sc.width = estimateWidth(sc)
-			s.learnStats(sc.Table, res.Stats)
+			if info, ok := s.catalog.Lookup(sc.Table); ok {
+				s.learnStats(info, res.Stats)
+			}
 		} else if lb := float64(res.Matched); lb > sc.est {
 			// At least lb rows match among the first Scanned alone.
 			sc.est = lb

@@ -170,7 +170,7 @@ func TestSampleAccurateStatsAgree(t *testing.T) {
 	}
 	// An agreeing probe must be quiescent: no override installed, so
 	// nothing was invalidated.
-	if _, ok := cl.sys.statsFeedback.Load("tickets"); ok {
+	if info, _ := cl.sys.catalog.Lookup("tickets"); info.Learned {
 		t.Error("an agreeing probe installed a stats override")
 	}
 }
@@ -194,7 +194,7 @@ func TestSampleCrossQueryFeedback(t *testing.T) {
 		t.Fatalf("first query: probes=%d reopts=%d — scenario broken",
 			first.Breakdown.SampleProbes, first.Breakdown.Reopts)
 	}
-	if _, ok := cl.sys.statsFeedback.Load("tickets"); !ok {
+	if info, _ := cl.sys.catalog.Lookup("tickets"); !info.Learned {
 		t.Fatal("exhausted probe installed no stats override")
 	}
 

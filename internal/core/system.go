@@ -6,9 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"reflect"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -67,12 +65,6 @@ type System struct {
 	// node that was down during the first calibration pass is retried
 	// once it recovers.
 	calNodes map[string]bool
-	// statsFeedback holds per-table cardinality corrections learned from
-	// barriers, finished pulls, and sample probes (see learnStats);
-	// freshStats substitutes a correction for the stale snapshot it
-	// was derived against until the source reports genuinely new
-	// statistics.
-	statsFeedback sync.Map // table name -> *statsOverride
 	// consults memoizes consultation probe results across queries when
 	// Options.ConsultCacheTTL is set (nil otherwise; see
 	// consultcache.go for the freshness rules).
@@ -115,7 +107,7 @@ func NewSystem(middlewareNode, clientNode string, topo *netsim.Topology, opts Op
 		planStop:   make(chan struct{}),
 		inflight:   newInflightRegistry(),
 	}
-	s.health = newHealthTracker(opts.BreakerThreshold, opts.BreakerBackoff, opts.BreakerBackoffMax, s.nodeRecovered)
+	s.health = newHealthTracker(opts.BreakerThreshold, opts.BreakerBackoff, DefaultBreakerBackoffMax, s.nodeRecovered)
 	// Any breaker transition invalidates the node's cached consult
 	// entries — costs consulted before an outage say nothing about the
 	// node during or after it — and its cached plans, whose deployed
@@ -137,7 +129,7 @@ func (s *System) startMetricsServer() {
 	}
 	ln, err := net.Listen("tcp", s.opts.MetricsAddr)
 	if err != nil {
-		s.slogger().Warn("xdb: metrics listener failed", "addr", s.opts.MetricsAddr, "err", err)
+		slog.Warn("xdb: metrics listener failed", "addr", s.opts.MetricsAddr, "err", err)
 		return
 	}
 	s.metricsLn = ln
@@ -164,14 +156,6 @@ func (s *System) MetricsAddr() string {
 	return s.metricsLn.Addr().String()
 }
 
-// slogger returns the structured logger for slow-query records.
-func (s *System) slogger() *slog.Logger {
-	if s.opts.SlowQueryLogger != nil {
-		return s.opts.SlowQueryLogger
-	}
-	return slog.Default()
-}
-
 // NodeHealth returns every registered node's breaker state and failure
 // counters.
 func (s *System) NodeHealth() map[string]NodeHealth {
@@ -188,26 +172,17 @@ func (s *System) NodeHealth() map[string]NodeHealth {
 // Options returns the system's optimizer options.
 func (s *System) Options() Options { return s.opts }
 
-// Close drains the system with the configured grace period (new queries
-// are refused, in-flight ones get DrainGrace to finish, orphans are swept
-// once), waits for background orphan sweeps, and releases the
-// middleware's pooled wire connections (the client's execution
-// transport). The registered connectors' clients are owned by whoever
-// created them — the testbed closes those.
+// Close drains the system (new queries are refused, in-flight ones get
+// DefaultDrainGrace to finish, orphans are swept once), waits for
+// background orphan sweeps, and releases the middleware's pooled wire
+// connections (the client's execution transport). The registered
+// connectors' clients are owned by whoever created them — the testbed
+// closes those.
 func (s *System) Close() error {
 	s.stopDeploymentJanitor()
-	grace := s.opts.DrainGrace
-	if grace == 0 {
-		grace = DefaultDrainGrace
-	}
-	if grace > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), grace)
-		s.Drain(ctx)
-		cancel()
-	} else {
-		// Negative grace: stop admitting, skip the wait and the sweep.
-		s.admit.startDrain()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainGrace)
+	s.Drain(ctx)
+	cancel()
 	// Warm deployments must not outlive the middleware: drop every cached
 	// plan's objects (failed drops park as orphans for a later process).
 	s.FlushPlans()
@@ -290,7 +265,7 @@ type Breakdown struct {
 	MediatorFallback bool
 	// Reopts counts the mid-query cardinality re-optimizations this
 	// query spent: a materialized stage's actual row count diverged from
-	// the annotation-time estimate beyond Options.ReoptThreshold, and
+	// the annotation-time estimate beyond DefaultReoptThreshold, and
 	// the unexecuted suffix was re-annotated with the observed
 	// cardinality substituted (Options.MaxReopts). Zero with accurate
 	// statistics, and always zero when MaxReopts is 0.
@@ -349,22 +324,6 @@ func (s *System) CostOperator(ctx context.Context, node string, kind engine.Cost
 // the annotator excludes it from placement candidates and skips probing
 // it (degraded planning).
 func (s *System) Healthy(node string) bool { return s.health.healthy(node) }
-
-// LookupCost implements consultCacher over the cross-query consult cache
-// (a guaranteed miss while ConsultCacheTTL is unset).
-func (s *System) LookupCost(node string, kind engine.CostKind, left, right, out float64) (float64, bool) {
-	return s.consults.lookup(node, kind, left, right, out)
-}
-
-// StoreCost implements consultCacher: memoizes one successfully
-// consulted operator cost (a no-op while ConsultCacheTTL is unset).
-func (s *System) StoreCost(node string, kind engine.CostKind, left, right, out, cost float64) {
-	s.consults.store(node, kind, left, right, out, cost)
-}
-
-// ConsultCacheStats snapshots the consult cache: occupancy, hit/miss
-// counters, and evictions. All zero while ConsultCacheTTL is unset.
-func (s *System) ConsultCacheStats() ConsultCacheStats { return s.consults.stats() }
 
 // PlanCacheStats snapshots the delegation-plan cache: warm deployments
 // held, active leases, and hit/miss/eviction counters. All zero while
@@ -459,7 +418,7 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 
 	// --- Annotation and finalization.
 	actx, annSpan, done := timed(ctx, "annotate", &bd.Ann)
-	ann, err := annotate(actx, root, s, s.opts)
+	ann, err := annotate(actx, root, s, s.consults, s.opts)
 	if err != nil {
 		done(err)
 		return nil, err
@@ -509,12 +468,13 @@ func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (b *bui
 	return b, joinConjs, canon, nil
 }
 
-// gatherMetadata fetches schema and statistics for every referenced table,
-// republishing catalog entries immutably so concurrent queries never
-// observe a half-updated entry. Each node gets one metadata batch under
-// one call — the tables' home must answer, a query referencing them cannot
-// degrade around the node that holds their rows — and the nodes fetch at
-// once; the first failure cancels the rest of the fan-out.
+// gatherMetadata fetches schema and statistics for every referenced table
+// and folds them into the catalog (Catalog.Refresh). Each node gets one
+// metadata batch under one call — the tables' home must answer, a query
+// referencing them cannot degrade around the node that holds their rows —
+// and the nodes fetch at once; the first failure cancels the rest of the
+// fan-out. A refresh that changed a table's planning statistics forgets
+// what was consulted and planned on its node.
 func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) error {
 	work, err := metadataWork(s.catalog, sel, s.CacheStats)
 	if err != nil {
@@ -530,38 +490,13 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 			mdSpan.Finish()
 		}()
 		return s.call(fctx, infos[0].Node, 1, func(rctx context.Context, c *connector.Connector) error {
-			return fetchMetadata(rctx, c, s.catalog, infos, s.freshStats)
+			changed, err := fetchMetadata(rctx, c, s.catalog, infos)
+			if changed {
+				s.invalidateNode(infos[0].Node)
+			}
+			return err
 		})
 	})
-}
-
-// freshStats vets a table's freshly fetched statistics before they are
-// published. A learned correction (learnStats) keeps standing in for the
-// stale snapshot it was derived against for as long as the node reports
-// exactly that snapshot; if the node reports anything else, the table
-// genuinely changed and the override is dropped. A refresh that actually
-// changed the table's statistics invalidates what was consulted and
-// planned against the old ones.
-func (s *System) freshStats(info *TableInfo, st *engine.TableStats) *engine.TableStats {
-	key := strings.ToLower(info.Name)
-	if ov, ok := s.statsFeedback.Load(key); ok {
-		o := ov.(*statsOverride)
-		if statsEqual(o.base, st) {
-			st = o.corrected
-		} else {
-			s.statsFeedback.Delete(key)
-		}
-	}
-	if info.Stats != nil && !statsEqual(info.Stats, st) {
-		s.invalidateNode(info.Node)
-	}
-	return st
-}
-
-// statsEqual reports whether a freshly fetched statistics snapshot
-// matches the previous one (row count and all column stats).
-func statsEqual(a, b *engine.TableStats) bool {
-	return reflect.DeepEqual(a, b)
 }
 
 // Result is the outcome of a cross-database query.
@@ -787,7 +722,7 @@ func (s *System) logSlowQuery(sql string, wall time.Duration, bd *Breakdown, pla
 	if err != nil {
 		attrs = append(attrs, "err", err.Error())
 	}
-	s.slogger().Warn("xdb: slow query", attrs...)
+	slog.Warn("xdb: slow query", attrs...)
 }
 
 // planShape renders the delegation plan's shape in one token: task

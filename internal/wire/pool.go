@@ -45,9 +45,6 @@ type ClientConfig struct {
 	// RetryBackoff is the initial backoff before a retry, doubled per
 	// attempt; <= 0 means DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// DisablePool dials a fresh connection per request (the pre-pool
-	// behavior, kept for A/B benchmarks).
-	DisablePool bool
 }
 
 // withDefaults resolves zero fields to the package defaults.
@@ -177,36 +174,34 @@ type idleConn struct {
 // when no usable idle connection exists. The second return value reports
 // whether the connection is a reused one (and may therefore be stale).
 func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bool, error) {
-	if !c.cfg.DisablePool {
-		now := time.Now()
-		c.mu.Lock()
-		for {
-			list := c.idle[addr]
-			n := len(list)
-			if n == 0 {
-				break
-			}
-			ic := list[n-1]
-			c.idle[addr] = list[:n-1]
-			if now.Sub(ic.since) > c.cfg.IdleTimeout {
-				// Expired while parked: reap it and keep looking.
-				c.evictions.Add(1)
-				c.closes.Add(1)
-				a := c.forAddr(addr)
-				a.evictions.Add(1)
-				a.closes.Add(1)
-				met.evictions.Inc()
-				ic.conn.Close()
-				continue
-			}
-			c.mu.Unlock()
-			c.reuses.Add(1)
-			c.forAddr(addr).reuses.Add(1)
-			met.reuses.Inc()
-			return ic.conn, true, nil
+	now := time.Now()
+	c.mu.Lock()
+	for {
+		list := c.idle[addr]
+		n := len(list)
+		if n == 0 {
+			break
+		}
+		ic := list[n-1]
+		c.idle[addr] = list[:n-1]
+		if now.Sub(ic.since) > c.cfg.IdleTimeout {
+			// Expired while parked: reap it and keep looking.
+			c.evictions.Add(1)
+			c.closes.Add(1)
+			a := c.forAddr(addr)
+			a.evictions.Add(1)
+			a.closes.Add(1)
+			met.evictions.Inc()
+			ic.conn.Close()
+			continue
 		}
 		c.mu.Unlock()
+		c.reuses.Add(1)
+		c.forAddr(addr).reuses.Add(1)
+		met.reuses.Inc()
+		return ic.conn, true, nil
 	}
+	c.mu.Unlock()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -232,12 +227,12 @@ func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bo
 }
 
 // putConn returns a healthy connection to the pool (closing it when the
-// pool is full, closed, or disabled). The request deadline is cleared so a
+// pool is full or closed). The request deadline is cleared so a
 // parked connection cannot inherit it.
 func (c *Client) putConn(addr string, conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
-	if c.closed || c.cfg.DisablePool || len(c.idle[addr]) >= c.cfg.MaxIdlePerHost {
+	if c.closed || len(c.idle[addr]) >= c.cfg.MaxIdlePerHost {
 		c.mu.Unlock()
 		c.closes.Add(1)
 		c.forAddr(addr).closes.Add(1)

@@ -117,31 +117,6 @@ func TestPoolReuseAcrossRPCKinds(t *testing.T) {
 	}
 }
 
-// TestDisablePool preserves the pre-pool dial-per-request behavior.
-func TestDisablePool(t *testing.T) {
-	e, s := newServedEngine(t, "db1", engine.VendorTest)
-	loadNumbers(t, e, "t", 10)
-	c := NewClientWith("client", nil, ClientConfig{DisablePool: true})
-	defer c.Close()
-
-	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := statsOne(c, context.Background(), s.Addr(), "db1", "t"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := c.Transport()
-	if ts.Dials != n {
-		t.Errorf("dials = %d, want %d", ts.Dials, n)
-	}
-	if ts.Reuses != 0 {
-		t.Errorf("reuses = %d, want 0", ts.Reuses)
-	}
-	if ts.Closes != ts.Dials {
-		t.Errorf("closes = %d != dials = %d", ts.Closes, ts.Dials)
-	}
-}
-
 // TestPoolEvictionAfterRestart: a pooled connection to a dead-and-restarted
 // server is stale; the client must evict it and transparently redial.
 func TestPoolEvictionAfterRestart(t *testing.T) {

@@ -46,8 +46,10 @@ import (
 type (
 	// System is the XDB middleware: optimizer + delegation engine.
 	System = core.System
-	// Options tunes the optimizer; the zero value is the paper's
-	// configuration, non-defaults drive the ablation studies.
+	// Options configures the middleware; the zero value is the paper's
+	// configuration. A few fields switch optimizer behaviour for the
+	// ablation studies; the rest bound its operation (timeouts,
+	// breakers, recovery budgets, caches, admission, observability).
 	Options = core.Options
 	// Result is a completed cross-database query with its delegation
 	// plan and phase breakdown.
@@ -78,9 +80,6 @@ type (
 	Value = sqltypes.Value
 	// Topology is the simulated network.
 	Topology = netsim.Topology
-	// WireConfig tunes the middleware's wire transport: connection pool
-	// bounds, request deadlines, and the retry policy (Options.Wire).
-	WireConfig = wire.ClientConfig
 	// TransportStats is a snapshot of a wire client's connection-level
 	// counters (dials, reuses, retries, timeouts).
 	TransportStats = wire.TransportStats
@@ -124,7 +123,7 @@ type (
 	SystemStats = core.SystemStats
 	// ConsultCacheStats is the cross-query consult cache's occupancy and
 	// hit/miss/eviction counters (Options.ConsultCacheTTL enables the
-	// cache; System.ConsultCacheStats / SystemStats.ConsultCache).
+	// cache; SystemStats.ConsultCache).
 	ConsultCacheStats = core.ConsultCacheStats
 	// PlanCacheStats is the delegation-plan cache's occupancy, active
 	// deployment leases, and hit/miss/eviction counters
@@ -175,8 +174,7 @@ const (
 
 // DefaultReoptThreshold is the estimate-vs-actual cardinality ratio a
 // materialized stage must exceed (strictly, either direction) to trigger
-// a mid-query re-optimization when Options.ReoptThreshold is unset and
-// Options.MaxReopts > 0.
+// a mid-query re-optimization when Options.MaxReopts > 0.
 const DefaultReoptThreshold = core.DefaultReoptThreshold
 
 // Emulated vendors.
