@@ -15,10 +15,13 @@ vet:
 # concurrency-sensitive code (connection pool checkout, calibration,
 # concurrent candidate consultation, the per-node metadata, sampling, deploy
 # and drop rounds, engines serving concurrent queries over a shared catalog
-# and foreign-table cache), and the mediator and sclera baselines fan their
-# metadata out over nodes through core; run them under the race detector.
+# and foreign-table cache, morsel exchanges), and the mediator and sclera
+# baselines fan their metadata out over nodes through core; run them under
+# the race detector. The engine runs at GOMAXPROCS 1 (its serial path) and
+# 2 (its morsel exchanges).
 race:
-	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/engine/... ./internal/mediator/... ./internal/sclera/...
+	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/mediator/... ./internal/sclera/...
+	$(GO) test -race -cpu 1,2 ./internal/engine/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed

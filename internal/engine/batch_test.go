@@ -11,11 +11,21 @@ import (
 )
 
 // Batch-boundary tests: every operator, over inputs that end just before,
-// on and just after a batch boundary, must answer what a naive
-// row-at-a-time evaluation answers. The naive side is the ref* helpers
-// below: nested Go loops over the loaded rows, no batches, no hashing.
+// on and just after a batch (and morsel) boundary, must answer what a
+// naive row-at-a-time evaluation answers. The naive side is the ref*
+// helpers below: nested Go loops over the loaded rows, no batches, no
+// hashing. Each statement runs on one worker, the serial path, and then
+// through morsel exchanges of 2 and 4 workers, which must return the same
+// rows in the same order.
 
-var boundarySizes = []int{0, 1, sqltypes.BatchRows - 1, sqltypes.BatchRows, sqltypes.BatchRows + 1, 2*sqltypes.BatchRows + 1}
+var boundarySizes = []int{0, 1, sqltypes.BatchRows - 1, sqltypes.BatchRows, sqltypes.BatchRows + 1, 2*sqltypes.BatchRows + 1, 5000, 9000}
+
+// withWorkers runs f with exchanges of w workers (1: the serial path).
+func withWorkers(w int, f func()) {
+	defer func(old func() int) { exchangeWorkers = old }(exchangeWorkers)
+	exchangeWorkers = func() int { return w }
+	f()
+}
 
 // Column positions of the generated tables.
 const (
@@ -211,11 +221,26 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 	e, t1, t2 := boundaryEngine(t, n, remoteBuilds)
 	run := func(sql string) []sqltypes.Row {
 		t.Helper()
-		res, err := e.QueryAll(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		var serial []sqltypes.Row
+		for _, w := range []int{1, 2, 4} {
+			var res *Result
+			var err error
+			withWorkers(w, func() { res, err = e.QueryAll(sql) })
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", sql, w, err)
+			}
+			if w == 1 {
+				serial = res.Rows
+				continue
+			}
+			for i := range max(len(res.Rows), len(serial)) {
+				if i == len(res.Rows) || i == len(serial) || !sameRow(res.Rows[i], serial[i]) {
+					t.Errorf("%s: %d workers differ from 1 at row %d", sql, w, i)
+					break
+				}
+			}
 		}
-		return res.Rows
+		return serial
 	}
 	all := func(sqltypes.Row) bool { return true }
 	vw := func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], r[colV]} }
@@ -271,6 +296,13 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 	})
 	expectRows(t, "sort", run("SELECT v, g FROM t1 ORDER BY g DESC, v"), sorted)
 	expectRows(t, "sort+limit", run("SELECT v, g FROM t1 ORDER BY g DESC, v LIMIT 10"), sorted[:min(10, n)])
+	// Ties keep their input order, as in a stable sort.
+	byG := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
+	sort.SliceStable(byG, func(i, j int) bool { return byG[i][1].I > byG[j][1].I })
+	for _, limit := range []int{0, 1, 1030, n + 1} {
+		expectRows(t, fmt.Sprint("sort+limit, ties, limit ", limit),
+			run(fmt.Sprintf("SELECT v, g FROM t1 ORDER BY g DESC LIMIT %d", limit)), byG[:min(limit, n)])
+	}
 
 	seen := map[string]bool{}
 	expectRows(t, "distinct", run("SELECT DISTINCT g, k FROM t1"),

@@ -1,0 +1,289 @@
+package engine
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"xdb/internal/sqltypes"
+	"xdb/internal/tpch"
+)
+
+// Tests of the morsel exchange (exchange.go), of the join table it
+// shares between workers, and of ComputeStats across cores.
+
+// TestExchangeChargesLikeSerial: a Q3-shaped statement on VendorPostgres —
+// a filtered scan probing a join table, aggregated above — models the same
+// CPU time whether it runs serially or on an exchange, and the exchange's
+// workers sleep no more often than the serial operators.
+func TestExchangeChargesLikeSerial(t *testing.T) {
+	e := New(Config{Name: "pg", Vendor: VendorPostgres})
+	for name, n := range map[string]int{"big": 30 * morselRows, "dim": 500} {
+		if err := e.LoadTable(name, boundarySchema, boundaryRows(n, len(name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sql = "SELECT big.g, SUM(big.v), COUNT(*) FROM big, dim WHERE big.k = dim.k AND big.g < 5 GROUP BY big.g"
+	var sleeps, slept atomic.Int64
+	defer func(old func(time.Duration)) { throttleSleep = old }(throttleSleep)
+	throttleSleep = func(d time.Duration) { sleeps.Add(1); slept.Add(int64(d)) }
+
+	measure := func(w int) (rows []sqltypes.Row, n, ns int64) {
+		sleeps.Store(0)
+		slept.Store(0)
+		withWorkers(w, func() {
+			res, err := e.QueryAll(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = res.Rows
+		})
+		return rows, sleeps.Load(), slept.Load()
+	}
+	want, serialSleeps, serialNs := measure(1)
+	if serialSleeps == 0 {
+		t.Fatal("the serial statement never slept")
+	}
+	for _, w := range []int{2, 4} {
+		got, n, ns := measure(w)
+		expectRows(t, fmt.Sprint(w, " workers"), got, want)
+		if ns != serialNs {
+			t.Errorf("%d workers modelled %v of CPU, the serial path %v", w, time.Duration(ns), time.Duration(serialNs))
+		}
+		if n > serialSleeps {
+			t.Errorf("%d workers slept %d times, the serial path %d", w, n, serialSleeps)
+		}
+	}
+}
+
+// TestExchangeLeavesNoGoroutine: whether a statement's exchange runs to
+// the end, fails in the middle of a morsel, or is closed early under a
+// LIMIT, none of its goroutines outlives the statement — with its builds
+// local or behind slow foreign streams.
+func TestExchangeLeavesNoGoroutine(t *testing.T) {
+	const n = 40 * morselRows
+	rows := boundaryRows(n, 0)
+	remote := &stagedRemote{rels: map[string]*stagedRel{"r": {rows: boundaryRows(300, 1), openDelay: 20 * time.Millisecond}}}
+	e := stagedEngine(t, Profiles(VendorTest), remote, foreignDDL("f", "r", 300, false))
+	for name, rs := range map[string][]sqltypes.Row{"t": rows, "d": boundaryRows(300, 1)} {
+		if err := e.LoadTable(name, boundarySchema, rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Row 20000 is in the middle of morsel 19: its filter divides by zero.
+	const failing = "SELECT t.v FROM t, %s WHERE t.k = %[1]s.k AND 1 / (t.v - 20000) < 1"
+	for _, c := range []struct {
+		name, sql string
+		limit     int // rows read before Close; 0: to the end
+		wantErr   string
+	}{
+		{name: "success", sql: "SELECT t.v, %s.s FROM t, %[1]s WHERE t.k = %[1]s.k AND t.g < 3"},
+		{name: "error mid-morsel", sql: failing, wantErr: "division by zero"},
+		{name: "close under limit", sql: "SELECT t.v FROM t, %s WHERE t.k = %[1]s.k AND t.g < 6 LIMIT 10", limit: 10},
+	} {
+		for _, build := range []string{"d", "f"} {
+			t.Run(c.name+"/"+build, func(t *testing.T) {
+				withWorkers(4, func() {
+					before := runtime.NumGoroutine()
+					_, it, err := e.Query(fmt.Sprintf(c.sql, build))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := 0
+					for c.limit == 0 || got < c.limit {
+						b, err := it.Next()
+						if err != nil {
+							if c.wantErr == "" && err != io.EOF || c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr) {
+								t.Errorf("Next: %v, want %q", err, c.wantErr)
+							}
+							break
+						}
+						got += len(b.Rows)
+					}
+					it.Close()
+					if c.limit > 0 && got != c.limit {
+						t.Errorf("%d rows before Close, want %d", got, c.limit)
+					}
+					waitGoroutines(t, c.name, before)
+				})
+			})
+		}
+	}
+	checkClosedOnce(t, "exchange builds", remote.rels)
+}
+
+// TestJoinKeysMatchNestedLoop: hash joins on one and on two int keys
+// answer what the naive nested loop answers for int, float, date and NULL
+// probe keys: int 3 = float 3.0 = date 3, a fraction, NaN or NULL matches
+// nothing, and beyond 2^53 a float equals every int that rounds to it.
+// Without NaN probes (the SQL nested loop pairs NaN with every number, as
+// Compare calls them equal) the SQL nested loop agrees too.
+func TestJoinKeysMatchNestedLoop(t *testing.T) {
+	const big = 1 << 53
+	ints := []sqltypes.Value{sqltypes.NewInt(3), sqltypes.NewInt(4), sqltypes.NewInt(big), sqltypes.NewInt(big + 1), sqltypes.NewInt(-7)}
+	probes := []sqltypes.Value{
+		sqltypes.NewInt(3), sqltypes.NewFloat(3), sqltypes.NewFloat(3.5), sqltypes.NewFloat(-7),
+		sqltypes.NewFloat(big), sqltypes.NewFloat(math.Inf(1)), sqltypes.Null, sqltypes.NewInt(big + 1),
+		sqltypes.NewDate(4), sqltypes.NewFloat(math.NaN()),
+	}
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Name: "a", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "b", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "i", Type: sqltypes.TypeInt},
+	)
+	var build, probe, noNaN []sqltypes.Row
+	for i, a := range ints {
+		for j, b := range ints[:3] {
+			build = append(build, sqltypes.Row{a, b, sqltypes.NewInt(int64(10*i + j))})
+		}
+	}
+	for rep := range 2 {
+		for i, a := range probes {
+			for j, b := range probes {
+				r := sqltypes.Row{a, b, sqltypes.NewInt(int64(1000*rep + 100*i + j))}
+				probe = append(probe, r)
+				if i < len(probes)-1 && j < len(probes)-1 {
+					noNaN = append(noNaN, r)
+				}
+			}
+		}
+	}
+	e := New(Config{Name: "k", Vendor: VendorTest})
+	// The probe sides are the larger, so the build side is bt.
+	for name, rows := range map[string][]sqltypes.Row{"pt": probe, "pn": noNaN, "bt": build} {
+		if err := e.LoadTable(name, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		cond string // over p and bt
+		on   func(p, b sqltypes.Row) bool
+	}{
+		{"p.a = bt.a", func(p, b sqltypes.Row) bool { return keyEq(p[0], b[0]) }},
+		{"p.a = bt.a AND p.b = bt.b", func(p, b sqltypes.Row) bool { return keyEq(p[0], b[0]) && keyEq(p[1], b[1]) }},
+	} {
+		for _, q := range []struct {
+			table string
+			rows  []sqltypes.Row
+			loop  bool
+		}{{"pt", probe, false}, {"pn", noNaN, false}, {"pn", noNaN, true}} {
+			cond := c.cond
+			if q.loop {
+				cond = strings.ReplaceAll(cond, "p.a", "p.a + 0")
+				cond = strings.ReplaceAll(cond, "p.b", "p.b + 0")
+			}
+			sql := fmt.Sprintf("SELECT p.i, bt.i FROM %s p, bt WHERE %s", q.table, cond)
+			info, err := e.Explain(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(info.Text, "HashJoin") == q.loop {
+				t.Fatalf("%s: unexpected plan\n%s", sql, info.Text)
+			}
+			res, err := e.QueryAll(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectBag(t, sql, res.Rows, refJoin(q.rows, build, c.on, func(p, b sqltypes.Row) sqltypes.Row { return sqltypes.Row{p[2], b[2]} }))
+		}
+	}
+}
+
+// keyEq is SQL equality of join keys, under which NaN equals nothing.
+func keyEq(a, b sqltypes.Value) bool {
+	return sqlEq(a, b) && !math.IsNaN(a.Float()) && !math.IsNaN(b.Float())
+}
+
+// refComputeStats is ComputeStats as one pass over the rows with all
+// columns together: the reference the per-column workers must match.
+func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
+	st := &TableStats{RowCount: int64(len(rows)), Columns: make([]ColumnStats, schema.Len())}
+	for i, c := range schema.Columns {
+		st.Columns[i].Name = c.Name
+	}
+	if len(rows) == 0 {
+		return st
+	}
+	type tracker struct {
+		seen            map[sqltypes.Value]struct{}
+		capped          bool
+		observed, nulls int64
+		min, max        sqltypes.Value
+	}
+	trackers := make([]tracker, schema.Len())
+	for i := range trackers {
+		trackers[i] = tracker{seen: map[sqltypes.Value]struct{}{}, min: sqltypes.Null, max: sqltypes.Null}
+	}
+	var totalBytes int64
+	for _, row := range rows {
+		totalBytes += int64(row.EncodedSize())
+		for i := range trackers {
+			t, v := &trackers[i], row[i]
+			if v.IsNull() {
+				t.nulls++
+				continue
+			}
+			t.observed++
+			if !t.capped {
+				t.seen[v] = struct{}{}
+				t.capped = len(t.seen) >= distinctTrackLimit
+			}
+			if t.min.IsNull() {
+				t.min, t.max = v, v
+				continue
+			}
+			if c, err := sqltypes.Compare(v, t.min); err == nil && c < 0 {
+				t.min = v
+			}
+			if c, err := sqltypes.Compare(v, t.max); err == nil && c > 0 {
+				t.max = v
+			}
+		}
+	}
+	st.AvgRowBytes = float64(totalBytes) / float64(len(rows))
+	for i, t := range trackers {
+		d := int64(len(t.seen))
+		if t.capped && t.observed > 0 {
+			d = min(int64(float64(d)*float64(st.RowCount)/float64(t.observed)), st.RowCount)
+		}
+		st.Columns[i].Distinct, st.Columns[i].Min, st.Columns[i].Max = d, t.min, t.max
+		st.Columns[i].NullFrac = float64(t.nulls) / float64(st.RowCount)
+	}
+	return st
+}
+
+// TestComputeStatsMatchesOnePass: statistics computed a column per worker
+// are exactly the one-pass statistics, on every TPC-H table (lineitem's
+// comments pass the distinct-tracking cap) and on a column mixing types,
+// NULL, NaN and ±0.
+func TestComputeStatsMatchesOnePass(t *testing.T) {
+	data := tpch.NewGenerator(0.02, 1).GenAll()
+	for _, name := range tpch.TableNames {
+		schema, err := tpch.Schema(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ComputeStats(schema, data[name]), refComputeStats(schema, data[name]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	mixed := sqltypes.NewSchema(sqltypes.Column{Name: "m"}, sqltypes.Column{Name: "n", Type: sqltypes.TypeFloat})
+	var rows []sqltypes.Row
+	for i := range 3000 {
+		vals := []sqltypes.Value{
+			sqltypes.NewInt(int64(i % 17)), sqltypes.NewFloat(float64(i%5) / 2), sqltypes.Null,
+			sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(0),
+			sqltypes.NewString(fmt.Sprint("s", i%11)), sqltypes.NewDate(int64(i % 3)), sqltypes.NewBool(i%2 == 0),
+		}
+		rows = append(rows, sqltypes.Row{vals[i%len(vals)], vals[(i+1)%6]})
+	}
+	if got, want := ComputeStats(mixed, rows), refComputeStats(mixed, rows); !reflect.DeepEqual(got, want) {
+		t.Errorf("mixed:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -63,7 +64,7 @@ func (s *rowsIter) Close() error { return nil }
 // operators may compact in place; the values are never copied.
 type scanIter struct {
 	rows     []sqltypes.Row
-	throttle cpuThrottle
+	throttle *cpuThrottle
 	batch    sqltypes.Batch
 }
 
@@ -198,16 +199,17 @@ func (o *joinOutput) full() bool { return len(o.out.Rows) >= sqltypes.BatchRows 
 // joinTable is the build side of a join: the rows, chained per bucket in
 // arrival order (so matches come out in the order they went in). Indexes
 // are 1-based; 0 ends a chain. Without keys every row hashes alike and the
-// one chain is the whole input: a nested loop.
+// one chain is the whole input: a nested loop. A table is immutable once
+// built: every worker of a morsel exchange probes the same one.
 type joinTable struct {
 	rows  []sqltypes.Row
 	keys  []int
 	heads []int32
 	next  []int32
 	shift uint
-	// A single key column holding only Int and Date values is looked up
-	// by its int64 payload; anything else by Hash and Equal, which keep
-	// int 3 = float 3.0.
+	// Key columns holding only Int and Date values are looked up by their
+	// int64 payloads, len(keys) per row in ints; anything else by HashRow
+	// and RowsEqualOn, which keep int 3 = float 3.0.
 	intKeyed bool
 	ints     []int64
 	hashes   []uint64
@@ -233,7 +235,7 @@ func hasNull(r sqltypes.Row, keys []int) bool {
 // merely storing it for a nested loop is not.
 func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTable, error) {
 	defer build.Close()
-	t := &joinTable{keys: keys, intKeyed: len(keys) == 1}
+	t := &joinTable{keys: keys, intKeyed: len(keys) > 0}
 	for {
 		b, err := build.Next()
 		if err == io.EOF {
@@ -251,7 +253,9 @@ func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTabl
 				continue
 			}
 			kept = append(kept, r)
-			t.intKeyed = t.intKeyed && intFamily(r[keys[0]])
+			for _, k := range keys {
+				t.intKeyed = t.intKeyed && intFamily(r[k])
+			}
 		}
 		b.Rows = kept
 		t.rows = b.AppendOwned(t.rows)
@@ -260,9 +264,9 @@ func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTabl
 	return t, nil
 }
 
-// index builds the buckets for the current key mode.
+// index builds the buckets.
 func (t *joinTable) index() {
-	n := len(t.rows)
+	n, k := len(t.rows), len(t.keys)
 	bits := uint(1)
 	for 1<<bits < 2*n {
 		bits++
@@ -271,15 +275,18 @@ func (t *joinTable) index() {
 	t.heads = make([]int32, 1<<bits)
 	t.next = make([]int32, n)
 	if t.intKeyed {
-		t.ints = make([]int64, n)
+		t.ints = make([]int64, n*k)
 	} else {
-		t.ints, t.hashes = nil, make([]uint64, n)
+		t.hashes = make([]uint64, n)
 	}
 	for i := n - 1; i >= 0; i-- {
 		var h uint64
 		if t.intKeyed {
-			t.ints[i] = t.rows[i][t.keys[0]].I
-			h = intHash(t.ints[i])
+			key := t.ints[i*k : (i+1)*k]
+			for j, c := range t.keys {
+				key[j] = t.rows[i][c].I
+			}
+			h = intsHash(key)
 		} else {
 			h = sqltypes.HashRow(t.rows[i], t.keys)
 			t.hashes[i] = h
@@ -289,9 +296,15 @@ func (t *joinTable) index() {
 	}
 }
 
-// intHash spreads an int64 key over the table with one multiply (the
-// buckets are picked from the top bits).
-func intHash(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
+// intsHash spreads an int64 key list over the table with one multiply per
+// key (the buckets are picked from the top bits).
+func intsHash(key []int64) uint64 {
+	var h uint64
+	for _, k := range key {
+		h = (bits.RotateLeft64(h, 31) ^ uint64(k)) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
 
 // joinIter joins a streamed probe input with a build input consumed into a
 // joinTable on open: an equi hash join, or with no keys a nested loop over
@@ -311,16 +324,20 @@ type joinIter struct {
 	table     *joinTable
 	probeKeys []int
 	joinOutput
-	throttle cpuThrottle
+	throttle *cpuThrottle
 	perProbe int64 // work per probe row: one lookup, or one pairing per build row
 
 	in   *sqltypes.Batch // current probe batch
 	pos  int             // next row of in
 	cur  sqltypes.Row    // probe row whose chain is being walked
-	curI int64           // its key (int-keyed table)
+	curI []int64         // its key (int-keyed table)
 	curH uint64          // its hash (general table)
 	m    int32           // next candidate of cur's chain
-	done bool
+	// A float probe key of an int-keyed table: check each candidate with
+	// Equal (a float never equals a date), and beyond 2^53, where several
+	// ints round to the same float, walk every row instead of a chain.
+	verify, all bool
+	done        bool
 }
 
 // pullAheadBatches bounds the probe batches a join reads ahead while its
@@ -334,27 +351,53 @@ type joinIter struct {
 // query at 0, 4 and 64).
 const pullAheadBatches = 64
 
+// joinSpec is a join as planned: how to open its build input, the key
+// columns of each side, what it emits, its row estimate and the vendor's
+// rate.
+type joinSpec struct {
+	build                opener
+	probeKeys, buildKeys []int
+	out                  joinOutput
+	est                  float64
+	nsPerRow             int64
+}
+
+// built is a join's build side once drained: the table, or why there is
+// none, and the throttle whose pending work carries over to the probe.
+type built struct {
+	table    *joinTable
+	throttle *cpuThrottle
+	err      error
+}
+
+// drainBuild opens the build input and drains it into the table.
+func (s *joinSpec) drainBuild(cpu *sync.Mutex) built {
+	r := built{throttle: &cpuThrottle{nsPerRow: s.nsPerRow, cpu: cpu}}
+	b, err := s.build(cpu)
+	if err == nil {
+		r.table, err = newJoinTable(b, s.buildKeys, r.throttle)
+	}
+	r.err = err
+	return r
+}
+
+// newIter probes the table with the rows of probe, charging throttle.
+func (s *joinSpec) newIter(probe BatchIter, t *joinTable, throttle *cpuThrottle) *joinIter {
+	j := &joinIter{probe: probe, table: t, probeKeys: s.probeKeys, joinOutput: s.out, throttle: throttle, perProbe: 1, curI: make([]int64, len(s.probeKeys))}
+	j.expect(s.est)
+	if len(s.buildKeys) == 0 {
+		j.perProbe = int64(len(t.rows))
+	}
+	return j
+}
+
 // openJoin opens a join's two inputs together (see joinIter). The build
 // goroutine never outlives openJoin: every path waits for it. On an error
 // the other side is closed before openJoin returns; a table built for a
 // failed probe side is discarded (its input is closed once drained).
-func openJoin(probeOpen, buildOpen opener, cpu *sync.Mutex, probeKeys, buildKeys []int, out joinOutput, est float64, nsPerRow int64) (*joinIter, error) {
-	type built struct {
-		table    *joinTable
-		throttle cpuThrottle // its pending work carries over to the probe
-		err      error
-	}
+func openJoin(probeOpen opener, s *joinSpec, cpu *sync.Mutex) (*joinIter, error) {
 	ready := make(chan built, 1)
-	go func() {
-		r := built{throttle: cpuThrottle{nsPerRow: nsPerRow, cpu: cpu}}
-		b, err := buildOpen(cpu)
-		if err == nil {
-			r.table, err = newJoinTable(b, buildKeys, &r.throttle)
-		}
-		r.err = err
-		ready <- r
-	}()
-
+	go func() { ready <- s.drainBuild(cpu) }()
 	probe, err := probeOpen(cpu)
 	if err != nil {
 		<-ready
@@ -381,13 +424,7 @@ func openJoin(probeOpen, buildOpen opener, cpu *sync.Mutex, probeKeys, buildKeys
 		probe.Close()
 		return nil, r.err
 	}
-
-	out.expect(est)
-	j := &joinIter{probe: ahead, table: r.table, probeKeys: probeKeys, joinOutput: out, throttle: r.throttle, perProbe: 1}
-	if len(buildKeys) == 0 {
-		j.perProbe = int64(len(j.table.rows))
-	}
-	return j, nil
+	return s.newIter(ahead, r.table, r.throttle), nil
 }
 
 // aheadIter is a join's probe input: the batches openJoin read ahead, as
@@ -416,27 +453,53 @@ func (a *aheadIter) Close() error { return a.in.Close() }
 // seek starts the chain of candidates for probe row r.
 func (j *joinIter) seek(r sqltypes.Row) {
 	t := j.table
-	j.cur, j.m = r, 0
-	if t.intKeyed {
-		v := r[j.probeKeys[0]]
-		if intFamily(v) {
-			j.curI = v.I
-			j.m = t.heads[intHash(v.I)>>t.shift]
-			return
-		}
-		if v.IsNull() {
-			return
-		}
-		// A float (or mistyped) probe key: fall back to the general
-		// table for the rest of the stream.
-		t.intKeyed = false
-		t.index()
-	}
+	j.cur, j.m, j.verify, j.all = r, 0, false, false
 	if hasNull(r, j.probeKeys) {
 		return
 	}
-	j.curH = sqltypes.HashRow(r, j.probeKeys)
-	j.m = t.heads[j.curH>>t.shift]
+	if !t.intKeyed {
+		j.curH = sqltypes.HashRow(r, j.probeKeys)
+		j.m = t.heads[j.curH>>t.shift]
+		return
+	}
+	for i, c := range j.probeKeys {
+		switch v := r[c]; {
+		case intFamily(v):
+			j.curI[i] = v.I
+		case v.T == sqltypes.TypeFloat && v.F == math.Trunc(v.F):
+			// int 3 = float 3.0: an integral float finds the int of its
+			// value; a fraction or NaN finds nothing.
+			j.all = j.all || math.Abs(v.F) >= 1<<53
+			j.curI[i], j.verify = int64(v.F), true
+		default:
+			return // no int or date equals a string, a bool or a fraction
+		}
+	}
+	switch {
+	case !j.all:
+		j.m = t.heads[intsHash(j.curI)>>t.shift]
+	case len(t.rows) > 0:
+		j.m = 1
+	}
+}
+
+// matches reports whether build row i pairs with the current probe row.
+func (j *joinIter) matches(i int32) bool {
+	t := j.table
+	switch {
+	case j.all:
+		return sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+	case t.intKeyed:
+		k := len(j.curI)
+		for x, v := range t.ints[int(i)*k : int(i+1)*k] {
+			if v != j.curI[x] {
+				return false
+			}
+		}
+		return !j.verify || sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+	default:
+		return t.hashes[i] == j.curH && sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+	}
 }
 
 func (j *joinIter) Next() (*sqltypes.Batch, error) {
@@ -445,12 +508,12 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 	for !j.done {
 		for j.m != 0 {
 			i := j.m - 1
-			j.m = t.next[i]
-			if t.intKeyed {
-				if t.ints[i] != j.curI {
-					continue
-				}
-			} else if t.hashes[i] != j.curH || !sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys) {
+			if j.all {
+				j.m = (j.m + 1) % int32(len(t.rows)+1)
+			} else {
+				j.m = t.next[i]
+			}
+			if !j.matches(i) {
 				continue
 			}
 			if err := j.emit(j.cur, t.rows[i]); err != nil {
@@ -625,7 +688,7 @@ func sameRow(a, b sqltypes.Row) bool {
 // hashAggregate fully consumes the input and emits one row per group, in
 // order of first appearance: [group key values..., aggregate results...].
 // With no group keys it emits exactly one row (global aggregation).
-func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, throttle cpuThrottle) (BatchIter, error) {
+func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, throttle *cpuThrottle) (BatchIter, error) {
 	defer in.Close()
 	groups := newRowSet(len(keys))
 	var states []aggState // len(aggs) per group, in group order
@@ -693,9 +756,43 @@ type sortKey struct {
 	desc bool
 }
 
+// compareKeys orders two rows' evaluated sort keys: negative when a sorts
+// first, positive when b does, 0 on a tie.
+func compareKeys(keys []sortKey, a, b sqltypes.Row) (int, error) {
+	for x := range keys {
+		c, err := sqltypes.Compare(a[x], b[x])
+		if err != nil {
+			return 0, err
+		}
+		if c == 0 {
+			continue
+		}
+		if keys[x].desc {
+			return -c, nil
+		}
+		return c, nil
+	}
+	return 0, nil
+}
+
+// evalKeys evaluates the sort keys of r into kv.
+func evalKeys(keys []sortKey, r, kv sqltypes.Row) error {
+	for j, k := range keys {
+		var err error
+		if kv[j], err = k.fn(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sortRows materializes and sorts the input by the given keys. Draining
-// closes the input before anything else can fail.
-func sortRows(in BatchIter, keys []sortKey) (BatchIter, error) {
+// closes the input before anything else can fail. With limit >= 0 only the
+// first limit rows are kept (topN).
+func sortRows(in BatchIter, keys []sortKey, limit int64) (BatchIter, error) {
+	if limit >= 0 {
+		return topN(in, keys, limit)
+	}
 	rows, err := Drain(in)
 	if err != nil {
 		return nil, err
@@ -708,37 +805,117 @@ func sortRows(in BatchIter, keys []sortKey) (BatchIter, error) {
 	slab := make(sqltypes.Row, len(rows)*len(keys))
 	for i, r := range rows {
 		kv := slab[i*len(keys) : (i+1)*len(keys)]
-		for j, k := range keys {
-			kv[j], err = k.fn(r)
-			if err != nil {
-				return nil, err
-			}
+		if err := evalKeys(keys, r, kv); err != nil {
+			return nil, err
 		}
 		ks[i] = keyed{row: r, keys: kv}
 	}
 	var sortErr error
 	sort.SliceStable(ks, func(i, j int) bool {
-		for x := range keys {
-			c, err := sqltypes.Compare(ks[i].keys[x], ks[j].keys[x])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if keys[x].desc {
-				return c > 0
-			}
-			return c < 0
+		c, err := compareKeys(keys, ks[i].keys, ks[j].keys)
+		if err != nil {
+			sortErr = err
 		}
-		return false
+		return c < 0
 	})
 	if sortErr != nil {
 		return nil, sortErr
 	}
 	for i := range ks {
 		rows[i] = ks[i].row
+	}
+	return &rowsIter{rows: rows}, nil
+}
+
+// topN is ORDER BY … LIMIT n: the first n rows of the stable sort. It
+// streams the input through a bounded heap whose root is the worst row
+// kept, ordered by (keys, arrival); a later row displaces it only with
+// strictly smaller keys, so ties keep their input order as the stable sort
+// does. A row that gets in is copied into storage of the heap's own, which
+// the row it displaces hands on.
+func topN(in BatchIter, keys []sortKey, n int64) (BatchIter, error) {
+	defer in.Close()
+	type entry struct {
+		row, keys sqltypes.Row
+		seq       int // arrival
+	}
+	var (
+		heap  []entry // heap[0] sorts last
+		store sqltypes.Batch
+		kv    = make(sqltypes.Row, len(keys))
+		seq   int
+		err   error
+	)
+	// after reports whether heap[a] sorts after heap[b].
+	after := func(a, b int) bool {
+		c, cerr := compareKeys(keys, heap[a].keys, heap[b].keys)
+		if cerr != nil {
+			err = cerr
+		}
+		return c > 0 || c == 0 && heap[a].seq > heap[b].seq
+	}
+	down := func(i int) {
+		for {
+			w := i
+			for _, c := range []int{2*i + 1, 2*i + 2} {
+				if c < len(heap) && after(c, w) {
+					w = c
+				}
+			}
+			if w == i {
+				return
+			}
+			heap[i], heap[w] = heap[w], heap[i]
+			i = w
+		}
+	}
+	for err == nil {
+		b, nerr := in.Next()
+		if nerr == io.EOF {
+			break
+		}
+		if nerr != nil {
+			return nil, nerr
+		}
+		for _, r := range b.Rows {
+			if err = evalKeys(keys, r, kv); err != nil {
+				return nil, err
+			}
+			seq++
+			if int64(len(heap)) < n {
+				e := entry{row: store.NewRow(len(r)), keys: store.NewRow(len(kv)), seq: seq}
+				copy(e.row, r)
+				copy(e.keys, kv)
+				heap = append(heap, e)
+				for i := len(heap) - 1; i > 0 && after(i, (i-1)/2); i = (i - 1) / 2 {
+					heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+				}
+				continue
+			}
+			if n == 0 {
+				continue
+			}
+			c, cerr := compareKeys(keys, kv, heap[0].keys)
+			if cerr != nil {
+				return nil, cerr
+			}
+			if c < 0 {
+				copy(heap[0].row, r)
+				copy(heap[0].keys, kv)
+				heap[0].seq = seq
+				down(0)
+			}
+		}
+	}
+	rows := make([]sqltypes.Row, len(heap))
+	for i := len(heap) - 1; i >= 0; i-- {
+		rows[i] = heap[0].row
+		heap[0], heap[i] = heap[i], heap[0]
+		heap = heap[:i]
+		down(0)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &rowsIter{rows: rows}, nil
 }

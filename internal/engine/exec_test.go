@@ -30,7 +30,7 @@ func opened(it BatchIter) opener {
 // joinOf joins two open one-column iterators, unthrottled, as a statement
 // of its own.
 func joinOf(probe, build BatchIter, probeKeys, buildKeys []int) (*joinIter, error) {
-	return openJoin(opened(probe), opened(build), new(sync.Mutex), probeKeys, buildKeys, allCols(), 1, 0)
+	return openJoin(opened(probe), &joinSpec{build: opened(build), probeKeys: probeKeys, buildKeys: buildKeys, out: allCols(), est: 1}, new(sync.Mutex))
 }
 
 func TestRowsIterAndDrain(t *testing.T) {

@@ -24,12 +24,74 @@ type planNode struct {
 	cost   float64 // cumulative cost in engine-internal units
 	open   opener
 	kids   []*planNode
+	spine  *spine // set when the node heads a probe spine
 }
 
 // opener opens a plan node's iterator for one execution. cpu is the
 // executing statement's token, which every throttle of the execution
 // sleeps under (see cpuThrottle).
 type opener func(cpu *sync.Mutex) (BatchIter, error)
+
+// spine is the probe spine a plan node heads: stored rows (a base table,
+// or a materialized foreign table once fetched) streamed up through
+// filters and projections, then through hash-join probes. No stage of a
+// spine carries state from one run of the rows to the next, so a morsel
+// exchange can run it on every core (exchange.go).
+type spine struct {
+	rows   func() ([]sqltypes.Row, error)
+	size   float64 // the row count; a materialized table's declared estimate
+	scanNs int64
+	stages []spineStage
+	work   bool // a filter or a probe: something worth spreading
+}
+
+// spineStage is one operator of a spine: a probe of a join's table, or a
+// filter or projection that each worker makes its own copy of.
+type spineStage struct {
+	join    *joinSpec
+	newIter func() stageIter
+	filters bool
+}
+
+// with returns the spine extended by one stage. The receiver stays the
+// spine of the node below, so the stages are copied.
+func (sp *spine) with(st spineStage) *spine {
+	out := *sp
+	out.stages = append(sp.stages[:len(sp.stages):len(sp.stages)], st)
+	out.work = sp.work || st.join != nil || st.filters
+	return &out
+}
+
+// probes reports whether the spine has a join stage. Filters and
+// projections join a spine only below its probes; above them they run on
+// the exchange's output, whose batches are then exactly the serial
+// join's.
+func (sp *spine) probes() bool {
+	for _, st := range sp.stages {
+		if st.join != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// headed sets the node's spine and, when the spine has work worth
+// spreading, makes its open run the spine through a morsel exchange once
+// the rows are enough for every worker (openExchange).
+func (n *planNode) headed(sp *spine) *planNode {
+	n.spine = sp
+	if sp != nil && sp.work {
+		serial := n.open
+		n.open = func(cpu *sync.Mutex) (BatchIter, error) {
+			w := exchangeWorkers()
+			if w < 2 || sp.size < float64(2*w*morselRows) {
+				return serial(cpu)
+			}
+			return openExchange(sp, w, cpu)
+		}
+	}
+	return n
+}
 
 // Internal cost-model constants (engine units; vendors scale these through
 // Profile.CostUnit when reporting via EXPLAIN).
@@ -108,8 +170,13 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 		// non-aggregate queries a key may reference a column the
 		// projection dropped (e.g. SELECT name FROM t ORDER BY age) —
 		// then the sort runs on the pre-projection input instead, with
-		// projection aliases substituted into the keys.
-		sorted, err := planSort(out, sel.OrderBy)
+		// projection aliases substituted into the keys. A LIMIT above the
+		// sort (DISTINCT aside) lets it keep only the rows it emits.
+		topN := sel.Limit
+		if sel.Distinct {
+			topN = -1
+		}
+		sorted, err := planSort(out, sel.OrderBy, topN)
 		if err == nil {
 			out = sorted
 		} else {
@@ -127,7 +194,7 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			for i, it := range sel.OrderBy {
 				items[i] = sqlparser.OrderItem{Expr: substituteAlias(it.Expr, sel.Projections), Desc: it.Desc}
 			}
-			if sorted, err = planSort(joined, items); err != nil {
+			if sorted, err = planSort(joined, items, topN); err != nil {
 				return nil, fmt.Errorf("ORDER BY: %w", err)
 			}
 			if out, err = e.planProjection(sorted, sel); err != nil {
@@ -175,8 +242,9 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 }
 
 // planSort wraps a node with a materializing sort on the given keys,
-// compiled here against the node's schema once for every execution.
-func planSort(in *planNode, items []sqlparser.OrderItem) (*planNode, error) {
+// compiled here against the node's schema once for every execution. With
+// limit >= 0 the sort keeps only its first limit rows.
+func planSort(in *planNode, items []sqlparser.OrderItem, limit int64) (*planNode, error) {
 	keys := make([]sortKey, len(items))
 	for i, it := range items {
 		fn, err := compileExpr(it.Expr, in.schema)
@@ -198,7 +266,7 @@ func planSort(in *planNode, items []sqlparser.OrderItem) (*planNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			return sortRows(it, keys)
+			return sortRows(it, keys, limit)
 		},
 	}, nil
 }
@@ -248,15 +316,19 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 		schema := aliasSchema(t.Schema, alias)
 		rows := t.Rows
 		ns := e.profile.ScanNsPerRow
-		return &planNode{
+		return (&planNode{
 			desc:   fmt.Sprintf("SeqScan %s", t.Name),
 			schema: schema,
 			est:    float64(len(rows)),
 			cost:   float64(len(rows)) * cScanTuple,
 			open: func(cpu *sync.Mutex) (BatchIter, error) {
-				return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
+				return &scanIter{rows: rows, throttle: &cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
 			},
-		}, nil
+		}).headed(&spine{
+			rows:   func() ([]sqltypes.Row, error) { return rows, nil },
+			size:   float64(len(rows)),
+			scanNs: ns,
+		}), nil
 	}
 	if v, ok := e.catalog.View(ref.Name); ok {
 		inner, err := e.planSelect(v.Query)
@@ -271,6 +343,7 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 			cost:   inner.cost,
 			kids:   []*planNode{inner},
 			open:   inner.open,
+			spine:  inner.spine,
 		}, nil
 	}
 	if f, ok := e.catalog.Foreign(ref.Name); ok {
@@ -306,26 +379,30 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 		return it, nil
 	}
 	cost := est * cForeignTuple
+	var sp *spine
 	if f.Materialize {
 		// Explicit movement: fetch once, store locally, scan the stored
 		// copy (and every later scan hits the copy).
 		desc = fmt.Sprintf("MaterializedForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 		cost = est*cForeignTuple + est*cScanTuple
+		ns := e.profile.ScanNsPerRow
+		rows := func() ([]sqltypes.Row, error) { return f.materialized(rq, srv, remoteSQL) }
 		open = func(cpu *sync.Mutex) (BatchIter, error) {
-			rows, err := f.materialized(rq, srv, remoteSQL)
+			rows, err := rows()
 			if err != nil {
 				return nil, err
 			}
-			return &scanIter{rows: rows, throttle: cpuThrottle{nsPerRow: e.profile.ScanNsPerRow, cpu: cpu}}, nil
+			return &scanIter{rows: rows, throttle: &cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
 		}
+		sp = &spine{rows: rows, size: est, scanNs: ns}
 	}
-	return &planNode{
+	return (&planNode{
 		desc:   desc,
 		schema: schema,
 		est:    est,
 		cost:   cost,
 		open:   open,
-	}, nil
+	}).headed(sp), nil
 }
 
 // materialized returns the locally stored copy of the remote relation,
@@ -357,7 +434,7 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 	}
 	sel := estimateSelectivity(pred)
 	inOpen := in.open
-	return &planNode{
+	node := &planNode{
 		desc:   fmt.Sprintf("Filter (%s)", pred),
 		schema: in.schema,
 		est:    math.Max(in.est*sel, 1),
@@ -370,7 +447,11 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 			}
 			return &filterIter{in: it, pred: fn}, nil
 		},
-	}, nil
+	}
+	if in.spine == nil || in.spine.probes() {
+		return node, nil
+	}
+	return node.headed(in.spine.with(spineStage{newIter: func() stageIter { return &filterIter{pred: fn} }, filters: true})), nil
 }
 
 // estimateSelectivity applies textbook selectivity heuristics.
@@ -679,10 +760,13 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 		node.desc = fmt.Sprintf("HashJoin (%d keys)", len(keys))
 		node.cost = cur.cost + right.cost + build.est*cJoinBuild + probe.est*cJoinProbe + node.est*cJoinOut
 	}
-	ns, est := e.profile.JoinNsPerRow, node.est
-	probeOpen, buildOpen := probe.open, build.open
+	spec := &joinSpec{build: build.open, probeKeys: probeIdx, buildKeys: buildIdx, out: out, est: node.est, nsPerRow: e.profile.JoinNsPerRow}
+	probeOpen := probe.open
 	node.open = func(cpu *sync.Mutex) (BatchIter, error) {
-		return openJoin(probeOpen, buildOpen, cpu, probeIdx, buildIdx, out, est, ns)
+		return openJoin(probeOpen, spec, cpu)
+	}
+	if probe.spine != nil {
+		node.headed(probe.spine.with(spineStage{join: spec}))
 	}
 	return node, used, nil
 }

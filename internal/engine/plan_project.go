@@ -64,24 +64,29 @@ func (e *Engine) planSimpleProjection(in *planNode, projections []sqlparser.Sele
 		identity = identity && c == i
 	}
 	inOpen := in.open
-	open := inOpen
-	if !identity {
-		open = func(cpu *sync.Mutex) (BatchIter, error) {
-			it, err := inOpen(cpu)
-			if err != nil {
-				return nil, err
-			}
-			return &projectIter{in: it, exprs: exprs, cols: cols}, nil
-		}
-	}
-	return &planNode{
+	node := &planNode{
 		desc:   "Project",
 		schema: outSchema,
 		est:    in.est,
 		cost:   in.cost + in.est*cProjectTuple,
 		kids:   []*planNode{in},
-		open:   open,
-	}, nil
+		open:   inOpen,
+	}
+	if identity {
+		node.spine = in.spine
+		return node, nil
+	}
+	node.open = func(cpu *sync.Mutex) (BatchIter, error) {
+		it, err := inOpen(cpu)
+		if err != nil {
+			return nil, err
+		}
+		return &projectIter{in: it, exprs: exprs, cols: cols}, nil
+	}
+	if in.spine == nil || in.spine.probes() {
+		return node, nil
+	}
+	return node.headed(in.spine.with(spineStage{newIter: func() stageIter { return &projectIter{exprs: exprs, cols: cols} }})), nil
 }
 
 // planAggregate plans GROUP BY / aggregate queries.
@@ -206,7 +211,7 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 			if err != nil {
 				return nil, err
 			}
-			agg, err := hashAggregate(it, keyFns, aggSpecs, cpuThrottle{nsPerRow: ns, cpu: cpu})
+			agg, err := hashAggregate(it, keyFns, aggSpecs, &cpuThrottle{nsPerRow: ns, cpu: cpu})
 			if err != nil {
 				return nil, err
 			}

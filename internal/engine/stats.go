@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"xdb/internal/sqltypes"
 )
 
@@ -35,7 +39,9 @@ type ColumnStats struct {
 // estimate is scaled linearly (a deliberate, simple HLL stand-in).
 const distinctTrackLimit = 1 << 16
 
-// ComputeStats scans the rows once and builds table statistics.
+// ComputeStats builds table statistics. Each column is one pass over the
+// rows, in row order, by its own tracker; the trackers and the row widths
+// are shared out over one worker per processor.
 func ComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 	st := &TableStats{
 		RowCount: int64(len(rows)),
@@ -48,68 +54,67 @@ func ComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 		return st
 	}
 
-	type tracker struct {
-		seen     map[sqltypes.Value]struct{}
-		capped   bool
-		observed int64 // rows consumed while tracking
-		nulls    int64
-		min, max sqltypes.Value
-	}
-	trackers := make([]tracker, schema.Len())
-	for i := range trackers {
-		trackers[i].seen = make(map[sqltypes.Value]struct{})
-		trackers[i].min, trackers[i].max = sqltypes.Null, sqltypes.Null
-	}
-
-	var totalBytes int64
-	for _, row := range rows {
-		totalBytes += int64(row.EncodedSize())
-		for i := range trackers {
-			t := &trackers[i]
-			v := row[i]
-			if v.IsNull() {
-				t.nulls++
-				continue
-			}
-			if !t.capped {
-				t.seen[v] = struct{}{}
-				t.observed++
-				if len(t.seen) >= distinctTrackLimit {
-					t.capped = true
+	// Job j < n tracks column j; job n sums the encoded row widths.
+	n := schema.Len()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n+1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j <= n; j = int(next.Add(1)) - 1 {
+				if j < n {
+					st.Columns[j] = columnStats(st.Columns[j].Name, rows, j)
+					continue
 				}
-			} else {
-				t.observed++
+				var total int64
+				for _, row := range rows {
+					total += int64(row.EncodedSize())
+				}
+				st.AvgRowBytes = float64(total) / float64(len(rows))
 			}
-			if t.min.IsNull() {
-				t.min, t.max = v, v
-				continue
-			}
-			if c, err := sqltypes.Compare(v, t.min); err == nil && c < 0 {
-				t.min = v
-			}
-			if c, err := sqltypes.Compare(v, t.max); err == nil && c > 0 {
-				t.max = v
-			}
-		}
+		}()
 	}
-	st.AvgRowBytes = float64(totalBytes) / float64(len(rows))
-	for i := range trackers {
-		t := &trackers[i]
-		d := int64(len(t.seen))
-		if t.capped && t.observed > 0 {
-			// Scale the capped count by the fraction of rows seen while
-			// tracking, clamped to the row count.
-			d = int64(float64(d) * float64(st.RowCount) / float64(t.observed))
-			if d > st.RowCount {
-				d = st.RowCount
-			}
-		}
-		st.Columns[i].Distinct = d
-		st.Columns[i].Min = t.min
-		st.Columns[i].Max = t.max
-		st.Columns[i].NullFrac = float64(t.nulls) / float64(st.RowCount)
-	}
+	wg.Wait()
 	return st
+}
+
+// columnStats tracks column i over the rows.
+func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
+	seen := make(map[sqltypes.Value]struct{})
+	capped := false
+	var observed, nulls int64 // non-NULL and NULL values
+	lo, hi := sqltypes.Null, sqltypes.Null
+	for _, row := range rows {
+		v := row[i]
+		if v.IsNull() {
+			nulls++
+			continue
+		}
+		observed++
+		if !capped {
+			seen[v] = struct{}{}
+			capped = len(seen) >= distinctTrackLimit
+		}
+		if lo.IsNull() {
+			lo, hi = v, v
+			continue
+		}
+		if c, err := sqltypes.Compare(v, lo); err == nil && c < 0 {
+			lo = v
+		}
+		if c, err := sqltypes.Compare(v, hi); err == nil && c > 0 {
+			hi = v
+		}
+	}
+	n := int64(len(rows))
+	d := int64(len(seen))
+	if capped && observed > 0 {
+		// Scale the capped count by the fraction of rows seen while
+		// tracking, clamped to the row count.
+		d = min(int64(float64(d)*float64(n)/float64(observed)), n)
+	}
+	return ColumnStats{Name: name, Distinct: d, Min: lo, Max: hi, NullFrac: float64(nulls) / float64(n)}
 }
 
 // Column returns the stats for the named column, or nil.

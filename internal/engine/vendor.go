@@ -121,34 +121,74 @@ func Profiles(v Vendor) Profile {
 //
 // Every sleep holds cpu, the token of the statement the operator works
 // for (one per QuerySelect execution). A statement models one processor:
-// a join's build goroutine and its probe pipeline run at once, but their
+// a join's build goroutine and its probe pipeline run at once, and the
+// workers of a morsel exchange share one throttle per operator, but their
 // modelled work adds up, so concurrency shortens a statement only where it
 // waits on another DBMS — the network, a remote engine's work, a remote
 // vendor's startup latency.
 type cpuThrottle struct {
 	nsPerRow int64
-	pending  int64
 	cpu      *sync.Mutex
+	// shared marks an operator's throttle charged by every worker of a
+	// morsel exchange: only the exchange flushes the remainder, at the end
+	// of the stream.
+	shared bool
+
+	mu      sync.Mutex
+	pending int64
+}
+
+// throttleSleep is time.Sleep; tests count and total the sleeps through it.
+var throttleSleep = time.Sleep
+
+// share makes the throttle an exchange's. Its workers charge it with the
+// serial operator's charges, one per morsel as the serial operator charges
+// one per batch, only in another order, and it sleeps by the serial rule:
+// the same modelled time in about as many sleeps, each just over the
+// millisecond. (A larger slice would cost more than it models: time.Sleep
+// rounds up to whole milliseconds on some hosts.)
+func (c *cpuThrottle) share() *cpuThrottle {
+	c.shared = true
+	return c
 }
 
 // charge adds n rows of work and sleeps when at least one millisecond of
-// simulated work has accumulated.
+// simulated work has accumulated. A nil throttle charges nothing.
 func (c *cpuThrottle) charge(n int64) {
-	if c.nsPerRow == 0 {
+	if c == nil || c.nsPerRow == 0 {
 		return
 	}
+	c.mu.Lock()
 	c.pending += n * c.nsPerRow
+	var d int64
 	if c.pending >= int64(time.Millisecond) {
-		c.flush()
+		d, c.pending = c.pending, 0
+	}
+	c.mu.Unlock()
+	c.sleep(d)
+}
+
+// flush sleeps off any remaining accumulated work at the end of an
+// operator's stream; a shared throttle waits for its exchange's settle.
+func (c *cpuThrottle) flush() {
+	if c != nil && !c.shared {
+		c.settle()
 	}
 }
 
-// flush sleeps off any remaining accumulated work.
-func (c *cpuThrottle) flush() {
-	if c.pending > 0 {
+// settle sleeps off the remaining accumulated work.
+func (c *cpuThrottle) settle() {
+	c.mu.Lock()
+	d := c.pending
+	c.pending = 0
+	c.mu.Unlock()
+	c.sleep(d)
+}
+
+func (c *cpuThrottle) sleep(d int64) {
+	if d > 0 {
 		c.cpu.Lock()
-		time.Sleep(time.Duration(c.pending))
+		throttleSleep(time.Duration(d))
 		c.cpu.Unlock()
-		c.pending = 0
 	}
 }
