@@ -199,9 +199,9 @@ func (s *System) mediatorFallback(ctx context.Context, qspan *obs.Span, sql stri
 	}
 	frags := make([]LocalFragment, len(a.Scans))
 	err = fanOutFirstErr(ctx, len(a.Scans), s.opts.serial, func(fctx context.Context, i int) error {
-		fsql, cols := renderScanFragment(a.Scans[i])
+		fsel, cols := RenderFragment(a.Scans[i:i+1], nil)
 		return s.call(fctx, a.Scans[i].Node, 1, func(rctx context.Context, c *connector.Connector) error {
-			fres, err := c.Query(rctx, fsql)
+			fres, err := c.Query(rctx, fsel.String())
 			if err != nil {
 				return err
 			}
@@ -224,24 +224,6 @@ func (s *System) mediatorFallback(ctx context.Context, qspan *obs.Span, sql stri
 	return eres, err
 }
 
-// renderScanFragment renders one scan's pushed-down subquery — pruned
-// columns under mangled names, pushed-down filter — and returns the SQL
-// with the exported global column identities.
-func renderScanFragment(sc *Scan) (string, []string) {
-	sel := &sqlparser.Select{Limit: -1}
-	sel.From = append(sel.From, sqlparser.TableRef{Name: sc.Table, Alias: sc.Alias})
-	cols := sc.OutCols()
-	for _, gid := range cols {
-		alias, name, _ := strings.Cut(gid, ".")
-		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
-			Expr:  &sqlparser.ColumnRef{Table: alias, Name: name},
-			Alias: MangleCol(gid),
-		})
-	}
-	sel.Where = sc.Filter
-	return sel.String(), cols
-}
-
 // LocalFragment is one fetched fragment result for ExecuteLocal: the
 // global column identities it exports (stored under their MangleCol
 // names), the fetched schema, and the rows.
@@ -257,9 +239,8 @@ type LocalFragment struct {
 // of the mediator baseline (internal/mediator) and the middleware's
 // last-resort mediator fallback.
 func ExecuteLocal(eng *engine.Engine, canon *sqlparser.Select, frags []LocalFragment, cross []sqlparser.Expr) (*engine.Result, error) {
-	// Resolution: global column identity -> (fragment table, mangled
-	// name).
-	resolve := map[string][2]string{}
+	res := Resolution{}
+	final := &sqlparser.Select{}
 	for i, f := range frags {
 		name := fmt.Sprintf("frag%d", i)
 		schema := &sqltypes.Schema{}
@@ -271,94 +252,19 @@ func ExecuteLocal(eng *engine.Engine, canon *sqlparser.Select, frags []LocalFrag
 			schema.Columns = append(schema.Columns, sqltypes.Column{
 				Name: MangleCol(gid), Type: f.Schema.Columns[idx].Type,
 			})
-			resolve[strings.ToLower(gid)] = [2]string{name, MangleCol(gid)}
 		}
 		if err := eng.LoadTable(name, schema, f.Rows); err != nil {
 			return nil, err
 		}
+		res.Bind(name, f.Cols)
+		final.From = append(final.From, sqlparser.TableRef{Name: name})
 	}
-
-	rewrite := func(e sqlparser.Expr) (sqlparser.Expr, error) {
-		if e == nil {
-			return nil, nil
-		}
-		out := sqlparser.CloneExpr(e)
-		var err error
-		sqlparser.WalkExpr(out, func(x sqlparser.Expr) {
-			cr, ok := x.(*sqlparser.ColumnRef)
-			if !ok || cr.Table == "" || err != nil {
-				return
-			}
-			loc, ok := resolve[strings.ToLower(cr.Table+"."+cr.Name)]
-			if !ok {
-				err = fmt.Errorf("core: local execution: column %s.%s not in any fragment", cr.Table, cr.Name)
-				return
-			}
-			cr.Table, cr.Name = loc[0], loc[1]
-		})
-		return out, err
+	if err := res.Where(final, cross); err != nil {
+		return nil, err
 	}
-
-	final := &sqlparser.Select{Limit: canon.Limit, Distinct: canon.Distinct}
-	for i := range frags {
-		final.From = append(final.From, sqlparser.TableRef{Name: fmt.Sprintf("frag%d", i)})
+	if err := res.Final(final, canon); err != nil {
+		return nil, err
 	}
-	var conjs []sqlparser.Expr
-	for _, c := range cross {
-		rc, err := rewrite(c)
-		if err != nil {
-			return nil, err
-		}
-		conjs = append(conjs, rc)
-	}
-	final.Where = sqlparser.JoinConjuncts(conjs)
-	projOut := map[string]string{}
-	for _, p := range canon.Projections {
-		re, err := rewrite(p.Expr)
-		if err != nil {
-			return nil, err
-		}
-		alias := p.Alias
-		if alias == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				alias = cr.Name
-			}
-		}
-		out := alias
-		if out == "" {
-			out = re.String()
-		}
-		if _, dup := projOut[re.String()]; !dup {
-			projOut[re.String()] = out
-		}
-		final.Projections = append(final.Projections, sqlparser.SelectExpr{Expr: re, Alias: alias})
-	}
-	for _, g := range canon.GroupBy {
-		rg, err := rewrite(g)
-		if err != nil {
-			return nil, err
-		}
-		final.GroupBy = append(final.GroupBy, rg)
-	}
-	if canon.Having != nil {
-		rh, err := rewrite(canon.Having)
-		if err != nil {
-			return nil, err
-		}
-		final.Having = rh
-	}
-	for _, o := range canon.OrderBy {
-		ro, err := rewrite(o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		// ORDER BY resolves against the projected output.
-		if out, ok := projOut[ro.String()]; ok {
-			ro = &sqlparser.ColumnRef{Name: out}
-		}
-		final.OrderBy = append(final.OrderBy, sqlparser.OrderItem{Expr: ro, Desc: o.Desc})
-	}
-
 	schema, it, err := eng.QuerySelect(final)
 	if err != nil {
 		return nil, err

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"xdb/internal/netsim"
+	"xdb/internal/sqltypes"
+	"xdb/internal/tpch"
 )
 
 // failoverQuery orders its output so a failed-over run can be compared
@@ -221,6 +224,51 @@ func TestFailoverMediatorFallback(t *testing.T) {
 		t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, serr)
 	}
 	assertQuiescent(t, cl.sys, cl.engines)
+}
+
+// TestMediatorFallbackEveryQuery runs the mediator fallback on every TPC-H
+// query under TD1 and compares its rows, in order, with the in-situ
+// answer: the per-scan fragments and ExecuteLocal's final block (GROUP BY,
+// HAVING, ORDER BY against output names, LIMIT) must spell each query as
+// the task renderer does.
+func TestMediatorFallbackEveryQuery(t *testing.T) {
+	cl := newTPCHCluster(t, Options{})
+	for _, qn := range tpch.QueryNames {
+		want, err := cl.sys.Query(tpch.Queries[qn])
+		if err != nil {
+			t.Fatalf("%s: %v", qn, err)
+		}
+		got, err := cl.sys.mediatorFallback(context.Background(), nil, tpch.Queries[qn])
+		if err != nil {
+			t.Fatalf("%s fallback: %v", qn, err)
+		}
+		if len(got.Rows) != len(want.Rows) || len(want.Rows) == 0 {
+			t.Fatalf("%s: fallback returned %d rows, in situ %d", qn, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			if !sameRow(got.Rows[i], want.Rows[i]) {
+				t.Fatalf("%s row %d: fallback %v, in situ %v", qn, i, got.Rows[i], want.Rows[i])
+			}
+		}
+	}
+}
+
+// sameRow compares two rows value by value, floats to a relative 1e-9:
+// the fallback sums in another order than the in-situ engines.
+func sameRow(a, b sqltypes.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if a[j].T == sqltypes.TypeFloat && b[j].T == sqltypes.TypeFloat {
+			if math.Abs(a[j].F-b[j].F) > 1e-9*math.Max(1, math.Abs(b[j].F)) {
+				return false
+			}
+		} else if !sqltypes.Equal(a[j], b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFailoverSlowNode wedges the join node instead of killing it: every

@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -126,33 +125,7 @@ func TestJoinOrderGolden(t *testing.T) {
 		fmt.Fprintf(&w, "engine %s: cost=%v rows=%v\n%s", qn, info.Cost, info.Rows, info.Text)
 	}
 
-	path := filepath.Join("testdata", "joinorder.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(w.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run go test ./internal/core/ -run TestJoinOrderGolden -update)", err)
-	}
-	got, wantLines := strings.Split(w.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range got {
-		if i >= len(wantLines) || got[i] != wantLines[i] {
-			wl := "<end of file>"
-			if i < len(wantLines) {
-				wl = wantLines[i]
-			}
-			t.Fatalf("%s line %d:\n got: %s\nwant: %s", path, i+1, got[i], wl)
-		}
-	}
-	if len(wantLines) > len(got) {
-		t.Fatalf("%s has %d lines, generated %d", path, len(wantLines), len(got))
-	}
+	compareGolden(t, filepath.Join("testdata", "joinorder.golden"), w.String())
 }
 
 // The enumerator prices join steps from rows and distinct counts

@@ -7,6 +7,19 @@ import (
 	"xdb/internal/sqlparser"
 )
 
+// How a statement is spelled. XDB's tasks, the mediator fallback, the
+// Garlic/Presto fragments and Sclera's views and CTAS statements are all
+// written here, over global column identities, so the systems differ in
+// where cross-database operations run and never in how a statement reads:
+//
+//   - a Resolution maps each global column identity to the relation and
+//     column that carry it in one statement; its rewrite is the only
+//     rewrite of column references;
+//   - Resolution.Final renders the query's final block: projections with
+//     their output names, GROUP BY, HAVING, ORDER BY resolved against the
+//     output names, DISTINCT and LIMIT;
+//   - RenderFragment renders co-located scans as one pushed-down fragment.
+//
 // Task rendering: each task's algebraic fragment becomes one SELECT
 // statement in the neutral dialect (the connectors re-render identifiers
 // per vendor). Fragments are select-project-join blocks — scans with
@@ -57,111 +70,36 @@ func (p *Plan) Describe() (string, error) {
 	return b.String(), nil
 }
 
-// renderer rewrites a task fragment to SQL.
+// renderer gathers a task fragment's FROM list, conjuncts and column
+// resolution.
 type renderer struct {
-	// from accumulates the FROM list.
-	from []sqlparser.TableRef
-	// where accumulates conjuncts.
+	from  []sqlparser.TableRef
 	where []sqlparser.Expr
-	// resolve maps lower-cased global column identity to its (table
-	// alias, column name) within this task.
-	resolve map[string][2]string
+	res   Resolution
 }
 
 // renderTask renders one task's fragment. Placeholder Rel names must be
 // set (delegation does this before rendering).
 func renderTask(t *Task) (*sqlparser.Select, error) {
-	r := &renderer{resolve: map[string][2]string{}}
+	r := &renderer{res: Resolution{}}
 	final, err := r.walk(t.Root)
 	if err != nil {
 		return nil, err
 	}
-
-	sel := &sqlparser.Select{Limit: -1}
-	sel.From = r.from
-	// Rewrite accumulated predicates against the local names.
-	for _, w := range r.where {
-		rw, err := r.rewrite(w)
-		if err != nil {
-			return nil, err
-		}
-		if sel.Where == nil {
-			sel.Where = rw
-		} else {
-			sel.Where = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, L: sel.Where, R: rw}
-		}
+	sel := &sqlparser.Select{From: r.from, Limit: -1}
+	if err := r.res.Where(sel, r.where); err != nil {
+		return nil, err
 	}
-
 	if final != nil {
 		// Root task: the user's projection/aggregation/order/limit block.
-		// projOut maps each projection's rewritten rendering to its output
-		// column name, so ORDER BY keys — which engines resolve against the
-		// projected output schema — can be rewritten to output names.
-		projOut := map[string]string{}
-		for _, p := range final.Sel.Projections {
-			re, err := r.rewrite(p.Expr)
-			if err != nil {
-				return nil, err
-			}
-			alias := p.Alias
-			if alias == "" {
-				// Exported name must be stable for the client; a plain
-				// column keeps its name.
-				if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-					alias = cr.Name
-				}
-			}
-			out := alias
-			if out == "" {
-				out = re.String()
-			}
-			if _, dup := projOut[re.String()]; !dup {
-				projOut[re.String()] = out
-			}
-			sel.Projections = append(sel.Projections, sqlparser.SelectExpr{Expr: re, Alias: alias})
-		}
-		sel.Distinct = final.Sel.Distinct
-		for _, g := range final.Sel.GroupBy {
-			rg, err := r.rewrite(g)
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, rg)
-		}
-		if final.Sel.Having != nil {
-			rh, err := r.rewrite(final.Sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			sel.Having = rh
-		}
-		for _, o := range final.Sel.OrderBy {
-			ro, err := r.rewrite(o.Expr)
-			if err != nil {
-				return nil, err
-			}
-			// ORDER BY resolves against the projected output: keys that
-			// match a projection are replaced by its output name.
-			if out, ok := projOut[ro.String()]; ok {
-				ro = &sqlparser.ColumnRef{Name: out}
-			}
-			sel.OrderBy = append(sel.OrderBy, sqlparser.OrderItem{Expr: ro, Desc: o.Desc})
-		}
-		sel.Limit = final.Sel.Limit
-		return sel, nil
+		err = r.res.Final(sel, final.Sel)
+	} else {
+		// Intermediate task: export what the consumer reads under the
+		// mangled names.
+		err = r.res.Export(sel, t.exports)
 	}
-
-	// Intermediate task: export what the consumer reads under the mangled
-	// names.
-	for _, gid := range t.exports {
-		loc, ok := r.resolve[strings.ToLower(gid)]
-		if !ok {
-			return nil, fmt.Errorf("core: render: column %s not resolvable in task t%d", gid, t.ID)
-		}
-		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
-			Expr:  &sqlparser.ColumnRef{Table: loc[0], Name: loc[1]},
-			Alias: MangleCol(gid),
-		})
+	if err != nil {
+		return nil, fmt.Errorf("task t%d: %w", t.ID, err)
 	}
 	return sel, nil
 }
@@ -172,9 +110,7 @@ func (r *renderer) walk(op Op) (*Final, error) {
 	switch o := op.(type) {
 	case *Scan:
 		r.from = append(r.from, sqlparser.TableRef{Name: o.Table, Alias: o.Alias})
-		for _, c := range o.Schema.Columns {
-			r.resolve[strings.ToLower(o.Alias+"."+c.Name)] = [2]string{o.Alias, c.Name}
-		}
+		r.res.bindScan(o.Alias, o)
 		if o.Filter != nil {
 			r.where = append(r.where, o.Filter)
 		}
@@ -189,17 +125,13 @@ func (r *renderer) walk(op Op) (*Final, error) {
 		if o.RawScan != nil {
 			// A4 ablation: the foreign table exposes the base relation
 			// verbatim; the child's pushed-down filter runs here instead.
-			for _, c := range o.RawScan.Schema.Columns {
-				r.resolve[strings.ToLower(o.RawScan.Alias+"."+c.Name)] = [2]string{alias, c.Name}
-			}
+			r.res.bindScan(alias, o.RawScan)
 			if o.RawScan.Filter != nil {
 				r.where = append(r.where, o.RawScan.Filter)
 			}
 			return nil, nil
 		}
-		for _, gid := range o.Cols {
-			r.resolve[strings.ToLower(gid)] = [2]string{alias, MangleCol(gid)}
-		}
+		r.res.Bind(alias, o.Cols)
 		return nil, nil
 
 	case *Join:
@@ -226,10 +158,31 @@ func (r *renderer) walk(op Op) (*Final, error) {
 	}
 }
 
-// rewrite maps every qualified column reference of e to the task-local
-// name. References without a table qualifier (projection aliases) pass
-// through.
-func (r *renderer) rewrite(e sqlparser.Expr) (sqlparser.Expr, error) {
+// Resolution maps a lower-cased global column identity ("alias.col") to
+// the relation and column that carry it in one statement.
+type Resolution map[string][2]string
+
+// Bind resolves each global column identity of gids to its exported
+// MangleCol name on relation rel: a child task's placeholder, a fetched
+// fragment, an intermediate table.
+func (r Resolution) Bind(rel string, gids []string) {
+	for _, gid := range gids {
+		r[strings.ToLower(gid)] = [2]string{rel, MangleCol(gid)}
+	}
+}
+
+// bindScan resolves every column of the base relation s scans to its own
+// name on relation rel.
+func (r Resolution) bindScan(rel string, s *Scan) {
+	for _, c := range s.Schema.Columns {
+		r[strings.ToLower(s.Alias+"."+c.Name)] = [2]string{rel, c.Name}
+	}
+}
+
+// rewrite maps every qualified column reference of a copy of e to its
+// resolved name. References without a table qualifier (projection
+// aliases) pass through.
+func (r Resolution) rewrite(e sqlparser.Expr) (sqlparser.Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
@@ -240,12 +193,123 @@ func (r *renderer) rewrite(e sqlparser.Expr) (sqlparser.Expr, error) {
 		if !ok || cr.Table == "" || err != nil {
 			return
 		}
-		loc, ok := r.resolve[strings.ToLower(cr.Table+"."+cr.Name)]
+		loc, ok := r[strings.ToLower(cr.Table+"."+cr.Name)]
 		if !ok {
-			err = fmt.Errorf("core: render: column %s.%s not available in task", cr.Table, cr.Name)
+			err = fmt.Errorf("core: render: column %s.%s not available", cr.Table, cr.Name)
 			return
 		}
 		cr.Table, cr.Name = loc[0], loc[1]
 	})
 	return out, err
+}
+
+// rewriteAll rewrites each of es; nil when es is empty.
+func (r Resolution) rewriteAll(es []sqlparser.Expr) ([]sqlparser.Expr, error) {
+	var out []sqlparser.Expr
+	for _, e := range es {
+		re, err := r.rewrite(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, re)
+	}
+	return out, nil
+}
+
+// Where sets sel's WHERE clause to the conjunction of conjs, rewritten.
+func (r Resolution) Where(sel *sqlparser.Select, conjs []sqlparser.Expr) error {
+	rw, err := r.rewriteAll(conjs)
+	sel.Where = sqlparser.JoinConjuncts(rw)
+	return err
+}
+
+// Export appends a projection of each global column identity of gids
+// under its MangleCol name.
+func (r Resolution) Export(sel *sqlparser.Select, gids []string) error {
+	for _, gid := range gids {
+		loc, ok := r[strings.ToLower(gid)]
+		if !ok {
+			return fmt.Errorf("core: render: column %s not available", gid)
+		}
+		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
+			Expr:  &sqlparser.ColumnRef{Table: loc[0], Name: loc[1]},
+			Alias: MangleCol(gid),
+		})
+	}
+	return nil
+}
+
+// Final sets sel's final block from the canonicalized statement canon:
+// projections with their output names, DISTINCT, GROUP BY, HAVING,
+// ORDER BY and LIMIT.
+func (r Resolution) Final(sel, canon *sqlparser.Select) error {
+	// projOut maps each projection's rewritten rendering to its output
+	// column name, so ORDER BY keys — which engines resolve against the
+	// projected output schema — can be rewritten to output names.
+	projOut := map[string]string{}
+	for _, p := range canon.Projections {
+		re, err := r.rewrite(p.Expr)
+		if err != nil {
+			return err
+		}
+		alias := p.Alias
+		if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok && alias == "" {
+			// Exported name must be stable for the client; a plain
+			// column keeps its name.
+			alias = cr.Name
+		}
+		key, out := re.String(), alias
+		if out == "" {
+			out = key
+		}
+		if _, dup := projOut[key]; !dup {
+			projOut[key] = out
+		}
+		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{Expr: re, Alias: alias})
+	}
+	var err error
+	if sel.GroupBy, err = r.rewriteAll(canon.GroupBy); err != nil {
+		return err
+	}
+	if sel.Having, err = r.rewrite(canon.Having); err != nil {
+		return err
+	}
+	for _, o := range canon.OrderBy {
+		ro, err := r.rewrite(o.Expr)
+		if err != nil {
+			return err
+		}
+		if out, ok := projOut[ro.String()]; ok {
+			ro = &sqlparser.ColumnRef{Name: out}
+		}
+		sel.OrderBy = append(sel.OrderBy, sqlparser.OrderItem{Expr: ro, Desc: o.Desc})
+	}
+	sel.Distinct, sel.Limit = canon.Distinct, canon.Limit
+	return nil
+}
+
+// RenderFragment renders co-located scans as one pushed-down fragment:
+// every scan's pruned columns under their MangleCol names, the scans'
+// pushed-down filters, then the intra-fragment join conjuncts. The scans
+// keep their own aliases, so nothing is rewritten. It returns the
+// statement and the global column identities it exports, in order.
+func RenderFragment(scans []*Scan, joins []sqlparser.Expr) (*sqlparser.Select, []string) {
+	sel := &sqlparser.Select{Limit: -1}
+	var conjs []sqlparser.Expr
+	var cols []string
+	for _, s := range scans {
+		sel.From = append(sel.From, sqlparser.TableRef{Name: s.Table, Alias: s.Alias})
+		if s.Filter != nil {
+			conjs = append(conjs, s.Filter)
+		}
+		for _, c := range s.Cols {
+			sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
+				Expr:  &sqlparser.ColumnRef{Table: s.Alias, Name: c},
+				Alias: MangleCol(s.Alias + "." + c),
+			})
+		}
+		cols = append(cols, s.OutCols()...)
+	}
+	sel.Where = sqlparser.JoinConjuncts(append(conjs, joins...))
+	return sel, cols
 }

@@ -73,9 +73,34 @@ func renderColumnDefs(d Dialect, cols []sqltypes.Column) string {
 	return strings.Join(parts, ", ")
 }
 
+// standard spells the statements every vendor writes the same way: views,
+// CREATE TABLE AS and the cleanup DDL. Each dialect embeds it and carries
+// only what differs — identifier quoting, type names, the server's wrapper
+// and the foreign-table form.
+type standard struct{}
+
+// CreateView implements Dialect.
+func (standard) CreateView(name string, query *sqlparser.Select) string {
+	return fmt.Sprintf("CREATE VIEW %s AS %s", name, query)
+}
+
+// CreateTableAs implements Dialect.
+func (standard) CreateTableAs(name string, query *sqlparser.Select) string {
+	return fmt.Sprintf("CREATE TABLE %s AS %s", name, query)
+}
+
+// DropView implements Dialect.
+func (standard) DropView(name string) string { return "DROP VIEW IF EXISTS " + name }
+
+// DropTable implements Dialect.
+func (standard) DropTable(name string) string { return "DROP TABLE IF EXISTS " + name }
+
+// DropServer implements Dialect.
+func (standard) DropServer(name string) string { return "DROP SERVER IF EXISTS " + name }
+
 // Postgres is the PostgreSQL dialect: double-quoted identifiers and
 // standard SQL/MED DDL.
-type Postgres struct{}
+type Postgres struct{ standard }
 
 // Vendor implements Dialect.
 func (Postgres) Vendor() engine.Vendor { return engine.VendorPostgres }
@@ -121,28 +146,9 @@ func (d Postgres) CreateForeignTable(name string, cols []sqltypes.Column, server
 		name, renderColumnDefs(d, cols), server, sqltypes.QuoteString(remoteTable), opts)
 }
 
-// CreateView implements Dialect.
-func (Postgres) CreateView(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE VIEW %s AS %s", name, query)
-}
-
-// CreateTableAs implements Dialect.
-func (Postgres) CreateTableAs(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE TABLE %s AS %s", name, query)
-}
-
-// DropView implements Dialect.
-func (Postgres) DropView(name string) string { return "DROP VIEW IF EXISTS " + name }
-
-// DropTable implements Dialect.
-func (Postgres) DropTable(name string) string { return "DROP TABLE IF EXISTS " + name }
-
-// DropServer implements Dialect.
-func (Postgres) DropServer(name string) string { return "DROP SERVER IF EXISTS " + name }
-
 // MariaDB is the MariaDB dialect: backtick identifiers and the federated
 // storage engine in place of SQL/MED foreign tables.
-type MariaDB struct{}
+type MariaDB struct{ standard }
 
 // Vendor implements Dialect.
 func (MariaDB) Vendor() engine.Vendor { return engine.VendorMariaDB }
@@ -195,28 +201,9 @@ func (d MariaDB) CreateForeignTable(name string, cols []sqltypes.Column, server,
 		name, renderColumnDefs(d, cols), server, remoteTable, query)
 }
 
-// CreateView implements Dialect.
-func (MariaDB) CreateView(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE VIEW %s AS %s", name, query)
-}
-
-// CreateTableAs implements Dialect.
-func (MariaDB) CreateTableAs(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE TABLE %s AS %s", name, query)
-}
-
-// DropView implements Dialect.
-func (MariaDB) DropView(name string) string { return "DROP VIEW IF EXISTS " + name }
-
-// DropTable implements Dialect.
-func (MariaDB) DropTable(name string) string { return "DROP TABLE IF EXISTS " + name }
-
-// DropServer implements Dialect.
-func (MariaDB) DropServer(name string) string { return "DROP SERVER IF EXISTS " + name }
-
 // Hive is the Hive dialect: external tables with a JDBC-style storage
 // handler in place of SQL/MED foreign tables.
-type Hive struct{}
+type Hive struct{ standard }
 
 // Vendor implements Dialect.
 func (Hive) Vendor() engine.Vendor { return engine.VendorHive }
@@ -261,22 +248,3 @@ func (d Hive) CreateForeignTable(name string, cols []sqltypes.Column, server, re
 	return fmt.Sprintf("CREATE EXTERNAL TABLE %s (%s) STORED BY 'xdb' TBLPROPERTIES ('server' '%s', 'table' '%s'%s)",
 		name, renderColumnDefs(d, cols), server, remoteTable, props)
 }
-
-// CreateView implements Dialect.
-func (Hive) CreateView(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE VIEW %s AS %s", name, query)
-}
-
-// CreateTableAs implements Dialect.
-func (Hive) CreateTableAs(name string, query *sqlparser.Select) string {
-	return fmt.Sprintf("CREATE TABLE %s AS %s", name, query)
-}
-
-// DropView implements Dialect.
-func (Hive) DropView(name string) string { return "DROP VIEW IF EXISTS " + name }
-
-// DropTable implements Dialect.
-func (Hive) DropTable(name string) string { return "DROP TABLE IF EXISTS " + name }
-
-// DropServer implements Dialect.
-func (Hive) DropServer(name string) string { return "DROP SERVER IF EXISTS " + name }

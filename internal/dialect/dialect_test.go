@@ -115,13 +115,17 @@ func TestViewAndCTASAndDrops(t *testing.T) {
 	}
 	for _, v := range []engine.Vendor{engine.VendorPostgres, engine.VendorMariaDB, engine.VendorHive} {
 		d := ForVendor(v)
-		for _, ddl := range []string{
-			d.CreateView("v1", q),
-			d.CreateTableAs("t1", q),
-			d.DropView("v1"),
-			d.DropTable("t1"),
-			d.DropServer("s1"),
+		// Every vendor spells these five the same way.
+		for ddl, want := range map[string]string{
+			d.CreateView("v1", q):    "CREATE VIEW v1 AS SELECT a FROM t WHERE a > 1",
+			d.CreateTableAs("t1", q): "CREATE TABLE t1 AS SELECT a FROM t WHERE a > 1",
+			d.DropView("v1"):         "DROP VIEW IF EXISTS v1",
+			d.DropTable("t1"):        "DROP TABLE IF EXISTS t1",
+			d.DropServer("s1"):       "DROP SERVER IF EXISTS s1",
 		} {
+			if ddl != want {
+				t.Errorf("%s: %q, want %q", v, ddl, want)
+			}
 			if _, err := sqlparser.Parse(ddl); err != nil {
 				t.Errorf("%s: %q does not parse: %v", v, ddl, err)
 			}

@@ -100,7 +100,9 @@ type Stats struct {
 	// LocalTime is the mediator engine's execution time over the fetched
 	// fragments.
 	LocalTime time.Duration
-	// RowsFetched and BytesFetched total the shipped intermediates.
+	// RowsFetched and BytesFetched total the shipped intermediates; the
+	// bytes are the rows' size in the encoding they arrived in (text for
+	// Presto and for text-protocol vendors, else binary).
 	RowsFetched  int64
 	BytesFetched int64
 	// Fragments is the number of pushed-down subqueries.
@@ -121,6 +123,7 @@ type fragment struct {
 	// fetched result
 	schema *sqltypes.Schema
 	rows   []sqltypes.Row
+	bytes  int64
 }
 
 // Query executes a cross-database query through the mediator.
@@ -136,10 +139,7 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	frags, crossConjs, err := decompose(analysis)
-	if err != nil {
-		return nil, nil, err
-	}
+	frags, crossConjs := decompose(analysis)
 	st := &Stats{Fragments: len(frags)}
 
 	if m.cfg.CoordinatorLatency > 0 {
@@ -166,6 +166,13 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 				errs[i] = err
 				return
 			}
+			size := sqltypes.Row.EncodedSize
+			if m.cfg.TextProtocol || engine.Profiles(conn.Vendor).TransferEncoding == engine.EncodingText {
+				size = sqltypes.TextEncodedSize
+			}
+			for _, r := range rows {
+				f.bytes += int64(size(r))
+			}
 			f.schema, f.rows = schema, rows
 		}(i, f)
 	}
@@ -178,9 +185,7 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 	st.FetchTime = time.Since(start)
 	for _, f := range frags {
 		st.RowsFetched += int64(len(f.rows))
-		for _, r := range f.rows {
-			st.BytesFetched += int64(r.EncodedSize())
-		}
+		st.BytesFetched += f.bytes
 	}
 
 	// Execute the remaining (cross-database) operations on the mediator's
@@ -197,7 +202,7 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 // decompose groups the query's relations into per-DBMS connected
 // components (the pushed-down fragments) and returns the conjuncts that
 // must run at the mediator.
-func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr, error) {
+func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
 	// Union-find over scans, connected when a join conjunct touches two
 	// scans on the same node.
 	parent := map[*core.Scan]*core.Scan{}
@@ -271,38 +276,11 @@ func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr, error) {
 		cross = append(cross, c)
 	}
 
-	// Render each fragment's pushed-down SQL.
 	for _, f := range frags {
-		if err := f.render(); err != nil {
-			return nil, nil, err
-		}
+		sel, cols := core.RenderFragment(f.scans, f.conjs)
+		f.sql, f.cols = sel.String(), cols
 	}
-	return frags, cross, nil
-}
-
-// render builds the fragment's subquery: pruned columns under mangled
-// names, pushed-down filters and intra-fragment joins.
-func (f *fragment) render() error {
-	sel := &sqlparser.Select{Limit: -1}
-	var conjs []sqlparser.Expr
-	for _, s := range f.scans {
-		sel.From = append(sel.From, sqlparser.TableRef{Name: s.Table, Alias: s.Alias})
-		if s.Filter != nil {
-			conjs = append(conjs, s.Filter)
-		}
-		for _, gid := range s.OutCols() {
-			f.cols = append(f.cols, gid)
-			alias, name, _ := strings.Cut(gid, ".")
-			sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
-				Expr:  &sqlparser.ColumnRef{Table: alias, Name: name},
-				Alias: core.MangleCol(gid),
-			})
-		}
-	}
-	conjs = append(conjs, f.conjs...)
-	sel.Where = sqlparser.JoinConjuncts(conjs)
-	f.sql = sel.String()
-	return nil
+	return frags, cross
 }
 
 // executeLocal loads the fetched fragments into a fresh mediator engine

@@ -19,7 +19,6 @@ import (
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
 	"xdb/internal/sqlparser"
-	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
 )
 
@@ -71,10 +70,10 @@ func New(cfg Config) *Sclera {
 	}
 }
 
-// RegisterTable maps a global table to its home DBMS.
 // Close drains the coordinator's wire connection pool.
 func (s *Sclera) Close() error { return s.client.Close() }
 
+// RegisterTable maps a global table to its home DBMS.
 func (s *Sclera) RegisterTable(table, node string) error {
 	if _, ok := s.cfg.Connectors[node]; !ok {
 		return fmt.Errorf("sclera: RegisterTable(%s): unknown node %q", table, node)
@@ -89,7 +88,6 @@ type step struct {
 	node  string
 	table string
 	cols  []string
-	types map[string]sqltypes.Type
 }
 
 // Query executes a cross-database query with naive explicit routing.
@@ -114,22 +112,9 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 			cleanup[i]()
 		}
 	}()
-	drop := func(node, kind, name string) {
-		conn := s.cfg.Connectors[node]
-		cleanup = append(cleanup, func() {
-			if kind == "VIEW" {
-				exec(conn, conn.Dialect.DropView(name))
-			} else {
-				exec(conn, conn.Dialect.DropTable(name))
-			}
-		})
-	}
-
-	colTypes := map[string]sqltypes.Type{}
-	for _, sc := range a.Scans {
-		for _, c := range sc.Schema.Columns {
-			colTypes[strings.ToLower(sc.Alias+"."+c.Name)] = c.Type
-		}
+	// drop queues one cleanup statement; they run in reverse order.
+	drop := func(conn *connector.Connector, ddl string) {
+		cleanup = append(cleanup, func() { exec(conn, ddl) })
 	}
 
 	// Seed: the first relation in FROM order (heuristic, no cost-based
@@ -206,7 +191,7 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 		pending = rest
 
 		start = time.Now()
-		joined, err := s.joinStep(cur, imported, conjs, colTypes, qid, i+1, drop)
+		joined, err := s.joinStep(cur, imported, conjs, qid, i+1, drop)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -231,35 +216,21 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 
 // scanView creates the filtered, pruned view of one relation on its home
 // DBMS.
-func (s *Sclera) scanView(sc *core.Scan, qid int64, idx int, drop func(node, kind, name string)) (*step, error) {
-	sel := &sqlparser.Select{Limit: -1}
-	sel.From = []sqlparser.TableRef{{Name: sc.Table, Alias: sc.Alias}}
-	sel.Where = sc.Filter
-	cols := sc.OutCols()
-	for _, gid := range cols {
-		alias, name, _ := strings.Cut(gid, ".")
-		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
-			Expr:  &sqlparser.ColumnRef{Table: alias, Name: name},
-			Alias: core.MangleCol(gid),
-		})
-	}
+func (s *Sclera) scanView(sc *core.Scan, qid int64, idx int, drop func(*connector.Connector, string)) (*step, error) {
+	sel, cols := core.RenderFragment([]*core.Scan{sc}, nil)
 	conn := s.cfg.Connectors[sc.Node]
 	name := fmt.Sprintf("sclera%d_s%d", qid, idx)
 	if err := exec(conn, conn.Dialect.CreateView(name, sel)); err != nil {
 		return nil, err
 	}
-	drop(sc.Node, "VIEW", name)
-	types := map[string]sqltypes.Type{}
-	for _, c := range sc.Schema.Columns {
-		types[strings.ToLower(sc.Alias+"."+c.Name)] = c.Type
-	}
-	return &step{node: sc.Node, table: name, cols: cols, types: types}, nil
+	drop(conn, conn.Dialect.DropView(name))
+	return &step{node: sc.Node, table: name, cols: cols}, nil
 }
 
 // routeThroughCoordinator is the naive data movement: SELECT * at the
 // source into the coordinator, then INSERT batches into a fresh table at
 // the destination. Every byte crosses the network twice.
-func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, idx int, drop func(node, kind, name string)) (*step, int64, error) {
+func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, idx int, drop func(*connector.Connector, string)) (*step, int64, error) {
 	if from.node == toNode {
 		return from, 0, nil
 	}
@@ -283,7 +254,7 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 	if err := exec(dstConn, fmt.Sprintf("CREATE TABLE %s (%s)", name, strings.Join(defs, ", "))); err != nil {
 		return nil, 0, err
 	}
-	drop(toNode, "TABLE", name)
+	drop(dstConn, dstConn.Dialect.DropTable(name))
 
 	for lo := 0; lo < len(rows); lo += s.cfg.ImportBatch {
 		hi := lo + s.cfg.ImportBatch
@@ -309,118 +280,46 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 			return nil, 0, err
 		}
 	}
-	return &step{node: toNode, table: name, cols: from.cols, types: from.types}, int64(len(rows)), nil
+	return &step{node: toNode, table: name, cols: from.cols}, int64(len(rows)), nil
 }
 
 // joinStep materializes the join of two co-located relations.
-func (s *Sclera) joinStep(l, r *step, conjs []sqlparser.Expr, colTypes map[string]sqltypes.Type, qid int64, idx int, drop func(node, kind, name string)) (*step, error) {
-	sel := &sqlparser.Select{Limit: -1}
-	sel.From = []sqlparser.TableRef{
-		{Name: l.table, Alias: "l"},
-		{Name: r.table, Alias: "r"},
-	}
-	resolve := map[string][2]string{}
+func (s *Sclera) joinStep(l, r *step, conjs []sqlparser.Expr, qid int64, idx int, drop func(*connector.Connector, string)) (*step, error) {
+	res := core.Resolution{}
+	res.Bind("l", l.cols)
+	res.Bind("r", r.cols)
+	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: l.table, Alias: "l"}, {Name: r.table, Alias: "r"}}, Limit: -1}
 	outCols := append(append([]string{}, l.cols...), r.cols...)
-	for _, gid := range l.cols {
-		resolve[strings.ToLower(gid)] = [2]string{"l", core.MangleCol(gid)}
+	if err := res.Export(sel, outCols); err != nil {
+		return nil, err
 	}
-	for _, gid := range r.cols {
-		resolve[strings.ToLower(gid)] = [2]string{"r", core.MangleCol(gid)}
+	if err := res.Where(sel, conjs); err != nil {
+		return nil, err
 	}
-	for _, gid := range outCols {
-		loc := resolve[strings.ToLower(gid)]
-		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{
-			Expr:  &sqlparser.ColumnRef{Table: loc[0], Name: loc[1]},
-			Alias: core.MangleCol(gid),
-		})
-	}
-	var rewritten []sqlparser.Expr
-	for _, c := range conjs {
-		rc, err := rewriteRefs(c, resolve)
-		if err != nil {
-			return nil, err
-		}
-		rewritten = append(rewritten, rc)
-	}
-	sel.Where = sqlparser.JoinConjuncts(rewritten)
-
 	conn := s.cfg.Connectors[l.node]
 	name := fmt.Sprintf("sclera%d_j%d", qid, idx)
 	if err := exec(conn, conn.Dialect.CreateTableAs(name, sel)); err != nil {
 		return nil, err
 	}
-	drop(l.node, "TABLE", name)
-	types := map[string]sqltypes.Type{}
-	for k, v := range l.types {
-		types[k] = v
-	}
-	for k, v := range r.types {
-		types[k] = v
-	}
-	return &step{node: l.node, table: name, cols: outCols, types: types}, nil
+	drop(conn, conn.Dialect.DropTable(name))
+	return &step{node: l.node, table: name, cols: outCols}, nil
 }
 
 // finalBlock runs the projection/aggregation/order/limit block on the
 // last node and fetches the result.
-func (s *Sclera) finalBlock(a *core.Analysis, cur *step, qid int64, drop func(node, kind, name string)) (*engine.Result, error) {
-	resolve := map[string][2]string{}
-	for _, gid := range cur.cols {
-		resolve[strings.ToLower(gid)] = [2]string{"t", core.MangleCol(gid)}
+func (s *Sclera) finalBlock(a *core.Analysis, cur *step, qid int64, drop func(*connector.Connector, string)) (*engine.Result, error) {
+	res := core.Resolution{}
+	res.Bind("t", cur.cols)
+	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: cur.table, Alias: "t"}}}
+	if err := res.Final(sel, a.Canon); err != nil {
+		return nil, err
 	}
-	sel := &sqlparser.Select{Limit: a.Canon.Limit, Distinct: a.Canon.Distinct}
-	sel.From = []sqlparser.TableRef{{Name: cur.table, Alias: "t"}}
-	projOut := map[string]string{}
-	for _, p := range a.Canon.Projections {
-		re, err := rewriteRefs(p.Expr, resolve)
-		if err != nil {
-			return nil, err
-		}
-		alias := p.Alias
-		if alias == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				alias = cr.Name
-			}
-		}
-		out := alias
-		if out == "" {
-			out = re.String()
-		}
-		if _, dup := projOut[re.String()]; !dup {
-			projOut[re.String()] = out
-		}
-		sel.Projections = append(sel.Projections, sqlparser.SelectExpr{Expr: re, Alias: alias})
-	}
-	for _, g := range a.Canon.GroupBy {
-		rg, err := rewriteRefs(g, resolve)
-		if err != nil {
-			return nil, err
-		}
-		sel.GroupBy = append(sel.GroupBy, rg)
-	}
-	if a.Canon.Having != nil {
-		rh, err := rewriteRefs(a.Canon.Having, resolve)
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = rh
-	}
-	for _, o := range a.Canon.OrderBy {
-		ro, err := rewriteRefs(o.Expr, resolve)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := projOut[ro.String()]; ok {
-			ro = &sqlparser.ColumnRef{Name: out}
-		}
-		sel.OrderBy = append(sel.OrderBy, sqlparser.OrderItem{Expr: ro, Desc: o.Desc})
-	}
-
 	conn := s.cfg.Connectors[cur.node]
 	name := fmt.Sprintf("sclera%d_final", qid)
 	if err := exec(conn, conn.Dialect.CreateView(name, sel)); err != nil {
 		return nil, err
 	}
-	drop(cur.node, "VIEW", name)
+	drop(conn, conn.Dialect.DropView(name))
 	return s.client.QueryAll(context.Background(), conn.Addr, cur.node, "SELECT * FROM "+name)
 }
 
@@ -432,27 +331,6 @@ func exec(conn *connector.Connector, sql string) error {
 		return err
 	}
 	return errs[0]
-}
-
-func rewriteRefs(e sqlparser.Expr, resolve map[string][2]string) (sqlparser.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	out := sqlparser.CloneExpr(e)
-	var err error
-	sqlparser.WalkExpr(out, func(x sqlparser.Expr) {
-		cr, ok := x.(*sqlparser.ColumnRef)
-		if !ok || cr.Table == "" || err != nil {
-			return
-		}
-		loc, ok := resolve[strings.ToLower(cr.Table+"."+cr.Name)]
-		if !ok {
-			err = fmt.Errorf("sclera: column %s.%s not available", cr.Table, cr.Name)
-			return
-		}
-		cr.Table, cr.Name = loc[0], loc[1]
-	})
-	return out, err
 }
 
 func allIn(e sqlparser.Expr, exported map[string]bool) bool {

@@ -130,6 +130,17 @@ scan:
 			}
 			break
 		}
+		// An exponent, as a float renders beyond 1e21 or below 1e-4.
+		if e := l.pos; e < len(l.src) && (l.src[e] == 'e' || l.src[e] == 'E') {
+			e++
+			if e < len(l.src) && (l.src[e] == '+' || l.src[e] == '-') {
+				e++
+			}
+			if e < len(l.src) && isDigit(l.src[e]) {
+				for l.pos = e; l.pos < len(l.src) && isDigit(l.src[l.pos]); l.pos++ {
+				}
+			}
+		}
 		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
 
 	case c == '\'':
@@ -165,6 +176,12 @@ scan:
 		}
 		text := l.src[qs:l.pos]
 		l.pos++
+		// Quoting lets a keyword name a relation or column; the name itself
+		// must still be an identifier, so every name renders unquoted or
+		// quoted back to the same token.
+		if !isIdent(text) {
+			return token{}, l.errorf(start, "quoted identifier %q is not an identifier", text)
+		}
 		return token{kind: tokQIdent, text: text, pos: start}, nil
 
 	default:
@@ -194,6 +211,35 @@ func isIdentStart(c byte) bool {
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '$' }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// isIdent reports whether s lexes as one identifier or keyword.
+func isIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// isKeyword reports whether an identifier spells a keyword, in any case.
+func isKeyword(s string) bool {
+	var buf [16]byte
+	if len(s) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(s)])]
+}
 
 // lexAll tokenizes the whole input; used by the parser which needs one
 // token of lookahead.

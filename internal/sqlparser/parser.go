@@ -480,8 +480,8 @@ func (p *parser) parseCreate() (Statement, error) {
 				return nil, err
 			}
 		}
-		if ft.Server == "" {
-			return nil, p.errf("external table %s: missing 'server' property", name)
+		if !isIdent(ft.Server) {
+			return nil, p.errf("external table %s: 'server' property %q is not an identifier", name, ft.Server)
 		}
 		return ft, nil
 
@@ -553,7 +553,7 @@ func (p *parser) parseCreate() (Statement, error) {
 			}
 			p.advance()
 			server, remote, ok := strings.Cut(t.text, "/")
-			if !ok {
+			if !ok || !isIdent(server) {
 				return nil, p.errf("bad federated connection %q: want 'server/table'", t.text)
 			}
 			// The query suffix carries the options: "materialize=1" requests
@@ -975,7 +975,9 @@ func (p *parser) parseUnary() (Expr, error) {
 			case sqltypes.TypeInt:
 				return &Literal{Val: sqltypes.NewInt(-lit.Val.I)}, nil
 			case sqltypes.TypeFloat:
-				return &Literal{Val: sqltypes.NewFloat(-lit.Val.F)}, nil
+				// 0 - f, not -f: a literal has no negative zero, which
+				// would render as "-0" and parse back as the integer 0.
+				return &Literal{Val: sqltypes.NewFloat(0 - lit.Val.F)}, nil
 			}
 		}
 		return &NegExpr{E: e}, nil
@@ -988,7 +990,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		if strings.Contains(t.text, ".") {
+		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return nil, p.errf("bad number %q", t.text)

@@ -8,10 +8,29 @@ import (
 	"xdb/internal/sqltypes"
 )
 
-// This file renders AST nodes back to SQL in the neutral dialect (no
-// identifier quoting, DATE '...' literals). Vendor-specific rendering —
-// quoting style, foreign-table DDL syntax — lives in internal/dialect and
-// builds on these renderers.
+// This file renders AST nodes back to SQL in the neutral dialect (only
+// keywords used as names are quoted, DATE '...' literals). Vendor-specific
+// rendering — quoting style, foreign-table DDL syntax — lives in
+// internal/dialect and builds on these renderers. Whatever parses renders
+// to text that parses back to the same rendering (FuzzParse).
+
+// ident renders a name so that it lexes back as the same name: a keyword
+// is double-quoted, anything else is written as is.
+func ident(name string) string {
+	if isKeyword(name) {
+		return `"` + name + `"`
+	}
+	return name
+}
+
+// alias renders a projection alias; one that is no identifier (the parser
+// accepts string-literal aliases) renders as a string literal.
+func alias(name string) string {
+	if !isIdent(name) {
+		return sqltypes.QuoteString(name)
+	}
+	return ident(name)
+}
 
 func (s *Select) String() string {
 	var b strings.Builder
@@ -31,7 +50,7 @@ func (s *Select) String() string {
 		default:
 			b.WriteString(p.Expr.String())
 			if p.Alias != "" {
-				b.WriteString(" AS " + p.Alias)
+				b.WriteString(" AS " + alias(p.Alias))
 			}
 		}
 	}
@@ -42,11 +61,11 @@ func (s *Select) String() string {
 				b.WriteString(", ")
 			}
 			if t.DB != "" {
-				b.WriteString(t.DB + ".")
+				b.WriteString(ident(t.DB) + ".")
 			}
-			b.WriteString(t.Name)
+			b.WriteString(ident(t.Name))
 			if t.Alias != "" && !strings.EqualFold(t.Alias, t.Name) {
-				b.WriteString(" " + t.Alias)
+				b.WriteString(" " + ident(t.Alias))
 			}
 		}
 	}
@@ -85,9 +104,9 @@ func (s *Select) String() string {
 
 func (c *CreateTable) String() string {
 	if c.As != nil {
-		return fmt.Sprintf("CREATE TABLE %s AS %s", c.Name, c.As)
+		return fmt.Sprintf("CREATE TABLE %s AS %s", ident(c.Name), c.As)
 	}
-	return fmt.Sprintf("CREATE TABLE %s (%s)", c.Name, renderColumnDefs(c.Columns))
+	return fmt.Sprintf("CREATE TABLE %s (%s)", ident(c.Name), renderColumnDefs(c.Columns))
 }
 
 func (c *CreateView) String() string {
@@ -95,7 +114,7 @@ func (c *CreateView) String() string {
 	if c.OrReplace {
 		or = "OR REPLACE "
 	}
-	return fmt.Sprintf("CREATE %sVIEW %s AS %s", or, c.Name, c.Query)
+	return fmt.Sprintf("CREATE %sVIEW %s AS %s", or, ident(c.Name), c.Query)
 }
 
 func (c *CreateForeignTable) String() string {
@@ -107,16 +126,23 @@ func (c *CreateForeignTable) String() string {
 		opts += fmt.Sprintf(", rows '%d'", c.Rows)
 	}
 	return fmt.Sprintf("CREATE FOREIGN TABLE %s (%s) SERVER %s OPTIONS (table_name %s%s)",
-		c.Name, renderColumnDefs(c.Columns), c.Server, sqltypes.QuoteString(c.RemoteTable), opts)
+		ident(c.Name), renderColumnDefs(c.Columns), ident(c.Server), sqltypes.QuoteString(c.RemoteTable), opts)
 }
 
 func (c *CreateServer) String() string {
 	var opts []string
 	for _, k := range sortedKeys(c.Options) {
-		opts = append(opts, k+" "+sqltypes.QuoteString(c.Options[k]))
+		key := k
+		if !isIdent(k) {
+			key = sqltypes.QuoteString(k)
+		}
+		opts = append(opts, key+" "+sqltypes.QuoteString(c.Options[k]))
 	}
-	return fmt.Sprintf("CREATE SERVER %s FOREIGN DATA WRAPPER %s OPTIONS (%s)",
-		c.Name, c.Wrapper, strings.Join(opts, ", "))
+	s := fmt.Sprintf("CREATE SERVER %s FOREIGN DATA WRAPPER %s", ident(c.Name), ident(c.Wrapper))
+	if len(opts) > 0 {
+		s += " OPTIONS (" + strings.Join(opts, ", ") + ")"
+	}
+	return s
 }
 
 func (d *Drop) String() string {
@@ -124,12 +150,12 @@ func (d *Drop) String() string {
 	if d.IfExists {
 		ife = "IF EXISTS "
 	}
-	return fmt.Sprintf("DROP %s %s%s", d.Kind, ife, d.Name)
+	return fmt.Sprintf("DROP %s %s%s", d.Kind, ife, ident(d.Name))
 }
 
 func (i *Insert) String() string {
 	if i.Query != nil {
-		return fmt.Sprintf("INSERT INTO %s %s", i.Table, i.Query)
+		return fmt.Sprintf("INSERT INTO %s %s", ident(i.Table), i.Query)
 	}
 	var rows []string
 	for _, r := range i.Rows {
@@ -139,21 +165,16 @@ func (i *Insert) String() string {
 		}
 		rows = append(rows, "("+strings.Join(vals, ", ")+")")
 	}
-	return fmt.Sprintf("INSERT INTO %s VALUES %s", i.Table, strings.Join(rows, ", "))
+	return fmt.Sprintf("INSERT INTO %s VALUES %s", ident(i.Table), strings.Join(rows, ", "))
 }
 
 func (e *Explain) String() string { return "EXPLAIN " + e.Stmt.String() }
 
-// renderColumnDefs renders a DDL column list. A name that would lex as a
-// reserved keyword is quoted, so the rendering parses back.
+// renderColumnDefs renders a DDL column list.
 func renderColumnDefs(cols []ColumnDef) string {
 	var parts []string
 	for _, c := range cols {
-		name := c.Name
-		if up := strings.ToUpper(name); keywords[up] && !nonReserved[up] {
-			name = `"` + name + `"`
-		}
-		parts = append(parts, name+" "+c.Type.String())
+		parts = append(parts, ident(c.Name)+" "+c.Type.String())
 	}
 	return strings.Join(parts, ", ")
 }
@@ -173,9 +194,9 @@ func sortedKeys(m map[string]string) []string {
 
 func (c *ColumnRef) String() string {
 	if c.Table == "" {
-		return c.Name
+		return ident(c.Name)
 	}
-	return c.Table + "." + c.Name
+	return ident(c.Table) + "." + ident(c.Name)
 }
 
 func (l *Literal) String() string { return l.Val.SQL() }
@@ -211,8 +232,13 @@ func (n *NotExpr) String() string { return "NOT (" + n.E.String() + ")" }
 func (n *NegExpr) String() string { return "-(" + n.E.String() + ")" }
 
 func (f *FuncCall) String() string {
-	if f.Name == "EXTRACT" {
+	switch {
+	case f.Name == "EXTRACT":
 		return fmt.Sprintf("EXTRACT(%s FROM %s)", f.Part, f.Args[0])
+	case f.Name == "SUBSTRING" && len(f.Args) == 2:
+		return fmt.Sprintf("SUBSTRING(%s FROM %s)", f.Args[0], f.Args[1])
+	case f.Name == "SUBSTRING" && len(f.Args) == 3:
+		return fmt.Sprintf("SUBSTRING(%s FROM %s FOR %s)", f.Args[0], f.Args[1], f.Args[2])
 	}
 	if f.Star {
 		return f.Name + "(*)"
