@@ -113,7 +113,7 @@ func (c *Connector) Calibration() float64 { return math.Float64frombits(c.calibr
 
 // The single-request methods below — Exec, Explain, Stats, CostOperator
 // and DeployView — are batches of one. The middleware and the baselines
-// batch per node (Do, CostOperators, ExecScript); these exist for the
+// batch per node (Do, PriceJoins, ExecScript); these exist for the
 // benchmark's per-layer probes, which time one round trip of each kind.
 
 // Exec deploys a DDL statement. DDL is never retried by the transport.
@@ -208,6 +208,41 @@ func (c *Connector) CostOperators(ctx context.Context, probes []CostProbe) (cost
 		costs[i] = raw * c.Calibration()
 	}
 	return costs, errs, nil
+}
+
+// JoinProbe is one join of a consultation: its estimated input and output
+// cardinalities.
+type JoinProbe struct {
+	Left, Right, Out float64
+}
+
+// PriceJoins consults the DBMS for every price of every join in one round
+// trip: prices[i] and errs[i] answer joins[i], each price calibrated as
+// CostOperator calibrates it. err is the round trip's own failure, and then
+// nothing was answered.
+func (c *Connector) PriceJoins(ctx context.Context, joins []JoinProbe) (prices []engine.JoinPrices, errs []error, err error) {
+	var b wire.Batch
+	for _, j := range joins {
+		b.PriceJoin(j.Left, j.Right, j.Out)
+	}
+	replies, err := c.Do(ctx, &b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("connector %s: join probes: %w", c.Node, err)
+	}
+	prices, errs = make([]engine.JoinPrices, len(joins)), make([]error, len(joins))
+	cal := c.Calibration()
+	for i, r := range replies {
+		p, err := r.JoinPrices()
+		if err != nil {
+			errs[i] = fmt.Errorf("connector %s: join probe: %w", c.Node, err)
+			continue
+		}
+		prices[i] = engine.JoinPrices{
+			Join: p.Join * cal, LeftStream: p.LeftStream * cal, RightStream: p.RightStream * cal,
+			ScanLeft: p.ScanLeft * cal, ScanRight: p.ScanRight * cal,
+		}
+	}
+	return prices, errs, nil
 }
 
 // ExecScript runs DDL statements in order in one round trip. The DBMS runs

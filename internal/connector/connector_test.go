@@ -257,6 +257,45 @@ func TestCostOperatorsOneRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPriceJoinsOneRoundTrip: a consultation of several joins is one
+// request, and each of a join's prices is the calibrated cost
+// CostOperator gives for it.
+func TestPriceJoinsOneRoundTrip(t *testing.T) {
+	_, c := newConnectedEngine(t, engine.VendorMariaDB)
+	if err := c.Calibrate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	joins := []JoinProbe{{Left: 1000, Right: 200, Out: 500}, {Left: 30, Right: 7000, Out: 30}}
+	before := c.Transport()
+	prices, errs, err := c.PriceJoins(context.Background(), joins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Transport()
+	if got := (after.Dials + after.Reuses) - (before.Dials + before.Reuses); got != 1 {
+		t.Errorf("%d requests for one consultation, want 1", got)
+	}
+	cost := func(kind engine.CostKind, l, r, o float64) float64 {
+		v, err := c.CostOperator(context.Background(), kind, l, r, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for i, j := range joins {
+		want := engine.JoinPrices{
+			Join:        cost(engine.CostJoin, j.Left, j.Right, j.Out),
+			LeftStream:  cost(engine.CostJoinStream, j.Left, j.Right, j.Out),
+			RightStream: cost(engine.CostJoinStream, j.Right, j.Left, j.Out),
+			ScanLeft:    cost(engine.CostScan, j.Left, 0, 0),
+			ScanRight:   cost(engine.CostScan, j.Right, 0, 0),
+		}
+		if errs[i] != nil || prices[i] != want {
+			t.Errorf("join %d = %+v, %v; CostOperator says %+v", i, prices[i], errs[i], want)
+		}
+	}
+}
+
 func TestQueryStream(t *testing.T) {
 	e, c := newConnectedEngine(t, engine.VendorPostgres)
 	loadSample(t, e)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"xdb/internal/connector"
@@ -33,14 +33,13 @@ import (
 // Coster abstracts the consulting interface the annotator uses — the
 // System implements it over the wire connectors; tests may fake it.
 type Coster interface {
-	// CostOperators prices operators at a DBMS in calibrated common units:
-	// one consultation round trip for all of them. costs[i] and errs[i]
-	// answer probes[i]; a round trip that fails fails every probe. The
-	// context bounds the round trip; cancelling it degrades the estimates
-	// to the local cost model.
-	CostOperators(ctx context.Context, node string, probes []connector.CostProbe) (costs []float64, errs []error)
-	// AllNodes lists every registered DBMS (for the FullCandidateSet
-	// ablation).
+	// PriceJoins consults a DBMS for every price of the given joins in
+	// calibrated common units (engine.JoinPrices): one consultation round
+	// trip for all of them. prices[i] and errs[i] answer joins[i]; a round
+	// trip that fails fails every join. The context bounds the round trip.
+	PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) (prices []engine.JoinPrices, errs []error)
+	// AllNodes lists every registered DBMS, in a stable order (the
+	// FullCandidateSet ablation's candidates, tried in this order).
 	AllNodes() []string
 	// LinkFactor scales movement cost between two nodes relative to the
 	// baseline LAN link (>= 1 for slower links).
@@ -66,129 +65,251 @@ type Annotation struct {
 	// Move labels the edge from an operator to its parent when the two
 	// sides differ in annotation.
 	Move map[Op]Movement
-	// ConsultRounds counts the cost probes issued (Fig. 15's
-	// "consultation roundtrips"). It counts probes, not round trips: the
-	// probes of one candidate of one Rule-4 decision travel together.
+	// ConsultRounds counts the join probes sent (Fig. 15's "consultation
+	// roundtrips"). It counts probes, not round trips: a probe is one
+	// (join, node) pair, and all of a node's probes travel together.
 	ConsultRounds int
-	// DegradedProbes counts the decisions made without consulting a
+	// DegradedProbes counts the prices settled without consulting a
 	// DBMS: placement candidates excluded because their breaker is open,
-	// and cost probes that failed and fell back to the local model.
+	// and probes that could not be sent or failed and fell back to the
+	// local model.
 	DegradedProbes int
-	// CachedProbes counts the probes answered without a round trip: by
-	// the per-decision memo (one Rule-4 decision never issues the same
-	// probe twice) or by the cross-query consult cache
-	// (Options.ConsultCacheTTL).
+	// CachedProbes counts the probes answered without a round trip, by
+	// the cross-query consult cache (Options.ConsultCacheTTL).
 	CachedProbes int
-
-	// mu guards the counters above during the parallel Rule-4 candidate
-	// fan-out; reads after annotate returns need no lock.
-	mu sync.Mutex
-	// cache is the cross-query consult cache (nil when ConsultCacheTTL is
-	// 0, and for test fakes; a nil cache misses and stores nothing).
-	cache *consultCache
 }
 
-func (a *Annotation) addDegraded(n int) {
-	a.mu.Lock()
-	a.DegradedProbes += n
-	a.mu.Unlock()
-}
-
-// annotate runs the annotation pass over the logical plan, serving probes
-// from cache before spending a round trip. The context bounds the
-// consultation probes; cancellation aborts the pass.
+// annotate runs the annotation pass over the logical plan in two steps.
+// First it consults: it collects every (join, node) pair some Rule-4
+// decision of the plan could price, serves what it can from the consult
+// cache, and sends the rest as one batch per node, all nodes at once.
+// Then it decides, bottom-up over the answers, with no I/O. The context
+// bounds the consultation; cancellation fails the pass.
 func annotate(ctx context.Context, root Op, coster Coster, cache *consultCache, opts Options) (*Annotation, error) {
-	a := &Annotation{Node: map[Op]string{}, Move: map[Op]Movement{}, cache: cache}
-	if err := a.visit(ctx, root, coster, opts); err != nil {
-		return nil, err
+	st := &sites{coster: coster, healthy: map[string]bool{}}
+	if opts.FullCandidateSet {
+		st.all = coster.AllNodes()
 	}
+	var asks []joinAt
+	if st.reach(root, &asks); st.err != nil {
+		return nil, st.err
+	}
+	a := &Annotation{Node: map[Op]string{}, Move: map[Op]Movement{}}
+	prices := a.consult(ctx, coster, cache, st, asks, opts)
+	// A query cancelled before or during the round must fail here, not
+	// decide over the local model's stand-ins for the answers it abandoned
+	// and then fail at delegation.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: annotate: %w", err)
+	}
+	a.decide(ctx, root, prices, st, coster, opts)
 	return a, nil
 }
 
-func (a *Annotation) visit(ctx context.Context, op Op, coster Coster, opts Options) error {
-	// A cancelled query must stop consulting, not degrade every remaining
-	// decision to the local model and then fail at delegation.
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: annotate: %w", err)
+// joinAt is one probe: a join priced at one node.
+type joinAt struct {
+	join *Join
+	node string
+}
+
+// sites is what the annotator knows of the cluster before it decides
+// anything: each node's health, read once per annotation, and the full
+// candidate set (nil unless Options.FullCandidateSet). err is the first
+// operator reach could not annotate.
+type sites struct {
+	coster  Coster
+	healthy map[string]bool
+	all     []string
+	err     error
+}
+
+func (s *sites) isHealthy(node string) bool {
+	if _, ok := s.healthy[node]; !ok {
+		s.healthy[node] = s.coster.Healthy(node)
 	}
+	return s.healthy[node]
+}
+
+// candidates returns the placement candidates of a Rule-4 decision between
+// inputs annotated ln and rn, in the order they are tried, and how many
+// were excluded. The paper's pruning keeps the two inputs' DBMSes.
+// Degraded planning excludes a candidate whose breaker is open — placing
+// an operator there would only deploy DDL onto a dead node; with the
+// pruning this falls back to the healthy input's site. If every candidate
+// is unhealthy there is no better choice: all are kept, and delegation
+// surfaces the outage.
+func (s *sites) candidates(ln, rn string) (cands []string, excluded int) {
+	cands = []string{ln, rn}
+	if s.all != nil {
+		cands = s.all
+	}
+	healthy := make([]string, 0, len(cands))
+	for _, c := range cands {
+		if s.isHealthy(c) {
+			healthy = append(healthy, c)
+		}
+	}
+	if len(healthy) == 0 {
+		return cands, 0
+	}
+	return healthy, len(cands) - len(healthy)
+}
+
+// reach returns the nodes op's annotation can end up on, whatever the
+// answers, and appends to asks every (join, node) pair a Rule-4 decision
+// at or below op can price: a join's candidates for every pair of its
+// inputs' reachable nodes that differ.
+func (s *sites) reach(op Op, asks *[]joinAt) []string {
 	switch o := op.(type) {
 	case *Scan:
-		// Rule 1.
-		a.Node[op] = o.Node
-		return nil
-
+		return []string{o.Node}
 	case *Final:
-		// Rule 2.
-		if err := a.visit(ctx, o.In, coster, opts); err != nil {
-			return err
-		}
-		a.Node[op] = a.Node[o.In]
-		return nil
-
+		return s.reach(o.In, asks)
 	case *Join:
-		if err := a.visit(ctx, o.L, coster, opts); err != nil {
-			return err
+		var out, asked []string
+		ls, rs := s.reach(o.L, asks), s.reach(o.R, asks)
+		for _, ln := range ls {
+			for _, rn := range rs {
+				if ln == rn {
+					out = addNode(out, ln)
+					continue
+				}
+				cands, _ := s.candidates(ln, rn)
+				for _, c := range cands {
+					out, asked = addNode(out, c), addNode(asked, c)
+				}
+			}
 		}
-		if err := a.visit(ctx, o.R, coster, opts); err != nil {
-			return err
+		for _, n := range asked {
+			*asks = append(*asks, joinAt{o, n})
 		}
-		ln, rn := a.Node[o.L], a.Node[o.R]
-		if ln == rn {
-			// Rule 3.
-			a.Node[op] = ln
-			return nil
-		}
-		// Rule 4.
-		a.placeCrossJoin(ctx, o, coster, opts)
-		return nil
+		return out
+	}
+	if s.err == nil {
+		s.err = fmt.Errorf("core: annotate: unexpected operator %T", op)
+	}
+	return nil
+}
 
-	default:
-		return fmt.Errorf("core: annotate: unexpected operator %T", op)
+// addNode appends node to set unless it is there already.
+func addNode(set []string, node string) []string {
+	if slices.Contains(set, node) {
+		return set
+	}
+	return append(set, node)
+}
+
+// consult prices every ask and returns the answer table. It never fails:
+// an unhealthy node's probes, and the probes of a round trip or item that
+// fails, are priced by the local cost model (the middleware owns failure
+// handling for the engines it coordinates) and count in DegradedProbes,
+// and the breaker hears of one failure per failed round trip. A probe the
+// consult cache answers counts in CachedProbes. The rest go out as one
+// batch per node, the nodes at once, and count one each in ConsultRounds;
+// a failed probe's local stand-in never reaches the cache. Every ask
+// leaves one "probe" span, and every round trip one observation of
+// xdb_probe_duration_seconds.
+func (a *Annotation) consult(ctx context.Context, coster Coster, cache *consultCache, st *sites, asks []joinAt, opts Options) map[joinAt]engine.JoinPrices {
+	prices := make(map[joinAt]engine.JoinPrices, len(asks))
+	spans := make([]*obs.Span, len(asks))
+	settle := func(i int, outcome string, p engine.JoinPrices) {
+		prices[asks[i]] = p
+		spans[i].Set("outcome", outcome)
+		spans[i].Finish()
+	}
+	var sent []int
+	for i, ask := range asks {
+		spans[i] = obs.SpanFrom(ctx).Child("probe")
+		spans[i].Set("node", ask.node)
+		l, r, out := joinEst(ask.join)
+		if !st.isHealthy(ask.node) {
+			a.DegradedProbes++
+			settle(i, "degraded_breaker", engine.JoinPricesOf(localCost, l, r, out))
+			continue
+		}
+		if p, ok := cache.lookup(ask.node, l, r, out); ok {
+			a.CachedProbes++
+			settle(i, "cached", p)
+			continue
+		}
+		sent = append(sent, i)
+	}
+
+	answers := make([]engine.JoinPrices, len(asks))
+	errs := make([]error, len(asks))
+	groups := groupByNode(sent, func(i int) string { return asks[i].node })
+	fanOutFirstErr(ctx, len(groups), opts.serial, func(fctx context.Context, n int) error {
+		idx := groups[n]
+		joins := make([]connector.JoinProbe, len(idx))
+		for k, i := range idx {
+			joins[k].Left, joins[k].Right, joins[k].Out = joinEst(asks[i].join)
+		}
+		start := time.Now()
+		ps, es := coster.PriceJoins(fctx, asks[idx[0]].node, joins)
+		observeSeconds(met.probeDur, time.Since(start))
+		for k, i := range idx {
+			answers[i], errs[i] = ps[k], es[k]
+		}
+		return nil // a node's failure degrades its probes, never its siblings'
+	})
+	a.ConsultRounds += len(sent)
+	for _, i := range sent {
+		l, r, out := joinEst(asks[i].join)
+		if errs[i] != nil {
+			a.DegradedProbes++
+			spans[i].SetErr(errs[i])
+			settle(i, "degraded_error", engine.JoinPricesOf(localCost, l, r, out))
+			continue
+		}
+		cache.store(asks[i].node, l, r, out, answers[i])
+		settle(i, "consulted", answers[i])
+	}
+	return prices
+}
+
+// joinEst is what a probe tells the DBMS about a join: its inputs' and its
+// own estimated cardinalities.
+func joinEst(j *Join) (left, right, out float64) {
+	return j.L.Est(), j.R.Est(), j.Est()
+}
+
+// decide annotates op and everything below it, bottom-up, from the answer
+// table:
+//
+//	Rule 1 — a scan gets its home DBMS;
+//	Rule 2 — the final block inherits its input's annotation;
+//	Rule 3 — a join whose inputs agree inherits their annotation;
+//	Rule 4 — a cross-database join is placed by Equation 1.
+func (a *Annotation) decide(ctx context.Context, op Op, prices map[joinAt]engine.JoinPrices, st *sites, coster Coster, opts Options) {
+	switch o := op.(type) {
+	case *Scan:
+		a.Node[op] = o.Node
+	case *Final:
+		a.decide(ctx, o.In, prices, st, coster, opts)
+		a.Node[op] = a.Node[o.In]
+	case *Join:
+		a.decide(ctx, o.L, prices, st, coster, opts)
+		a.decide(ctx, o.R, prices, st, coster, opts)
+		if ln, rn := a.Node[o.L], a.Node[o.R]; ln == rn {
+			a.Node[op] = ln
+		} else {
+			a.placeCrossJoin(ctx, o, prices, st, coster, opts)
+		}
 	}
 }
 
-// placeCrossJoin solves Equation 1 for a cross-database join. Probe
-// failures never abort it: an unreachable candidate is priced by the local
-// cost model or — when its breaker is open — excluded from placement
-// entirely (degraded planning).
-func (a *Annotation) placeCrossJoin(ctx context.Context, j *Join, coster Coster, opts Options) {
+// placeCrossJoin solves Equation 1 for a cross-database join over the
+// answer table: every candidate site is priced, and the first strictly
+// cheaper one wins.
+func (a *Annotation) placeCrossJoin(ctx context.Context, j *Join, prices map[joinAt]engine.JoinPrices, st *sites, coster Coster, opts Options) {
 	ln, rn := a.Node[j.L], a.Node[j.R]
-	candidates := []string{ln, rn}
-	if opts.FullCandidateSet {
-		candidates = coster.AllNodes()
-	}
-
-	// Degraded planning: a candidate whose breaker is open is excluded —
-	// placing an operator there would only deploy DDL onto a dead node.
-	// With the paper's two-candidate pruning this falls back to the
-	// healthy input's site. If every candidate is unhealthy there is no
-	// better choice; keep them all and let delegation surface the outage.
-	healthy := make([]string, 0, len(candidates))
-	for _, cand := range candidates {
-		if coster.Healthy(cand) {
-			healthy = append(healthy, cand)
-		}
-	}
-	if n := len(candidates) - len(healthy); n > 0 && len(healthy) > 0 {
-		a.addDegraded(n)
-		candidates = healthy
-	}
-
-	// Price every candidate site. The evaluations are independent (each
-	// consults its own node), so they fan out concurrently — the
-	// consultation round trips overlap instead of queueing behind one
-	// another. Decisions land in candidate order and the reduction below
-	// keeps the paper's sequential tie-break (first strictly cheaper wins),
-	// so the chosen plan is identical to pricing them one by one.
-	decisions := make([]placeDecision, len(candidates))
-	fanOutFirstErr(ctx, len(candidates), opts.serial, func(fctx context.Context, i int) error {
-		decisions[i] = a.evalCandidate(fctx, j, coster, opts, candidates[i], ln, rn)
-		return nil
-	})
-	best := &decisions[0]
-	for i := 1; i < len(decisions); i++ {
-		if decisions[i].cost < best.cost {
-			best = &decisions[i]
+	candidates, excluded := st.candidates(ln, rn)
+	a.DegradedProbes += excluded
+	var best placeDecision
+	for i, cand := range candidates {
+		d := evalCandidate(j, prices[joinAt{j, cand}], coster, opts, cand, ln, rn)
+		if i == 0 || d.cost < best.cost {
+			best = d
 		}
 	}
 
@@ -202,17 +323,15 @@ func (a *Annotation) placeCrossJoin(ctx context.Context, j *Join, coster Coster,
 
 	// One "place" span per Rule-4 decision: the chosen site and the
 	// movement verdict for each input edge.
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		psp := sp.Child("place")
-		psp.Set("node", best.node)
-		if ln != best.node {
-			psp.Set("move_left", moveVerdict(best.moveL))
-		}
-		if rn != best.node {
-			psp.Set("move_right", moveVerdict(best.moveR))
-		}
-		psp.Finish()
+	sp := obs.SpanFrom(ctx).Child("place")
+	sp.Set("node", best.node)
+	if ln != best.node {
+		sp.Set("move_left", moveVerdict(best.moveL))
 	}
+	if rn != best.node {
+		sp.Set("move_right", moveVerdict(best.moveR))
+	}
+	sp.Finish()
 }
 
 // placeDecision is one candidate site's priced outcome of a Rule-4
@@ -224,75 +343,43 @@ type placeDecision struct {
 	cost  float64
 }
 
-// evalCandidate prices one candidate site of a Rule-4 decision: movement
-// costs for the remote inputs plus the cheapest movement combination's
-// join cost at the candidate. It is one consultation round: the probes
-// every movement combination needs are collected first, consult answers
-// them together, and the combinations are reduced over the answers.
-func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, opts Options, cand, ln, rn string) placeDecision {
-	d := placeDecision{node: cand, moveL: MoveImplicit, moveR: MoveImplicit}
-	var total float64
-
-	// Determine which inputs arrive from a remote DBMS; both movements
-	// pay the move itself (Eqs. 2 and 3), while the movement-combination
+// evalCandidate prices one candidate site of a Rule-4 decision from the
+// join's prices there: movement costs for the remote inputs plus the
+// cheapest movement combination's join cost at the candidate.
+func evalCandidate(j *Join, p engine.JoinPrices, coster Coster, opts Options, cand, ln, rn string) placeDecision {
+	// Both movements pay the move itself (Eqs. 2 and 3); the combination
 	// comparison below adds the explicit variant's materialization costs
 	// and settles the choice (or applies ForceMovement).
-	type side struct {
-		op    Op
-		from  string
-		local bool
+	lLocal, rLocal := ln == cand, rn == cand
+	var total float64
+	if !lLocal {
+		total += moveCost(j.L, coster.LinkFactor(ln, cand))
 	}
-	sides := [2]side{
-		{op: j.L, from: ln},
-		{op: j.R, from: rn},
-	}
-	for i := range sides {
-		s := &sides[i]
-		s.local = s.from == cand
-		if !s.local {
-			total += moveCost(s.op, coster.LinkFactor(s.from, cand))
-		}
+	if !rLocal {
+		total += moveCost(j.R, coster.LinkFactor(rn, cand))
 	}
 
-	// Collect: per movement combination of the remote sides, the join at
-	// the candidate, then a scan of each explicit side's stored copy.
-	combos := movementCombos(sides[0].local, sides[1].local, opts.ForceMovement)
-	var asks []connector.CostProbe
-	for _, combo := range combos {
-		asks = append(asks, joinProbe(j, combo[0] == MoveImplicit && !sides[0].local, combo[1] == MoveImplicit && !sides[1].local))
-		for i, mv := range combo {
-			if !sides[i].local && mv == MoveExplicit {
-				asks = append(asks, connector.CostProbe{Kind: engine.CostScan, Left: sides[i].op.Est()})
-			}
-		}
-	}
-	costs := a.consult(ctx, coster, cand, asks)
-
-	// Reduce, in the order asked: pick the cheapest combination.
 	bestJoin := math.Inf(1)
 	var bestMoves [2]Movement
-	next := 0
-	for _, combo := range combos {
-		jc := costs[next]
-		next++
+	for _, combo := range movementCombos(lLocal, rLocal, opts.ForceMovement) {
+		lExplicit := !lLocal && combo[0] == MoveExplicit
+		rExplicit := !rLocal && combo[1] == MoveExplicit
+		jc := joinPrice(j, p, !lLocal && !lExplicit, !rLocal && !rExplicit)
 		// Explicit sides pay the materialization write plus the scan of
 		// the stored copy (Eq. 3's scanCost term; the write is the same
 		// volume).
-		for i, mv := range combo {
-			if !sides[i].local && mv == MoveExplicit {
-				jc += 2 * costs[next]
-				next++
-			}
+		if lExplicit {
+			jc += 2 * p.ScanLeft
+		}
+		if rExplicit {
+			jc += 2 * p.ScanRight
 		}
 		if jc < bestJoin {
 			bestJoin = jc
 			bestMoves = combo
 		}
 	}
-	total += bestJoin
-	d.moveL, d.moveR = bestMoves[0], bestMoves[1]
-	d.cost = total
-	return d
+	return placeDecision{node: cand, moveL: bestMoves[0], moveR: bestMoves[1], cost: total + bestJoin}
 }
 
 // moveVerdict spells a movement out for trace attributes.
@@ -324,117 +411,24 @@ func movementCombos(lLocal, rLocal bool, force Movement) [][2]Movement {
 	return out
 }
 
-// joinProbe is the consultation for the join's cost at a candidate, given
-// which inputs arrive as streams.
-func joinProbe(j *Join, lStream, rStream bool) connector.CostProbe {
-	l, r := j.L.Est(), j.R.Est()
-	p := connector.CostProbe{Kind: engine.CostJoin, Left: l, Right: r, Out: j.Est()}
+// joinPrice is the join's cost at a candidate, given which inputs arrive
+// as streams: a streamed input cannot be the hash build side.
+func joinPrice(j *Join, p engine.JoinPrices, lStream, rStream bool) float64 {
 	switch {
 	case lStream && rStream:
 		// Both inputs stream (only possible with the full candidate set):
 		// the larger stream probes a build over the smaller, which must
-		// first be buffered — price as a stream join plus a scan of the
-		// buffered side.
-		if l < r {
-			l, r = r, l
+		// first be buffered.
+		if j.L.Est() < j.R.Est() {
+			return p.RightStream
 		}
-		p.Kind, p.Left, p.Right = engine.CostJoinStream, l, r
+		return p.LeftStream
 	case lStream:
-		p.Kind = engine.CostJoinStream
+		return p.LeftStream
 	case rStream:
-		p.Kind, p.Left, p.Right = engine.CostJoinStream, r, l
+		return p.RightStream
 	}
-	return p
-}
-
-// consult answers the probes one candidate site of one Rule-4 decision
-// asks of its DBMS — asks, in the order asked, duplicates included — in at
-// most one round trip. A probe never aborts the plan: when the node cannot
-// answer — an open breaker, a failed round trip, an erroring probe — it
-// falls back to the local cost model (the middleware owns failure handling
-// for the engines it coordinates), counted in DegradedProbes. Before a
-// round trip is spent, a probe is served from the decision's memo (movement
-// combinations share scan and stream-join consultations; exact-argument
-// dedupe, always on) and then from the cross-query consult cache
-// (Options.ConsultCacheTTL); both count in CachedProbes with span
-// outcome=cached. The misses travel together and count one each in
-// ConsultRounds. A failed probe's local fallback is memoized within the
-// decision but never reaches the shared cache. Every ask leaves one "probe"
-// span.
-func (a *Annotation) consult(ctx context.Context, coster Coster, node string, asks []connector.CostProbe) []float64 {
-	costs := make([]float64, len(asks))
-	spans := make([]*obs.Span, len(asks))
-	for i, p := range asks {
-		spans[i] = obs.SpanFrom(ctx).Child("probe")
-		spans[i].Set("node", node)
-		spans[i].Set("kind", string(p.Kind))
-	}
-	settle := func(i int, outcome string, cost float64) {
-		costs[i] = cost
-		spans[i].Set("outcome", outcome)
-		spans[i].Finish()
-	}
-	if !coster.Healthy(node) {
-		a.addDegraded(len(asks))
-		for i, p := range asks {
-			settle(i, "degraded_breaker", localCost(p.Kind, p.Left, p.Right, p.Out))
-		}
-		return costs
-	}
-
-	// first[i] is the first ask of ask i's probe — i itself unless the
-	// probe was asked before in this decision; sent lists the first asks
-	// that need the round trip.
-	memo := map[connector.CostProbe]int{}
-	first := make([]int, len(asks))
-	var sent []int
-	cached, degraded := 0, 0
-	for i, p := range asks {
-		if f, repeat := memo[p]; repeat {
-			first[i] = f
-			cached++
-			continue
-		}
-		memo[p], first[i] = i, i
-		if v, ok := a.cache.lookup(node, p.Kind, p.Left, p.Right, p.Out); ok {
-			cached++
-			settle(i, "cached", v)
-			continue
-		}
-		sent = append(sent, i)
-	}
-	if len(sent) > 0 {
-		probes := make([]connector.CostProbe, len(sent))
-		for k, i := range sent {
-			probes[k] = asks[i]
-		}
-		start := time.Now()
-		answers, errs := coster.CostOperators(ctx, node, probes)
-		rtt := time.Since(start)
-		for k, i := range sent {
-			p := asks[i]
-			observeSeconds(met.probeDur, rtt)
-			if errs[k] != nil {
-				degraded++
-				spans[i].SetErr(errs[k])
-				settle(i, "degraded_error", localCost(p.Kind, p.Left, p.Right, p.Out))
-				continue
-			}
-			a.cache.store(node, p.Kind, p.Left, p.Right, p.Out, answers[k])
-			settle(i, "consulted", answers[k])
-		}
-	}
-	for i, f := range first {
-		if f != i {
-			settle(i, "cached", costs[f])
-		}
-	}
-	a.mu.Lock()
-	a.ConsultRounds += len(sent)
-	a.CachedProbes += cached
-	a.DegradedProbes += degraded
-	a.mu.Unlock()
-	return costs
+	return p.Join
 }
 
 // localCost is the middleware's own calibrated cost model: the same

@@ -2,48 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
-	"xdb/internal/connector"
-	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
 )
-
-// degradedCoster wraps the fake coster with per-node failure modes: nodes
-// in unhealthy have an open breaker (Healthy=false); nodes in erroring
-// answer probes with an error. probes counts CostOperator calls per node.
-type degradedCoster struct {
-	fakeCoster
-	unhealthy map[string]bool
-	erroring  map[string]bool
-	probes    map[string]int
-}
-
-func (d *degradedCoster) Healthy(node string) bool { return !d.unhealthy[node] }
-
-func (d *degradedCoster) CostOperator(ctx context.Context, node string, kind engine.CostKind, l, r, o float64) (float64, error) {
-	d.mu.Lock()
-	if d.probes == nil {
-		d.probes = map[string]int{}
-	}
-	d.probes[node]++
-	d.mu.Unlock()
-	if d.erroring[node] {
-		return 0, fmt.Errorf("probe to %s failed", node)
-	}
-	return d.fakeCoster.CostOperator(ctx, node, kind, l, r, o)
-}
-
-func (d *degradedCoster) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) ([]float64, []error) {
-	return eachProbe(ctx, node, probes, d.CostOperator)
-}
-
-func (d *degradedCoster) probesTo(node string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.probes[node]
-}
 
 // TestAnnotateDegraded exercises the degraded-planning paths: annotation
 // must always produce a valid plan on a reachable candidate — never abort —
@@ -114,10 +76,10 @@ func TestAnnotateDegraded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coster := &degradedCoster{
-				fakeCoster: fakeCoster{nodes: []string{"db1", "db2", "db3"}},
-				unhealthy:  map[string]bool{},
-				erroring:   map[string]bool{},
+			coster := &fakeCoster{
+				nodes:     []string{"db1", "db2", "db3"},
+				unhealthy: map[string]bool{},
+				erroring:  map[string]bool{},
 			}
 			for _, n := range tc.unhealthy {
 				coster.unhealthy[n] = true
@@ -146,8 +108,8 @@ func TestAnnotateDegraded(t *testing.T) {
 				t.Errorf("DegradedProbes = %d, want 0", ann.DegradedProbes)
 			}
 			for _, n := range tc.forbidProbes {
-				if got := coster.probesTo(n); got != 0 {
-					t.Errorf("node %s received %d probes, want 0", n, got)
+				if got := coster.callsTo(n); got != 0 {
+					t.Errorf("node %s was consulted %d times, want 0", n, got)
 				}
 			}
 			if tc.wantConsults && ann.ConsultRounds == 0 {

@@ -17,7 +17,7 @@ import (
 // discipline. It is stated here once: call is the guarded RPC, drop its
 // detached-context sibling for cleanup, and fanOutFirstErr (admission.go)
 // the one way to run several of them at a time. A round trip may carry a
-// batch — a decision's cost probes, a node's DDL script, a node's DROP
+// batch — an annotation's join probes, a node's DDL script, a node's DROP
 // script: one round trip per node per phase. A batch passes call once:
 // one gate, the budget at its heaviest item's weight, one deadline, one
 // breaker feed, one attribution.

@@ -196,29 +196,38 @@ func TestCall(t *testing.T) {
 	}
 }
 
-// TestProbeBatchToWedgedNode: a candidate's consultation is one round trip;
-// when the node never answers, every probe that rode it degrades to the
-// local cost model and counts in DegradedProbes, and the breaker hears of
-// one failure, not one per probe.
+// TestProbeBatchToWedgedNode: an annotation's consultation of a node is
+// one round trip carrying a probe per join; when the node never answers,
+// every probe that rode it degrades to the local cost model and counts in
+// DegradedProbes, and the breaker hears of one failure, not one per probe.
 func TestProbeBatchToWedgedNode(t *testing.T) {
 	sys, client := callCluster(t, Options{RequestTimeout: 80 * time.Millisecond})
-	asks := []connector.CostProbe{
-		{Kind: engine.CostJoinStream, Left: 400, Right: 100, Out: 400},
-		{Kind: engine.CostJoin, Left: 400, Right: 100, Out: 400},
-		{Kind: engine.CostScan, Left: 400},
-		{Kind: engine.CostJoinStream, Left: 400, Right: 100, Out: 400}, // asked before in this decision
+	joins := []*Join{
+		{L: &Scan{est: 400}, R: &Scan{est: 100}, est: 400},
+		{L: &Scan{est: 100}, R: &Scan{est: 400}, est: 40},
+		{L: &Scan{est: 7}, R: &Scan{est: 9}, est: 9},
 	}
+	asksAt := func(node string) []joinAt {
+		asks := make([]joinAt, len(joins))
+		for i, j := range joins {
+			asks[i] = joinAt{j, node}
+		}
+		return asks
+	}
+	st := &sites{coster: sys, healthy: map[string]bool{}}
+
 	a := &Annotation{}
 	before := requests(client)
-	costs := a.consult(context.Background(), sys, "hung", asks)
+	prices := a.consult(context.Background(), sys, nil, st, asksAt("hung"), Options{})
 	sent := requests(client) - before
-	for i, p := range asks {
-		if want := localCost(p.Kind, p.Left, p.Right, p.Out); costs[i] != want {
-			t.Errorf("probe %d priced %v, want the local model's %v", i, costs[i], want)
+	for _, ask := range asksAt("hung") {
+		l, r, out := joinEst(ask.join)
+		if got, want := prices[ask], engine.JoinPricesOf(localCost, l, r, out); got != want {
+			t.Errorf("join %v priced %+v, want the local model's %+v", ask.join.Est(), got, want)
 		}
 	}
-	if a.ConsultRounds != 3 || a.DegradedProbes != 3 || a.CachedProbes != 1 {
-		t.Errorf("consulted/degraded/cached = %d/%d/%d, want 3/3/1", a.ConsultRounds, a.DegradedProbes, a.CachedProbes)
+	if a.ConsultRounds != 3 || a.DegradedProbes != 3 || a.CachedProbes != 0 {
+		t.Errorf("consulted/degraded/cached = %d/%d/%d, want 3/3/0", a.ConsultRounds, a.DegradedProbes, a.CachedProbes)
 	}
 	if sent != 1 {
 		t.Errorf("%d requests reached the node, want 1", sent)
@@ -230,10 +239,17 @@ func TestProbeBatchToWedgedNode(t *testing.T) {
 	// The live node answers the same consultation in one round trip too.
 	a = &Annotation{}
 	before = requests(client)
-	a.consult(context.Background(), sys, "db1", asks)
+	a.consult(context.Background(), sys, nil, st, asksAt("db1"), Options{})
 	if got := requests(client) - before; got != 1 || a.ConsultRounds != 3 || a.DegradedProbes != 0 {
 		t.Errorf("live node: %d requests, %d consulted, %d degraded; want 1, 3, 0", got, a.ConsultRounds, a.DegradedProbes)
 	}
+}
+
+// probeNode sends node one join probe, the way an annotation consults it,
+// and returns the probe's outcome.
+func probeNode(sys *System, node string) error {
+	_, errs := sys.PriceJoins(context.Background(), node, []connector.JoinProbe{{Left: 100, Right: 100, Out: 100}})
+	return errs[0]
 }
 
 // TestNoConnectorEveryEntryPoint: a node no connector is registered for
@@ -251,8 +267,7 @@ func TestNoConnectorEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
 	entries := map[string]func() error{
 		"probe": func() error {
-			_, err := sys.CostOperator(ctx, "ghost", engine.CostScan, 10, 0, 10)
-			return err
+			return probeNode(sys, "ghost")
 		},
 		"sample": func() error {
 			return sys.sampleNode(ctx, "ghost", []*Scan{{Table: "t", Alias: "t"}}, 10)

@@ -273,7 +273,7 @@ func TestChaosPartitionDuringPlanning(t *testing.T) {
 	cl.topo.PartitionSites(chaosSite("db3"), chaosSite("xdb"))
 	// Trip db3's breaker: three failed probes reach the threshold.
 	for i := 0; i < 3; i++ {
-		if _, err := cl.sys.CostOperator(context.Background(), "db3", engine.CostScan, 100, 0, 0); err == nil {
+		if err := probeNode(cl.sys, "db3"); err == nil {
 			t.Fatal("cost probe crossed a partitioned link")
 		}
 	}

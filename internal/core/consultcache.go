@@ -12,10 +12,11 @@ import (
 // cross-database operator by consulting the underlying DBMSes (Eq. 1),
 // and those round trips dominate the optimizer's cost (Fig. 15). Two
 // queries over the same tables ask the engines nearly identical
-// questions, so the middleware memoizes CostOperator answers across
-// queries, keyed by (node, operator kind, bucketed cardinalities).
-// Bucketing to three significant digits folds near-identical estimates
-// onto one entry without letting materially different operators collide.
+// questions, so the middleware memoizes the answers across queries: a
+// join's five prices at a node (engine.JoinPrices), keyed by (node,
+// bucketed left, right and output cardinalities). Bucketing to three
+// significant digits folds near-identical estimates onto one entry without
+// letting materially different operators collide.
 //
 // Freshness rules (stale costs must not outlive the state they priced):
 //
@@ -34,12 +35,11 @@ import (
 // consultKey identifies one memoizable consultation.
 type consultKey struct {
 	node             string
-	kind             engine.CostKind
 	left, right, out float64
 }
 
 type consultEntry struct {
-	cost    float64
+	prices  engine.JoinPrices
 	expires time.Time
 }
 
@@ -83,11 +83,8 @@ func bucketCard(x float64) float64 {
 	return math.Round(x/scale) * scale
 }
 
-func (c *consultCache) key(node string, kind engine.CostKind, left, right, out float64) consultKey {
-	return consultKey{
-		node: node, kind: kind,
-		left: bucketCard(left), right: bucketCard(right), out: bucketCard(out),
-	}
+func (c *consultCache) key(node string, left, right, out float64) consultKey {
+	return consultKey{node: node, left: bucketCard(left), right: bucketCard(right), out: bucketCard(out)}
 }
 
 // cacheable rejects non-finite cardinalities. bucketCard folds NaN/Inf
@@ -100,13 +97,13 @@ func cacheable(left, right, out float64) bool {
 	return finite(left) && finite(right) && finite(out)
 }
 
-// lookup returns the cached cost for the probe, expiring the entry (and
+// lookup returns the cached prices for the probe, expiring the entry (and
 // counting an eviction) when its TTL has passed.
-func (c *consultCache) lookup(node string, kind engine.CostKind, left, right, out float64) (float64, bool) {
+func (c *consultCache) lookup(node string, left, right, out float64) (engine.JoinPrices, bool) {
 	if c == nil || !cacheable(left, right, out) {
-		return 0, false
+		return engine.JoinPrices{}, false
 	}
-	k := c.key(node, kind, left, right, out)
+	k := c.key(node, left, right, out)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
@@ -119,23 +116,23 @@ func (c *consultCache) lookup(node string, kind engine.CostKind, left, right, ou
 	if !ok {
 		c.misses++
 		met.cacheMisses.Inc()
-		return 0, false
+		return engine.JoinPrices{}, false
 	}
 	c.hits++
 	met.cacheHits.Inc()
-	return e.cost, true
+	return e.prices, true
 }
 
-// store memoizes one successful probe result. Failed probes are never
+// store memoizes one successful probe's prices. Failed probes are never
 // cached — a degraded estimate must not outlive the failure that caused
 // it.
-func (c *consultCache) store(node string, kind engine.CostKind, left, right, out, cost float64) {
+func (c *consultCache) store(node string, left, right, out float64, prices engine.JoinPrices) {
 	if c == nil || !cacheable(left, right, out) {
 		return
 	}
-	k := c.key(node, kind, left, right, out)
+	k := c.key(node, left, right, out)
 	c.mu.Lock()
-	c.entries[k] = consultEntry{cost: cost, expires: time.Now().Add(c.ttl)}
+	c.entries[k] = consultEntry{prices: prices, expires: time.Now().Add(c.ttl)}
 	c.mu.Unlock()
 }
 

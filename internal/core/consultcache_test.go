@@ -46,18 +46,21 @@ func TestBucketCard(t *testing.T) {
 	}
 }
 
+// priced is a join's prices, all but the first zero.
+func priced(join float64) engine.JoinPrices { return engine.JoinPrices{Join: join} }
+
 func TestConsultCacheTTLEviction(t *testing.T) {
 	c := newConsultCache(30 * time.Millisecond)
-	c.store("db1", engine.CostScan, 100, 0, 0, 42)
-	if v, ok := c.lookup("db1", engine.CostScan, 100, 0, 0); !ok || v != 42 {
+	c.store("db1", 100, 0, 0, priced(42))
+	if v, ok := c.lookup("db1", 100, 0, 0); !ok || v != priced(42) {
 		t.Fatalf("fresh lookup = (%v, %v), want (42, true)", v, ok)
 	}
 	// Bucketing: a near-identical cardinality hits the same entry.
-	if _, ok := c.lookup("db1", engine.CostScan, 100.2, 0, 0); !ok {
+	if _, ok := c.lookup("db1", 100.2, 0, 0); !ok {
 		t.Error("bucketed lookup missed")
 	}
 	time.Sleep(50 * time.Millisecond)
-	if _, ok := c.lookup("db1", engine.CostScan, 100, 0, 0); ok {
+	if _, ok := c.lookup("db1", 100, 0, 0); ok {
 		t.Error("lookup hit past the TTL")
 	}
 	st := c.stats()
@@ -68,16 +71,16 @@ func TestConsultCacheTTLEviction(t *testing.T) {
 
 func TestConsultCacheInvalidateNode(t *testing.T) {
 	c := newConsultCache(time.Minute)
-	c.store("db1", engine.CostScan, 100, 0, 0, 1)
-	c.store("db1", engine.CostJoin, 100, 200, 50, 2)
-	c.store("db2", engine.CostScan, 100, 0, 0, 3)
+	c.store("db1", 100, 0, 0, priced(1))
+	c.store("db1", 100, 200, 50, priced(2))
+	c.store("db2", 100, 0, 0, priced(3))
 	if n := c.invalidateNode("db1"); n != 2 {
 		t.Errorf("invalidateNode(db1) evicted %d, want 2", n)
 	}
 	if c.occupancy() != 1 {
 		t.Errorf("occupancy = %d after invalidation, want 1", c.occupancy())
 	}
-	if _, ok := c.lookup("db2", engine.CostScan, 100, 0, 0); !ok {
+	if _, ok := c.lookup("db2", 100, 0, 0); !ok {
 		t.Error("db2's entry did not survive db1's invalidation")
 	}
 	if st := c.stats(); st.Evictions != 2 {
@@ -90,8 +93,8 @@ func TestConsultCacheDisabledIsNil(t *testing.T) {
 	if c := newConsultCache(0); c != nil {
 		t.Fatal("newConsultCache(0) returned a live cache")
 	}
-	c.store("db1", engine.CostScan, 1, 0, 0, 1)
-	if _, ok := c.lookup("db1", engine.CostScan, 1, 0, 0); ok {
+	c.store("db1", 1, 0, 0, priced(1))
+	if _, ok := c.lookup("db1", 1, 0, 0); ok {
 		t.Error("nil cache reported a hit")
 	}
 	if c.invalidateNode("db1") != 0 || c.occupancy() != 0 {
@@ -111,13 +114,13 @@ func TestConsultCacheDisabledIsNil(t *testing.T) {
 func TestConsultCacheNonFiniteBypass(t *testing.T) {
 	c := newConsultCache(time.Minute)
 	// A legitimate zero-cardinality probe occupies the 0 bucket.
-	c.store("db1", engine.CostScan, 0, 0, 0, 7)
+	c.store("db1", 0, 0, 0, priced(7))
 
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		c.store("db1", engine.CostScan, bad, 0, 0, 999)
-		c.store("db1", engine.CostJoin, 100, bad, 50, 999)
-		c.store("db1", engine.CostJoin, 100, 200, bad, 999)
-		if _, ok := c.lookup("db1", engine.CostScan, bad, 0, 0); ok {
+		c.store("db1", bad, 0, 0, priced(999))
+		c.store("db1", 100, bad, 50, priced(999))
+		c.store("db1", 100, 200, bad, priced(999))
+		if _, ok := c.lookup("db1", bad, 0, 0); ok {
 			t.Errorf("lookup with cardinality %v hit the cache", bad)
 		}
 	}
@@ -126,7 +129,7 @@ func TestConsultCacheNonFiniteBypass(t *testing.T) {
 	if c.occupancy() != 1 {
 		t.Errorf("occupancy = %d after non-finite stores, want 1", c.occupancy())
 	}
-	if v, ok := c.lookup("db1", engine.CostScan, 0, 0, 0); !ok || v != 7 {
+	if v, ok := c.lookup("db1", 0, 0, 0); !ok || v != priced(7) {
 		t.Errorf("zero-cardinality entry = (%v, %v), want (7, true)", v, ok)
 	}
 	// Bypassed probes are invisible to the hit/miss accounting: one hit
@@ -168,23 +171,22 @@ func annotateFake(t *testing.T, sql string, opts Options) (*Annotation, *fakeCos
 	return ann, coster, desc
 }
 
-// TestAnnotateProbeCounts pins the exact consultation round trips of a
-// three-table cross-database plan. With the paper's two-candidate pruning
-// every probe in a Rule-4 decision is distinct (12 rounds, nothing to
-// dedupe); the full candidate set repeats stream-join and scan probes
-// across movement combinations, which the per-decision memo answers
-// without another round trip (22 rounds, 6 served cached instead of the
-// 28 a memo-less annotator would issue).
+// TestAnnotateProbeCounts pins the exact consultation of a three-table
+// cross-database plan, two Rule-4 decisions deep: a probe per (join, node)
+// pair some decision could price, and one call per node asked. With the
+// paper's two-candidate pruning the lower join asks its two inputs' nodes
+// and the upper join all three nodes its inputs can sit on (5 probes); the
+// full candidate set asks every node for both joins (6).
 func TestAnnotateProbeCounts(t *testing.T) {
 	cases := []struct {
 		name                   string
 		opts                   Options
 		wantRounds, wantCached int
 	}{
-		{"pruned candidates", Options{}, 12, 0},
-		{"pruned candidates serial", Options{serial: true}, 12, 0},
-		{"full candidate set", Options{FullCandidateSet: true}, 22, 6},
-		{"full candidate set serial", Options{FullCandidateSet: true, serial: true}, 22, 6},
+		{"pruned candidates", Options{}, 5, 0},
+		{"pruned candidates serial", Options{serial: true}, 5, 0},
+		{"full candidate set", Options{FullCandidateSet: true}, 6, 0},
+		{"full candidate set serial", Options{FullCandidateSet: true, serial: true}, 6, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,7 +195,12 @@ func TestAnnotateProbeCounts(t *testing.T) {
 				t.Errorf("ConsultRounds = %d, want %d", ann.ConsultRounds, tc.wantRounds)
 			}
 			if got := coster.probeCount(); got != tc.wantRounds {
-				t.Errorf("coster saw %d probes, want %d (ConsultRounds must count RPCs)", got, tc.wantRounds)
+				t.Errorf("coster saw %d probes, want %d (ConsultRounds must count probes sent)", got, tc.wantRounds)
+			}
+			for _, n := range coster.nodes {
+				if got := coster.callsTo(n); got != 1 {
+					t.Errorf("%s was consulted %d times, want once", n, got)
+				}
 			}
 			if ann.CachedProbes != tc.wantCached {
 				t.Errorf("CachedProbes = %d, want %d", ann.CachedProbes, tc.wantCached)
@@ -205,7 +212,7 @@ func TestAnnotateProbeCounts(t *testing.T) {
 	}
 }
 
-// TestAnnotateSerialParallelIdentical verifies the parallel candidate
+// TestAnnotateSerialParallelIdentical verifies the per-node consultation
 // fan-out is a pure latency optimization: the chosen plan and every
 // counter match the serial annotator byte for byte.
 func TestAnnotateSerialParallelIdentical(t *testing.T) {
@@ -306,14 +313,14 @@ func TestChaosConsultCacheBreakerInvalidation(t *testing.T) {
 		t.Fatalf("warm repeat consulted %d times, want 0", warm.Breakdown.ConsultRounds)
 	}
 	before := cl.sys.Stats().ConsultCache
-	if before.Entries != 6 {
-		t.Fatalf("warm cache holds %d entries, want 6 (3 per candidate node)", before.Entries)
+	if before.Entries != 2 {
+		t.Fatalf("warm cache holds %d entries, want 2 (the join's prices at each candidate node)", before.Entries)
 	}
 
 	cl.topo.CrashNode("db2")
 	// Trip db2's breaker: three failed probes reach the threshold.
 	for i := 0; i < 3; i++ {
-		if _, err := cl.sys.CostOperator(context.Background(), "db2", engine.CostScan, 100, 0, 0); err == nil {
+		if err := probeNode(cl.sys, "db2"); err == nil {
 			t.Fatal("cost probe to crashed node succeeded")
 		}
 	}
@@ -321,11 +328,11 @@ func TestChaosConsultCacheBreakerInvalidation(t *testing.T) {
 		t.Fatalf("db2 breaker = %v, want open", st)
 	}
 	after := cl.sys.Stats().ConsultCache
-	if after.Entries != 3 {
-		t.Errorf("entries after breaker opened = %d, want 3 (db2's dropped, db1's kept)", after.Entries)
+	if after.Entries != 1 {
+		t.Errorf("entries after breaker opened = %d, want 1 (db2's dropped, db1's kept)", after.Entries)
 	}
-	if got := after.Evictions - before.Evictions; got != 3 {
-		t.Errorf("breaker transition evicted %d entries, want 3", got)
+	if got := after.Evictions - before.Evictions; got != 1 {
+		t.Errorf("breaker transition evicted %d entries, want 1", got)
 	}
 
 	// Recovery: past the backoff the node is re-consulted and the cache

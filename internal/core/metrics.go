@@ -50,7 +50,7 @@ var met = struct {
 	admissionWait: obs.Default.Histogram("xdb_admission_wait_seconds",
 		"Time queries waited for admission before planning began.", nil),
 	probeDur: obs.Default.Histogram("xdb_probe_duration_seconds",
-		"Consultation cost-probe round-trip latency.", nil),
+		"Consultation round-trip latency: one observation per node per annotation.", nil),
 	ddlDur: obs.Default.Histogram("xdb_ddl_duration_seconds",
 		"Per-statement delegation DDL deployment latency.", nil),
 	consults: obs.Default.Counter("xdb_consult_probes_total",

@@ -112,13 +112,12 @@ type Options struct {
 	// anything ships. Zero (the paper configuration) disables sampling.
 	SampleLimit int
 
-	// ConsultCacheTTL enables the cross-query consult cache: successful
-	// CostOperator probe results are memoized per (node, operator kind,
-	// bucketed cardinalities) and served without a round trip until the
-	// entry ages out, the node's breaker changes state, or a metadata
-	// refresh changes one of the node's tables' statistics. Zero (the
-	// paper configuration) disables the cache; the per-decision probe
-	// dedupe inside one Rule-4 placement is always on.
+	// ConsultCacheTTL enables the cross-query consult cache: a join's
+	// successfully consulted prices are memoized per (node, bucketed
+	// cardinalities) and served without a round trip until the entry ages
+	// out, the node's breaker changes state, or a metadata refresh changes
+	// one of the node's tables' statistics. Zero (the paper configuration)
+	// disables the cache.
 	ConsultCacheTTL time.Duration
 	// PlanCacheSize enables the delegation-plan cache: a completed query's
 	// delegation plan AND its deployed short-lived relations (views,

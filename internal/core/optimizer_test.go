@@ -259,61 +259,77 @@ func TestOrderJoinsResidualPredicates(t *testing.T) {
 	}
 }
 
-// fakeCoster implements Coster without live engines. Probe counting is
-// locked: annotation fans candidate probes out concurrently.
+// fakeCoster implements Coster without live engines: each node prices an
+// operator with the local cost model's shapes, scaled by its factor (1
+// when absent). Nodes in unhealthy have an open breaker; nodes in erroring
+// fail every consultation. It counts the consultation calls each node
+// received and the join probes they carried, under a lock: annotation
+// consults the nodes concurrently.
 type fakeCoster struct {
-	nodes  []string
-	mu     sync.Mutex
-	rounds int
+	nodes     []string
+	factors   map[string]float64
+	unhealthy map[string]bool
+	erroring  map[string]bool
 	// linkFactors keyed "from->to"
 	linkFactors map[string]float64
+
+	mu     sync.Mutex
+	calls  map[string]int
+	probes int
 }
 
+// CostOperator is the fake node's answer to one cost probe.
+func (f *fakeCoster) CostOperator(_ context.Context, node string, kind engine.CostKind, l, r, o float64) (float64, error) {
+	if f.erroring[node] {
+		return 0, fmt.Errorf("probe to %s failed", node)
+	}
+	factor := 1.0
+	if v, ok := f.factors[node]; ok {
+		factor = v
+	}
+	return localCost(kind, l, r, o) * factor, nil
+}
+
+// PriceJoins implements Coster: one call per node asked, every join priced
+// the way a server prices it (engine.JoinPricesOf).
+func (f *fakeCoster) PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) ([]engine.JoinPrices, []error) {
+	f.mu.Lock()
+	if f.calls == nil {
+		f.calls = map[string]int{}
+	}
+	f.calls[node]++
+	f.probes += len(joins)
+	f.mu.Unlock()
+	prices, errs := make([]engine.JoinPrices, len(joins)), make([]error, len(joins))
+	for i, j := range joins {
+		prices[i] = engine.JoinPricesOf(func(kind engine.CostKind, l, r, o float64) float64 {
+			c, err := f.CostOperator(ctx, node, kind, l, r, o)
+			if err != nil {
+				errs[i] = err
+			}
+			return c
+		}, j.Left, j.Right, j.Out)
+	}
+	return prices, errs
+}
+
+// probeCount is the number of join probes the fake was sent.
 func (f *fakeCoster) probeCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.rounds
+	return f.probes
 }
 
-func (f *fakeCoster) CostOperator(_ context.Context, node string, kind engine.CostKind, l, r, o float64) (float64, error) {
+// callsTo is the number of consultation calls node received.
+func (f *fakeCoster) callsTo(node string) int {
 	f.mu.Lock()
-	f.rounds++
-	f.mu.Unlock()
-	switch kind {
-	case engine.CostJoin:
-		small, big := l, r
-		if small > big {
-			small, big = big, small
-		}
-		return small*1.5 + big*1.0 + o*0.5, nil
-	case engine.CostJoinStream:
-		return r*1.5 + l*1.0 + o*0.5, nil
-	case engine.CostScan:
-		return l, nil
-	default:
-		return l, nil
-	}
-}
-
-// CostOperators implements Coster: the fake's round trip answers each probe
-// with CostOperator.
-func (f *fakeCoster) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) ([]float64, []error) {
-	return eachProbe(ctx, node, probes, f.CostOperator)
-}
-
-// eachProbe answers a consultation probe by probe.
-func eachProbe(ctx context.Context, node string, probes []connector.CostProbe,
-	one func(context.Context, string, engine.CostKind, float64, float64, float64) (float64, error)) ([]float64, []error) {
-	costs, errs := make([]float64, len(probes)), make([]error, len(probes))
-	for i, p := range probes {
-		costs[i], errs[i] = one(ctx, node, p.Kind, p.Left, p.Right, p.Out)
-	}
-	return costs, errs
+	defer f.mu.Unlock()
+	return f.calls[node]
 }
 
 func (f *fakeCoster) AllNodes() []string { return f.nodes }
 
-func (f *fakeCoster) Healthy(string) bool { return true }
+func (f *fakeCoster) Healthy(node string) bool { return !f.unhealthy[node] }
 
 func (f *fakeCoster) LinkFactor(from, to string) float64 {
 	if v, ok := f.linkFactors[from+"->"+to]; ok {
@@ -430,6 +446,47 @@ func TestAnnotateFullCandidateSetConsultsMore(t *testing.T) {
 	if fullAnn.ConsultRounds <= prunedAnn.ConsultRounds {
 		t.Errorf("full set rounds (%d) <= pruned rounds (%d)",
 			fullAnn.ConsultRounds, prunedAnn.ConsultRounds)
+	}
+}
+
+// TestFullCandidateSetTiesDeterministic: under FullCandidateSet the
+// candidates are System.AllNodes, tried in order, and the first strictly
+// cheaper one wins. Two identical tables on db1 and db2 make placing their
+// join on either input's node the same price, so the candidate order alone
+// decides — it must be the same on every plan.
+func TestFullCandidateSetTiesDeterministic(t *testing.T) {
+	cl := newCluster(t, Options{FullCandidateSet: true}, "db1", "db2", "db3", "db4")
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+	var rows []sqltypes.Row
+	for i := 0; i < 200; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i))})
+	}
+	for table, node := range map[string]string{"ta": "db1", "tb": "db2"} {
+		if err := cl.engines[node].LoadTable(table, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.sys.RegisterTable(table, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first string
+	for i := 0; i < 40; i++ {
+		plan, _, err := cl.sys.Plan("SELECT x.a FROM ta x, tb y WHERE x.a = y.a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc, err := plan.Describe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = desc
+		} else if desc != first {
+			t.Fatalf("plan %d differs from the first:\n%s\nfirst:\n%s", i, desc, first)
+		}
+	}
+	if !strings.Contains(first, "db1") {
+		t.Errorf("the tie went past db1, the first node in order:\n%s", first)
 	}
 }
 

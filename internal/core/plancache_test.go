@@ -142,7 +142,7 @@ func TestPlanCacheBreakerInvalidation(t *testing.T) {
 
 	cl.topo.CrashNode("db2")
 	for i := 0; i < 3; i++ {
-		if _, err := cl.sys.CostOperator(context.Background(), "db2", engine.CostScan, 100, 0, 0); err == nil {
+		if err := probeNode(cl.sys, "db2"); err == nil {
 			t.Fatal("cost probe reached a crashed node")
 		}
 	}

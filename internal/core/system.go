@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -225,8 +226,10 @@ type Breakdown struct {
 	Ann   time.Duration
 	Deleg time.Duration
 	Exec  time.Duration
-	// ConsultRounds counts the annotation phase's consultation round
-	// trips to the underlying DBMSes.
+	// ConsultRounds counts the annotation phase's consultation probes
+	// sent to the underlying DBMSes: one per (join, node) pair some
+	// Rule-4 decision could price. All of a node's probes travel in one
+	// round trip.
 	ConsultRounds int
 	// DegradedProbes counts the annotation decisions that could not
 	// consult a DBMS — an open breaker excluded a placement candidate or
@@ -234,9 +237,8 @@ type Breakdown struct {
 	// on a healthy run.
 	DegradedProbes int
 	// CachedProbes counts the annotation probes answered without a round
-	// trip: by the per-decision dedupe (always on) or by the cross-query
-	// consult cache (Options.ConsultCacheTTL). A warm repeat of a query
-	// shows ConsultRounds=0 and CachedProbes>0.
+	// trip, by the cross-query consult cache (Options.ConsultCacheTTL). A
+	// warm repeat of a query shows ConsultRounds=0 and CachedProbes>0.
 	CachedProbes int
 	// DDLCount is the number of DDL statements the delegation deployed.
 	// Zero on a plan-cache hit — the warm deployment is reused as-is.
@@ -299,25 +301,19 @@ func (b Breakdown) Work() time.Duration {
 // Coster implementation: the annotator consults through the system's
 // connectors.
 
-// CostOperators implements Coster: one consultation round trip carrying
-// every probe — a call taking one unit of the node's budget, fed to the
-// breaker once. A round trip that fails, or never starts, fails every
-// probe.
-func (s *System) CostOperators(ctx context.Context, node string, probes []connector.CostProbe) (costs []float64, errs []error) {
+// PriceJoins implements Coster: one consultation round trip carrying
+// every join of an annotation that asks this node — a call taking one unit
+// of the node's budget, fed to the breaker once. A round trip that fails,
+// or never starts, fails every join.
+func (s *System) PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) (prices []engine.JoinPrices, errs []error) {
 	err := s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-		costs, errs, err = c.CostOperators(rctx, probes)
+		prices, errs, err = c.PriceJoins(rctx, joins)
 		return firstErr(err, errs)
 	})
 	if errs == nil { // the round trip failed, or never started
-		costs, errs = make([]float64, len(probes)), itemErrs(err, nil, len(probes))
+		prices, errs = make([]engine.JoinPrices, len(joins)), itemErrs(err, nil, len(joins))
 	}
-	return costs, errs
-}
-
-// CostOperator is CostOperators for one probe.
-func (s *System) CostOperator(ctx context.Context, node string, kind engine.CostKind, left, right, out float64) (float64, error) {
-	costs, errs := s.CostOperators(ctx, node, []connector.CostProbe{{Kind: kind, Left: left, Right: right, Out: out}})
-	return costs[0], errs[0]
+	return prices, errs
 }
 
 // Healthy implements Coster: false while the node's breaker is open, so
@@ -330,12 +326,14 @@ func (s *System) Healthy(node string) bool { return s.health.healthy(node) }
 // PlanCacheSize is unset.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.stats() }
 
-// AllNodes implements Coster.
+// AllNodes implements Coster: every registered node, sorted, so the full
+// candidate set breaks cost ties the same way on every run.
 func (s *System) AllNodes() []string {
 	out := make([]string, 0, len(s.connectors))
 	for n := range s.connectors {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
 

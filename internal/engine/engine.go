@@ -516,3 +516,30 @@ func (e *Engine) CostOperator(kind CostKind, leftRows, rightRows, outRows float6
 	}
 	return c * e.profile.CostUnit
 }
+
+// JoinPrices are the five prices any placement decision over one join can
+// ask of one DBMS, in the vendor's cost units: the join with a free build
+// side, the join with either input arriving as a stream, and a scan of a
+// stored copy of either input.
+type JoinPrices struct {
+	Join, LeftStream, RightStream, ScanLeft, ScanRight float64
+}
+
+// PriceJoin prices a join of left and right rows producing out rows, every
+// way a placement decision can ask for it, with CostOperator.
+func (e *Engine) PriceJoin(left, right, out float64) JoinPrices {
+	return JoinPricesOf(e.CostOperator, left, right, out)
+}
+
+// JoinPricesOf prices a join every way a placement decision can ask for
+// it with one costing function: a streamed input is the costing
+// function's left input, and a scan reads one input.
+func JoinPricesOf(cost func(kind CostKind, left, right, out float64) float64, left, right, out float64) JoinPrices {
+	return JoinPrices{
+		Join:        cost(CostJoin, left, right, out),
+		LeftStream:  cost(CostJoinStream, left, right, out),
+		RightStream: cost(CostJoinStream, right, left, out),
+		ScanLeft:    cost(CostScan, left, 0, 0),
+		ScanRight:   cost(CostScan, right, 0, 0),
+	}
+}

@@ -191,7 +191,7 @@ func TestTopLevelTakesOnlyQueryAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, typ := range []byte{msgExec, msgExplain, msgStats, msgCost, msgTblSch, msgSample, msgOK, 99} {
+	for _, typ := range []byte{msgExec, msgExplain, msgStats, msgCost, msgJoin, msgTblSch, msgSample, msgOK, 99} {
 		if _, err := writeFrame(conn, typ, []byte("t")); err != nil {
 			t.Fatal(err)
 		}

@@ -254,6 +254,14 @@ func (r Reply) Cost() (float64, error) {
 	return v, rd.err
 }
 
+// JoinPrices decodes the response to a PriceJoin.
+func (r Reply) JoinPrices() (engine.JoinPrices, error) {
+	if err := r.expect(msgJoinRes, "PriceJoin"); err != nil {
+		return engine.JoinPrices{}, err
+	}
+	return decodeJoinPrices(r.payload)
+}
+
 // Sample decodes the response to a Sample.
 func (r Reply) Sample() (*engine.SampleResult, error) {
 	if err := r.expect(msgSampleRes, "Sample"); err != nil {
@@ -299,6 +307,12 @@ func (b *Batch) TableSchema(table string) { b.add(msgTblSch, []byte(table)) }
 // Cost adds an operator-cost probe.
 func (b *Batch) Cost(kind engine.CostKind, left, right, out float64) {
 	b.add(msgCost, encodeCostProbe(kind, left, right, out))
+}
+
+// PriceJoin adds a join-pricing probe: every price a placement decision
+// over a join of these estimates can ask of the node, in one item.
+func (b *Batch) PriceJoin(left, right, out float64) {
+	b.add(msgJoin, encodeJoinProbe(left, right, out))
 }
 
 // Sample adds a bounded-sample probe.

@@ -113,6 +113,48 @@ func decodeCostProbe(payload []byte) (engine.CostKind, float64, float64, float64
 	return kind, l, ri, o, r.err
 }
 
+// encodeJoinProbe serializes a join-pricing request: the join's left,
+// right and output cardinality estimates.
+func encodeJoinProbe(left, right, out float64) []byte {
+	b := make([]byte, 0, 24)
+	b = appendFloat64(b, left)
+	b = appendFloat64(b, right)
+	return appendFloat64(b, out)
+}
+
+// decodeJoinProbe parses a join-pricing request; it is exactly three
+// floats long.
+func decodeJoinProbe(payload []byte) (left, right, out float64, err error) {
+	if len(payload) != 24 {
+		return 0, 0, 0, fmt.Errorf("wire: join probe of %d bytes, want 24", len(payload))
+	}
+	r := &reader{b: payload}
+	return r.float64(), r.float64(), r.float64(), nil
+}
+
+// encodeJoinPrices serializes a join-pricing response in the field order
+// of engine.JoinPrices.
+func encodeJoinPrices(p engine.JoinPrices) []byte {
+	b := make([]byte, 0, 40)
+	for _, v := range [...]float64{p.Join, p.LeftStream, p.RightStream, p.ScanLeft, p.ScanRight} {
+		b = appendFloat64(b, v)
+	}
+	return b
+}
+
+// decodeJoinPrices parses a join-pricing response; it is exactly five
+// floats long.
+func decodeJoinPrices(payload []byte) (engine.JoinPrices, error) {
+	if len(payload) != 40 {
+		return engine.JoinPrices{}, fmt.Errorf("wire: join prices of %d bytes, want 40", len(payload))
+	}
+	r := &reader{b: payload}
+	return engine.JoinPrices{
+		Join: r.float64(), LeftStream: r.float64(), RightStream: r.float64(),
+		ScanLeft: r.float64(), ScanRight: r.float64(),
+	}, nil
+}
+
 // encodeSampleProbe serializes a bounded-sample probe request.
 func encodeSampleProbe(table, alias, filter string, limit int64) []byte {
 	var b []byte

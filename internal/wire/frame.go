@@ -25,6 +25,7 @@ const (
 	msgTblSch  byte = 6 // payload: table name; response: Schema | Error
 	msgSample  byte = 7 // payload: sample probe; response: SampleRes | Error
 	msgBatch   byte = 8 // payload: uvarint item count + (type, uvarint length, payload)* of the requests above, msgQuery excepted; response: BatchRes | Error
+	msgJoin    byte = 9 // payload: a join's left, right, out estimates (3 float64); response: JoinRes | Error
 )
 
 // frame types, server -> client.
@@ -40,6 +41,7 @@ const (
 	msgCostRes    byte = 18 // payload: cost float64
 	msgSampleRes  byte = 19 // payload: encoded sample result (counts + stats sketch)
 	msgBatchRes   byte = 20 // payload: as msgBatch: each item's own response, in request order
+	msgJoinRes    byte = 21 // payload: the join's five prices (5 float64, engine.JoinPrices order)
 )
 
 // maxFrame bounds a frame payload; large results are split into many row

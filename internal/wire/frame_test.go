@@ -129,6 +129,48 @@ func TestCostProbeCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJoinProbeCodec: a join probe is 24 bytes and its answer 40, both
+// round-trip exactly, and any other length is refused; the server prices
+// the answer with CostOperator.
+func TestJoinProbeCodec(t *testing.T) {
+	req := encodeJoinProbe(10, 20, 30)
+	l, r, o, err := decodeJoinProbe(req)
+	if err != nil || len(req) != 24 || l != 10 || r != 20 || o != 30 {
+		t.Errorf("%d bytes: %v %v %v %v", len(req), l, r, o, err)
+	}
+	want := engine.JoinPrices{Join: 1, LeftStream: 2, RightStream: 3, ScanLeft: 4, ScanRight: 5}
+	res := encodeJoinPrices(want)
+	if got, err := decodeJoinPrices(res); err != nil || len(res) != 40 || got != want {
+		t.Errorf("%d bytes: %+v %v", len(res), got, err)
+	}
+	for _, bad := range [][]byte{nil, req[:23], append(req, 0), res} {
+		if _, _, _, err := decodeJoinProbe(bad); err == nil {
+			t.Errorf("a %d-byte join probe decoded", len(bad))
+		}
+	}
+	for _, bad := range [][]byte{nil, res[:39], append(res, 0), req} {
+		if _, err := decodeJoinPrices(bad); err == nil {
+			t.Errorf("%d bytes of join prices decoded", len(bad))
+		}
+	}
+
+	e := engine.New(engine.Config{Name: "db1", Vendor: engine.VendorMariaDB})
+	typ, payload := (&Server{eng: e}).answer(msgJoin, encodeJoinProbe(1000, 200, 500))
+	got, err := Reply{typ: typ, payload: payload}.JoinPrices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (engine.JoinPrices{
+		Join:        e.CostOperator(engine.CostJoin, 1000, 200, 500),
+		LeftStream:  e.CostOperator(engine.CostJoinStream, 1000, 200, 500),
+		RightStream: e.CostOperator(engine.CostJoinStream, 200, 1000, 500),
+		ScanLeft:    e.CostOperator(engine.CostScan, 1000, 0, 0),
+		ScanRight:   e.CostOperator(engine.CostScan, 200, 0, 0),
+	}); got != want {
+		t.Errorf("server priced %+v, CostOperator says %+v", got, want)
+	}
+}
+
 // encodeRowBatch builds one row-batch frame payload the way the server's
 // stream loop does.
 func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {

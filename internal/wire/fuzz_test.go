@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"xdb/internal/engine"
@@ -119,6 +120,8 @@ func FuzzBatch(f *testing.F) {
 	var b Batch
 	b.Exec("CREATE TABLE made (a BIGINT)")
 	b.Cost(engine.CostJoin, 10, 20, 5)
+	b.PriceJoin(10, 20, 5)
+	b.PriceJoin(math.NaN(), math.Inf(1), math.Inf(-1))
 	b.Stats("t")
 	b.TableSchema("t")
 	b.Explain("SELECT * FROM t")
@@ -128,6 +131,11 @@ func FuzzBatch(f *testing.F) {
 	f.Add(appendBatch(nil, []batchItem{
 		{typ: msgOK}, {typ: msgError, payload: []byte("boom")},
 		{typ: msgCostRes, payload: appendFloat64(nil, 1.5)},
+		{typ: msgJoinRes, payload: encodeJoinPrices(engine.JoinPrices{Join: 1, LeftStream: math.NaN(), RightStream: math.Inf(1), ScanLeft: math.Inf(-1)})},
+		{typ: msgJoinRes, payload: encodeJoinPrices(engine.JoinPrices{})[:39]},       // one byte short
+		{typ: msgJoinRes, payload: append(encodeJoinPrices(engine.JoinPrices{}), 0)}, // one byte over
+		{typ: msgJoin, payload: encodeJoinProbe(1, 2, 3)[:23]},
+		{typ: msgJoin, payload: append(encodeJoinProbe(1, 2, 3), 0)},
 		{typ: msgStatsRes, payload: encodeStats(fuzzStats())},
 		{typ: msgStatsRes, payload: hostileStats()},
 		{typ: msgBatchRes, payload: appendBatch(nil, []batchItem{{typ: msgOK}})},
@@ -163,6 +171,7 @@ func FuzzBatch(f *testing.F) {
 			r := Reply{node: "db1", typ: it.typ, payload: it.payload}
 			r.Err()
 			r.Cost()
+			r.JoinPrices()
 			r.Explain()
 			r.TableSchema()
 			if st, err := r.Stats(); err == nil {

@@ -161,6 +161,11 @@ func (s *Server) answer(typ byte, payload []byte) (byte, []byte) {
 		if kind, l, r, o, err = decodeCostProbe(payload); err == nil {
 			return msgCostRes, appendFloat64(nil, s.eng.CostOperator(kind, l, r, o))
 		}
+	case msgJoin:
+		var l, r, o float64
+		if l, r, o, err = decodeJoinProbe(payload); err == nil {
+			return msgJoinRes, encodeJoinPrices(s.eng.PriceJoin(l, r, o))
+		}
 	case msgSample:
 		var table, alias, filter string
 		var limit int64
