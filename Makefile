@@ -26,12 +26,13 @@ race:
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed
 # with netsim.SetFaultSeed, so drops are reproducible), mid-query failover
-# and the mediator fallback, plan-cache lease lifecycle, re-optimization
+# and the mediator fallback, plan-cache lease lifecycle and freshness,
+# consult-cache freshness (TTL, breaker, calibration), re-optimization
 # under skewed statistics, flow accounting and live introspection, and
 # sampling probes — every recovery edge of the query lifecycle (DESIGN.md
 # "Query lifecycle") plus its transition table.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample' ./internal/core/ ./internal/engine/ ./internal/wire/
+	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestConsultCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample' ./internal/core/ ./internal/engine/ ./internal/wire/
 
 # Concurrency soak: burst admission, staggered mid-query cancellation,
 # and drain-under-load against a live cluster, under the race detector.

@@ -54,8 +54,7 @@ func GatherMetadata(ctx context.Context, catalog *Catalog, connectors map[string
 		if conn == nil {
 			return &NoConnectorError{Node: work[n][0].Node}
 		}
-		_, err := fetchMetadata(fctx, conn, catalog, work[n])
-		return err
+		return fetchMetadata(fctx, conn, catalog, work[n])
 	})
 }
 
@@ -86,10 +85,9 @@ func metadataWork(catalog *Catalog, sel *sqlparser.Select, cached bool) ([][]*Ta
 // (Catalog.Refresh) on the table's own outcome: in full when its items
 // succeeded; with just the schema when that was fetched and the stats
 // item failed, so the next attempt resumes from the partial entry instead
-// of asking for the schema again. changed reports that some table's
-// planning statistics changed; the error is the round trip's, else the
+// of asking for the schema again. The error is the round trip's, else the
 // first failing table's.
-func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog, infos []*TableInfo) (changed bool, err error) {
+func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog, infos []*TableInfo) error {
 	var b wire.Batch
 	for _, info := range infos {
 		if info.Schema == nil {
@@ -99,7 +97,7 @@ func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog
 	}
 	replies, err := c.Do(ctx, &b)
 	if err != nil {
-		return false, err
+		return err
 	}
 	for _, info := range infos {
 		var schema *sqltypes.Schema
@@ -116,9 +114,7 @@ func fetchMetadata(ctx context.Context, c *connector.Connector, catalog *Catalog
 				err = fmt.Errorf("core: metadata of %s: %w", info.Name, terr)
 			}
 		}
-		if catalog.Refresh(info.Name, schema, st) {
-			changed = true
-		}
+		catalog.Refresh(info.Name, schema, st)
 	}
-	return changed, err
+	return err
 }

@@ -24,9 +24,12 @@ import (
 //   - a breaker state transition on a node drops that node's entries —
 //     costs consulted before an outage say nothing about the node after
 //     it (and nothing during it);
-//   - a metadata refresh that changes a table's statistics drops its
-//     home node's entries — the engine's answers were functions of the
-//     old table state.
+//   - a change of a node's calibration factor drops that node's entries —
+//     they are priced in the old units.
+//
+// Table statistics need no rule: the engine prices a join from the
+// cardinalities in the key and its vendor profile alone, so a table
+// change can only change which key is asked.
 //
 // A nil *consultCache (Options.ConsultCacheTTL == 0, the paper
 // configuration) is a valid no-op receiver for every method, so the
@@ -50,7 +53,7 @@ type ConsultCacheStats struct {
 	Entries int
 	// Hits and Misses count lookups over the cache's life; Evictions
 	// counts entries dropped by TTL expiry or invalidation (breaker
-	// transitions, stats refresh).
+	// transitions, calibration changes).
 	Hits, Misses, Evictions int64
 }
 

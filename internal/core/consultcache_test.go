@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
+	"xdb/internal/sqltypes"
+	"xdb/internal/wire"
 )
 
 // sqlThreeTables joins across all three test DBMSes, producing two Rule-4
@@ -361,5 +364,79 @@ func TestChaosConsultCacheBreakerInvalidation(t *testing.T) {
 	}
 	if rewarm.Breakdown.ConsultRounds != 0 {
 		t.Errorf("post-recovery repeat consulted %d times, want 0 (cache refilled)", rewarm.Breakdown.ConsultRounds)
+	}
+}
+
+// TestConsultCacheCalibrationChange consults a Postgres and a Hive node
+// before either has calibrated, then calibrates them: the prices cached in
+// the nodes' raw units must not be served in the calibrated currency.
+func TestConsultCacheCalibrationChange(t *testing.T) {
+	sys := NewSystem("m", "c", nil, Options{ConsultCacheTTL: time.Minute})
+	client := wire.NewClient("m", nil)
+	t.Cleanup(func() { sys.Close(); client.Close() })
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+	for _, n := range []struct {
+		node, table string
+		vendor      engine.Vendor
+		rows        int
+	}{{"db1", "t", engine.VendorPostgres, 300}, {"db2", "v", engine.VendorHive, 200}} {
+		eng := engine.New(engine.Config{Name: n.node, Vendor: n.vendor})
+		rows := make([]sqltypes.Row, n.rows)
+		for i := range rows {
+			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
+		}
+		if err := eng.LoadTable(n.table, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := wire.NewServer(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		sys.Register(connector.New(n.node, srv.Addr(), n.vendor, client))
+		if err := sys.RegisterTable(n.table, n.node); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx := context.Background()
+	sel, err := sqlparser.ParseSelect("SELECT t.a FROM t, v WHERE t.a = v.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.gatherMetadata(ctx, sel); err != nil {
+		t.Fatal(err)
+	}
+	annotateJoin := func() *Join {
+		b, conjs, canon, err := buildLogical(sys.catalog, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined, err := orderJoins(b, conjs, sys.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := annotate(ctx, &Final{In: joined, Sel: canon}, sys, sys.consults, sys.opts); err != nil {
+			t.Fatal(err)
+		}
+		return joined.(*Join)
+	}
+
+	annotateJoin()
+	sys.calibrate(ctx)
+	j := annotateJoin()
+	l, r, out := joinEst(j)
+	for _, node := range []string{"db1", "db2"} {
+		cached, ok := sys.consults.lookup(node, l, r, out)
+		if !ok {
+			t.Fatalf("%s: the join's prices are not cached", node)
+		}
+		fresh, errs := sys.PriceJoins(ctx, node, []connector.JoinProbe{{Left: l, Right: r, Out: out}})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		if cached != fresh[0] {
+			t.Errorf("%s: cached prices %+v, the calibrated node answers %+v", node, cached, fresh[0])
+		}
 	}
 }

@@ -75,6 +75,10 @@ type Plan struct {
 	// ColTypes maps global column identity to type (used for foreign
 	// table DDL during delegation).
 	ColTypes map[string]sqltypes.Type
+	// Scans are the logical plan's base-table scans: every table the plan
+	// read, on the node and with the statistics it was planned from. The
+	// plan cache serves the plan only while the catalog still holds them.
+	Scans []*Scan
 }
 
 // Movements counts the plan's inter-task edges by movement type.

@@ -193,7 +193,11 @@ func (r *queryRun) doPlan() runStep {
 	r.inf.setPhase("planning", &r.bd, r.attempt)
 	r.borrowed = false
 	if r.attempt == 0 && r.cacheKey != "" {
-		if r.ent = s.plans.acquire(r.cacheKey); r.ent != nil {
+		var stale *planEntry
+		if r.ent, stale = s.plans.acquire(r.cacheKey, s.catalog); stale != nil {
+			s.dropDeploymentAsync(stale.dep)
+		}
+		if r.ent != nil {
 			r.plan, r.dep = r.ent.plan, r.ent.dep
 			r.bd.PlanCacheHit = true
 			r.qspan.Set("plan_cache", "hit")
@@ -402,8 +406,13 @@ func (r *queryRun) deliver() runStep {
 	r.inf.setPhase("finishing", &r.bd, r.attempt)
 	// Post-hoc cardinality feedback from the implicit edges this execution
 	// pulled over the wire — the flow-accounting counterpart of the
-	// barriers (reopt.go).
-	r.s.feedImplicitFlows(r.inf, r.plan, dep.QID)
+	// barriers (reopt.go): strictly cross-query, the finished query is
+	// untouched. qid scopes the lookup to the attempt that executed.
+	for _, e := range r.plan.Edges {
+		if actual, done := r.inf.flowObserved(dep.QID, e.From.ID); done && e.Move == MoveImplicit {
+			r.s.feedObservedRows(e, float64(actual))
+		}
+	}
 	r.release(false) // a healthy cached entry stays warm
 	if r.bd.Replans > 0 {
 		r.bd.FailedOver = true

@@ -70,16 +70,14 @@ func (c *Catalog) Put(info *TableInfo) {
 // a schema (nil when not fetched) and statistics (nil when the fetch
 // failed). A learned correction is kept while the node repeats the report
 // it was learned against; any other report is adopted and clears the
-// mark. changed reports that the planning statistics were replaced by
-// different ones — what was consulted and planned against the old ones is
-// stale.
-func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine.TableStats) (changed bool) {
+// mark.
+func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine.TableStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := strings.ToLower(name)
 	cur, ok := c.tables[key]
 	if !ok {
-		return false
+		return
 	}
 	next := *cur
 	if schema != nil {
@@ -89,7 +87,6 @@ func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine
 	case reported == nil, cur.Learned && statsEqual(cur.Reported, reported):
 		// Nothing reported, or the report the correction stands in for.
 	case cur.Learned || !statsEqual(cur.Stats, reported):
-		changed = cur.Stats != nil && !statsEqual(cur.Stats, reported)
 		next.Stats, next.Reported, next.Learned = reported, reported, false
 	}
 	// An unchanged entry keeps its identity, so a correction derived from
@@ -97,7 +94,6 @@ func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine
 	if next != *cur {
 		c.tables[key] = &next
 	}
-	return changed
 }
 
 // Learn publishes corrected as the planning statistics of the table whose
@@ -121,7 +117,22 @@ func (c *Catalog) Learn(from *TableInfo, corrected *engine.TableStats) bool {
 // statsEqual reports whether two statistics snapshots match (row count
 // and all column stats).
 func statsEqual(a, b *engine.TableStats) bool {
-	return reflect.DeepEqual(a, b)
+	return a == b || reflect.DeepEqual(a, b)
+}
+
+// holds reports whether every scan's table is still registered on the
+// scan's node with planning statistics equal to the scan's: whether a plan
+// built from the scans was built from what the catalog holds now.
+func (c *Catalog) holds(scans []*Scan) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, sc := range scans {
+		info, ok := c.tables[strings.ToLower(sc.Table)]
+		if !ok || info.Node != sc.Node || !statsEqual(info.Stats, sc.Stats) {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup resolves a table name.

@@ -64,13 +64,13 @@ var met = struct {
 	cacheMisses: obs.Default.Counter("xdb_consult_cache_misses_total",
 		"Consult cache lookups that had to spend a round trip."),
 	cacheEvictions: obs.Default.Counter("xdb_consult_cache_evictions_total",
-		"Consult cache entries dropped by TTL expiry or invalidation (breaker transitions, stats refresh)."),
+		"Consult cache entries dropped by TTL expiry or invalidation (breaker transitions, calibration changes)."),
 	planHits: obs.Default.Counter("xdb_plan_cache_hits_total",
 		"Queries served from the delegation-plan cache (0 planning round trips, 0 DDLs)."),
 	planMisses: obs.Default.Counter("xdb_plan_cache_misses_total",
 		"Plan cache lookups that had to plan and deploy from scratch."),
 	planEvictions: obs.Default.Counter("xdb_plan_cache_evictions_total",
-		"Plan cache entries dropped by capacity, deployment-TTL expiry, or invalidation (breaker transitions, stats refresh, execution failure)."),
+		"Plan cache entries dropped by capacity, deployment-TTL expiry, or invalidation (catalog changes to a table the plan read, breaker transitions, execution failure)."),
 	breaker: obs.Default.CounterVec("xdb_breaker_transitions_total",
 		"Circuit breaker state transitions, labelled by the state entered.", "state"),
 	orphansParked: obs.Default.Counter("xdb_orphans_parked_total",

@@ -115,9 +115,10 @@ type Options struct {
 	// ConsultCacheTTL enables the cross-query consult cache: a join's
 	// successfully consulted prices are memoized per (node, bucketed
 	// cardinalities) and served without a round trip until the entry ages
-	// out, the node's breaker changes state, or a metadata refresh changes
-	// one of the node's tables' statistics. Zero (the paper configuration)
-	// disables the cache.
+	// out, the node's breaker changes state, or the node's calibration
+	// factor changes. A table's statistics are part of no entry: they
+	// change the cardinalities asked, hence the key. Zero (the paper
+	// configuration) disables the cache.
 	ConsultCacheTTL time.Duration
 	// PlanCacheSize enables the delegation-plan cache: a completed query's
 	// delegation plan AND its deployed short-lived relations (views,
@@ -125,10 +126,11 @@ type Options struct {
 	// lease, so a repeated identical statement skips logical optimization,
 	// annotation, and every deployment DDL — it becomes one SELECT on the
 	// root DBMS with Breakdown.DDLCount == 0. Entries are keyed on the
-	// normalized AST; the cache reuses the consult-cache invalidation
-	// machinery (a breaker transition or a changed-statistics refresh on a
-	// node drops every cached plan deployed there) and a janitor drops
-	// deployments idle past DeploymentTTL. PlanCacheSize bounds the number
+	// normalized AST. An entry is served only while the catalog still
+	// holds every table its plan read on the same node with the same
+	// planning statistics; a breaker transition on a node drops every
+	// cached plan deployed there, and a janitor drops deployments idle
+	// past DeploymentTTL. PlanCacheSize bounds the number
 	// of simultaneously warm plans; zero (the paper configuration, whose
 	// relations are strictly short-lived) disables the cache.
 	PlanCacheSize int

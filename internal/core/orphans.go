@@ -204,11 +204,10 @@ func (s *System) FlushPlans() {
 	}
 }
 
-// invalidateNode forgets what was derived from a node's state or
-// statistics once they change — a breaker transition, a refresh that
-// changed a table's statistics, a learned correction: the node's consulted
-// costs, and its cached plans, whose deployments drop in the background
-// (no caller should block on remote DROPs).
+// invalidateNode forgets what was derived from a node's state once its
+// breaker changes state: the node's consulted costs, and its cached plans,
+// whose objects a crash may have taken with it; their deployments drop in
+// the background (no caller should block on remote DROPs).
 func (s *System) invalidateNode(node string) {
 	s.consults.invalidateNode(node)
 	for _, ent := range s.plans.invalidateNode(node) {

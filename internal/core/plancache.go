@@ -17,16 +17,23 @@ import (
 // running cascade — and a janitor drops deployments idle past
 // Options.DeploymentTTL.
 //
-// Freshness reuses the consult-cache machinery one layer down:
+// Freshness:
 //
+//   - an entry is served only while the catalog still holds what its plan
+//     was built from: every table the plan read registered on the same
+//     node with equal planning statistics (Catalog.holds, checked on every
+//     acquire). A refresh, a learned correction or a re-registration that
+//     touched one of those tables invalidates the entry at its next
+//     lookup, and only that entry;
 //   - a breaker state transition on a node invalidates every cached plan
 //     deployed there (the plan was costed against a node state that no
 //     longer holds, and its objects may be gone);
-//   - a metadata refresh that changes a table's statistics invalidates its
-//     home node's plans — the placements were functions of the old stats;
 //   - an execution failure on a cached deployment poisons that entry: its
 //     objects may be partially gone, so they are dropped rather than
 //     reused.
+//
+// Lock order: acquire takes the catalog's lock inside the cache's; no
+// path takes them the other way round.
 //
 // A nil *planCache (Options.PlanCacheSize == 0, the paper configuration)
 // is a valid no-op receiver for every method, matching consultCache.
@@ -48,8 +55,9 @@ type PlanCacheStats struct {
 	// the query with zero planning round trips and zero DDLs.
 	Hits, Misses int64
 	// Evictions counts entries dropped by capacity pressure or TTL
-	// expiry; Invalidations counts entries dropped by a breaker
-	// transition, a changed-statistics refresh, or an execution failure.
+	// expiry; Invalidations counts entries dropped because the catalog
+	// no longer held what they were planned from, by a breaker
+	// transition, or by an execution failure.
 	Evictions, Invalidations int64
 }
 
@@ -61,7 +69,7 @@ type planEntry struct {
 	plan *Plan
 	dep  *Deployment
 	// nodes is every DBMS the deployment placed objects on — the
-	// invalidation fan-in for breaker transitions and stats changes.
+	// invalidation fan-in for breaker transitions.
 	nodes map[string]bool
 
 	refs     int  // leases held by executing queries
@@ -97,24 +105,33 @@ func newPlanCache(size int, ttl time.Duration) *planCache {
 
 // acquire looks the key up and, on a hit, takes a lease on the entry —
 // the caller must pair it with release. Dead entries are unreachable:
-// invalidation removes them from the map immediately.
-func (c *planCache) acquire(key string) *planEntry {
+// invalidation removes them from the map immediately. An entry whose plan
+// the catalog no longer holds (Catalog.holds) is invalidated instead and
+// the lookup misses; stale is that entry when its deployment is idle, for
+// the caller to drop.
+func (c *planCache) acquire(key string, catalog *Catalog) (hit, stale *planEntry) {
 	if c == nil {
-		return nil
+		return nil, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.entries[key]
+	if ok && !catalog.holds(ent.plan.Scans) {
+		if c.invalidateLocked(ent) {
+			stale = ent
+		}
+		ok = false
+	}
 	if !ok {
 		c.misses++
 		met.planMisses.Inc()
-		return nil
+		return nil, stale
 	}
 	ent.refs++
 	ent.lastUsed = time.Now()
 	c.hits++
 	met.planHits.Inc()
-	return ent
+	return ent, nil
 }
 
 // put caches a freshly deployed plan under a lease held by the caller. It
@@ -181,16 +198,22 @@ func (c *planCache) release(ent *planEntry, poison bool) (drop bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if poison {
-		if cur, ok := c.entries[ent.key]; ok && cur == ent {
-			delete(c.entries, ent.key)
-			c.invalidations++
-			met.planEvictions.Inc()
-		}
-		ent.dead = true
+	if poison && c.entries[ent.key] == ent {
+		c.invalidateLocked(ent) // still leased: the drop is claimed below
 	}
 	ent.refs--
 	ent.lastUsed = time.Now()
+	return c.claimDropLocked(ent)
+}
+
+// invalidateLocked removes a live entry from the cache and marks it dead,
+// reporting whether the caller must drop its deployment now: true when no
+// lease is out, else the last release drops it. Caller holds c.mu.
+func (c *planCache) invalidateLocked(ent *planEntry) bool {
+	delete(c.entries, ent.key)
+	ent.dead = true
+	c.invalidations++
+	met.planEvictions.Inc()
 	return c.claimDropLocked(ent)
 }
 
@@ -215,15 +238,8 @@ func (c *planCache) invalidateNode(node string) []*planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var drops []*planEntry
-	for key, ent := range c.entries {
-		if !ent.nodes[node] {
-			continue
-		}
-		delete(c.entries, key)
-		ent.dead = true
-		c.invalidations++
-		met.planEvictions.Inc()
-		if c.claimDropLocked(ent) {
+	for _, ent := range c.entries {
+		if ent.nodes[node] && c.invalidateLocked(ent) {
 			drops = append(drops, ent)
 		}
 	}
@@ -239,12 +255,8 @@ func (c *planCache) invalidateAll() []*planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var drops []*planEntry
-	for key, ent := range c.entries {
-		delete(c.entries, key)
-		ent.dead = true
-		c.invalidations++
-		met.planEvictions.Inc()
-		if c.claimDropLocked(ent) {
+	for _, ent := range c.entries {
+		if c.invalidateLocked(ent) {
 			drops = append(drops, ent)
 		}
 	}

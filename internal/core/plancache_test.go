@@ -181,10 +181,10 @@ func TestPlanCacheBreakerInvalidation(t *testing.T) {
 	waitNoXDBObjects(t, cl)
 }
 
-// TestPlanCacheStatsChangeInvalidation grows a table between queries: the
-// next cold query's metadata refresh sees changed statistics and must
-// invalidate the node's cached plans — their placements were functions of
-// the old statistics.
+// TestPlanCacheStatsChangeInvalidation grows a table between queries: once
+// another query's metadata refresh has changed its statistics, a cached
+// plan that read the table must not be served — its placements were
+// functions of the old statistics.
 func TestPlanCacheStatsChangeInvalidation(t *testing.T) {
 	cl := newChaosCluster(t, planCacheOptions())
 	if _, err := cl.sys.Query(chaosQuery); err != nil {
@@ -203,18 +203,118 @@ func TestPlanCacheStatsChangeInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := cl.sys.PlanCacheStats()
-	if st.Invalidations == 0 {
-		t.Fatalf("changed statistics did not invalidate: %+v", st)
-	}
 	res, err := cl.sys.Query(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
+	}
+	st := cl.sys.PlanCacheStats()
+	if st.Invalidations == 0 {
+		t.Fatalf("changed statistics did not invalidate: %+v", st)
 	}
 	if res.Breakdown.PlanCacheHit {
 		t.Error("stale plan served from cache after its statistics changed")
 	}
 
+	cl.sys.FlushPlans()
+	waitNoXDBObjects(t, cl)
+}
+
+// loadInts loads table name with one int column a holding 0..rows-1 on
+// the cluster's node.
+func loadInts(t *testing.T, cl *chaosCluster, node, name string, rows int) {
+	t.Helper()
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "a", Type: sqltypes.TypeInt})
+	data := make([]sqltypes.Row, rows)
+	for i := range data {
+		data[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
+	}
+	if err := cl.engines[node].LoadTable(name, schema, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countRows runs a COUNT(*) statement and returns its count and whether
+// the plan cache served it.
+func countRows(t *testing.T, sys *System, sql string) (n int64, hit bool) {
+	t.Helper()
+	res, err := sys.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return res.Rows[0][0].Int(), res.Breakdown.PlanCacheHit
+}
+
+// TestPlanCacheRehomedTable re-registers a cached statement's table on
+// another node: the cached plan read the table on its old home, so the
+// next query must miss and answer from the new one.
+func TestPlanCacheRehomedTable(t *testing.T) {
+	cl := newCluster(t, planCacheOptions(), "db1", "db2")
+	loadInts(t, cl, "db1", "t", 100)
+	loadInts(t, cl, "db2", "t", 7)
+	if err := cl.sys.RegisterTable("t", "db1"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT COUNT(*) FROM t"
+	for i, wantHit := range []bool{false, true} {
+		if n, hit := countRows(t, cl.sys, q); n != 100 || hit != wantHit {
+			t.Fatalf("run %d on db1: count=%d hit=%v, want 100 hit=%v", i, n, hit, wantHit)
+		}
+	}
+
+	if err := cl.sys.RegisterTable("t", "db2"); err != nil {
+		t.Fatal(err)
+	}
+	if n, hit := countRows(t, cl.sys, q); n != 7 || hit {
+		t.Errorf("after re-homing t on db2: count=%d hit=%v, want 7 from a miss", n, hit)
+	}
+	if st := cl.sys.PlanCacheStats(); st.Invalidations != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want the old plan invalidated and the new one cached", st)
+	}
+	cl.sys.FlushPlans()
+	waitNoXDBObjects(t, cl)
+}
+
+// TestPlanCacheUnrelatedStatsKeepsPlan changes the statistics of a table
+// on a node a cached plan runs on but never read: the plan stays warm.
+func TestPlanCacheUnrelatedStatsKeepsPlan(t *testing.T) {
+	cl := newCluster(t, planCacheOptions(), "db1", "db2")
+	for _, tbl := range []struct {
+		name, node string
+		rows       int
+	}{{"t", "db1", 100}, {"v", "db2", 50}, {"u", "db1", 20}} {
+		loadInts(t, cl, tbl.node, tbl.name, tbl.rows)
+		if err := cl.sys.RegisterTable(tbl.name, tbl.node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT COUNT(*) FROM t, v WHERE t.a = v.a"
+	if n, _ := countRows(t, cl.sys, q); n != 50 {
+		t.Fatalf("cold join counted %d, want 50", n)
+	}
+	if n, _ := countRows(t, cl.sys, "SELECT COUNT(*) FROM u"); n != 20 {
+		t.Fatalf("u counted %d, want 20", n)
+	}
+	if err := cl.engines["db1"].Exec("INSERT INTO u VALUES (1000)"); err != nil {
+		t.Fatal(err)
+	}
+	// Another statement over u refetches its statistics.
+	if _, err := cl.sys.Query("SELECT a FROM u"); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := cl.sys.Catalog().Lookup("u"); info.Stats.RowCount != 21 {
+		t.Fatalf("u's statistics hold %d rows after the refetch, want 21", info.Stats.RowCount)
+	}
+
+	res, err := cl.sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Breakdown.PlanCacheHit || res.Breakdown.DDLCount != 0 {
+		t.Errorf("join repeat: hit=%v DDLs=%d, want a hit with 0 DDLs", res.Breakdown.PlanCacheHit, res.Breakdown.DDLCount)
+	}
+	if st := cl.sys.PlanCacheStats(); st.Invalidations != 0 {
+		t.Errorf("Invalidations = %d, want 0: no cached plan read u", st.Invalidations)
+	}
 	cl.sys.FlushPlans()
 	waitNoXDBObjects(t, cl)
 }

@@ -112,17 +112,20 @@ func (s *System) observeMaterialized(ctx context.Context, qspan *obs.Span, plan 
 	return nil, nil
 }
 
-// feedObservedRows closes the cross-query half of the feedback loop:
-// when a materialized edge's producer is a bare (filtered, pruned) scan,
-// the observed output count implies the source table's true row count
-// (actual / filter selectivity). If that implied count contradicts the
-// catalog's snapshot beyond the reopt threshold, the correction is
-// learned (learnStats) and the next query plans with actuals from the
-// start. Join-output edges carry no single-table attribution and feed
-// only the in-query feedback map.
+// feedObservedRows closes the cross-query half of the feedback loop for
+// one edge whose producer's output was observed — by a barrier on an
+// explicit edge, or by the flow accounting of a finished implicit pull.
+// When the producer is a bare (filtered, pruned) scan, the observed
+// output count implies the source table's true row count (actual / filter
+// selectivity). If that implied count contradicts the catalog's snapshot
+// beyond the reopt threshold, the correction is learned (Catalog.Learn)
+// and the next query plans with actuals from the start; a plan cached
+// from the disproved statistics is no longer served (planCache.acquire).
+// Join-output edges carry no single-table attribution and feed only the
+// in-query feedback map.
 func (s *System) feedObservedRows(e *Edge, actual float64) {
-	sc := bareScanRoot(e.From)
-	if sc == nil {
+	sc, ok := e.From.Root.(*Scan)
+	if e.Sig == "" || len(e.From.Inputs) != 0 || !ok {
 		return
 	}
 	info, ok := s.catalog.Lookup(sc.Table)
@@ -138,60 +141,7 @@ func (s *System) feedObservedRows(e *Edge, actual float64) {
 	if !reoptDiverges(float64(info.Stats.RowCount), implied, DefaultReoptThreshold) {
 		return
 	}
-	s.learnStats(info, scaleStats(info.Stats, int64(math.Round(implied))))
-}
-
-// learnStats feeds a cardinality correction derived from the catalog entry
-// from, whatever its source (a barrier, a finished implicit pull, an
-// exhausted sample probe), to Catalog.Learn, and when it is published
-// drops the node's consulted costs and cached plans, which were built on
-// the disproved statistics. One observation thereby benefits every
-// subsequent query. A correction the catalog refuses — the entry moved on
-// since it was read, or it already holds these statistics — teaches
-// nothing.
-func (s *System) learnStats(from *TableInfo, corrected *engine.TableStats) {
-	if s.catalog.Learn(from, corrected) {
-		s.invalidateNode(from.Node)
-	}
-}
-
-// feedImplicitFlows closes the feedback loop for the edges the barriers
-// cannot see: implicit movements never materialize, but the wire flow
-// accounting observed their pull streams' actual row counts while the
-// query executed. After a clean execution each finished implicit pull
-// feeds the same learnStats path the explicit barriers use — strictly
-// post-hoc and cross-query: the finished query is untouched, no
-// mid-query re-optimization triggers from an implicit edge, but the next
-// misestimated pull-heavy query plans against corrected statistics.
-// qid scopes the lookup to the attempt that actually executed.
-func (s *System) feedImplicitFlows(inf *inflightEntry, plan *Plan, qid int64) {
-	if inf == nil || plan == nil {
-		return
-	}
-	for _, e := range plan.Edges {
-		if e.Move != MoveImplicit || e.Sig == "" {
-			continue
-		}
-		actual, done := inf.flowObserved(qid, e.From.ID)
-		if !done {
-			continue
-		}
-		s.feedObservedRows(e, float64(actual))
-	}
-}
-
-// bareScanRoot returns the task's fragment as a single (filtered,
-// pruned) scan, or nil when the fragment computes more than one
-// relation's worth of data.
-func bareScanRoot(t *Task) *Scan {
-	if t == nil || len(t.Inputs) != 0 {
-		return nil
-	}
-	sc, ok := t.Root.(*Scan)
-	if !ok {
-		return nil
-	}
-	return sc
+	s.catalog.Learn(info, scaleStats(info.Stats, int64(math.Round(implied))))
 }
 
 // scaleStats returns a copy of st with RowCount set to rows and the

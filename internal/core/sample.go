@@ -186,7 +186,7 @@ func (s *System) sampleNode(ctx context.Context, node string, scans []*Scan, lim
 			sc.est = exact
 			sc.width = estimateWidth(sc)
 			if info, ok := s.catalog.Lookup(sc.Table); ok {
-				s.learnStats(info, res.Stats)
+				s.catalog.Learn(info, res.Stats)
 			}
 		} else if lb := float64(res.Matched); lb > sc.est {
 			// At least lb rows match among the first Scanned alone.

@@ -357,14 +357,21 @@ func (s *System) LinkFactor(from, to string) float64 {
 // calibrate aligns cost units across all connectors. Calibration is
 // best-effort per node: a node that is down keeps its identity calibration
 // (1.0) and is retried on later queries, so an outage on one DBMS does not
-// abort queries that never touch it. Failures feed the node's breaker.
+// abort queries that never touch it. Failures feed the node's breaker. A
+// node whose factor changed drops its cached consultations, which are
+// priced in the old units.
 func (s *System) calibrate(ctx context.Context) {
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
 	for name := range s.connectors {
 		if !s.calNodes[name] {
 			s.calNodes[name] = s.call(ctx, name, 1, func(rctx context.Context, c *connector.Connector) error {
-				return c.Calibrate(rctx)
+				before := c.Calibration()
+				err := c.Calibrate(rctx)
+				if c.Calibration() != before {
+					s.consults.invalidateNode(name)
+				}
+				return err
 			}) == nil
 		}
 	}
@@ -429,6 +436,7 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 		annSpan.Set("cached", strconv.Itoa(ann.CachedProbes))
 	}
 	plan := finalize(root, ann, collectColTypes(b))
+	plan.Scans = b.scans()
 	done(nil)
 	bd.ConsultRounds += ann.ConsultRounds
 	bd.DegradedProbes += ann.DegradedProbes
@@ -471,8 +479,7 @@ func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (b *bui
 // metadata batch under one call — the tables' home must answer, a query
 // referencing them cannot degrade around the node that holds their rows —
 // and the nodes fetch at once; the first failure cancels the rest of the
-// fan-out. A refresh that changed a table's planning statistics forgets
-// what was consulted and planned on its node.
+// fan-out.
 func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) error {
 	work, err := metadataWork(s.catalog, sel, s.CacheStats)
 	if err != nil {
@@ -488,11 +495,7 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 			mdSpan.Finish()
 		}()
 		return s.call(fctx, infos[0].Node, 1, func(rctx context.Context, c *connector.Connector) error {
-			changed, err := fetchMetadata(rctx, c, s.catalog, infos)
-			if changed {
-				s.invalidateNode(infos[0].Node)
-			}
-			return err
+			return fetchMetadata(rctx, c, s.catalog, infos)
 		})
 	})
 }
