@@ -17,11 +17,12 @@ vet:
 # and drop rounds, engines serving concurrent queries over a shared catalog
 # and foreign-table cache, morsel exchanges), and the mediator and sclera
 # baselines fan their metadata out over nodes through core; run them under
-# the race detector. The engine runs at GOMAXPROCS 1 (its serial path) and
-# 2 (its morsel exchanges).
+# the race detector. The engine runs at GOMAXPROCS 1 (its serial path), 2
+# and 4 (its morsel exchanges, whose workers recycle the statement's batch
+# memory, with more workers than the CI box has cores).
 race:
 	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/mediator/... ./internal/sclera/...
-	$(GO) test -race -cpu 1,2 ./internal/engine/...
+	$(GO) test -race -cpu 1,2,4 ./internal/engine/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link
 # scenarios against a live cluster (the flaky-link test pins the fault seed

@@ -350,8 +350,18 @@ func TestHashJoinNullKeysMatchNestedLoop(t *testing.T) {
 // TestRetainedRowsSurviveSlabReuse: every consumer that keeps rows past
 // its producer's next call — hash build, probe rows a join read ahead,
 // sort, a materialized foreign table, CREATE TABLE AS, Drain — must own
-// them. The producer here reuses its slab, so a consumer that kept bare
-// views would read later rows' values in earlier rows' places.
+// them, and no batch goes back to the statement's spares while rows of it
+// are still held. The producers here reuse their slabs (the staged remote,
+// projections, joins, the spares), so a consumer that kept bare views, or
+// a batch handed back too soon, would show later rows' values in earlier
+// rows' places. The second half covers the hand-back paths of a morsel
+// exchange on two workers, over huge, whose 40 morsels are many more than
+// an exchange's window, so that its batches go round the spares while
+// rows of them are kept: rows read ahead from a projection, serially and
+// on workers; a stash run once its table is ready; a filter's batch that
+// views a projection's; re-cut exchange output kept by a parent's build,
+// by Drain and by CREATE TABLE AS; and an exchange over a materialized
+// foreign table.
 func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 	remote := boundaryRows(2500, 0)
 	// The join's probe side ra is read ahead whole while its build side rg
@@ -361,10 +371,15 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 		"r":  {rows: remote},
 		"ra": {rows: remote, done: readAhead},
 		"rg": {rows: remote, after: readAhead},
+		"rh": {rows: remote, openDelay: 30 * time.Millisecond}, // a build side held back
+		"rm": {rows: boundaryRows(40*morselRows, 0)},
 	}
 	e := New(Config{Name: "o", Vendor: VendorTest, Remote: &stagedRemote{rels: rels}})
-	if err := e.LoadTable("big", boundarySchema, boundaryRows(6000, 0)); err != nil {
-		t.Fatal(err)
+	huge, dim, probe := boundaryRows(40*morselRows, 0), boundaryRows(131, 3), boundaryRows(500, 5)
+	for name, rows := range map[string][]sqltypes.Row{"big": boundaryRows(6000, 0), "huge": huge, "d": dim, "p": probe} {
+		if err := e.LoadTable(name, boundarySchema, rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, ddl := range []string{
 		"CREATE SERVER s FOREIGN DATA WRAPPER xdb OPTIONS (host 'h', port '1')",
@@ -373,6 +388,10 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 		"CREATE TABLE c AS SELECT * FROM f",
 		foreignDDL("fa", "ra", 100_000, false),
 		foreignDDL("fg", "rg", 10, false),
+		foreignDDL("fh", "rh", 10, false),
+		foreignDDL("fmx", "rm", 40*morselRows, true),
+		"CREATE VIEW pv AS SELECT v + 0 AS v, s FROM huge",
+		"CREATE VIEW jv AS SELECT huge.v AS v, d.s AS s FROM huge, d WHERE huge.k = d.k",
 	} {
 		if err := e.Exec(ddl); err != nil {
 			t.Fatalf("%s: %v", ddl, err)
@@ -412,4 +431,46 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 		run("SELECT fa.v, fa.s FROM fa, fg WHERE fa.v = fg.v"),
 		refFilter(remote, func(sqltypes.Row) bool { return true },
 			func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
+
+	// remote is huge's first rows, so a join of the two on v is those.
+	vs := func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }
+	onRemote := func(keep func(sqltypes.Row) bool) []sqltypes.Row {
+		return refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I < int64(len(remote)) && keep(r) }, vs)
+	}
+	all := func(sqltypes.Row) bool { return true }
+	hugeDim := refJoin(huge, dim, func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) },
+		func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], r[colS]} })
+	for _, w := range []int{1, 2} {
+		withWorkers(w, func() {
+			at := fmt.Sprintf(", %d workers", w)
+			// pv's projection carves its rows; they are read ahead while fh
+			// is held back.
+			expectBag(t, "projected rows read ahead"+at,
+				run("SELECT pv.v, fh.s FROM pv, fh WHERE pv.v = fh.v"), onRemote(all))
+			// The stored rows, filtered or not, wait in the stash and run
+			// once fh's table is ready.
+			expectBag(t, "stash run"+at,
+				run("SELECT huge.v, fh.s FROM huge, fh WHERE huge.v = fh.v"), onRemote(all))
+			expectBag(t, "filtered stash run"+at,
+				run("SELECT huge.v, fh.s FROM huge, fh WHERE huge.v = fh.v AND huge.g < 5"),
+				onRemote(func(r sqltypes.Row) bool { return r[colG].I < 5 }))
+			// The filter's batches view the projection's, which the
+			// projection refills once a worker has taken them over.
+			expectRows(t, "filtered projection"+at, run("SELECT v, s FROM pv WHERE v >= 10"),
+				refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I >= 10 }, vs))
+			// jv's output (planned smaller than p, so the build side) is the
+			// probe spine's output re-cut in full batches; p's v are 0..499.
+			expectBag(t, "re-cut output kept by a build"+at,
+				run("SELECT p.v, jv.s FROM p, jv WHERE p.v = jv.v"),
+				refFilter(hugeDim, func(r sqltypes.Row) bool { return r[0].I < int64(len(probe)) }, func(r sqltypes.Row) sqltypes.Row { return r }))
+			expectBag(t, "Drain of re-cut output"+at, run("SELECT huge.v, d.s FROM huge, d WHERE huge.k = d.k"), hugeDim)
+			name := fmt.Sprint("cx", w)
+			if err := e.Exec("CREATE TABLE " + name + " AS SELECT huge.v, d.s FROM huge, d WHERE huge.k = d.k"); err != nil {
+				t.Fatal(err)
+			}
+			expectBag(t, "CREATE TABLE AS over re-cut output"+at, run("SELECT * FROM "+name), hugeDim)
+			expectBag(t, "materialized rows on an exchange"+at,
+				run("SELECT fmx.v, d.s FROM fmx, d WHERE fmx.k = d.k"), hugeDim)
+		})
+	}
 }

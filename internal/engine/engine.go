@@ -140,7 +140,7 @@ func (e *Engine) QuerySelect(sel *sqlparser.Select) (*sqltypes.Schema, BatchIter
 	if err != nil {
 		return nil, nil, err
 	}
-	it, err := node.open(new(sync.Mutex))
+	it, err := node.open(new(statement))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -93,3 +93,13 @@ func BenchmarkEngineExplain(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineProbeSpine runs TestProbeSpineAllocsBoundedByWindow's
+// statement over its fixture, a Q5-shaped probe spine of 100 morsels whose
+// build side opens late, on GOMAXPROCS exchange workers; -benchmem shows
+// what one execution allocates.
+func BenchmarkEngineProbeSpine(b *testing.B) {
+	e := probeSpineEngine(b, 100)
+	b.ReportAllocs()
+	runQuery(b, e, probeSpineSQL)
+}

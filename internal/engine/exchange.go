@@ -20,10 +20,17 @@ import (
 //
 // While a build is pending, workers read morsels ahead as far as the
 // stages below its join (at most pullAheadBatches of them, as openJoin
-// does) and keep the rows until the table is ready. Every worker charges
-// the operator's one throttle (cpuThrottle.share) under the statement's
-// token, so the statement still models one CPU; only the real CPU work
-// spreads.
+// does) and keep the batches until the table is ready; a morsel read ahead
+// then runs on as soon as it is inside the window, as any other does.
+// Every worker charges the operator's one throttle (cpuThrottle.share)
+// under the statement's token, so the statement still models one CPU; only
+// the real CPU work spreads.
+//
+// Batches circulate through the statement's spares: a worker takes over
+// each batch its stages hand it (Spares.Take) and leaves a spare in its
+// place, and the consumer hands a morsel's batches back once it has read
+// them. Re-cutting a probe's output into full batches copies no values:
+// the cut views the workers' batches (Batch.View).
 
 // morselRows is the exchange's unit of work, a run of stored rows: one
 // scan batch.
@@ -46,11 +53,13 @@ func (j *joinIter) setInput(in BatchIter) {
 }
 
 // item is a morsel to run from stage level on: its stored rows, or the
-// rows it was read ahead to (owned, batch by batch) before a table was
-// ready.
+// batches it was read ahead to before a table was ready (spares of its
+// own). A morsel read ahead at level 0 keeps no batch: its stored rows are
+// its read-ahead, and their scan was charged then (scanned).
 type item struct {
 	m, level int
-	ahead    [][]sqltypes.Row
+	ahead    []sqltypes.Batch
+	scanned  bool
 }
 
 // result is a morsel's output, once ok.
@@ -61,6 +70,7 @@ type result struct {
 }
 
 type exchange struct {
+	st       *statement
 	sp       *spine
 	rows     []sqltypes.Row
 	n        int  // morsels
@@ -83,12 +93,12 @@ type exchange struct {
 	results  []result // a ring: morsel m's output at m % len
 	head     int      // the morsel the consumer is at
 	closing  bool
-	free     []sqltypes.Batch
 
 	// The consumer's side.
 	cur     *result
-	bi, ri  int // next batch of cur, next row of it
-	out     sqltypes.Batch
+	bi, ri  int               // next batch of cur, next row of it
+	out     sqltypes.Batch    // a re-cut batch: views of the workers' batches
+	read    []*sqltypes.Batch // read up to the last Next: handed back by the next one
 	settled bool
 	err     error
 }
@@ -97,19 +107,20 @@ type exchange struct {
 // table is built, as openJoin does; a build's error (the lowest join's)
 // fails the open. No goroutine outlives the exchange's Close, nor a failed
 // open.
-func openExchange(sp *spine, workers int, cpu *sync.Mutex) (BatchIter, error) {
+func openExchange(sp *spine, workers int, st *statement) (BatchIter, error) {
 	x := &exchange{
+		st:       st,
 		sp:       sp,
 		coalesce: sp.probes(),
 		tables:   make([]*joinTable, len(sp.stages)),
 		probes:   make([]*cpuThrottle, len(sp.stages)),
 	}
 	x.cond = sync.NewCond(&x.mu)
-	for s, st := range sp.stages {
-		if st.join != nil {
+	for s, stage := range sp.stages {
+		if stage.join != nil {
 			x.building++
 			x.wg.Add(1)
-			go x.build(s, st.join, cpu)
+			go x.build(s, stage.join)
 		}
 	}
 	rows, err := sp.rows()
@@ -123,7 +134,7 @@ func openExchange(sp *spine, workers int, cpu *sync.Mutex) (BatchIter, error) {
 	workers = max(1, min(workers, x.n/2)) // the rows may be fewer than estimated
 	x.window = 4 * workers
 	x.results = make([]result, x.window+pullAheadBatches)
-	x.scan = (&cpuThrottle{nsPerRow: sp.scanNs, cpu: cpu}).share()
+	x.scan = st.throttle(sp.scanNs).share()
 	for range workers {
 		x.wg.Add(1)
 		go x.work()
@@ -142,9 +153,9 @@ func openExchange(sp *spine, workers int, cpu *sync.Mutex) (BatchIter, error) {
 }
 
 // build drains stage s's build side into its table.
-func (x *exchange) build(s int, spec *joinSpec, cpu *sync.Mutex) {
+func (x *exchange) build(s int, spec *joinSpec) {
 	defer x.wg.Done()
-	r := spec.drainBuild(cpu)
+	r := spec.drainBuild(x.st)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.building--
@@ -163,23 +174,20 @@ func (x *exchange) build(s int, spec *joinSpec, cpu *sync.Mutex) {
 type pipeline struct {
 	scan   scanIter
 	feed   aheadIter
-	carves bool         // the last stage writes its rows into its batch's slab, as a filter does not
 	stages []stageIter  // a join's once its table is ready
 	tables []*joinTable // the worker's view of x.tables
-	free   []sqltypes.Batch
+	spares *sqltypes.Spares
 }
 
 // work runs items until none are left or the exchange closes.
 func (x *exchange) work() {
 	defer x.wg.Done()
-	p := &pipeline{stages: make([]stageIter, len(x.sp.stages)), tables: make([]*joinTable, len(x.sp.stages))}
-	p.scan.throttle = x.scan
-	for s, st := range x.sp.stages {
-		if st.join == nil {
-			p.stages[s] = st.newIter()
+	p := &pipeline{stages: make([]stageIter, len(x.sp.stages)), tables: make([]*joinTable, len(x.sp.stages)), spares: &x.st.spares}
+	for s, stage := range x.sp.stages {
+		if stage.join == nil {
+			p.stages[s] = stage.newIter(x.st)
 		}
 	}
-	p.carves = !x.sp.stages[len(x.sp.stages)-1].filters
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for {
@@ -189,11 +197,11 @@ func (x *exchange) work() {
 		}
 		x.running++
 		x.mu.Unlock()
-		level, ahead, batches, err := x.run(p, it)
+		wait, batches, err := x.run(p, it)
 		x.mu.Lock()
 		x.running--
-		if len(ahead) > 0 {
-			x.stash = append(x.stash, item{m: it.m, level: level, ahead: ahead})
+		if wait != nil {
+			x.stash = append(x.stash, *wait)
 		} else {
 			x.results[it.m%len(x.results)] = result{batches: batches, err: err, ok: true}
 			if err != nil {
@@ -205,18 +213,14 @@ func (x *exchange) work() {
 }
 
 // take picks a worker's next item, under x.mu: a morsel read ahead whose
-// table is now ready, else the next morsel if the worker may run that far
-// ahead, else it waits. It reports false once nothing is left or the
-// exchange closes.
+// table is now ready and that is inside the window, else the next morsel
+// if the worker may run that far ahead, else it waits. It reports false
+// once nothing is left or the exchange closes.
 func (x *exchange) take(p *pipeline) (item, bool) {
 	for !x.closing {
 		copy(p.tables, x.tables)
-		for n := len(p.free); n < 8 && len(x.free) > 0; n++ {
-			p.free = append(p.free, x.free[len(x.free)-1])
-			x.free = x.free[:len(x.free)-1]
-		}
 		for i, it := range x.stash {
-			if x.tables[it.level] != nil {
+			if x.tables[it.level] != nil && it.m < x.head+x.window {
 				x.stash = append(x.stash[:i], x.stash[i+1:]...)
 				return it, true
 			}
@@ -236,42 +240,58 @@ func (x *exchange) take(p *pipeline) (item, bool) {
 }
 
 // run takes an item through the stages and returns the output batches,
-// owned. An item that meets a join whose table is not ready yet stops
-// there: run returns that level and the rows so far, owned (none: the
-// morsel has no output).
-func (x *exchange) run(p *pipeline, it item) (level int, ahead [][]sqltypes.Row, out []sqltypes.Batch, err error) {
+// taken over. An item that meets a join whose table is not ready yet stops
+// there: run returns it read ahead to that level, to wait (none when no
+// row is left: the morsel has no output).
+func (x *exchange) run(p *pipeline, it item) (wait *item, out []sqltypes.Batch, err error) {
 	var in BatchIter
 	if it.ahead == nil {
 		lo := it.m * morselRows
 		p.scan.rows = x.rows[lo:min(lo+morselRows, len(x.rows))]
+		p.scan.throttle = x.scan
+		if it.scanned {
+			p.scan.throttle = nil
+		}
 		in = &p.scan
 	} else {
-		p.feed = aheadIter{batches: it.ahead, eof: true}
+		p.feed = aheadIter{batches: it.ahead, eof: true, spares: p.spares}
 		in = &p.feed
 	}
-	for level = it.level; level < len(p.stages); level++ {
+	for level := it.level; level < len(p.stages); level++ {
 		if join := x.sp.stages[level].join; join != nil && p.stages[level] == nil {
 			t := p.tables[level]
 			if t == nil {
-				ahead, err = readAhead(in)
-				return level, ahead, nil, err
+				wait = &item{m: it.m, level: level}
+				if level == 0 {
+					// The stored rows are the read-ahead: their scan is
+					// charged now, as reading them would, and not again.
+					x.scan.charge(int64(len(p.scan.rows)))
+					wait.scanned = true
+					return wait, nil, nil
+				}
+				if wait.ahead, err = readAhead(in, p.spares); err != nil || len(wait.ahead) == 0 {
+					return nil, nil, err
+				}
+				return wait, nil, nil
 			}
 			x.mu.Lock()
 			throttle := x.probes[level]
 			x.mu.Unlock()
-			p.stages[level] = join.newIter(nil, t, throttle)
+			// A worker's output batches hold a morsel's share of the
+			// join's rows.
+			p.stages[level] = join.newIter(nil, t, throttle, p.spares, join.est*morselRows/max(x.sp.size, 1))
 		}
 		p.stages[level].setInput(in)
 		in = p.stages[level]
 	}
 	out, err = p.keep(in)
-	return level, nil, out, err
+	return nil, out, err
 }
 
-// readAhead drains the iterator into owned rows, as openJoin reads a probe
-// side ahead.
-func readAhead(in BatchIter) ([][]sqltypes.Row, error) {
-	var ahead [][]sqltypes.Row
+// readAhead drains the iterator into spare batches of their own (owned),
+// as openJoin reads a probe side ahead.
+func readAhead(in BatchIter, spares *sqltypes.Spares) ([]sqltypes.Batch, error) {
+	var ahead []sqltypes.Batch
 	for {
 		b, err := in.Next()
 		if err == io.EOF {
@@ -280,13 +300,12 @@ func readAhead(in BatchIter) ([][]sqltypes.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ahead = append(ahead, b.AppendOwned(make([]sqltypes.Row, 0, len(b.Rows))))
+		ahead = append(ahead, owned(b, spares))
 	}
 }
 
-// keep drains the iterator, taking each batch over from its producer and
-// leaving a spare one in its place: one the consumer is done with, or a
-// new one as large as the batch it replaces.
+// keep drains the iterator, taking each batch over from its producer,
+// which finds a spare in its place (Spares.Take).
 func (p *pipeline) keep(in BatchIter) ([]sqltypes.Batch, error) {
 	var out []sqltypes.Batch
 	for {
@@ -297,33 +316,17 @@ func (p *pipeline) keep(in BatchIter) ([]sqltypes.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *b)
-		if n := len(p.free); n > 0 {
-			*b, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			*b = sqltypes.Batch{Rows: make([]sqltypes.Row, 0, len(out[len(out)-1].Rows))}
-			if p.carves {
-				values := 0
-				for _, r := range out[len(out)-1].Rows {
-					values += len(r)
-				}
-				b.Grow(values)
-			}
-		}
+		out = append(out, p.spares.Take(b))
 	}
 }
 
-// advance moves the consumer to the next morsel with output, recycling the
-// one it leaves. It reports false at the end of the stream.
+// advance moves the consumer to the next morsel with output. It reports
+// false at the end of the stream.
 func (x *exchange) advance() (bool, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for {
 		if x.cur != nil {
-			for i := range x.cur.batches {
-				x.cur.batches[i].Reset()
-				x.free = append(x.free, x.cur.batches[i])
-			}
 			*x.cur, x.cur = result{}, nil
 			x.head++
 			x.cond.Broadcast()
@@ -349,26 +352,27 @@ func (x *exchange) Next() (*sqltypes.Batch, error) {
 	if x.err != nil {
 		return nil, x.err
 	}
+	x.handBack()
 	if x.coalesce {
-		x.out.Reset()
+		x.st.spares.Refill(&x.out, sqltypes.BatchRows, 0)
 	}
 	for !x.coalesce || len(x.out.Rows) < sqltypes.BatchRows {
 		if x.cur != nil && x.bi < len(x.cur.batches) {
 			b := &x.cur.batches[x.bi]
 			// A batch is handed on as it is unless it is to be merged:
-			// a worker's full join batch that starts a serial one needs
-			// no copy.
+			// a worker's full join batch that starts a serial one is
+			// handed on whole.
 			if !x.coalesce || len(x.out.Rows) == 0 && x.ri == 0 && len(b.Rows) == sqltypes.BatchRows {
 				x.bi++
+				x.read = append(x.read, b)
 				return b, nil
 			}
 			rows := b.Rows[x.ri:]
 			rows = rows[:min(len(rows), sqltypes.BatchRows-len(x.out.Rows))]
-			for _, r := range rows {
-				copy(x.out.NewRow(len(r)), r)
-			}
+			x.out.View(b, rows)
 			if x.ri += len(rows); x.ri == len(b.Rows) {
 				x.bi, x.ri = x.bi+1, 0
+				x.read = append(x.read, b)
 			}
 			continue
 		}
@@ -398,6 +402,16 @@ func (x *exchange) Next() (*sqltypes.Batch, error) {
 	return nil, io.EOF
 }
 
+// handBack hands the batches read in full back to the spares: the
+// consumer has moved on from them, and no cut views them any more.
+func (x *exchange) handBack() {
+	for i, b := range x.read {
+		x.st.spares.Put(b)
+		x.read[i] = nil
+	}
+	x.read = x.read[:0]
+}
+
 // Close stops the workers and waits for them and for any build still
 // running.
 func (x *exchange) Close() error {
@@ -406,5 +420,7 @@ func (x *exchange) Close() error {
 	x.cond.Broadcast()
 	x.mu.Unlock()
 	x.wg.Wait()
+	x.handBack()
+	x.st.spares.Put(&x.out)
 	return nil
 }

@@ -6,10 +6,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"xdb/internal/sqltypes"
 	"xdb/internal/tpch"
@@ -285,5 +287,75 @@ func TestComputeStatsMatchesOnePass(t *testing.T) {
 	}
 	if got, want := ComputeStats(mixed, rows), refComputeStats(mixed, rows); !reflect.DeepEqual(got, want) {
 		t.Errorf("mixed:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// probeSpineSQL is the last task of TPC-H Q5 in miniature: stored rows,
+// filtered, probe a small foreign build side, and an aggregate sits above.
+const probeSpineSQL = "SELECT fd.g, SUM(big.v), COUNT(*) FROM big, fd WHERE big.k = fd.k AND big.g < 5 GROUP BY fd.g"
+
+// probeSpineHold is how late probeSpineEngine's build side opens: longer
+// than reading 64 morsels ahead takes.
+const probeSpineHold = 50 * time.Millisecond
+
+// probeSpineEngine loads big, morsels morsels of stored rows, and declares
+// fd, a foreign build side of 300 rows whose stream opens only after
+// probeSpineHold: meanwhile the probe side is read ahead as far as it may
+// go.
+func probeSpineEngine(tb testing.TB, morsels int) *Engine {
+	tb.Helper()
+	remote := &stagedRemote{rels: map[string]*stagedRel{"rd": {rows: boundaryRows(300, 1), openDelay: probeSpineHold}}}
+	e := stagedEngine(tb, Profiles(VendorTest), remote, foreignDDL("fd", "rd", 300, false))
+	if err := e.LoadTable("big", boundarySchema, boundaryRows(morsels*morselRows, 0)); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestProbeSpineAllocsBoundedByWindow: a statement recycles its batch
+// memory. After a warm-up, what one execution of a Q5-shaped statement
+// allocates is bounded by its read-ahead, its window and its build — not
+// by how many morsels its probe side has — serially and on an exchange of
+// two workers, with the probe side filtered (its read-ahead copies row
+// headers) and not (its stored rows are its read-ahead). When every morsel
+// read ahead ran at once, each with fresh output batches, an execution
+// allocated several times the bound.
+func TestProbeSpineAllocsBoundedByWindow(t *testing.T) {
+	const (
+		rowBytes = int(unsafe.Sizeof(sqltypes.Row{}))
+		outBytes = sqltypes.BatchRows * (rowBytes + 2*int(unsafe.Sizeof(sqltypes.Value{}))) // a full join batch: fd.g, big.v
+	)
+	perExec := func(e *Engine, sql string) uint64 {
+		var ms runtime.MemStats
+		var per []uint64
+		for range 4 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if _, err := e.QueryAll(sql); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			per = append(per, ms.TotalAlloc-before)
+		}
+		per = per[1:] // the first execution warms up
+		slices.Sort(per)
+		return per[1]
+	}
+	small, large := probeSpineEngine(t, 100), probeSpineEngine(t, 200)
+	for _, sql := range []string{probeSpineSQL, strings.Replace(probeSpineSQL, " AND big.g < 5", "", 1)} {
+		for _, w := range []int{1, 2} {
+			withWorkers(w, func() {
+				window := 4 * w
+				bound := uint64(pullAheadBatches*sqltypes.BatchRows*rowBytes + 4*window*outBytes + 1<<20)
+				a, b := perExec(small, sql), perExec(large, sql)
+				t.Logf("%d workers, %s: %d KiB at 100 morsels, %d KiB at 200 (bound %d KiB)", w, sql, a>>10, b>>10, bound>>10)
+				if a > bound || b > bound {
+					t.Errorf("%d workers, %s: an execution allocates %d KiB at 100 morsels and %d KiB at 200, over the %d KiB its read-ahead, window and build account for", w, sql, a>>10, b>>10, bound>>10)
+				}
+				if 2*b > 3*a {
+					t.Errorf("%d workers, %s: twice the probe rows took %d KiB, not about the %d KiB of half of them", w, sql, b>>10, a>>10)
+				}
+			})
+		}
 	}
 }

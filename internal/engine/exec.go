@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"xdb/internal/sqltypes"
 )
@@ -14,10 +13,11 @@ import (
 // moves up to sqltypes.BatchRows rows. Next returns a non-empty batch, or
 // io.EOF after the last one. The batch is the producer's: it and the rows
 // it carries are valid until the following Next or Close, and until then
-// the caller may reorder or truncate batch.Rows in place; rows kept longer
-// go through Batch.AppendOwned. Iterators are single-use and not safe for
-// concurrent use; Close releases any resources (remote connections for
-// foreign scans) and must be called exactly once.
+// the caller may read them and truncate batch.Rows, never write into it;
+// rows kept longer go through Batch.AppendOwned. Iterators are single-use
+// and not safe for concurrent use; Close releases any resources (remote
+// connections for foreign scans, batches back to the statement's spares)
+// and must be called exactly once.
 type BatchIter interface {
 	Next() (*sqltypes.Batch, error)
 	Close() error
@@ -41,7 +41,8 @@ func Drain(it BatchIter) ([]sqltypes.Row, error) {
 
 // rowsIter emits rows an operator materialized and owns (a sort, an
 // aggregate, a constant SELECT). Each batch aliases the next run of the
-// slice, so nothing is copied.
+// slice, so nothing is copied; its Rows array is the slice's, so the batch
+// is never handed back to the statement's spares.
 type rowsIter struct {
 	rows  []sqltypes.Row
 	batch sqltypes.Batch
@@ -60,8 +61,9 @@ func (s *rowsIter) Close() error { return nil }
 
 // scanIter scans stored rows (a base table, a materialized foreign table)
 // under the vendor CPU throttle. The rows are shared with every other
-// query, so each batch gets a copy of the row headers that downstream
-// operators may compact in place; the values are never copied.
+// query and never written to, so each batch is the next run of them: no
+// row, not even its header, is copied. Like rowsIter's, the batch's Rows
+// array is not its own, so it is never handed back.
 type scanIter struct {
 	rows     []sqltypes.Row
 	throttle *cpuThrottle
@@ -74,19 +76,20 @@ func (s *scanIter) Next() (*sqltypes.Batch, error) {
 		return nil, io.EOF
 	}
 	n := min(len(s.rows), sqltypes.BatchRows)
-	s.batch.Rows = append(s.batch.Rows[:0], s.rows[:n]...)
-	s.rows = s.rows[n:]
+	s.batch.Rows, s.rows = s.rows[:n:n], s.rows[n:]
 	s.throttle.charge(int64(n))
 	return &s.batch, nil
 }
 
 func (s *scanIter) Close() error { return nil }
 
-// filterIter keeps the rows of each input batch that satisfy the
-// predicate, compacting the batch in place.
+// filterIter hands on the rows of each input batch that satisfy the
+// predicate, in a batch of its own that views them (Batch.View).
 type filterIter struct {
-	in   BatchIter
-	pred compiledPred
+	in     BatchIter
+	pred   compiledPred
+	spares *sqltypes.Spares
+	out    sqltypes.Batch
 }
 
 func (f *filterIter) Next() (*sqltypes.Batch, error) {
@@ -95,33 +98,37 @@ func (f *filterIter) Next() (*sqltypes.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		kept := b.Rows[:0]
+		f.spares.Refill(&f.out, len(b.Rows), 0)
+		f.out.View(b, nil)
 		for _, r := range b.Rows {
 			ok, err := f.pred(r)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				kept = append(kept, r)
+				f.out.Rows = append(f.out.Rows, r)
 			}
 		}
-		if len(kept) > 0 {
-			b.Rows = kept
-			return b, nil
+		if len(f.out.Rows) > 0 {
+			return &f.out, nil
 		}
 	}
 }
 
-func (f *filterIter) Close() error { return f.in.Close() }
+func (f *filterIter) Close() error {
+	f.spares.Put(&f.out)
+	return f.in.Close()
+}
 
 // projectIter evaluates the output expressions over each input batch into
 // rows of its own slab. cols is set when every expression is a bare
 // column, which turns evaluation into a gather.
 type projectIter struct {
-	in    BatchIter
-	exprs []compiledExpr
-	cols  []int
-	out   sqltypes.Batch
+	in     BatchIter
+	exprs  []compiledExpr
+	cols   []int
+	spares *sqltypes.Spares
+	out    sqltypes.Batch
 }
 
 func (p *projectIter) Next() (*sqltypes.Batch, error) {
@@ -129,8 +136,7 @@ func (p *projectIter) Next() (*sqltypes.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.out.Reset()
-	p.out.Grow(len(b.Rows) * len(p.exprs))
+	p.spares.Refill(&p.out, len(b.Rows), len(b.Rows)*len(p.exprs))
 	for _, r := range b.Rows {
 		o := p.out.NewRow(len(p.exprs))
 		if p.cols != nil {
@@ -148,7 +154,10 @@ func (p *projectIter) Next() (*sqltypes.Batch, error) {
 	return &p.out, nil
 }
 
-func (p *projectIter) Close() error { return p.in.Close() }
+func (p *projectIter) Close() error {
+	p.spares.Put(&p.out)
+	return p.in.Close()
+}
 
 // joinOutput is what a join does with a candidate pair of rows: evaluate
 // the residual on probe||build, and emit the columns the plan above reads
@@ -161,10 +170,12 @@ type joinOutput struct {
 	out       sqltypes.Batch
 }
 
-// expect sizes the first output slab for the planner's row estimate, so a
-// join that fills its batches does not grow there by doubling.
-func (o *joinOutput) expect(est float64) {
-	o.out.Grow(int(min(est, sqltypes.BatchRows)) * (len(o.probeCols) + len(o.buildCols)))
+// expect takes the first output batch from the spares, sized for the
+// planner's row estimate, so that a join that fills its batches does not
+// grow there by doubling.
+func (o *joinOutput) expect(est float64, spares *sqltypes.Spares) {
+	n := int(min(est, sqltypes.BatchRows))
+	o.out = spares.Get(n, n*(len(o.probeCols)+len(o.buildCols)))
 }
 
 // setProbe loads the probe row of the pairs to come.
@@ -201,12 +212,17 @@ func (o *joinOutput) full() bool { return len(o.out.Rows) >= sqltypes.BatchRows 
 // are 1-based; 0 ends a chain. Without keys every row hashes alike and the
 // one chain is the whole input: a nested loop. A table is immutable once
 // built: every worker of a morsel exchange probes the same one.
+//
+// The rows are kept in chunks of BatchRows, so that a table never grows by
+// copying: row i is chunks[i/BatchRows][i%BatchRows]. Only the first chunk
+// starts smaller, at the planner's estimate, and grows up to BatchRows.
 type joinTable struct {
-	rows  []sqltypes.Row
-	keys  []int
-	heads []int32
-	next  []int32
-	shift uint
+	chunks [][]sqltypes.Row
+	n      int // rows
+	keys   []int
+	heads  []int32
+	next   []int32
+	shift  uint
 	// Key columns holding only Int and Date values are looked up by their
 	// int64 payloads, len(keys) per row in ints; anything else by HashRow
 	// and RowsEqualOn, which keep int 3 = float 3.0.
@@ -231,11 +247,14 @@ func hasNull(r sqltypes.Row, keys []int) bool {
 	return false
 }
 
-// newJoinTable consumes the build input. Hashing a row is a unit of work;
-// merely storing it for a nested loop is not.
-func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTable, error) {
+// newJoinTable consumes the build input, whose planned size is est, into
+// chunks taken from the spares. Hashing a row is a unit of work; merely
+// storing it for a nested loop is not.
+func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle, est float64, spares *sqltypes.Spares) (*joinTable, error) {
 	defer build.Close()
 	t := &joinTable{keys: keys, intKeyed: len(keys) > 0}
+	var own sqltypes.Batch // the rows of the batch at hand, owned
+	defer spares.Put(&own)
 	for {
 		b, err := build.Next()
 		if err == io.EOF {
@@ -247,26 +266,44 @@ func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle) (*joinTabl
 		if len(keys) > 0 {
 			throttle.charge(int64(len(b.Rows)))
 		}
-		kept := b.Rows[:0]
-		for _, r := range b.Rows {
+		spares.Refill(&own, len(b.Rows), 0)
+		own.Rows = b.AppendOwned(own.Rows)
+		for _, r := range own.Rows {
 			if hasNull(r, keys) {
 				continue
 			}
-			kept = append(kept, r)
 			for _, k := range keys {
 				t.intKeyed = t.intKeyed && intFamily(r[k])
 			}
+			t.add(r, est, spares)
 		}
-		b.Rows = kept
-		t.rows = b.AppendOwned(t.rows)
 	}
 	t.index()
 	return t, nil
 }
 
+// add appends an owned row to the chunks.
+func (t *joinTable) add(r sqltypes.Row, est float64, spares *sqltypes.Spares) {
+	if t.n%sqltypes.BatchRows == 0 {
+		room := sqltypes.BatchRows
+		if t.n == 0 {
+			room = int(min(max(est, 1), sqltypes.BatchRows))
+		}
+		t.chunks = append(t.chunks, spares.Get(room, 0).Rows)
+	}
+	last := &t.chunks[len(t.chunks)-1]
+	*last = append(*last, r)
+	t.n++
+}
+
+// row returns row i, counted from 0.
+func (t *joinTable) row(i int32) sqltypes.Row {
+	return t.chunks[uint32(i)/sqltypes.BatchRows][uint32(i)%sqltypes.BatchRows]
+}
+
 // index builds the buckets.
 func (t *joinTable) index() {
-	n, k := len(t.rows), len(t.keys)
+	n, k := t.n, len(t.keys)
 	bits := uint(1)
 	for 1<<bits < 2*n {
 		bits++
@@ -284,11 +321,11 @@ func (t *joinTable) index() {
 		if t.intKeyed {
 			key := t.ints[i*k : (i+1)*k]
 			for j, c := range t.keys {
-				key[j] = t.rows[i][c].I
+				key[j] = t.row(int32(i))[c].I
 			}
 			h = intsHash(key)
 		} else {
-			h = sqltypes.HashRow(t.rows[i], t.keys)
+			h = sqltypes.HashRow(t.row(int32(i)), t.keys)
 			t.hashes[i] = h
 		}
 		t.next[i] = t.heads[h>>t.shift]
@@ -325,6 +362,7 @@ type joinIter struct {
 	probeKeys []int
 	joinOutput
 	throttle *cpuThrottle
+	spares   *sqltypes.Spares
 	perProbe int64 // work per probe row: one lookup, or one pairing per build row
 
 	in   *sqltypes.Batch // current probe batch
@@ -352,13 +390,13 @@ type joinIter struct {
 const pullAheadBatches = 64
 
 // joinSpec is a join as planned: how to open its build input, the key
-// columns of each side, what it emits, its row estimate and the vendor's
-// rate.
+// columns of each side, what it emits, its row estimate and its build
+// side's, and the vendor's rate.
 type joinSpec struct {
 	build                opener
 	probeKeys, buildKeys []int
 	out                  joinOutput
-	est                  float64
+	est, buildEst        float64
 	nsPerRow             int64
 }
 
@@ -371,22 +409,24 @@ type built struct {
 }
 
 // drainBuild opens the build input and drains it into the table.
-func (s *joinSpec) drainBuild(cpu *sync.Mutex) built {
-	r := built{throttle: &cpuThrottle{nsPerRow: s.nsPerRow, cpu: cpu}}
-	b, err := s.build(cpu)
+func (s *joinSpec) drainBuild(st *statement) built {
+	r := built{throttle: st.throttle(s.nsPerRow)}
+	b, err := s.build(st)
 	if err == nil {
-		r.table, err = newJoinTable(b, s.buildKeys, r.throttle)
+		r.table, err = newJoinTable(b, s.buildKeys, r.throttle, s.buildEst, &st.spares)
 	}
 	r.err = err
 	return r
 }
 
-// newIter probes the table with the rows of probe, charging throttle.
-func (s *joinSpec) newIter(probe BatchIter, t *joinTable, throttle *cpuThrottle) *joinIter {
-	j := &joinIter{probe: probe, table: t, probeKeys: s.probeKeys, joinOutput: s.out, throttle: throttle, perProbe: 1, curI: make([]int64, len(s.probeKeys))}
-	j.expect(s.est)
+// newIter probes the table with the rows of probe, charging throttle, and
+// emits into batches of the statement's spares, the first sized for est
+// rows.
+func (s *joinSpec) newIter(probe BatchIter, t *joinTable, throttle *cpuThrottle, spares *sqltypes.Spares, est float64) *joinIter {
+	j := &joinIter{probe: probe, table: t, probeKeys: s.probeKeys, joinOutput: s.out, throttle: throttle, spares: spares, perProbe: 1, curI: make([]int64, len(s.probeKeys))}
+	j.expect(est, spares)
 	if len(s.buildKeys) == 0 {
-		j.perProbe = int64(len(t.rows))
+		j.perProbe = int64(t.n)
 	}
 	return j
 }
@@ -395,17 +435,17 @@ func (s *joinSpec) newIter(probe BatchIter, t *joinTable, throttle *cpuThrottle)
 // goroutine never outlives openJoin: every path waits for it. On an error
 // the other side is closed before openJoin returns; a table built for a
 // failed probe side is discarded (its input is closed once drained).
-func openJoin(probeOpen opener, s *joinSpec, cpu *sync.Mutex) (*joinIter, error) {
+func openJoin(probeOpen opener, s *joinSpec, st *statement) (*joinIter, error) {
 	ready := make(chan built, 1)
-	go func() { ready <- s.drainBuild(cpu) }()
-	probe, err := probeOpen(cpu)
+	go func() { ready <- s.drainBuild(st) }()
+	probe, err := probeOpen(st)
 	if err != nil {
 		<-ready
 		return nil, err
 	}
 	// Read ahead while the table is not ready: len(ready) is 1 once the
-	// build goroutine has sent.
-	ahead := &aheadIter{in: probe}
+	// build goroutine has sent. The row headers go to spare batches.
+	ahead := &aheadIter{in: probe, spares: &st.spares}
 	for n := 0; n < pullAheadBatches && !ahead.eof && len(ready) == 0; n++ {
 		b, err := probe.Next()
 		switch {
@@ -416,7 +456,7 @@ func openJoin(probeOpen opener, s *joinSpec, cpu *sync.Mutex) (*joinIter, error)
 			probe.Close()
 			return nil, err
 		default:
-			ahead.batches = append(ahead.batches, b.AppendOwned(make([]sqltypes.Row, 0, len(b.Rows))))
+			ahead.batches = append(ahead.batches, owned(b, &st.spares))
 		}
 	}
 	r := <-ready
@@ -424,21 +464,33 @@ func openJoin(probeOpen opener, s *joinSpec, cpu *sync.Mutex) (*joinIter, error)
 		probe.Close()
 		return nil, r.err
 	}
-	return s.newIter(ahead, r.table, r.throttle), nil
+	return s.newIter(ahead, r.table, r.throttle, &st.spares, s.est), nil
 }
 
-// aheadIter is a join's probe input: the batches openJoin read ahead, as
-// the probe produced them, then the rest of the stream.
+// owned returns the batch's rows in a spare batch of their own: the row
+// headers copied, the values kept (AppendOwned).
+func owned(b *sqltypes.Batch, spares *sqltypes.Spares) sqltypes.Batch {
+	spare := spares.Get(len(b.Rows), 0)
+	spare.Rows = b.AppendOwned(spare.Rows)
+	return spare
+}
+
+// aheadIter is a join's probe input: the batches read ahead, as the probe
+// produced them, then the rest of the stream (none when eof). It owns the
+// batches read ahead and hands each back to the spares once its consumer
+// has moved on from it.
 type aheadIter struct {
-	batches [][]sqltypes.Row // read ahead and owned; each dropped once handed on
-	batch   sqltypes.Batch
+	batches []sqltypes.Batch
+	batch   sqltypes.Batch // the one handed on last
+	spares  *sqltypes.Spares
 	in      BatchIter
 	eof     bool // in has returned io.EOF
 }
 
 func (a *aheadIter) Next() (*sqltypes.Batch, error) {
+	a.spares.Put(&a.batch)
 	if len(a.batches) > 0 {
-		a.batch.Rows, a.batches[0] = a.batches[0], nil
+		a.batch, a.batches[0] = a.batches[0], sqltypes.Batch{}
 		a.batches = a.batches[1:]
 		return &a.batch, nil
 	}
@@ -478,7 +530,7 @@ func (j *joinIter) seek(r sqltypes.Row) {
 	switch {
 	case !j.all:
 		j.m = t.heads[intsHash(j.curI)>>t.shift]
-	case len(t.rows) > 0:
+	case t.n > 0:
 		j.m = 1
 	}
 }
@@ -488,7 +540,7 @@ func (j *joinIter) matches(i int32) bool {
 	t := j.table
 	switch {
 	case j.all:
-		return sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+		return sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
 	case t.intKeyed:
 		k := len(j.curI)
 		for x, v := range t.ints[int(i)*k : int(i+1)*k] {
@@ -496,9 +548,9 @@ func (j *joinIter) matches(i int32) bool {
 				return false
 			}
 		}
-		return !j.verify || sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+		return !j.verify || sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
 	default:
-		return t.hashes[i] == j.curH && sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.rows[i], t.keys)
+		return t.hashes[i] == j.curH && sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
 	}
 }
 
@@ -509,14 +561,14 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 		for j.m != 0 {
 			i := j.m - 1
 			if j.all {
-				j.m = (j.m + 1) % int32(len(t.rows)+1)
+				j.m = (j.m + 1) % int32(t.n+1)
 			} else {
 				j.m = t.next[i]
 			}
 			if !j.matches(i) {
 				continue
 			}
-			if err := j.emit(j.cur, t.rows[i]); err != nil {
+			if err := j.emit(j.cur, t.row(i)); err != nil {
 				return nil, err
 			}
 			if j.full() {
@@ -547,7 +599,10 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 	return &j.out, nil
 }
 
-func (j *joinIter) Close() error { return j.probe.Close() }
+func (j *joinIter) Close() error {
+	j.spares.Put(&j.out)
+	return j.probe.Close()
+}
 
 // aggSpec describes one aggregate to compute.
 type aggSpec struct {

@@ -24,13 +24,13 @@ func allCols() joinOutput { return joinOutput{probeCols: []int{0}, buildCols: []
 
 // opened is an opener handing out an iterator that is already open.
 func opened(it BatchIter) opener {
-	return func(*sync.Mutex) (BatchIter, error) { return it, nil }
+	return func(*statement) (BatchIter, error) { return it, nil }
 }
 
 // joinOf joins two open one-column iterators, unthrottled, as a statement
 // of its own.
 func joinOf(probe, build BatchIter, probeKeys, buildKeys []int) (*joinIter, error) {
-	return openJoin(opened(probe), &joinSpec{build: opened(build), probeKeys: probeKeys, buildKeys: buildKeys, out: allCols(), est: 1}, new(sync.Mutex))
+	return openJoin(opened(probe), &joinSpec{build: opened(build), probeKeys: probeKeys, buildKeys: buildKeys, out: allCols(), est: 1}, new(statement))
 }
 
 func TestRowsIterAndDrain(t *testing.T) {

@@ -125,7 +125,7 @@ func foreignDDL(name, remote string, rows int, materialize bool) string {
 
 // stagedEngine is an engine with the given profile over the remote,
 // running the DDL after declaring server s.
-func stagedEngine(t *testing.T, profile Profile, remote RemoteQuerier, ddl ...string) *Engine {
+func stagedEngine(t testing.TB, profile Profile, remote RemoteQuerier, ddl ...string) *Engine {
 	t.Helper()
 	e := New(Config{Name: "j", Profile: &profile, Remote: remote})
 	for _, stmt := range append([]string{"CREATE SERVER s FOREIGN DATA WRAPPER xdb OPTIONS (host 'h', port '1')"}, ddl...) {

@@ -27,10 +27,25 @@ type planNode struct {
 	spine  *spine // set when the node heads a probe spine
 }
 
-// opener opens a plan node's iterator for one execution. cpu is the
-// executing statement's token, which every throttle of the execution
-// sleeps under (see cpuThrottle).
-type opener func(cpu *sync.Mutex) (BatchIter, error)
+// opener opens a plan node's iterator for one execution, the statement
+// st.
+type opener func(st *statement) (BatchIter, error)
+
+// statement is one execution of a SELECT (Engine.QuerySelect) with
+// everything it opens: its joins, exchanges and their workers, read-ahead,
+// projections and scans. Every throttle of the execution sleeps under its
+// one token (see cpuThrottle), and its operators hand the batches they are
+// done with back to its spares. Nothing of it is kept once the execution
+// ends.
+type statement struct {
+	cpu    sync.Mutex
+	spares sqltypes.Spares
+}
+
+// throttle is a throttle at nsPerRow under the statement's token.
+func (st *statement) throttle(nsPerRow int64) *cpuThrottle {
+	return &cpuThrottle{nsPerRow: nsPerRow, cpu: &st.cpu}
+}
 
 // spine is the probe spine a plan node heads: stored rows (a base table,
 // or a materialized foreign table once fetched) streamed up through
@@ -49,7 +64,7 @@ type spine struct {
 // filter or projection that each worker makes its own copy of.
 type spineStage struct {
 	join    *joinSpec
-	newIter func() stageIter
+	newIter func(st *statement) stageIter
 	filters bool
 }
 
@@ -82,12 +97,12 @@ func (n *planNode) headed(sp *spine) *planNode {
 	n.spine = sp
 	if sp != nil && sp.work {
 		serial := n.open
-		n.open = func(cpu *sync.Mutex) (BatchIter, error) {
+		n.open = func(st *statement) (BatchIter, error) {
 			w := exchangeWorkers()
 			if w < 2 || sp.size < float64(2*w*morselRows) {
-				return serial(cpu)
+				return serial(st)
 			}
-			return openExchange(sp, w, cpu)
+			return openExchange(sp, w, st)
 		}
 	}
 	return n
@@ -210,8 +225,8 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    in.est * 0.9,
 			cost:   in.cost + in.est*cAggTuple,
 			kids:   []*planNode{in},
-			open: func(cpu *sync.Mutex) (BatchIter, error) {
-				it, err := in.open(cpu)
+			open: func(st *statement) (BatchIter, error) {
+				it, err := in.open(st)
 				if err != nil {
 					return nil, err
 				}
@@ -229,8 +244,8 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 			est:    est,
 			cost:   in.cost,
 			kids:   []*planNode{in},
-			open: func(cpu *sync.Mutex) (BatchIter, error) {
-				it, err := in.open(cpu)
+			open: func(st *statement) (BatchIter, error) {
+				it, err := in.open(st)
 				if err != nil {
 					return nil, err
 				}
@@ -261,8 +276,8 @@ func planSort(in *planNode, items []sqlparser.OrderItem, limit int64) (*planNode
 		est:    n,
 		cost:   in.cost + cSortFactor*n*math.Log2(n+2),
 		kids:   []*planNode{in},
-		open: func(cpu *sync.Mutex) (BatchIter, error) {
-			it, err := inOpen(cpu)
+		open: func(st *statement) (BatchIter, error) {
+			it, err := inOpen(st)
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +309,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 		schema: outSchema,
 		est:    1,
 		cost:   1,
-		open: func(*sync.Mutex) (BatchIter, error) {
+		open: func(*statement) (BatchIter, error) {
 			row := make(sqltypes.Row, len(exprs))
 			for i, fn := range exprs {
 				v, err := fn(nil)
@@ -321,8 +336,8 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 			schema: schema,
 			est:    float64(len(rows)),
 			cost:   float64(len(rows)) * cScanTuple,
-			open: func(cpu *sync.Mutex) (BatchIter, error) {
-				return &scanIter{rows: rows, throttle: &cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
+			open: func(st *statement) (BatchIter, error) {
+				return &scanIter{rows: rows, throttle: st.throttle(ns)}, nil
 			},
 		}).headed(&spine{
 			rows:   func() ([]sqltypes.Row, error) { return rows, nil },
@@ -371,7 +386,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	est := f.estRows()
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
-	open := func(*sync.Mutex) (BatchIter, error) {
+	open := func(*statement) (BatchIter, error) {
 		_, it, err := rq.QueryRemote(srv, remoteSQL)
 		if err != nil {
 			return nil, fmt.Errorf("foreign scan %s: %w", f.Name, err)
@@ -387,12 +402,12 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 		cost = est*cForeignTuple + est*cScanTuple
 		ns := e.profile.ScanNsPerRow
 		rows := func() ([]sqltypes.Row, error) { return f.materialized(rq, srv, remoteSQL) }
-		open = func(cpu *sync.Mutex) (BatchIter, error) {
+		open = func(st *statement) (BatchIter, error) {
 			rows, err := rows()
 			if err != nil {
 				return nil, err
 			}
-			return &scanIter{rows: rows, throttle: &cpuThrottle{nsPerRow: ns, cpu: cpu}}, nil
+			return &scanIter{rows: rows, throttle: st.throttle(ns)}, nil
 		}
 		sp = &spine{rows: rows, size: est, scanNs: ns}
 	}
@@ -440,18 +455,18 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 		est:    math.Max(in.est*sel, 1),
 		cost:   in.cost + in.est*cFilterTuple,
 		kids:   []*planNode{in},
-		open: func(cpu *sync.Mutex) (BatchIter, error) {
-			it, err := inOpen(cpu)
+		open: func(st *statement) (BatchIter, error) {
+			it, err := inOpen(st)
 			if err != nil {
 				return nil, err
 			}
-			return &filterIter{in: it, pred: fn}, nil
+			return &filterIter{in: it, pred: fn, spares: &st.spares}, nil
 		},
 	}
 	if in.spine == nil || in.spine.probes() {
 		return node, nil
 	}
-	return node.headed(in.spine.with(spineStage{newIter: func() stageIter { return &filterIter{pred: fn} }, filters: true})), nil
+	return node.headed(in.spine.with(spineStage{newIter: func(st *statement) stageIter { return &filterIter{pred: fn, spares: &st.spares} }, filters: true})), nil
 }
 
 // estimateSelectivity applies textbook selectivity heuristics.
@@ -760,10 +775,10 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 		node.desc = fmt.Sprintf("HashJoin (%d keys)", len(keys))
 		node.cost = cur.cost + right.cost + build.est*cJoinBuild + probe.est*cJoinProbe + node.est*cJoinOut
 	}
-	spec := &joinSpec{build: build.open, probeKeys: probeIdx, buildKeys: buildIdx, out: out, est: node.est, nsPerRow: e.profile.JoinNsPerRow}
+	spec := &joinSpec{build: build.open, probeKeys: probeIdx, buildKeys: buildIdx, out: out, est: node.est, buildEst: build.est, nsPerRow: e.profile.JoinNsPerRow}
 	probeOpen := probe.open
-	node.open = func(cpu *sync.Mutex) (BatchIter, error) {
-		return openJoin(probeOpen, spec, cpu)
+	node.open = func(st *statement) (BatchIter, error) {
+		return openJoin(probeOpen, spec, st)
 	}
 	if probe.spine != nil {
 		node.headed(probe.spine.with(spineStage{join: spec}))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
@@ -76,17 +75,17 @@ func (e *Engine) planSimpleProjection(in *planNode, projections []sqlparser.Sele
 		node.spine = in.spine
 		return node, nil
 	}
-	node.open = func(cpu *sync.Mutex) (BatchIter, error) {
-		it, err := inOpen(cpu)
+	node.open = func(st *statement) (BatchIter, error) {
+		it, err := inOpen(st)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{in: it, exprs: exprs, cols: cols}, nil
+		return &projectIter{in: it, exprs: exprs, cols: cols, spares: &st.spares}, nil
 	}
 	if in.spine == nil || in.spine.probes() {
 		return node, nil
 	}
-	return node.headed(in.spine.with(spineStage{newIter: func() stageIter { return &projectIter{exprs: exprs, cols: cols} }})), nil
+	return node.headed(in.spine.with(spineStage{newIter: func(st *statement) stageIter { return &projectIter{exprs: exprs, cols: cols, spares: &st.spares} }})), nil
 }
 
 // planAggregate plans GROUP BY / aggregate queries.
@@ -206,20 +205,20 @@ func (e *Engine) planAggregate(in *planNode, sel *sqlparser.Select, projections 
 		est:    groups,
 		cost:   in.cost + in.est*cAggTuple + groups*cProjectTuple,
 		kids:   []*planNode{in},
-		open: func(cpu *sync.Mutex) (BatchIter, error) {
-			it, err := inOpen(cpu)
+		open: func(st *statement) (BatchIter, error) {
+			it, err := inOpen(st)
 			if err != nil {
 				return nil, err
 			}
-			agg, err := hashAggregate(it, keyFns, aggSpecs, &cpuThrottle{nsPerRow: ns, cpu: cpu})
+			agg, err := hashAggregate(it, keyFns, aggSpecs, st.throttle(ns))
 			if err != nil {
 				return nil, err
 			}
 			out := agg
 			if havingFn != nil {
-				out = &filterIter{in: out, pred: havingFn}
+				out = &filterIter{in: out, pred: havingFn, spares: &st.spares}
 			}
-			return &projectIter{in: out, exprs: outExprs}, nil
+			return &projectIter{in: out, exprs: outExprs, spares: &st.spares}, nil
 		},
 	}
 	return node, nil
