@@ -49,7 +49,7 @@ type stageIter interface {
 func (f *filterIter) setInput(in BatchIter)  { f.in = in }
 func (p *projectIter) setInput(in BatchIter) { p.in = in }
 func (j *joinIter) setInput(in BatchIter) {
-	j.probe, j.in, j.pos, j.m, j.done = in, nil, 0, 0, false
+	j.probe, j.in, j.head, j.pos, j.m, j.done = in, nil, j.head[:0], 0, 0, false
 }
 
 // item is a morsel to run from stage level on: its stored rows, or the

@@ -322,8 +322,8 @@ func (t *joinTable) index() {
 			key := t.ints[i*k : (i+1)*k]
 			for j, c := range t.keys {
 				key[j] = t.row(int32(i))[c].I
+				h = hashInt(h, key[j])
 			}
-			h = intsHash(key)
 		} else {
 			h = sqltypes.HashRow(t.row(int32(i)), t.keys)
 			t.hashes[i] = h
@@ -333,14 +333,11 @@ func (t *joinTable) index() {
 	}
 }
 
-// intsHash spreads an int64 key list over the table with one multiply per
-// key (the buckets are picked from the top bits).
-func intsHash(key []int64) uint64 {
-	var h uint64
-	for _, k := range key {
-		h = (bits.RotateLeft64(h, 31) ^ uint64(k)) * 0x9e3779b97f4a7c15
-	}
-	return h
+// hashInt folds the next int64 of a key list into its hash h, which starts
+// at 0: one multiply per key spreads the list over the table (the buckets
+// are picked from the top bits).
+func hashInt(h uint64, k int64) uint64 {
+	return (bits.RotateLeft64(h, 31) ^ uint64(k)) * 0x9e3779b97f4a7c15
 }
 
 // joinIter joins a streamed probe input with a build input consumed into a
@@ -365,18 +362,34 @@ type joinIter struct {
 	spares   *sqltypes.Spares
 	perProbe int64 // work per probe row: one lookup, or one pairing per build row
 
-	in   *sqltypes.Batch // current probe batch
-	pos  int             // next row of in
-	cur  sqltypes.Row    // probe row whose chain is being walked
-	curI []int64         // its key (int-keyed table)
-	curH uint64          // its hash (general table)
-	m    int32           // next candidate of cur's chain
-	// A float probe key of an int-keyed table: check each candidate with
-	// Equal (a float never equals a date), and beyond 2^53, where several
-	// ints round to the same float, walk every row instead of a chain.
-	verify, all bool
-	done        bool
+	in  *sqltypes.Batch // current probe batch
+	pos int             // next row of in to look at
+	// What lookup found for each row of in, in arrays the iterator keeps
+	// for all its batches.
+	head []int32     // first candidate of the row's chain, 0 for none
+	hash []uint64    // hash of its key
+	rule []probeRule // how its candidates are matched
+	x    int         // row of in whose chain is being walked
+	m    int32       // next candidate of that chain
+	done bool
 }
+
+// probeRule is how the candidates of a probe row are matched.
+type probeRule uint8
+
+const (
+	exact probeRule = iota // by the int64 payloads, or HashRow and RowsEqualOn
+	// A float probe key: the int of its value finds the candidates and
+	// Equal decides (a float never equals a date); beyond 2^53, where
+	// several ints round to the same float, every build row is a candidate
+	// (scanAll).
+	verify
+	scanAll
+	// A NULL key, or one no int or date equals. Such a row has no
+	// candidates at all: walked, its chain would meet Equal, which finds
+	// NaN equal to every number.
+	noMatch
+)
 
 // pullAheadBatches bounds the probe batches a join reads ahead while its
 // table is being built. Past it the join waits and its probe producer
@@ -423,7 +436,7 @@ func (s *joinSpec) drainBuild(st *statement) built {
 // emits into batches of the statement's spares, the first sized for est
 // rows.
 func (s *joinSpec) newIter(probe BatchIter, t *joinTable, throttle *cpuThrottle, spares *sqltypes.Spares, est float64) *joinIter {
-	j := &joinIter{probe: probe, table: t, probeKeys: s.probeKeys, joinOutput: s.out, throttle: throttle, spares: spares, perProbe: 1, curI: make([]int64, len(s.probeKeys))}
+	j := &joinIter{probe: probe, table: t, probeKeys: s.probeKeys, joinOutput: s.out, throttle: throttle, spares: spares, perProbe: 1}
 	j.expect(est, spares)
 	if len(s.buildKeys) == 0 {
 		j.perProbe = int64(t.n)
@@ -502,56 +515,96 @@ func (a *aheadIter) Next() (*sqltypes.Batch, error) {
 
 func (a *aheadIter) Close() error { return a.in.Close() }
 
-// seek starts the chain of candidates for probe row r.
-func (j *joinIter) seek(r sqltypes.Row) {
-	t := j.table
-	j.cur, j.m, j.verify, j.all = r, 0, false, false
-	if hasNull(r, j.probeKeys) {
-		return
+// fit returns s with length n, on a new array only when its own is too
+// small.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if !t.intKeyed {
-		j.curH = sqltypes.HashRow(r, j.probeKeys)
-		j.m = t.heads[j.curH>>t.shift]
-		return
-	}
-	for i, c := range j.probeKeys {
-		switch v := r[c]; {
-		case intFamily(v):
-			j.curI[i] = v.I
-		case v.T == sqltypes.TypeFloat && v.F == math.Trunc(v.F):
-			// int 3 = float 3.0: an integral float finds the int of its
-			// value; a fraction or NaN finds nothing.
-			j.all = j.all || math.Abs(v.F) >= 1<<53
-			j.curI[i], j.verify = int64(v.F), true
-		default:
-			return // no int or date equals a string, a bool or a fraction
+	return s[:n]
+}
+
+// lookup finds the first candidate of every row of a probe batch in one
+// pass, a key column at a time: a loop whose iterations do not wait on
+// each other, so the cache misses of reading the rows overlap instead of
+// each stalling a chain walk. A row with a NULL key gets no candidate: SQL
+// equality never holds for NULL. An int-keyed table is looked up by the
+// int64 payloads, hashed as the table hashed them; a float key takes the
+// int of its value under a rule that checks each candidate (int 3 = float
+// 3.0), and a fraction, NaN, a string or a bool finds nothing. A general
+// table is looked up by HashRow.
+func (j *joinIter) lookup(rows []sqltypes.Row) {
+	t, n := j.table, len(rows)
+	j.head, j.hash, j.rule = fit(j.head, n), fit(j.hash, n), fit(j.rule, n)
+	clear(j.hash)
+	clear(j.rule)
+	for _, c := range j.probeKeys {
+		if !t.intKeyed {
+			for x, r := range rows {
+				if r[c].T == sqltypes.TypeNull {
+					j.rule[x] = noMatch
+				}
+			}
+			continue
+		}
+		for x, r := range rows {
+			v := &r[c]
+			key := v.I
+			switch v.T {
+			case sqltypes.TypeFloat:
+				key = j.floatKey(x, v.F)
+			case sqltypes.TypeNull, sqltypes.TypeString, sqltypes.TypeBool:
+				j.rule[x] = noMatch
+			}
+			j.hash[x] = hashInt(j.hash[x], key)
 		}
 	}
-	switch {
-	case !j.all:
-		j.m = t.heads[intsHash(j.curI)>>t.shift]
-	case t.n > 0:
-		j.m = 1
+	for x, rule := range j.rule {
+		switch rule {
+		case noMatch:
+			j.head[x] = 0
+		case scanAll:
+			j.head[x] = int32(min(t.n, 1))
+		default:
+			if !t.intKeyed {
+				j.hash[x] = sqltypes.HashRow(rows[x], j.probeKeys)
+			}
+			j.head[x] = t.heads[j.hash[x]>>t.shift]
+		}
 	}
 }
 
-// matches reports whether build row i pairs with the current probe row.
-func (j *joinIter) matches(i int32) bool {
-	t := j.table
+// floatKey returns the int a float key of row x finds, and sets the row's
+// rule to check each candidate.
+func (j *joinIter) floatKey(x int, f float64) int64 {
 	switch {
-	case j.all:
-		return sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
-	case t.intKeyed:
-		k := len(j.curI)
-		for x, v := range t.ints[int(i)*k : int(i+1)*k] {
-			if v != j.curI[x] {
-				return false
-			}
-		}
-		return !j.verify || sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
+	case f != math.Trunc(f): // a fraction or NaN
+		j.rule[x] = noMatch
+	case math.Abs(f) >= 1<<53:
+		j.rule[x] = max(j.rule[x], scanAll)
 	default:
-		return t.hashes[i] == j.curH && sqltypes.RowsEqualOn(j.cur, j.probeKeys, t.row(i), t.keys)
+		j.rule[x] = max(j.rule[x], verify)
 	}
+	return int64(f)
+}
+
+// matches reports whether build row i pairs with the probe row whose
+// chain is being walked.
+func (j *joinIter) matches(i int32) bool {
+	t, p := j.table, j.in.Rows[j.x]
+	switch {
+	case !t.intKeyed:
+		return t.hashes[i] == j.hash[j.x] && sqltypes.RowsEqualOn(p, j.probeKeys, t.row(i), t.keys)
+	case j.rule[j.x] != exact:
+		return sqltypes.RowsEqualOn(p, j.probeKeys, t.row(i), t.keys)
+	}
+	k := len(j.probeKeys)
+	for y, v := range t.ints[int(i)*k : int(i+1)*k] {
+		if v != p[j.probeKeys[y]].I {
+			return false
+		}
+	}
+	return true
 }
 
 func (j *joinIter) Next() (*sqltypes.Batch, error) {
@@ -560,7 +613,7 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 	for !j.done {
 		for j.m != 0 {
 			i := j.m - 1
-			if j.all {
+			if j.rule[j.x] == scanAll {
 				j.m = (j.m + 1) % int32(t.n+1)
 			} else {
 				j.m = t.next[i]
@@ -568,14 +621,18 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 			if !j.matches(i) {
 				continue
 			}
-			if err := j.emit(j.cur, t.row(i)); err != nil {
+			if err := j.emit(j.in.Rows[j.x], t.row(i)); err != nil {
 				return nil, err
 			}
 			if j.full() {
 				return &j.out, nil
 			}
 		}
-		if j.in == nil || j.pos == len(j.in.Rows) {
+		// Step over the rows whose bucket is empty.
+		for j.pos < len(j.head) && j.head[j.pos] == 0 {
+			j.pos++
+		}
+		if j.pos == len(j.head) {
 			b, err := j.probe.Next()
 			if err == io.EOF {
 				j.throttle.flush()
@@ -587,11 +644,12 @@ func (j *joinIter) Next() (*sqltypes.Batch, error) {
 			}
 			j.throttle.charge(int64(len(b.Rows)) * j.perProbe)
 			j.in, j.pos = b, 0
+			j.lookup(b.Rows)
+			continue
 		}
-		r := j.in.Rows[j.pos]
+		j.x, j.m = j.pos, j.head[j.pos]
 		j.pos++
-		j.setProbe(r)
-		j.seek(r)
+		j.setProbe(j.in.Rows[j.x])
 	}
 	if len(j.out.Rows) == 0 {
 		return nil, io.EOF
