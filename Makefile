@@ -29,11 +29,13 @@ race:
 # with netsim.SetFaultSeed, so drops are reproducible), mid-query failover
 # and the mediator fallback, plan-cache lease lifecycle and freshness,
 # consult-cache freshness (TTL, breaker, calibration), re-optimization
-# under skewed statistics, flow accounting and live introspection, and
-# sampling probes — every recovery edge of the query lifecycle (DESIGN.md
-# "Query lifecycle") plus its transition table.
+# under skewed statistics, flow accounting and live introspection,
+# sampling probes, and the per-query record read back from every surface
+# (slow-query log, /debug/queries, EXPLAIN ANALYZE, the metrics it feeds)
+# on seven lifecycle paths — every recovery edge of the query lifecycle
+# (DESIGN.md "Query lifecycle") plus its transition table.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestConsultCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample' ./internal/core/ ./internal/engine/ ./internal/wire/
+	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestConsultCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample|TestRecord|TestSlowQuery' ./internal/core/ ./internal/engine/ ./internal/wire/
 
 # Concurrency soak: burst admission, staggered mid-query cancellation,
 # and drain-under-load against a live cluster, under the race detector.

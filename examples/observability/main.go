@@ -2,9 +2,11 @@
 //
 // The cluster runs with Options.Trace (every query carries a span tree),
 // Options.MetricsAddr (a Prometheus text endpoint on a loopback port),
-// and Options.SlowQueryThreshold (structured log records for outliers).
-// The example runs a cross-database join, prints its flame-style trace
-// and the system snapshot, then scrapes its own metrics endpoint.
+// and Options.SlowQueryThreshold (one structured log record per outlier,
+// carrying the query's record — the same Breakdown the Result returns;
+// the threshold alone builds no span tree). The example runs a
+// cross-database join, prints its flame-style trace and the system
+// snapshot, then scrapes its own metrics endpoint.
 //
 // Run with: go run ./examples/observability
 package main

@@ -122,7 +122,6 @@ func (c *consultCache) lookup(node string, left, right, out float64) (engine.Joi
 		return engine.JoinPrices{}, false
 	}
 	c.hits++
-	met.cacheHits.Inc()
 	return e.prices, true
 }
 

@@ -12,7 +12,7 @@ import (
 // wire actually observed. The planner's half (tasks, movements,
 // estimates) comes from Result.Plan; the observed half (per-edge rows,
 // bytes, frames) from the flow accounting in Result.Flows; the timing
-// half from Breakdown and, when tracing was on, the per-phase and
+// half from the query's record (Breakdown) and, when tracing was on, the
 // per-DDL spans of Result.Trace.
 
 // Analyze renders the executed plan with estimated vs observed
@@ -25,7 +25,6 @@ func (r *Result) Analyze() string {
 	}
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
-	bd := r.Breakdown
 
 	// Index the executed attempt's flows by producing task. Barrier
 	// flows (COUNT(*) probes of explicit FTs) render separately.
@@ -74,18 +73,6 @@ func (r *Result) Analyze() string {
 		fmt.Fprintf(&b, "barrier %s: counted %d rows (%s)\n", f.Rel, f.Rows(), formatKB(f.Bytes()))
 	}
 
-	b.WriteString("phases:\n")
-	fmt.Fprintf(&b, "  admission %v", bd.AdmissionWait.Round(time.Microsecond))
-	if bd.Queued {
-		b.WriteString(" (queued)")
-	}
-	fmt.Fprintf(&b, "\n  prep %v, lopt %v, ann %v, deleg %v, exec %v\n",
-		bd.Prep.Round(time.Microsecond), bd.Lopt.Round(time.Microsecond),
-		bd.Ann.Round(time.Microsecond), bd.Deleg.Round(time.Microsecond),
-		bd.Exec.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  consult rounds %d (degraded %d, cached %d), ddls %d\n",
-		bd.ConsultRounds, bd.DegradedProbes, bd.CachedProbes, bd.DDLCount)
-
 	if r.Trace != nil {
 		var ddls []string
 		r.Trace.Walk(func(_ int, sp *obs.Span) {
@@ -104,22 +91,17 @@ func (r *Result) Analyze() string {
 		}
 	}
 
-	b.WriteString("verdicts:\n")
-	cache := "miss"
-	if bd.PlanCacheHit {
-		cache = "hit (0 consults, 0 ddls)"
-	}
-	fmt.Fprintf(&b, "  plan cache: %s\n", cache)
-	if bd.Replans > 0 || bd.FailedOver || bd.MediatorFallback {
-		fmt.Fprintf(&b, "  failover: replans %d, failed_over %v, mediator_fallback %v\n",
-			bd.Replans, bd.FailedOver, bd.MediatorFallback)
-	}
-	if bd.Reopts > 0 || bd.EstimateErrors > 0 {
-		fmt.Fprintf(&b, "  reopt: reopts %d, estimate_errors %d\n", bd.Reopts, bd.EstimateErrors)
-	}
-	if bd.SampleProbes > 0 {
-		fmt.Fprintf(&b, "  sampling: probes %d\n", bd.SampleProbes)
-	}
+	// The record's facts: its timings, then its counts and verdicts.
+	var phases, verdicts string
+	r.Breakdown.facts(func(name string, value any) {
+		fact := fmt.Sprintf(" %s=%v", name, value)
+		if _, ok := value.(time.Duration); ok {
+			phases += fact
+		} else {
+			verdicts += fact
+		}
+	})
+	fmt.Fprintf(&b, "phases:%s\nverdicts:%s\n", phases, verdicts)
 	return b.String()
 }
 

@@ -34,7 +34,7 @@ func nextQID() int64 { return qidSeq.Add(1) }
 // flowRouter maps live qids to their registry entries so the process-wide
 // wire sink can attribute events without a System in hand. A plan-cache
 // deployment shared by concurrent queries reuses one qid; the latest
-// registrant wins the route for the overlap (see DESIGN.md §15), but the
+// registrant wins the route for the overlap (see DESIGN.md §10), but the
 // overlap is remembered in shared: while two live queries contend for one
 // qid, per-query attribution would be a lie, so the streams are marked
 // kind=shared instead of being silently credited to the newest query, and
@@ -131,7 +131,9 @@ type attemptMeta struct {
 	edges map[int]edgeMeta // keyed by producing task id
 }
 
-// InflightQuery is one registered query's public snapshot.
+// InflightQuery is one registered query's public snapshot. It embeds the
+// query's record as the lifecycle's last step left it, so the record's
+// fields keep their json names in /debug/queries.
 type InflightQuery struct {
 	ID      int64         `json:"id"`
 	SQL     string        `json:"sql"`
@@ -139,13 +141,10 @@ type InflightQuery struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// PlanShape summarizes the current attempt's plan ("tasks=N root=X
 	// moves=Ii/Ee"); empty until the first plan is attached.
-	PlanShape      string     `json:"plan_shape,omitempty"`
-	Attempt        int        `json:"attempt"`
-	Replans        int        `json:"replans"`
-	Reopts         int        `json:"reopts"`
-	EstimateErrors int        `json:"estimate_errors"`
-	PlanCacheHit   bool       `json:"plan_cache_hit"`
-	Edges          []EdgeFlow `json:"edges,omitempty"`
+	PlanShape string `json:"plan_shape,omitempty"`
+	Attempt   int    `json:"attempt"`
+	Breakdown
+	Edges []EdgeFlow `json:"edges,omitempty"`
 }
 
 // inflightEntry is one admitted query's live record.
@@ -154,34 +153,26 @@ type inflightEntry struct {
 	sql   string
 	start time.Time
 
-	mu        sync.Mutex
-	phase     string
-	shape     string
-	attempt   int
-	replans   int
-	reopts    int
-	estErrors int
-	cacheHit  bool
-	qids      []int64
-	attempts  map[int64]*attemptMeta
-	flows     map[flowKey]*EdgeFlow
+	mu       sync.Mutex
+	phase    string
+	shape    string
+	bd       Breakdown
+	qids     []int64
+	attempts map[int64]*attemptMeta
+	flows    map[flowKey]*EdgeFlow
 }
 
-// setPhase moves the query to a new lifecycle phase and syncs the
-// budget counters the inspector shows. Nil-safe.
-func (e *inflightEntry) setPhase(phase string, bd *Breakdown, attempt int) {
+// setPhase moves the query to a lifecycle phase ("" keeps the current
+// one) and copies its record. Nil-safe.
+func (e *inflightEntry) setPhase(phase string, bd *Breakdown) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.phase = phase
-	e.attempt = attempt
-	if bd != nil {
-		e.replans = bd.Replans
-		e.reopts = bd.Reopts
-		e.estErrors = bd.EstimateErrors
-		e.cacheHit = bd.PlanCacheHit
+	if phase != "" {
+		e.phase = phase
 	}
+	e.bd = *bd
 	e.mu.Unlock()
 }
 
@@ -349,16 +340,13 @@ func (e *inflightEntry) flowsSnapshot() []EdgeFlow {
 func (e *inflightEntry) snapshot() InflightQuery {
 	e.mu.Lock()
 	q := InflightQuery{
-		ID:             e.id,
-		SQL:            e.sql,
-		Phase:          e.phase,
-		Elapsed:        time.Since(e.start),
-		PlanShape:      e.shape,
-		Attempt:        e.attempt,
-		Replans:        e.replans,
-		Reopts:         e.reopts,
-		EstimateErrors: e.estErrors,
-		PlanCacheHit:   e.cacheHit,
+		ID:        e.id,
+		SQL:       e.sql,
+		Phase:     e.phase,
+		Elapsed:   time.Since(e.start),
+		PlanShape: e.shape,
+		Attempt:   e.bd.attempt(),
+		Breakdown: e.bd,
 	}
 	e.mu.Unlock()
 	q.Edges = e.flowsSnapshot()
@@ -473,15 +461,7 @@ func FormatInflight(qs []InflightQuery) string {
 	for _, q := range qs {
 		fmt.Fprintf(&b, "#%d [%s] %s (elapsed %v", q.ID, q.Phase, truncateSQL(q.SQL),
 			q.Elapsed.Round(time.Millisecond))
-		if q.PlanCacheHit {
-			b.WriteString(", plan-cache hit")
-		}
-		if q.Replans > 0 {
-			fmt.Fprintf(&b, ", replans %d", q.Replans)
-		}
-		if q.Reopts > 0 {
-			fmt.Fprintf(&b, ", reopts %d", q.Reopts)
-		}
+		q.Breakdown.facts(func(name string, value any) { fmt.Fprintf(&b, ", %s=%v", name, value) })
 		b.WriteString(")\n")
 		if q.PlanShape != "" {
 			fmt.Fprintf(&b, "  plan: %s (attempt %d)\n", q.PlanShape, q.Attempt+1)

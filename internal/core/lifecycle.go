@@ -121,9 +121,10 @@ func decide(what outcome, armed armCause, bd *Breakdown, opts *Options) (next ve
 	return verdictFail, failed, ""
 }
 
-// queryRun is one admitted query's walk down the lifecycle. bd
-// accumulates across attempts (phase times add up; Replans counts the
-// fault-armed attempts, Reopts the cardinality-armed ones).
+// queryRun is one admitted query's walk down the lifecycle. bd, the
+// query's record, accumulates across attempts (phase times add up;
+// Replans counts the fault-armed attempts, Reopts the cardinality-armed
+// ones, so together they number the current attempt).
 type queryRun struct {
 	s        *System
 	ctx      context.Context
@@ -133,8 +134,7 @@ type queryRun struct {
 	cacheKey string // "" when the plan cache is off
 	bd       Breakdown
 
-	attempt int
-	armed   armCause
+	armed armCause
 	// The current attempt: its plan (the last one produced — a failed
 	// re-plan leaves it standing), its deployment, and the plan-cache lease
 	// when the deployment is a cached entry's.
@@ -164,17 +164,26 @@ type queryRun struct {
 	res     *Result
 }
 
-var lifecycleSteps = [...]func(*queryRun) runStep{
-	stepPlan:    (*queryRun).doPlan,
-	stepDeploy:  (*queryRun).doDeploy,
-	stepObserve: (*queryRun).doObserve,
-	stepExecute: (*queryRun).doExecute,
-	stepSettle:  (*queryRun).settle,
+// lifecycleSteps are the steps, each with the inspector phase it enters
+// ("" keeps the current one: observe names its phase only when it has
+// barriers to run, settle only when it delivers).
+var lifecycleSteps = [...]struct {
+	phase string
+	do    func(*queryRun) runStep
+}{
+	stepPlan:    {"planning", (*queryRun).doPlan},
+	stepDeploy:  {"delegating", (*queryRun).doDeploy},
+	stepObserve: {"", (*queryRun).doObserve},
+	stepExecute: {"executing", (*queryRun).doExecute},
+	stepSettle:  {"", (*queryRun).settle},
 }
 
+// run walks the steps. Before each one the inspector gets the record as
+// the last step left it.
 func (r *queryRun) run() (*Result, error) {
 	for step := stepPlan; step != stepDone; {
-		step = lifecycleSteps[step](r)
+		r.inf.setPhase(lifecycleSteps[step].phase, &r.bd)
+		step = lifecycleSteps[step].do(r)
 	}
 	return r.res, r.err
 }
@@ -190,9 +199,8 @@ func (r *queryRun) report(at runStep, err error) runStep {
 // exclude a tripped node and annotation can consume the feedback.
 func (r *queryRun) doPlan() runStep {
 	s := r.s
-	r.inf.setPhase("planning", &r.bd, r.attempt)
 	r.borrowed = false
-	if r.attempt == 0 && r.cacheKey != "" {
+	if r.bd.attempt() == 0 && r.cacheKey != "" {
 		var stale *planEntry
 		if r.ent, stale = s.plans.acquire(r.cacheKey, s.catalog); stale != nil {
 			s.dropDeploymentAsync(stale.dep)
@@ -229,7 +237,6 @@ func (r *queryRun) doPlan() runStep {
 // the attempts this query retired — above all every materialized stage.
 func (r *queryRun) doDeploy() runStep {
 	s := r.s
-	r.inf.setPhase("delegating", &r.bd, r.attempt)
 	dctx, span, done := timed(r.ctx, "delegate", &r.bd.Deleg)
 	qid := nextQID()
 	r.inf.attach(qid, r.plan)
@@ -243,7 +250,7 @@ func (r *queryRun) doDeploy() runStep {
 	}
 	// Cache only clean first-attempt deployments: a later one may lean on
 	// objects of retired attempts, which drop when this query ends.
-	if r.attempt == 0 && r.cacheKey != "" {
+	if r.bd.attempt() == 0 && r.cacheKey != "" {
 		var evicted []*planEntry
 		r.ent, evicted = s.plans.put(r.cacheKey, r.plan, dep)
 		for _, ev := range evicted {
@@ -261,17 +268,17 @@ func (r *queryRun) doDeploy() runStep {
 func (r *queryRun) doObserve() runStep {
 	s := r.s
 	if s.hookBeforeAttempt != nil {
-		s.hookBeforeAttempt(r.attempt)
+		s.hookBeforeAttempt(r.bd.attempt())
 	}
 	// A warm plan-cache hit's estimates were vetted when it was built, a
 	// borrowed deployment's by the attempt that built it.
-	if s.opts.MaxReopts <= 0 || (r.attempt == 0 && r.bd.PlanCacheHit) || r.borrowed {
+	if s.opts.MaxReopts <= 0 || (r.bd.attempt() == 0 && r.bd.PlanCacheHit) || r.borrowed {
 		return stepExecute
 	}
 	if r.feedback == nil {
 		r.feedback = map[string]float64{}
 	}
-	r.inf.setPhase("observing", &r.bd, r.attempt)
+	r.inf.setPhase("observing", &r.bd)
 	_, _, done := timed(r.ctx, "", &r.bd.Exec)
 	trigger, err := s.observeMaterialized(r.ctx, r.qspan, r.plan, r.feedback)
 	done(err)
@@ -285,7 +292,6 @@ func (r *queryRun) doObserve() runStep {
 }
 
 func (r *queryRun) doExecute() runStep {
-	r.inf.setPhase("executing", &r.bd, r.attempt)
 	_, _, done := timed(r.ctx, "", &r.bd.Exec)
 	eres, err := r.s.executeDeployment(r.ctx, r.qspan, r.dep)
 	done(err)
@@ -362,7 +368,6 @@ func (r *queryRun) settle() runStep {
 		if ferr == nil {
 			bd.FailedOver, bd.MediatorFallback = true, true
 			met.replans.With("fallback").Inc()
-			met.failovers.Inc()
 			return r.finish(eres)
 		}
 		r.err = fmt.Errorf("%w (mediator fallback: %v)", r.err, ferr)
@@ -373,12 +378,11 @@ func (r *queryRun) settle() runStep {
 // rearm starts the next attempt, leaving one span that says why.
 func (r *queryRun) rearm(armed armCause, span string, kv ...string) runStep {
 	r.armed = armed
-	r.attempt++
 	sp := r.qspan.Child(span)
 	for i := 0; i+1 < len(kv); i += 2 {
 		sp.Set(kv[i], kv[i+1])
 	}
-	sp.Set("attempt", strconv.Itoa(r.attempt))
+	sp.Set("attempt", strconv.Itoa(r.bd.attempt()))
 	sp.SetErr(r.err)
 	sp.Finish()
 	return stepPlan
@@ -403,7 +407,8 @@ func (r *queryRun) release(poison bool) {
 // deliver ends a query whose execution succeeded.
 func (r *queryRun) deliver() runStep {
 	dep := r.dep
-	r.inf.setPhase("finishing", &r.bd, r.attempt)
+	r.bd.FailedOver = r.bd.Replans > 0
+	r.inf.setPhase("finishing", &r.bd)
 	// Post-hoc cardinality feedback from the implicit edges this execution
 	// pulled over the wire — the flow-accounting counterpart of the
 	// barriers (reopt.go): strictly cross-query, the finished query is
@@ -414,10 +419,6 @@ func (r *queryRun) deliver() runStep {
 		}
 	}
 	r.release(false) // a healthy cached entry stays warm
-	if r.bd.Replans > 0 {
-		r.bd.FailedOver = true
-		met.failovers.Inc()
-	}
 	r.finish(r.eres)
 	r.res.XDBQuery, r.res.RootNode, r.res.QID = dep.XDBQuery, dep.Node, dep.QID
 	return stepDone

@@ -54,7 +54,7 @@ var met = struct {
 	ddlDur: obs.Default.Histogram("xdb_ddl_duration_seconds",
 		"Per-statement delegation DDL deployment latency.", nil),
 	consults: obs.Default.Counter("xdb_consult_probes_total",
-		"Consultation round trips issued to the underlying DBMSes."),
+		"Consultation probes sent to the underlying DBMSes, one per (join, node) pair priced; all of a node's probes in one annotation share one round trip."),
 	degraded: obs.Default.Counter("xdb_degraded_probes_total",
 		"Annotation decisions that fell back to the local cost model."),
 	ddls: obs.Default.Counter("xdb_ddl_deployed_total",

@@ -172,10 +172,10 @@ type Options struct {
 	// nil-receiver no-op and the hot path allocates nothing for it.
 	Trace bool
 	// SlowQueryThreshold emits one structured (slog) record for every
-	// query whose wall time meets the threshold, carrying the phase
-	// breakdown, the delegation plan shape, and the span summary.
-	// Setting it implies per-query tracing; records go to
-	// slog.Default(). Zero disables the log.
+	// query whose wall time meets the threshold, shed queries included:
+	// its wall time and SQL, the non-zero fields of its record
+	// (Breakdown), the delegation plan shape, and the error. It builds no
+	// span tree; records go to slog.Default(). Zero disables the log.
 	SlowQueryThreshold time.Duration
 	// MetricsAddr, when non-empty, serves the process-wide metrics
 	// registry in Prometheus text format on this listen address

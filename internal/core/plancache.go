@@ -130,7 +130,6 @@ func (c *planCache) acquire(key string, catalog *Catalog) (hit, stale *planEntry
 	ent.refs++
 	ent.lastUsed = time.Now()
 	c.hits++
-	met.planHits.Inc()
 	return ent, nil
 }
 

@@ -217,87 +217,6 @@ func (s *System) RegisterTable(table, node string) error {
 	return nil
 }
 
-// Breakdown is the per-phase timing of one query (Fig. 15): preparation
-// (parse + metadata gathering), logical optimization, annotation and
-// finalization, delegation (DDL deployment), and execution.
-type Breakdown struct {
-	Prep  time.Duration
-	Lopt  time.Duration
-	Ann   time.Duration
-	Deleg time.Duration
-	Exec  time.Duration
-	// ConsultRounds counts the annotation phase's consultation probes
-	// sent to the underlying DBMSes: one per (join, node) pair some
-	// Rule-4 decision could price. All of a node's probes travel in one
-	// round trip.
-	ConsultRounds int
-	// DegradedProbes counts the annotation decisions that could not
-	// consult a DBMS — an open breaker excluded a placement candidate or
-	// a cost probe failed — and fell back to the local cost model. Zero
-	// on a healthy run.
-	DegradedProbes int
-	// CachedProbes counts the annotation probes answered without a round
-	// trip, by the cross-query consult cache (Options.ConsultCacheTTL). A
-	// warm repeat of a query shows ConsultRounds=0 and CachedProbes>0.
-	CachedProbes int
-	// DDLCount is the number of DDL statements the delegation deployed.
-	// Zero on a plan-cache hit — the warm deployment is reused as-is.
-	DDLCount int
-	// PlanCacheHit reports whether the query was served from the
-	// delegation-plan cache: planning, consultation, and deployment were
-	// all skipped, and the query went straight to execution.
-	PlanCacheHit bool
-	// AdmissionWait is how long the query waited for admission before
-	// planning began (zero when it was admitted immediately); Queued
-	// reports whether it waited in the admission queue at all.
-	AdmissionWait time.Duration
-	Queued        bool
-	// Replans counts the mid-query failover attempts this query spent: a
-	// node died during delegation or execution, and the unexecuted suffix
-	// was re-planned around it (Options.MaxReplans). Zero on a fault-free
-	// run. The phase timings above accumulate across attempts.
-	Replans int
-	// FailedOver reports that the query hit a node-attributable fault and
-	// still returned a correct result — via a suffix replan or the
-	// mediator fallback.
-	FailedOver bool
-	// MediatorFallback reports that the query finished on the
-	// middleware's embedded engine (Options.MediatorFallback) because no
-	// in-situ placement survived the fault.
-	MediatorFallback bool
-	// Reopts counts the mid-query cardinality re-optimizations this
-	// query spent: a materialized stage's actual row count diverged from
-	// the annotation-time estimate beyond DefaultReoptThreshold, and
-	// the unexecuted suffix was re-annotated with the observed
-	// cardinality substituted (Options.MaxReopts). Zero with accurate
-	// statistics, and always zero when MaxReopts is 0.
-	Reopts int
-	// EstimateErrors counts the materialization barriers whose observed
-	// cardinality contradicted the estimate beyond the threshold — the
-	// misestimations the feedback loop caught, whether or not the
-	// re-optimization budget allowed acting on them.
-	EstimateErrors int
-	// SampleProbes counts the bounded-sample refinement probes the
-	// optimizer decided to issue (Options.SampleLimit), across attempts;
-	// the xdb_sample_probes_total metric splits them by outcome. Zero
-	// with sampling disabled.
-	SampleProbes int
-}
-
-// Total returns the end-to-end time, admission wait included — a queued
-// query's Total matches its wall time, not just the time it spent being
-// planned and executed. Use Work for the processing share alone.
-func (b Breakdown) Total() time.Duration {
-	return b.AdmissionWait + b.Work()
-}
-
-// Work returns the time the middleware actively spent on the query
-// (planning, delegation, execution), excluding the admission wait — the
-// Fig. 15 phase sum.
-func (b Breakdown) Work() time.Duration {
-	return b.Prep + b.Lopt + b.Ann + b.Deleg + b.Exec
-}
-
 // Coster implementation: the annotator consults through the system's
 // connectors.
 
@@ -393,6 +312,7 @@ func (s *System) PlanContext(ctx context.Context, sql string) (*Plan, *Breakdown
 	}
 	bd := &Breakdown{}
 	plan, err := s.plan(ctx, sql, bd, nil)
+	bd.publish()
 	return plan, bd, err
 }
 
@@ -441,8 +361,6 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 	bd.ConsultRounds += ann.ConsultRounds
 	bd.DegradedProbes += ann.DegradedProbes
 	bd.CachedProbes += ann.CachedProbes
-	met.consults.Add(int64(ann.ConsultRounds))
-	met.degraded.Add(int64(ann.DegradedProbes))
 	return plan, nil
 }
 
@@ -515,9 +433,9 @@ type Result struct {
 	// query itself still succeeded.
 	CleanupErr error
 	// Trace is the query's finished span tree when tracing was on
-	// (Options.Trace, Options.SlowQueryThreshold, or a span carried on
-	// the caller's context); nil otherwise. Render it with
-	// Trace.String() or export it with Trace.JSON().
+	// (Options.Trace, or a span carried on the caller's context); nil
+	// otherwise. Render it with Trace.String() or export it with
+	// Trace.JSON().
 	Trace *obs.Span
 	// QID is the executed deployment's query id — the <qid> in the
 	// short-lived relations' xdb<qid>_* names (0 for a mediator-fallback
@@ -556,14 +474,13 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 		defer cancel()
 	}
 
-	// --- Tracing: a root span per query when enabled — by Options, by
-	// the slow-query log (which needs the tree to summarize), or by a
-	// span the caller put on the context (obs.ContextWithSpan). Off, the
+	// --- Tracing: a root span per query when enabled — by Options or by
+	// a span the caller put on the context (obs.ContextWithSpan). Off, the
 	// span stays nil and every instrumentation point below is a no-op.
 	var qspan *obs.Span
 	if parent := obs.SpanFrom(ctx); parent != nil {
 		qspan = parent.Child("query")
-	} else if s.opts.Trace || s.opts.SlowQueryThreshold > 0 {
+	} else if s.opts.Trace {
 		qspan = obs.NewSpan("query")
 	}
 	run := &queryRun{s: s, qspan: qspan, sql: sql, excluded: map[string]bool{}}
@@ -579,17 +496,19 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 		wall := time.Since(wallStart)
 		met.queries.With(queryOutcome(err)).Inc()
 		observeSeconds(met.queryDur, wall)
+		observeSeconds(met.admissionWait, run.bd.AdmissionWait)
+		run.bd.publish()
 		qspan.SetErr(err)
-		s.logSlowQuery(sql, wall, &run.bd, run.plan, qspan, err)
+		s.logSlowQuery(sql, wall, &run.bd, run.plan, err)
 	}()
 
 	// --- Admission: take an in-flight slot (or queue for one while the
-	// deadline allows).
+	// deadline allows). The wait goes on the record whatever the outcome:
+	// a shed query's record shows how long it queued.
 	waitStart := time.Now()
 	admSpan := qspan.Child("admission")
 	release, queued, err := s.admit.admit(ctx)
-	wait := time.Since(waitStart)
-	observeSeconds(met.admissionWait, wait)
+	run.bd.AdmissionWait, run.bd.Queued = time.Since(waitStart), queued
 	if queued {
 		admSpan.Set("queued", "true")
 	}
@@ -605,8 +524,6 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 	// failed-over or cancelled query never leaks an entry).
 	run.inf = s.inflight.register(sql)
 	defer s.inflight.deregister(run.inf)
-
-	run.bd = Breakdown{AdmissionWait: wait, Queued: queued}
 
 	// The plan-cache key is the canonical rendering of the parsed
 	// statement, so formatting differences (case of keywords, whitespace)
@@ -664,66 +581,6 @@ func truncateSQL(sql string) string {
 		cut--
 	}
 	return sql[:cut] + "..."
-}
-
-// logSlowQuery emits one structured record for a query whose wall time
-// met Options.SlowQueryThreshold: the phase breakdown, the delegation
-// plan shape, and the span summary in one line.
-func (s *System) logSlowQuery(sql string, wall time.Duration, bd *Breakdown, plan *Plan, trace *obs.Span, err error) {
-	if s.opts.SlowQueryThreshold <= 0 || wall < s.opts.SlowQueryThreshold {
-		return
-	}
-	attrs := []any{
-		"wall", wall,
-		"sql", truncateSQL(sql),
-		"admission_wait", bd.AdmissionWait,
-		"queued", bd.Queued,
-		"prep", bd.Prep,
-		"lopt", bd.Lopt,
-		"annotate", bd.Ann,
-		"delegate", bd.Deleg,
-		"execute", bd.Exec,
-		"consult_rounds", bd.ConsultRounds,
-		"ddl_count", bd.DDLCount,
-	}
-	if bd.PlanCacheHit {
-		attrs = append(attrs, "plan_cache_hit", true)
-	}
-	if bd.DegradedProbes > 0 {
-		attrs = append(attrs, "degraded_probes", bd.DegradedProbes)
-	}
-	if bd.CachedProbes > 0 {
-		attrs = append(attrs, "cached_probes", bd.CachedProbes)
-	}
-	if bd.Replans > 0 {
-		attrs = append(attrs, "replans", bd.Replans)
-	}
-	if bd.Reopts > 0 {
-		attrs = append(attrs, "reopts", bd.Reopts)
-	}
-	if bd.EstimateErrors > 0 {
-		attrs = append(attrs, "estimate_errors", bd.EstimateErrors)
-	}
-	if bd.SampleProbes > 0 {
-		attrs = append(attrs, "sample_probes", bd.SampleProbes)
-	}
-	if bd.FailedOver {
-		attrs = append(attrs, "failed_over", true)
-	}
-	if bd.MediatorFallback {
-		attrs = append(attrs, "mediator_fallback", true)
-	}
-	if plan != nil {
-		attrs = append(attrs, "plan", planShape(plan))
-	}
-	if trace != nil {
-		attrs = append(attrs, "spans", trace.Count(""),
-			"probe_spans", trace.Count("probe"), "ddl_spans", trace.Count("ddl"))
-	}
-	if err != nil {
-		attrs = append(attrs, "err", err.Error())
-	}
-	slog.Warn("xdb: slow query", attrs...)
 }
 
 // planShape renders the delegation plan's shape in one token: task

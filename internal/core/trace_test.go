@@ -122,16 +122,21 @@ func TestTraceFullLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledByDefault: without Options.Trace, SlowQueryThreshold,
-// or a caller span, no trace is built.
+// TestTraceDisabledByDefault: without Options.Trace or a caller span, no
+// trace is built — the slow-query log's threshold does not turn one on.
 func TestTraceDisabledByDefault(t *testing.T) {
-	cl := newChaosCluster(t, chaosOptions())
-	res, err := cl.sys.Query(chaosQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Fatalf("tracing disabled but Result.Trace = \n%s", res.Trace)
+	captureSlowLog(t) // keep the slow-query records out of the test output
+	for name, threshold := range map[string]time.Duration{"default": 0, "slow-query log": time.Nanosecond} {
+		opts := chaosOptions()
+		opts.SlowQueryThreshold = threshold
+		cl := newChaosCluster(t, opts)
+		res, err := cl.sys.Query(chaosQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace != nil {
+			t.Fatalf("%s: tracing disabled but Result.Trace = \n%s", name, res.Trace)
+		}
 	}
 }
 

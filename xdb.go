@@ -54,8 +54,10 @@ type (
 	// Result is a completed cross-database query with its delegation
 	// plan and phase breakdown.
 	Result = core.Result
-	// Breakdown is the per-phase timing of one query (prep / lopt / ann
-	// / deleg / exec), matching Fig. 15.
+	// Breakdown is the record of one query: the per-phase timing of
+	// Fig. 15 (prep / lopt / ann / deleg / exec) plus what the lifecycle
+	// spent and decided. The slow-query log, /debug/queries and
+	// Result.Analyze show its non-zero fields under their json names.
 	Breakdown = core.Breakdown
 	// Plan is a delegation plan: tasks pinned to DBMSes with
 	// implicit/explicit dataflow edges.
@@ -141,15 +143,17 @@ type (
 	// (Result.Flows, InflightQuery.Edges).
 	EdgeFlow = core.EdgeFlow
 	// InflightQuery is one entry of the live introspection registry: a
-	// currently executing query with its phase, plan shape, budgets
-	// spent, and per-edge flow counters (System.Inflight /
-	// Cluster.Inflight; served as JSON on /debug/queries).
+	// currently executing query with its phase, plan shape, its record
+	// so far (an embedded Breakdown), and per-edge flow counters
+	// (System.Inflight / Cluster.Inflight; served as JSON on
+	// /debug/queries).
 	InflightQuery = core.InflightQuery
 )
 
 // FormatInflight renders an in-flight snapshot the way the
 // /debug/queries?format=text endpoint does — one block per query with
-// its phase, plan shape, and per-edge flow counters.
+// its phase, its record's non-zero fields, plan shape, and per-edge flow
+// counters.
 func FormatInflight(qs []InflightQuery) string { return core.FormatInflight(qs) }
 
 // MetricsHandler returns an http.Handler serving the process-wide metrics
