@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check loc bench bench-json bench-reopt bench-sample chaos soak fuzz-smoke check
+.PHONY: build test race vet fmt-check loc bench bench-json bench-sample chaos soak fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -28,14 +28,16 @@ race:
 # scenarios against a live cluster (the flaky-link test pins the fault seed
 # with netsim.SetFaultSeed, so drops are reproducible), mid-query failover
 # and the mediator fallback, plan-cache lease lifecycle and freshness,
-# consult-cache freshness (TTL, breaker, calibration), re-optimization
-# under skewed statistics, flow accounting and live introspection,
-# sampling probes, and the per-query record read back from every surface
-# (slow-query log, /debug/queries, EXPLAIN ANALYZE, the metrics it feeds)
-# on seven lifecycle paths — every recovery edge of the query lifecycle
-# (DESIGN.md "Query lifecycle") plus its transition table.
+# consult-cache freshness (TTL, breaker, calibration), flow accounting
+# and live introspection, estimate correction under skewed statistics
+# (sampling probes, drained edges teaching the next query, and the
+# TPC-H skew cases of EXPERIMENTS.md), and the per-query record read back
+# from every surface (slow-query log, /debug/queries, EXPLAIN ANALYZE,
+# the metrics it feeds) on six lifecycle paths — every recovery edge of
+# the query lifecycle (DESIGN.md "Query lifecycle") plus its transition
+# table.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestConsultCache|TestReopt|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample|TestRecord|TestSlowQuery' ./internal/core/ ./internal/engine/ ./internal/wire/
+	$(GO) test -race -count=1 -v -run 'TestChaos|TestFailover|TestTraceFailoverWellFormed|TestLifecycle|TestPlanCache|TestConsultCache|TestLearn|TestDrainedEdge|TestInflight|TestImplicitFlow|TestAnalyzeShows|TestFlow|TestParseStreamRel|TestTransportByAddr|TestSample|TestSkewCorrection|TestRecord|TestSlowQuery' ./internal/core/ ./internal/engine/ ./internal/wire/ ./internal/experiments/
 
 # Concurrency soak: burst admission, staggered mid-query cancellation,
 # and drain-under-load against a live cluster, under the race detector.
@@ -93,19 +95,12 @@ bench-json:
 bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=2h .
 
-# The two hand-run A/Bs the benchmark record has not replaced: no workload
-# in bench/ runs with re-optimization or sampling on, so nothing there
-# measures what a barrier or a probe costs. Transport, tracing and
-# deployment are measured by the record (`make bench-json`:
-# wire.dials_per_query, wire.reuses_per_query, wire.rpc_us,
-# obs.trace_overhead_pct, core.ddl_per_query, connector.deploy_view_us,
-# core.plan_cache_hit_ratio).
-
-# The barrier-overhead A/B: the same join with re-optimization off vs on,
-# accurate vs skewed statistics (EXPERIMENTS.md "Adaptive
-# re-optimization").
-bench-reopt:
-	$(GO) test -run '^$$' -bench='BenchmarkReopt' -benchtime=100x -count=1 ./internal/core/
+# The hand-run A/B the benchmark record has not replaced: no workload in
+# bench/ runs with sampling on, so nothing there measures what a probe
+# costs. Transport, tracing and deployment are measured by the record
+# (`make bench-json`: wire.dials_per_query, wire.reuses_per_query,
+# wire.rpc_us, obs.trace_overhead_pct, core.ddl_per_query,
+# connector.deploy_view_us, core.plan_cache_hit_ratio).
 
 # The sampling A/B: the same join with probes off vs on, accurate vs
 # skewed statistics (EXPERIMENTS.md "Sampling-based refinement").

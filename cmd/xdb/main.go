@@ -25,7 +25,6 @@
 //	-repeat <n>       run the query n times (shows plan-cache warmup)
 //	-max-replans <n>  re-plan around up to n mid-query node faults
 //	-mediator-fallback  finish on the middleware when replans are exhausted
-//	-max-reopts <n>   re-optimize the suffix around up to n misestimates
 //	-sample-limit <n>  probe low-confidence relations with bounded samples
 //	                  of up to n rows before placement (0 disables)
 //	-inspect          poll /debug/queries while the query runs and print
@@ -63,7 +62,6 @@ func main() {
 	repeat := flag.Int("repeat", 1, "run the query this many times (shows plan-cache warmup)")
 	maxReplans := flag.Int("max-replans", 0, "re-plan around up to n mid-query node faults (0 disables failover)")
 	mediatorFallback := flag.Bool("mediator-fallback", false, "finish on the middleware when replans are exhausted")
-	maxReopts := flag.Int("max-reopts", 0, "re-optimize the unexecuted suffix around up to n cardinality misestimates (0 disables)")
 	sampleLimit := flag.Int("sample-limit", 0, "probe low-confidence relations with bounded samples of up to n rows before placement (0 disables)")
 	inspect := flag.Bool("inspect", false, "poll /debug/queries while the query runs and print live snapshots (xdb system only)")
 	explainAnalyze := flag.Bool("explain-analyze", false, "print EXPLAIN ANALYZE after the run (xdb system only)")
@@ -104,7 +102,6 @@ func main() {
 			DeploymentTTL:      *deployTTL,
 			MaxReplans:         *maxReplans,
 			MediatorFallback:   *mediatorFallback,
-			MaxReopts:          *maxReopts,
 			SampleLimit:        *sampleLimit,
 		},
 	})
@@ -130,8 +127,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(desc)
-		fmt.Printf("\nphases: prep=%v lopt=%v ann=%v (consult rounds: %d)\n",
-			bd.Prep, bd.Lopt, bd.Ann, bd.ConsultRounds)
+		fmt.Print("\n", bd.Summary())
 		return
 	}
 
@@ -165,22 +161,7 @@ func main() {
 		fmt.Print(xdb.FormatResult(res.Result))
 		fmt.Printf("\n%d rows in %v via %s (exec on %s)\n",
 			len(res.Rows), total.Round(time.Millisecond), *system, res.RootNode)
-		bd := res.Breakdown
-		fmt.Printf("phases: prep=%v lopt=%v ann=%v deleg=%v exec=%v (consult rounds: %d, ddls: %d, plan cache hit: %v)\n",
-			bd.Prep.Round(time.Millisecond), bd.Lopt.Round(time.Microsecond),
-			bd.Ann.Round(time.Millisecond), bd.Deleg.Round(time.Millisecond),
-			bd.Exec.Round(time.Millisecond), bd.ConsultRounds, bd.DDLCount, bd.PlanCacheHit)
-		if bd.Replans > 0 || bd.MediatorFallback {
-			fmt.Printf("failover: replans=%d failed_over=%v mediator_fallback=%v\n",
-				bd.Replans, bd.FailedOver, bd.MediatorFallback)
-		}
-		if bd.Reopts > 0 || bd.EstimateErrors > 0 {
-			fmt.Printf("reopt: reopts=%d estimate_errors=%d\n",
-				bd.Reopts, bd.EstimateErrors)
-		}
-		if bd.SampleProbes > 0 {
-			fmt.Printf("sampling: probes=%d\n", bd.SampleProbes)
-		}
+		fmt.Print(res.Breakdown.Summary())
 		fmt.Println("delegation plan:")
 		fmt.Print(res.Plan)
 		if *trace && res.Trace != nil {

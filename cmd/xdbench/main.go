@@ -18,6 +18,10 @@
 //	fig15 [TD]      XDB phase breakdown
 //	ablations       design-choice ablations A1-A5 (DESIGN.md §5)
 //	all             everything above
+//	skew            estimate correction under skewed statistics: every
+//	                table of the configured queries skewed x0.1 and x10
+//	                under TD1-TD3, sampling off/on, cost-based and
+//	                forced-explicit movement (DESIGN.md §14; minutes)
 //
 // Flags:
 //
@@ -84,6 +88,7 @@ func main() {
 		"fig13":  func() { run("fig13", func() (*experiments.Report, error) { return experiments.Figure13(cfg) }) },
 		"fig14":  func() { run("fig14", func() (*experiments.Report, error) { return experiments.Figure14(cfg, td) }) },
 		"fig15":  func() { run("fig15", func() (*experiments.Report, error) { return experiments.Figure15(cfg, td) }) },
+		"skew":   func() { run("skew", func() (*experiments.Report, error) { return experiments.SkewSweep(cfg) }) },
 		"ablations": func() {
 			run("A1", func() (*experiments.Report, error) { return experiments.AblationMovement(cfg) })
 			run("A2", func() (*experiments.Report, error) { return experiments.AblationCandidates(cfg) })
@@ -111,7 +116,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: xdbench [-quick] [-sf F] [-skip-sclera] <experiment> [TD]
 
-experiments: fig1 fig9 fig10 fig11 table4 fig12 fig13 fig14 fig15 ablations all
+experiments: fig1 fig9 fig10 fig11 table4 fig12 fig13 fig14 fig15 ablations all skew
 TD (for fig9/fig14/fig15): TD1 TD2 TD3`)
 	flag.PrintDefaults()
 }

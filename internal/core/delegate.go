@@ -66,9 +66,9 @@ type deployedObj struct {
 	name string // created object name (view or foreign table)
 	node string // node it was created on
 	// materialized marks an explicit-movement foreign table: the engine
-	// fetches and stores its rows on the first scan (a reopt barrier, or
-	// the execution itself), and from then on it is a completed stage whose
-	// result survives its producer's death.
+	// fetches and stores its rows on the first scan (during execution),
+	// and from then on it is a completed stage whose result survives its
+	// producer's death.
 	materialized bool
 	// nodes is every node the object depends on at execution time: its
 	// host plus, transitively, the implicit-edge subtree feeding it.
@@ -464,47 +464,6 @@ func opSig(op Op, ph map[*Placeholder]*Edge) string {
 			return fmt.Sprintf("ph?(%s,[%s])", o.Move, strings.Join(o.Cols, ","))
 		}
 		return fmt.Sprintf("ph(%s,[%s],%s)", o.Move, strings.Join(o.Cols, ","), taskSig(e.From))
-	default:
-		return fmt.Sprintf("%T", op)
-	}
-}
-
-// logicalSig renders a fragment's placement- and movement-independent
-// logical identity: what relation the fragment computes, regardless of
-// which node computes it or how its output moves. Placeholders expand
-// through their edges into the producing subtrees, so the signature of a
-// finalized fragment equals the signature of the pure (pre-finalization)
-// logical subtree it was cut from. That equality is what lets
-// cardinality feedback observed against one plan's edges be re-applied
-// to a re-optimized plan whose tasks are cut differently (see
-// applyCardFeedback). Contrast taskSig/opSig, which deliberately encode
-// node and movement for deployment reuse.
-func logicalSig(op Op, ph map[*Placeholder]*Edge) string {
-	switch o := op.(type) {
-	case *Scan:
-		filter := ""
-		if o.Filter != nil {
-			filter = o.Filter.String()
-		}
-		return fmt.Sprintf("lscan(%s,%s,[%s],%s)", o.Table, o.Alias, strings.Join(o.Cols, ","), filter)
-	case *Join:
-		keys := make([]string, len(o.Keys))
-		for i, k := range o.Keys {
-			keys[i] = k.L.String() + "=" + k.R.String()
-		}
-		res := make([]string, len(o.Residual))
-		for i, r := range o.Residual {
-			res[i] = r.String()
-		}
-		return fmt.Sprintf("ljoin(%s,%s,[%s],[%s])",
-			logicalSig(o.L, ph), logicalSig(o.R, ph), strings.Join(keys, ","), strings.Join(res, ","))
-	case *Final:
-		return fmt.Sprintf("lfinal(%s,%s)", logicalSig(o.In, ph), o.Sel.String())
-	case *Placeholder:
-		if e, ok := ph[o]; ok {
-			return logicalSig(e.From.Root, ph)
-		}
-		return fmt.Sprintf("lph([%s])", strings.Join(o.Cols, ","))
 	default:
 		return fmt.Sprintf("%T", op)
 	}

@@ -60,7 +60,7 @@ func selectivity(pred sqlparser.Expr, s *Scan) float64 {
 		case sqlparser.OpAnd:
 			return clamp01(selectivity(x.L, s) * selectivity(x.R, s))
 		case sqlparser.OpOr:
-			return orSelectivity(selectivity(x.L, s), selectivity(x.R, s))
+			return engine.OrSelectivity(selectivity(x.L, s), selectivity(x.R, s))
 		case sqlparser.OpEq:
 			if cs := columnStats(x.L, s); cs != nil && cs.Distinct > 0 {
 				return 1 / float64(cs.Distinct)
@@ -230,63 +230,6 @@ func constValue(e sqlparser.Expr) *sqltypes.Value {
 	}
 }
 
-// exprSelectivity estimates the selectivity of a predicate without column
-// statistics (used for residual predicates spanning relations, e.g. Q7's
-// OR of nation-pair equalities, where per-scan stats do not directly
-// apply). Compositional over AND/OR/NOT with textbook leaf defaults.
-func exprSelectivity(e sqlparser.Expr) float64 {
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		switch x.Op {
-		case sqlparser.OpAnd:
-			return clamp01(exprSelectivity(x.L) * exprSelectivity(x.R))
-		case sqlparser.OpOr:
-			return orSelectivity(exprSelectivity(x.L), exprSelectivity(x.R))
-		case sqlparser.OpEq:
-			return 0.05
-		case sqlparser.OpNe:
-			return 0.9
-		default:
-			return 1.0 / 3
-		}
-	case *sqlparser.BetweenExpr:
-		if x.Not {
-			return 0.75
-		}
-		return 0.25
-	case *sqlparser.InExpr:
-		s := clamp01(0.05 * float64(len(x.List)))
-		if x.Not {
-			return clamp01(1 - s)
-		}
-		return s
-	case *sqlparser.LikeExpr:
-		if x.Not {
-			return 0.9
-		}
-		return 0.1
-	case *sqlparser.IsNullExpr:
-		if x.Not {
-			return 0.95
-		}
-		return 0.05
-	case *sqlparser.NotExpr:
-		return clamp01(1 - exprSelectivity(x.E))
-	default:
-		return 0.5
-	}
-}
-
-// orSelectivity combines two disjunct selectivities with the textbook
-// independence formula s1 + s2 − s1·s2 ([42]). Plain addition saturates —
-// two 0.6-selective disjuncts would estimate the whole table and distort
-// join ordering — while inclusion-exclusion stays strictly below 1 for
-// non-certain inputs.
-func orSelectivity(s1, s2 float64) float64 {
-	s1, s2 = clamp01(s1), clamp01(s2)
-	return clamp01(s1 + s2 - s1*s2)
-}
-
 func clamp01(f float64) float64 {
 	if f < 0 {
 		return 0
@@ -295,51 +238,6 @@ func clamp01(f float64) float64 {
 		return 1
 	}
 	return f
-}
-
-// applyCardFeedback substitutes observed cardinalities into a logical
-// plan before annotation: any subtree whose logical signature (see
-// logicalSig) matches a feedback key takes the observed row count as its
-// estimate, and every ancestor join re-derives its estimate from the
-// corrected inputs. Feedback keys are recorded at materialization
-// barriers (observeMaterialized), so during a mid-query suffix
-// re-optimization the annotator costs the unexecuted remainder with
-// actuals instead of the estimates that just proved wrong. Matching is
-// best-effort — a re-ordered join tree may contain none of the observed
-// subtrees, in which case only the scan-level corrections (and the
-// refreshed catalog statistics) apply. Returns how many subtrees were
-// overridden.
-func applyCardFeedback(op Op, fb map[string]float64) int {
-	if len(fb) == 0 {
-		return 0
-	}
-	n := 0
-	switch x := op.(type) {
-	case *Scan:
-		if rows, ok := fb[logicalSig(x, nil)]; ok && finiteCard(rows) {
-			x.est = math.Max(rows, 1)
-			n++
-		}
-	case *Join:
-		n += applyCardFeedback(x.L, fb)
-		n += applyCardFeedback(x.R, fb)
-		x.est = x.estimate()
-		if rows, ok := fb[logicalSig(x, nil)]; ok && finiteCard(rows) {
-			x.est = math.Max(rows, 1)
-			n++
-		}
-	case *Final:
-		n += applyCardFeedback(x.In, fb)
-	}
-	return n
-}
-
-// finiteCard rejects non-finite observed cardinalities before they enter
-// an estimate: math.Max(NaN, 1) is NaN, so a single poisoned feedback
-// value would otherwise propagate through every ancestor join's
-// re-derived estimate and from there into movement costs.
-func finiteCard(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // estimateJoin estimates equi-join output with per-key distinct counts:
@@ -376,7 +274,7 @@ func joinRows(lRows, rRows float64, dl, dr []float64) float64 {
 func (j *Join) estimate() float64 {
 	est := estimateJoin(j.L, j.R, j.Keys)
 	for _, res := range j.Residual {
-		est *= exprSelectivity(res)
+		est *= engine.Selectivity(res)
 	}
 	return math.Max(est, 1)
 }

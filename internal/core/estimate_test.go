@@ -117,70 +117,3 @@ func TestDistinctOfProperties(t *testing.T) {
 		t.Errorf("distinctOf(join, r.k) = %v, want min(sides) = 10", got)
 	}
 }
-
-// TestApplyCardFeedbackProperties drives observed cardinalities —
-// including zero, huge, and non-finite ones — through the feedback
-// substitution: corrected estimates are always >= 1 and finite, join
-// estimates re-derive from the corrected inputs, and a poisoned
-// (NaN/Inf) observation is rejected rather than propagated.
-func TestApplyCardFeedbackProperties(t *testing.T) {
-	build := func() (*Scan, *Scan, *Join) {
-		l := statScan("l", 100, 10)
-		r := statScan("r", 200, 20)
-		j := &Join{L: l, R: r, Keys: []JoinKey{{L: kref("l"), R: kref("r")}}}
-		j.est = estimateJoin(l, r, j.Keys)
-		return l, r, j
-	}
-
-	// Valid feedback: the scan takes the observation, the join re-derives.
-	l, _, j := build()
-	n := applyCardFeedback(j, map[string]float64{logicalSig(l, nil): 5000})
-	if n != 1 {
-		t.Errorf("applyCardFeedback applied %d overrides, want 1", n)
-	}
-	if l.Est() != 5000 {
-		t.Errorf("corrected scan est = %v, want 5000", l.Est())
-	}
-	if want := estimateJoin(l, j.R, j.Keys); j.Est() != want {
-		t.Errorf("join est after feedback = %v, want re-derived %v", j.Est(), want)
-	}
-
-	// Zero observations clamp to one row, never to zero.
-	l, _, j = build()
-	applyCardFeedback(j, map[string]float64{logicalSig(l, nil): 0})
-	if l.Est() != 1 {
-		t.Errorf("zero observation corrected est to %v, want clamp to 1", l.Est())
-	}
-	if j.Est() < 1 {
-		t.Errorf("join est = %v after zero feedback, want >= 1", j.Est())
-	}
-
-	// Poisoned feedback: NaN and Inf must be rejected — math.Max(NaN, 1)
-	// is NaN, so without the guard one bad observation would flow through
-	// every ancestor join into the movement costs.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		l, r, j := build()
-		n := applyCardFeedback(j, map[string]float64{
-			logicalSig(l, nil): bad,
-			logicalSig(j, nil): bad,
-		})
-		if n != 0 {
-			t.Errorf("non-finite feedback %v applied %d overrides, want 0", bad, n)
-		}
-		for _, op := range []Op{l, r, j} {
-			if est := op.Est(); math.IsNaN(est) || math.IsInf(est, 0) || est < 1 {
-				t.Errorf("feedback %v left a non-finite or sub-1 estimate %v on %T", bad, est, op)
-			}
-		}
-	}
-
-	// Feedback through a Final wrapper reaches the tree underneath.
-	l, _, j = build()
-	fin := &Final{In: j, Sel: &sqlparser.Select{}}
-	if n := applyCardFeedback(fin, map[string]float64{logicalSig(l, nil): 42}); n != 1 {
-		t.Errorf("feedback through Final applied %d overrides, want 1", n)
-	}
-	if l.Est() != 42 {
-		t.Errorf("scan under Final corrected to %v, want 42", l.Est())
-	}
-}

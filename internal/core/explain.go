@@ -17,8 +17,8 @@ import (
 
 // Analyze renders the executed plan with estimated vs observed
 // cardinalities per edge, per-edge wire volume, phase timings, and the
-// replan/reopt/failover verdicts — the plan and the flame tree joined in
-// one artifact.
+// replan/failover verdicts — the plan and the flame tree joined in one
+// artifact.
 func (r *Result) Analyze() string {
 	if r == nil {
 		return ""
@@ -26,19 +26,12 @@ func (r *Result) Analyze() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
 
-	// Index the executed attempt's flows by producing task. Barrier
-	// flows (COUNT(*) probes of explicit FTs) render separately.
-	var barriers []EdgeFlow
+	// Index the executed attempt's flows by producing task.
 	byTask := map[int]EdgeFlow{}
 	for _, f := range r.Flows {
-		if f.QID != r.QID {
-			continue // a retired attempt's stream
+		if f.QID == r.QID { // not a retired attempt's stream
+			byTask[f.Task] = f
 		}
-		if f.Kind == "barrier" {
-			barriers = append(barriers, f)
-			continue
-		}
-		byTask[f.Task] = f
 	}
 
 	if r.Plan != nil && r.Plan.Root != nil {
@@ -69,9 +62,6 @@ func (r *Result) Analyze() string {
 				r.Plan.Root.ID, r.RootNode, root.Rows(), formatKB(root.Bytes()))
 		}
 	}
-	for _, f := range barriers {
-		fmt.Fprintf(&b, "barrier %s: counted %d rows (%s)\n", f.Rel, f.Rows(), formatKB(f.Bytes()))
-	}
 
 	if r.Trace != nil {
 		var ddls []string
@@ -91,17 +81,7 @@ func (r *Result) Analyze() string {
 		}
 	}
 
-	// The record's facts: its timings, then its counts and verdicts.
-	var phases, verdicts string
-	r.Breakdown.facts(func(name string, value any) {
-		fact := fmt.Sprintf(" %s=%v", name, value)
-		if _, ok := value.(time.Duration); ok {
-			phases += fact
-		} else {
-			verdicts += fact
-		}
-	})
-	fmt.Fprintf(&b, "phases:%s\nverdicts:%s\n", phases, verdicts)
+	b.WriteString(r.Breakdown.Summary())
 	return b.String()
 }
 

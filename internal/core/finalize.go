@@ -51,12 +51,6 @@ type Edge struct {
 	// Placeholder is the leaf in To's fragment standing for From's
 	// output.
 	Placeholder *Placeholder
-	// Sig is the placement- and movement-independent logical signature of
-	// the moved relation (see logicalSig). Cardinality feedback observed
-	// at this edge's materialization barrier is recorded under Sig, so a
-	// re-planned plan — whose tasks may be cut differently — can still
-	// recognize the same logical relation and substitute the actual.
-	Sig string
 }
 
 // String renders the edge in the paper's "t_i -x-> t_j" notation.
@@ -113,10 +107,6 @@ type finalizer struct {
 	tasks    []*Task
 	edges    []*Edge
 	nextID   int
-	// phIndex maps every placeholder cut so far to its edge, so
-	// logicalSig can expand placeholders back into the producing
-	// subtrees when signing an edge's moved relation.
-	phIndex map[*Placeholder]*Edge
 	// readAbove maps every operator of the uncut tree to the lower-cased
 	// global column identities read above it (see noteReads).
 	readAbove map[Op]map[string]bool
@@ -125,7 +115,7 @@ type finalizer struct {
 // finalize cuts the annotated logical plan into a delegation plan.
 func finalize(root Op, ann *Annotation, colTypes map[string]sqltypes.Type) *Plan {
 	f := &finalizer{ann: ann, colTypes: colTypes, nextID: 1,
-		phIndex: map[*Placeholder]*Edge{}, readAbove: map[Op]map[string]bool{}}
+		readAbove: map[Op]map[string]bool{}}
 	f.noteReads(root, nil)
 	rootTask := f.makeTask(root)
 	return &Plan{
@@ -243,11 +233,6 @@ func (f *finalizer) absorbChild(child Op, t *Task) Op {
 		width:     child.Width(),
 	}
 	edge := &Edge{From: childTask, To: t, Move: move, EstRows: child.Est(), Placeholder: ph}
-	// makeTask already registered the child subtree's own placeholders in
-	// phIndex, so the signature expands through them into the full
-	// logical subtree this edge moves.
-	f.phIndex[ph] = edge
-	edge.Sig = logicalSig(child, f.phIndex)
 	childTask.attachParentEdge(edge)
 	t.Inputs = append(t.Inputs, edge)
 	f.edges = append(f.edges, edge)

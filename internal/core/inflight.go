@@ -61,12 +61,10 @@ func (coreFlowSink) FlowEvent(ev wire.FlowEvent) {
 func init() { wire.SetFlowSink(coreFlowSink{}) }
 
 // flowKey identifies one attributed stream within a query: which attempt
-// (qid), which producing task, and whether the stream read the task's
-// view (a pull or the root fetch) or its foreign table (a barrier count).
+// (qid) and which producing task's view it read.
 type flowKey struct {
 	qid  int64
 	task int
-	ft   bool
 }
 
 // EdgeFlow is the observed wire traffic of one attributed stream — the
@@ -79,12 +77,9 @@ type EdgeFlow struct {
 	QID  int64  `json:"qid"`
 	Task int    `json:"task"`
 	Rel  string `json:"rel"`
-	Kind string `json:"kind"` // implicit | explicit | barrier | result | shared | unknown
+	Kind string `json:"kind"` // implicit | explicit | result | shared | unknown
 	From string `json:"from,omitempty"`
 	To   string `json:"to,omitempty"`
-	// Sig is the producing edge's logical signature (the PR 8 feedback
-	// key); empty for result-delivery and unattributed flows.
-	Sig string `json:"sig,omitempty"`
 	// EstRows is the planner's estimate for the edge; 0 when unknown.
 	EstRows float64 `json:"est_rows,omitempty"`
 
@@ -121,7 +116,6 @@ func (f EdgeFlow) Bytes() int64 {
 type edgeMeta struct {
 	kind     string
 	est      float64
-	sig      string
 	from, to string
 }
 
@@ -191,7 +185,6 @@ func (e *inflightEntry) attach(qid int64, plan *Plan) {
 		am.edges[edge.From.ID] = edgeMeta{
 			kind: kind,
 			est:  edge.EstRows,
-			sig:  edge.Sig,
 			from: edge.From.Node,
 			to:   edge.To.Node,
 		}
@@ -217,40 +210,28 @@ func (e *inflightEntry) attach(qid int64, plan *Plan) {
 // applyFlow folds one wire flow event into the entry's per-edge counters
 // and the process-wide edge metrics. shared marks a qid contended by two
 // live queries (see flowRouter): the stream's traffic is still counted,
-// but under kind=shared with the per-query attribution (estimate,
-// signature) withheld — it belongs to neither query alone.
+// but under kind=shared with the per-query estimate withheld — it belongs
+// to neither query alone.
 func (e *inflightEntry) applyFlow(ev wire.FlowEvent, shared bool) {
-	key := flowKey{qid: ev.QID, task: ev.Task, ft: ev.FT}
+	key := flowKey{qid: ev.QID, task: ev.Task}
 	e.mu.Lock()
 	fl := e.flows[key]
 	if fl == nil {
 		fl = &EdgeFlow{QID: ev.QID, Task: ev.Task, Rel: ev.Rel, Kind: "unknown"}
 		if am := e.attempts[ev.QID]; am != nil {
-			switch {
-			case ev.FT:
-				fl.Kind = "barrier"
-				if m, ok := am.edges[ev.Task]; ok {
-					fl.Sig = m.sig
-				}
-			case ev.Task == am.root:
+			if ev.Task == am.root {
 				fl.Kind = "result"
-			default:
-				if m, ok := am.edges[ev.Task]; ok {
-					fl.Kind = m.kind
-					fl.EstRows = m.est
-					fl.Sig = m.sig
-					fl.From, fl.To = m.from, m.to
-				}
+			} else if m, ok := am.edges[ev.Task]; ok {
+				fl.Kind = m.kind
+				fl.EstRows = m.est
+				fl.From, fl.To = m.from, m.to
 			}
-		} else if ev.FT {
-			fl.Kind = "barrier"
 		}
 		e.flows[key] = fl
 	}
 	if shared && fl.Kind != "shared" {
 		fl.Kind = "shared"
 		fl.EstRows = 0
-		fl.Sig = ""
 	}
 	if fl.From == "" && ev.From != "" {
 		fl.From = ev.From
@@ -345,7 +326,7 @@ func (e *inflightEntry) snapshot() InflightQuery {
 		Phase:     e.phase,
 		Elapsed:   time.Since(e.start),
 		PlanShape: e.shape,
-		Attempt:   e.bd.attempt(),
+		Attempt:   e.bd.Replans,
 		Breakdown: e.bd,
 	}
 	e.mu.Unlock()

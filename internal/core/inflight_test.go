@@ -119,24 +119,22 @@ func TestInflightLifecycleAndDebugEndpoint(t *testing.T) {
 
 // TestImplicitFlowFeedbackTransferSavings is the acceptance scenario for
 // the implicit-edge feedback loop: the savings schema with tickets'
-// statistics under-reported 10x, implicit movement, and re-optimization
-// OFF — no barriers exist, so the only cardinality observation is the
-// wire flow accounting on the pulls themselves. Run 1 plans against the
+// statistics under-reported 10x and implicit movement, so the only
+// cardinality observation is the wire flow accounting on the pulls
+// themselves. Run 1 plans against the
 // skew and mis-ships the inflated intermediate; its finished pull
 // streams feed the observed tickets count into the learned-statistics loop;
 // run 2 — same cluster, same SQL — must plan against the corrected
 // statistics and move strictly fewer bytes for an identical result.
 func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
-	opts := chaosOptions()
-	opts.MaxReopts = 0 // prove the feedback needs no explicit barriers
-	cl := newChaosCluster(t, opts)
+	cl := newChaosCluster(t, chaosOptions())
 	loadSavingsTables(t, cl)
 	if err := cl.engines["db2"].SkewStats("tickets", 0.1); err != nil {
 		t.Fatal(err)
 	}
 
 	cl.topo.Ledger().Reset()
-	res1, err := cl.sys.Query(reoptSavingsQuery)
+	res1, err := cl.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +145,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	var ticketsFlow *EdgeFlow
 	for i, f := range res1.Flows {
 		if f.Kind == "implicit" && f.Done && f.EstRows > 0 &&
-			reoptDiverges(f.EstRows, float64(f.Rows()), DefaultReoptThreshold) {
+			diverges(f.EstRows, float64(f.Rows())) {
 			ticketsFlow = &res1.Flows[i]
 		}
 	}
@@ -156,7 +154,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	}
 
 	cl.topo.Ledger().Reset()
-	res2, err := cl.sys.Query(reoptSavingsQuery)
+	res2, err := cl.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +162,6 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 
 	if got, want := rowsText(res2), rowsText(res1); got != want {
 		t.Fatalf("run 2 result differs from run 1:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if res1.Breakdown.Reopts != 0 || res2.Breakdown.Reopts != 0 {
-		t.Fatalf("a mid-query reopt fired with MaxReopts=0 (run1=%d run2=%d)",
-			res1.Breakdown.Reopts, res2.Breakdown.Reopts)
 	}
 	if bytes2 >= bytes1 {
 		t.Errorf("run 2 moved %d bytes, run 1 %d — implicit-edge feedback bought nothing", bytes2, bytes1)
@@ -182,7 +176,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 // TestAnalyzeShowsEstVsActual checks the EXPLAIN ANALYZE rendering: the
 // executed plan annotated with estimated vs observed cardinalities,
 // per-edge wire volume, phase timings, per-DDL span timings, and the
-// cache/failover/reopt verdicts.
+// cache/failover verdicts.
 func TestAnalyzeShowsEstVsActual(t *testing.T) {
 	opts := chaosOptions()
 	opts.Trace = true
@@ -209,7 +203,7 @@ func TestAnalyzeShowsEstVsActual(t *testing.T) {
 	}
 	// A plan-cache miss, and no recovery on a clean run: the record's
 	// zero facts are not listed.
-	for _, absent := range []string{"plan_cache_hit", "replans=", "failed_over", "mediator_fallback", "reopts=", "estimate_errors="} {
+	for _, absent := range []string{"plan_cache_hit", "replans=", "failed_over", "mediator_fallback", "reopts="} {
 		if strings.Contains(out, absent) {
 			t.Errorf("Analyze() of a clean cold run reports %q:\n%s", absent, out)
 		}
@@ -324,8 +318,8 @@ func TestFlowSharedWarmDeployment(t *testing.T) {
 	if shared == nil {
 		t.Fatalf("no kind=shared flow on either query:\n%+v\n%+v", res[0].Flows, res[1].Flows)
 	}
-	if shared.EstRows != 0 || shared.Sig != "" {
-		t.Errorf("shared flow kept per-query attribution: est=%v sig=%q", shared.EstRows, shared.Sig)
+	if shared.EstRows != 0 {
+		t.Errorf("shared flow kept per-query attribution: est=%v", shared.EstRows)
 	}
 	if got, want := rowsText(res[0]), rowsText(res[1]); got != want {
 		t.Errorf("concurrent warm results differ:\n%s\nvs\n%s", got, want)

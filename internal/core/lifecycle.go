@@ -12,12 +12,11 @@ import (
 
 // The query lifecycle. The paper's line is straight — optimize, delegate
 // (Algorithm 1), run one SELECT on the root DBMS, drop the short-lived
-// relations — and a queryRun walks it as five steps:
+// relations — and a queryRun walks it as four steps:
 //
-//	plan ──► deploy ──► observe ──► execute ──► settle ──► done
-//	 ▲  └─ cache hit ────┘ ▲                      │
-//	 │                     └── run-original ──────┤
-//	 └────────── retry / reopt ───────────────────┘
+//	plan ──► deploy ──► execute ──► settle ──► done
+//	 ▲  └─ cache hit ────┘             │
+//	 └────────── retry ────────────────┘
 //
 // A step that cannot hand over to the next one reports to settle, and
 // settle is the only place that leaves the line: decide picks the way
@@ -26,8 +25,8 @@ import (
 // query deployed, or enters the mediator fallback.
 //
 // Ownership: owned lists, oldest first, the deployments this query must
-// drop when it ends — the attempts a fault or a re-optimization retired,
-// and at the end the executed one. Until then their surviving objects
+// drop when it ends — the attempts a fault retired, and at the end the
+// executed one. Until then their surviving objects
 // feed the next attempt's reuse index (reuseIndex). A plan-cache entry's
 // deployment joins owned only when this query held the entry's last
 // lease; otherwise another query's release owns the drop.
@@ -38,7 +37,6 @@ type runStep int
 const (
 	stepPlan runStep = iota
 	stepDeploy
-	stepObserve
 	stepExecute
 	stepSettle
 	stepDone
@@ -50,7 +48,6 @@ type armCause int
 const (
 	armFirst armCause = iota // the original run
 	armFault                 // a node fault: re-planned around the excluded node
-	armReopt                 // a disproved estimate: re-planned with observed cardinalities
 )
 
 // outcome is what a step reported to settle.
@@ -58,9 +55,8 @@ type outcome int
 
 const (
 	ranOK      outcome = iota // the XDB query delivered its rows
-	diverged                  // a barrier disproved its estimate
 	planFailed                // the optimizer pipeline returned an error
-	nodeFault                 // deploy, barrier or execution failed, pinned on a node (classifyFault)
+	nodeFault                 // deployment or execution failed, pinned on a node (classifyFault)
 	finalFault                // ... failed with nothing a re-plan can fix: SQL error, cancellation
 )
 
@@ -68,24 +64,16 @@ const (
 type verdict int
 
 const (
-	verdictDone        verdict = iota // deliver the result
-	verdictProceed                    // reopt budget spent: execute the current plan regardless
-	verdictRetry                      // charge Replans; exclude the node, back off, re-plan
-	verdictReopt                      // charge Reopts; re-plan with the observed cardinalities
-	verdictRunOriginal                // the re-optimization has no plan: execute the superseded one
-	verdictFallback                   // in-situ recovery exhausted: finish on the middleware
+	verdictDone     verdict = iota // deliver the result
+	verdictRetry                   // charge Replans; exclude the node, back off, re-plan
+	verdictFallback                // in-situ recovery exhausted: finish on the middleware
 	verdictFail
 )
 
 // decide is the lifecycle's one decision: the verdict, plus the
-// xdb_replans_total and xdb_reopts_total labels to count ("" for none).
-// MaxReplans and MaxReopts are two edges of the same graph: a fault
-// re-plans while the fault budget lasts, a disproved estimate re-plans
-// while the reopt budget lasts, and neither spends the other's budget. A
-// failed re-plan is never retried. A failed attempt counts on the replan
-// metric only when a fault armed it — a reopt-armed attempt was accounted
-// when its plan was produced.
-func decide(what outcome, armed armCause, bd *Breakdown, opts *Options) (next verdict, replans, reopts string) {
+// xdb_replans_total label to count ("" for none). A fault re-plans while
+// the fault budget (MaxReplans) lasts; a failed re-plan is never retried.
+func decide(what outcome, armed armCause, bd *Breakdown, opts *Options) (next verdict, replans string) {
 	exhausted, failed := verdictFail, ""
 	if opts.MediatorFallback {
 		exhausted = verdictFallback
@@ -95,36 +83,28 @@ func decide(what outcome, armed armCause, bd *Breakdown, opts *Options) (next ve
 	}
 	switch {
 	case what == ranOK && bd.Replans > 0:
-		return verdictDone, "recovered", ""
+		return verdictDone, "recovered"
 	case what == ranOK:
-		return verdictDone, "", ""
-	case what == diverged && bd.Reopts < opts.MaxReopts:
-		return verdictReopt, "", ""
-	case what == diverged:
-		return verdictProceed, "", ""
+		return verdictDone, ""
 	case what == planFailed && armed == armFirst:
 		// Nothing is deployed and nothing was tried: the planner's error is
 		// the answer.
-		return verdictFail, "", ""
-	case what == planFailed && armed == armReopt:
-		// The superseded deployment is intact — a query the cluster can
-		// still answer must not fail because its improvement did.
-		return verdictRunOriginal, "", "failed"
+		return verdictFail, ""
 	case what == planFailed:
 		// Typically no healthy placement survives.
-		return exhausted, failed, ""
+		return exhausted, failed
 	case what == nodeFault && bd.Replans < opts.MaxReplans:
-		return verdictRetry, failed, ""
+		return verdictRetry, failed
 	case what == nodeFault:
-		return exhausted, failed, ""
+		return exhausted, failed
 	}
-	return verdictFail, failed, ""
+	return verdictFail, failed
 }
 
 // queryRun is one admitted query's walk down the lifecycle. bd, the
 // query's record, accumulates across attempts (phase times add up;
-// Replans counts the fault-armed attempts, Reopts the cardinality-armed
-// ones, so together they number the current attempt).
+// Replans counts the fault-armed attempts, so it numbers the current
+// one).
 type queryRun struct {
 	s        *System
 	ctx      context.Context
@@ -141,40 +121,28 @@ type queryRun struct {
 	plan *Plan
 	dep  *Deployment
 	ent  *planEntry
-	// borrowed: executing the superseded deployment after a failed
-	// re-optimization — already retired or still leased elsewhere, so not
-	// this attempt's to retire, and already observed.
-	borrowed bool
 
 	owned    []*Deployment
 	excluded map[string]bool
-	// feedback holds the observed cardinalities by logical signature.
-	feedback map[string]float64
-	// superseded is the deployment of the plan the last re-optimization
-	// retired — the plan itself stays in place until a re-plan succeeds —
-	// to run if the re-plan fails.
-	superseded *Deployment
 
 	// The reporting step and its outcome, for settle. err ends up the
 	// query's error.
-	at      runStep
-	err     error
-	trigger *Edge // the barrier that disproved its estimate
-	eres    *engine.Result
-	res     *Result
+	at   runStep
+	err  error
+	eres *engine.Result
+	res  *Result
 }
 
 // lifecycleSteps are the steps, each with the inspector phase it enters
-// ("" keeps the current one: observe names its phase only when it has
-// barriers to run, settle only when it delivers).
+// ("" keeps the current one: execute names its phase after the test hook,
+// settle only when it delivers).
 var lifecycleSteps = [...]struct {
 	phase string
 	do    func(*queryRun) runStep
 }{
 	stepPlan:    {"planning", (*queryRun).doPlan},
 	stepDeploy:  {"delegating", (*queryRun).doDeploy},
-	stepObserve: {"", (*queryRun).doObserve},
-	stepExecute: {"executing", (*queryRun).doExecute},
+	stepExecute: {"", (*queryRun).doExecute},
 	stepSettle:  {"", (*queryRun).settle},
 }
 
@@ -196,11 +164,10 @@ func (r *queryRun) report(at runStep, err error) runStep {
 
 // doPlan produces the attempt's plan. Only the first attempt may hit the
 // plan cache; a re-plan always runs the pipeline, so degraded planning can
-// exclude a tripped node and annotation can consume the feedback.
+// exclude a tripped node.
 func (r *queryRun) doPlan() runStep {
 	s := r.s
-	r.borrowed = false
-	if r.bd.attempt() == 0 && r.cacheKey != "" {
+	if r.bd.Replans == 0 && r.cacheKey != "" {
 		var stale *planEntry
 		if r.ent, stale = s.plans.acquire(r.cacheKey, s.catalog); stale != nil {
 			s.dropDeploymentAsync(stale.dep)
@@ -213,21 +180,12 @@ func (r *queryRun) doPlan() runStep {
 			// here. Concurrent queries sharing the deployment race for the
 			// route; the latest registrant wins the overlap.
 			r.inf.attach(r.dep.QID, r.plan)
-			return stepObserve
+			return stepExecute
 		}
 	}
-	p, err := s.plan(r.ctx, r.sql, &r.bd, r.feedback)
+	p, err := s.plan(r.ctx, r.sql, &r.bd)
 	if err != nil {
 		return r.report(stepPlan, err)
-	}
-	if r.armed == armReopt {
-		// Did the corrected costing change the plan (placement or
-		// movement), or merely confirm it?
-		label := "unchanged"
-		if taskSig(p.Root) != taskSig(r.plan.Root) {
-			label = "improved"
-		}
-		met.reopts.With(label).Inc()
 	}
 	r.plan = p
 	return stepDeploy
@@ -250,48 +208,21 @@ func (r *queryRun) doDeploy() runStep {
 	}
 	// Cache only clean first-attempt deployments: a later one may lean on
 	// objects of retired attempts, which drop when this query ends.
-	if r.bd.attempt() == 0 && r.cacheKey != "" {
+	if r.bd.Replans == 0 && r.cacheKey != "" {
 		var evicted []*planEntry
 		r.ent, evicted = s.plans.put(r.cacheKey, r.plan, dep)
 		for _, ev := range evicted {
 			s.dropDeploymentAsync(ev.dep)
 		}
 	}
-	return stepObserve
-}
-
-// doObserve is the cardinality checkpoint (Options.MaxReopts; reopt.go):
-// force each materialized stage with a COUNT(*) barrier and read the
-// actual row count back before the XDB query runs. The barrier's stored
-// rows are adopted by whatever attempt follows, so the probe's work is
-// never wasted.
-func (r *queryRun) doObserve() runStep {
-	s := r.s
-	if s.hookBeforeAttempt != nil {
-		s.hookBeforeAttempt(r.bd.attempt())
-	}
-	// A warm plan-cache hit's estimates were vetted when it was built, a
-	// borrowed deployment's by the attempt that built it.
-	if s.opts.MaxReopts <= 0 || (r.bd.attempt() == 0 && r.bd.PlanCacheHit) || r.borrowed {
-		return stepExecute
-	}
-	if r.feedback == nil {
-		r.feedback = map[string]float64{}
-	}
-	r.inf.setPhase("observing", &r.bd)
-	_, _, done := timed(r.ctx, "", &r.bd.Exec)
-	trigger, err := s.observeMaterialized(r.ctx, r.qspan, r.plan, r.feedback)
-	done(err)
-	if err == nil && trigger == nil {
-		return stepExecute
-	}
-	if r.trigger = trigger; trigger != nil {
-		r.bd.EstimateErrors++
-	}
-	return r.report(stepObserve, err)
+	return stepExecute
 }
 
 func (r *queryRun) doExecute() runStep {
+	if r.s.hookBeforeAttempt != nil {
+		r.s.hookBeforeAttempt(r.bd.Replans)
+	}
+	r.inf.setPhase("executing", &r.bd)
 	_, _, done := timed(r.ctx, "", &r.bd.Exec)
 	eres, err := r.s.executeDeployment(r.ctx, r.qspan, r.dep)
 	done(err)
@@ -305,8 +236,6 @@ func (r *queryRun) settle() runStep {
 	s, bd := r.s, &r.bd
 	what, node, cause := ranOK, "", ""
 	switch {
-	case r.err == nil && r.at == stepObserve:
-		what = diverged
 	case r.err == nil:
 	case r.at == stepPlan:
 		what = planFailed
@@ -321,34 +250,13 @@ func (r *queryRun) settle() runStep {
 			}
 		}
 	}
-	next, replans, reopts := decide(what, r.armed, bd, &s.opts)
+	next, replans := decide(what, r.armed, bd, &s.opts)
 	if replans != "" {
 		met.replans.With(replans).Inc()
-	}
-	if reopts != "" {
-		met.reopts.With(reopts).Inc()
 	}
 	switch next {
 	case verdictDone:
 		return r.deliver()
-	case verdictProceed:
-		return stepExecute
-	case verdictRunOriginal:
-		sp := r.qspan.Child("reopt_fallback")
-		sp.SetErr(r.err)
-		sp.Finish()
-		r.dep, r.borrowed = r.superseded, true
-		return stepObserve
-	case verdictReopt:
-		bd.Reopts++
-		r.superseded = r.dep
-		r.release(true)
-		// No exclusion, no breaker trip, no backoff: the cluster is
-		// healthy — only the estimate was wrong.
-		e := r.trigger
-		return r.rearm(armReopt, "reopt", "cause", "cardinality", "node", e.To.Node, "rel", e.Placeholder.Rel,
-			"est", strconv.FormatFloat(e.EstRows, 'f', 0, 64),
-			"actual", strconv.FormatFloat(r.feedback[e.Sig], 'f', 0, 64))
 	case verdictRetry:
 		bd.Replans++
 		r.release(true)
@@ -356,7 +264,14 @@ func (r *queryRun) settle() runStep {
 		// plans and consulted costs before the re-plan.
 		r.excluded[node] = true
 		s.health.tripNode(node, r.err)
-		r.rearm(armFault, "replan", "cause", cause, "excluded", node)
+		// One span says why the next attempt was armed.
+		r.armed = armFault
+		sp := r.qspan.Child("replan")
+		sp.Set("cause", cause)
+		sp.Set("excluded", node)
+		sp.Set("attempt", strconv.Itoa(bd.Replans))
+		sp.SetErr(r.err)
+		sp.Finish()
 		if s.replanWait(r.ctx, bd.Replans-1) == nil {
 			return stepPlan
 		}
@@ -375,26 +290,13 @@ func (r *queryRun) settle() runStep {
 	return r.finish(nil)
 }
 
-// rearm starts the next attempt, leaving one span that says why.
-func (r *queryRun) rearm(armed armCause, span string, kv ...string) runStep {
-	r.armed = armed
-	sp := r.qspan.Child(span)
-	for i := 0; i+1 < len(kv); i += 2 {
-		sp.Set(kv[i], kv[i+1])
-	}
-	sp.Set("attempt", strconv.Itoa(r.bd.attempt()))
-	sp.SetErr(r.err)
-	sp.Finish()
-	return stepPlan
-}
-
 // release ends the current attempt's hold on its deployment without
 // dropping it: the lease on a cached entry goes back (poisoning the entry
-// when the attempt failed or was superseded), and the deployment joins
-// owned if it is this query's to drop — never a borrowed one, and a cached
-// entry's only when this was its last lease out.
+// when the attempt failed), and the deployment joins owned if it is this
+// query's to drop — a cached entry's only when this was its last lease
+// out.
 func (r *queryRun) release(poison bool) {
-	mine := r.dep != nil && !r.borrowed
+	mine := r.dep != nil
 	if r.ent != nil {
 		mine = r.s.plans.release(r.ent, poison)
 	}
@@ -409,12 +311,12 @@ func (r *queryRun) deliver() runStep {
 	dep := r.dep
 	r.bd.FailedOver = r.bd.Replans > 0
 	r.inf.setPhase("finishing", &r.bd)
-	// Post-hoc cardinality feedback from the implicit edges this execution
-	// pulled over the wire — the flow-accounting counterpart of the
-	// barriers (reopt.go): strictly cross-query, the finished query is
-	// untouched. qid scopes the lookup to the attempt that executed.
+	// Every edge this execution drained — pulled or materialized —
+	// corrects the catalog for the next query (learn.go); the finished
+	// query is untouched. qid scopes the lookup to the attempt that
+	// executed.
 	for _, e := range r.plan.Edges {
-		if actual, done := r.inf.flowObserved(dep.QID, e.From.ID); done && e.Move == MoveImplicit {
+		if actual, done := r.inf.flowObserved(dep.QID, e.From.ID); done {
 			r.s.feedObservedRows(e, float64(actual))
 		}
 	}

@@ -30,9 +30,9 @@ import (
 // its schema, and what the middleware believes about its statistics.
 // Stats is what planning uses; Reported is the home DBMS's last report
 // (nil until Refresh brings one). Once reported, the two differ only
-// while Learned is set: an observed cardinality (a re-optimization
-// barrier, a finished implicit pull, an exhausted sample probe)
-// contradicted the report, and the correction stands in for it. Entries
+// while Learned is set: an observed cardinality (a drained edge or an
+// exhausted sample probe; learn.go) contradicted the report, and the
+// correction stands in for it. Entries
 // are immutable once published — Refresh and Learn replace the entry
 // rather than mutating it, so concurrent queries each plan against a
 // consistent snapshot.

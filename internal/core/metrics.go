@@ -34,7 +34,6 @@ var met = struct {
 	orphansParked  *obs.Counter
 	orphansSwept   *obs.Counter
 	replans        *obs.CounterVec // by outcome
-	reopts         *obs.CounterVec // by outcome
 	failovers      *obs.Counter
 	edgeRows       *obs.CounterVec // by edge kind
 	edgeBytes      *obs.CounterVec // by edge kind
@@ -79,12 +78,10 @@ var met = struct {
 		"Parked relations collected by the janitor."),
 	replans: obs.Default.CounterVec("xdb_replans_total",
 		"Mid-query failover replan attempts by outcome: recovered, failed, fallback.", "outcome"),
-	reopts: obs.Default.CounterVec("xdb_reopts_total",
-		"Mid-query cardinality re-optimizations by outcome: improved (corrected costing changed the plan), unchanged, failed.", "outcome"),
 	failovers: obs.Default.Counter("xdb_failover_total",
 		"Queries that survived a mid-query fault (suffix replan or mediator fallback)."),
 	edgeRows: obs.Default.CounterVec("xdb_edge_rows_total",
-		"Rows observed on attributed wire streams by edge kind (implicit, explicit, barrier, result, shared, unknown), counted at the receiving end.", "kind"),
+		"Rows observed on attributed wire streams by edge kind (implicit, explicit, result, shared, unknown), counted at the receiving end.", "kind"),
 	edgeBytes: obs.Default.CounterVec("xdb_edge_bytes_total",
 		"Wire bytes (frame headers included) of attributed result streams by edge kind, counted at the receiving end.", "kind"),
 	sampleProbes: obs.Default.CounterVec("xdb_sample_probes_total",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"xdb/internal/engine"
 	"xdb/internal/joinorder"
 	"xdb/internal/sqlparser"
 	"xdb/internal/wire"
@@ -88,20 +89,6 @@ type Options struct {
 	// — the fallback trades the paper's in-situ efficiency for
 	// availability, and it bypasses remote operator pushdown.
 	MediatorFallback bool
-	// MaxReopts is how many times one query may re-optimize its
-	// unexecuted suffix after an observed cardinality contradicted the
-	// estimate: each explicit-movement (materialized) stage is a
-	// barrier where the actual row count is read back and compared
-	// against the plan's annotation-time estimate; a divergence beyond
-	// DefaultReoptThreshold (strictly, in either direction) re-runs
-	// annotation for the rest of the plan with the observed
-	// cardinalities substituted, reusing every already deployed (and in
-	// particular every already materialized) fragment.
-	// Zero (the paper configuration) disables the feedback loop
-	// entirely — no barrier is probed and plans are never revised
-	// mid-query. Re-optimizations do not consume the MaxReplans fault
-	// budget.
-	MaxReopts int
 	// SampleLimit enables proactive sampling-based estimate refinement:
 	// before a cross-database query's joins are ordered and placed, each
 	// low-confidence relation (no column statistics, a learned
@@ -247,7 +234,7 @@ func newJoinGraph(scans []*Scan, conjs []sqlparser.Expr) (*joinGraph, error) {
 	}
 	g := &joinGraph{Graph: jg, conjs: conjs, keys: make([]keyCols, len(conjs))}
 	for ci, c := range conjs {
-		cj := joinorder.Conjunct{Sel: exprSelectivity(c)}
+		cj := joinorder.Conjunct{Sel: engine.Selectivity(c)}
 		for _, cr := range sqlparser.ColumnsIn(c) {
 			// A bare reference names a projection alias, not a relation.
 			if i, ok := pos[strings.ToLower(cr.Table)]; ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"log/slog"
 	"reflect"
 	"strings"
@@ -11,10 +12,11 @@ import (
 // lifecycle writes down what happened to it, and every per-query surface
 // reads it back through facts: the slow-query log's attrs, the
 // /debug/queries JSON (InflightQuery embeds the record), FormatInflight's
-// header, and the phases and verdicts lines of Result.Analyze. The
-// process-wide series that mirror one of its fields are fed from the
-// finished record (publish). A field's json tag is its name on every
-// surface, so a new field needs no renderer of its own.
+// header, and Summary's phases and verdicts lines, which Result.Analyze
+// and the xdb command print. The process-wide series that mirror one of
+// its fields are fed from the finished record (publish). A field's json
+// tag is its name on every surface, so a new field needs no renderer of
+// its own.
 
 // Breakdown is the record of one query: the per-phase timing of Fig. 15 —
 // preparation (parse + metadata gathering), logical optimization,
@@ -71,18 +73,10 @@ type Breakdown struct {
 	// middleware's embedded engine (Options.MediatorFallback) because no
 	// in-situ placement survived the fault.
 	MediatorFallback bool `json:"mediator_fallback,omitempty"`
-	// Reopts counts the mid-query cardinality re-optimizations this
-	// query spent: a materialized stage's actual row count diverged from
-	// the annotation-time estimate beyond DefaultReoptThreshold, and
-	// the unexecuted suffix was re-annotated with the observed
-	// cardinality substituted (Options.MaxReopts). Zero with accurate
-	// statistics, and always zero when MaxReopts is 0.
+	// Reopts is always zero: the lifecycle never re-optimizes a running
+	// query (estimates are corrected before a plan is made, learn.go). The
+	// benchmark harness in bench/ still reads it.
 	Reopts int `json:"reopts,omitempty"`
-	// EstimateErrors counts the materialization barriers whose observed
-	// cardinality contradicted the estimate beyond the threshold — the
-	// misestimations the feedback loop caught, whether or not the
-	// re-optimization budget allowed acting on them.
-	EstimateErrors int `json:"estimate_errors,omitempty"`
 }
 
 // Total returns the end-to-end time, admission wait included — a queued
@@ -99,10 +93,6 @@ func (b Breakdown) Work() time.Duration {
 	return b.Prep + b.Lopt + b.Ann + b.Deleg + b.Exec
 }
 
-// attempt numbers the query's current attempt from 0: each replan and
-// each re-optimization starts the next one.
-func (b *Breakdown) attempt() int { return b.Replans + b.Reopts }
-
 // facts calls fn with the json name and the value of each non-zero
 // field of the record, in declaration order. Text surfaces render a fact
 // as name=value.
@@ -114,6 +104,21 @@ func (b Breakdown) facts(fn func(name string, value any)) {
 			fn(name, f.Interface())
 		}
 	}
+}
+
+// Summary renders the record's facts as two lines: "phases:" with its
+// timings, then "verdicts:" with its counts and flags, each fact
+// name=value.
+func (b Breakdown) Summary() string {
+	var phases, verdicts strings.Builder
+	b.facts(func(name string, value any) {
+		line := &verdicts
+		if _, ok := value.(time.Duration); ok {
+			line = &phases
+		}
+		fmt.Fprintf(line, " %s=%v", name, value)
+	})
+	return "phases:" + phases.String() + "\nverdicts:" + verdicts.String() + "\n"
 }
 
 // publish feeds the process-wide series that mirror a field of the

@@ -326,17 +326,17 @@ func (h *surfaceHarness) query(ctx context.Context, sql string) (*Result, Breakd
 	if h.mid == nil {
 		t.Fatal("no pre-execution snapshot of an admitted query")
 	}
-	// Execution and settle write Exec, EstimateErrors, FailedOver and
-	// MediatorFallback after the last pre-execution hook; every other field
-	// is final by then.
+	// Execution and settle write Exec, FailedOver and MediatorFallback
+	// after the last pre-execution hook; every other field is final by
+	// then.
 	mid, want := h.mid.Breakdown, fin
-	want.Exec, want.EstimateErrors = mid.Exec, mid.EstimateErrors
+	want.Exec = mid.Exec
 	want.FailedOver, want.MediatorFallback = mid.FailedOver, mid.MediatorFallback
-	if mid != want || mid.Exec > fin.Exec || mid.EstimateErrors > fin.EstimateErrors {
+	if mid != want || mid.Exec > fin.Exec {
 		t.Errorf("pre-execution snapshot\n%+v\nResult.Breakdown\n%+v", mid, fin)
 	}
-	if h.mid.Attempt != fin.Replans+fin.Reopts {
-		t.Errorf("snapshot attempt %d, record replans %d + reopts %d", h.mid.Attempt, fin.Replans, fin.Reopts)
+	if h.mid.Attempt != fin.Replans {
+		t.Errorf("snapshot attempt %d, record replans %d", h.mid.Attempt, fin.Replans)
 	}
 	return res, fin, nil
 }
@@ -399,10 +399,10 @@ func shedOptions() Options {
 	return opts
 }
 
-// TestRecordConsistentAcrossSurfaces walks seven paths of the lifecycle —
-// a clean cold run (and its consult-cache repeat), a plan-cache hit, a
-// fault replan, a re-optimization under skewed statistics, a sampling
-// probe, a mediator fallback and a queue shed — and on each checks every
+// TestRecordConsistentAcrossSurfaces walks six paths of the lifecycle — a
+// clean cold run (and its consult-cache repeat), a plan-cache hit, a fault
+// replan, a sampling probe under skewed statistics, a mediator fallback
+// and a queue shed — and on each checks every
 // surface against the query's record, and the moved process-wide series
 // against the records' sums.
 func TestRecordConsistentAcrossSurfaces(t *testing.T) {
@@ -458,25 +458,13 @@ func TestRecordConsistentAcrossSurfaces(t *testing.T) {
 		}
 		h.checkSeries(before)
 	})
-	t.Run("reopt", func(t *testing.T) {
-		cl := newChaosCluster(t, reoptOptions())
-		must(t, cl.engines["db2"].SkewStats("orders", 0.1))
-		h := newSurfaceHarness(t, cl)
-		before := readSeries()
-		_, bd, err := h.query(bg, failoverQuery)
-		must(t, err)
-		if bd.Reopts < 1 || bd.EstimateErrors < 1 {
-			t.Errorf("reopts=%d estimate_errors=%d: path not exercised", bd.Reopts, bd.EstimateErrors)
-		}
-		h.checkSeries(before)
-	})
 	t.Run("sampling", func(t *testing.T) {
 		cl := newChaosCluster(t, sampleOptions(64))
 		loadSavingsTables(t, cl)
 		must(t, cl.engines["db2"].SkewStats("tickets", 0.1))
 		h := newSurfaceHarness(t, cl)
 		before := readSeries()
-		_, bd, err := h.query(bg, reoptSavingsQuery)
+		_, bd, err := h.query(bg, savingsQuery)
 		must(t, err)
 		if bd.SampleProbes < 1 {
 			t.Error("no sample probe: path not exercised")

@@ -13,18 +13,16 @@ import (
 	"xdb/internal/wire"
 )
 
-// Proactive sampling-based estimate refinement: the optimistic half of the
-// cardinality feedback loop. Re-optimization (reopt.go) corrects a
-// misestimate after a materialization barrier disproved it — after the
-// wrong stage already shipped. Sampling corrects it before anything
-// ships: when a query spans DBMSes (so a Rule-4 placement is coming) and
-// a relation's estimate is low-confidence, the optimizer issues a
-// bounded-sample probe — scan at most Options.SampleLimit rows, count the
-// predicate matches, sketch per-column statistics — against the
-// relation's home DBMS, and substitutes the observed truth into the same
-// machinery the barriers feed: the scan's estimate and statistics for
-// this query, and a learned correction in the catalog for every
-// subsequent one.
+// Proactive sampling-based estimate refinement, one of the two writers of
+// learned statistics (learn.go). A drained edge corrects the next query,
+// after the wrong stage already shipped; sampling corrects this one before
+// anything ships: when a query spans DBMSes (so a Rule-4 placement is
+// coming) and a relation's estimate is low-confidence, the optimizer
+// issues a bounded-sample probe — scan at most Options.SampleLimit rows,
+// count the predicate matches, sketch per-column statistics — against the
+// relation's home DBMS, and substitutes the observed truth for the scan's
+// estimate and statistics in this query, and as a learned correction in
+// the catalog for every subsequent one.
 //
 // A probe is low-confidence-triggered, never unconditional:
 //

@@ -2,29 +2,90 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"xdb/internal/sqltypes"
 )
 
 // Proactive sampling scenarios (`make chaos`). The cluster's
 // statistics are skewed with Engine.SkewStats — the stale-ANALYZE
 // condition — and the tests assert the sampling pre-pass's invariants:
-// a sampling-enabled query plans correctly on its FIRST run (zero
-// mid-query re-optimizations, strictly fewer bytes shipped than a
-// sampling-off run under the same skew), probes respect the configured
+// a sampling-enabled query plans correctly on its FIRST run (strictly
+// fewer bytes shipped than a sampling-off run under the same skew),
+// probes respect the configured
 // row bound, never fire at a node whose breaker is open, degrade to the
 // plain estimate on fault, and one exhausted probe's exact statistics
 // benefit every subsequent query.
 
-// sampleOptions enable the sampling pre-pass on top of the reopt chaos
-// configuration: movement forced explicit and MaxReopts=2 in BOTH the
-// on and off arms, so any reopt difference is attributable to sampling
-// alone.
+// sampleOptions enable the sampling pre-pass (limit 0: off) on the chaos
+// cluster with movement forced explicit, so every edge materializes and
+// a mis-placed join ships its whole input.
 func sampleOptions(limit int) Options {
-	opts := reoptOptions()
+	opts := chaosOptions()
+	opts.ForceMovement = MoveExplicit
 	opts.SampleLimit = limit
 	return opts
 }
+
+// loadSavingsTables builds the transfer-savings scenario on a chaos
+// cluster: members (db1, 10 rows per key), tickets (db2, the table whose
+// statistics will be skewed), and scans (db3, several rows per ticket,
+// each with a note the query selects). The fan-out sits in the joins, so
+// a misestimate on tickets deflates the tickets-scans join output
+// estimate and mis-places the final join. The notes make the shipped rows
+// outweigh the control-plane bytes under the compact binary row codec,
+// where keys take a byte or two.
+func loadSavingsTables(t testing.TB, cl *chaosCluster) {
+	t.Helper()
+	load := func(node, table string, schema *sqltypes.Schema, rows []sqltypes.Row) {
+		if err := cl.engines[node].LoadTable(table, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.sys.RegisterTable(table, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members := sqltypes.NewSchema(
+		sqltypes.Column{Name: "m_id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "m_name", Type: sqltypes.TypeString},
+	)
+	var mrows []sqltypes.Row
+	for i := 0; i < 100; i++ { // 10 members per key
+		mrows = append(mrows, sqltypes.Row{
+			sqltypes.NewInt(int64(i % 10)), sqltypes.NewString(fmt.Sprintf("m-%03d", i)),
+		})
+	}
+	load("db1", "members", members, mrows)
+	tickets := sqltypes.NewSchema(
+		sqltypes.Column{Name: "t_id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "t_mid", Type: sqltypes.TypeInt},
+	)
+	var trows []sqltypes.Row
+	for i := 0; i < 50; i++ {
+		trows = append(trows, sqltypes.Row{
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 10)),
+		})
+	}
+	load("db2", "tickets", tickets, trows)
+	scans := sqltypes.NewSchema(
+		sqltypes.Column{Name: "s_id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "s_tid", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "s_note", Type: sqltypes.TypeString},
+	)
+	var srows []sqltypes.Row
+	for i := 0; i < 300; i++ { // 6 scans per ticket
+		srows = append(srows, sqltypes.Row{
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 50)),
+			sqltypes.NewString(fmt.Sprintf("scan %03d of ticket %02d, read at the gate", i, i%50)),
+		})
+	}
+	load("db3", "scans", scans, srows)
+}
+
+const savingsQuery = "SELECT m.m_name, t.t_id, s.s_id, s.s_note FROM members m, tickets t, scans s " +
+	"WHERE m.m_id = t.t_mid AND t.t_id = s.s_tid ORDER BY s.s_id, m.m_name"
 
 // sampleOutcomes snapshots the per-outcome probe counters.
 func sampleOutcomes() map[string]int64 {
@@ -38,10 +99,9 @@ func sampleOutcomes() map[string]int64 {
 // TestSampleTransferSavings is the acceptance scenario: tickets'
 // statistics under-report 10x (reported 5 rows, true 50), which sits
 // under the sample limit, so the pre-pass probes tickets, exhausts it,
-// and plans the first run against exact statistics — zero mid-query
-// re-optimizations, strictly fewer bytes shipped than the sampling-off
-// arm, which only discovers the skew at a materialization barrier after
-// the wrong prefix already shipped. Both arms run with MaxReopts=2.
+// and plans the first run against exact statistics — strictly fewer bytes
+// shipped than the sampling-off arm, which plans against the skew and
+// ships the inflated intermediate.
 func TestSampleTransferSavings(t *testing.T) {
 	run := func(t *testing.T, sampleLimit int) (*Result, int64) {
 		t.Helper()
@@ -51,7 +111,7 @@ func TestSampleTransferSavings(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl.topo.Ledger().Reset()
-		res, err := cl.sys.Query(reoptSavingsQuery)
+		res, err := cl.sys.Query(savingsQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +119,6 @@ func TestSampleTransferSavings(t *testing.T) {
 	}
 
 	off, bytesOff := run(t, 0)
-	if off.Breakdown.Reopts < 1 {
-		t.Fatalf("sampling-off run never re-optimized (reopts=%d) — the skew scenario is broken",
-			off.Breakdown.Reopts)
-	}
 	if off.Breakdown.SampleProbes != 0 {
 		t.Errorf("sampling-off run counted %d probes, want 0", off.Breakdown.SampleProbes)
 	}
@@ -75,14 +131,7 @@ func TestSampleTransferSavings(t *testing.T) {
 		t.Fatalf("sampled result differs from unsampled:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	// The probe exhausted tickets before placement, so the first run is
-	// the corrected run: no barrier divergence, no mid-query reopt.
-	if on.Breakdown.Reopts != 0 {
-		t.Errorf("sampling-on run re-optimized %d times, want 0 (the probe should pre-empt the barrier)",
-			on.Breakdown.Reopts)
-	}
-	if on.Breakdown.EstimateErrors != 0 {
-		t.Errorf("sampling-on run counted %d estimate errors, want 0", on.Breakdown.EstimateErrors)
-	}
+	// the corrected run.
 	if on.Breakdown.SampleProbes != 1 {
 		t.Errorf("Breakdown.SampleProbes = %d, want 1 (only tickets sits under the limit)",
 			on.Breakdown.SampleProbes)
@@ -93,16 +142,15 @@ func TestSampleTransferSavings(t *testing.T) {
 	if bytesOn >= bytesOff {
 		t.Errorf("sampled run moved %d bytes, unsampled %d — expected a transfer saving", bytesOn, bytesOff)
 	}
-	t.Logf("bytes moved: sampling-off=%d sampling-on=%d (%.0f%% saved), probes=%d, reopts on/off=%d/%d",
-		bytesOff, bytesOn, 100*(1-float64(bytesOn)/float64(bytesOff)),
-		on.Breakdown.SampleProbes, on.Breakdown.Reopts, off.Breakdown.Reopts)
+	t.Logf("bytes moved: sampling-off=%d sampling-on=%d (%.0f%% saved), probes=%d",
+		bytesOff, bytesOn, 100*(1-float64(bytesOn)/float64(bytesOff)), on.Breakdown.SampleProbes)
 }
 
 // TestSampleDisabledNoOp pins the paper configuration: with SampleLimit
 // 0 the pre-pass does not exist — no probes in the breakdown, no sample
 // spans in the trace, no outcome counters moving — even under skew.
 func TestSampleDisabledNoOp(t *testing.T) {
-	opts := reoptOptions()
+	opts := sampleOptions(0)
 	opts.Trace = true
 	cl := newChaosCluster(t, opts)
 	if err := cl.engines["db2"].SkewStats("orders", 0.1); err != nil {
@@ -129,12 +177,12 @@ func TestSampleDisabledNoOp(t *testing.T) {
 
 // TestSampleAccurateStatsAgree pins the no-harm side: with accurate
 // statistics a triggered probe confirms the estimate (outcome "agreed"
-// after the first corrective pass is never needed), changes nothing
-// about the plan, and never trips a reopt.
+// after the first corrective pass is never needed) and changes nothing
+// about the plan.
 func TestSampleAccurateStatsAgree(t *testing.T) {
-	baseline := newChaosCluster(t, reoptOptions())
+	baseline := newChaosCluster(t, sampleOptions(0))
 	loadSavingsTables(t, baseline)
-	want, err := baseline.sys.Query(reoptSavingsQuery)
+	want, err := baseline.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +190,7 @@ func TestSampleAccurateStatsAgree(t *testing.T) {
 	cl := newChaosCluster(t, sampleOptions(64))
 	loadSavingsTables(t, cl)
 	before := sampleOutcomes()
-	res, err := cl.sys.Query(reoptSavingsQuery)
+	res, err := cl.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +205,6 @@ func TestSampleAccurateStatsAgree(t *testing.T) {
 	}
 	if got := after["sampled"] - before["sampled"]; got != 0 {
 		t.Errorf("accurate statistics still produced a corrective probe (sampled delta %d)", got)
-	}
-	if res.Breakdown.Reopts != 0 || res.Breakdown.EstimateErrors != 0 {
-		t.Errorf("accurate run reopted: reopts=%d estimate_errors=%d",
-			res.Breakdown.Reopts, res.Breakdown.EstimateErrors)
 	}
 	if got, want := planShape(res.Plan), planShape(want.Plan); got != want {
 		t.Errorf("sampled plan shape = %s, want %s (an agreeing probe must not change the plan)", got, want)
@@ -186,28 +230,23 @@ func TestSampleCrossQueryFeedback(t *testing.T) {
 	if err := cl.engines["db2"].SkewStats("tickets", 0.1); err != nil {
 		t.Fatal(err)
 	}
-	first, err := cl.sys.Query(reoptSavingsQuery)
+	first, err := cl.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Breakdown.SampleProbes < 1 || first.Breakdown.Reopts != 0 {
-		t.Fatalf("first query: probes=%d reopts=%d — scenario broken",
-			first.Breakdown.SampleProbes, first.Breakdown.Reopts)
+	if first.Breakdown.SampleProbes < 1 {
+		t.Fatalf("first query: probes=%d — scenario broken", first.Breakdown.SampleProbes)
 	}
 	if info, _ := cl.sys.catalog.Lookup("tickets"); !info.Learned {
 		t.Fatal("exhausted probe installed no stats override")
 	}
 
 	before := sampleOutcomes()
-	second, err := cl.sys.Query(reoptSavingsQuery)
+	second, err := cl.sys.Query(savingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := sampleOutcomes()
-	if second.Breakdown.Reopts != 0 || second.Breakdown.EstimateErrors != 0 {
-		t.Errorf("second query diverged: reopts=%d estimate_errors=%d — correction not carried over",
-			second.Breakdown.Reopts, second.Breakdown.EstimateErrors)
-	}
 	// The node still reports the stale snapshot, so the override (and
 	// the row count under the limit) keep the probe firing — but it now
 	// agrees with the corrected catalog.
@@ -317,7 +356,7 @@ func TestSampleSerialParallelIdentical(t *testing.T) {
 		if err := cl.engines["db3"].SkewStats("scans", 0.1); err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.sys.Query(reoptSavingsQuery)
+		res, err := cl.sys.Query(savingsQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +364,8 @@ func TestSampleSerialParallelIdentical(t *testing.T) {
 	}
 	par := run(t, false)
 	ser := run(t, true)
-	// At least two probes per planning pass (tickets and scans both sit
-	// under the limit); the truncated scans probe only raises its
-	// estimate to the observed lower bound, so a barrier reopt may still
-	// fire and its suffix re-plan runs the pre-pass again — identically
-	// in both arms.
+	// At least two probes (tickets and scans both sit under the limit),
+	// the same number in both arms.
 	if par.Breakdown.SampleProbes < 2 || par.Breakdown.SampleProbes != ser.Breakdown.SampleProbes {
 		t.Errorf("probes parallel/serial = %d/%d, want equal and >= 2",
 			par.Breakdown.SampleProbes, ser.Breakdown.SampleProbes)
@@ -370,8 +406,8 @@ func TestSampleSingleNodeNeverProbed(t *testing.T) {
 // BenchmarkSample prices the pre-pass: the savings join with sampling
 // off and on, under accurate and skewed statistics. With accurate
 // statistics the on variant pays one bounded probe per query and must
-// stay within noise of off; under skew it buys back the mid-query
-// re-optimization the off variant pays at a barrier.
+// stay within noise of off; under skew it buys back the inflated
+// intermediate the off variant ships.
 func BenchmarkSample(b *testing.B) {
 	run := func(b *testing.B, sampleLimit int, skew float64) {
 		opts := sampleOptions(sampleLimit)
@@ -382,12 +418,12 @@ func BenchmarkSample(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := cl.sys.Query(reoptSavingsQuery); err != nil {
+		if _, err := cl.sys.Query(savingsQuery); err != nil {
 			b.Fatal(err) // warm: calibration, pools
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cl.sys.Query(reoptSavingsQuery); err != nil {
+			if _, err := cl.sys.Query(savingsQuery); err != nil {
 				b.Fatal(err)
 			}
 		}

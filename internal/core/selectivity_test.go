@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
 )
 
@@ -28,8 +29,8 @@ func TestOrSelectivity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := orSelectivity(tc.s1, tc.s2); math.Abs(got-tc.want) > 1e-9 {
-				t.Errorf("orSelectivity(%v, %v) = %v, want %v", tc.s1, tc.s2, got, tc.want)
+			if got := engine.OrSelectivity(tc.s1, tc.s2); math.Abs(got-tc.want) > 1e-9 {
+				t.Errorf("OrSelectivity(%v, %v) = %v, want %v", tc.s1, tc.s2, got, tc.want)
 			}
 		})
 	}
@@ -44,8 +45,8 @@ func TestExprSelectivityOr(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0.05 + 0.05 - 0.05*0.05
-	if got := exprSelectivity(sel.Where); math.Abs(got-want) > 1e-9 {
-		t.Errorf("exprSelectivity = %v, want %v", got, want)
+	if got := engine.Selectivity(sel.Where); math.Abs(got-want) > 1e-9 {
+		t.Errorf("Selectivity = %v, want %v", got, want)
 	}
 }
 

@@ -82,9 +82,8 @@ type System struct {
 	CacheStats bool
 
 	// hookBeforeAttempt, when set, runs right before each attempt's
-	// observe and execute steps (attempt 0 is the original run). Test
-	// seam for chaos tests that must kill a node after deployment but
-	// before execution.
+	// execute step (attempt 0 is the original run). Test seam for chaos
+	// tests that must kill a node after deployment but before execution.
 	hookBeforeAttempt func(attempt int)
 }
 
@@ -311,19 +310,15 @@ func (s *System) PlanContext(ctx context.Context, sql string) (*Plan, *Breakdown
 		ctx = context.Background()
 	}
 	bd := &Breakdown{}
-	plan, err := s.plan(ctx, sql, bd, nil)
+	plan, err := s.plan(ctx, sql, bd)
 	bd.publish()
 	return plan, bd, err
 }
 
-// plan runs the optimizer pipeline. feedback, when non-empty, carries
-// observed cardinalities keyed by logical signature (see reopt.go): they
-// are substituted into the logical plan before annotation, so Rule 4
-// prices placements and movements against actuals instead of the
-// estimates a materialization barrier just disproved. The phase times
-// accumulate into bd: a mid-query failover replans, and the breakdown
-// reports the query's total planning spend.
-func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback map[string]float64) (*Plan, error) {
+// plan runs the optimizer pipeline. The phase times accumulate into bd:
+// a mid-query failover replans, and the breakdown reports the query's
+// total planning spend.
+func (s *System) plan(ctx context.Context, sql string, bd *Breakdown) (*Plan, error) {
 	b, joinConjs, canon, err := s.prepare(ctx, sql, bd)
 	if err != nil {
 		return nil, err
@@ -338,7 +333,6 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown, feedback m
 		return nil, err
 	}
 	root := &Final{In: joined, Sel: canon}
-	applyCardFeedback(root, feedback)
 	done(nil)
 
 	// --- Annotation and finalization.
@@ -443,8 +437,8 @@ type Result struct {
 	QID int64
 	// Flows is the per-edge wire flow accounting observed while the
 	// query ran: one entry per attributed stream (implicit pulls,
-	// explicit materialization fetches, re-optimization barriers, and the
-	// root result delivery), across all attempts. Result.Analyze renders
+	// explicit materialization fetches, and the root result delivery),
+	// across all attempts. Result.Analyze renders
 	// it against the executed plan.
 	Flows []EdgeFlow
 }
@@ -535,9 +529,9 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 		}
 	}
 
-	// plan → deploy → observe → execute → settle (lifecycle.go). With
-	// MaxReplans and MaxReopts 0 — the paper's configuration — the line is
-	// straight and the first fault fails the query.
+	// plan → deploy → execute → settle (lifecycle.go). With MaxReplans 0
+	// — the paper's configuration — the line is straight and the first
+	// fault fails the query.
 	run.ctx = ctx
 	return run.run()
 }

@@ -386,7 +386,7 @@ func (e *Engine) Stats(table string) (*TableStats, error) {
 // <= 0) removes the distortion. This emulates the stale statistics a
 // real DBMS serves between ANALYZE runs — the estimates say one thing,
 // the data says another — which is exactly the condition XDB's
-// mid-query cardinality feedback is built to survive.
+// estimate correction (sampling, drained-edge feedback) is built for.
 func (e *Engine) SkewStats(table string, factor float64) error {
 	if _, ok := e.catalog.Table(table); !ok {
 		return fmt.Errorf("engine %s: unknown base table %q", e.name, table)

@@ -447,7 +447,7 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 	if err != nil {
 		return nil, err
 	}
-	sel := estimateSelectivity(pred)
+	sel := Selectivity(pred)
 	inOpen := in.open
 	node := &planNode{
 		desc:   fmt.Sprintf("Filter (%s)", pred),
@@ -469,16 +469,19 @@ func (e *Engine) planFilter(in *planNode, pred sqlparser.Expr) (*planNode, error
 	return node.headed(in.spine.with(spineStage{newIter: func(st *statement) stageIter { return &filterIter{pred: fn, spares: &st.spares} }, filters: true})), nil
 }
 
-// estimateSelectivity applies textbook selectivity heuristics.
-func estimateSelectivity(pred sqlparser.Expr) float64 {
+// Selectivity estimates a predicate's selectivity without column
+// statistics: textbook leaf defaults, composed over AND, OR and NOT. The
+// engine's planner applies it to every filter and join residual, and the
+// cross-database optimizer to the residuals that span relations, where no
+// single scan's statistics apply (Q7's OR of nation pairs).
+func Selectivity(pred sqlparser.Expr) float64 {
 	switch x := pred.(type) {
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
 		case sqlparser.OpAnd:
-			return estimateSelectivity(x.L) * estimateSelectivity(x.R)
+			return Selectivity(x.L) * Selectivity(x.R)
 		case sqlparser.OpOr:
-			s := estimateSelectivity(x.L) + estimateSelectivity(x.R)
-			return math.Min(s, 1)
+			return OrSelectivity(Selectivity(x.L), Selectivity(x.R))
 		case sqlparser.OpEq:
 			return 0.05
 		case sqlparser.OpNe:
@@ -495,10 +498,23 @@ func estimateSelectivity(pred sqlparser.Expr) float64 {
 	case *sqlparser.IsNullExpr:
 		return negateIf(x.Not, 0.05)
 	case *sqlparser.NotExpr:
-		return 1 - estimateSelectivity(x.E)
+		return 1 - Selectivity(x.E)
 	default:
 		return 0.5
 	}
+}
+
+// OrSelectivity combines two disjunct selectivities with the textbook
+// independence formula s1 + s2 − s1·s2. Plain addition saturates — two
+// 0.6-selective disjuncts would estimate the whole table — while
+// inclusion-exclusion stays strictly below 1 for non-certain inputs.
+func OrSelectivity(s1, s2 float64) float64 {
+	s1, s2 = clamp01(s1), clamp01(s2)
+	return clamp01(s1 + s2 - s1*s2)
+}
+
+func clamp01(f float64) float64 {
+	return math.Min(math.Max(f, 0), 1)
 }
 
 // negateIf complements a selectivity for the NOT form of a predicate
@@ -563,7 +579,7 @@ func (g *joinGraph) relOf(c *sqlparser.ColumnRef) (rel uint64, ok bool) {
 // add classifies one WHERE conjunct. A conjunct over a single relation is
 // handed back as that relation's filter; anything else is kept.
 func (g *joinGraph) add(c sqlparser.Expr) (rel int, single bool) {
-	cj := joinorder.Conjunct{Sel: estimateSelectivity(c)}
+	cj := joinorder.Conjunct{Sel: Selectivity(c)}
 	resolved := true
 	for _, col := range sqlparser.ColumnsIn(c) {
 		r, ok := g.relOf(col)
@@ -747,7 +763,7 @@ func (e *Engine) buildJoin(cur, right *planNode, keys []equiKey, pending []sqlpa
 			return nil, nil, err
 		}
 		for _, res := range residuals {
-			residualSel *= estimateSelectivity(res)
+			residualSel *= Selectivity(res)
 		}
 	}
 

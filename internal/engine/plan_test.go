@@ -30,8 +30,8 @@ func TestEstimateSelectivityNegation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.pred, err)
 		}
-		if got := estimateSelectivity(e); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("estimateSelectivity(%s) = %v, want %v", tc.pred, got, tc.want)
+		if got := Selectivity(e); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("Selectivity(%s) = %v, want %v", tc.pred, got, tc.want)
 		}
 	}
 }

@@ -180,8 +180,8 @@ func (tb *Testbed) ResetTransfers() { tb.Topo.Ledger().Reset() }
 
 // SkewStats distorts the statistics the owning engine reports for a
 // table (RowCount and distinct counts scaled by factor) while scans keep
-// returning the true rows — the stale-ANALYZE condition the adaptive
-// re-optimization experiments inject. A factor of 1 removes the
+// returning the true rows — the stale-ANALYZE condition the
+// estimate-correction experiments inject. A factor of 1 removes the
 // distortion. The table is resolved through XDB's catalog, so it must
 // already be registered (LoadTable).
 func (tb *Testbed) SkewStats(table string, factor float64) error {

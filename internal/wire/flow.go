@@ -6,10 +6,9 @@ import (
 
 // Flow accounting attributes wire result streams to delegation-plan
 // edges. Every stream the middleware cascade produces reads exactly one
-// deployed xdb object — an FDW pull or an explicit-FT materialization
-// fetch reads the producing task's view (xdb<qid>_t<task>), a
-// re-optimization barrier counts a foreign table (xdb<qid>_ft<task>),
-// and the root fetch reads the root task's view — so parsing that one
+// deployed xdb view — an FDW pull or an explicit-FT materialization fetch
+// reads the producing task's view (xdb<qid>_t<task>), and the root fetch
+// reads the root task's view — so parsing that one
 // relation token out of the stream's SQL recovers (qid, task) at both
 // ends of the wire with no protocol change. Frames that carry no xdb
 // token (consult probes, baseline systems, user traffic) are not flow
@@ -38,8 +37,7 @@ const (
 // (not an increment — per-batch rows already summed to it).
 type FlowEvent struct {
 	QID   int64  // query id parsed from the xdb object name
-	Task  int    // producing task id (for ft objects: the edge's From task)
-	FT    bool   // true when the stream reads xdb<qid>_ft<task> (a barrier count)
+	Task  int    // producing task id
 	Rel   string // the parsed relation token, e.g. "xdb12_t3"
 	From  string // producer node; empty when this end cannot know it
 	To    string // consumer node; empty when this end cannot know it
@@ -79,11 +77,10 @@ func currentFlowSink() FlowSink {
 	return box.sink
 }
 
-// ParseStreamRel extracts the first xdb<qid>_t<task> or xdb<qid>_ft<task>
-// relation token from a query's SQL. ok is false when the SQL references
-// no deployed xdb object (the stream is then unattributable and not
-// flow-accounted).
-func ParseStreamRel(sql string) (qid int64, task int, ft bool, rel string, ok bool) {
+// ParseStreamRel extracts the first xdb<qid>_t<task> relation token from a
+// query's SQL. ok is false when the SQL references no deployed xdb view
+// (the stream is then unattributable and not flow-accounted).
+func ParseStreamRel(sql string) (qid int64, task int, rel string, ok bool) {
 	for i := 0; i+5 < len(sql); i++ {
 		if sql[i] != 'x' || sql[i+1] != 'd' || sql[i+2] != 'b' {
 			continue
@@ -102,11 +99,6 @@ func ParseStreamRel(sql string) (qid int64, task int, ft bool, rel string, ok bo
 			continue
 		}
 		j++
-		isFT := false
-		if j < len(sql) && sql[j] == 'f' {
-			isFT = true
-			j++
-		}
 		if j >= len(sql) || sql[j] != 't' {
 			continue
 		}
@@ -123,9 +115,9 @@ func ParseStreamRel(sql string) (qid int64, task int, ft bool, rel string, ok bo
 		if j < len(sql) && isIdentChar(sql[j]) {
 			continue // trailing identifier chars: not one of ours
 		}
-		return q, t, isFT, sql[i:j], true
+		return q, t, sql[i:j], true
 	}
-	return 0, 0, false, "", false
+	return 0, 0, "", false
 }
 
 func isIdentChar(b byte) bool {
@@ -147,12 +139,12 @@ func newStreamFlow(sql, from, to string, end FlowEnd) *streamFlow {
 	if sink == nil {
 		return nil
 	}
-	qid, task, ft, rel, ok := ParseStreamRel(sql)
+	qid, task, rel, ok := ParseStreamRel(sql)
 	if !ok {
 		return nil
 	}
 	return &streamFlow{sink: sink, ev: FlowEvent{
-		QID: qid, Task: task, FT: ft, Rel: rel,
+		QID: qid, Task: task, Rel: rel,
 		From: from, To: to, End: end,
 	}}
 }

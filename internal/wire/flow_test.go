@@ -13,35 +13,35 @@ func TestParseStreamRel(t *testing.T) {
 		sql  string
 		qid  int64
 		task int
-		ft   bool
 		rel  string
 		ok   bool
 	}{
-		{"SELECT * FROM xdb12_t3", 12, 3, false, "xdb12_t3", true},
-		{"SELECT COUNT(*) FROM xdb7_ft2", 7, 2, true, "xdb7_ft2", true},
-		{"xdb1_t2", 1, 2, false, "xdb1_t2", true},
-		{"SELECT a, b FROM xdb905_t17 WHERE a > 3", 905, 17, false, "xdb905_t17", true},
-		// First token wins: a view reading another query's FT still
-		// attributes to the relation it scans first.
-		{"SELECT * FROM xdb1_t2 JOIN xdb1_t3 ON x = y", 1, 2, false, "xdb1_t2", true},
+		{"SELECT * FROM xdb12_t3", 12, 3, "xdb12_t3", true},
+		{"xdb1_t2", 1, 2, "xdb1_t2", true},
+		{"SELECT a, b FROM xdb905_t17 WHERE a > 3", 905, 17, "xdb905_t17", true},
+		// First token wins: a stream reading two views attributes to the
+		// relation it scans first.
+		{"SELECT * FROM xdb1_t2 JOIN xdb1_t3 ON x = y", 1, 2, "xdb1_t2", true},
+		// A foreign table is read by its consumer's view, never streamed.
+		{"SELECT COUNT(*) FROM xdb7_ft2", 0, 0, "", false},
 		// Identifier-boundary rejections.
-		{"SELECT * FROM myxdb1_t2", 0, 0, false, "", false},
-		{"SELECT * FROM xdb1_t2x", 0, 0, false, "", false},
-		{"SELECT * FROM xdb1_t2_extra", 0, 0, false, "", false},
+		{"SELECT * FROM myxdb1_t2", 0, 0, "", false},
+		{"SELECT * FROM xdb1_t2x", 0, 0, "", false},
+		{"SELECT * FROM xdb1_t2_extra", 0, 0, "", false},
 		// Malformed tokens.
-		{"SELECT * FROM t", 0, 0, false, "", false},
-		{"SELECT * FROM xdb_t1", 0, 0, false, "", false},
-		{"SELECT * FROM xdb5_x3", 0, 0, false, "", false},
-		{"SELECT * FROM xdb3_t", 0, 0, false, "", false},
-		{"", 0, 0, false, "", false},
+		{"SELECT * FROM t", 0, 0, "", false},
+		{"SELECT * FROM xdb_t1", 0, 0, "", false},
+		{"SELECT * FROM xdb5_x3", 0, 0, "", false},
+		{"SELECT * FROM xdb3_t", 0, 0, "", false},
+		{"", 0, 0, "", false},
 		// A malformed candidate must not mask a later well-formed one.
-		{"SELECT * FROM xdb_bad, xdb4_t1", 4, 1, false, "xdb4_t1", true},
+		{"SELECT * FROM xdb_bad, xdb4_t1", 4, 1, "xdb4_t1", true},
 	}
 	for _, c := range cases {
-		qid, task, ft, rel, ok := ParseStreamRel(c.sql)
-		if qid != c.qid || task != c.task || ft != c.ft || rel != c.rel || ok != c.ok {
-			t.Errorf("ParseStreamRel(%q) = (%d, %d, %v, %q, %v), want (%d, %d, %v, %q, %v)",
-				c.sql, qid, task, ft, rel, ok, c.qid, c.task, c.ft, c.rel, c.ok)
+		qid, task, rel, ok := ParseStreamRel(c.sql)
+		if qid != c.qid || task != c.task || rel != c.rel || ok != c.ok {
+			t.Errorf("ParseStreamRel(%q) = (%d, %d, %q, %v), want (%d, %d, %q, %v)",
+				c.sql, qid, task, rel, ok, c.qid, c.task, c.rel, c.ok)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func TestFlowAccountingBothEnds(t *testing.T) {
 	}
 	var recv, send side
 	for _, ev := range evs {
-		if ev.QID != 42 || ev.Task != 7 || ev.FT {
+		if ev.QID != 42 || ev.Task != 7 {
 			t.Fatalf("misattributed event: %+v", ev)
 		}
 		sd := &recv

@@ -176,11 +176,6 @@ const (
 	MoveExplicit = core.MoveExplicit
 )
 
-// DefaultReoptThreshold is the estimate-vs-actual cardinality ratio a
-// materialized stage must exceed (strictly, either direction) to trigger
-// a mid-query re-optimization when Options.MaxReopts > 0.
-const DefaultReoptThreshold = core.DefaultReoptThreshold
-
 // Emulated vendors.
 const (
 	VendorPostgres = engine.VendorPostgres
@@ -460,10 +455,10 @@ func (c *Cluster) SlowNode(node string, delay time.Duration) { c.tb.Topo.SlowNod
 // SkewStats distorts the statistics a table's engine reports (RowCount
 // and distinct counts scaled by factor) while scans keep returning the
 // true rows — the stale-ANALYZE condition behind most cross-database
-// misestimates. A factor of 1 removes the distortion. With
-// Options.MaxReopts set, queries that materialize a stage whose actual
-// cardinality contradicts the skewed estimate re-optimize their
-// unexecuted suffix mid-query; see README "Robust to misestimation".
+// misestimates. A factor of 1 removes the distortion. Options.SampleLimit
+// lets a query probe the table before it plans, and every drained edge
+// that contradicts the skew corrects the next query's statistics; see
+// README "Robust to misestimation".
 func (c *Cluster) SkewStats(table string, factor float64) error {
 	return c.tb.SkewStats(table, factor)
 }
