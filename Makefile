@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check loc bench bench-json bench-sample chaos soak fuzz-smoke check
+.PHONY: build test race vet fmt-check loc bench bench-json bench-sample chaos soak fuzz-smoke examples check
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,21 @@ chaos:
 # and drain-under-load against a live cluster, under the race detector.
 soak:
 	$(GO) test -race -count=1 -v -run 'TestSoak' ./internal/core/
+
+# Every walkthrough under examples/, built once and run end to end: each
+# must exit 0 within 120 s (about 13 s for all ten on a 2-core box). CI's
+# test job runs it after `make check`, so examples/failover's kill, wedge
+# and fallback rounds run against a live cluster on every change.
+examples:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	for d in examples/*/; do \
+		name=$$(basename $$d); \
+		echo "== examples/$$name"; \
+		$(GO) build -o "$$bin/$$name" ./$$d || exit 1; \
+		timeout 120 "$$bin/$$name" > "$$bin/$$name.out" 2>&1 || { \
+			status=$$?; cat "$$bin/$$name.out"; \
+			echo "examples/$$name exited $$status"; exit 1; }; \
+	done
 
 # Every native fuzz target in the tree (func Fuzz* in a _test.go file),
 # FUZZTIME each: `go test` alone only ever replays their seed corpora. A

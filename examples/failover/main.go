@@ -4,8 +4,8 @@
 // The walkthrough steers the join onto db3 — a data-free placement
 // candidate behind a fast link — then crashes it. With Options.MaxReplans
 // set, the failed attempt trips db3's breaker, planning re-runs with db3
-// excluded, surviving deployed objects are reused, and the query returns
-// the same rows with Breakdown.Replans counting the recovery. A second
+// excluded, the new plan is deployed whole under a fresh query id, and the
+// query returns the same rows with Breakdown.Replans counting the recovery. A second
 // round wedges db3 instead (SlowNode: alive but stalled), which fails over
 // on the request deadline with cause "slow". Finally a cluster with
 // replans disabled shows the last-resort path: MediatorFallback ships the

@@ -273,7 +273,7 @@ func TestNoConnectorEveryEntryPoint(t *testing.T) {
 			return sys.sampleNode(ctx, "ghost", []*Scan{{Table: "t", Alias: "t"}}, 10)
 		},
 		"deploy": func() error {
-			_, err := sys.deployReusing(ctx, plan, nextQID(), nil)
+			_, err := sys.deploy(ctx, plan, nextQID())
 			return err
 		},
 		"execute": func() error {

@@ -183,7 +183,7 @@ func TestChaosKillMidDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := cl.sys.deployReusing(context.Background(), plan, 777, nil)
+	dep, err := cl.sys.deploy(context.Background(), plan, 777)
 	if err != nil {
 		t.Fatal(err)
 	}

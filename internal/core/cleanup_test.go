@@ -126,7 +126,6 @@ func TestDeployScriptBooks(t *testing.T) {
 			stmts = append(stmts, &deployStmt{
 				node: "db1", kind: "view", object: name, weight: 1,
 				sql: "CREATE VIEW " + name + " AS " + sel, undo: "DROP VIEW IF EXISTS " + name,
-				sig: name, obj: deployedObj{name: name, node: "db1", nodes: []string{"db1"}},
 			})
 		}
 		return stmts
@@ -148,9 +147,10 @@ func TestDeployScriptBooks(t *testing.T) {
 			t.Fatalf("err = %v, want the second statement's", err)
 		}
 		// The first and — the script ran on — the third are deployed and
-		// recorded; only the refused one is parked.
-		if idx := dep.objectIndex(); dep.DDLCount != 2 || len(idx) != 2 || idx["xdb9_t2"].name != "" {
-			t.Errorf("DDLCount = %d, index = %v; want statements 1 and 3", dep.DDLCount, idx)
+		// counted; only the refused one is parked. Every statement's drop is
+		// on the deployment's books.
+		if dep.DDLCount != 2 || len(dep.cleanup) != 3 {
+			t.Errorf("DDLCount = %d, %d cleanup items; want 2 and 3", dep.DDLCount, len(dep.cleanup))
 		}
 		if got := parked(cl.sys); len(got) != 1 || got[0] != "db1: DROP VIEW IF EXISTS xdb9_t2" {
 			t.Errorf("parked = %v, want only the refused statement's drop", got)
@@ -196,10 +196,10 @@ func TestDeployScriptBooks(t *testing.T) {
 			t.Fatalf("on db1: %v, want all three views (the request was delivered)", got)
 		}
 		dep.mu.Lock()
-		items, ddls, objs := len(dep.cleanup), dep.DDLCount, len(dep.objects)
+		items, ddls := len(dep.cleanup), dep.DDLCount
 		dep.mu.Unlock()
-		if items != 0 || ddls != 0 || objs != 0 {
-			t.Errorf("books after a lost reply: %d cleanup items, DDLCount %d, %d objects; want none", items, ddls, objs)
+		if items != 0 || ddls != 0 {
+			t.Errorf("books after a lost reply: %d cleanup items, DDLCount %d; want none", items, ddls)
 		}
 		if got := parked(cl.sys); len(got) != 3 {
 			t.Errorf("parked = %v, want every statement's drop", got)
@@ -239,7 +239,7 @@ func TestDeployRegistersServerOncePerPair(t *testing.T) {
 		t.Fatalf("no task with two inputs from one node:\n%s", desc)
 	}
 	before := requests(cl.clients["mw"])
-	dep, err := cl.sys.deployReusing(context.Background(), plan, 778, nil)
+	dep, err := cl.sys.deploy(context.Background(), plan, 778)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,52 +50,6 @@ type Deployment struct {
 	cleanup []cleanupItem
 	// DDLCount is the number of DDL statements deployed.
 	DDLCount int
-	// objects indexes the deployment's relations by structural signature
-	// (see taskSig/edgeSig) — both the ones this attempt created and the
-	// ones it adopted from a prior failover attempt. Mid-query failover
-	// uses the index to redeploy only the dead part of a plan.
-	objects map[string]deployedObj
-}
-
-// deployedObj is one deployed short-lived relation, addressed by the
-// structural signature of the plan fragment it implements. Signatures are
-// name-independent, so a replanned plan can recognize and reuse objects a
-// prior attempt already deployed.
-type deployedObj struct {
-	name string // created object name (view or foreign table)
-	node string // node it was created on
-	// materialized marks an explicit-movement foreign table: the engine
-	// fetches and stores its rows on the first scan (during execution),
-	// and from then on it is a completed stage whose result survives its
-	// producer's death.
-	materialized bool
-	// nodes is every node the object depends on at execution time: its
-	// host plus, transitively, the implicit-edge subtree feeding it.
-	// Reuse requires all of them healthy.
-	nodes []string
-}
-
-// recordObject indexes a relation under its structural signature. Adopted
-// (reused) objects are recorded too, WITHOUT a cleanup item — the attempt
-// that created an object keeps owning its drop.
-func (d *Deployment) recordObject(sig string, obj deployedObj) {
-	d.mu.Lock()
-	if d.objects == nil {
-		d.objects = map[string]deployedObj{}
-	}
-	d.objects[sig] = obj
-	d.mu.Unlock()
-}
-
-// objectIndex snapshots the deployment's signature index.
-func (d *Deployment) objectIndex() map[string]deployedObj {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]deployedObj, len(d.objects))
-	for sig, obj := range d.objects {
-		out[sig] = obj
-	}
-	return out
 }
 
 // deployStmt is one rendered statement of a delegation: where it runs, what
@@ -115,19 +68,13 @@ type deployStmt struct {
 	weight int
 	// attrs are extra attributes of the statement's ddl span.
 	attrs []string
-	// sig and obj are the signature-index entry of the created relation
-	// (sig "" for a server registration).
-	sig string
-	obj deployedObj
 }
 
-// deployRun threads one deployment attempt through the Algorithm 1
-// traversal: the deployment being built, the reusable-object index from
-// prior attempts (nil on a first deployment), and the statements rendered
-// so far, in Algorithm 1's order.
+// deployRun threads one deployment through the Algorithm 1 traversal: the
+// deployment being built and the statements rendered so far, in Algorithm
+// 1's order.
 type deployRun struct {
 	dep   *Deployment
-	reuse map[string]deployedObj
 	stmts []*deployStmt
 	// servers holds the (consumer, producer) node pairs whose SQL/MED server
 	// registration is already rendered: sibling edges share one.
@@ -139,20 +86,17 @@ type cleanupItem struct {
 	sql  string
 }
 
-// deployReusing runs Algorithm 1 over the plan under the caller's context.
-// qid makes every created object name unique per query, so concurrent
+// deploy runs Algorithm 1 over the plan under the caller's context. qid
+// makes every created object name unique per query attempt, so concurrent
 // queries do not collide and cleanup is precise ("short-lived relations",
-// Sec. III). reuse indexes the surviving objects of the query's retired
-// attempts (nil on a first deployment): a plan fragment whose structural
-// signature matches one adopts it instead of redeploying the subtree. On
-// error — a cancelled context included — it returns the partial deployment
-// WITH the error: the lifecycle keeps it alive for further reuse and owns
-// dropping it, on a detached context.
-func (s *System) deployReusing(ctx context.Context, plan *Plan, qid int64, reuse map[string]deployedObj) (*Deployment, error) {
+// Sec. III). On error — a cancelled context included — it returns the
+// partial deployment WITH the error: the lifecycle owns dropping it, on a
+// detached context.
+func (s *System) deploy(ctx context.Context, plan *Plan, qid int64) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := &deployRun{dep: &Deployment{QID: qid}, reuse: reuse, servers: map[string]bool{}}
+	run := &deployRun{dep: &Deployment{QID: qid}, servers: map[string]bool{}}
 	rootView, err := s.scriptTask(plan.Root, run)
 	if err == nil {
 		err = s.deployScripts(ctx, run)
@@ -213,13 +157,12 @@ func (s *System) deployScripts(ctx context.Context, run *deployRun) error {
 // the heaviest statement's weight — and keeps the deployment's books
 // statement by statement. Each statement gets its ddl span and its DDL
 // metrics once the script is actually sent (past the gate and the budget),
-// for the script's round trip. A statement that ran becomes a cleanup item
-// and joins the signature index. A statement the DBMS refused is parked as
-// an orphan, pessimistically, and its drop is listed for the deployment's
-// own cleanup as well, which un-parks it when it goes through. When the
-// script's reply is lost nothing is known — any statement may have run, or
-// may still be running — so every statement's drop is parked and left to
-// the sweep.
+// for the script's round trip. A statement that ran becomes a cleanup item.
+// A statement the DBMS refused is parked as an orphan, pessimistically, and
+// its drop is listed for the deployment's own cleanup as well, which
+// un-parks it when it goes through. When the script's reply is lost nothing
+// is known — any statement may have run, or may still be running — so every
+// statement's drop is parked and left to the sweep.
 func (s *System) deployScript(ctx context.Context, dep *Deployment, node string, stmts []*deployStmt) error {
 	weight := 0
 	sqls := make([]string, len(stmts))
@@ -251,9 +194,9 @@ func (s *System) deployScript(ctx context.Context, dep *Deployment, node string,
 	})
 }
 
-// book records one sent statement's outcome: the DDL count and the
-// signature index when it ran, and its drop as a cleanup item unless the
-// script's reply was lost (then the orphan sweep owns it).
+// book records one sent statement's outcome: the DDL count when it ran,
+// and its drop as a cleanup item unless the script's reply was lost (then
+// the orphan sweep owns it).
 func (d *Deployment) book(st *deployStmt, err error, lost bool) {
 	d.mu.Lock()
 	if st.undo != "" && !lost {
@@ -263,24 +206,12 @@ func (d *Deployment) book(st *deployStmt, err error, lost bool) {
 		d.DDLCount++
 	}
 	d.mu.Unlock()
-	if err == nil && st.sig != "" {
-		d.recordObject(st.sig, st.obj)
-	}
 }
 
 // scriptTask implements PROCESSTASK of Algorithm 1 as rendering: the
 // task's inputs first, depth-first, then the task's own virtual relation
 // (line 12). It returns the view's name.
 func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
-	sig := taskSig(t)
-	if obj, ok := run.reuse[sig]; ok {
-		// The identical fragment survives from a prior attempt: adopt its
-		// virtual relation and skip the whole subtree. The drop stays
-		// owned by the attempt that deployed it.
-		run.dep.recordObject(sig, obj)
-		t.ViewName = obj.name
-		return obj.name, nil
-	}
 	// Fail fast, before anything is sent anywhere: deploying the rest of
 	// the plan around a node with an open breaker would only make work to
 	// undo.
@@ -304,7 +235,6 @@ func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
 	run.stmts = append(run.stmts, &deployStmt{
 		node: t.Node, kind: "view", object: viewName, weight: 1,
 		sql: c.Dialect.CreateView(viewName, sel), undo: c.Dialect.DropView(viewName),
-		sig: sig, obj: deployedObj{name: viewName, node: t.Node, nodes: depNodes(t)},
 	})
 	t.ViewName = viewName
 	return viewName, nil
@@ -321,17 +251,6 @@ func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *d
 	var raw *Scan
 	if s.opts.NoVirtualRelations && isBareScan(edge.From) {
 		raw = edge.From.Root.(*Scan)
-	}
-	sig := edgeSig(t, edge)
-	if obj, ok := run.reuse[sig]; ok {
-		// The foreign table survives from a prior attempt — with its
-		// producing subtree still reachable (implicit movement), or with
-		// its rows already fetched and stored (explicit movement, the
-		// durable completed stage). Point the placeholder at it and skip
-		// the subtree; the drop stays owned by the attempt that made it.
-		run.dep.recordObject(sig, obj)
-		edge.Placeholder.Rel, edge.Placeholder.RawScan = obj.name, raw
-		return nil
 	}
 	producer, ok := s.connectors[edge.From.Node]
 	if !ok {
@@ -385,11 +304,6 @@ func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *d
 		sql:   c.Dialect.CreateForeignTable(ftName, cols, serverName, remote, materialize, declaredRows(rows)),
 		undo:  c.Dialect.DropTable(ftName),
 		attrs: []string{"materialize", strconv.FormatBool(materialize)},
-		sig:   sig,
-		obj: deployedObj{
-			name: ftName, node: t.Node, materialized: materialize,
-			nodes: ftDepNodes(t, edge, materialize),
-		},
 	})
 
 	// Replace the ? in the task's instruction (lines 10–12).
@@ -411,98 +325,6 @@ func declaredRows(est float64) int64 {
 func isBareScan(t *Task) bool {
 	_, ok := t.Root.(*Scan)
 	return ok && len(t.Inputs) == 0
-}
-
-// taskSig returns a structural, name-independent signature of a task: the
-// node it runs on, the columns it exports, and its fragment's operator
-// tree, recursing through placeholders into the producing subtrees. Two
-// tasks with equal signatures deploy semantically identical objects (the
-// created names differ only by qid), which is what lets a replanned plan
-// recognize and reuse a prior attempt's surviving deployments. The export
-// list is part of it because exports depend on the consumer: a surviving
-// view that lacks a column a new consumer reads is not the same object.
-func taskSig(t *Task) string {
-	ph := make(map[*Placeholder]*Edge, len(t.Inputs))
-	for _, e := range t.Inputs {
-		ph[e.Placeholder] = e
-	}
-	return "t|" + t.Node + "|[" + strings.Join(t.exports, ",") + "]|" + opSig(t.Root, ph)
-}
-
-// edgeSig identifies one dataflow edge's foreign table: the consuming
-// node, the movement, and the producing subtree.
-func edgeSig(t *Task, e *Edge) string {
-	return "ft|" + t.Node + "|" + e.Move.String() + "|" + taskSig(e.From)
-}
-
-// opSig renders one fragment operator structurally (no deployment names).
-func opSig(op Op, ph map[*Placeholder]*Edge) string {
-	switch o := op.(type) {
-	case *Scan:
-		filter := ""
-		if o.Filter != nil {
-			filter = o.Filter.String()
-		}
-		return fmt.Sprintf("scan(%s,%s,[%s],%s)", o.Table, o.Alias, strings.Join(o.Cols, ","), filter)
-	case *Join:
-		keys := make([]string, len(o.Keys))
-		for i, k := range o.Keys {
-			keys[i] = k.L.String() + "=" + k.R.String()
-		}
-		res := make([]string, len(o.Residual))
-		for i, r := range o.Residual {
-			res[i] = r.String()
-		}
-		return fmt.Sprintf("join(%s,%s,[%s],[%s])",
-			opSig(o.L, ph), opSig(o.R, ph), strings.Join(keys, ","), strings.Join(res, ","))
-	case *Final:
-		return fmt.Sprintf("final(%s,%s)", opSig(o.In, ph), o.Sel.String())
-	case *Placeholder:
-		e, ok := ph[o]
-		if !ok {
-			// Unreachable for finalized plans; keep it deterministic.
-			return fmt.Sprintf("ph?(%s,[%s])", o.Move, strings.Join(o.Cols, ","))
-		}
-		return fmt.Sprintf("ph(%s,[%s],%s)", o.Move, strings.Join(o.Cols, ","), taskSig(e.From))
-	default:
-		return fmt.Sprintf("%T", op)
-	}
-}
-
-// depNodes returns every node a task's virtual relation touches at
-// execution time: its own, plus — through implicit edges only — its
-// producing subtrees'. Explicit edges cut the dependency: once their
-// foreign tables have fetched and stored their rows (on the first scan),
-// the producer side need not survive.
-func depNodes(t *Task) []string {
-	seen := map[string]bool{}
-	var walk func(t *Task)
-	walk = func(t *Task) {
-		seen[t.Node] = true
-		for _, e := range t.Inputs {
-			if e.Move == MoveExplicit {
-				continue
-			}
-			walk(e.From)
-		}
-	}
-	walk(t)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ftDepNodes returns the nodes a foreign table needs alive at execution
-// time: its host, plus the producing subtree unless the rows were already
-// materialized.
-func ftDepNodes(t *Task, e *Edge, materialized bool) []string {
-	if materialized {
-		return []string{t.Node}
-	}
-	return append([]string{t.Node}, depNodes(e.From)...)
 }
 
 // cleanupDeployment drops the query's short-lived relations: one DROP

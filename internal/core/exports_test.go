@@ -82,35 +82,3 @@ func TestExportsPinnedPerEdge(t *testing.T) {
 		}
 	}
 }
-
-// TestFailoverSigCoversExports: a task's exports depend on its consumer,
-// so one producing subtree under two consumers that read different columns
-// must sign differently — otherwise failover's reuse-by-signature could
-// adopt a surviving view that lacks a column the new consumer's foreign
-// table declares.
-func TestFailoverSigCoversExports(t *testing.T) {
-	producer := func(sql string) (*Task, *Edge) {
-		t.Helper()
-		root, ann, b := buildAnnotatedPlan(t, sql, Options{})
-		plan := finalize(root, ann, collectColTypes(b))
-		if len(plan.Edges) != 1 {
-			t.Fatalf("want one edge:\n%s", plan)
-		}
-		return plan.Edges[0].From, plan.Edges[0]
-	}
-	const where = " FROM small s, medium m WHERE s.s_id = m.m_sid AND m.m_tag = 'x'"
-	keyOnly, keyEdge := producer("SELECT s.s_name" + where)
-	withTag, tagEdge := producer("SELECT s.s_name, m.m_tag" + where)
-	if OpString(keyOnly.Root) != OpString(withTag.Root) || keyOnly.Node != withTag.Node {
-		t.Fatalf("the producing subtrees differ: %s vs %s", keyOnly, withTag)
-	}
-	if a, b := strings.Join(keyOnly.exports, ","), strings.Join(withTag.exports, ","); a != "m.m_sid" || b != "m.m_sid,m.m_tag" {
-		t.Fatalf("exports %q and %q, want m.m_sid and m.m_sid,m.m_tag", a, b)
-	}
-	if taskSig(keyOnly) == taskSig(withTag) {
-		t.Errorf("producers exporting different columns share taskSig %s", taskSig(keyOnly))
-	}
-	if edgeSig(keyEdge.To, keyEdge) == edgeSig(tagEdge.To, tagEdge) {
-		t.Errorf("edges moving different columns share edgeSig %s", edgeSig(keyEdge.To, keyEdge))
-	}
-}

@@ -23,16 +23,14 @@ import (
 // error even when most of the DAG already ran — the breakers and degraded
 // planning of health.go only protect the *next* query. The lifecycle
 // (lifecycle.go) makes the current query survivable with the pieces in
-// this file — fault classification, the reuse index, the backoff, and the
-// mediator fallback:
+// this file — fault classification, the backoff, and the mediator
+// fallback:
 //
 //	fault  ──► classify (node-attributable? which node?)
 //	       ──► trip the node's breaker (invalidates its cached plans/costs)
 //	       ──► re-plan: the degraded planner excludes the dead site
-//	       ──► re-deploy: fragments whose structural signature matches a
-//	           surviving object are adopted, not redeployed — in particular
-//	           explicit-movement foreign tables that already materialized
-//	           (completed stages) survive their producer's death
+//	       ──► re-deploy the whole plan under a fresh qid, as a first
+//	           attempt does: one script per node, all nodes at once
 //	       ──► resume execution, up to Options.MaxReplans attempts with
 //	           jittered exponential backoff
 //	       ──► last resort (Options.MediatorFallback): ship the per-scan
@@ -122,32 +120,6 @@ func isTimeout(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// reuseIndex collects the retired attempts' deployed objects that are
-// still usable: every node the object depends on at execution time must be
-// healthy and not excluded by this query's failover history. owned is
-// oldest first, so the newest attempt wins signature collisions.
-func (s *System) reuseIndex(owned []*Deployment, excluded map[string]bool) map[string]deployedObj {
-	if len(owned) == 0 {
-		return nil
-	}
-	out := map[string]deployedObj{}
-	for _, d := range owned {
-		for sig, obj := range d.objectIndex() {
-			usable := true
-			for _, n := range obj.nodes {
-				if excluded[n] || !s.health.healthy(n) {
-					usable = false
-					break
-				}
-			}
-			if usable {
-				out[sig] = obj
-			}
-		}
-	}
-	return out
 }
 
 // replanWait sleeps the jittered exponential backoff before failover

@@ -144,6 +144,65 @@ func TestFailoverKillAfterDeploy(t *testing.T) {
 	cl.assertTransportBalanced(t)
 }
 
+// TestFailoverRetryDeploysWholePlan: a retry deploys its whole plan under
+// its own qid, whatever the movement. After the join node dies between
+// deployment and execution, every task of the plan that answered reads a
+// view of the answering attempt, none of the retired one's, and the rows
+// equal the fault-free baseline under cost-based, forced-explicit and
+// forced-implicit movement.
+func TestFailoverRetryDeploysWholePlan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		move Movement
+	}{
+		{"cost-based", 0},
+		{"explicit", MoveExplicit},
+		{"implicit", MoveImplicit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := failoverOptions()
+			opts.ForceMovement = tc.move
+			cl := newFailoverCluster(t, opts)
+			baseline, err := cl.sys.Query(failoverQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTaskOn(t, baseline, "db3")
+
+			cl.sys.hookBeforeAttempt = func(attempt int) {
+				if attempt == 0 {
+					cl.topo.CrashNode("db3")
+				}
+			}
+			res, err := cl.sys.Query(failoverQuery)
+			cl.sys.hookBeforeAttempt = nil
+			if err != nil {
+				t.Fatalf("query did not survive the crash: %v", err)
+			}
+			if res.Breakdown.Replans < 1 {
+				t.Fatalf("Breakdown.Replans = %d, want >= 1", res.Breakdown.Replans)
+			}
+			if got, want := rowsText(res), rowsText(baseline); got != want {
+				t.Errorf("failed-over result differs from baseline:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			prefix := fmt.Sprintf("xdb%d_", res.QID)
+			for _, task := range res.Plan.Tasks {
+				if !strings.HasPrefix(task.ViewName, prefix) {
+					t.Errorf("task t%d on %s reads %s, not a view of the answering attempt (%s*)",
+						task.ID, task.Node, task.ViewName, prefix)
+				}
+			}
+
+			assertQuiescent(t, cl.sys, cl.engines, "db3")
+			cl.topo.ReviveNode("db3")
+			if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
+				t.Errorf("post-revival sweep: remaining=%d err=%v", remaining, err)
+			}
+			assertQuiescent(t, cl.sys, cl.engines)
+		})
+	}
+}
+
 // TestFailoverDisabled pins the paper configuration: with MaxReplans 0
 // the same mid-query crash fails the query with the typed transport
 // fault, exactly as before failover existed.
@@ -365,31 +424,6 @@ func TestClassifyFault(t *testing.T) {
 			t.Errorf("%s: classifyFault = (%q, %q, %v), want (%q, %q, %v)",
 				tc.name, node, cause, retriable, tc.node, tc.cause, tc.retriable)
 		}
-	}
-}
-
-// TestStructuralSignatures pins that signatures are stable across
-// replans of the same statement (the reuse key) and sensitive to the
-// structure that matters.
-func TestStructuralSignatures(t *testing.T) {
-	cl := newChaosCluster(t, chaosOptions())
-	p1, _, err := cl.sys.Plan(chaosQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _, err := cl.sys.Plan(chaosQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := taskSig(p1.Root), taskSig(p2.Root); got != want {
-		t.Errorf("same statement, different root signature:\n%s\n%s", got, want)
-	}
-	other, _, err := cl.sys.Plan("SELECT u.u_name FROM users u WHERE u.u_id < 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if taskSig(other.Root) == taskSig(p1.Root) {
-		t.Error("different statements share a root signature")
 	}
 }
 

@@ -258,7 +258,7 @@ func (h *healthTracker) healthy(node string) bool {
 // tripNode forces the node's breaker open regardless of its consecutive
 // failure count. Failover uses it when a fault is attributed mid-query:
 // one node-attributable execution fault is proof enough that the node must
-// not be a placement candidate for the replanned suffix, and the transition
+// not be a placement candidate for the re-plan, and the transition
 // hook's cache invalidation (consult + plan caches) must fire before the
 // replan. Caller cancellation is a non-signal, as in record.
 func (h *healthTracker) tripNode(node string, err error) {

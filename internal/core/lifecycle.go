@@ -24,12 +24,12 @@ import (
 // alone retires a deployment, returns a plan-cache lease, drops what the
 // query deployed, or enters the mediator fallback.
 //
-// Ownership: owned lists, oldest first, the deployments this query must
-// drop when it ends — the attempts a fault retired, and at the end the
-// executed one. Until then their surviving objects
-// feed the next attempt's reuse index (reuseIndex). A plan-cache entry's
-// deployment joins owned only when this query held the entry's last
-// lease; otherwise another query's release owns the drop.
+// Ownership: owned lists the deployments this query must drop when it
+// ends — the attempts a fault retired, and at the end the executed one.
+// Every attempt deploys its whole plan under its own qid, so no attempt
+// reads another's objects. A plan-cache entry's deployment joins owned
+// only when this query held the entry's last lease; otherwise another
+// query's release owns the drop.
 
 // runStep names a lifecycle step.
 type runStep int
@@ -122,8 +122,7 @@ type queryRun struct {
 	dep  *Deployment
 	ent  *planEntry
 
-	owned    []*Deployment
-	excluded map[string]bool
+	owned []*Deployment
 
 	// The reporting step and its outcome, for settle. err ends up the
 	// query's error.
@@ -191,23 +190,23 @@ func (r *queryRun) doPlan() runStep {
 	return stepDeploy
 }
 
-// doDeploy delegates the plan as DDL, adopting the surviving objects of
-// the attempts this query retired — above all every materialized stage.
+// doDeploy delegates the whole plan as DDL under a fresh qid.
 func (r *queryRun) doDeploy() runStep {
 	s := r.s
 	dctx, span, done := timed(r.ctx, "delegate", &r.bd.Deleg)
 	qid := nextQID()
 	r.inf.attach(qid, r.plan)
-	dep, err := s.deployReusing(dctx, r.plan, qid, s.reuseIndex(r.owned, r.excluded))
+	dep, err := s.deploy(dctx, r.plan, qid)
 	span.Set("ddls", strconv.Itoa(dep.DDLCount))
 	done(err)
 	r.bd.DDLCount += dep.DDLCount
-	r.dep = dep // partial on error: settle keeps it for reuse and owns its drop
+	r.dep = dep // partial on error: settle owns its drop
 	if err != nil {
 		return r.report(stepDeploy, err)
 	}
-	// Cache only clean first-attempt deployments: a later one may lean on
-	// objects of retired attempts, which drop when this query ends.
+	// Cache only first-attempt deployments: a re-plan's placement avoids
+	// the node this query's fault excluded, which says nothing about the
+	// next query.
 	if r.bd.Replans == 0 && r.cacheKey != "" {
 		var evicted []*planEntry
 		r.ent, evicted = s.plans.put(r.cacheKey, r.plan, dep)
@@ -260,9 +259,9 @@ func (r *queryRun) settle() runStep {
 	case verdictRetry:
 		bd.Replans++
 		r.release(true)
-		// The tripped breaker's transition hook drops the node's cached
-		// plans and consulted costs before the re-plan.
-		r.excluded[node] = true
+		// The tripped breaker keeps the re-plan off the node, and its
+		// transition hook drops the node's cached plans and consulted costs
+		// first.
 		s.health.tripNode(node, r.err)
 		// One span says why the next attempt was armed.
 		r.armed = armFault
@@ -326,15 +325,14 @@ func (r *queryRun) deliver() runStep {
 	return stepDone
 }
 
-// finish drops everything the query owns, newest first — a later attempt's
-// objects may reference an earlier attempt's — and ends the query: with
-// the rows that answer it, or (nil) with the error that settled it. Failed
+// finish drops everything the query owns and ends the query: with the
+// rows that answer it, or (nil) with the error that settled it. Failed
 // drops are parked as orphans by cleanupDeployment; the outcome carries
 // them either way.
 func (r *queryRun) finish(eres *engine.Result) runStep {
 	var errs []error
-	for i := len(r.owned) - 1; i >= 0; i-- {
-		if err := r.s.cleanupDeployment(r.ctx, r.owned[i]); err != nil {
+	for _, dep := range r.owned {
+		if err := r.s.cleanupDeployment(r.ctx, dep); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -79,7 +79,7 @@ var met = struct {
 	replans: obs.Default.CounterVec("xdb_replans_total",
 		"Mid-query failover replan attempts by outcome: recovered, failed, fallback.", "outcome"),
 	failovers: obs.Default.Counter("xdb_failover_total",
-		"Queries that survived a mid-query fault (suffix replan or mediator fallback)."),
+		"Queries that survived a mid-query fault (replan or mediator fallback)."),
 	edgeRows: obs.Default.CounterVec("xdb_edge_rows_total",
 		"Rows observed on attributed wire streams by edge kind (implicit, explicit, result, shared, unknown), counted at the receiving end.", "kind"),
 	edgeBytes: obs.Default.CounterVec("xdb_edge_bytes_total",

@@ -487,7 +487,7 @@ func TestDDLCountOnFailedDeploy(t *testing.T) {
 
 	cl.topo.CrashNode("db2")
 	before := met.ddls.Value()
-	dep, err := cl.sys.deployReusing(context.Background(), plan, 999, nil)
+	dep, err := cl.sys.deploy(context.Background(), plan, 999)
 	if err == nil {
 		t.Fatal("deploy succeeded with db2 crashed")
 	}

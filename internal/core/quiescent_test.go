@@ -42,9 +42,14 @@ func assertQuiescent(t testing.TB, sys *System, engines map[string]*engine.Engin
 	if sys.plans != nil {
 		sys.plans.mu.Lock()
 		for _, ent := range sys.plans.entries {
-			for _, obj := range ent.dep.objectIndex() {
-				warm[obj.node+": "+obj.name] = true
+			// A drop's last word names its object ("DROP VIEW IF EXISTS
+			// xdb7_t1").
+			ent.dep.mu.Lock()
+			for _, item := range ent.dep.cleanup {
+				f := strings.Fields(item.sql)
+				warm[item.node+": "+f[len(f)-1]] = true
 			}
+			ent.dep.mu.Unlock()
 		}
 		sys.plans.mu.Unlock()
 	}

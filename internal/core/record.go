@@ -61,12 +61,12 @@ type Breakdown struct {
 	// Zero on a plan-cache hit — the warm deployment is reused as-is.
 	DDLCount int `json:"ddl_count,omitempty"`
 	// Replans counts the mid-query failover attempts this query spent: a
-	// node died during delegation or execution, and the unexecuted suffix
-	// was re-planned around it (Options.MaxReplans). Zero on a fault-free
+	// node died during delegation or execution, and the query was
+	// re-planned around it and deployed afresh (Options.MaxReplans). Zero on a fault-free
 	// run. The phase timings above accumulate across attempts.
 	Replans int `json:"replans,omitempty"`
 	// FailedOver reports that the query hit a node-attributable fault and
-	// still returned a correct result — via a suffix replan or the
+	// still returned a correct result — via a replan or the
 	// mediator fallback.
 	FailedOver bool `json:"failed_over,omitempty"`
 	// MediatorFallback reports that the query finished on the

@@ -477,7 +477,7 @@ func (s *System) QueryContext(ctx context.Context, sql string) (res *Result, err
 	} else if s.opts.Trace {
 		qspan = obs.NewSpan("query")
 	}
-	run := &queryRun{s: s, qspan: qspan, sql: sql, excluded: map[string]bool{}}
+	run := &queryRun{s: s, qspan: qspan, sql: sql}
 	wallStart := time.Now()
 	if qspan != nil {
 		qspan.Set("sql", truncateSQL(sql))
