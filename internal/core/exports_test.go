@@ -21,17 +21,17 @@ func TestExportsPinnedPerEdge(t *testing.T) {
 		query, edge, cols string
 		bytes             int64
 	}{
-		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 2387},
-		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 82},
-		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 967},
+		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 2148},
+		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 72},
+		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 487},
 		{"Q8", "t1->t2", "region.r_regionkey", 29},
-		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 49},
-		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 3014},
-		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 151},
-		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 126},
-		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 328},
-		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 328},
-		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 18595},
+		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 46},
+		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 2900},
+		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 127},
+		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 107},
+		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 304},
+		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 304},
+		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 16928},
 	}
 	cl := newTPCHCluster(t, Options{})
 	if _, err := cl.sys.Query(tpch.Queries["Q3"]); err != nil {

@@ -99,6 +99,54 @@ func TestComparisonsAndLogic(t *testing.T) {
 	}
 }
 
+// TestStringEqualityMatchesCompare holds the string kernel's = and <> to
+// sqltypes.Compare over generated strings: the empty string, prefix pairs,
+// non-ASCII bytes, and column values that are NULL (never true) or not
+// strings (Compare's error), with the literal on either side.
+func TestStringEqualityMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []string{"", "a", "b", "ab", "é", "日本", "\xff", " ", "'"}
+	gen := func() string {
+		var b strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	var strs []string
+	for i := 0; i < 40; i++ {
+		s := gen()
+		strs = append(strs, s, s+gen(), s+"é")
+	}
+	schema := sqltypes.NewSchema(sqltypes.Column{Name: "c", Type: sqltypes.TypeString})
+	values := []sqltypes.Value{sqltypes.Null, sqltypes.NewInt(1), sqltypes.NewFloat(1)}
+	for _, s := range strs {
+		values = append(values, sqltypes.NewString(s))
+	}
+	for _, lit := range strs[:30] {
+		for _, op := range []string{"=", "<>"} {
+			for _, sql := range []string{"c " + op + " " + sqltypes.QuoteString(lit), sqltypes.QuoteString(lit) + " " + op + " c"} {
+				e, err := sqlparser.ParseExpr(sql)
+				if err != nil {
+					t.Fatalf("parse %q: %v", sql, err)
+				}
+				pred, err := compilePred(e, schema)
+				if err != nil {
+					t.Fatalf("compile %q: %v", sql, err)
+				}
+				for _, v := range values {
+					got, gotErr := pred(sqltypes.Row{v})
+					c, err := sqltypes.Compare(v, sqltypes.NewString(lit))
+					want := err == nil && !v.IsNull() && (c == 0) == (op == "=")
+					if got != want || (gotErr != nil) != (err != nil) {
+						t.Errorf("%s with c = %v: %v (err %v), Compare says %v (err %v)", sql, v, got, gotErr, want, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNullSemantics(t *testing.T) {
 	// Three-valued logic.
 	nulls := []string{

@@ -15,8 +15,9 @@ import (
 type TableStats struct {
 	// RowCount is the exact number of rows.
 	RowCount int64
-	// AvgRowBytes is the average encoded row width, used for transfer
-	// cost estimation.
+	// AvgRowBytes is the average frame-less encoded row width
+	// (Row.EncodedSize, an upper bound on a row's wire bytes), used for
+	// transfer cost estimation.
 	AvgRowBytes float64
 	// Columns holds per-column statistics, positionally aligned with the
 	// table schema.

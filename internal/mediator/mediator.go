@@ -101,8 +101,9 @@ type Stats struct {
 	// fragments.
 	LocalTime time.Duration
 	// RowsFetched and BytesFetched total the shipped intermediates; the
-	// bytes are the rows' size in the encoding they arrived in (text for
-	// Presto and for text-protocol vendors, else binary).
+	// bytes are the wire frames the fetches received (schema, row batches
+	// in the encoding they arrived in, end of stream, headers included),
+	// what the transfer ledger records for them.
 	RowsFetched  int64
 	BytesFetched int64
 	// Fragments is the number of pushed-down subqueries.
@@ -166,14 +167,7 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 				errs[i] = err
 				return
 			}
-			size := sqltypes.Row.EncodedSize
-			if m.cfg.TextProtocol || engine.Profiles(conn.Vendor).TransferEncoding == engine.EncodingText {
-				size = sqltypes.TextEncodedSize
-			}
-			for _, r := range rows {
-				f.bytes += int64(size(r))
-			}
-			f.schema, f.rows = schema, rows
+			f.schema, f.rows, f.bytes = schema, rows, wire.ReceivedBytes(it)
 		}(i, f)
 	}
 	wg.Wait()

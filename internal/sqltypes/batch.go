@@ -29,6 +29,7 @@ type Batch struct {
 	hint     int      // values the previous fill carved; sizes the next chunk
 	retained bool     // a consumer kept rows of the slab: do not reuse it
 	lent     []*Batch // batches whose slabs hold rows View appended
+	dict     []string // DecodeFrame's dictionary, reused from frame to frame
 }
 
 // Reset empties the batch for refilling. The slab is reused unless a

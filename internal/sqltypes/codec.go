@@ -14,11 +14,15 @@ import (
 // A row is a uvarint column count followed by its values; a value is a type
 // tag byte and its payload — a zigzag varint for TypeInt and TypeDate, a
 // uvarint length and the bytes for TypeString, 8 little-endian bytes for
-// TypeFloat, one byte for TypeBool, nothing for TypeNull. Per the paper's
-// observation that Presto's JDBC-based connectors are more expensive than
-// PostgreSQL's binary protocol, the presto baseline layers a text encoding
-// (AppendRowText) on top of the same framing, which costs more bytes and
-// more CPU per row.
+// TypeFloat, one byte for TypeBool, nothing for TypeNull. That is a row on
+// its own (AppendRow, DecodeRow) and its size Row.EncodedSize; a result
+// stream ships rows in row-batch frames (frame.go), which write the column
+// count once per frame and a repeated short string as a reference, so
+// EncodedSize is an upper bound on what a row adds to a frame. Per the
+// paper's observation that Presto's JDBC-based connectors are more
+// expensive than PostgreSQL's binary protocol, the presto baseline layers
+// a text encoding (AppendRowText) on top of the same framing, which costs
+// more bytes and more CPU per row.
 
 // AppendValue appends the binary encoding of v to dst.
 func AppendValue(dst []byte, v Value) []byte {
@@ -172,12 +176,30 @@ func textRowHeader[B bytestr](b B) (int, int, error) {
 }
 
 // decodeRow fills row from the binary values that follow a row header.
-func decodeRow[B bytestr](b B, row Row) (int, error) {
+// With a frame's dictionary (dict non-nil) it also reads strings written by
+// reference, and adds every string it reads literally that a reference
+// could name (frame.go); without one a reference tag is an unknown tag.
+func decodeRow[B bytestr](b B, row Row, dict *[]string) (int, error) {
 	off := 0
 	for i := range row {
+		if dict != nil && off < len(b) && b[off] == refTag {
+			idx, k, err := uvarint(b[off+1:])
+			if err != nil {
+				return 0, fmt.Errorf("column %d: reference: %w", i, err)
+			}
+			if idx >= uint64(len(*dict)) {
+				return 0, fmt.Errorf("sqltypes: column %d: reference %d past the frame's %d strings", i, idx, len(*dict))
+			}
+			row[i] = NewString((*dict)[idx])
+			off += 1 + k
+			continue
+		}
 		v, sz, err := decodeValue(b[off:])
 		if err != nil {
 			return 0, fmt.Errorf("column %d: %w", i, err)
+		}
+		if n := len(v.S); dict != nil && v.T == TypeString && n > 0 && n <= MaxRefString && len(*dict) < maxRefs {
+			*dict = append(*dict, v.S)
 		}
 		row[i] = v
 		off += sz
@@ -187,7 +209,7 @@ func decodeRow[B bytestr](b B, row Row) (int, error) {
 
 // DecodeRow decodes one row from b, returning the row and bytes consumed.
 func DecodeRow(b []byte) (Row, int, error) {
-	return decodeOne(b, rowHeader[[]byte], decodeRow[[]byte])
+	return decodeOne(b, rowHeader[[]byte], func(b []byte, row Row) (int, error) { return decodeRow(b, row, nil) })
 }
 
 // DecodeRowText decodes a row encoded with AppendRowText, parsing each
@@ -209,23 +231,14 @@ func decodeOne(b []byte, header func([]byte) (int, int, error), values func([]by
 	return row, k + used, nil
 }
 
-// DecodeRow decodes one binary row from src into a row carved from the
+// DecodeRowText decodes one text row from src into a row carved from the
 // batch's slab and returns the bytes consumed. String values alias src.
-func (b *Batch) DecodeRow(src string) (int, error) {
-	return b.decode(src, rowHeader[string], decodeRow[string])
-}
-
-// DecodeRowText is DecodeRow for the text encoding.
 func (b *Batch) DecodeRowText(src string) (int, error) {
-	return b.decode(src, textRowHeader[string], decodeRowText[string])
-}
-
-func (b *Batch) decode(src string, header func(string) (int, int, error), values func(string, Row) (int, error)) (int, error) {
-	n, k, err := header(src)
+	n, k, err := textRowHeader(src)
 	if err != nil {
 		return 0, err
 	}
-	used, err := values(src[k:], b.NewRow(n))
+	used, err := decodeRowText(src[k:], b.NewRow(n))
 	if err != nil {
 		b.Rows = b.Rows[:len(b.Rows)-1]
 		return 0, err

@@ -43,30 +43,34 @@ func textSeeds() [][]byte {
 
 // checkDecode holds for both encodings: a decode never reads past its
 // input or allocates more values than the input has bytes; the byte-slice
-// and the string (batch) decoders agree; and what decoded once survives an
-// encode/decode round trip.
+// and the string (batch) decoders agree, where the encoding has a batch
+// decoder of single rows (the text one; binary rows reach a batch only in
+// frames, which checkFrameAgrees covers); and what decoded once survives
+// an encode/decode round trip.
 func checkDecode(t *testing.T, b []byte,
 	decode func([]byte) (Row, int, error),
 	batchDecode func(*Batch, string) (int, error),
 	encode func([]byte, Row) []byte,
 ) {
 	row, used, err := decode(b)
-	var batch Batch
-	bused, berr := batchDecode(&batch, string(b))
-	if (err == nil) != (berr == nil) {
-		t.Fatalf("byte decoder err %v, batch decoder err %v", err, berr)
-	}
-	if err != nil {
-		if len(batch.Rows) != 0 {
+	if batchDecode != nil {
+		var batch Batch
+		bused, berr := batchDecode(&batch, string(b))
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("byte decoder err %v, batch decoder err %v", err, berr)
+		}
+		if err != nil && len(batch.Rows) != 0 {
 			t.Fatalf("failed batch decode left %d rows", len(batch.Rows))
 		}
+		if err == nil && (bused != used || len(batch.Rows) != 1 || !sameValues(batch.Rows[0], row)) {
+			t.Fatalf("batch decoder: %v (%d bytes), byte decoder: %v (%d bytes)", batch.Rows, bused, row, used)
+		}
+	}
+	if err != nil {
 		return
 	}
 	if used > len(b) || len(row) > len(b) {
 		t.Fatalf("decoded %d values from %d of %d bytes", len(row), used, len(b))
-	}
-	if bused != used || len(batch.Rows) != 1 || !sameValues(batch.Rows[0], row) {
-		t.Fatalf("batch decoder: %v (%d bytes), byte decoder: %v (%d bytes)", batch.Rows, bused, row, used)
 	}
 	again, _, err := decode(encode(nil, row))
 	if err != nil || !sameValues(again, row) {
@@ -87,12 +91,30 @@ func sameValues(a, b Row) bool {
 	return true
 }
 
+// checkFrameAgrees holds the binary frame decoder (the string one) to the
+// byte-slice row decoder. A frame-less row of width ≥ 1 that DecodeRow
+// accepts has no reference tag, which DecodeRow rejects, so behind a row
+// count of 1 it is a one-row binary frame, and that frame must decode to
+// the same row.
+func checkFrameAgrees(t *testing.T, b []byte) {
+	row, used, err := DecodeRow(b)
+	if err != nil || len(row) == 0 {
+		return
+	}
+	var batch Batch
+	frame := append(binary.LittleEndian.AppendUint64(nil, 1), b[:used]...)
+	if err := batch.DecodeFrame(frame, false); err != nil || len(batch.Rows) != 1 || !sameValues(batch.Rows[0], row) {
+		t.Fatalf("frame decoder: %v, err %v; byte decoder: %v", batch.Rows, err, row)
+	}
+}
+
 func FuzzDecodeRow(f *testing.F) {
 	for _, s := range fuzzSeeds(AppendRow, varintSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		checkDecode(t, b, DecodeRow, (*Batch).DecodeRow, AppendRow)
+		checkDecode(t, b, DecodeRow, nil, AppendRow)
+		checkFrameAgrees(t, b)
 	})
 }
 

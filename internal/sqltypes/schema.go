@@ -131,8 +131,10 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// EncodedSize returns the binary-codec size of the row, used for byte
-// accounting of inter-DBMS transfers.
+// EncodedSize returns the size of the row's frame-less binary encoding
+// (AppendRow). In a row-batch frame the row costs at most that, usually
+// less, so it is the upper bound that cuts frames and that AvgRowBytes and
+// the transfer prices use; the transfer ledger counts the frames.
 func (r Row) EncodedSize() int {
 	n := uvarintLen(uint64(len(r))) // column count prefix
 	for _, v := range r {

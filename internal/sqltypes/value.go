@@ -327,9 +327,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// EncodedSize returns the number of bytes the binary row codec uses for the
-// value. The wire package and the transfer ledger rely on this to account
-// for bytes moved between DBMSes.
+// EncodedSize returns the number of bytes AppendValue uses for the value:
+// an upper bound on its size in a row-batch frame, where a repeated short
+// string is a shorter reference (Row.EncodedSize).
 func (v Value) EncodedSize() int {
 	switch v.T {
 	case TypeNull:

@@ -415,7 +415,19 @@ func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceTe
 	// Attribute the stream to its delegation-plan edge (receiving end:
 	// the remote node produces, this client's node consumes).
 	fl := newStreamFlow(sql, toNode, c.FromNode, FlowRecv)
-	return schema, &queryIter{c: c, ctx: ctx, conn: conn, addr: addr, toNode: toNode, fl: fl}, nil
+	return schema, &queryIter{c: c, ctx: ctx, conn: conn, addr: addr, toNode: toNode, fl: fl,
+		recv: int64(frameHeader + len(resp))}, nil
+}
+
+// ReceivedBytes is the wire size, headers included, of every frame a
+// result stream of Query or QueryEnc has received so far: its schema
+// frame, its row frames and its end frame. That is what the transfer
+// ledger records for the stream. It is 0 for any other iterator.
+func ReceivedBytes(it engine.BatchIter) int64 {
+	if q, ok := it.(*queryIter); ok {
+		return q.recv
+	}
+	return 0
 }
 
 // QueryAll runs a SELECT remotely and materializes the result.
@@ -447,6 +459,7 @@ type queryIter struct {
 	fl     *streamFlow // per-edge flow accounting; nil when unattributed
 	batch  sqltypes.Batch
 	buf    []byte // frame payload buffer, reused: decoding copies what it keeps
+	recv   int64  // wire bytes of the frames received (ReceivedBytes)
 	done   bool   // msgEnd received; the connection is clean
 	closed bool   // connection already released or discarded
 }
@@ -484,6 +497,7 @@ func (q *queryIter) Next() (*sqltypes.Batch, error) {
 			}
 			return nil, fmt.Errorf("wire: result stream from %s: %w", q.toNode, err)
 		}
+		q.recv += int64(n)
 		switch typ {
 		case msgRows, msgRowsText:
 			if err := decodeRowBatch(payload, typ, &q.batch); err != nil {

@@ -266,78 +266,49 @@ func decodeBatch(payload []byte) ([]batchItem, error) {
 
 var errBatchVarint = errors.New("wire: truncated batch varint or one overflowing 64 bits")
 
-// rowFrame accumulates the payload of one row-batch frame: a row count
-// followed by the rows in the stream's encoding. Its buffer is reused from
-// frame to frame.
+// rowFrame is a row-batch frame being filled: its frame type, its payload
+// (sqltypes.Frame), and its rows' frame-less binary size, which cuts it.
 type rowFrame struct {
 	typ  byte
-	text bool
-	rows int
-	buf  []byte
+	size int
+	*sqltypes.Frame
 }
 
 func newRowFrame(enc engine.Encoding) *rowFrame {
-	f := &rowFrame{typ: msgRows, text: enc == engine.EncodingText}
-	if f.text {
-		f.typ = msgRowsText
+	if enc == engine.EncodingText {
+		return &rowFrame{typ: msgRowsText, Frame: sqltypes.NewFrame(true)}
 	}
-	return f
+	return &rowFrame{typ: msgRows, Frame: sqltypes.NewFrame(false)}
 }
 
-func (f *rowFrame) add(row sqltypes.Row) {
-	if f.rows == 0 {
-		f.buf = appendUint64(f.buf[:0], 0) // the count, patched by finish
+// push adds row to the frame and calls flush, which sends the frame when
+// it holds rows, before a row of another width than the frame's and at the
+// row where the rows' frame-less binary size (Row.EncodedSize) reaches
+// batchTargetBytes or their count sqltypes.BatchRows. So a text stream is
+// cut where the binary one is, whatever the engine's batch boundaries are.
+func (f *rowFrame) push(row sqltypes.Row, flush func() error) error {
+	if !f.Fits(row) {
+		if err := flush(); err != nil {
+			return err
+		}
 	}
-	f.rows++
-	if f.text {
-		f.buf = sqltypes.AppendRowText(f.buf, row)
-	} else {
-		f.buf = sqltypes.AppendRow(f.buf, row)
+	f.Add(row)
+	f.size += row.EncodedSize()
+	if f.size >= batchTargetBytes || f.Rows() >= sqltypes.BatchRows {
+		return flush()
 	}
+	return nil
 }
 
-// finish returns the payload, valid until the next add, and starts a new
+// cut returns the payload, valid until the next push, and starts a new
 // frame.
-func (f *rowFrame) finish() []byte {
-	binary.LittleEndian.PutUint64(f.buf, uint64(f.rows))
-	f.rows = 0
-	return f.buf
+func (f *rowFrame) cut() []byte {
+	f.size = 0
+	return f.Finish()
 }
 
 // decodeRowBatch parses a row-batch payload of the given frame type into
-// the batch: one slab for the values, one string copy of the payload for
-// every string value to alias. Every count read from the payload is
-// checked against the bytes that follow it before anything is allocated.
+// the batch (sqltypes.Batch.DecodeFrame).
 func decodeRowBatch(payload []byte, typ byte, b *sqltypes.Batch) error {
-	b.Reset()
-	if len(payload) < 8 {
-		return fmt.Errorf("wire: truncated payload")
-	}
-	n := binary.LittleEndian.Uint64(payload)
-	src := string(payload[8:])
-	// A row is at least its header: one uvarint byte, four text bytes.
-	decode, minRow := b.DecodeRow, 1
-	if typ == msgRowsText {
-		decode, minRow = b.DecodeRowText, 4
-	}
-	if n > uint64(len(src)/minRow) {
-		return fmt.Errorf("wire: row batch claims %d rows in %d bytes", n, len(src))
-	}
-	if n > 0 {
-		// Rows of a result share a width: size the slab for all of them
-		// (a value is at least a byte, which bounds a hostile width).
-		width, _ := binary.Uvarint(payload[8:])
-		if typ == msgRowsText {
-			width = uint64(binary.LittleEndian.Uint32(payload[8:]))
-		}
-		b.Grow(int(min(n*width, uint64(len(src)))))
-	}
-	for i := 0; i < int(n); i++ {
-		used, err := decode(src)
-		if err != nil {
-			return err
-		}
-		src = src[used:]
-	}
-	return nil
+	return b.DecodeFrame(payload, typ == msgRowsText)
 }

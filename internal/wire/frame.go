@@ -52,13 +52,16 @@ const maxFrame = 16 << 20
 // batch frame.
 const batchTargetBytes = 32 << 10
 
+// frameHeader is the size of a frame's header: its payload length and type.
+const frameHeader = 5
+
 // writeFrame writes one frame: 4-byte little-endian payload length, a type
 // byte, then the payload. It returns the total bytes put on the wire.
 func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	if len(payload) > maxFrame {
 		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [5]byte
+	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = typ
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -82,7 +85,7 @@ func readFrame(r io.Reader) (byte, []byte, int, error) {
 // (a result stream reads frame after frame into one buffer); the payload
 // then aliases buf and is valid until buf's next use.
 func readFrameInto(r io.Reader, buf []byte) (byte, []byte, int, error) {
-	var hdr [5]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}

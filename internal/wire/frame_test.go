@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"xdb/internal/engine"
@@ -171,14 +175,14 @@ func TestJoinProbeCodec(t *testing.T) {
 	}
 }
 
-// encodeRowBatch builds one row-batch frame payload the way the server's
-// stream loop does.
+// encodeRowBatch builds one row-batch frame payload of the rows (of one
+// width, for the binary encoding), uncut.
 func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {
 	f := newRowFrame(enc)
 	for _, r := range rows {
-		f.add(r)
+		f.Add(r)
 	}
-	return f.finish(), f.typ
+	return f.Finish(), f.typ
 }
 
 func TestRowBatchCodecBothEncodings(t *testing.T) {
@@ -210,5 +214,153 @@ func TestRowBatchCodecBothEncodings(t *testing.T) {
 		if typ != wantType {
 			t.Errorf("frame type = %d", typ)
 		}
+	}
+}
+
+// streamRows frames rows as Server.handleQuery does (rowFrame.push) and
+// hands every payload to emit before the next frame starts.
+func streamRows(f *rowFrame, rows []sqltypes.Row, emit func(payload []byte)) {
+	flush := func() error {
+		if f.Rows() > 0 {
+			emit(f.cut())
+		}
+		return nil
+	}
+	for _, r := range rows {
+		f.push(r, flush)
+	}
+	flush()
+}
+
+// frameBound is the most bytes a binary frame of rows may take: the row
+// count and the rows' frame-less encodings (Row.EncodedSize), and for
+// zero-width rows one byte more, the width.
+func frameBound(rows []sqltypes.Row) int {
+	bound := 8
+	if len(rows[0]) == 0 {
+		bound++
+	}
+	for _, r := range rows {
+		bound += r.EncodedSize()
+	}
+	return bound
+}
+
+// refTag is the tag of a string a binary frame writes by reference
+// (sqltypes' frame format).
+const refTag = 0x83
+
+// TestRowFrameRoundTrip streams generated rows through rowFrame and
+// decodeRowBatch: NULLs, empty and 1-byte strings, strings at and over
+// sqltypes.MaxRefString, non-ASCII strings, more distinct short strings
+// in one frame than a one-byte index reaches, and strings repeated across
+// a frame cut, where the dictionary starts over. Every row comes back;
+// every payload decodes on its own and is byte for byte the payload a new
+// frame makes of its rows; no binary payload is longer than frameBound,
+// zero-width frames included.
+func TestRowFrameRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pool := []string{"", "a", "é", "日本", "FRANCE", "UNITED KINGDOM",
+		strings.Repeat("x", sqltypes.MaxRefString), strings.Repeat("y", sqltypes.MaxRefString+1),
+		strings.Repeat("ü", sqltypes.MaxRefString/2), strings.Repeat("z", 300)}
+	for i := 0; i < 300; i++ {
+		pool = append(pool, fmt.Sprintf("s%03d", i))
+	}
+	value := func() sqltypes.Value {
+		switch rng.Intn(8) {
+		case 0:
+			return sqltypes.Null
+		case 1:
+			return sqltypes.NewInt(rng.Int63() - rng.Int63())
+		case 2:
+			return sqltypes.NewFloat(rng.NormFloat64())
+		case 3:
+			return sqltypes.NewDate(int64(rng.Intn(20000)))
+		default:
+			return sqltypes.NewString(pool[rng.Intn(len(pool))])
+		}
+	}
+	var rows []sqltypes.Row
+	for i := 0; i < 5000; i++ {
+		r := make(sqltypes.Row, 6)
+		for j := range r {
+			r[j] = value()
+		}
+		rows = append(rows, r)
+	}
+	for _, enc := range []engine.Encoding{engine.EncodingBinary, engine.EncodingText} {
+		var got []sqltypes.Row
+		frames := 0
+		streamRows(newRowFrame(enc), rows, func(payload []byte) {
+			frames++
+			var batch sqltypes.Batch
+			if err := decodeRowBatch(payload, newRowFrame(enc).typ, &batch); err != nil {
+				t.Fatalf("enc %d: frame %d: %v", enc, frames, err)
+			}
+			alone, _ := encodeRowBatch(batch.Rows, enc)
+			if !bytes.Equal(alone, payload) {
+				t.Fatalf("enc %d: frame %d is not what a new frame makes of its rows", enc, frames)
+			}
+			if bound := frameBound(batch.Rows); enc == engine.EncodingBinary && len(payload) > bound {
+				t.Errorf("frame %d: %d B, bound %d B", frames, len(payload), bound)
+			}
+			got = batch.AppendOwned(got)
+		})
+		if frames < 2 {
+			t.Fatalf("enc %d: %d frames; the test wants a cut", enc, frames)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("enc %d: %d rows back of %d", enc, len(got), len(rows))
+		}
+		for i := range rows {
+			for j := range rows[i] {
+				if got[i][j] != rows[i][j] {
+					t.Fatalf("enc %d: row %d col %d: %#v, sent %#v", enc, i, j, got[i][j], rows[i][j])
+				}
+			}
+		}
+	}
+
+	// 200 distinct 4-byte strings, then each again: a literal is 6 B, a
+	// reference 2 B below index 128 and 3 B from there.
+	var strs []sqltypes.Row
+	for i := 0; i < 200; i++ {
+		strs = append(strs, sqltypes.Row{sqltypes.NewString(pool[10+i])})
+	}
+	for i := 199; i >= 0; i-- {
+		strs = append(strs, strs[i])
+	}
+	payload, typ := encodeRowBatch(strs, engine.EncodingBinary)
+	if want := 8 + 1 + 200*6 + 128*2 + 72*3; len(payload) != want {
+		t.Errorf("200 strings twice: %d B, want %d", len(payload), want)
+	}
+	var batch sqltypes.Batch
+	if err := decodeRowBatch(payload, typ, &batch); err != nil || len(batch.Rows) != 400 || batch.Rows[399][0] != strs[0][0] {
+		t.Errorf("200 strings twice: %d rows, err %v", len(batch.Rows), err)
+	}
+
+	// A row of another width starts a new frame; a zero-width row is a byte.
+	var widths []int
+	mixed := []sqltypes.Row{{}, {}, {sqltypes.NewInt(1)}, {sqltypes.NewInt(2)}, {}}
+	streamRows(newRowFrame(engine.EncodingBinary), mixed, func(payload []byte) {
+		var batch sqltypes.Batch
+		if err := decodeRowBatch(payload, msgRows, &batch); err != nil {
+			t.Fatal(err)
+		}
+		widths = append(widths, len(batch.Rows[0]), len(batch.Rows))
+		if len(batch.Rows[0]) == 0 && len(payload) != 8+1+len(batch.Rows) {
+			t.Errorf("%d zero-width rows in %d B", len(batch.Rows), len(payload))
+		}
+		if bound := frameBound(batch.Rows); len(payload) > bound {
+			t.Errorf("width %d: %d B, bound %d B", len(batch.Rows[0]), len(payload), bound)
+		}
+	})
+	if want := []int{0, 2, 1, 2, 0, 1}; !slices.Equal(widths, want) {
+		t.Errorf("frames as (width, rows): %v, want %v", widths, want)
+	}
+
+	// A reference means something only inside a binary frame.
+	if _, _, err := sqltypes.DecodeRow([]byte{1, refTag, 0}); err == nil {
+		t.Error("the frame-less codec read a reference")
 	}
 }

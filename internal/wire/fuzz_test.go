@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"xdb/internal/engine"
@@ -13,22 +14,27 @@ import (
 // FuzzDecodeRowBatch feeds the client's frame decoder arbitrary payloads.
 // Whatever the bytes, it must return rows or an error — never panic, and
 // never hold more rows or values than the payload has bytes to back (a
-// few-byte frame claiming 2^60 rows was the known first catch).
+// few-byte frame claiming 2^60 rows was the known first catch), a
+// zero-width frame included. What decodes from a binary frame survives
+// being framed and decoded again.
 func FuzzDecodeRowBatch(f *testing.F) {
 	rows := []sqltypes.Row{
 		{sqltypes.NewInt(1), sqltypes.NewString("x"), sqltypes.NewFloat(2.5)},
 		{sqltypes.Null, sqltypes.NewString(""), sqltypes.NewFloat(-1)},
+		{sqltypes.NewString("x"), sqltypes.NewString("FRANCE"), sqltypes.NewString("x")},
+		{sqltypes.NewString("FRANCE"), sqltypes.NewString(strings.Repeat("y", 40)), sqltypes.NewDate(9000)},
 	}
 	for _, enc := range []engine.Encoding{engine.EncodingBinary, engine.EncodingText} {
 		payload, typ := encodeRowBatch(rows, enc)
 		f.Add(payload, typ == msgRowsText)
 		f.Add(payload[:len(payload)-3], typ == msgRowsText)
 	}
-	hostile := appendUint64(nil, 1<<60)
-	f.Add(hostile, false)
-	f.Add(append(hostile, 0xF0, 0xFF, 0xFF, 0xFF), true)
-	f.Add([]byte{1, 0, 0}, false)
-	f.Add(append(appendUint64(nil, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x40), false) // one row of 2^41 columns
+	zeroWidth, _ := encodeRowBatch([]sqltypes.Row{{}, {}, {}}, engine.EncodingBinary)
+	f.Add(zeroWidth, false)
+	for _, p := range hostileRowFrames() {
+		f.Add(p, false)
+	}
+	f.Add(append(appendUint64(nil, 1<<60), 0xF0, 0xFF, 0xFF, 0xFF), true)
 
 	var batch sqltypes.Batch // reused across inputs, as a stream reuses it
 	f.Fuzz(func(t *testing.T, payload []byte, text bool) {
@@ -37,9 +43,12 @@ func FuzzDecodeRowBatch(f *testing.F) {
 			typ = msgRowsText
 		}
 		if err := decodeRowBatch(payload, typ, &batch); err != nil {
+			if len(batch.Rows) != 0 {
+				t.Fatalf("a failed decode left %d rows", len(batch.Rows))
+			}
 			return
 		}
-		values, minRow := 0, 1 // a row is at least its header: 1 binary byte, 4 text bytes
+		values, minRow := 0, 1 // a row is at least 1 binary byte, or its 4-byte text header
 		if text {
 			minRow = 4
 		}
@@ -49,7 +58,60 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		if minRow*len(batch.Rows) > len(payload) || values > len(payload) {
 			t.Fatalf("%d rows, %d values from a %d-byte payload", len(batch.Rows), values, len(payload))
 		}
+		if text || len(batch.Rows) == 0 {
+			return
+		}
+		again, _ := encodeRowBatch(batch.Rows, engine.EncodingBinary)
+		var back sqltypes.Batch
+		if err := decodeRowBatch(again, msgRows, &back); err != nil || len(back.Rows) != len(batch.Rows) {
+			t.Fatalf("re-framed %d rows: %d back, err %v", len(batch.Rows), len(back.Rows), err)
+		}
+		for i, r := range batch.Rows {
+			for j, v := range r {
+				if w := back.Rows[i][j]; w.T != v.T || w.I != v.I || w.S != v.S || math.Float64bits(w.F) != math.Float64bits(v.F) {
+					t.Fatalf("row %d col %d: %#v re-framed as %#v", i, j, v, w)
+				}
+			}
+		}
 	})
+}
+
+// hostileRowFrames are binary row-batch payloads the decoder must refuse.
+func hostileRowFrames() [][]byte {
+	one := appendUint64(nil, 1)
+	ab := []byte{2, byte(sqltypes.TypeString), 2, 'a', 'b'} // width 2, then "ab"
+	long := append([]byte{2, byte(sqltypes.TypeString), sqltypes.MaxRefString + 1},
+		strings.Repeat("y", sqltypes.MaxRefString+1)...)
+	frames := [][]byte{
+		appendUint64(nil, 1<<60),                     // 2^60 rows and nothing else
+		append(appendUint64(nil, 1<<60), 0, 0, 0, 0), // a zero-width frame claiming 2^60 rows
+		{1, 0, 0}, // a truncated row count
+	}
+	for _, body := range [][]byte{
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x40},          // a width of 2^41 and no values
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0, 0, 0}, // a width past the payload
+		{0},                      // a zero-width row missing its byte
+		append(ab, refTag, 1),    // an index at the dictionary's end
+		append(ab, refTag, 0x7F), // an index past it
+		{1, refTag, 0},           // a reference before any literal
+		append(ab, refTag, 0x80), // a truncated index varint
+		{2, byte(sqltypes.TypeString), 0, refTag, 0}, // a reference to the empty string
+		append(long, refTag, 0),                      // a reference to a string over the bound
+	} {
+		frames = append(frames, append(one[:8:8], body...))
+	}
+	return frames
+}
+
+// TestHostileRowFramesRefused: each hostile payload is an error, and the
+// batch holds no rows after it.
+func TestHostileRowFramesRefused(t *testing.T) {
+	var batch sqltypes.Batch
+	for i, p := range hostileRowFrames() {
+		if err := decodeRowBatch(p, msgRows, &batch); err == nil || len(batch.Rows) != 0 {
+			t.Errorf("hostile frame %d (% x): %d rows, err %v", i, p, len(batch.Rows), err)
+		}
+	}
 }
 
 // fuzzStats is a real statistics value for the seed corpora.

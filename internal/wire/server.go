@@ -221,25 +221,21 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 	// Sending end of the stream's flow accounting: this server's node is
 	// the producer; the consumer is unknown here (the client accounts it).
 	fl := newStreamFlow(sql, s.eng.Name(), "", FlowSend)
-	// A frame is cut at the row where its binary-encoded size reaches
-	// batchTargetBytes or its row count sqltypes.BatchRows, whichever the
-	// engine's batch boundaries are. Rows are encoded as they arrive, so
+	// Rows are encoded as they arrive (rowFrame.push cuts the frames), so
 	// an engine batch need not outlive this loop's next call.
 	var (
-		frame      = newRowFrame(enc)
-		batchBytes int
-		total      uint64
+		frame = newRowFrame(enc)
+		total uint64
 	)
 	flush := func() error {
-		if frame.rows == 0 {
+		rows := frame.Rows()
+		if rows == 0 {
 			return nil
 		}
-		rows := frame.rows
-		n, err := writeFrame(conn, frame.typ, frame.finish())
+		n, err := writeFrame(conn, frame.typ, frame.cut())
 		if err == nil {
 			fl.batch(rows, n)
 		}
-		batchBytes = 0
 		return err
 	}
 	for {
@@ -253,14 +249,10 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 			return s.writeError(conn, err)
 		}
 		for _, row := range b.Rows {
-			frame.add(row)
-			batchBytes += row.EncodedSize()
-			total++
-			if batchBytes >= batchTargetBytes || frame.rows >= sqltypes.BatchRows {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := frame.push(row, flush); err != nil {
+				return err
 			}
+			total++
 		}
 	}
 	if err := flush(); err != nil {

@@ -439,7 +439,7 @@ func TestStreamFrameInvariance(t *testing.T) {
 		text          bool
 		bytes, frames int64
 	}{
-		{"binary", false, 1228241, 41},
+		{"binary", false, 1037611, 41},
 		{"text", true, 1971539, 41},
 	} {
 		topo := netsim.Unshaped("client", "db1")
