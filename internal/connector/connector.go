@@ -15,7 +15,6 @@ import (
 	"xdb/internal/dialect"
 	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
-	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
 )
 
@@ -129,12 +128,6 @@ func (c *Connector) Exec(ctx context.Context, ddl string) error {
 // and the XDB client).
 func (c *Connector) Query(ctx context.Context, sql string) (*engine.Result, error) {
 	return c.client.QueryAll(ctx, c.Addr, c.Node, sql)
-}
-
-// QueryStream runs a SELECT and returns the result schema and streaming
-// batch iterator.
-func (c *Connector) QueryStream(ctx context.Context, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
-	return c.client.Query(ctx, c.Addr, c.Node, sql)
 }
 
 // Explain fetches calibrated cost and row estimates for a query on the

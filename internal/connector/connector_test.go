@@ -296,22 +296,6 @@ func TestPriceJoinsOneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryStream(t *testing.T) {
-	e, c := newConnectedEngine(t, engine.VendorPostgres)
-	loadSample(t, e)
-	schema, it, err := c.QueryStream(context.Background(), "SELECT id FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := engine.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schema.Len() != 1 || len(rows) != 1000 {
-		t.Errorf("schema=%v rows=%d", schema, len(rows))
-	}
-}
-
 func TestConnectorErrorsCarryNode(t *testing.T) {
 	_, c := newConnectedEngine(t, engine.VendorPostgres)
 	_, err := c.Stats(context.Background(), "nosuch")

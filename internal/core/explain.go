@@ -44,10 +44,10 @@ func (r *Result) Analyze() string {
 			for _, e := range r.Plan.Edges {
 				fmt.Fprintf(&b, "  t%d --%s--> t%d [%s -> %s]: %d cols, est %.0f rows",
 					e.From.ID, e.Move, e.To.ID, e.From.Node, e.To.Node, len(e.Placeholder.Cols), e.EstRows)
-				if f, ok := byTask[e.From.ID]; ok && (f.FramesRecv > 0 || f.FramesSent > 0) {
+				if f, ok := byTask[e.From.ID]; ok && f.Frames > 0 {
 					fmt.Fprintf(&b, ", actual %d rows%s, %s over %d frames",
-						f.Rows(), divergenceVerdict(e.EstRows, float64(f.Rows())),
-						formatKB(f.Bytes()), f.FramesRecv+f.FramesSent)
+						f.Rows, divergenceVerdict(e.EstRows, float64(f.Rows)),
+						formatKB(f.Bytes), f.Frames)
 					if !f.Done {
 						b.WriteString(" (stream not drained)")
 					}
@@ -59,7 +59,7 @@ func (r *Result) Analyze() string {
 		}
 		if root, ok := byTask[r.Plan.Root.ID]; ok {
 			fmt.Fprintf(&b, "result delivery: t%d [%s -> client]: %d rows, %s\n",
-				r.Plan.Root.ID, r.RootNode, root.Rows(), formatKB(root.Bytes()))
+				r.Plan.Root.ID, r.RootNode, root.Rows, formatKB(root.Bytes))
 		}
 	}
 

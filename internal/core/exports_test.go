@@ -50,7 +50,7 @@ func TestExportsPinnedPerEdge(t *testing.T) {
 		byTask := map[int]int64{}
 		for _, f := range res.Flows {
 			if f.QID == res.QID {
-				byTask[f.Task] = f.Bytes()
+				byTask[f.Task] = f.Bytes
 			}
 		}
 		got[qn] = map[string]edgeGot{}

@@ -68,11 +68,8 @@ type flowKey struct {
 }
 
 // EdgeFlow is the observed wire traffic of one attributed stream — the
-// flow-accounting snapshot of a delegation-plan edge. Rows/bytes/frames
-// are counted independently at both ends of the wire; the receiving end
-// is authoritative (it matches the repo's client-side accounting
-// convention), the sending end fills in when the consumer never finished
-// draining.
+// flow-accounting snapshot of a delegation-plan edge, counted once, by
+// the client that received the stream.
 type EdgeFlow struct {
 	QID  int64  `json:"qid"`
 	Task int    `json:"task"`
@@ -83,40 +80,20 @@ type EdgeFlow struct {
 	// EstRows is the planner's estimate for the edge; 0 when unknown.
 	EstRows float64 `json:"est_rows,omitempty"`
 
-	RowsRecv   int64 `json:"rows_recv"`
-	BytesRecv  int64 `json:"bytes_recv"`
-	FramesRecv int64 `json:"frames_recv"`
-	RowsSent   int64 `json:"rows_sent"`
-	BytesSent  int64 `json:"bytes_sent"`
-	FramesSent int64 `json:"frames_sent"`
-	// Done marks a stream that reached a clean end of stream; Rows* then
-	// carry the server's authoritative total at the end(s) that saw it.
+	Rows   int64 `json:"rows"`
+	Bytes  int64 `json:"bytes"`  // wire bytes, frame headers included
+	Frames int64 `json:"frames"` // row frames and the end frame
+	// Done marks a stream whose consumer read the end frame: Rows is
+	// then the stream's whole row count.
 	Done bool `json:"done"`
 }
 
-// Rows returns the observed row count: the receiving end when it saw
-// traffic, else the sending end.
-func (f EdgeFlow) Rows() int64 {
-	if f.FramesRecv > 0 {
-		return f.RowsRecv
-	}
-	return f.RowsSent
-}
-
-// Bytes returns the observed wire bytes, preferring the receiving end.
-func (f EdgeFlow) Bytes() int64 {
-	if f.FramesRecv > 0 {
-		return f.BytesRecv
-	}
-	return f.BytesSent
-}
-
 // edgeMeta is what an attached plan knows about one producing task's
-// outbound edge, resolved when that task's stream first flows.
+// outbound edge, resolved when that task's stream first flows. The route
+// is the stream's own: the receiving client knows both of its nodes.
 type edgeMeta struct {
-	kind     string
-	est      float64
-	from, to string
+	kind string
+	est  float64
 }
 
 // attemptMeta is the plan-shape index of one deployment attempt.
@@ -136,7 +113,6 @@ type InflightQuery struct {
 	// PlanShape summarizes the current attempt's plan ("tasks=N root=X
 	// moves=Ii/Ee"); empty until the first plan is attached.
 	PlanShape string `json:"plan_shape,omitempty"`
-	Attempt   int    `json:"attempt"`
 	Breakdown
 	Edges []EdgeFlow `json:"edges,omitempty"`
 }
@@ -182,12 +158,7 @@ func (e *inflightEntry) attach(qid int64, plan *Plan) {
 		if edge.Move == MoveExplicit {
 			kind = "explicit"
 		}
-		am.edges[edge.From.ID] = edgeMeta{
-			kind: kind,
-			est:  edge.EstRows,
-			from: edge.From.Node,
-			to:   edge.To.Node,
-		}
+		am.edges[edge.From.ID] = edgeMeta{kind: kind, est: edge.EstRows}
 	}
 	e.mu.Lock()
 	e.attempts[qid] = am
@@ -217,14 +188,12 @@ func (e *inflightEntry) applyFlow(ev wire.FlowEvent, shared bool) {
 	e.mu.Lock()
 	fl := e.flows[key]
 	if fl == nil {
-		fl = &EdgeFlow{QID: ev.QID, Task: ev.Task, Rel: ev.Rel, Kind: "unknown"}
+		fl = &EdgeFlow{QID: ev.QID, Task: ev.Task, Rel: ev.Rel, Kind: "unknown", From: ev.From, To: ev.To}
 		if am := e.attempts[ev.QID]; am != nil {
 			if ev.Task == am.root {
 				fl.Kind = "result"
 			} else if m, ok := am.edges[ev.Task]; ok {
-				fl.Kind = m.kind
-				fl.EstRows = m.est
-				fl.From, fl.To = m.from, m.to
+				fl.Kind, fl.EstRows = m.kind, m.est
 			}
 		}
 		e.flows[key] = fl
@@ -233,50 +202,19 @@ func (e *inflightEntry) applyFlow(ev wire.FlowEvent, shared bool) {
 		fl.Kind = "shared"
 		fl.EstRows = 0
 	}
-	if fl.From == "" && ev.From != "" {
-		fl.From = ev.From
-	}
-	if fl.To == "" && ev.To != "" {
-		fl.To = ev.To
-	}
-	switch ev.End {
-	case wire.FlowRecv:
-		if ev.EOS {
-			fl.Done = true
-			// The terminal frame carries the server's stream total — an
-			// authoritative overwrite, not an increment.
-			fl.RowsRecv = ev.Rows
-		} else {
-			fl.RowsRecv += ev.Rows
-		}
-		fl.BytesRecv += ev.Bytes
-		fl.FramesRecv += ev.Frame
-	case wire.FlowSend:
-		if ev.EOS {
-			fl.Done = true
-			fl.RowsSent = ev.Rows
-		} else {
-			fl.RowsSent += ev.Rows
-		}
-		fl.BytesSent += ev.Bytes
-		fl.FramesSent += ev.Frame
-	}
+	fl.Rows += ev.Rows
+	fl.Bytes += ev.Bytes
+	fl.Frames++
+	fl.Done = fl.Done || ev.EOS
 	kind := fl.Kind
 	e.mu.Unlock()
 
-	// Process-wide metrics count the receiving end only, so a frame moved
-	// between two instrumented nodes is counted once — the flow mirror of
-	// the wire's client-side byte accounting.
-	if ev.End == wire.FlowRecv {
-		if !ev.EOS {
-			met.edgeRows.With(kind).Add(ev.Rows)
-		}
-		met.edgeBytes.With(kind).Add(ev.Bytes)
-	}
+	met.edgeRows.With(kind).Add(ev.Rows)
+	met.edgeBytes.With(kind).Add(ev.Bytes)
 }
 
-// flowObserved returns the receiving end's observed rows for one
-// attempt's task pull, and whether the stream finished cleanly.
+// flowObserved returns the observed rows of one attempt's task pull, and
+// whether its consumer read the whole stream.
 func (e *inflightEntry) flowObserved(qid int64, task int) (int64, bool) {
 	if e == nil {
 		return 0, false
@@ -290,7 +228,7 @@ func (e *inflightEntry) flowObserved(qid int64, task int) (int64, bool) {
 	if fl == nil || !fl.Done || fl.Kind == "shared" {
 		return 0, false
 	}
-	return fl.Rows(), true
+	return fl.Rows, true
 }
 
 // flowsSnapshot copies the entry's per-edge flows, sorted by attempt,
@@ -326,7 +264,6 @@ func (e *inflightEntry) snapshot() InflightQuery {
 		Phase:     e.phase,
 		Elapsed:   time.Since(e.start),
 		PlanShape: e.shape,
-		Attempt:   e.bd.Replans,
 		Breakdown: e.bd,
 	}
 	e.mu.Unlock()
@@ -445,7 +382,7 @@ func FormatInflight(qs []InflightQuery) string {
 		q.Breakdown.facts(func(name string, value any) { fmt.Fprintf(&b, ", %s=%v", name, value) })
 		b.WriteString(")\n")
 		if q.PlanShape != "" {
-			fmt.Fprintf(&b, "  plan: %s (attempt %d)\n", q.PlanShape, q.Attempt+1)
+			fmt.Fprintf(&b, "  plan: %s (attempt %d)\n", q.PlanShape, q.Replans+1)
 		}
 		for _, f := range q.Edges {
 			state := "streaming"
@@ -461,8 +398,7 @@ func FormatInflight(qs []InflightQuery) string {
 				est = fmt.Sprintf(" est %.0f", f.EstRows)
 			}
 			fmt.Fprintf(&b, "  edge %s (%s%s):%s rows %d, %.1f KB, %d frames [%s]\n",
-				f.Rel, f.Kind, route, est, f.Rows(), float64(f.Bytes())/1024,
-				f.FramesRecv+f.FramesSent, state)
+				f.Rel, f.Kind, route, est, f.Rows, float64(f.Bytes)/1024, f.Frames, state)
 		}
 	}
 	return b.String()

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xdb/internal/sqltypes"
+	"xdb/internal/wire"
 )
 
 // TestInflightLifecycleAndDebugEndpoint snapshots a query mid-flight —
@@ -94,11 +97,11 @@ func TestInflightLifecycleAndDebugEndpoint(t *testing.T) {
 		}
 		if f.Kind == "result" {
 			sawResult = true
-			if f.Rows() != int64(len(res.Rows)) {
-				t.Errorf("result flow rows = %d, want %d", f.Rows(), len(res.Rows))
+			if f.Rows != int64(len(res.Rows)) {
+				t.Errorf("result flow rows = %d, want %d", f.Rows, len(res.Rows))
 			}
 		}
-		if f.Bytes() <= 0 || f.Rows() <= 0 {
+		if f.Bytes <= 0 || f.Rows <= 0 {
 			t.Errorf("flow without traffic: %+v", f)
 		}
 	}
@@ -145,7 +148,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	var ticketsFlow *EdgeFlow
 	for i, f := range res1.Flows {
 		if f.Kind == "implicit" && f.Done && f.EstRows > 0 &&
-			diverges(f.EstRows, float64(f.Rows())) {
+			diverges(f.EstRows, float64(f.Rows)) {
 			ticketsFlow = &res1.Flows[i]
 		}
 	}
@@ -168,7 +171,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	}
 	t.Logf("bytes moved: run1=%d run2=%d (%.0f%% saved) — diverging edge %s est %.0f actual %d",
 		bytes1, bytes2, 100*(1-float64(bytes2)/float64(bytes1)),
-		ticketsFlow.Rel, ticketsFlow.EstRows, ticketsFlow.Rows())
+		ticketsFlow.Rel, ticketsFlow.EstRows, ticketsFlow.Rows)
 
 	assertQuiescent(t, cl.sys, cl.engines)
 }
@@ -352,5 +355,87 @@ func TestInflightDeregisterOnCancel(t *testing.T) {
 	assertQuiescent(t, cl.sys, cl.engines)
 	if _, remaining, err := cl.sys.SweepOrphans(); err != nil || remaining != 0 {
 		t.Errorf("sweep after cancel: remaining=%d err=%v", remaining, err)
+	}
+}
+
+// TestFlowFramesMatchLedger checks the chaos query's t1 edge (users,
+// db1 -> db2) against the transfer ledger: the flow counts every frame
+// the consumer read after the stream's schema frame exactly once, and
+// EdgeFlow, Analyze() and FormatInflight all report that one count.
+func TestFlowFramesMatchLedger(t *testing.T) {
+	cl := newChaosCluster(t, chaosOptions())
+	// The schema frame is the one frame of the stream the flow does not
+	// count: measure it off the deployed view, as db1's server encodes it.
+	var schemaFrame int64
+	cl.sys.hookBeforeAttempt = func(int) {
+		for _, v := range cl.engines["db1"].Catalog().ViewNames() {
+			if strings.HasPrefix(v, "xdb") && strings.HasSuffix(v, "_t1") {
+				schema, it, err := cl.engines["db1"].Query("SELECT * FROM " + v)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				it.Close()
+				schemaFrame = int64(5 + len(sqltypes.AppendSchema(nil, schema)))
+			}
+		}
+	}
+	led := cl.topo.Ledger()
+	f0, b0 := led.FramesBetween("db1", "db2"), led.Between("db1", "db2")
+	res, err := cl.sys.Query(chaosQuery)
+	cl.sys.hookBeforeAttempt = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, bytes := led.FramesBetween("db1", "db2")-f0, led.Between("db1", "db2")-b0
+	if schemaFrame == 0 {
+		t.Fatal("no t1 view deployed on db1")
+	}
+
+	var f *EdgeFlow
+	for i := range res.Flows {
+		if res.Flows[i].QID == res.QID && res.Flows[i].Task == 1 {
+			f = &res.Flows[i]
+		}
+	}
+	if f == nil || f.From != "db1" || f.To != "db2" || !f.Done || f.Rows != 100 {
+		t.Fatalf("t1 flow = %+v, want 100 drained rows from db1 to db2", f)
+	}
+	// Schema, one row frame and the end frame cross db1 -> db2; the flow
+	// is all but the schema frame.
+	wantFrames, wantBytes := frames-1, bytes-schemaFrame
+	if frames != 3 || f.Frames != wantFrames {
+		t.Errorf("flow frames = %d, ledger db1->db2 frames = %d; want 2 of 3", f.Frames, frames)
+	}
+	if f.Bytes != wantBytes || f.Bytes != 1153 {
+		t.Errorf("flow bytes = %d, want the ledger's %d B less the %d B schema frame (1153 B)",
+			f.Bytes, bytes, schemaFrame)
+	}
+	shown := fmt.Sprintf("%s over %d frames", formatKB(wantBytes), wantFrames)
+	if out := res.Analyze(); !strings.Contains(out, shown) {
+		t.Errorf("Analyze() does not show %q:\n%s", shown, out)
+	}
+	shown = fmt.Sprintf("rows 100, %.1f KB, %d frames [done]", float64(wantBytes)/1024, wantFrames)
+	if out := FormatInflight([]InflightQuery{{SQL: chaosQuery, Edges: res.Flows}}); !strings.Contains(out, shown) {
+		t.Errorf("FormatInflight does not show %q:\n%s", shown, out)
+	}
+}
+
+// TestFlowWithoutEndNotObserved feeds an entry a stream whose consumer
+// stopped before the end frame: its rows are shown, but flowObserved
+// reports nothing, so a partial count never corrects an estimate.
+func TestFlowWithoutEndNotObserved(t *testing.T) {
+	ent := newInflightRegistry().register("SELECT 1")
+	ev := wire.FlowEvent{QID: 7, Task: 1, Rel: "xdb7_t1", From: "db1", To: "db2", Rows: 1024, Bytes: 9080}
+	ent.applyFlow(ev, false)
+	if rows, ok := ent.flowObserved(7, 1); ok {
+		t.Fatalf("flowObserved on a stream with no end frame = %d rows, want none", rows)
+	}
+	if fl := ent.flowsSnapshot(); len(fl) != 1 || fl[0].Rows != 1024 || fl[0].Frames != 1 || fl[0].Done {
+		t.Fatalf("flows = %+v, want one undrained frame of 1024 rows", fl)
+	}
+	ent.applyFlow(wire.FlowEvent{QID: 7, Task: 1, Rel: "xdb7_t1", Bytes: 13, EOS: true}, false)
+	if rows, ok := ent.flowObserved(7, 1); !ok || rows != 1024 {
+		t.Fatalf("flowObserved after the end frame = %d, %v; want 1024, true", rows, ok)
 	}
 }

@@ -187,8 +187,7 @@ func (c *planCache) oldestIdleLocked() *planEntry {
 }
 
 // release returns a lease. poison marks the entry dead first — its
-// execution failed, or a re-optimization superseded it — so no later query
-// acquires it. It reports whether the caller must drop the entry's
+// execution failed — so no later query acquires it. It reports whether the caller must drop the entry's
 // deployment: true only when the entry is dead (poisoned now, or
 // invalidated while it executed) and this was the last lease out.
 func (c *planCache) release(ent *planEntry, poison bool) (drop bool) {

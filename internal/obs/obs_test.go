@@ -20,7 +20,6 @@ func TestSpanTree(t *testing.T) {
 	p := ann.Child("probe")
 	p.Set("node", "db1")
 	p.AddRows(10)
-	p.AddBytes(100)
 	p.SetErr(errors.New("boom"))
 	p.Finish()
 	ann.Finish()
@@ -39,7 +38,7 @@ func TestSpanTree(t *testing.T) {
 		t.Fatalf("root duration not positive")
 	}
 	out := root.String()
-	for _, want := range []string{"query", "prep", "probe", "err=boom", "rows=10", "bytes=100"} {
+	for _, want := range []string{"query", "prep", "probe", "err=boom", "rows=10"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("String() missing %q:\n%s", want, out)
 		}
@@ -85,12 +84,11 @@ func TestNilSpanSafe(t *testing.T) {
 	s.Set("k", "v")
 	s.SetErr(errors.New("x"))
 	s.AddRows(1)
-	s.AddBytes(1)
 	s.Walk(func(int, *Span) { t.Fatal("nil.Walk must not visit") })
 	if s.Name() != "" || s.Err() != "" || s.Attr("k") != "" || s.String() != "" {
 		t.Fatal("nil accessors must return zero values")
 	}
-	if s.Duration() != 0 || s.Rows() != 0 || s.Bytes() != 0 || s.Count("") != 0 {
+	if s.Duration() != 0 || s.Rows() != 0 || s.Count("") != 0 {
 		t.Fatal("nil numerics must be zero")
 	}
 	if b, err := s.JSON(); err != nil || string(b) != "null" {
@@ -123,8 +121,8 @@ func TestContextPlumbing(t *testing.T) {
 	}
 }
 
-// TestSpanConcurrent hammers one parent from many goroutines; run with
-// -race.
+// TestSpanConcurrent hammers one parent from many goroutines; `make race`
+// runs it under the race detector.
 func TestSpanConcurrent(t *testing.T) {
 	root := NewSpan("query")
 	var wg sync.WaitGroup
@@ -134,7 +132,7 @@ func TestSpanConcurrent(t *testing.T) {
 			defer wg.Done()
 			sp := root.Child("ddl")
 			sp.Set("node", "db1")
-			sp.AddBytes(1)
+			sp.AddRows(1)
 			sp.Finish()
 		}()
 	}

@@ -38,7 +38,6 @@ type Span struct {
 	end      time.Time
 	attrs    []Attr
 	rows     int64
-	bytes    int64
 	err      string
 	children []*Span
 }
@@ -142,16 +141,6 @@ func (s *Span) AddRows(n int64) {
 	s.mu.Unlock()
 }
 
-// AddBytes adds to the span's byte volume.
-func (s *Span) AddBytes(n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.bytes += n
-	s.mu.Unlock()
-}
-
 // Name returns the span's name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {
@@ -226,16 +215,6 @@ func (s *Span) Rows() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows
-}
-
-// Bytes returns the span's recorded byte volume.
-func (s *Span) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // Children returns a snapshot of the span's children in start order.
@@ -326,14 +305,11 @@ func (s *Span) String() string {
 		for _, a := range sp.attrs {
 			extras = append(extras, a.Key+"="+a.Value)
 		}
-		rows, bytes, errMsg := sp.rows, sp.bytes, sp.err
+		rows, errMsg := sp.rows, sp.err
 		open := sp.end.IsZero()
 		sp.mu.Unlock()
 		if rows > 0 {
 			extras = append(extras, fmt.Sprintf("rows=%d", rows))
-		}
-		if bytes > 0 {
-			extras = append(extras, fmt.Sprintf("bytes=%d", bytes))
 		}
 		if errMsg != "" {
 			extras = append(extras, "err="+errMsg)
@@ -369,7 +345,6 @@ type SpanJSON struct {
 	DurationNS int64             `json:"duration_ns"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Rows       int64             `json:"rows,omitempty"`
-	Bytes      int64             `json:"bytes,omitempty"`
 	Err        string            `json:"err,omitempty"`
 	Children   []SpanJSON        `json:"children,omitempty"`
 }
@@ -384,7 +359,6 @@ func (s *Span) Export() SpanJSON {
 		Name:       s.name,
 		Start:      s.start,
 		Rows:       s.rows,
-		Bytes:      s.bytes,
 		Err:        s.err,
 		DurationNS: int64(s.end.Sub(s.start)),
 	}

@@ -341,21 +341,6 @@ func parseTextValue(t Type, s string) (Value, error) {
 	}
 }
 
-// TextEncodedSize returns the byte size AppendRowText produces for r.
-func TextEncodedSize(r Row) int {
-	n := 4
-	var buf [32]byte
-	for _, v := range r {
-		n += 5
-		if v.T == TypeString {
-			n += len(v.S)
-		} else {
-			n += len(appendText(buf[:0], v))
-		}
-	}
-	return n
-}
-
 // AppendSchema appends the binary encoding of a schema to dst: a uvarint
 // column count, then each column's name and table (uvarint length and
 // bytes) and type byte.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
@@ -39,11 +38,9 @@ type Client struct {
 	idle   map[string][]idleConn
 	closed bool
 
-	dials, reuses, retries, timeouts, evictions, closes atomic.Int64
-	bytesSent, bytesRecv                                atomic.Int64
-
-	// perAddr holds the per-target-address slice of the counters above
-	// (addr -> *addrStats), so a hot or flaky link is attributable.
+	// perAddr holds the transport counters per target address
+	// (addr -> *addrStats), so a hot or flaky link is attributable;
+	// Transport is their sum.
 	perAddr sync.Map
 }
 
@@ -70,11 +67,9 @@ func NewClientWith(fromNode string, topo *netsim.Topology, cfg ClientConfig) *Cl
 // the connection.
 func (c *Client) account(addr, to string, n int, inbound bool) error {
 	if inbound {
-		c.bytesRecv.Add(int64(n))
 		c.forAddr(addr).bytesRecv.Add(int64(n))
 		met.bytesRecv.Add(int64(n))
 	} else {
-		c.bytesSent.Add(int64(n))
 		c.forAddr(addr).bytesSent.Add(int64(n))
 		met.bytesSent.Add(int64(n))
 	}
@@ -412,9 +407,9 @@ func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceTe
 		c.discard(addr, conn)
 		return nil, nil, err
 	}
-	// Attribute the stream to its delegation-plan edge (receiving end:
-	// the remote node produces, this client's node consumes).
-	fl := newStreamFlow(sql, toNode, c.FromNode, FlowRecv)
+	// Attribute the stream to its delegation-plan edge: the remote node
+	// produces, this client's node consumes and counts.
+	fl := newStreamFlow(sql, toNode, c.FromNode)
 	return schema, &queryIter{c: c, ctx: ctx, conn: conn, addr: addr, toNode: toNode, fl: fl,
 		recv: int64(frameHeader + len(resp))}, nil
 }
@@ -504,13 +499,14 @@ func (q *queryIter) Next() (*sqltypes.Batch, error) {
 				q.finish(false)
 				return nil, err
 			}
-			q.fl.batch(len(q.batch.Rows), n)
+			q.fl.frame(len(q.batch.Rows), n, false)
 			if len(q.batch.Rows) > 0 {
 				return &q.batch, nil
 			}
 		case msgEnd:
-			r := &reader{b: payload}
-			q.fl.eos(r.uint64(), n)
+			// The end frame's stream total is not read: the rows this
+			// end received are the count.
+			q.fl.frame(0, n, true)
 			q.done = true
 		case msgError:
 			// The server wrote the error frame and went back to waiting

@@ -8,43 +8,28 @@ import (
 // edges. Every stream the middleware cascade produces reads exactly one
 // deployed xdb view — an FDW pull or an explicit-FT materialization fetch
 // reads the producing task's view (xdb<qid>_t<task>), and the root fetch
-// reads the root task's view — so parsing that one
-// relation token out of the stream's SQL recovers (qid, task) at both
-// ends of the wire with no protocol change. Frames that carry no xdb
-// token (consult probes, baseline systems, user traffic) are not flow
-// events.
+// reads the root task's view — so parsing that one relation token out of
+// the stream's SQL recovers (qid, task) with no protocol change. A stream
+// is counted once, by the Client that receives it: the consumer knows
+// both nodes and sees exactly the frames it read, so a stream it stops
+// reading early has no end frame. Frames that carry no xdb token (consult
+// probes, baseline systems, user traffic) are not flow events.
 //
 // The sink is process-wide and installed once by the core package; a nil
 // sink (tests exercising wire alone, baseline mediators) reduces the
 // whole layer to one atomic load per stream.
 
-// FlowEnd says which end of the wire observed the event.
-type FlowEnd uint8
-
-const (
-	// FlowRecv is the consuming end: the client that issued the stream
-	// request and is decoding row batches.
-	FlowRecv FlowEnd = iota
-	// FlowSend is the producing end: the server streaming its engine's
-	// iterator out.
-	FlowSend
-)
-
-// FlowEvent is one accounting increment for an attributed result stream.
-// Per-batch events carry the batch's row count and the frame's full wire
-// size (header included); the terminal event of a cleanly finished stream
-// has EOS set and Rows carrying the server's authoritative stream total
-// (not an increment — per-batch rows already summed to it).
+// FlowEvent is one received frame of an attributed result stream: a row
+// batch with its row count, or the end frame (EOS set, Rows 0). Bytes is
+// the frame's full wire size, header included.
 type FlowEvent struct {
 	QID   int64  // query id parsed from the xdb object name
 	Task  int    // producing task id
 	Rel   string // the parsed relation token, e.g. "xdb12_t3"
-	From  string // producer node; empty when this end cannot know it
-	To    string // consumer node; empty when this end cannot know it
-	End   FlowEnd
-	Rows  int64 // rows in this batch, or the stream total when EOS
-	Bytes int64 // wire bytes of this frame including the 5-byte header
-	Frame int64 // frames in this event (always 1 today)
+	From  string // producer node
+	To    string // consumer node
+	Rows  int64  // rows in this batch; 0 for the end frame
+	Bytes int64  // wire bytes of this frame including the 5-byte header
 	EOS   bool
 }
 
@@ -126,7 +111,8 @@ func isIdentChar(b byte) bool {
 }
 
 // streamFlow carries one stream's attribution so per-frame accounting is
-// two adds and an interface call. A nil *streamFlow is a no-op.
+// a copy of the template and an interface call. A nil *streamFlow is a
+// no-op.
 type streamFlow struct {
 	sink FlowSink
 	ev   FlowEvent // template: identity fields filled, counters zero
@@ -134,7 +120,7 @@ type streamFlow struct {
 
 // newStreamFlow attributes a stream about to start, or returns nil when
 // no sink is installed or the SQL references no xdb object.
-func newStreamFlow(sql, from, to string, end FlowEnd) *streamFlow {
+func newStreamFlow(sql, from, to string) *streamFlow {
 	sink := currentFlowSink()
 	if sink == nil {
 		return nil
@@ -144,32 +130,18 @@ func newStreamFlow(sql, from, to string, end FlowEnd) *streamFlow {
 		return nil
 	}
 	return &streamFlow{sink: sink, ev: FlowEvent{
-		QID: qid, Task: task, Rel: rel,
-		From: from, To: to, End: end,
+		QID: qid, Task: task, Rel: rel, From: from, To: to,
 	}}
 }
 
-// batch records one row-batch frame.
-func (f *streamFlow) batch(rows, wireBytes int) {
+// frame records one received frame: a row batch, or the end frame.
+func (f *streamFlow) frame(rows, wireBytes int, eos bool) {
 	if f == nil {
 		return
 	}
 	ev := f.ev
 	ev.Rows = int64(rows)
 	ev.Bytes = int64(wireBytes)
-	ev.Frame = 1
-	f.sink.FlowEvent(ev)
-}
-
-// eos records the terminal msgEnd frame with the server-reported total.
-func (f *streamFlow) eos(total uint64, wireBytes int) {
-	if f == nil {
-		return
-	}
-	ev := f.ev
-	ev.Rows = int64(total)
-	ev.Bytes = int64(wireBytes)
-	ev.Frame = 1
-	ev.EOS = true
+	ev.EOS = eos
 	f.sink.FlowEvent(ev)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xdb/internal/engine"
+	"xdb/internal/sqltypes"
 )
 
 func TestParseStreamRel(t *testing.T) {
@@ -70,10 +71,11 @@ func (c *collectSink) forRel(rel string) []FlowEvent {
 	return out
 }
 
-// TestFlowAccountingBothEnds streams an attributed relation and checks
-// that the client and server observe the same rows, frames, and wire
-// bytes, each tagged with its own end.
-func TestFlowAccountingBothEnds(t *testing.T) {
+// TestFlowAccountingAtConsumer streams an attributed relation and checks
+// that the receiving client reports every frame it read, once: the row
+// batches sum to the stream's rows, the end frame comes last with no rows,
+// and the frame bytes are what the stream received after its schema frame.
+func TestFlowAccountingAtConsumer(t *testing.T) {
 	sink := &collectSink{}
 	SetFlowSink(sink)
 	defer SetFlowSink(nil)
@@ -81,7 +83,7 @@ func TestFlowAccountingBothEnds(t *testing.T) {
 	e, s := newServedEngine(t, "db1", engine.VendorTest)
 	loadNumbers(t, e, "xdb42_t7", 50000)
 	c := NewClient("client", nil)
-	_, it, err := c.Query(context.Background(), s.Addr(), "db1", "SELECT * FROM xdb42_t7")
+	schema, it, err := c.Query(context.Background(), s.Addr(), "db1", "SELECT * FROM xdb42_t7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,56 +94,67 @@ func TestFlowAccountingBothEnds(t *testing.T) {
 	if len(rows) != 50000 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The server is done with the stream once Close has waited for its
+	// connections, so any event it could emit has been emitted.
+	s.Close()
 
 	evs := sink.forRel("xdb42_t7")
-	type side struct {
-		rows, bytes, frames int64
-		eosRows             int64
-		eos                 bool
-	}
-	var recv, send side
-	for _, ev := range evs {
-		if ev.QID != 42 || ev.Task != 7 {
+	var batchRows, bytes int64
+	for i, ev := range evs {
+		if ev.QID != 42 || ev.Task != 7 || ev.From != "db1" || ev.To != "client" {
 			t.Fatalf("misattributed event: %+v", ev)
 		}
-		sd := &recv
-		if ev.End == FlowSend {
-			sd = &send
+		if ev.EOS != (i == len(evs)-1) {
+			t.Fatalf("event %d of %d: EOS=%v, want the end frame last and only there", i, len(evs), ev.EOS)
 		}
-		sd.bytes += ev.Bytes
-		sd.frames += ev.Frame
-		if ev.EOS {
-			sd.eos = true
-			sd.eosRows = ev.Rows
-		} else {
-			sd.rows += ev.Rows
+		if ev.EOS && ev.Rows != 0 {
+			t.Errorf("end frame carries %d rows, want 0", ev.Rows)
 		}
+		batchRows += ev.Rows
+		bytes += ev.Bytes
 	}
-	for name, sd := range map[string]side{"recv": recv, "send": send} {
-		if sd.rows != 50000 {
-			t.Errorf("%s batch rows = %d, want 50000", name, sd.rows)
-		}
-		if !sd.eos || sd.eosRows != 50000 {
-			t.Errorf("%s eos = %v rows %d, want total 50000", name, sd.eos, sd.eosRows)
-		}
-		if sd.frames < 3 { // several row batches plus the EOS frame
-			t.Errorf("%s frames = %d, want multiple batches", name, sd.frames)
-		}
+	if batchRows != 50000 {
+		t.Errorf("batch rows = %d, want 50000", batchRows)
 	}
-	// Both ends account the same frames at full wire size, so the byte
-	// totals must agree exactly.
-	if recv.bytes != send.bytes || recv.bytes == 0 {
-		t.Errorf("wire bytes recv %d != send %d", recv.bytes, send.bytes)
+	if len(evs) < 3 { // several row batches plus the end frame
+		t.Errorf("frames = %d, want multiple batches", len(evs))
 	}
-	// End-specific identity: the consumer knows both nodes, the producer
-	// only itself.
-	for _, ev := range evs {
-		if ev.End == FlowRecv && (ev.From != "db1" || ev.To != "client") {
-			t.Fatalf("recv event route = %s -> %s", ev.From, ev.To)
-		}
-		if ev.End == FlowSend && ev.From != "db1" {
-			t.Fatalf("send event producer = %s", ev.From)
-		}
+	schemaFrame := int64(frameHeader + len(sqltypes.AppendSchema(nil, schema)))
+	if want := ReceivedBytes(it) - schemaFrame; bytes != want {
+		t.Errorf("flow bytes = %d, want the %d B the stream received after its schema frame", bytes, want)
+	}
+}
+
+// TestFlowEarlyCloseReportsNoEnd reads one batch of a 3 000-row attributed
+// stream and closes it. The flow is the consumer's one frame: nothing the
+// server went on to send, and no end frame, so no one can take the stream
+// for a drained one.
+func TestFlowEarlyCloseReportsNoEnd(t *testing.T) {
+	sink := &collectSink{}
+	SetFlowSink(sink)
+	defer SetFlowSink(nil)
+
+	e, s := newServedEngine(t, "db1", engine.VendorTest)
+	loadNumbers(t, e, "xdb42_t7", 3000)
+	c := NewClient("client", nil)
+	_, it, err := c.Query(context.Background(), s.Addr(), "db1", "SELECT * FROM xdb42_t7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := it.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := int64(len(b.Rows))
+	if read == 0 || read >= 3000 {
+		t.Fatalf("first batch has %d rows, want part of the stream", read)
+	}
+	it.Close()
+	s.Close() // waits for the server's side of the stream
+
+	evs := sink.forRel("xdb42_t7")
+	if len(evs) != 1 || evs[0].EOS || evs[0].Rows != read {
+		t.Fatalf("events %+v, want exactly the consumer's one frame of %d rows and no end frame", evs, read)
 	}
 }
 

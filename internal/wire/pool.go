@@ -108,9 +108,9 @@ func (s TransportStats) Add(o TransportStats) TransportStats {
 	}
 }
 
-// addrStats is the per-target-address slice of a client's transport
-// counters: the same fields as TransportStats, attributed to one
-// endpoint so a hot or flaky link stands out in the aggregate.
+// addrStats is a client's transport counters for one target address: the
+// same fields as TransportStats, attributed to one endpoint so a hot or
+// flaky link stands out in the aggregate.
 type addrStats struct {
 	dials, reuses, retries, timeouts, evictions, closes atomic.Int64
 	bytesSent, bytesRecv                                atomic.Int64
@@ -150,16 +150,14 @@ func (c *Client) TransportByAddr() map[string]TransportStats {
 	return out
 }
 
-// noteRetry and noteTimeout bump the per-client counter and its
+// noteRetry and noteTimeout bump the per-address counter and its
 // process-wide metrics mirror together.
 func (c *Client) noteRetry(addr string) {
-	c.retries.Add(1)
 	c.forAddr(addr).retries.Add(1)
 	met.retries.Inc()
 }
 
 func (c *Client) noteTimeout(addr string) {
-	c.timeouts.Add(1)
 	c.forAddr(addr).timeouts.Add(1)
 	met.timeouts.Inc()
 }
@@ -186,8 +184,6 @@ func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bo
 		c.idle[addr] = list[:n-1]
 		if now.Sub(ic.since) > c.cfg.IdleTimeout {
 			// Expired while parked: reap it and keep looking.
-			c.evictions.Add(1)
-			c.closes.Add(1)
 			a := c.forAddr(addr)
 			a.evictions.Add(1)
 			a.closes.Add(1)
@@ -196,7 +192,6 @@ func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bo
 			continue
 		}
 		c.mu.Unlock()
-		c.reuses.Add(1)
 		c.forAddr(addr).reuses.Add(1)
 		met.reuses.Inc()
 		return ic.conn, true, nil
@@ -207,7 +202,6 @@ func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bo
 	if err != nil {
 		return nil, false, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	c.dials.Add(1)
 	c.forAddr(addr).dials.Add(1)
 	met.dials.Inc()
 	if c.Topo != nil {
@@ -217,7 +211,6 @@ func (c *Client) getConn(ctx context.Context, addr, toNode string) (net.Conn, bo
 		// fails the handshake: the dial never completes at the simulated
 		// layer even though the in-process listener accepted it.
 		if err := c.Topo.Handshake(c.FromNode, toNode); err != nil {
-			c.closes.Add(1)
 			c.forAddr(addr).closes.Add(1)
 			conn.Close()
 			return nil, false, fmt.Errorf("wire: dial %s: %w", addr, err)
@@ -234,7 +227,6 @@ func (c *Client) putConn(addr string, conn net.Conn) {
 	c.mu.Lock()
 	if c.closed || len(c.idle[addr]) >= c.cfg.MaxIdlePerHost {
 		c.mu.Unlock()
-		c.closes.Add(1)
 		c.forAddr(addr).closes.Add(1)
 		conn.Close()
 		return
@@ -246,8 +238,6 @@ func (c *Client) putConn(addr string, conn net.Conn) {
 // discard closes a connection that is (or may be) broken; it never returns
 // to the pool.
 func (c *Client) discard(addr string, conn net.Conn) {
-	c.evictions.Add(1)
-	c.closes.Add(1)
 	a := c.forAddr(addr)
 	a.evictions.Add(1)
 	a.closes.Add(1)
@@ -265,7 +255,6 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	for addr, list := range idle {
 		for _, ic := range list {
-			c.closes.Add(1)
 			c.forAddr(addr).closes.Add(1)
 			ic.conn.Close()
 		}
@@ -273,18 +262,15 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Transport returns a snapshot of the client's transport counters.
+// Transport returns a snapshot of the client's transport counters: the
+// sum of TransportByAddr.
 func (c *Client) Transport() TransportStats {
-	return TransportStats{
-		Dials:         c.dials.Load(),
-		Reuses:        c.reuses.Load(),
-		Retries:       c.retries.Load(),
-		Timeouts:      c.timeouts.Load(),
-		Evictions:     c.evictions.Load(),
-		Closes:        c.closes.Load(),
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesRecv.Load(),
-	}
+	var s TransportStats
+	c.perAddr.Range(func(_, v any) bool {
+		s = s.Add(v.(*addrStats).snapshot())
+		return true
+	})
+	return s
 }
 
 // applyDeadline arms the connection with the request's deadline: the

@@ -218,9 +218,6 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 	if forceText {
 		enc = engine.EncodingText
 	}
-	// Sending end of the stream's flow accounting: this server's node is
-	// the producer; the consumer is unknown here (the client accounts it).
-	fl := newStreamFlow(sql, s.eng.Name(), "", FlowSend)
 	// Rows are encoded as they arrive (rowFrame.push cuts the frames), so
 	// an engine batch need not outlive this loop's next call.
 	var (
@@ -228,14 +225,10 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 		total uint64
 	)
 	flush := func() error {
-		rows := frame.Rows()
-		if rows == 0 {
+		if frame.Rows() == 0 {
 			return nil
 		}
-		n, err := writeFrame(conn, frame.typ, frame.cut())
-		if err == nil {
-			fl.batch(rows, n)
-		}
+		_, err := writeFrame(conn, frame.typ, frame.cut())
 		return err
 	}
 	for {
@@ -258,10 +251,7 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	n, err := writeFrame(conn, msgEnd, appendUint64(nil, total))
-	if err == nil {
-		fl.eos(total, n)
-	}
+	_, err = writeFrame(conn, msgEnd, appendUint64(nil, total))
 	return err
 }
 

@@ -139,7 +139,7 @@ type (
 	// SpanJSON is the exported JSON shape of a trace span.
 	SpanJSON = obs.SpanJSON
 	// EdgeFlow is the live wire flow accounting of one plan edge: rows,
-	// bytes, and frames observed at each end of the attributed stream
+	// bytes, and frames received by the stream's consumer
 	// (Result.Flows, InflightQuery.Edges).
 	EdgeFlow = core.EdgeFlow
 	// InflightQuery is one entry of the live introspection registry: a
