@@ -14,24 +14,24 @@ import (
 // column only a pushed-down filter used stay behind, a pass-through column
 // an ancestor reads rides along (Q8's region.r_regionkey, read by t7's
 // join with n1) — and the stream each edge moves is exactly that wide.
-// Stream frames carry mangled column names but no query id, so the byte
-// counts of a cold run repeat exactly.
+// Row frames carry no column names and no query id, so the byte counts
+// of a cold run repeat exactly.
 func TestExportsPinnedPerEdge(t *testing.T) {
 	cases := []struct {
 		query, edge, cols string
 		bytes             int64
 	}{
-		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 2148},
-		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 72},
-		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 487},
-		{"Q8", "t1->t2", "region.r_regionkey", 29},
-		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 46},
-		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 2900},
-		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 127},
-		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 107},
-		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 304},
-		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 304},
-		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 16928},
+		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 2134},
+		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 57},
+		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 472},
+		{"Q8", "t1->t2", "region.r_regionkey", 14},
+		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 31},
+		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 2885},
+		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 112},
+		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 92},
+		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 289},
+		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 289},
+		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 16913},
 	}
 	cl := newTPCHCluster(t, Options{})
 	if _, err := cl.sys.Query(tpch.Queries["Q3"]); err != nil {

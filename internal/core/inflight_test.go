@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
 )
 
@@ -359,38 +358,18 @@ func TestInflightDeregisterOnCancel(t *testing.T) {
 }
 
 // TestFlowFramesMatchLedger checks the chaos query's t1 edge (users,
-// db1 -> db2) against the transfer ledger: the flow counts every frame
-// the consumer read after the stream's schema frame exactly once, and
+// db1 -> db2) against the transfer ledger: an FDW stream ships no schema
+// frame, so the flow counts every frame that crossed exactly once, and
 // EdgeFlow, Analyze() and FormatInflight all report that one count.
 func TestFlowFramesMatchLedger(t *testing.T) {
 	cl := newChaosCluster(t, chaosOptions())
-	// The schema frame is the one frame of the stream the flow does not
-	// count: measure it off the deployed view, as db1's server encodes it.
-	var schemaFrame int64
-	cl.sys.hookBeforeAttempt = func(int) {
-		for _, v := range cl.engines["db1"].Catalog().ViewNames() {
-			if strings.HasPrefix(v, "xdb") && strings.HasSuffix(v, "_t1") {
-				schema, it, err := cl.engines["db1"].Query("SELECT * FROM " + v)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				it.Close()
-				schemaFrame = int64(5 + len(sqltypes.AppendSchema(nil, schema)))
-			}
-		}
-	}
 	led := cl.topo.Ledger()
 	f0, b0 := led.FramesBetween("db1", "db2"), led.Between("db1", "db2")
 	res, err := cl.sys.Query(chaosQuery)
-	cl.sys.hookBeforeAttempt = nil
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames, bytes := led.FramesBetween("db1", "db2")-f0, led.Between("db1", "db2")-b0
-	if schemaFrame == 0 {
-		t.Fatal("no t1 view deployed on db1")
-	}
 
 	var f *EdgeFlow
 	for i := range res.Flows {
@@ -401,15 +380,13 @@ func TestFlowFramesMatchLedger(t *testing.T) {
 	if f == nil || f.From != "db1" || f.To != "db2" || !f.Done || f.Rows != 100 {
 		t.Fatalf("t1 flow = %+v, want 100 drained rows from db1 to db2", f)
 	}
-	// Schema, one row frame and the end frame cross db1 -> db2; the flow
-	// is all but the schema frame.
-	wantFrames, wantBytes := frames-1, bytes-schemaFrame
-	if frames != 3 || f.Frames != wantFrames {
-		t.Errorf("flow frames = %d, ledger db1->db2 frames = %d; want 2 of 3", f.Frames, frames)
+	// One row frame and the end frame cross db1 -> db2; the flow is both.
+	wantFrames, wantBytes := frames, bytes
+	if frames != 2 || f.Frames != wantFrames {
+		t.Errorf("flow frames = %d, ledger db1->db2 frames = %d; want 2 of 2", f.Frames, frames)
 	}
-	if f.Bytes != wantBytes || f.Bytes != 1153 {
-		t.Errorf("flow bytes = %d, want the ledger's %d B less the %d B schema frame (1153 B)",
-			f.Bytes, bytes, schemaFrame)
+	if f.Bytes != wantBytes || f.Bytes != 1138 {
+		t.Errorf("flow bytes = %d, want the ledger's %d B (1138 B)", f.Bytes, bytes)
 	}
 	shown := fmt.Sprintf("%s over %d frames", formatKB(wantBytes), wantFrames)
 	if out := res.Analyze(); !strings.Contains(out, shown) {

@@ -73,8 +73,9 @@ type Options struct {
 	// MaxReplans is how many times one query may re-plan and re-deploy
 	// after a node-attributable mid-query fault (crash, partition, open
 	// breaker, deadline-expired wedged node — never a caller cancellation
-	// or a SQL error). Each replan excludes the failed node, reuses the
-	// surviving deployed fragments, and backs off with jitter
+	// or a SQL error). Each replan avoids the failed node through its
+	// tripped breaker, redeploys the whole plan under a fresh query id (the
+	// failed attempt's objects are only dropped), and backs off with jitter
 	// (ReplanBackoff base). Zero (the paper configuration) fails the query
 	// on the first mid-query fault, exactly as before.
 	MaxReplans int

@@ -24,10 +24,10 @@ import (
 // back. The wire package provides the TCP implementation; tests may plug
 // in-process fakes.
 type RemoteQuerier interface {
-	// QueryRemote runs sql on the server and returns the result schema
-	// and a streaming batch iterator. The iterator's Close must release
-	// the underlying connection.
-	QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error)
+	// QueryRemote runs sql on the server and returns a streaming batch
+	// iterator over its rows; the caller declared their columns. The
+	// iterator's Close must release the underlying connection.
+	QueryRemote(srv *Server, sql string) (BatchIter, error)
 }
 
 // Engine is one emulated DBMS instance.

@@ -590,12 +590,7 @@ func TestStreamingQueryIterator(t *testing.T) {
 
 func TestForeignTableWithFakeRemote(t *testing.T) {
 	e := newTestEngine(t)
-	remoteSchema := sqltypes.NewSchema(
-		sqltypes.Column{Name: "id", Type: sqltypes.TypeInt},
-		sqltypes.Column{Name: "score", Type: sqltypes.TypeFloat},
-	)
 	fake := &fakeRemote{
-		schema: remoteSchema,
 		rows: []sqltypes.Row{
 			{sqltypes.NewInt(1), sqltypes.NewFloat(0.5)},
 			{sqltypes.NewInt(2), sqltypes.NewFloat(1.5)},
@@ -694,14 +689,13 @@ func TestForeignTableDeclaredEstimate(t *testing.T) {
 }
 
 type fakeRemote struct {
-	schema  *sqltypes.Schema
 	rows    []sqltypes.Row
 	lastSQL string
 }
 
-func (f *fakeRemote) QueryRemote(srv *Server, sql string) (*sqltypes.Schema, BatchIter, error) {
+func (f *fakeRemote) QueryRemote(srv *Server, sql string) (BatchIter, error) {
 	f.lastSQL = sql
-	return f.schema, &scanIter{rows: f.rows}, nil
+	return &scanIter{rows: f.rows}, nil
 }
 
 func TestCostOperator(t *testing.T) {

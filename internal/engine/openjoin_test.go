@@ -45,17 +45,17 @@ var (
 	errStream = errors.New("injected stream failure")
 )
 
-func (r *stagedRemote) QueryRemote(_ *Server, sql string) (*sqltypes.Schema, BatchIter, error) {
+func (r *stagedRemote) QueryRemote(_ *Server, sql string) (BatchIter, error) {
 	rel := r.rels[strings.TrimPrefix(sql, "SELECT * FROM ")]
 	if rel == nil {
-		return nil, nil, fmt.Errorf("no remote relation for %q", sql)
+		return nil, fmt.Errorf("no remote relation for %q", sql)
 	}
 	time.Sleep(rel.openDelay)
 	if rel.openErr != nil {
-		return nil, nil, rel.openErr
+		return nil, rel.openErr
 	}
 	rel.opens.Add(1)
-	return boundarySchema, &stagedIter{rel: rel, rows: rel.rows}, nil
+	return &stagedIter{rel: rel, rows: rel.rows}, nil
 }
 
 type stagedIter struct {

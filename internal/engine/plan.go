@@ -387,7 +387,7 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 	open := func(*statement) (BatchIter, error) {
-		_, it, err := rq.QueryRemote(srv, remoteSQL)
+		it, err := f.fetch(rq, srv, remoteSQL)
 		if err != nil {
 			return nil, fmt.Errorf("foreign scan %s: %w", f.Name, err)
 		}
@@ -428,7 +428,7 @@ func (f *ForeignTable) materialized(rq RemoteQuerier, srv *Server, remoteSQL str
 	if f.filled {
 		return f.cached, nil
 	}
-	_, it, err := rq.QueryRemote(srv, remoteSQL)
+	it, err := f.fetch(rq, srv, remoteSQL)
 	if err != nil {
 		return nil, fmt.Errorf("materializing foreign table %s: %w", f.Name, err)
 	}
@@ -439,6 +439,36 @@ func (f *ForeignTable) materialized(rq RemoteQuerier, srv *Server, remoteSQL str
 	f.cached = rows
 	f.filled = true
 	return rows, nil
+}
+
+// fetch opens the remote relation's row stream. The stream carries no
+// schema: the foreign table declares the relation's columns, and the first
+// batch must be as wide as the declaration.
+func (f *ForeignTable) fetch(rq RemoteQuerier, srv *Server, remoteSQL string) (BatchIter, error) {
+	it, err := rq.QueryRemote(srv, remoteSQL)
+	if err != nil {
+		return nil, err
+	}
+	return &declaredIter{BatchIter: it, f: f}, nil
+}
+
+// declaredIter holds a foreign table's stream to its declared width.
+type declaredIter struct {
+	BatchIter
+	f       *ForeignTable
+	checked bool
+}
+
+func (d *declaredIter) Next() (*sqltypes.Batch, error) {
+	b, err := d.BatchIter.Next()
+	if err != nil || d.checked || len(b.Rows) == 0 {
+		return b, err
+	}
+	d.checked = true
+	if got, want := len(b.Rows[0]), d.f.Schema.Len(); got != want {
+		return nil, fmt.Errorf("foreign table %s declares %d columns, but remote %s sends %d", d.f.Name, want, d.f.RemoteTable, got)
+	}
+	return b, nil
 }
 
 // planFilter wraps a node with a predicate.

@@ -64,11 +64,14 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 type bytestr interface{ ~[]byte | ~string }
 
 func le32[B bytestr](b B) uint32 {
+	_ = b[3] // one bounds check, so the loads combine
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 func le64[B bytestr](b B) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 var errVarint = errors.New("sqltypes: truncated varint or one overflowing 64 bits")
@@ -99,42 +102,57 @@ func uvarintSlow[B bytestr](b B) (uint64, int, error) {
 	return 0, 0, errVarint
 }
 
+// set writes every field of v: a field at a time, the write barrier of a
+// whole-Value store is paid only for the string.
+func (v *Value) set(t Type, i int64, f float64, s string) { v.T, v.I, v.F, v.S = t, i, f, s }
+
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b) }
+func DecodeValue(b []byte) (Value, int, error) {
+	var v Value
+	n, err := decodeValue(b, &v)
+	return v, n, err
+}
 
-func decodeValue[B bytestr](b B) (Value, int, error) {
+// decodeValue decodes the value at the front of b into v and returns the
+// number of bytes consumed.
+func decodeValue[B bytestr](b B, v *Value) (int, error) {
 	if len(b) == 0 {
-		return Null, 0, fmt.Errorf("sqltypes: truncated value")
+		return 0, fmt.Errorf("sqltypes: truncated value")
 	}
 	t := Type(b[0])
 	switch t {
 	case TypeNull:
-		return Null, 1, nil
+		v.set(TypeNull, 0, 0, "")
+		return 1, nil
 	case TypeBool:
 		if len(b) < 2 {
-			return Null, 0, fmt.Errorf("sqltypes: truncated bool")
+			return 0, fmt.Errorf("sqltypes: truncated bool")
 		}
-		return NewBool(b[1] != 0), 2, nil
+		*v = NewBool(b[1] != 0)
+		return 2, nil
 	case TypeString:
 		s, n, err := decodeString(b[1:])
 		if err != nil {
-			return Null, 0, err
+			return 0, err
 		}
-		return NewString(s), 1 + n, nil
+		v.set(TypeString, 0, 0, s)
+		return 1 + n, nil
 	case TypeFloat:
 		if len(b) < 9 {
-			return Null, 0, fmt.Errorf("sqltypes: truncated float")
+			return 0, fmt.Errorf("sqltypes: truncated float")
 		}
-		return NewFloat(math.Float64frombits(le64(b[1:]))), 9, nil
+		v.set(TypeFloat, 0, math.Float64frombits(le64(b[1:])), "")
+		return 9, nil
 	case TypeInt, TypeDate:
 		u, k, err := uvarint(b[1:])
 		if err != nil {
-			return Null, 0, err
+			return 0, err
 		}
-		return Value{T: t, I: int64(u>>1) ^ -int64(u&1)}, 1 + k, nil
+		v.set(t, int64(u>>1)^-int64(u&1), 0, "")
+		return 1 + k, nil
 	default:
-		return Null, 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
+		return 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
 	}
 }
 
@@ -190,18 +208,17 @@ func decodeRow[B bytestr](b B, row Row, dict *[]string) (int, error) {
 			if idx >= uint64(len(*dict)) {
 				return 0, fmt.Errorf("sqltypes: column %d: reference %d past the frame's %d strings", i, idx, len(*dict))
 			}
-			row[i] = NewString((*dict)[idx])
+			row[i].set(TypeString, 0, 0, (*dict)[idx])
 			off += 1 + k
 			continue
 		}
-		v, sz, err := decodeValue(b[off:])
+		sz, err := decodeValue(b[off:], &row[i])
 		if err != nil {
 			return 0, fmt.Errorf("column %d: %w", i, err)
 		}
-		if n := len(v.S); dict != nil && v.T == TypeString && n > 0 && n <= MaxRefString && len(*dict) < maxRefs {
-			*dict = append(*dict, v.S)
+		if n := len(row[i].S); dict != nil && b[off] == byte(TypeString) && n > 0 && n <= MaxRefString && len(*dict) < maxRefs {
+			*dict = append(*dict, row[i].S)
 		}
-		row[i] = v
 		off += sz
 	}
 	return off, nil

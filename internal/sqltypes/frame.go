@@ -6,8 +6,8 @@ import (
 )
 
 // The row-batch frame: the payload that carries up to BatchRows rows of a
-// result stream in one wire frame. It is an 8-byte little-endian row count
-// followed by the rows.
+// result stream in one wire frame. It is a uvarint row count followed by
+// the rows.
 //
 // A text frame's rows are AppendRowText's, byte for byte.
 //
@@ -35,26 +35,35 @@ const refTag = 0x80 | byte(TypeString)
 // at most two bytes.
 const maxRefs = 1 << 14
 
+// countRoom is the room a frame's buffer keeps in front of its rows for the
+// row count, which Finish writes right-aligned once the count is known.
+const countRoom = binary.MaxVarintLen64
+
 // Frame accumulates the payload of one row-batch frame. Its buffer and
-// dictionary are reused from frame to frame.
+// dictionary are reused from frame to frame. Make one with NewFrame.
 type Frame struct {
 	text  bool
 	rows  int
 	width int
-	buf   []byte
-	dict  map[string]int // short string -> its index in this frame's dictionary
+	buf   []byte   // countRoom bytes, then the rows
+	strs  []string // the dictionary, in index order
+	slots []uint64 // open-addressing index of strs: hash<<32 | index+1, 0 if empty
 }
 
 // NewFrame returns an empty frame of the text or the binary encoding.
 func NewFrame(text bool) *Frame {
-	if text {
-		return &Frame{text: true}
+	f := &Frame{text: text, buf: make([]byte, countRoom, 1<<10)}
+	if !text {
+		f.slots = make([]uint64, 64)
 	}
-	return &Frame{dict: map[string]int{}}
+	return f
 }
 
 // Rows is the number of rows added since the frame started.
 func (f *Frame) Rows() int { return f.rows }
+
+// Len is the length of the payload Finish would return now.
+func (f *Frame) Len() int { return len(f.buf) - countRoom + uvarintLen(uint64(f.rows)) }
 
 // Fits reports whether r can join the frame: an empty frame takes any row,
 // a binary frame only rows of its width.
@@ -64,11 +73,13 @@ func (f *Frame) Fits(r Row) bool { return f.rows == 0 || f.text || len(r) == f.w
 // frame's caller checks Fits first.
 func (f *Frame) Add(r Row) {
 	if f.rows == 0 {
-		f.buf = binary.LittleEndian.AppendUint64(f.buf[:0], 0) // the count, patched by Finish
+		f.buf = f.buf[:countRoom]
 		if !f.text {
 			f.width = len(r)
 			f.buf = appendUvarint(f.buf, uint64(len(r)))
-			clear(f.dict)
+			clear(f.strs) // pin none of the last frame's strings
+			f.strs = f.strs[:0]
+			clear(f.slots)
 		}
 	}
 	f.rows++
@@ -80,26 +91,77 @@ func (f *Frame) Add(r Row) {
 		f.buf = append(f.buf, 0)
 		return
 	}
-	for _, v := range r {
-		if n := len(v.S); v.T == TypeString && n > 0 && n <= MaxRefString {
-			if i, ok := f.dict[v.S]; ok {
+	for j := range r {
+		if v := &r[j]; v.T == TypeString && len(v.S) > 0 && len(v.S) <= MaxRefString {
+			if i, ok := f.ref(v.S); ok {
 				f.buf = appendUvarint(append(f.buf, refTag), uint64(i))
 				continue
 			}
-			if len(f.dict) < maxRefs {
-				f.dict[v.S] = len(f.dict)
-			}
 		}
-		f.buf = AppendValue(f.buf, v)
+		f.buf = AppendValue(f.buf, r[j])
 	}
+}
+
+// ref returns the dictionary index of s, or enters s while the dictionary
+// has room and reports false. The string is hashed once, whether it hits
+// or is entered; the table stays at most half full.
+func (f *Frame) ref(s string) (int, bool) {
+	h := strHash(s)
+	mask := uint64(len(f.slots) - 1)
+	i := h & mask
+	for e := f.slots[i]; e != 0; e = f.slots[i] {
+		if e>>32 == h>>32 && f.strs[uint32(e)-1] == s {
+			return int(uint32(e) - 1), true
+		}
+		i = (i + 1) & mask
+	}
+	if len(f.strs) < maxRefs {
+		f.strs = append(f.strs, s)
+		f.slots[i] = h>>32<<32 | uint64(len(f.strs))
+		if 2*len(f.strs) > len(f.slots) {
+			f.grow()
+		}
+	}
+	return 0, false
+}
+
+// grow doubles the table and enters the dictionary's strings again, in
+// order: each one is appended back onto the slot of the array it is read
+// from.
+func (f *Frame) grow() {
+	strs := f.strs
+	f.slots, f.strs = make([]uint64, 2*len(f.slots)), f.strs[:0]
+	for _, s := range strs {
+		f.ref(s)
+	}
+}
+
+// strHash hashes a string of 1 to MaxRefString bytes from the at most
+// four 8-byte words that cover it.
+func strHash(s string) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	n := len(s)
+	var a, b uint64
+	switch {
+	case n >= 16:
+		a, b = le64(s)^le64(s[n-16:])*m, le64(s[8:])^le64(s[n-8:])*m
+	case n >= 8:
+		a, b = le64(s), le64(s[n-8:])
+	case n >= 4:
+		a, b = uint64(le32(s)), uint64(le32(s[n-4:]))
+	default:
+		a = uint64(s[0])<<16 | uint64(s[n/2])<<8 | uint64(s[n-1])
+	}
+	return mix64((a^uint64(n))*m ^ b)
 }
 
 // Finish returns the payload, valid until the next Add, and starts a new
 // frame.
 func (f *Frame) Finish() []byte {
-	binary.LittleEndian.PutUint64(f.buf, uint64(f.rows))
+	start := countRoom - uvarintLen(uint64(f.rows))
+	binary.PutUvarint(f.buf[start:], uint64(f.rows))
 	f.rows = 0
-	return f.buf
+	return f.buf[start:]
 }
 
 // DecodeFrame parses a row-batch payload of the text or the binary
@@ -110,12 +172,11 @@ func (f *Frame) Finish() []byte {
 // has bytes. On an error the batch holds no rows.
 func (b *Batch) DecodeFrame(payload []byte, text bool) error {
 	b.Reset()
-	if len(payload) < 8 {
-		return fmt.Errorf("sqltypes: truncated row frame")
+	n, k, err := uvarint(payload)
+	if err != nil {
+		return fmt.Errorf("row frame count: %w", err)
 	}
-	n := le64(payload)
-	src := string(payload[8:])
-	var err error
+	src := string(payload[k:])
 	if text {
 		err = b.decodeTextFrame(n, src)
 	} else {

@@ -94,15 +94,15 @@ func sameValues(a, b Row) bool {
 // checkFrameAgrees holds the binary frame decoder (the string one) to the
 // byte-slice row decoder. A frame-less row of width ≥ 1 that DecodeRow
 // accepts has no reference tag, which DecodeRow rejects, so behind a row
-// count of 1 it is a one-row binary frame, and that frame must decode to
-// the same row.
+// count of 1 (one uvarint byte) it is a one-row binary frame, and that
+// frame must decode to the same row.
 func checkFrameAgrees(t *testing.T, b []byte) {
 	row, used, err := DecodeRow(b)
 	if err != nil || len(row) == 0 {
 		return
 	}
 	var batch Batch
-	frame := append(binary.LittleEndian.AppendUint64(nil, 1), b[:used]...)
+	frame := append([]byte{1}, b[:used]...)
 	if err := batch.DecodeFrame(frame, false); err != nil || len(batch.Rows) != 1 || !sameValues(batch.Rows[0], row) {
 		t.Fatalf("frame decoder: %v, err %v; byte decoder: %v", batch.Rows, err, row)
 	}

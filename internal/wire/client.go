@@ -89,16 +89,29 @@ func deadlineErr(toNode string, err error) error {
 
 // sendRequest checks a connection out of the pool, writes one request,
 // and reads the first response frame, retrying per the policy: a reused
-// connection that proves stale on write is redialed once for any RPC (the
-// request never reached the server), and idempotent RPCs additionally
-// retry transport failures with exponential backoff up to MaxRetries.
-// Timeouts are never retried — the deadline has passed either way. On
-// success the connection is still checked out; the caller must release it
-// with putConn or discard.
+// connection that proves stale is redialed once, without backoff, when the
+// request cannot have run (it failed on write, or it is idempotent), and
+// idempotent RPCs additionally retry transport failures with exponential
+// backoff up to MaxRetries. Timeouts are never retried — the deadline has
+// passed either way. On success the connection is still checked out; the
+// caller must release it with putConn or discard.
 func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType byte, payload []byte, idempotent bool) (net.Conn, byte, []byte, error) {
 	var lastErr error
 	attempt := 0
 	staleRedial := false
+	retry := func(stale bool) bool {
+		if stale && !staleRedial {
+			staleRedial = true
+			c.noteRetry(addr)
+			return true
+		}
+		if !idempotent || attempt >= c.cfg.MaxRetries {
+			return false
+		}
+		attempt++
+		c.noteRetry(addr)
+		return c.backoff(ctx, attempt) == nil
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
@@ -108,16 +121,10 @@ func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType b
 		}
 		conn, reused, err := c.getConn(ctx, addr, toNode)
 		if err != nil {
-			lastErr = err
-			if !idempotent || attempt >= c.cfg.MaxRetries {
-				return nil, 0, nil, lastErr
+			if lastErr = err; retry(false) {
+				continue
 			}
-			attempt++
-			c.noteRetry(addr)
-			if c.backoff(ctx, attempt) != nil {
-				return nil, 0, nil, lastErr
-			}
-			continue
+			return nil, 0, nil, lastErr
 		}
 		c.applyDeadline(ctx, conn)
 
@@ -128,66 +135,39 @@ func (c *Client) sendRequest(ctx context.Context, addr, toNode string, reqType b
 		if err == nil {
 			_, err = writeFrame(conn, reqType, payload)
 		}
-		if err != nil {
-			c.discard(addr, conn)
-			if isTimeout(err) {
-				c.noteTimeout(addr)
-				return nil, 0, nil, deadlineErr(toNode, err)
+		sent := err == nil
+		var typ byte
+		var resp []byte
+		if sent {
+			// The response frame rides the return path; an injected fault
+			// there loses it after the server already did the work — the
+			// classic response-lost ambiguity.
+			var n int
+			if typ, resp, n, err = readFrame(conn); err == nil {
+				err = c.account(addr, toNode, n, true)
 			}
-			lastErr = fmt.Errorf("wire: send to %s: %w", toNode, err)
-			// A reused connection failing on write was closed by the peer
-			// while parked; the request was never delivered, so redial
-			// once regardless of idempotence.
-			if reused && !staleRedial {
-				staleRedial = true
-				c.noteRetry(addr)
-				continue
-			}
-			if idempotent && attempt < c.cfg.MaxRetries {
-				attempt++
-				c.noteRetry(addr)
-				if c.backoff(ctx, attempt) != nil {
-					return nil, 0, nil, lastErr
-				}
-				continue
-			}
-			return nil, 0, nil, lastErr
 		}
-
-		typ, resp, n, err := readFrame(conn)
 		if err == nil {
-			// The response frame rides the return path; an injected
-			// fault there loses it after the server already did the
-			// work — the classic response-lost ambiguity.
-			err = c.account(addr, toNode, n, true)
+			return conn, typ, resp, nil
 		}
-		if err != nil {
-			c.discard(addr, conn)
-			if isTimeout(err) {
-				c.noteTimeout(addr)
-				return nil, 0, nil, deadlineErr(toNode, err)
-			}
+		c.discard(addr, conn)
+		if isTimeout(err) {
+			c.noteTimeout(addr)
+			return nil, 0, nil, deadlineErr(toNode, err)
+		}
+		if sent {
 			lastErr = fmt.Errorf("wire: response from %s: %w", toNode, err)
-			// Once the request was written, only idempotent requests
-			// may retry: an Exec might already have run server-side.
-			if idempotent {
-				if reused && !staleRedial {
-					staleRedial = true
-					c.noteRetry(addr)
-					continue
-				}
-				if attempt < c.cfg.MaxRetries {
-					attempt++
-					c.noteRetry(addr)
-					if c.backoff(ctx, attempt) != nil {
-						return nil, 0, nil, lastErr
-					}
-					continue
-				}
-			}
-			return nil, 0, nil, lastErr
+		} else {
+			lastErr = fmt.Errorf("wire: send to %s: %w", toNode, err)
 		}
-		return conn, typ, resp, nil
+		// A request that failed on write never reached the server; once
+		// written, only an idempotent request may retry, since an Exec
+		// might already have run server-side. A reused connection failing
+		// was most likely closed by the peer while parked.
+		if (!sent || idempotent) && retry(reused) {
+			continue
+		}
+		return nil, 0, nil, lastErr
 	}
 }
 
@@ -214,55 +194,50 @@ func (r Reply) expect(want byte, request string) error {
 // Err is the outcome of an Exec.
 func (r Reply) Err() error { return r.expect(msgOK, "Exec") }
 
+// decodeReply decodes the payload of a reply of type want, the answer to
+// request, with dec.
+func decodeReply[T any](r Reply, want byte, request string, dec func([]byte) (T, error)) (T, error) {
+	if err := r.expect(want, request); err != nil {
+		var zero T
+		return zero, err
+	}
+	return dec(r.payload)
+}
+
 // Explain decodes the response to an Explain.
 func (r Reply) Explain() (*engine.ExplainInfo, error) {
-	if err := r.expect(msgExplainRes, "Explain"); err != nil {
-		return nil, err
-	}
-	return decodeExplain(r.payload)
+	return decodeReply(r, msgExplainRes, "Explain", decodeExplain)
 }
 
 // Stats decodes the response to a Stats.
 func (r Reply) Stats() (*engine.TableStats, error) {
-	if err := r.expect(msgStatsRes, "Stats"); err != nil {
-		return nil, err
-	}
-	return decodeStats(r.payload)
+	return decodeReply(r, msgStatsRes, "Stats", decodeStats)
 }
 
 // TableSchema decodes the response to a TableSchema.
 func (r Reply) TableSchema() (*sqltypes.Schema, error) {
-	if err := r.expect(msgSchema, "TableSchema"); err != nil {
-		return nil, err
-	}
-	schema, _, err := sqltypes.DecodeSchema(r.payload)
-	return schema, err
+	return decodeReply(r, msgSchema, "TableSchema", func(b []byte) (*sqltypes.Schema, error) {
+		schema, _, err := sqltypes.DecodeSchema(b)
+		return schema, err
+	})
 }
 
 // Cost decodes the response to a Cost.
 func (r Reply) Cost() (float64, error) {
-	if err := r.expect(msgCostRes, "Cost"); err != nil {
-		return 0, err
-	}
-	rd := &reader{b: r.payload}
-	v := rd.float64()
-	return v, rd.err
+	return decodeReply(r, msgCostRes, "Cost", func(b []byte) (float64, error) {
+		rd := &reader{b: b}
+		return rd.float64(), rd.err
+	})
 }
 
 // JoinPrices decodes the response to a PriceJoin.
 func (r Reply) JoinPrices() (engine.JoinPrices, error) {
-	if err := r.expect(msgJoinRes, "PriceJoin"); err != nil {
-		return engine.JoinPrices{}, err
-	}
-	return decodeJoinPrices(r.payload)
+	return decodeReply(r, msgJoinRes, "PriceJoin", decodeJoinPrices)
 }
 
 // Sample decodes the response to a Sample.
 func (r Reply) Sample() (*engine.SampleResult, error) {
-	if err := r.expect(msgSampleRes, "Sample"); err != nil {
-		return nil, err
-	}
-	return decodeSampleRes(r.payload)
+	return decodeReply(r, msgSampleRes, "Sample", decodeSampleRes)
 }
 
 // Batch is an ordered list of non-streaming requests that travels as one
@@ -375,30 +350,47 @@ func (c *Client) Query(ctx context.Context, addr, toNode, sql string) (*sqltypes
 // asks the server for the JDBC-style text encoding regardless of its
 // vendor protocol (used by the presto baseline's connectors).
 func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceText bool) (*sqltypes.Schema, engine.BatchIter, error) {
+	var flags byte
+	if forceText {
+		flags = queryText
+	}
+	return c.stream(ctx, addr, toNode, sql, flags)
+}
+
+// Rows is Query for a reader that declared the result's columns itself, as
+// a foreign table does: the server sends no schema frame, and the stream
+// starts with its first row frame.
+func (c *Client) Rows(ctx context.Context, addr, toNode, sql string) (engine.BatchIter, error) {
+	_, it, err := c.stream(ctx, addr, toNode, sql, queryRowsOnly)
+	return it, err
+}
+
+func (c *Client) stream(ctx context.Context, addr, toNode, sql string, flags byte) (*sqltypes.Schema, engine.BatchIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	payload := make([]byte, 0, len(sql)+1)
-	if forceText {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
+	payload := append(make([]byte, 0, len(sql)+1), flags)
 	payload = append(payload, sql...)
-	// The initial exchange (request out, schema frame back) consumes no
-	// stream state, so it retries like an idempotent read. Once the
-	// schema arrives the connection hosts the stream and retries stop.
+	// The initial exchange (request out, first frame back) consumes no
+	// stream state, so it retries like an idempotent read. Once the first
+	// frame arrives the connection hosts the stream and retries stop.
 	conn, typ, resp, err := c.sendRequest(ctx, addr, toNode, msgQuery, payload, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch typ {
-	case msgError:
+	if typ == msgError {
 		// In-protocol error: the connection is clean and reusable.
 		c.putConn(addr, conn)
 		return nil, nil, fmt.Errorf("remote %s: %s", toNode, resp)
-	case msgSchema:
-	default:
+	}
+	// Attribute the stream to its delegation-plan edge: the remote node
+	// produces, this client's node consumes and counts.
+	q := &queryIter{c: c, ctx: ctx, conn: conn, addr: addr, toNode: toNode, fl: newStreamFlow(sql, toNode, c.FromNode)}
+	if flags&queryRowsOnly != 0 {
+		q.firstTyp, q.first = typ, resp
+		return nil, q, nil
+	}
+	if typ != msgSchema {
 		c.discard(addr, conn)
 		return nil, nil, fmt.Errorf("wire: unexpected response type %d to Query", typ)
 	}
@@ -407,17 +399,15 @@ func (c *Client) QueryEnc(ctx context.Context, addr, toNode, sql string, forceTe
 		c.discard(addr, conn)
 		return nil, nil, err
 	}
-	// Attribute the stream to its delegation-plan edge: the remote node
-	// produces, this client's node consumes and counts.
-	fl := newStreamFlow(sql, toNode, c.FromNode)
-	return schema, &queryIter{c: c, ctx: ctx, conn: conn, addr: addr, toNode: toNode, fl: fl,
-		recv: int64(frameHeader + len(resp))}, nil
+	q.recv = int64(frameHeader + len(resp))
+	return schema, q, nil
 }
 
 // ReceivedBytes is the wire size, headers included, of every frame a
-// result stream of Query or QueryEnc has received so far: its schema
-// frame, its row frames and its end frame. That is what the transfer
-// ledger records for the stream. It is 0 for any other iterator.
+// result stream of Query, QueryEnc or Rows has received so far: its schema
+// frame (Rows has none), its row frames and its end frame. That is what
+// the transfer ledger records for the stream. It is 0 for any other
+// iterator.
 func ReceivedBytes(it engine.BatchIter) int64 {
 	if q, ok := it.(*queryIter); ok {
 		return q.recv
@@ -457,6 +447,11 @@ type queryIter struct {
 	recv   int64  // wire bytes of the frames received (ReceivedBytes)
 	done   bool   // msgEnd received; the connection is clean
 	closed bool   // connection already released or discarded
+
+	// A rows-only stream's first frame, read with the request's answer and
+	// handed on by the first Next; firstTyp is 0 once it is.
+	firstTyp byte
+	first    []byte
 }
 
 func (q *queryIter) Next() (*sqltypes.Batch, error) {
@@ -467,30 +462,9 @@ func (q *queryIter) Next() (*sqltypes.Batch, error) {
 		if q.closed {
 			return nil, fmt.Errorf("wire: Next on closed result stream from %s", q.toNode)
 		}
-		if err := q.ctx.Err(); err != nil {
-			// The stream is mid-flight; the connection carries undrained
-			// frames and must be discarded.
-			q.finish(false)
-			return nil, fmt.Errorf("wire: result stream from %s: %w", q.toNode, err)
-		}
-		// Re-arm the deadline per frame: the context's absolute deadline
-		// when it has one, else RequestTimeout as a per-frame liveness
-		// bound.
-		q.c.applyDeadline(q.ctx, q.conn)
-		typ, payload, n, err := readFrameInto(q.conn, q.buf)
-		if err == nil {
-			q.buf = payload[:0]
-			// An injected fault mid-stream severs the result flow; the
-			// connection carries undrained frames and must be discarded.
-			err = q.c.account(q.addr, q.toNode, n, true)
-		}
+		typ, payload, n, err := q.read()
 		if err != nil {
-			q.finish(false)
-			if isTimeout(err) {
-				q.c.noteTimeout(q.addr)
-				return nil, deadlineErr(q.toNode, err)
-			}
-			return nil, fmt.Errorf("wire: result stream from %s: %w", q.toNode, err)
+			return nil, err
 		}
 		q.recv += int64(n)
 		switch typ {
@@ -504,8 +478,6 @@ func (q *queryIter) Next() (*sqltypes.Batch, error) {
 				return &q.batch, nil
 			}
 		case msgEnd:
-			// The end frame's stream total is not read: the rows this
-			// end received are the count.
 			q.fl.frame(0, n, true)
 			q.done = true
 		case msgError:
@@ -518,6 +490,41 @@ func (q *queryIter) Next() (*sqltypes.Batch, error) {
 			return nil, fmt.Errorf("wire: unexpected frame type %d in result stream", typ)
 		}
 	}
+}
+
+// read returns the stream's next frame: a rows-only stream's first frame,
+// then each frame the connection delivers. A failure has released the
+// connection.
+func (q *queryIter) read() (byte, []byte, int, error) {
+	if typ := q.firstTyp; typ != 0 {
+		q.firstTyp, q.buf = 0, q.first[:0]
+		return typ, q.first, frameHeader + len(q.first), nil
+	}
+	if err := q.ctx.Err(); err != nil {
+		// The stream is mid-flight; the connection carries undrained
+		// frames and must be discarded.
+		q.finish(false)
+		return 0, nil, 0, fmt.Errorf("wire: result stream from %s: %w", q.toNode, err)
+	}
+	// Re-arm the deadline per frame: the context's absolute deadline when
+	// it has one, else RequestTimeout as a per-frame liveness bound.
+	q.c.applyDeadline(q.ctx, q.conn)
+	typ, payload, n, err := readFrameInto(q.conn, q.buf)
+	if err == nil {
+		q.buf = payload[:0]
+		// An injected fault mid-stream severs the result flow; the
+		// connection carries undrained frames and must be discarded.
+		err = q.c.account(q.addr, q.toNode, n, true)
+	}
+	if err != nil {
+		q.finish(false)
+		if isTimeout(err) {
+			q.c.noteTimeout(q.addr)
+			return 0, nil, 0, deadlineErr(q.toNode, err)
+		}
+		return 0, nil, 0, fmt.Errorf("wire: result stream from %s: %w", q.toNode, err)
+	}
+	return typ, payload, n, nil
 }
 
 // finish releases the iterator's connection exactly once: back to the pool
@@ -551,7 +558,7 @@ type FDW struct {
 	Client *Client
 }
 
-// QueryRemote implements engine.RemoteQuerier.
-func (f *FDW) QueryRemote(srv *engine.Server, sql string) (*sqltypes.Schema, engine.BatchIter, error) {
-	return f.Client.Query(context.Background(), srv.Addr, srv.Node, sql)
+// QueryRemote implements engine.RemoteQuerier: a rows-only stream.
+func (f *FDW) QueryRemote(srv *engine.Server, sql string) (engine.BatchIter, error) {
+	return f.Client.Rows(context.Background(), srv.Addr, srv.Node, sql)
 }

@@ -13,16 +13,19 @@ import (
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
-// encodeStats serializes a TableStats payload.
+// encodeStats serializes a TableStats payload: the row count as a uvarint,
+// the average row width as 8 bytes, the column count as a uvarint, and for
+// every column its name (a uvarint length and the bytes), its distinct
+// count as a uvarint, its null fraction (appendFrac) and its bounds
+// (sqltypes.AppendValue). Every value round-trips bit for bit.
 func encodeStats(st *engine.TableStats) []byte {
-	var b []byte
-	b = appendUint64(b, uint64(st.RowCount))
+	b := binary.AppendUvarint(nil, uint64(st.RowCount))
 	b = appendFloat64(b, st.AvgRowBytes)
-	b = appendUint64(b, uint64(len(st.Columns)))
+	b = binary.AppendUvarint(b, uint64(len(st.Columns)))
 	for _, c := range st.Columns {
-		b = appendString32(b, c.Name)
-		b = appendUint64(b, uint64(c.Distinct))
-		b = appendFloat64(b, c.NullFrac)
+		b = appendString(b, c.Name)
+		b = binary.AppendUvarint(b, uint64(c.Distinct))
+		b = appendFrac(b, c.NullFrac)
 		b = sqltypes.AppendValue(b, c.Min)
 		b = sqltypes.AppendValue(b, c.Max)
 	}
@@ -30,19 +33,19 @@ func encodeStats(st *engine.TableStats) []byte {
 }
 
 // minColumnStatsBytes is the smallest encodable ColumnStats: an empty name
-// (4), the distinct count and null fraction (8 + 8), and two NULL bounds
-// (1 + 1).
-const minColumnStatsBytes = 22
+// (1), the distinct count (1), a zero null fraction (1) and two NULL
+// bounds (1 + 1).
+const minColumnStatsBytes = 5
 
 // decodeStats parses a TableStats payload. The column count is checked
 // against the bytes that follow it before anything is allocated.
 func decodeStats(payload []byte) (*engine.TableStats, error) {
 	r := &reader{b: payload}
 	st := &engine.TableStats{
-		RowCount:    int64(r.uint64()),
+		RowCount:    int64(r.uvarint()),
 		AvgRowBytes: r.float64(),
 	}
-	n := r.uint64()
+	n := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -55,9 +58,9 @@ func decodeStats(payload []byte) (*engine.TableStats, error) {
 	st.Columns = make([]engine.ColumnStats, 0, n)
 	for i := uint64(0); i < n; i++ {
 		c := engine.ColumnStats{
-			Name:     r.string32(),
-			Distinct: int64(r.uint64()),
-			NullFrac: r.float64(),
+			Name:     r.string(),
+			Distinct: int64(r.uvarint()),
+			NullFrac: r.frac(),
 		}
 		if r.err != nil {
 			return nil, r.err
@@ -80,7 +83,7 @@ func encodeExplain(info *engine.ExplainInfo) []byte {
 	var b []byte
 	b = appendFloat64(b, info.Cost)
 	b = appendFloat64(b, info.Rows)
-	b = appendString32(b, info.Text)
+	b = appendString(b, info.Text)
 	return b
 }
 
@@ -90,7 +93,7 @@ func decodeExplain(payload []byte) (*engine.ExplainInfo, error) {
 	info := &engine.ExplainInfo{
 		Cost: r.float64(),
 		Rows: r.float64(),
-		Text: r.string32(),
+		Text: r.string(),
 	}
 	return info, r.err
 }
@@ -98,7 +101,7 @@ func decodeExplain(payload []byte) (*engine.ExplainInfo, error) {
 // encodeCostProbe serializes a costing request.
 func encodeCostProbe(kind engine.CostKind, left, right, out float64) []byte {
 	var b []byte
-	b = appendString32(b, string(kind))
+	b = appendString(b, string(kind))
 	b = appendFloat64(b, left)
 	b = appendFloat64(b, right)
 	b = appendFloat64(b, out)
@@ -108,7 +111,7 @@ func encodeCostProbe(kind engine.CostKind, left, right, out float64) []byte {
 // decodeCostProbe parses a costing request.
 func decodeCostProbe(payload []byte) (engine.CostKind, float64, float64, float64, error) {
 	r := &reader{b: payload}
-	kind := engine.CostKind(r.string32())
+	kind := engine.CostKind(r.string())
 	l, ri, o := r.float64(), r.float64(), r.float64()
 	return kind, l, ri, o, r.err
 }
@@ -158,9 +161,9 @@ func decodeJoinPrices(payload []byte) (engine.JoinPrices, error) {
 // encodeSampleProbe serializes a bounded-sample probe request.
 func encodeSampleProbe(table, alias, filter string, limit int64) []byte {
 	var b []byte
-	b = appendString32(b, table)
-	b = appendString32(b, alias)
-	b = appendString32(b, filter)
+	b = appendString(b, table)
+	b = appendString(b, alias)
+	b = appendString(b, filter)
 	b = appendUint64(b, uint64(limit))
 	return b
 }
@@ -168,7 +171,7 @@ func encodeSampleProbe(table, alias, filter string, limit int64) []byte {
 // decodeSampleProbe parses a bounded-sample probe request.
 func decodeSampleProbe(payload []byte) (table, alias, filter string, limit int64, err error) {
 	r := &reader{b: payload}
-	table, alias, filter = r.string32(), r.string32(), r.string32()
+	table, alias, filter = r.string(), r.string(), r.string()
 	limit = int64(r.uint64())
 	return table, alias, filter, limit, r.err
 }
@@ -266,11 +269,10 @@ func decodeBatch(payload []byte) ([]batchItem, error) {
 
 var errBatchVarint = errors.New("wire: truncated batch varint or one overflowing 64 bits")
 
-// rowFrame is a row-batch frame being filled: its frame type, its payload
-// (sqltypes.Frame), and its rows' frame-less binary size, which cuts it.
+// rowFrame is a row-batch frame being filled: its frame type and its
+// payload (sqltypes.Frame).
 type rowFrame struct {
-	typ  byte
-	size int
+	typ byte
 	*sqltypes.Frame
 }
 
@@ -283,9 +285,8 @@ func newRowFrame(enc engine.Encoding) *rowFrame {
 
 // push adds row to the frame and calls flush, which sends the frame when
 // it holds rows, before a row of another width than the frame's and at the
-// row where the rows' frame-less binary size (Row.EncodedSize) reaches
-// batchTargetBytes or their count sqltypes.BatchRows. So a text stream is
-// cut where the binary one is, whatever the engine's batch boundaries are.
+// row where the payload reaches batchTargetBytes or its row count
+// sqltypes.BatchRows.
 func (f *rowFrame) push(row sqltypes.Row, flush func() error) error {
 	if !f.Fits(row) {
 		if err := flush(); err != nil {
@@ -293,18 +294,10 @@ func (f *rowFrame) push(row sqltypes.Row, flush func() error) error {
 		}
 	}
 	f.Add(row)
-	f.size += row.EncodedSize()
-	if f.size >= batchTargetBytes || f.Rows() >= sqltypes.BatchRows {
+	if f.Len() >= batchTargetBytes || f.Rows() >= sqltypes.BatchRows {
 		return flush()
 	}
 	return nil
-}
-
-// cut returns the payload, valid until the next push, and starts a new
-// frame.
-func (f *rowFrame) cut() []byte {
-	f.size = 0
-	return f.Finish()
 }
 
 // decodeRowBatch parses a row-batch payload of the given frame type into

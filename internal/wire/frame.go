@@ -17,7 +17,7 @@ import (
 // frame types, client -> server. Only msgQuery and msgBatch travel as
 // frames of their own; the rest are the items a batch carries.
 const (
-	msgQuery   byte = 1 // payload: 1 flag byte (encoding) + SQL text; response: Schema, Rows*, End | Error
+	msgQuery   byte = 1 // payload: 1 flag byte (queryText, queryRowsOnly) + SQL text; response: Schema (unless rows only), Rows*, End | Error
 	msgExec    byte = 2 // payload: SQL text; response: OK | Error
 	msgExplain byte = 3 // payload: SQL text; response: ExplainRes | Error
 	msgStats   byte = 4 // payload: table name; response: StatsRes | Error
@@ -31,9 +31,9 @@ const (
 // frame types, server -> client.
 const (
 	msgSchema     byte = 10 // payload: schema
-	msgRows       byte = 11 // payload: row count + binary rows
-	msgRowsText   byte = 12 // payload: row count + text rows
-	msgEnd        byte = 13 // payload: total row count (uint64)
+	msgRows       byte = 11 // payload: uvarint row count + binary rows
+	msgRowsText   byte = 12 // payload: uvarint row count + text rows
+	msgEnd        byte = 13 // payload: empty
 	msgError      byte = 14 // payload: error text
 	msgOK         byte = 15 // payload: empty
 	msgExplainRes byte = 16 // payload: cost, rows float64 + text
@@ -44,13 +44,19 @@ const (
 	msgJoinRes    byte = 21 // payload: the join's five prices (5 float64, engine.JoinPrices order)
 )
 
+// msgQuery's flags.
+const (
+	queryText     byte = 1 << 0 // the text row encoding, whatever the vendor's
+	queryRowsOnly byte = 1 << 1 // no schema frame: the reader declared the columns
+)
+
 // maxFrame bounds a frame payload; large results are split into many row
 // batches well below this.
 const maxFrame = 16 << 20
 
 // batchTargetBytes is the soft limit at which the server flushes a row
 // batch frame.
-const batchTargetBytes = 32 << 10
+const batchTargetBytes = 31 << 10
 
 // frameHeader is the size of a frame's header: its payload length and type.
 const frameHeader = 5
@@ -113,9 +119,19 @@ func appendFloat64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, floatBits(v))
 }
 
-func appendString32(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+// appendString appends s as a uvarint length and its bytes.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// appendFrac appends a fraction: a zero byte for +0, the common case, else
+// a one byte and its 8 bytes (so -0 and NaN keep their bits).
+func appendFrac(dst []byte, f float64) []byte {
+	if floatBits(f) == 0 {
+		return append(dst, 0)
+	}
+	return appendFloat64(append(dst, 1), f)
 }
 
 type reader struct {
@@ -136,20 +152,35 @@ func (r *reader) uint64() uint64 {
 
 func (r *reader) float64() float64 { return floatFromBits(r.uint64()) }
 
-func (r *reader) string32() string {
-	if r.err != nil || r.off+4 > len(r.b) {
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(r.b[r.off:])
+	if k <= 0 {
+		r.fail()
+		return 0
+	}
+	r.off += k
+	return v
+}
+
+func (r *reader) string() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)-r.off) {
 		r.fail()
 		return ""
 	}
-	n := int(binary.LittleEndian.Uint32(r.b[r.off:]))
-	r.off += 4
-	if r.off+n > len(r.b) {
-		r.fail()
-		return ""
+	r.off += int(n)
+	return string(r.b[r.off-int(n) : r.off])
+}
+
+// frac reads what appendFrac wrote.
+func (r *reader) frac() float64 {
+	if r.uvarint() == 0 {
+		return 0
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
+	return r.float64()
 }
 
 func (r *reader) fail() {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -222,7 +223,7 @@ func TestRowBatchCodecBothEncodings(t *testing.T) {
 func streamRows(f *rowFrame, rows []sqltypes.Row, emit func(payload []byte)) {
 	flush := func() error {
 		if f.Rows() > 0 {
-			emit(f.cut())
+			emit(f.Finish())
 		}
 		return nil
 	}
@@ -233,10 +234,10 @@ func streamRows(f *rowFrame, rows []sqltypes.Row, emit func(payload []byte)) {
 }
 
 // frameBound is the most bytes a binary frame of rows may take: the row
-// count and the rows' frame-less encodings (Row.EncodedSize), and for
-// zero-width rows one byte more, the width.
+// count's uvarint and the rows' frame-less encodings (Row.EncodedSize),
+// and for zero-width rows one byte more, the width.
 func frameBound(rows []sqltypes.Row) int {
-	bound := 8
+	bound := len(binary.AppendUvarint(nil, uint64(len(rows))))
 	if len(rows[0]) == 0 {
 		bound++
 	}
@@ -331,7 +332,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		strs = append(strs, strs[i])
 	}
 	payload, typ := encodeRowBatch(strs, engine.EncodingBinary)
-	if want := 8 + 1 + 200*6 + 128*2 + 72*3; len(payload) != want {
+	if want := 2 + 1 + 200*6 + 128*2 + 72*3; len(payload) != want {
 		t.Errorf("200 strings twice: %d B, want %d", len(payload), want)
 	}
 	var batch sqltypes.Batch
@@ -348,7 +349,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		widths = append(widths, len(batch.Rows[0]), len(batch.Rows))
-		if len(batch.Rows[0]) == 0 && len(payload) != 8+1+len(batch.Rows) {
+		if len(batch.Rows[0]) == 0 && len(payload) != 1+1+len(batch.Rows) {
 			t.Errorf("%d zero-width rows in %d B", len(batch.Rows), len(payload))
 		}
 		if bound := frameBound(batch.Rows); len(payload) > bound {

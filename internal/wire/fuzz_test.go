@@ -34,7 +34,8 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	for _, p := range hostileRowFrames() {
 		f.Add(p, false)
 	}
-	f.Add(append(appendUint64(nil, 1<<60), 0xF0, 0xFF, 0xFF, 0xFF), true)
+	f.Add(append(binary.AppendUvarint(nil, 1<<60), 0xF0, 0xFF, 0xFF, 0xFF), true)
+	f.Add(append(binary.AppendUvarint(nil, 300), 1, byte(sqltypes.TypeInt), 2), false) // a two-byte row count past the rows
 
 	var batch sqltypes.Batch // reused across inputs, as a stream reuses it
 	f.Fuzz(func(t *testing.T, payload []byte, text bool) {
@@ -78,14 +79,16 @@ func FuzzDecodeRowBatch(f *testing.F) {
 
 // hostileRowFrames are binary row-batch payloads the decoder must refuse.
 func hostileRowFrames() [][]byte {
-	one := appendUint64(nil, 1)
+	one := []byte{1}
 	ab := []byte{2, byte(sqltypes.TypeString), 2, 'a', 'b'} // width 2, then "ab"
 	long := append([]byte{2, byte(sqltypes.TypeString), sqltypes.MaxRefString + 1},
 		strings.Repeat("y", sqltypes.MaxRefString+1)...)
 	frames := [][]byte{
-		appendUint64(nil, 1<<60),                     // 2^60 rows and nothing else
-		append(appendUint64(nil, 1<<60), 0, 0, 0, 0), // a zero-width frame claiming 2^60 rows
-		{1, 0, 0}, // a truncated row count
+		binary.AppendUvarint(nil, 1<<60),            // 2^60 rows and nothing else
+		append(binary.AppendUvarint(nil, 1<<60), 0), // a zero-width frame claiming 2^60 rows
+		{0x80}, // a truncated row count
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0}, // an 11-byte row count
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0},       // a row count overflowing 64 bits
 	}
 	for _, body := range [][]byte{
 		{0x80, 0x80, 0x80, 0x80, 0x80, 0x40},          // a width of 2^41 and no values
@@ -98,7 +101,7 @@ func hostileRowFrames() [][]byte {
 		{2, byte(sqltypes.TypeString), 0, refTag, 0}, // a reference to the empty string
 		append(long, refTag, 0),                      // a reference to a string over the bound
 	} {
-		frames = append(frames, append(one[:8:8], body...))
+		frames = append(frames, append(one[:1:1], body...))
 	}
 	return frames
 }
@@ -129,9 +132,28 @@ func fuzzStats() *engine.TableStats {
 // hostileStats claims 2^60 columns in the few bytes that follow the count
 // — the payload that made decodeStats panic in makeslice.
 func hostileStats() []byte {
-	b := appendUint64(nil, 3)
+	b := binary.AppendUvarint(nil, 3)
 	b = appendFloat64(b, 8)
-	return append(appendUint64(b, 1<<60), 0, 0, 0)
+	return append(binary.AppendUvarint(b, 1<<60), 0, 0, 0)
+}
+
+// sameStats compares statistics bit for bit: floats by their bits, so NaN
+// equals itself and -0 differs from +0.
+func sameStats(a, b *engine.TableStats) bool {
+	same := func(x, y sqltypes.Value) bool {
+		return x.T == y.T && x.I == y.I && x.S == y.S && math.Float64bits(x.F) == math.Float64bits(y.F)
+	}
+	if a.RowCount != b.RowCount || math.Float64bits(a.AvgRowBytes) != math.Float64bits(b.AvgRowBytes) || len(a.Columns) != len(b.Columns) {
+		return false
+	}
+	for i, x := range a.Columns {
+		y := b.Columns[i]
+		if x.Name != y.Name || x.Distinct != y.Distinct || math.Float64bits(x.NullFrac) != math.Float64bits(y.NullFrac) ||
+			!same(x.Min, y.Min) || !same(x.Max, y.Max) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkStats is the decoders' shared invariant: no more columns than the
@@ -144,16 +166,40 @@ func checkStats(t *testing.T, st *engine.TableStats, payload []byte) {
 }
 
 // FuzzDecodeStats feeds the msgStatsRes decoder arbitrary payloads: stats
-// or an error, never a panic or an allocation the payload cannot back.
+// or an error, never a panic or an allocation the payload cannot back; and
+// stats that decoded survive being encoded and decoded again bit for bit.
 func FuzzDecodeStats(f *testing.F) {
 	real := encodeStats(fuzzStats())
 	f.Add(real)
 	f.Add(real[:len(real)-5])
 	f.Add(hostileStats())
-	f.Add(appendUint64(nil, 1<<63)) // a negative row count
+	head := appendFloat64(binary.AppendUvarint(nil, 3), 8) // a row count and a width
+	for _, bad := range [][]byte{
+		append(appendFloat64(binary.AppendUvarint(nil, 1<<63), 8), 0),   // a negative row count
+		append(append(head, 1, 200), "abc"...),                          // a name length past the payload's end
+		append(append(head, 7), make([]byte, 6*minColumnStatsBytes)...), // 7 columns in bytes for 6
+	} {
+		if _, err := decodeStats(bad); err == nil {
+			f.Fatalf("% x decoded", bad)
+		}
+		f.Add(bad)
+	}
+	for _, frac := range []float64{math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1030} {
+		st := fuzzStats()
+		st.Columns[0].NullFrac = frac
+		if got, err := decodeStats(encodeStats(st)); err != nil || !sameStats(got, st) {
+			f.Fatalf("null fraction %v came back as %+v (err %v)", frac, got, err)
+		}
+		f.Add(encodeStats(st))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if st, err := decodeStats(payload); err == nil {
-			checkStats(t, st, payload)
+		st, err := decodeStats(payload)
+		if err != nil {
+			return
+		}
+		checkStats(t, st, payload)
+		if again, err := decodeStats(encodeStats(st)); err != nil || !sameStats(again, st) {
+			t.Fatalf("%+v re-encoded as %+v (err %v)", st, again, err)
 		}
 	})
 }

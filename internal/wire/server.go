@@ -111,7 +111,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if len(payload) < 1 {
 				err = s.writeError(conn, fmt.Errorf("wire: empty query payload"))
 			} else {
-				err = s.handleQuery(conn, string(payload[1:]), payload[0] == 1)
+				err = s.handleQuery(conn, string(payload[1:]), payload[0])
 			}
 		case msgBatch:
 			var resp []byte
@@ -201,34 +201,34 @@ func (s *Server) answerBatch(payload []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// handleQuery streams a SELECT's result. A non-nil return means the
-// connection is unusable. forceText overrides the vendor's transfer
-// encoding with the JDBC-style text encoding (how the presto baseline's
-// connectors fetch).
-func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
+// handleQuery streams a SELECT's result: its schema frame, unless the
+// flags ask for rows only (queryRowsOnly), then its row frames and an
+// empty end frame. A non-nil return means the connection is unusable.
+// queryText overrides the vendor's transfer encoding with the JDBC-style
+// text encoding (how the presto baseline's connectors fetch).
+func (s *Server) handleQuery(conn net.Conn, sql string, flags byte) error {
 	schema, it, err := s.eng.Query(sql)
 	if err != nil {
 		return s.writeError(conn, err)
 	}
 	defer it.Close()
-	if _, err := writeFrame(conn, msgSchema, sqltypes.AppendSchema(nil, schema)); err != nil {
-		return err
+	if flags&queryRowsOnly == 0 {
+		if _, err := writeFrame(conn, msgSchema, sqltypes.AppendSchema(nil, schema)); err != nil {
+			return err
+		}
 	}
 	enc := s.eng.Profile().TransferEncoding
-	if forceText {
+	if flags&queryText != 0 {
 		enc = engine.EncodingText
 	}
 	// Rows are encoded as they arrive (rowFrame.push cuts the frames), so
 	// an engine batch need not outlive this loop's next call.
-	var (
-		frame = newRowFrame(enc)
-		total uint64
-	)
+	frame := newRowFrame(enc)
 	flush := func() error {
 		if frame.Rows() == 0 {
 			return nil
 		}
-		_, err := writeFrame(conn, frame.typ, frame.cut())
+		_, err := writeFrame(conn, frame.typ, frame.Finish())
 		return err
 	}
 	for {
@@ -245,13 +245,12 @@ func (s *Server) handleQuery(conn net.Conn, sql string, forceText bool) error {
 			if err := frame.push(row, flush); err != nil {
 				return err
 			}
-			total++
 		}
 	}
 	if err := flush(); err != nil {
 		return err
 	}
-	_, err = writeFrame(conn, msgEnd, appendUint64(nil, total))
+	_, err = writeFrame(conn, msgEnd, nil)
 	return err
 }
 

@@ -418,11 +418,10 @@ func mustExec(t *testing.T, e *engine.Engine, sql string) {
 
 // TestStreamFrameInvariance pins what SELECT * FROM lineitem LIMIT 10000
 // puts on the wire — ledger bytes and frames, request and response — in
-// both row encodings. A frame is cut at exactly the row where its binary
-// (varint) size reaches 32 KiB or its row count 1024, whatever the engine's
-// batch boundaries are, so the text stream is cut where the binary one is:
-// its rows keep every byte of the fixed-width text encoding, and only its
-// frame headers and the schema frame shrink with the binary format.
+// both row encodings. A frame is cut at exactly the row where its payload
+// reaches 31 KiB or its row count 1024, whatever the engine's batch
+// boundaries are; the text stream's rows keep every byte of the
+// fixed-width text encoding, so it takes more frames than the binary one.
 func TestStreamFrameInvariance(t *testing.T) {
 	gen := tpch.NewGenerator(0.002, 42)
 	lineitem := gen.GenLineitem(gen.GenOrders())
@@ -439,8 +438,8 @@ func TestStreamFrameInvariance(t *testing.T) {
 		text          bool
 		bytes, frames int64
 	}{
-		{"binary", false, 1037611, 41},
-		{"text", true, 1971539, 41},
+		{"binary", false, 1036744, 36},
+		{"text", true, 1971471, 65},
 	} {
 		topo := netsim.Unshaped("client", "db1")
 		c := NewClient("client", topo)
