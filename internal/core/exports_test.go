@@ -21,17 +21,17 @@ func TestExportsPinnedPerEdge(t *testing.T) {
 		query, edge, cols string
 		bytes             int64
 	}{
-		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 2134},
-		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 57},
-		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 472},
+		{"Q3", "t1->t2", "orders.o_orderkey,orders.o_orderdate,orders.o_shippriority", 1417},
+		{"Q5", "t1->t2", "nation.n_name,supplier.s_suppkey,supplier.s_nationkey", 48},
+		{"Q5", "t2->t3", "nation.n_name,supplier.s_suppkey,orders.o_orderkey", 286},
 		{"Q8", "t1->t2", "region.r_regionkey", 14},
-		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 31},
-		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 2885},
-		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 112},
-		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 92},
-		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 289},
-		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 289},
-		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 16913},
+		{"Q8", "t2->t3", "region.r_regionkey,part.p_partkey", 25},
+		{"Q8", "t3->t7", "region.r_regionkey,lineitem.l_orderkey,lineitem.l_suppkey,lineitem.l_extendedprice,lineitem.l_discount", 1299},
+		{"Q8", "t4->t7", "n1.n_nationkey,n1.n_regionkey", 64},
+		{"Q8", "t5->t7", "supplier.s_suppkey,supplier.s_nationkey", 54},
+		{"Q8", "t6->t7", "n2.n_nationkey,n2.n_name", 241},
+		{"Q10", "t1->t2", "nation.n_nationkey,nation.n_name", 241},
+		{"Q10", "t2->t3", "nation.n_name,customer.c_custkey,customer.c_name,customer.c_address,customer.c_phone,customer.c_acctbal,customer.c_comment,orders.o_orderkey", 15590},
 	}
 	cl := newTPCHCluster(t, Options{})
 	if _, err := cl.sys.Query(tpch.Queries["Q3"]); err != nil {

@@ -385,8 +385,8 @@ func TestFlowFramesMatchLedger(t *testing.T) {
 	if frames != 2 || f.Frames != wantFrames {
 		t.Errorf("flow frames = %d, ledger db1->db2 frames = %d; want 2 of 2", f.Frames, frames)
 	}
-	if f.Bytes != wantBytes || f.Bytes != 1138 {
-		t.Errorf("flow bytes = %d, want the ledger's %d B (1138 B)", f.Bytes, bytes)
+	if f.Bytes != wantBytes || f.Bytes != 940 {
+		t.Errorf("flow bytes = %d, want the ledger's %d B (940 B)", f.Bytes, bytes)
 	}
 	shown := fmt.Sprintf("%s over %d frames", formatKB(wantBytes), wantFrames)
 	if out := res.Analyze(); !strings.Contains(out, shown) {

@@ -30,6 +30,7 @@ type Batch struct {
 	retained bool     // a consumer kept rows of the slab: do not reuse it
 	lent     []*Batch // batches whose slabs hold rows View appended
 	dict     []string // DecodeFrame's dictionary, reused from frame to frame
+	decl     []byte   // DecodeFrame's column declarations, reused likewise
 }
 
 // Reset empties the batch for refilling. The slab is reused unless a

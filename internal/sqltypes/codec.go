@@ -11,14 +11,18 @@ import (
 
 // The binary row codec used on the wire between DBMSes. The format is the
 // "binary transfer protocol" of the reproduction: a compact, typed encoding.
-// A row is a uvarint column count followed by its values; a value is a type
-// tag byte and its payload — a zigzag varint for TypeInt and TypeDate, a
+// A row on its own (AppendRow, DecodeRow) is a uvarint column count
+// followed by its values; a value (AppendValue, DecodeValue) is a type tag
+// byte and its payload — a zigzag varint for TypeInt and TypeDate, a
 // uvarint length and the bytes for TypeString, 8 little-endian bytes for
-// TypeFloat, one byte for TypeBool, nothing for TypeNull. That is a row on
-// its own (AppendRow, DecodeRow) and its size Row.EncodedSize; a result
-// stream ships rows in row-batch frames (frame.go), which write the column
-// count once per frame and a repeated short string as a reference, so
-// EncodedSize is an upper bound on what a row adds to a frame. Per the
+// TypeFloat, one byte for TypeBool, nothing for TypeNull. Row.EncodedSize
+// is that row's size. A result stream ships rows in row-batch frames
+// (frame.go), which write the column count once, declare each column's
+// type once and send the other values without their tags, a decimal float
+// as one varint and a repeated short string as a reference; a frame is
+// never longer than its rows' frame-less encodings and row count, plus one
+// byte per mixed column, so EncodedSize bounds what a row costs there.
+// Statistics replies carry their bounds as AppendValue values. Per the
 // paper's observation that Presto's JDBC-based connectors are more
 // expensive than PostgreSQL's binary protocol, the presto baseline layers
 // a text encoding (AppendRowText) on top of the same framing, which costs
@@ -30,11 +34,7 @@ func AppendValue(dst []byte, v Value) []byte {
 	switch v.T {
 	case TypeNull:
 	case TypeBool:
-		if v.I != 0 {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, boolByte(v.I))
 	case TypeString:
 		dst = appendString(dst, v.S)
 	case TypeFloat:
@@ -46,6 +46,16 @@ func AppendValue(dst []byte, v Value) []byte {
 }
 
 func zigzag(i int64) uint64 { return uint64(i<<1) ^ uint64(i>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// boolByte is a bool's payload byte: 1 for true, 0 for false.
+func boolByte(i int64) byte {
+	if i != 0 {
+		return 1
+	}
+	return 0
+}
 
 // appendUvarint is binary.AppendUvarint, inlined for the one-byte case.
 func appendUvarint(dst []byte, x uint64) []byte {
@@ -149,7 +159,7 @@ func decodeValue[B bytestr](b B, v *Value) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		v.set(t, int64(u>>1)^-int64(u&1), 0, "")
+		v.set(t, unzigzag(u), 0, "")
 		return 1 + k, nil
 	default:
 		return 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
@@ -194,30 +204,12 @@ func textRowHeader[B bytestr](b B) (int, int, error) {
 }
 
 // decodeRow fills row from the binary values that follow a row header.
-// With a frame's dictionary (dict non-nil) it also reads strings written by
-// reference, and adds every string it reads literally that a reference
-// could name (frame.go); without one a reference tag is an unknown tag.
-func decodeRow[B bytestr](b B, row Row, dict *[]string) (int, error) {
+func decodeRow[B bytestr](b B, row Row) (int, error) {
 	off := 0
 	for i := range row {
-		if dict != nil && off < len(b) && b[off] == refTag {
-			idx, k, err := uvarint(b[off+1:])
-			if err != nil {
-				return 0, fmt.Errorf("column %d: reference: %w", i, err)
-			}
-			if idx >= uint64(len(*dict)) {
-				return 0, fmt.Errorf("sqltypes: column %d: reference %d past the frame's %d strings", i, idx, len(*dict))
-			}
-			row[i].set(TypeString, 0, 0, (*dict)[idx])
-			off += 1 + k
-			continue
-		}
 		sz, err := decodeValue(b[off:], &row[i])
 		if err != nil {
 			return 0, fmt.Errorf("column %d: %w", i, err)
-		}
-		if n := len(row[i].S); dict != nil && b[off] == byte(TypeString) && n > 0 && n <= MaxRefString && len(*dict) < maxRefs {
-			*dict = append(*dict, row[i].S)
 		}
 		off += sz
 	}
@@ -226,7 +218,7 @@ func decodeRow[B bytestr](b B, row Row, dict *[]string) (int, error) {
 
 // DecodeRow decodes one row from b, returning the row and bytes consumed.
 func DecodeRow(b []byte) (Row, int, error) {
-	return decodeOne(b, rowHeader[[]byte], func(b []byte, row Row) (int, error) { return decodeRow(b, row, nil) })
+	return decodeOne(b, rowHeader[[]byte], decodeRow[[]byte])
 }
 
 // DecodeRowText decodes a row encoded with AppendRowText, parsing each

@@ -133,8 +133,9 @@ func (r Row) Clone() Row {
 
 // EncodedSize returns the size of the row's frame-less binary encoding
 // (AppendRow). In a row-batch frame the row costs at most that, usually
-// less, so it is the upper bound that cuts frames and that AvgRowBytes and
-// the transfer prices use; the transfer ledger counts the frames.
+// less (a frame adds one byte per mixed column, frame.go), so it is the
+// bound that AvgRowBytes and the transfer prices use; the transfer ledger
+// counts the frames.
 func (r Row) EncodedSize() int {
 	n := uvarintLen(uint64(len(r))) // column count prefix
 	for _, v := range r {

@@ -328,8 +328,9 @@ func mix64(x uint64) uint64 {
 }
 
 // EncodedSize returns the number of bytes AppendValue uses for the value:
-// an upper bound on its size in a row-batch frame, where a repeated short
-// string is a shorter reference (Row.EncodedSize).
+// an upper bound on its size in a row-batch frame, where a declared
+// column's value has no tag and a repeated short string is a shorter
+// reference (Row.EncodedSize).
 func (v Value) EncodedSize() int {
 	switch v.T {
 	case TypeNull:

@@ -284,8 +284,9 @@ func newRowFrame(enc engine.Encoding) *rowFrame {
 }
 
 // push adds row to the frame and calls flush, which sends the frame when
-// it holds rows, before a row of another width than the frame's and at the
-// row where the payload reaches batchTargetBytes or its row count
+// it holds rows, before a row the frame does not fit (another width, or
+// another type in a column the frame declared: sqltypes.Frame.Fits) and at
+// the row where the payload reaches batchTargetBytes or its row count
 // sqltypes.BatchRows.
 func (f *rowFrame) push(row sqltypes.Row, flush func() error) error {
 	if !f.Fits(row) {

@@ -9,10 +9,12 @@ import (
 	"xdb/internal/tpch"
 )
 
-// frameShapes are rows shaped like the two TPC-H edges that carry most of
-// a benchmark cycle's row bytes: Q5's (n_name, s_suppkey, o_orderkey), one
-// per lineitem, and Q10's (n_name, c_custkey, c_name, c_address, c_phone,
-// c_acctbal, c_comment, o_orderkey), one per order.
+// frameShapes are rows shaped like the TPC-H edges that carry most of a
+// benchmark cycle's row bytes: Q3's (o_orderkey, o_orderdate,
+// o_shippriority), ints and dates only, one per order; Q5's (n_name,
+// s_suppkey, o_orderkey), one per lineitem; and Q10's (n_name, c_custkey,
+// c_name, c_address, c_phone, c_acctbal, c_comment, o_orderkey), one per
+// order.
 func frameShapes() []struct {
 	name string
 	rows []sqltypes.Row
@@ -22,19 +24,20 @@ func frameShapes() []struct {
 	orders := gen.GenOrders()
 	lineitem := gen.GenLineitem(orders)
 	nation := func(key sqltypes.Value) sqltypes.Value { return nations[key.I][1] }
-	var q5, q10 []sqltypes.Row
+	var q3, q5, q10 []sqltypes.Row
 	for _, l := range lineitem {
 		s := suppliers[l[2].I-1]
 		q5 = append(q5, sqltypes.Row{nation(s[3]), s[0], l[0]})
 	}
 	for _, o := range orders {
+		q3 = append(q3, sqltypes.Row{o[0], o[4], o[7]})
 		c := customers[o[1].I-1]
 		q10 = append(q10, sqltypes.Row{nation(c[3]), c[0], c[1], c[2], c[4], c[5], c[7], o[0]})
 	}
 	return []struct {
 		name string
 		rows []sqltypes.Row
-	}{{"Q5", q5}, {"Q10", q10}}
+	}{{"Q3", q3}, {"Q5", q5}, {"Q10", q10}}
 }
 
 // BenchmarkRowFrame frames the rows as the server does and decodes every

@@ -12,6 +12,7 @@ import (
 
 	"xdb/internal/engine"
 	"xdb/internal/sqltypes"
+	"xdb/internal/tpch"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -176,28 +177,36 @@ func TestJoinProbeCodec(t *testing.T) {
 	}
 }
 
-// encodeRowBatch builds one row-batch frame payload of the rows (of one
-// width, for the binary encoding), uncut.
-func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {
+// encodeRowBatch frames the rows as Server.handleQuery does (rowFrame.push)
+// and returns a copy of every payload, in order, and the frames' type.
+func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([][]byte, byte) {
 	f := newRowFrame(enc)
-	for _, r := range rows {
-		f.Add(r)
-	}
-	return f.Finish(), f.typ
+	var payloads [][]byte
+	streamRows(f, rows, func(payload []byte) { payloads = append(payloads, bytes.Clone(payload)) })
+	return payloads, f.typ
 }
 
+// TestRowBatchCodecBothEncodings: rows whose column types change round-trip
+// in both encodings. The text frame takes them all; the binary stream cuts
+// a frame at the second row, whose types differ from the first's.
 func TestRowBatchCodecBothEncodings(t *testing.T) {
 	rows := []sqltypes.Row{
 		{sqltypes.NewInt(1), sqltypes.NewString("x")},
 		{sqltypes.Null, sqltypes.NewFloat(2.5)},
 	}
 	for _, enc := range []engine.Encoding{engine.EncodingBinary, engine.EncodingText} {
-		payload, typ := encodeRowBatch(rows, enc)
-		var batch sqltypes.Batch
-		if err := decodeRowBatch(payload, typ, &batch); err != nil {
-			t.Fatal(err)
+		payloads, typ := encodeRowBatch(rows, enc)
+		var got []sqltypes.Row
+		for _, payload := range payloads {
+			var batch sqltypes.Batch
+			if err := decodeRowBatch(payload, typ, &batch); err != nil {
+				t.Fatal(err)
+			}
+			got = batch.AppendOwned(got)
 		}
-		got := batch.Rows
+		if want := map[engine.Encoding]int{engine.EncodingBinary: 2, engine.EncodingText: 1}[enc]; len(payloads) != want {
+			t.Errorf("enc %d: %d frames, want %d", enc, len(payloads), want)
+		}
 		if len(got) != 2 {
 			t.Fatalf("rows = %d", len(got))
 		}
@@ -233,13 +242,44 @@ func streamRows(f *rowFrame, rows []sqltypes.Row, emit func(payload []byte)) {
 	flush()
 }
 
+// mixedCol is the byte in front of a mixed column's first value in a
+// binary frame's header (sqltypes' frame format).
+const mixedCol = 0xFF
+
+// mixedColumns reads a binary frame's header — the row count, the width,
+// then the first row, each value as sqltypes.AppendValue writes it — and
+// reports which columns it declares mixed.
+func mixedColumns(t *testing.T, payload []byte) []bool {
+	t.Helper()
+	_, k := binary.Uvarint(payload)
+	width, w := binary.Uvarint(payload[k:])
+	p := payload[k+w:]
+	mixed := make([]bool, width)
+	for j := range mixed {
+		if mixed[j] = p[0] == mixedCol; mixed[j] {
+			p = p[1:]
+		}
+		_, sz, err := sqltypes.DecodeValue(p)
+		if err != nil {
+			t.Fatalf("header column %d: %v", j, err)
+		}
+		p = p[sz:]
+	}
+	return mixed
+}
+
 // frameBound is the most bytes a binary frame of rows may take: the row
-// count's uvarint and the rows' frame-less encodings (Row.EncodedSize),
-// and for zero-width rows one byte more, the width.
-func frameBound(rows []sqltypes.Row) int {
+// count's uvarint, the rows' frame-less encodings (Row.EncodedSize) and a
+// byte per mixed column, and for zero-width rows one byte more, the width.
+func frameBound(t *testing.T, payload []byte, rows []sqltypes.Row) int {
 	bound := len(binary.AppendUvarint(nil, uint64(len(rows))))
 	if len(rows[0]) == 0 {
 		bound++
+	}
+	for _, m := range mixedColumns(t, payload) {
+		if m {
+			bound++
+		}
 	}
 	for _, r := range rows {
 		bound += r.EncodedSize()
@@ -247,18 +287,15 @@ func frameBound(rows []sqltypes.Row) int {
 	return bound
 }
 
-// refTag is the tag of a string a binary frame writes by reference
-// (sqltypes' frame format).
-const refTag = 0x83
-
 // TestRowFrameRoundTrip streams generated rows through rowFrame and
-// decodeRowBatch: NULLs, empty and 1-byte strings, strings at and over
-// sqltypes.MaxRefString, non-ASCII strings, more distinct short strings
-// in one frame than a one-byte index reaches, and strings repeated across
-// a frame cut, where the dictionary starts over. Every row comes back;
-// every payload decodes on its own and is byte for byte the payload a new
-// frame makes of its rows; no binary payload is longer than frameBound,
-// zero-width frames included.
+// decodeRowBatch: two string columns of empty and 1-byte strings, strings
+// at and over sqltypes.MaxRefString, non-ASCII strings and more distinct
+// short strings in one frame than a one-byte reference reaches, one of
+// them turning NULL now and then; an int, a date, a float column of
+// decimals and non-decimals; and a column of any type. Strings repeat
+// across a frame cut, where the dictionary starts over. Every row comes
+// back; every payload decodes on its own; no binary payload is longer
+// than frameBound, zero-width frames included.
 func TestRowFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pool := []string{"", "a", "é", "日本", "FRANCE", "UNITED KINGDOM",
@@ -267,7 +304,8 @@ func TestRowFrameRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pool = append(pool, fmt.Sprintf("s%03d", i))
 	}
-	value := func() sqltypes.Value {
+	str := func() sqltypes.Value { return sqltypes.NewString(pool[rng.Intn(len(pool))]) }
+	any := func() sqltypes.Value {
 		switch rng.Intn(8) {
 		case 0:
 			return sqltypes.Null
@@ -278,14 +316,18 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		case 3:
 			return sqltypes.NewDate(int64(rng.Intn(20000)))
 		default:
-			return sqltypes.NewString(pool[rng.Intn(len(pool))])
+			return str()
 		}
 	}
 	var rows []sqltypes.Row
 	for i := 0; i < 5000; i++ {
-		r := make(sqltypes.Row, 6)
-		for j := range r {
-			r[j] = value()
+		r := sqltypes.Row{str(), str(), sqltypes.NewInt(rng.Int63() - rng.Int63()), sqltypes.NewDate(int64(rng.Intn(20000))),
+			sqltypes.NewFloat(float64(rng.Intn(1e7)-5e6) / 100), any()}
+		if rng.Intn(500) == 0 {
+			r[1] = sqltypes.Null
+		}
+		if rng.Intn(2) == 0 {
+			r[4] = sqltypes.NewFloat(rng.NormFloat64())
 		}
 		rows = append(rows, r)
 	}
@@ -298,12 +340,10 @@ func TestRowFrameRoundTrip(t *testing.T) {
 			if err := decodeRowBatch(payload, newRowFrame(enc).typ, &batch); err != nil {
 				t.Fatalf("enc %d: frame %d: %v", enc, frames, err)
 			}
-			alone, _ := encodeRowBatch(batch.Rows, enc)
-			if !bytes.Equal(alone, payload) {
-				t.Fatalf("enc %d: frame %d is not what a new frame makes of its rows", enc, frames)
-			}
-			if bound := frameBound(batch.Rows); enc == engine.EncodingBinary && len(payload) > bound {
-				t.Errorf("frame %d: %d B, bound %d B", frames, len(payload), bound)
+			if enc == engine.EncodingBinary {
+				if bound := frameBound(t, payload, batch.Rows); len(payload) > bound {
+					t.Errorf("frame %d: %d B, bound %d B", frames, len(payload), bound)
+				}
 			}
 			got = batch.AppendOwned(got)
 		})
@@ -322,8 +362,9 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	// 200 distinct 4-byte strings, then each again: a literal is 6 B, a
-	// reference 2 B below index 128 and 3 B from there.
+	// 200 distinct 4-byte strings, then each again. The first row is the
+	// header, a tagged literal of 6 B; every later literal is 5 B, and a
+	// reference 1 B below entry 64 and 2 B from there.
 	var strs []sqltypes.Row
 	for i := 0; i < 200; i++ {
 		strs = append(strs, sqltypes.Row{sqltypes.NewString(pool[10+i])})
@@ -331,12 +372,12 @@ func TestRowFrameRoundTrip(t *testing.T) {
 	for i := 199; i >= 0; i-- {
 		strs = append(strs, strs[i])
 	}
-	payload, typ := encodeRowBatch(strs, engine.EncodingBinary)
-	if want := 2 + 1 + 200*6 + 128*2 + 72*3; len(payload) != want {
-		t.Errorf("200 strings twice: %d B, want %d", len(payload), want)
+	payloads, typ := encodeRowBatch(strs, engine.EncodingBinary)
+	if want := 2 + 1 + 6 + 199*5 + 136*2 + 64*1; len(payloads) != 1 || len(payloads[0]) != want {
+		t.Errorf("200 strings twice: %d frames, the first of %d B, want one of %d", len(payloads), len(payloads[0]), want)
 	}
 	var batch sqltypes.Batch
-	if err := decodeRowBatch(payload, typ, &batch); err != nil || len(batch.Rows) != 400 || batch.Rows[399][0] != strs[0][0] {
+	if err := decodeRowBatch(payloads[0], typ, &batch); err != nil || len(batch.Rows) != 400 || batch.Rows[399][0] != strs[0][0] {
 		t.Errorf("200 strings twice: %d rows, err %v", len(batch.Rows), err)
 	}
 
@@ -352,16 +393,69 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		if len(batch.Rows[0]) == 0 && len(payload) != 1+1+len(batch.Rows) {
 			t.Errorf("%d zero-width rows in %d B", len(batch.Rows), len(payload))
 		}
-		if bound := frameBound(batch.Rows); len(payload) > bound {
+		if bound := frameBound(t, payload, batch.Rows); len(payload) > bound {
 			t.Errorf("width %d: %d B, bound %d B", len(batch.Rows[0]), len(payload), bound)
 		}
 	})
 	if want := []int{0, 2, 1, 2, 0, 1}; !slices.Equal(widths, want) {
 		t.Errorf("frames as (width, rows): %v, want %v", widths, want)
 	}
+}
 
-	// A reference means something only inside a binary frame.
-	if _, _, err := sqltypes.DecodeRow([]byte{1, refTag, 0}); err == nil {
-		t.Error("the frame-less codec read a reference")
+// TestStreamTypeChanges streams lineitem rows in which l_extendedprice is
+// NULL at row 500 and l_quantity alternates between an int and a float.
+// Every row comes back as sent; each of the two columns turns mixed once,
+// at the frame after its first change, and stays mixed; no other column
+// does; and the stream takes at most a frame per column more than the
+// size-cut frames of the tag-per-value format the frames had before.
+func TestStreamTypeChanges(t *testing.T) {
+	const tagPerValueFrames = 32 // the same rows in a format tagging every value, cut only by size
+	gen := tpch.NewGenerator(0.002, 42)
+	lineitem := gen.GenLineitem(gen.GenOrders())[:10000]
+	const quantity, price = 4, 5
+	rows := make([]sqltypes.Row, len(lineitem))
+	for i, l := range lineitem {
+		rows[i] = slices.Clone(l)
+		if i%2 == 0 {
+			rows[i][quantity] = sqltypes.NewInt(int64(l[quantity].F))
+		}
+	}
+	rows[500][price] = sqltypes.Null
+	var got []sqltypes.Row
+	turns := make([]int, len(rows[0]))
+	var last []bool
+	frames := 0
+	streamRows(newRowFrame(engine.EncodingBinary), rows, func(payload []byte) {
+		frames++
+		var batch sqltypes.Batch
+		if err := decodeRowBatch(payload, msgRows, &batch); err != nil {
+			t.Fatalf("frame %d: %v", frames, err)
+		}
+		got = batch.AppendOwned(got)
+		mixed := mixedColumns(t, payload)
+		for j, m := range mixed {
+			if last != nil && last[j] && !m {
+				t.Errorf("frame %d: column %d declared again after it turned mixed", frames, j)
+			}
+			if m && (last == nil || !last[j]) {
+				turns[j]++
+			}
+		}
+		last = mixed
+	})
+	for i := range rows {
+		for j := range rows[i] {
+			if got[i][j] != rows[i][j] {
+				t.Fatalf("row %d col %d: %#v, sent %#v", i, j, got[i][j], rows[i][j])
+			}
+		}
+	}
+	for j, n := range turns {
+		if want := map[bool]int{true: 1}[j == quantity || j == price]; n != want {
+			t.Errorf("column %d turned mixed %d times, want %d", j, n, want)
+		}
+	}
+	if frames > tagPerValueFrames+len(rows[0]) {
+		t.Errorf("%d frames, want at most %d + %d", frames, tagPerValueFrames, len(rows[0]))
 	}
 }

@@ -25,12 +25,14 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		{sqltypes.NewString("FRANCE"), sqltypes.NewString(strings.Repeat("y", 40)), sqltypes.NewDate(9000)},
 	}
 	for _, enc := range []engine.Encoding{engine.EncodingBinary, engine.EncodingText} {
-		payload, typ := encodeRowBatch(rows, enc)
-		f.Add(payload, typ == msgRowsText)
-		f.Add(payload[:len(payload)-3], typ == msgRowsText)
+		payloads, typ := encodeRowBatch(rows, enc)
+		for _, payload := range payloads {
+			f.Add(payload, typ == msgRowsText)
+			f.Add(payload[:len(payload)-3], typ == msgRowsText)
+		}
 	}
 	zeroWidth, _ := encodeRowBatch([]sqltypes.Row{{}, {}, {}}, engine.EncodingBinary)
-	f.Add(zeroWidth, false)
+	f.Add(zeroWidth[0], false)
 	for _, p := range hostileRowFrames() {
 		f.Add(p, false)
 	}
@@ -63,13 +65,20 @@ func FuzzDecodeRowBatch(f *testing.F) {
 			return
 		}
 		again, _ := encodeRowBatch(batch.Rows, engine.EncodingBinary)
-		var back sqltypes.Batch
-		if err := decodeRowBatch(again, msgRows, &back); err != nil || len(back.Rows) != len(batch.Rows) {
-			t.Fatalf("re-framed %d rows: %d back, err %v", len(batch.Rows), len(back.Rows), err)
+		var back []sqltypes.Row
+		for _, payload := range again {
+			var b sqltypes.Batch
+			if err := decodeRowBatch(payload, msgRows, &b); err != nil {
+				t.Fatalf("re-framed %d rows: %v", len(batch.Rows), err)
+			}
+			back = b.AppendOwned(back)
+		}
+		if len(back) != len(batch.Rows) {
+			t.Fatalf("re-framed %d rows: %d back", len(batch.Rows), len(back))
 		}
 		for i, r := range batch.Rows {
 			for j, v := range r {
-				if w := back.Rows[i][j]; w.T != v.T || w.I != v.I || w.S != v.S || math.Float64bits(w.F) != math.Float64bits(v.F) {
+				if w := back[i][j]; w.T != v.T || w.I != v.I || w.S != v.S || math.Float64bits(w.F) != math.Float64bits(v.F) {
 					t.Fatalf("row %d col %d: %#v re-framed as %#v", i, j, v, w)
 				}
 			}
@@ -77,11 +86,13 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	})
 }
 
-// hostileRowFrames are binary row-batch payloads the decoder must refuse.
+// hostileRowFrames are binary row-batch payloads the decoder must refuse:
+// row counts no payload backs, and headers and references that point past
+// what the frame carries.
 func hostileRowFrames() [][]byte {
 	one := []byte{1}
-	ab := []byte{2, byte(sqltypes.TypeString), 2, 'a', 'b'} // width 2, then "ab"
-	long := append([]byte{2, byte(sqltypes.TypeString), sqltypes.MaxRefString + 1},
+	ab := []byte{1, byte(sqltypes.TypeString), 2, 'a', 'b'} // width 1, then "ab"
+	long := append([]byte{1, byte(sqltypes.TypeString), sqltypes.MaxRefString + 1},
 		strings.Repeat("y", sqltypes.MaxRefString+1)...)
 	frames := [][]byte{
 		binary.AppendUvarint(nil, 1<<60),            // 2^60 rows and nothing else
@@ -89,19 +100,20 @@ func hostileRowFrames() [][]byte {
 		{0x80}, // a truncated row count
 		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0}, // an 11-byte row count
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0},       // a row count overflowing 64 bits
+		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},                               // a width of 2^41 and no values
+		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0, 0, 0},                      // a width past the payload
+		{1, 0},                          // a zero-width row missing its byte
+		{1, 1, byte(sqltypes.TypeNull)}, // a declared NULL
+		{1, 1, 9, 0},                    // an unknown type byte
 	}
 	for _, body := range [][]byte{
-		{0x80, 0x80, 0x80, 0x80, 0x80, 0x40},          // a width of 2^41 and no values
-		{0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0, 0, 0}, // a width past the payload
-		{0},                      // a zero-width row missing its byte
-		append(ab, refTag, 1),    // an index at the dictionary's end
-		append(ab, refTag, 0x7F), // an index past it
-		{1, refTag, 0},           // a reference before any literal
-		append(ab, refTag, 0x80), // a truncated index varint
-		{2, byte(sqltypes.TypeString), 0, refTag, 0}, // a reference to the empty string
-		append(long, refTag, 0),                      // a reference to a string over the bound
+		append(ab, 3),                        // a reference at the dictionary's end
+		append(ab, 0x7F),                     // a reference past it
+		append(ab, 0x80),                     // a truncated reference varint
+		{1, byte(sqltypes.TypeString), 0, 1}, // a reference to the empty string
+		append(long, 1),                      // a reference to a string over the bound
 	} {
-		frames = append(frames, append(one[:1:1], body...))
+		frames = append(frames, append(append(one[:0:0], 2), body...)) // two rows
 	}
 	return frames
 }

@@ -41,11 +41,14 @@ func TestStatsReplyBytesPinned(t *testing.T) {
 	}
 }
 
-// TestRowFrameBytesPinned pins the payload bytes BenchmarkRowFrame's two
-// shapes take in the binary encoding, so a change to the frame dictionary
-// that loses repeats fails here and not only in a benchmark run.
+// TestRowFrameBytesPinned pins the payload bytes BenchmarkRowFrame's three
+// shapes take in the binary encoding. Q3's ints and dates travel as bare
+// varints, Q5's nation names mostly as one-byte references and Q10's
+// c_acctbal as a decimal, so a frame that tags a declared column's values
+// again, loses a reference or writes a decimal's 8 bytes fails here and
+// not only in a benchmark run.
 func TestRowFrameBytesPinned(t *testing.T) {
-	want := map[string]int{"Q5": 216501, "Q10": 1074200} // 7.145 and 143.2 B/row
+	want := map[string]int{"Q3": 44507, "Q5": 125688, "Q10": 984884} // 5.934, 4.148 and 131.3 B/row
 	for _, shape := range frameShapes() {
 		bytes := 0
 		streamRows(newRowFrame(engine.EncodingBinary), shape.rows, func(payload []byte) { bytes += len(payload) })

@@ -348,7 +348,7 @@ func stubStreamServer(t *testing.T, fault func(conn net.Conn)) net.Listener {
 					return
 				}
 				batch, typ := encodeRowBatch([]sqltypes.Row{{sqltypes.NewInt(1)}}, engine.EncodingBinary)
-				if _, err := writeFrame(conn, typ, batch); err != nil {
+				if _, err := writeFrame(conn, typ, batch[0]); err != nil {
 					return
 				}
 				fault(conn)
