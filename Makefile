@@ -19,13 +19,14 @@ vet:
 # baselines fan their metadata out over nodes through core; run them under
 # the race detector. So are the pieces every one of those shares: obs
 # (spans finished from concurrent goroutines, the metrics registry),
-# netsim (one transfer ledger and one fault state for every client) and
-# sqltypes (Spares, documented safe for concurrent use). The engine runs at
-# GOMAXPROCS 1 (its serial path), 2 and 4 (its morsel exchanges, whose
+# netsim (one transfer ledger and one fault state for every client),
+# sqltypes (Spares, documented safe for concurrent use) and planner (the
+# catalog every concurrent query plans from and learns into). The engine
+# runs at GOMAXPROCS 1 (its serial path), 2 and 4 (its morsel exchanges, whose
 # workers recycle the statement's batch memory, with more workers than the
 # CI box has cores).
 race:
-	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/connector/... ./internal/mediator/... ./internal/sclera/... ./internal/obs/... ./internal/netsim/... ./internal/sqltypes/...
+	$(GO) test -race ./internal/wire/... ./internal/core/... ./internal/planner/... ./internal/connector/... ./internal/mediator/... ./internal/sclera/... ./internal/obs/... ./internal/netsim/... ./internal/sqltypes/...
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/...
 
 # Chaos drill, under the race detector: kill / partition / flaky-link

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"context"
 	"testing"
 
-	"xdb/internal/sqlparser"
+	"xdb/internal/planner"
 )
 
 // TestAnnotateDegraded exercises the degraded-planning paths: annotation
@@ -63,37 +62,24 @@ func TestAnnotateDegraded(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCatalog()
-			sel, err := sqlparser.ParseSelect(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, conjs, canon, err := buildLogical(c, sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			joined, err := orderJoins(b, conjs, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coster := &fakeCoster{
+			_, root := ordered(t, newTestCatalog(), sql, tc.opts)
+			cluster := &fakeCluster{
 				nodes:     []string{"db1", "db2", "db3"},
 				unhealthy: map[string]bool{},
 				erroring:  map[string]bool{},
 			}
 			for _, n := range tc.unhealthy {
-				coster.unhealthy[n] = true
+				cluster.unhealthy[n] = true
 			}
 			for _, n := range tc.erroring {
-				coster.erroring[n] = true
+				cluster.erroring[n] = true
 			}
-			root := &Final{In: joined, Sel: canon}
-			ann, err := annotate(context.Background(), root, coster, nil, tc.opts)
+			ann, err := cluster.annotate(root, tc.opts)
 			if err != nil {
 				t.Fatalf("annotate must not abort under degradation: %v", err)
 			}
 
-			join := root.In.(*Join)
+			join := root.In.(*planner.Join)
 			placed := ann.Node[join]
 			if placed == "" {
 				t.Fatal("join received no placement")
@@ -108,7 +94,7 @@ func TestAnnotateDegraded(t *testing.T) {
 				t.Errorf("DegradedProbes = %d, want 0", ann.DegradedProbes)
 			}
 			for _, n := range tc.forbidProbes {
-				if got := coster.callsTo(n); got != 0 {
+				if got := cluster.callsTo(n); got != 0 {
 					t.Errorf("node %s was consulted %d times, want 0", n, got)
 				}
 			}

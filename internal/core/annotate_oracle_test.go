@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"xdb/internal/engine"
-	"xdb/internal/sqlparser"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 	"xdb/internal/tpch"
 )
@@ -21,8 +21,8 @@ import (
 // for the operator costs its movement combinations need. It is a test
 // oracle only: TestAnnotateMatchesSequentialWalk holds annotate to its
 // placements and movements.
-func sequentialAnnotate(root Op, f *fakeCoster, opts Options) (*Annotation, error) {
-	w := &sequentialWalk{f: f, opts: opts, a: &Annotation{Node: map[Op]string{}, Move: map[Op]Movement{}}}
+func sequentialAnnotate(root planner.Op, f *fakeCluster, opts Options) (*planner.Annotation, error) {
+	w := &sequentialWalk{f: f, opts: opts, a: &planner.Annotation{Node: map[planner.Op]string{}, Move: map[planner.Op]planner.Movement{}}}
 	if err := w.visit(root); err != nil {
 		return nil, err
 	}
@@ -30,21 +30,21 @@ func sequentialAnnotate(root Op, f *fakeCoster, opts Options) (*Annotation, erro
 }
 
 type sequentialWalk struct {
-	f    *fakeCoster
+	f    *fakeCluster
 	opts Options
-	a    *Annotation
+	a    *planner.Annotation
 }
 
-func (w *sequentialWalk) visit(op Op) error {
+func (w *sequentialWalk) visit(op planner.Op) error {
 	switch o := op.(type) {
-	case *Scan:
+	case *planner.Scan:
 		w.a.Node[op] = o.Node
-	case *Final:
+	case *planner.Final:
 		if err := w.visit(o.In); err != nil {
 			return err
 		}
 		w.a.Node[op] = w.a.Node[o.In]
-	case *Join:
+	case *planner.Join:
 		if err := w.visit(o.L); err != nil {
 			return err
 		}
@@ -62,11 +62,11 @@ func (w *sequentialWalk) visit(op Op) error {
 	return nil
 }
 
-func (w *sequentialWalk) place(j *Join) {
+func (w *sequentialWalk) place(j *planner.Join) {
 	ln, rn := w.a.Node[j.L], w.a.Node[j.R]
 	candidates := []string{ln, rn}
 	if w.opts.FullCandidateSet {
-		candidates = w.f.AllNodes()
+		candidates = w.f.nodes
 	}
 	var healthy []string
 	for _, c := range candidates {
@@ -77,7 +77,7 @@ func (w *sequentialWalk) place(j *Join) {
 	if len(healthy) > 0 {
 		candidates = healthy
 	}
-	var best placeDecision
+	var best oracleDecision
 	for i, cand := range candidates {
 		if d := w.eval(j, cand, ln, rn); i == 0 || d.cost < best.cost {
 			best = d
@@ -92,23 +92,23 @@ func (w *sequentialWalk) place(j *Join) {
 	}
 }
 
-func (w *sequentialWalk) eval(j *Join, cand, ln, rn string) placeDecision {
+func (w *sequentialWalk) eval(j *planner.Join, cand, ln, rn string) oracleDecision {
 	sides := [2]struct {
-		op    Op
+		op    planner.Op
 		local bool
 	}{{j.L, ln == cand}, {j.R, rn == cand}}
 	var total float64
 	if !sides[0].local {
-		total += moveCost(j.L, w.f.LinkFactor(ln, cand))
+		total += oracleMoveCost(j.L, w.f.LinkFactor(ln, cand))
 	}
 	if !sides[1].local {
-		total += moveCost(j.R, w.f.LinkFactor(rn, cand))
+		total += oracleMoveCost(j.R, w.f.LinkFactor(rn, cand))
 	}
 	bestJoin := math.Inf(1)
-	var bestMoves [2]Movement
-	for _, combo := range movementCombos(sides[0].local, sides[1].local, w.opts.ForceMovement) {
-		lStream := combo[0] == MoveImplicit && !sides[0].local
-		rStream := combo[1] == MoveImplicit && !sides[1].local
+	var bestMoves [2]planner.Movement
+	for _, combo := range oracleCombos(sides[0].local, sides[1].local, w.opts.ForceMovement) {
+		lStream := combo[0] == planner.MoveImplicit && !sides[0].local
+		rStream := combo[1] == planner.MoveImplicit && !sides[1].local
 		l, r := j.L.Est(), j.R.Est()
 		kind := engine.CostJoin
 		switch {
@@ -124,7 +124,7 @@ func (w *sequentialWalk) eval(j *Join, cand, ln, rn string) placeDecision {
 		}
 		jc := w.cost(cand, kind, l, r, j.Est())
 		for i, mv := range combo {
-			if !sides[i].local && mv == MoveExplicit {
+			if !sides[i].local && mv == planner.MoveExplicit {
 				jc += 2 * w.cost(cand, engine.CostScan, sides[i].op.Est(), 0, 0)
 			}
 		}
@@ -132,7 +132,7 @@ func (w *sequentialWalk) eval(j *Join, cand, ln, rn string) placeDecision {
 			bestJoin, bestMoves = jc, combo
 		}
 	}
-	return placeDecision{node: cand, moveL: bestMoves[0], moveR: bestMoves[1], cost: total + bestJoin}
+	return oracleDecision{node: cand, moveL: bestMoves[0], moveR: bestMoves[1], cost: total + bestJoin}
 }
 
 // cost is one consultation probe, priced by the local model when the node
@@ -143,16 +143,51 @@ func (w *sequentialWalk) cost(node string, kind engine.CostKind, l, r, o float64
 			return c
 		}
 	}
-	return localCost(kind, l, r, o)
+	return planner.LocalCost(kind, l, r, o)
+}
+
+// oracleDecision is one candidate site's priced outcome.
+type oracleDecision struct {
+	node         string
+	moveL, moveR planner.Movement
+	cost         float64
+}
+
+// oracleMoveCost is Eq. 2's moveCost: the operator's estimated output
+// bytes on the wire, 2 units per row plus 0.05 per byte, scaled by the
+// link (never below the baseline).
+func oracleMoveCost(op planner.Op, linkFactor float64) float64 {
+	return op.Est() * (2 + op.Width()*0.05) * math.Max(linkFactor, 1)
+}
+
+// oracleCombos enumerates the movement choices for the two sides: a local
+// side is implicit, a remote one either (or the forced one).
+func oracleCombos(lLocal, rLocal bool, force planner.Movement) [][2]planner.Movement {
+	options := func(local bool) []planner.Movement {
+		switch {
+		case local:
+			return []planner.Movement{planner.MoveImplicit}
+		case force != 0:
+			return []planner.Movement{force}
+		}
+		return []planner.Movement{planner.MoveImplicit, planner.MoveExplicit}
+	}
+	var out [][2]planner.Movement
+	for _, l := range options(lLocal) {
+		for _, r := range options(rLocal) {
+			out = append(out, [2]planner.Movement{l, r})
+		}
+	}
+	return out
 }
 
 // checkMatchesSequential annotates root both ways and compares the
 // placements and movements, and checks that the one-round annotator
 // consulted no node twice and no unhealthy node at all.
-func checkMatchesSequential(t *testing.T, name string, root Op, f *fakeCoster, opts Options) {
+func checkMatchesSequential(t *testing.T, name string, root planner.Op, f *fakeCluster, opts Options) {
 	t.Helper()
 	f.calls, f.probes = nil, 0
-	got, err := annotate(context.Background(), root, f, nil, opts)
+	got, err := f.annotate(root, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -171,12 +206,12 @@ func checkMatchesSequential(t *testing.T, name string, root Op, f *fakeCoster, o
 	}
 	for op, n := range want.Node {
 		if got.Node[op] != n {
-			t.Errorf("%s: %s placed on %q, the sequential walk places it on %q", name, OpString(op), got.Node[op], n)
+			t.Errorf("%s: %s placed on %q, the sequential walk places it on %q", name, planner.OpString(op), got.Node[op], n)
 		}
 	}
 	for op, m := range want.Move {
 		if got.Move[op] != m {
-			t.Errorf("%s: edge above %s moves %q, the sequential walk moves it %q", name, OpString(op), got.Move[op], m)
+			t.Errorf("%s: edge above %s moves %q, the sequential walk moves it %q", name, planner.OpString(op), got.Move[op], m)
 		}
 	}
 }
@@ -190,14 +225,14 @@ func checkMatchesSequential(t *testing.T, name string, root Op, f *fakeCoster, o
 func TestAnnotateMatchesSequentialWalk(t *testing.T) {
 	nodes := []string{"db1", "db2", "db3", "db4"}
 	skewed := map[string]float64{"db1": 1, "db2": 0.6, "db3": 1.7, "db4": 0.9}
-	cats, _ := tpchCatalogs(t)
+	cats := tpchCatalogs(t)
 	for _, qn := range tpch.QueryNames {
 		for _, tdName := range tpch.TDNames {
-			for _, m := range joinOrderModes[:2] {
-				root := orderedTPCH(t, cats[tdName], qn, m.opts)
+			for _, opts := range []Options{{}, {BushyPlans: true}} {
+				_, root := ordered(t, cats[tdName], tpch.Queries[qn], opts)
 				for _, factors := range []map[string]float64{nil, skewed} {
-					name := fmt.Sprintf("%s %s %s skewed=%v", qn, tdName, m.name, factors != nil)
-					checkMatchesSequential(t, name, root, &fakeCoster{nodes: nodes, factors: factors}, m.opts)
+					name := fmt.Sprintf("%s %s bushy=%v skewed=%v", qn, tdName, opts.BushyPlans, factors != nil)
+					checkMatchesSequential(t, name, root, &fakeCluster{nodes: nodes, factors: factors}, opts)
 				}
 			}
 		}
@@ -206,23 +241,11 @@ func TestAnnotateMatchesSequentialWalk(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, sql := randomJoinQuery(rng, nodes)
-		sel, err := sqlparser.ParseSelect(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, conjs, canon, err := buildLogical(c, sel)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, sql)
-		}
-		joined, err := orderJoins(b, conjs, Options{BushyPlans: seed%2 == 0})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		root := &Final{In: joined, Sel: canon}
+		_, root := ordered(t, c, sql, Options{BushyPlans: seed%2 == 0})
 		// Every third seed prices all nodes and links alike, so twins tie.
 		uniform := seed%3 == 0
-		newCoster := func() *fakeCoster {
-			f := &fakeCoster{nodes: nodes, factors: map[string]float64{}, linkFactors: map[string]float64{},
+		newCoster := func() *fakeCluster {
+			f := &fakeCluster{nodes: nodes, factors: map[string]float64{}, linkFactors: map[string]float64{},
 				unhealthy: map[string]bool{}, erroring: map[string]bool{}}
 			if uniform {
 				return f
@@ -240,15 +263,15 @@ func TestAnnotateMatchesSequentialWalk(t *testing.T) {
 		scenarios := []struct {
 			name string
 			opts Options
-			bend func(*fakeCoster)
+			bend func(*fakeCluster)
 		}{
 			{"default", Options{}, nil},
 			{"full candidate set", Options{FullCandidateSet: true}, nil},
-			{"force implicit", Options{ForceMovement: MoveImplicit}, nil},
-			{"force explicit", Options{ForceMovement: MoveExplicit}, nil},
-			{"one node unhealthy", Options{}, func(f *fakeCoster) { f.unhealthy[nodes[rng.Intn(len(nodes))]] = true }},
-			{"one node unhealthy, full set", Options{FullCandidateSet: true}, func(f *fakeCoster) { f.unhealthy[nodes[rng.Intn(len(nodes))]] = true }},
-			{"one node erroring", Options{}, func(f *fakeCoster) { f.erroring[nodes[rng.Intn(len(nodes))]] = true }},
+			{"force implicit", Options{ForceMovement: planner.MoveImplicit}, nil},
+			{"force explicit", Options{ForceMovement: planner.MoveExplicit}, nil},
+			{"one node unhealthy", Options{}, func(f *fakeCluster) { f.unhealthy[nodes[rng.Intn(len(nodes))]] = true }},
+			{"one node unhealthy, full set", Options{FullCandidateSet: true}, func(f *fakeCluster) { f.unhealthy[nodes[rng.Intn(len(nodes))]] = true }},
+			{"one node erroring", Options{}, func(f *fakeCluster) { f.erroring[nodes[rng.Intn(len(nodes))]] = true }},
 		}
 		for _, sc := range scenarios {
 			f := newCoster()
@@ -263,7 +286,7 @@ func TestAnnotateMatchesSequentialWalk(t *testing.T) {
 // randomJoinQuery builds a catalog of 2–5 relations spread over at least
 // two nodes, with random sizes, and a query joining them along a random
 // spanning tree.
-func randomJoinQuery(rng *rand.Rand, nodes []string) (*Catalog, string) {
+func randomJoinQuery(rng *rand.Rand, nodes []string) (*planner.Catalog, string) {
 	n := 2 + rng.Intn(4)
 	homes := make([]string, n)
 	for {
@@ -274,7 +297,7 @@ func randomJoinQuery(rng *rand.Rand, nodes []string) (*Catalog, string) {
 			break
 		}
 	}
-	c := NewCatalog()
+	c := planner.NewCatalog()
 	from := make([]string, n)
 	var where []string
 	var rows, fkDistinct int64
@@ -287,7 +310,7 @@ func randomJoinQuery(rng *rand.Rand, nodes []string) (*Catalog, string) {
 			fkDistinct = 1 + rows/int64(1+rng.Intn(50))
 		}
 		id, fk := name+"_id", name+"_fk"
-		c.Put(&TableInfo{
+		c.Put(&planner.TableInfo{
 			Name: name, Node: homes[i],
 			Schema: sqltypes.NewSchema(
 				sqltypes.Column{Name: id, Type: sqltypes.TypeInt},
@@ -304,4 +327,27 @@ func randomJoinQuery(rng *rand.Rand, nodes []string) (*Catalog, string) {
 		}
 	}
 	return c, fmt.Sprintf("SELECT r0.r0_id FROM %s WHERE %s", strings.Join(from, ", "), strings.Join(where, " AND "))
+}
+
+// tpchCatalogs builds one global catalog per table distribution over the
+// same generated data, with the statistics an engine would report — no
+// sockets, no System.
+func tpchCatalogs(t *testing.T) map[string]*planner.Catalog {
+	t.Helper()
+	data := tpch.NewGenerator(0.003, 42).GenAll()
+	cats := map[string]*planner.Catalog{}
+	for _, tdName := range tpch.TDNames {
+		cats[tdName] = planner.NewCatalog()
+	}
+	for _, table := range tpch.TableNames {
+		schema, err := tpch.Schema(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := engine.ComputeStats(schema, data[table])
+		for tdName, c := range cats {
+			c.Put(&planner.TableInfo{Name: table, Node: tpch.Distributions[tdName][table], Schema: schema, Stats: stats})
+		}
+	}
+	return cats
 }

@@ -6,6 +6,7 @@ import (
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
 	"xdb/internal/tpch"
@@ -101,16 +102,16 @@ func TestBushyPlanShape(t *testing.T) {
 	}
 }
 
-func hasBushyJoin(op core.Op) bool {
-	j, ok := op.(*core.Join)
+func hasBushyJoin(op planner.Op) bool {
+	j, ok := op.(*planner.Join)
 	if !ok {
-		if f, ok := op.(*core.Final); ok {
+		if f, ok := op.(*planner.Final); ok {
 			return hasBushyJoin(f.In)
 		}
 		return false
 	}
-	_, lJoin := j.L.(*core.Join)
-	_, rJoin := j.R.(*core.Join)
+	_, lJoin := j.L.(*planner.Join)
+	_, rJoin := j.R.(*planner.Join)
 	if lJoin && rJoin {
 		return true
 	}

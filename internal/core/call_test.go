@@ -11,6 +11,7 @@ import (
 	"xdb/internal/connector"
 	"xdb/internal/engine"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
 )
@@ -202,28 +203,32 @@ func TestCall(t *testing.T) {
 // DegradedProbes, and the breaker hears of one failure, not one per probe.
 func TestProbeBatchToWedgedNode(t *testing.T) {
 	sys, client := callCluster(t, Options{RequestTimeout: 80 * time.Millisecond})
-	joins := []*Join{
-		{L: &Scan{est: 400}, R: &Scan{est: 100}, est: 400},
-		{L: &Scan{est: 100}, R: &Scan{est: 400}, est: 40},
-		{L: &Scan{est: 7}, R: &Scan{est: 9}, est: 9},
+	var joins []*planner.Join
+	for _, sql := range []string{
+		"SELECT s.s_id FROM small s, medium m WHERE s.s_id = m.m_sid",
+		"SELECT m.m_id FROM medium m, large l WHERE m.m_id = l.l_mid",
+		"SELECT s.s_id FROM small s, large l WHERE s.s_id = l.l_mid",
+	} {
+		_, root := ordered(t, newTestCatalog(), sql, Options{})
+		joins = append(joins, root.In.(*planner.Join))
 	}
-	asksAt := func(node string) []joinAt {
-		asks := make([]joinAt, len(joins))
+	asksAt := func(node string) []planner.Ask {
+		asks := make([]planner.Ask, len(joins))
 		for i, j := range joins {
-			asks[i] = joinAt{j, node}
+			asks[i] = planner.Ask{Join: j, Node: node}
 		}
 		return asks
 	}
-	st := &sites{coster: sys, healthy: map[string]bool{}}
+	sites := planner.NewSites(sys.health.healthy, sys.linkFactor, nil)
 
-	a := &Annotation{}
+	a := &planner.Annotation{}
 	before := requests(client)
-	prices := a.consult(context.Background(), sys, nil, st, asksAt("hung"), Options{})
+	prices := consult(context.Background(), a, asksAt("hung"), sites, sys.priceJoins, nil, false)
 	sent := requests(client) - before
 	for _, ask := range asksAt("hung") {
-		l, r, out := joinEst(ask.join)
-		if got, want := prices[ask], engine.JoinPricesOf(localCost, l, r, out); got != want {
-			t.Errorf("join %v priced %+v, want the local model's %+v", ask.join.Est(), got, want)
+		l, r, out := ask.Est()
+		if got, want := prices[ask], engine.JoinPricesOf(planner.LocalCost, l, r, out); got != want {
+			t.Errorf("join %v priced %+v, want the local model's %+v", ask.Join.Est(), got, want)
 		}
 	}
 	if a.ConsultRounds != 3 || a.DegradedProbes != 3 || a.CachedProbes != 0 {
@@ -237,9 +242,9 @@ func TestProbeBatchToWedgedNode(t *testing.T) {
 	}
 
 	// The live node answers the same consultation in one round trip too.
-	a = &Annotation{}
+	a = &planner.Annotation{}
 	before = requests(client)
-	a.consult(context.Background(), sys, nil, st, asksAt("db1"), Options{})
+	consult(context.Background(), a, asksAt("db1"), sites, sys.priceJoins, nil, false)
 	if got := requests(client) - before; got != 1 || a.ConsultRounds != 3 || a.DegradedProbes != 0 {
 		t.Errorf("live node: %d requests, %d consulted, %d degraded; want 1, 3, 0", got, a.ConsultRounds, a.DegradedProbes)
 	}
@@ -248,7 +253,7 @@ func TestProbeBatchToWedgedNode(t *testing.T) {
 // probeNode sends node one join probe, the way an annotation consults it,
 // and returns the probe's outcome.
 func probeNode(sys *System, node string) error {
-	_, errs := sys.PriceJoins(context.Background(), node, []connector.JoinProbe{{Left: 100, Right: 100, Out: 100}})
+	_, errs := sys.priceJoins(context.Background(), node, []connector.JoinProbe{{Left: 100, Right: 100, Out: 100}})
 	return errs[0]
 }
 
@@ -270,7 +275,7 @@ func TestNoConnectorEveryEntryPoint(t *testing.T) {
 			return probeNode(sys, "ghost")
 		},
 		"sample": func() error {
-			return sys.sampleNode(ctx, "ghost", []*Scan{{Table: "t", Alias: "t"}}, 10)
+			return sys.sampleNode(ctx, "ghost", []*planner.Scan{{Table: "t", Alias: "t"}}, 10)
 		},
 		"deploy": func() error {
 			_, err := sys.deploy(ctx, plan, nextQID())
@@ -346,8 +351,8 @@ func TestSerialDelegationOrder(t *testing.T) {
 	// split by the node each statement lands on.
 	perNode := map[string][]string{}
 	wide := false
-	var walk func(task *Task)
-	walk = func(task *Task) {
+	var walk func(task *planner.Task)
+	walk = func(task *planner.Task) {
 		wide = wide || len(task.Inputs) > 1
 		for _, e := range task.Inputs {
 			walk(e.From)

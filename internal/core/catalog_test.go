@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 )
 
 func rowsStats(rows int64) *engine.TableStats { return &engine.TableStats{RowCount: rows} }
@@ -74,8 +74,8 @@ func TestCatalogRefreshLearn(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cat := NewCatalog()
-			cat.Put(&TableInfo{Name: "T", Node: "db1"})
+			cat := planner.NewCatalog()
+			cat.Put(&planner.TableInfo{Name: "T", Node: "db1"})
 			for i, s := range tc.steps {
 				var got bool
 				switch s.do {
@@ -91,7 +91,7 @@ func TestCatalogRefreshLearn(t *testing.T) {
 					cat.Refresh("t", nil, b)
 					got = cat.Learn(from, s.st)
 				case "register":
-					cat.Put(&TableInfo{Name: "T", Node: "db1"})
+					cat.Put(&planner.TableInfo{Name: "T", Node: "db1"})
 				}
 				info, _ := cat.Lookup("t")
 				var rows int64
@@ -104,53 +104,5 @@ func TestCatalogRefreshLearn(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCatalogLearnRefreshConcurrent races corrections against reports
-// (run under -race by `make race`): every published entry stays
-// consistent — a correction always remembers the report it stands in
-// for, plain statistics are the report — and the last report wins.
-func TestCatalogLearnRefreshConcurrent(t *testing.T) {
-	cat := NewCatalog()
-	cat.Put(&TableInfo{Name: "t", Node: "db1"})
-	a, b := rowsStats(100), rowsStats(200)
-	cat.Refresh("t", nil, a)
-
-	check := func(info *TableInfo) {
-		if info.Learned && info.Reported == nil {
-			t.Errorf("learned entry without a report: %+v", info)
-		}
-		if !info.Learned && info.Stats != info.Reported {
-			t.Errorf("plain entry's statistics are not its report: %+v", info)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				from, _ := cat.Lookup("t")
-				cat.Learn(from, rowsStats(int64(1000+g*1000+i)))
-				check(from)
-			}
-		}(g)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				st := a
-				if (g+i)%2 == 0 {
-					st = b
-				}
-				cat.Refresh("t", nil, st)
-			}
-		}(g)
-	}
-	wg.Wait()
-	final := rowsStats(300)
-	cat.Refresh("t", nil, final)
-	if info, _ := cat.Lookup("t"); info.Stats != final || info.Learned {
-		t.Errorf("entry after the last report = %+v, want its statistics, not learned", info)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"xdb/internal/connector"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
@@ -143,35 +144,21 @@ func TestConsultCacheNonFiniteBypass(t *testing.T) {
 }
 
 // annotateFake runs the full logical pipeline and annotation against the
-// fake coster (no live engines, no cross-query cache) and returns the
-// annotation, the coster, and the finalized plan's rendering.
-func annotateFake(t *testing.T, sql string, opts Options) (*Annotation, *fakeCoster, string) {
+// fake cluster (no live engines, no cross-query cache) and returns the
+// annotation, the fake, and the finalized plan's rendering.
+func annotateFake(t *testing.T, sql string, opts Options) (*planner.Annotation, *fakeCluster, string) {
 	t.Helper()
-	c := newTestCatalog()
-	sel, err := sqlparser.ParseSelect(sql)
+	a, root := ordered(t, newTestCatalog(), sql, opts)
+	cluster := &fakeCluster{nodes: []string{"db1", "db2", "db3"}}
+	ann, err := cluster.annotate(root, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, conjs, canon, err := buildLogical(c, sel)
+	desc, err := planner.Finalize(a, root, ann).Describe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := orderJoins(b, conjs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := &Final{In: joined, Sel: canon}
-	coster := &fakeCoster{nodes: []string{"db1", "db2", "db3"}}
-	ann, err := annotate(context.Background(), root, coster, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := finalize(root, ann, collectColTypes(b))
-	desc, err := plan.Describe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ann, coster, desc
+	return ann, cluster, desc
 }
 
 // TestAnnotateProbeCounts pins the exact consultation of a three-table
@@ -407,31 +394,25 @@ func TestConsultCacheCalibrationChange(t *testing.T) {
 	if err := sys.gatherMetadata(ctx, sel); err != nil {
 		t.Fatal(err)
 	}
-	annotateJoin := func() *Join {
-		b, conjs, canon, err := buildLogical(sys.catalog, sel)
-		if err != nil {
+	annotateJoin := func() *planner.Join {
+		_, root := ordered(t, sys.catalog, sel.String(), sys.opts)
+		sites := planner.NewSites(sys.health.healthy, sys.linkFactor, nil)
+		if _, err := annotate(ctx, root, sites, sys.priceJoins, sys.consults, sys.opts); err != nil {
 			t.Fatal(err)
 		}
-		joined, err := orderJoins(b, conjs, sys.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := annotate(ctx, &Final{In: joined, Sel: canon}, sys, sys.consults, sys.opts); err != nil {
-			t.Fatal(err)
-		}
-		return joined.(*Join)
+		return root.In.(*planner.Join)
 	}
 
 	annotateJoin()
 	sys.calibrate(ctx)
 	j := annotateJoin()
-	l, r, out := joinEst(j)
+	l, r, out := planner.Ask{Join: j}.Est()
 	for _, node := range []string{"db1", "db2"} {
 		cached, ok := sys.consults.lookup(node, l, r, out)
 		if !ok {
 			t.Fatalf("%s: the join's prices are not cached", node)
 		}
-		fresh, errs := sys.PriceJoins(ctx, node, []connector.JoinProbe{{Left: l, Right: r, Out: out}})
+		fresh, errs := sys.priceJoins(ctx, node, []connector.JoinProbe{{Left: l, Right: r, Out: out}})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}

@@ -12,6 +12,7 @@ import (
 
 	"xdb/internal/connector"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 )
 
@@ -92,7 +93,7 @@ type cleanupItem struct {
 // Sec. III). On error — a cancelled context included — it returns the
 // partial deployment WITH the error: the lifecycle owns dropping it, on a
 // detached context.
-func (s *System) deploy(ctx context.Context, plan *Plan, qid int64) (*Deployment, error) {
+func (s *System) deploy(ctx context.Context, plan *planner.Plan, qid int64) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -211,7 +212,7 @@ func (d *Deployment) book(st *deployStmt, err error, lost bool) {
 // scriptTask implements PROCESSTASK of Algorithm 1 as rendering: the
 // task's inputs first, depth-first, then the task's own virtual relation
 // (line 12). It returns the view's name.
-func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
+func (s *System) scriptTask(t *planner.Task, run *deployRun) (string, error) {
 	// Fail fast, before anything is sent anywhere: deploying the rest of
 	// the plan around a node with an open breaker would only make work to
 	// undo.
@@ -227,7 +228,7 @@ func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
 			return "", err
 		}
 	}
-	sel, err := renderTask(t)
+	sel, err := t.Render()
 	if err != nil {
 		return "", err
 	}
@@ -243,14 +244,14 @@ func (s *System) scriptTask(t *Task, run *deployRun) (string, error) {
 // scriptInput wires one dataflow edge of task t, whose connector is c: the
 // producing subtree, the SQL/MED server registration, and the foreign table
 // on the consumer.
-func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *deployRun) error {
+func (s *System) scriptInput(t *planner.Task, edge *planner.Edge, c *connector.Connector, run *deployRun) error {
 	// A4 ablation: a child task that is a bare (filtered, pruned) scan is
 	// not wrapped in a virtual relation — the foreign table points
 	// straight at the base table and exposes its full schema, relying on
 	// the wrapper's (absent) pushdown.
-	var raw *Scan
+	var raw *planner.Scan
 	if s.opts.NoVirtualRelations && isBareScan(edge.From) {
-		raw = edge.From.Root.(*Scan)
+		raw = edge.From.Root.(*planner.Scan)
 	}
 	producer, ok := s.connectors[edge.From.Node]
 	if !ok {
@@ -278,7 +279,7 @@ func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *d
 			return err
 		}
 		for i, gid := range edge.Placeholder.Cols {
-			cols = append(cols, sqltypes.Column{Name: MangleCol(gid), Type: edge.Placeholder.Types[i]})
+			cols = append(cols, sqltypes.Column{Name: planner.MangleCol(gid), Type: edge.Placeholder.Types[i]})
 		}
 	}
 
@@ -295,7 +296,7 @@ func (s *System) scriptInput(t *Task, edge *Edge, c *connector.Connector, run *d
 	// CREATE FOREIGN TABLE (Algorithm 1, line 7), with fetch-and-store
 	// semantics when the movement is explicit (line 9).
 	ftName := fmt.Sprintf("xdb%d_ft%d", run.dep.QID, edge.From.ID)
-	materialize, weight := edge.Move == MoveExplicit, 1
+	materialize, weight := edge.Move == planner.MoveExplicit, 1
 	if materialize {
 		weight = 2
 	}
@@ -322,8 +323,8 @@ func declaredRows(est float64) int64 {
 
 // isBareScan reports whether the task's fragment is a single scan (with
 // optional filter and pruning).
-func isBareScan(t *Task) bool {
-	_, ok := t.Root.(*Scan)
+func isBareScan(t *planner.Task) bool {
+	_, ok := t.Root.(*planner.Scan)
 	return ok && len(t.Inputs) == 0
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
@@ -147,7 +148,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				opts.BushyPlans = true
 			}
 			if seed%3 == 2 {
-				opts.ForceMovement = core.MoveExplicit
+				opts.ForceMovement = planner.MoveExplicit
 			}
 			rig := newDiffRig(t, r, opts)
 			for q := 0; q < 5; q++ {
@@ -175,9 +176,9 @@ func TestDifferentialRandomQueries(t *testing.T) {
 // block, or the consumer's own export to its parent. The one exception is
 // a relation nothing above reads, which still exports a single column so
 // it renders.
-func checkExportsRead(t *testing.T, sql string, plan *core.Plan) {
+func checkExportsRead(t *testing.T, sql string, plan *planner.Plan) {
 	t.Helper()
-	exports := map[*core.Task][]string{}
+	exports := map[*planner.Task][]string{}
 	for _, e := range plan.Edges {
 		exports[e.From] = e.Placeholder.Cols
 	}
@@ -193,17 +194,17 @@ func checkExportsRead(t *testing.T, sql string, plan *core.Plan) {
 		for _, c := range exports[e.To] {
 			reads[strings.ToLower(c)] = true
 		}
-		var walk func(op core.Op)
-		walk = func(op core.Op) {
+		var walk func(op planner.Op)
+		walk = func(op planner.Op) {
 			switch o := op.(type) {
-			case *core.Join:
+			case *planner.Join:
 				for _, k := range o.Keys {
 					note(k.L, k.R)
 				}
 				note(o.Residual...)
 				walk(o.L)
 				walk(o.R)
-			case *core.Final:
+			case *planner.Final:
 				for _, p := range o.Sel.Projections {
 					note(p.Expr)
 				}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
+	"xdb/internal/sqltypes"
 )
 
 // Property-style tests over the estimator: every cardinality that can
@@ -13,24 +15,41 @@ import (
 // larger than the cross product — and feedback-corrected estimates must
 // honor the same bounds no matter what the feedback map carries.
 
-// statScan builds a synthetic scan with one key column "k".
-func statScan(alias string, rows, distinct int64) *Scan {
-	sc := &Scan{
-		Table: alias,
-		Alias: alias,
-		Node:  "db1",
-		Stats: &engine.TableStats{
-			RowCount: rows,
-			Columns:  []engine.ColumnStats{{Name: "k", Distinct: distinct}},
-		},
+// plannedJoin plans l ⋈ r over two one-column tables "l" and "r" with the
+// given row and distinct counts of their column k, keyed on l.k = r.k or,
+// without keyed, as a cross product, and returns the join the planner
+// builds.
+func plannedJoin(t *testing.T, lRows, lDistinct, rRows, rDistinct int64, keyed bool) *planner.Join {
+	t.Helper()
+	c := planner.NewCatalog()
+	for _, tb := range []struct {
+		name           string
+		rows, distinct int64
+	}{{"l", lRows, lDistinct}, {"r", rRows, rDistinct}} {
+		c.Put(&planner.TableInfo{
+			Name: tb.name, Node: "db1",
+			Schema: sqltypes.NewSchema(sqltypes.Column{Name: "k", Type: sqltypes.TypeInt}),
+			Stats: &engine.TableStats{RowCount: tb.rows,
+				Columns: []engine.ColumnStats{{Name: "k", Distinct: tb.distinct}}},
+		})
 	}
-	sc.est = math.Max(float64(rows), 1)
-	sc.width = 16
-	return sc
-}
-
-func kref(alias string) *sqlparser.ColumnRef {
-	return &sqlparser.ColumnRef{Table: alias, Name: "k"}
+	sql := "SELECT l.k FROM l, r"
+	if keyed {
+		sql += " WHERE l.k = r.k"
+	}
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := planner.Analyze(c, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := planner.Order(a, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root.In.(*planner.Join)
 }
 
 // TestEstimateJoinProperties sweeps a grid of input sizes and distinct
@@ -45,27 +64,26 @@ func TestEstimateJoinProperties(t *testing.T) {
 		}
 		return out
 	}
-	keys := []JoinKey{{L: kref("l"), R: kref("r")}}
 	for _, lr := range sizes {
 		for _, rr := range sizes {
 			for _, ld := range distincts(lr) {
 				for _, rd := range distincts(rr) {
-					l := statScan("l", lr, ld)
-					r := statScan("r", rr, rd)
-					est := estimateJoin(l, r, keys)
+					j := plannedJoin(t, lr, ld, rr, rd, true)
+					est := j.Est()
 					if math.IsNaN(est) || math.IsInf(est, 0) {
-						t.Fatalf("estimateJoin(%d/%d, %d/%d) = %v, non-finite", lr, ld, rr, rd, est)
+						t.Fatalf("join estimate (%d/%d, %d/%d) = %v, non-finite", lr, ld, rr, rd, est)
 					}
 					if est < 1 {
-						t.Errorf("estimateJoin(%d/%d, %d/%d) = %v < 1", lr, ld, rr, rd, est)
+						t.Errorf("join estimate (%d/%d, %d/%d) = %v < 1", lr, ld, rr, rd, est)
 					}
-					if cross := l.Est() * r.Est(); est > cross+1e-9 {
-						t.Errorf("estimateJoin(%d/%d, %d/%d) = %v exceeds cross product %v",
+					if cross := j.L.Est() * j.R.Est(); est > cross+1e-9 {
+						t.Errorf("join estimate (%d/%d, %d/%d) = %v exceeds cross product %v",
 							lr, ld, rr, rd, est, cross)
 					}
 					// No keys: exactly the cross product of the clamped inputs.
-					if got := estimateJoin(l, r, nil); got != l.Est()*r.Est() {
-						t.Errorf("keyless estimateJoin = %v, want cross product %v", got, l.Est()*r.Est())
+					cj := plannedJoin(t, lr, ld, rr, rd, false)
+					if got := cj.Est(); got != cj.L.Est()*cj.R.Est() {
+						t.Errorf("keyless join estimate = %v, want cross product %v", got, cj.L.Est()*cj.R.Est())
 					}
 				}
 			}
@@ -73,47 +91,12 @@ func TestEstimateJoinProperties(t *testing.T) {
 	}
 
 	// Monotonicity in an input's cardinality, distinct counts held fixed.
-	r := statScan("r", 1000, 100)
 	prev := 0.0
 	for _, lr := range []int64{1, 10, 100, 1000, 100_000} {
-		l := statScan("l", lr, 10)
-		est := estimateJoin(l, r, keys)
+		est := plannedJoin(t, lr, 10, 1000, 100, true).Est()
 		if est < prev {
-			t.Errorf("estimateJoin decreased when the left input grew to %d: %v < %v", lr, est, prev)
+			t.Errorf("join estimate decreased when the left input grew to %d: %v < %v", lr, est, prev)
 		}
 		prev = est
-	}
-}
-
-// TestDistinctOfProperties pins the distinct estimate's caps: never
-// above the base column distinct, never above the operator's (clamped)
-// cardinality, and sensible fallbacks when statistics are missing.
-func TestDistinctOfProperties(t *testing.T) {
-	sc := statScan("l", 1000, 40)
-	if got := distinctOf(sc, kref("l")); got != 40 {
-		t.Errorf("distinctOf(scan, k) = %v, want the base distinct 40", got)
-	}
-	// A filtered scan caps the distinct at its output cardinality.
-	sc.est = 5
-	if got := distinctOf(sc, kref("l")); got != 5 {
-		t.Errorf("distinctOf on a 5-row scan = %v, want 5", got)
-	}
-	// No statistics for the column: fall back to the row count.
-	noStats := &Scan{Table: "l", Alias: "l", Stats: &engine.TableStats{RowCount: 300}}
-	noStats.est = 300
-	if got := distinctOf(noStats, kref("l")); got != 300 {
-		t.Errorf("distinctOf without column stats = %v, want the row count 300", got)
-	}
-	// A column foreign to the operator resolves to +Inf base distinct and
-	// must still come back capped by the operator's cardinality.
-	if got := distinctOf(sc, kref("elsewhere")); math.IsInf(got, 0) || got > sc.Est() {
-		t.Errorf("distinctOf(foreign column) = %v, want <= %v and finite", got, sc.Est())
-	}
-	// Joins take the smaller side's distinct.
-	l, r := statScan("l", 1000, 40), statScan("r", 1000, 10)
-	j := &Join{L: l, R: r, Keys: []JoinKey{{L: kref("l"), R: kref("r")}}}
-	j.est = estimateJoin(l, r, j.Keys)
-	if got := distinctOf(j, kref("r")); got != 10 {
-		t.Errorf("distinctOf(join, r.k) = %v, want min(sides) = 10", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
@@ -164,14 +165,14 @@ func (s *System) mediatorFallback(ctx context.Context, qspan *obs.Span, sql stri
 	}
 	// The catalog was populated by the failed attempt's preparation
 	// phase; re-analyze to recover the scans and the residual conjuncts.
-	a, err := Analyze(s.catalog, sel)
+	a, err := planner.Analyze(s.catalog, sel)
 	if err != nil {
 		sp.SetErr(err)
 		return nil, err
 	}
 	frags := make([]LocalFragment, len(a.Scans))
 	err = fanOutFirstErr(ctx, len(a.Scans), s.opts.serial, func(fctx context.Context, i int) error {
-		fsel, cols := RenderFragment(a.Scans[i:i+1], nil)
+		fsel, cols := planner.RenderFragment(a.Scans[i:i+1], nil)
 		return s.call(fctx, a.Scans[i].Node, 1, func(rctx context.Context, c *connector.Connector) error {
 			fres, err := c.Query(rctx, fsel.String())
 			if err != nil {
@@ -211,18 +212,18 @@ type LocalFragment struct {
 // of the mediator baseline (internal/mediator) and the middleware's
 // last-resort mediator fallback.
 func ExecuteLocal(eng *engine.Engine, canon *sqlparser.Select, frags []LocalFragment, cross []sqlparser.Expr) (*engine.Result, error) {
-	res := Resolution{}
+	res := planner.Resolution{}
 	final := &sqlparser.Select{}
 	for i, f := range frags {
 		name := fmt.Sprintf("frag%d", i)
 		schema := &sqltypes.Schema{}
 		for _, gid := range f.Cols {
-			idx, err := f.Schema.Resolve("", MangleCol(gid))
+			idx, err := f.Schema.Resolve("", planner.MangleCol(gid))
 			if err != nil {
 				return nil, err
 			}
 			schema.Columns = append(schema.Columns, sqltypes.Column{
-				Name: MangleCol(gid), Type: f.Schema.Columns[idx].Type,
+				Name: planner.MangleCol(gid), Type: f.Schema.Columns[idx].Type,
 			})
 		}
 		if err := eng.LoadTable(name, schema, f.Rows); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xdb/internal/netsim"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 	"xdb/internal/tpch"
 )
@@ -153,11 +154,11 @@ func TestFailoverKillAfterDeploy(t *testing.T) {
 func TestFailoverRetryDeploysWholePlan(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		move Movement
+		move planner.Movement
 	}{
 		{"cost-based", 0},
-		{"explicit", MoveExplicit},
-		{"implicit", MoveImplicit},
+		{"explicit", planner.MoveExplicit},
+		{"implicit", planner.MoveImplicit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := failoverOptions()

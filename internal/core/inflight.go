@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xdb/internal/planner"
 	"xdb/internal/wire"
 )
 
@@ -148,14 +149,14 @@ func (e *inflightEntry) setPhase(phase string, bd *Breakdown) {
 
 // attach records one deployment attempt's qid and plan-edge metadata and
 // routes the qid's flow events to this entry. Nil-safe.
-func (e *inflightEntry) attach(qid int64, plan *Plan) {
+func (e *inflightEntry) attach(qid int64, plan *planner.Plan) {
 	if e == nil || plan == nil || plan.Root == nil {
 		return
 	}
 	am := &attemptMeta{root: plan.Root.ID, edges: map[int]edgeMeta{}}
 	for _, edge := range plan.Edges {
 		kind := "implicit"
-		if edge.Move == MoveExplicit {
+		if edge.Move == planner.MoveExplicit {
 			kind = "explicit"
 		}
 		am.edges[edge.From.ID] = edgeMeta{kind: kind, est: edge.EstRows}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"xdb/internal/planner"
 	"xdb/internal/wire"
 )
 
@@ -147,7 +148,7 @@ func TestImplicitFlowFeedbackTransferSavings(t *testing.T) {
 	var ticketsFlow *EdgeFlow
 	for i, f := range res1.Flows {
 		if f.Kind == "implicit" && f.Done && f.EstRows > 0 &&
-			diverges(f.EstRows, float64(f.Rows)) {
+			planner.Diverges(f.EstRows, float64(f.Rows)) {
 			ticketsFlow = &res1.Flows[i]
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"xdb/internal/planner"
 )
 
 // Estimate correction from drained edges (learn.go). The cluster's
@@ -17,7 +19,7 @@ import (
 // materialization fetch that the consumer drains in full.
 func explicitOptions() Options {
 	opts := chaosOptions()
-	opts.ForceMovement = MoveExplicit
+	opts.ForceMovement = planner.MoveExplicit
 	return opts
 }
 
@@ -42,8 +44,8 @@ func TestLearnDivergence(t *testing.T) {
 		{5, 0, true},
 	}
 	for _, c := range cases {
-		if got := diverges(c.est, c.actual); got != c.want {
-			t.Errorf("diverges(%v, %v) = %v, want %v", c.est, c.actual, got, c.want)
+		if got := planner.Diverges(c.est, c.actual); got != c.want {
+			t.Errorf("planner.Diverges(%v, %v) = %v, want %v", c.est, c.actual, got, c.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"xdb/internal/engine"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 )
 
 // The query lifecycle. The paper's line is straight — optimize, delegate
@@ -118,7 +119,7 @@ type queryRun struct {
 	// The current attempt: its plan (the last one produced — a failed
 	// re-plan leaves it standing), its deployment, and the plan-cache lease
 	// when the deployment is a cached entry's.
-	plan *Plan
+	plan *planner.Plan
 	dep  *Deployment
 	ent  *planEntry
 
@@ -311,12 +312,12 @@ func (r *queryRun) deliver() runStep {
 	r.bd.FailedOver = r.bd.Replans > 0
 	r.inf.setPhase("finishing", &r.bd)
 	// Every edge this execution drained — pulled or materialized —
-	// corrects the catalog for the next query (learn.go); the finished
+	// corrects the catalog for the next query (Catalog.Observe); the finished
 	// query is untouched. qid scopes the lookup to the attempt that
 	// executed.
 	for _, e := range r.plan.Edges {
 		if actual, done := r.inf.flowObserved(dep.QID, e.From.ID); done {
-			r.s.feedObservedRows(e, float64(actual))
+			r.s.catalog.Observe(e, float64(actual))
 		}
 	}
 	r.release(false) // a healthy cached entry stays warm

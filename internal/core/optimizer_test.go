@@ -10,14 +10,15 @@ import (
 
 	"xdb/internal/connector"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 )
 
 // newTestCatalog builds a global catalog with synthetic stats, no live
 // engines — for unit tests of the optimizer pieces.
-func newTestCatalog() *Catalog {
-	c := NewCatalog()
+func newTestCatalog() *planner.Catalog {
+	c := planner.NewCatalog()
 	add := func(name, node string, rows int64, cols ...sqltypes.Column) {
 		schema := sqltypes.NewSchema(cols...)
 		stats := &engine.TableStats{RowCount: rows, AvgRowBytes: 40}
@@ -39,7 +40,7 @@ func newTestCatalog() *Catalog {
 			}
 			stats.Columns = append(stats.Columns, cs)
 		}
-		c.Put(&TableInfo{Name: name, Node: node, Schema: schema, Stats: stats})
+		c.Put(&planner.TableInfo{Name: name, Node: node, Schema: schema, Stats: stats})
 	}
 	icol := func(n string) sqltypes.Column { return sqltypes.Column{Name: n, Type: sqltypes.TypeInt} }
 	scol := func(n string) sqltypes.Column { return sqltypes.Column{Name: n, Type: sqltypes.TypeString} }
@@ -51,29 +52,53 @@ func newTestCatalog() *Catalog {
 	return c
 }
 
-func analyze(t *testing.T, c *Catalog, sql string) (*builder, []sqlparser.Expr, *sqlparser.Select) {
+// analyze resolves sql against the catalog.
+func analyze(t *testing.T, c *planner.Catalog, sql string) *planner.Analysis {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, conjs, canon, err := buildLogical(c, sel)
+	a, err := planner.Analyze(c, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, conjs, canon
+	return a
+}
+
+// scanOf returns the analysis' scan of alias.
+func scanOf(a *planner.Analysis, alias string) *planner.Scan {
+	for _, sc := range a.Scans {
+		if sc.Alias == alias {
+			return sc
+		}
+	}
+	return nil
+}
+
+// ordered analyzes sql and orders its joins under opts, as System.plan
+// does.
+func ordered(t *testing.T, c *planner.Catalog, sql string, opts Options) (*planner.Analysis, *planner.Final) {
+	t.Helper()
+	a := analyze(t, c, sql)
+	root, err := planner.Order(a, opts.NoJoinReorder, opts.BushyPlans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, root
 }
 
 func TestBuildLogicalResolution(t *testing.T) {
 	c := newTestCatalog()
-	b, conjs, canon := analyze(t, c, `
+	a := analyze(t, c, `
 		SELECT s.s_name, COUNT(*) FROM small s, medium m
 		WHERE s.s_id = m.m_sid AND m.m_tag = 'x' GROUP BY s.s_name`)
-	if len(b.order) != 2 {
-		t.Fatalf("relations = %v", b.order)
+	conjs, canon := a.JoinConjs, a.Canon
+	if len(a.Scans) != 2 {
+		t.Fatalf("relations = %v", a.Scans)
 	}
 	// The single-table predicate is pushed into the medium scan.
-	m := b.aliases["m"]
+	m := scanOf(a, "m")
 	if m.Filter == nil || !strings.Contains(m.Filter.String(), "m_tag") {
 		t.Errorf("filter not pushed: %v", m.Filter)
 	}
@@ -89,7 +114,7 @@ func TestBuildLogicalResolution(t *testing.T) {
 
 func TestBuildLogicalUnqualifiedResolution(t *testing.T) {
 	c := newTestCatalog()
-	_, _, canon := analyze(t, c, "SELECT s_name FROM small, medium WHERE s_id = m_sid")
+	canon := analyze(t, c, "SELECT s_name FROM small, medium WHERE s_id = m_sid").Canon
 	// Unqualified names resolve to the owning relation's alias.
 	if !strings.Contains(canon.String(), "small.s_name") {
 		t.Errorf("canon = %s", canon)
@@ -115,16 +140,15 @@ func TestBuildLogicalErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		if _, _, _, err := buildLogical(c, sel); err == nil {
-			t.Errorf("buildLogical(%q) succeeded, want error", q)
+		if _, err := planner.Analyze(c, sel); err == nil {
+			t.Errorf("Analyze(%q) succeeded, want error", q)
 		}
 	}
 }
 
 func TestProjectionPushdownPrunesColumns(t *testing.T) {
 	c := newTestCatalog()
-	b, _, _ := analyze(t, c, "SELECT m.m_tag FROM medium m WHERE m.m_id > 5")
-	m := b.aliases["m"]
+	m := scanOf(analyze(t, c, "SELECT m.m_tag FROM medium m WHERE m.m_id > 5"), "m")
 	if len(m.Cols) != 2 { // m_tag + m_id (filter)
 		t.Errorf("pruned cols = %v", m.Cols)
 	}
@@ -137,39 +161,35 @@ func TestProjectionPushdownPrunesColumns(t *testing.T) {
 
 func TestStarExpansion(t *testing.T) {
 	c := newTestCatalog()
-	b, _, canon := analyze(t, c, "SELECT * FROM small s, medium m WHERE s.s_id = m.m_sid")
-	if len(canon.Projections) != 2+4 {
-		t.Fatalf("projections = %d", len(canon.Projections))
+	a := analyze(t, c, "SELECT * FROM small s, medium m WHERE s.s_id = m.m_sid")
+	if len(a.Canon.Projections) != 2+4 {
+		t.Fatalf("projections = %d", len(a.Canon.Projections))
 	}
 	// All columns kept on both scans.
-	if len(b.aliases["s"].Cols) != 2 || len(b.aliases["m"].Cols) != 4 {
-		t.Errorf("cols = %v / %v", b.aliases["s"].Cols, b.aliases["m"].Cols)
+	if len(scanOf(a, "s").Cols) != 2 || len(scanOf(a, "m").Cols) != 4 {
+		t.Errorf("cols = %v / %v", scanOf(a, "s").Cols, scanOf(a, "m").Cols)
 	}
 }
 
 func TestEstimateScanSelectivity(t *testing.T) {
 	c := newTestCatalog()
 	// Equality on an integer key: 1/distinct.
-	b, _, _ := analyze(t, c, "SELECT m_id FROM medium WHERE m_id = 7")
-	if est := b.aliases["medium"].Est(); est > 2 {
+	if est := analyze(t, c, "SELECT m_id FROM medium WHERE m_id = 7").Scans[0].Est(); est > 2 {
 		t.Errorf("eq estimate = %v, want ~1", est)
 	}
 	// Range with min/max interpolation: dates span 1992..1998, cutting at
 	// 1995-07 keeps roughly half.
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE m_date < DATE '1995-07-01'")
-	est := b.aliases["medium"].Est()
+	est := analyze(t, c, "SELECT m_id FROM medium WHERE m_date < DATE '1995-07-01'").Scans[0].Est()
 	if est < 3000 || est > 7000 {
 		t.Errorf("range estimate = %v, want ~5000", est)
 	}
 	// BETWEEN one year of seven.
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE m_date BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'")
-	est = b.aliases["medium"].Est()
+	est = analyze(t, c, "SELECT m_id FROM medium WHERE m_date BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'").Scans[0].Est()
 	if est < 500 || est > 3000 {
 		t.Errorf("between estimate = %v, want ~1400", est)
 	}
 	// Interval arithmetic folds into constants for estimation.
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE m_date < DATE '1994-07-01' + INTERVAL '1' YEAR")
-	est2 := b.aliases["medium"].Est()
+	est2 := analyze(t, c, "SELECT m_id FROM medium WHERE m_date < DATE '1994-07-01' + INTERVAL '1' YEAR").Scans[0].Est()
 	if math.Abs(est2-est) < 1 {
 		t.Logf("interval estimate %v (plain %v)", est2, est)
 	}
@@ -180,14 +200,10 @@ func TestEstimateScanSelectivity(t *testing.T) {
 
 func TestEstimateJoinFKShape(t *testing.T) {
 	c := newTestCatalog()
-	b, conjs, _ := analyze(t, c, "SELECT s.s_id FROM small s, medium m WHERE s.s_id = m.m_sid")
-	joined, err := orderJoins(b, conjs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, root := ordered(t, c, "SELECT s.s_id FROM small s, medium m WHERE s.s_id = m.m_sid", Options{})
 	// FK join small(100) x medium(10k) on s_id: |L||R|/max(d) = 100*10k/10k = 100... or
 	// with m_sid distinct 10k -> ~100.
-	est := joined.Est()
+	est := root.In.Est()
 	if est < 50 || est > 20000 {
 		t.Errorf("join estimate = %v", est)
 	}
@@ -195,77 +211,65 @@ func TestEstimateJoinFKShape(t *testing.T) {
 
 func TestOrderJoinsSmallestFirst(t *testing.T) {
 	c := newTestCatalog()
-	b, conjs, _ := analyze(t, c, `
+	_, root := ordered(t, c, `
 		SELECT s.s_id FROM large l, medium m, small s
-		WHERE l.l_mid = m.m_id AND m.m_sid = s.s_id`)
-	joined, err := orderJoins(b, conjs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, ok := joined.(*Join)
+		WHERE l.l_mid = m.m_id AND m.m_sid = s.s_id`, Options{})
+	j, ok := root.In.(*planner.Join)
 	if !ok {
-		t.Fatalf("got %T", joined)
+		t.Fatalf("got %T", root.In)
 	}
 	// Left-deep: the deepest left must be the smallest relation (small).
 	deepest := j.L
 	for {
-		inner, ok := deepest.(*Join)
+		inner, ok := deepest.(*planner.Join)
 		if !ok {
 			break
 		}
 		deepest = inner.L
 	}
-	if s, ok := deepest.(*Scan); !ok || s.Table != "small" {
-		t.Errorf("deepest-left relation = %v, want small", OpString(deepest))
+	if s, ok := deepest.(*planner.Scan); !ok || s.Table != "small" {
+		t.Errorf("deepest-left relation = %v, want small", planner.OpString(deepest))
 	}
 }
 
 func TestOrderJoinsNoReorder(t *testing.T) {
 	c := newTestCatalog()
-	b, conjs, _ := analyze(t, c, `
+	_, root := ordered(t, c, `
 		SELECT s.s_id FROM large l, medium m, small s
-		WHERE l.l_mid = m.m_id AND m.m_sid = s.s_id`)
-	joined, err := orderJoins(b, conjs, Options{NoJoinReorder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+		WHERE l.l_mid = m.m_id AND m.m_sid = s.s_id`, Options{NoJoinReorder: true})
 	// Syntactic order: ((large x medium) x small).
-	j := joined.(*Join)
+	j := root.In.(*planner.Join)
 	deepest := j.L
 	for {
-		inner, ok := deepest.(*Join)
+		inner, ok := deepest.(*planner.Join)
 		if !ok {
 			break
 		}
 		deepest = inner.L
 	}
-	if s, ok := deepest.(*Scan); !ok || s.Table != "large" {
-		t.Errorf("deepest-left = %v, want large (syntactic order)", OpString(deepest))
+	if s, ok := deepest.(*planner.Scan); !ok || s.Table != "large" {
+		t.Errorf("deepest-left = %v, want large (syntactic order)", planner.OpString(deepest))
 	}
 }
 
 func TestOrderJoinsResidualPredicates(t *testing.T) {
 	c := newTestCatalog()
-	b, conjs, _ := analyze(t, c, `
+	_, root := ordered(t, c, `
 		SELECT s.s_id FROM small s, medium m
-		WHERE s.s_id = m.m_sid AND (s.s_name = 'a' OR m.m_tag = 'b')`)
-	joined, err := orderJoins(b, conjs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := joined.(*Join)
+		WHERE s.s_id = m.m_sid AND (s.s_name = 'a' OR m.m_tag = 'b')`, Options{})
+	j := root.In.(*planner.Join)
 	if len(j.Keys) != 1 || len(j.Residual) != 1 {
 		t.Errorf("keys=%d residuals=%d", len(j.Keys), len(j.Residual))
 	}
 }
 
-// fakeCoster implements Coster without live engines: each node prices an
-// operator with the local cost model's shapes, scaled by its factor (1
-// when absent). Nodes in unhealthy have an open breaker; nodes in erroring
-// fail every consultation. It counts the consultation calls each node
-// received and the join probes they carried, under a lock: annotation
-// consults the nodes concurrently.
-type fakeCoster struct {
+// fakeCluster stands in for the nodes annotation consults, without live
+// engines: each node prices an operator with the local cost model's
+// shapes, scaled by its factor (1 when absent). Nodes in unhealthy have an
+// open breaker; nodes in erroring fail every consultation. It counts the
+// consultation calls each node received and the join probes they carried,
+// under a lock: annotation consults the nodes concurrently.
+type fakeCluster struct {
 	nodes     []string
 	factors   map[string]float64
 	unhealthy map[string]bool
@@ -279,7 +283,7 @@ type fakeCoster struct {
 }
 
 // CostOperator is the fake node's answer to one cost probe.
-func (f *fakeCoster) CostOperator(_ context.Context, node string, kind engine.CostKind, l, r, o float64) (float64, error) {
+func (f *fakeCluster) CostOperator(_ context.Context, node string, kind engine.CostKind, l, r, o float64) (float64, error) {
 	if f.erroring[node] {
 		return 0, fmt.Errorf("probe to %s failed", node)
 	}
@@ -287,12 +291,12 @@ func (f *fakeCoster) CostOperator(_ context.Context, node string, kind engine.Co
 	if v, ok := f.factors[node]; ok {
 		factor = v
 	}
-	return localCost(kind, l, r, o) * factor, nil
+	return planner.LocalCost(kind, l, r, o) * factor, nil
 }
 
-// PriceJoins implements Coster: one call per node asked, every join priced
+// PriceJoins is a priceFunc: one call per node asked, every join priced
 // the way a server prices it (engine.JoinPricesOf).
-func (f *fakeCoster) PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) ([]engine.JoinPrices, []error) {
+func (f *fakeCluster) PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) ([]engine.JoinPrices, []error) {
 	f.mu.Lock()
 	if f.calls == nil {
 		f.calls = map[string]int{}
@@ -314,63 +318,62 @@ func (f *fakeCoster) PriceJoins(ctx context.Context, node string, joins []connec
 }
 
 // probeCount is the number of join probes the fake was sent.
-func (f *fakeCoster) probeCount() int {
+func (f *fakeCluster) probeCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.probes
 }
 
 // callsTo is the number of consultation calls node received.
-func (f *fakeCoster) callsTo(node string) int {
+func (f *fakeCluster) callsTo(node string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls[node]
 }
 
-func (f *fakeCoster) AllNodes() []string { return f.nodes }
+func (f *fakeCluster) Healthy(node string) bool { return !f.unhealthy[node] }
 
-func (f *fakeCoster) Healthy(node string) bool { return !f.unhealthy[node] }
-
-func (f *fakeCoster) LinkFactor(from, to string) float64 {
+func (f *fakeCluster) LinkFactor(from, to string) float64 {
 	if v, ok := f.linkFactors[from+"->"+to]; ok {
 		return v
 	}
 	return 1
 }
 
-func buildAnnotatedPlan(t *testing.T, sql string, opts Options) (Op, *Annotation, *builder) {
+// sites is the fake's view for one annotation under opts, as System.plan
+// builds it for the cluster.
+func (f *fakeCluster) sites(opts Options) *planner.Sites {
+	var all []string
+	if opts.FullCandidateSet {
+		all = f.nodes
+	}
+	return planner.NewSites(f.Healthy, f.LinkFactor, all)
+}
+
+// annotate annotates the plan under root by consulting the fake (no
+// consult cache).
+func (f *fakeCluster) annotate(root planner.Op, opts Options) (*planner.Annotation, error) {
+	return annotate(context.Background(), root, f.sites(opts), f.PriceJoins, nil, opts)
+}
+
+func buildAnnotatedPlan(t *testing.T, sql string, opts Options) (*planner.Final, *planner.Annotation, *planner.Analysis) {
 	t.Helper()
-	c := newTestCatalog()
-	sel, err := sqlparser.ParseSelect(sql)
+	a, root := ordered(t, newTestCatalog(), sql, opts)
+	ann, err := (&fakeCluster{nodes: []string{"db1", "db2", "db3"}}).annotate(root, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, conjs, canon, err := buildLogical(c, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := orderJoins(b, conjs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := &Final{In: joined, Sel: canon}
-	coster := &fakeCoster{nodes: []string{"db1", "db2", "db3"}}
-	ann, err := annotate(context.Background(), root, coster, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root, ann, b
+	return root, ann, a
 }
 
 func TestAnnotateRules(t *testing.T) {
-	root, ann, b := buildAnnotatedPlan(t,
+	final, ann, a := buildAnnotatedPlan(t,
 		"SELECT s.s_name, COUNT(*) FROM small s, medium m WHERE s.s_id = m.m_sid GROUP BY s.s_name", Options{})
 	// Rule 1: scans on their homes.
-	if ann.Node[b.aliases["s"]] != "db1" || ann.Node[b.aliases["m"]] != "db2" {
-		t.Errorf("scan annotations: %v / %v", ann.Node[b.aliases["s"]], ann.Node[b.aliases["m"]])
+	if ann.Node[scanOf(a, "s")] != "db1" || ann.Node[scanOf(a, "m")] != "db2" {
+		t.Errorf("scan annotations: %v / %v", ann.Node[scanOf(a, "s")], ann.Node[scanOf(a, "m")])
 	}
-	final := root.(*Final)
-	join := final.In.(*Join)
+	join := final.In.(*planner.Join)
 	// Rule 4: join placed on one of its inputs' nodes.
 	if n := ann.Node[join]; n != "db1" && n != "db2" {
 		t.Errorf("join placed on %s", n)
@@ -380,11 +383,11 @@ func TestAnnotateRules(t *testing.T) {
 		t.Errorf("final on %s, join on %s", ann.Node[final], ann.Node[join])
 	}
 	// The remote child edge carries a movement.
-	var remote Op = join.L
+	var remote planner.Op = join.L
 	if ann.Node[join.L] == ann.Node[join] {
 		remote = join.R
 	}
-	if mv := ann.Move[remote]; mv != MoveImplicit && mv != MoveExplicit {
+	if mv := ann.Move[remote]; mv != planner.MoveImplicit && mv != planner.MoveExplicit {
 		t.Errorf("remote edge movement = %v", mv)
 	}
 	if ann.ConsultRounds == 0 {
@@ -395,40 +398,32 @@ func TestAnnotateRules(t *testing.T) {
 func TestAnnotateRule3SameNode(t *testing.T) {
 	c := newTestCatalog()
 	// Two relations on db2: join inherits without consulting.
-	c.Put(&TableInfo{
+	c.Put(&planner.TableInfo{
 		Name: "medium2", Node: "db2",
 		Schema: sqltypes.NewSchema(sqltypes.Column{Name: "x_id", Type: sqltypes.TypeInt}),
 		Stats:  &engine.TableStats{RowCount: 50, Columns: []engine.ColumnStats{{Name: "x_id", Distinct: 50}}},
 	})
-	sel, _ := sqlparser.ParseSelect("SELECT m.m_id FROM medium m, medium2 x WHERE m.m_id = x.x_id")
-	b, conjs, canon, err := buildLogical(c, sel)
+	_, root := ordered(t, c, "SELECT m.m_id FROM medium m, medium2 x WHERE m.m_id = x.x_id", Options{})
+	cluster := &fakeCluster{nodes: []string{"db1", "db2"}}
+	ann, err := cluster.annotate(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := orderJoins(b, conjs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coster := &fakeCoster{nodes: []string{"db1", "db2"}}
-	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := coster.probeCount(); n != 0 {
+	if n := cluster.probeCount(); n != 0 {
 		t.Errorf("co-located join consulted %d times, want 0", n)
 	}
-	if ann.Node[joined] != "db2" {
-		t.Errorf("join on %s, want db2", ann.Node[joined])
+	if ann.Node[root.In] != "db2" {
+		t.Errorf("join on %s, want db2", ann.Node[root.In])
 	}
 }
 
 func TestAnnotateForcedMovement(t *testing.T) {
-	for _, force := range []Movement{MoveImplicit, MoveExplicit} {
+	for _, force := range []planner.Movement{planner.MoveImplicit, planner.MoveExplicit} {
 		root, ann, _ := buildAnnotatedPlan(t,
 			"SELECT s.s_id FROM small s, medium m WHERE s.s_id = m.m_sid",
 			Options{ForceMovement: force})
-		join := root.(*Final).In.(*Join)
-		for _, child := range []Op{join.L, join.R} {
+		join := root.In.(*planner.Join)
+		for _, child := range []planner.Op{join.L, join.R} {
 			if ann.Node[child] == ann.Node[join] {
 				continue
 			}
@@ -495,41 +490,33 @@ func TestLinkFactorShiftsPlacement(t *testing.T) {
 	// ... placement candidates are only the two inputs, so the cheap-link
 	// side must win when data sizes are comparable.
 	c := newTestCatalog()
-	c.Put(&TableInfo{
+	c.Put(&planner.TableInfo{
 		Name: "peer", Node: "db2",
 		Schema: sqltypes.NewSchema(sqltypes.Column{Name: "p_id", Type: sqltypes.TypeInt}),
 		Stats: &engine.TableStats{RowCount: 100, AvgRowBytes: 40,
 			Columns: []engine.ColumnStats{{Name: "p_id", Distinct: 100}}},
 	})
-	sel, _ := sqlparser.ParseSelect("SELECT s.s_id FROM small s, peer p WHERE s.s_id = p.p_id")
-	b, conjs, canon, err := buildLogical(c, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := orderJoins(b, conjs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, root := ordered(t, c, "SELECT s.s_id FROM small s, peer p WHERE s.s_id = p.p_id", Options{})
 	// Moving data INTO db2 is 100x more expensive than into db1.
-	coster := &fakeCoster{
+	cluster := &fakeCluster{
 		nodes:       []string{"db1", "db2"},
 		linkFactors: map[string]float64{"db1->db2": 100, "db2->db1": 1},
 	}
-	ann, err := annotate(context.Background(), &Final{In: joined, Sel: canon}, coster, nil, Options{})
+	ann, err := cluster.annotate(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ann.Node[joined]; got != "db1" {
+	if got := ann.Node[root.In]; got != "db1" {
 		t.Errorf("join placed on %s, want db1 (cheap inbound link)", got)
 	}
 }
 
 func TestFinalizeTaskFusion(t *testing.T) {
-	root, ann, b := buildAnnotatedPlan(t, `
+	root, ann, a := buildAnnotatedPlan(t, `
 		SELECT s.s_name, COUNT(*) FROM small s, medium m, large l
 		WHERE s.s_id = m.m_sid AND m.m_id = l.l_mid
 		GROUP BY s.s_name`, Options{})
-	plan := finalize(root, ann, collectColTypes(b))
+	plan := planner.Finalize(a, root, ann)
 	if plan.Root == nil || len(plan.Tasks) < 2 {
 		t.Fatalf("plan: %s", plan)
 	}
@@ -537,7 +524,7 @@ func TestFinalizeTaskFusion(t *testing.T) {
 	if plan.Tasks[len(plan.Tasks)-1] != plan.Root {
 		t.Error("root task not last in post-order")
 	}
-	if _, ok := plan.Root.Root.(*Final); !ok {
+	if _, ok := plan.Root.Root.(*planner.Final); !ok {
 		t.Errorf("root task fragment is %T, want *Final", plan.Root.Root)
 	}
 	// Edges connect distinct nodes and carry estimates.
@@ -563,14 +550,14 @@ func TestFinalizeTaskFusion(t *testing.T) {
 }
 
 func TestRenderIntermediateTask(t *testing.T) {
-	root, ann, b := buildAnnotatedPlan(t,
+	root, ann, a := buildAnnotatedPlan(t,
 		"SELECT s.s_name FROM small s, medium m WHERE s.s_id = m.m_sid AND m.m_tag = 'x'", Options{})
-	plan := finalize(root, ann, collectColTypes(b))
+	plan := planner.Finalize(a, root, ann)
 	if len(plan.Tasks) != 2 {
 		t.Fatalf("tasks = %d:\n%s", len(plan.Tasks), plan)
 	}
 	child := plan.Tasks[0]
-	sel, err := renderTask(child)
+	sel, err := child.Render()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +571,7 @@ func TestRenderIntermediateTask(t *testing.T) {
 	for _, e := range plan.Root.Inputs {
 		e.Placeholder.Rel = "ft_test"
 	}
-	rootSel, err := renderTask(plan.Root)
+	rootSel, err := plan.Root.Render()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,10 +585,10 @@ func TestRenderIntermediateTask(t *testing.T) {
 }
 
 func TestRenderUnboundPlaceholderFails(t *testing.T) {
-	root, ann, b := buildAnnotatedPlan(t,
+	root, ann, a := buildAnnotatedPlan(t,
 		"SELECT s.s_name FROM small s, medium m WHERE s.s_id = m.m_sid", Options{})
-	plan := finalize(root, ann, collectColTypes(b))
-	if _, err := renderTask(plan.Root); err == nil {
+	plan := planner.Finalize(a, root, ann)
+	if _, err := plan.Root.Render(); err == nil {
 		t.Error("rendering with unbound placeholder succeeded")
 	}
 }
@@ -609,7 +596,7 @@ func TestRenderUnboundPlaceholderFails(t *testing.T) {
 func TestOpString(t *testing.T) {
 	root, _, _ := buildAnnotatedPlan(t,
 		"SELECT s.s_name FROM small s, medium m WHERE s.s_id = m.m_sid AND m.m_tag = 'x'", Options{})
-	s := OpString(root)
+	s := planner.OpString(root)
 	for _, want := range []string{"Γ", "⋈", "σ", "π"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("OpString = %q, missing %q", s, want)
@@ -618,10 +605,10 @@ func TestOpString(t *testing.T) {
 }
 
 func TestMangleCol(t *testing.T) {
-	if got := MangleCol("n1.n_name"); got != "n1_n_name" {
+	if got := planner.MangleCol("n1.n_name"); got != "n1_n_name" {
 		t.Errorf("MangleCol = %q", got)
 	}
-	if MangleCol("A.B") != "a_b" {
+	if planner.MangleCol("A.B") != "a_b" {
 		t.Error("MangleCol must lower-case")
 	}
 }
@@ -640,9 +627,9 @@ func TestCatalogLookup(t *testing.T) {
 }
 
 func TestPlanString(t *testing.T) {
-	root, ann, b := buildAnnotatedPlan(t,
+	root, ann, a := buildAnnotatedPlan(t,
 		"SELECT s.s_name FROM small s, medium m WHERE s.s_id = m.m_sid", Options{})
-	plan := finalize(root, ann, collectColTypes(b))
+	plan := planner.Finalize(a, root, ann)
 	out := plan.String()
 	if !strings.Contains(out, "t1") || !strings.Contains(out, "-->") {
 		t.Errorf("plan string:\n%s", out)

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"time"
+
+	"xdb/internal/planner"
 )
 
 // The delegation-plan cache. Every query normally pays logical
@@ -21,7 +23,7 @@ import (
 //
 //   - an entry is served only while the catalog still holds what its plan
 //     was built from: every table the plan read registered on the same
-//     node with equal planning statistics (Catalog.holds, checked on every
+//     node with equal planning statistics (Catalog.Holds, checked on every
 //     acquire). A refresh, a learned correction or a re-registration that
 //     touched one of those tables invalidates the entry at its next
 //     lookup, and only that entry;
@@ -66,7 +68,7 @@ type PlanCacheStats struct {
 // owning cache's mutex.
 type planEntry struct {
 	key  string
-	plan *Plan
+	plan *planner.Plan
 	dep  *Deployment
 	// nodes is every DBMS the deployment placed objects on — the
 	// invalidation fan-in for breaker transitions.
@@ -106,17 +108,17 @@ func newPlanCache(size int, ttl time.Duration) *planCache {
 // acquire looks the key up and, on a hit, takes a lease on the entry —
 // the caller must pair it with release. Dead entries are unreachable:
 // invalidation removes them from the map immediately. An entry whose plan
-// the catalog no longer holds (Catalog.holds) is invalidated instead and
+// the catalog no longer holds (Catalog.Holds) is invalidated instead and
 // the lookup misses; stale is that entry when its deployment is idle, for
 // the caller to drop.
-func (c *planCache) acquire(key string, catalog *Catalog) (hit, stale *planEntry) {
+func (c *planCache) acquire(key string, catalog *planner.Catalog) (hit, stale *planEntry) {
 	if c == nil {
 		return nil, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.entries[key]
-	if ok && !catalog.holds(ent.plan.Scans) {
+	if ok && !catalog.Holds(ent.plan.Scans) {
 		if c.invalidateLocked(ent) {
 			stale = ent
 		}
@@ -138,7 +140,7 @@ func (c *planCache) acquire(key string, catalog *Catalog) (hit, stale *planEntry
 // key raced in concurrently, or the cache is full of busy entries — the
 // caller then cleans its deployment up per-query as usual) plus any
 // entries evicted for capacity, whose deployments the caller must drop.
-func (c *planCache) put(key string, plan *Plan, dep *Deployment) (*planEntry, []*planEntry) {
+func (c *planCache) put(key string, plan *planner.Plan, dep *Deployment) (*planEntry, []*planEntry) {
 	if c == nil {
 		return nil, nil
 	}

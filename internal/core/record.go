@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"time"
+
+	"xdb/internal/planner"
 )
 
 // The per-query record. A query's Breakdown is the one place its
@@ -139,7 +141,7 @@ func (b *Breakdown) publish() {
 // logSlowQuery emits one structured record for a query whose wall time
 // met Options.SlowQueryThreshold: the wall time, the SQL, the record's
 // facts, the delegation plan's shape and the error, in one line.
-func (s *System) logSlowQuery(sql string, wall time.Duration, bd *Breakdown, plan *Plan, err error) {
+func (s *System) logSlowQuery(sql string, wall time.Duration, bd *Breakdown, plan *planner.Plan, err error) {
 	if s.opts.SlowQueryThreshold <= 0 || wall < s.opts.SlowQueryThreshold {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 )
 
@@ -24,7 +25,7 @@ import (
 // a mis-placed join ships its whole input.
 func sampleOptions(limit int) Options {
 	opts := chaosOptions()
-	opts.ForceMovement = MoveExplicit
+	opts.ForceMovement = planner.MoveExplicit
 	opts.SampleLimit = limit
 	return opts
 }

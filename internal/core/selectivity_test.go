@@ -62,23 +62,23 @@ func TestRangeSelectivityStringLiteral(t *testing.T) {
 	// interpolation put the literal at the column minimum, estimating the
 	// whole table for > and the 0.001 floor for <. The guard keeps both
 	// at the 1/3 default, ~3333.
-	b, _, _ := analyze(t, c, "SELECT m_id FROM medium WHERE m_id > 'x'")
-	if est := b.aliases["medium"].Est(); est < 3000 || est > 3700 {
+	a := analyze(t, c, "SELECT m_id FROM medium WHERE m_id > 'x'")
+	if est := a.Scans[0].Est(); est < 3000 || est > 3700 {
 		t.Errorf("int > string-literal estimate = %v, want ~3333 (1/3 default, no endpoint pinning)", est)
 	}
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE m_id < 'x'")
-	if est := b.aliases["medium"].Est(); est < 3000 || est > 3700 {
+	a = analyze(t, c, "SELECT m_id FROM medium WHERE m_id < 'x'")
+	if est := a.Scans[0].Est(); est < 3000 || est > 3700 {
 		t.Errorf("int < string-literal estimate = %v, want ~3333 (not the 0.001 floor)", est)
 	}
 	// Mirrored literal-first form takes the same guard.
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE 'x' < m_id")
-	if est := b.aliases["medium"].Est(); est < 3000 || est > 3700 {
+	a = analyze(t, c, "SELECT m_id FROM medium WHERE 'x' < m_id")
+	if est := a.Scans[0].Est(); est < 3000 || est > 3700 {
 		t.Errorf("string-literal < int estimate = %v, want ~3333", est)
 	}
 	// Numeric literals still interpolate: m_id < 1000 over [0, 10000] is
 	// one tenth of the table.
-	b, _, _ = analyze(t, c, "SELECT m_id FROM medium WHERE m_id < 1000")
-	if est := b.aliases["medium"].Est(); est < 900 || est > 1100 {
+	a = analyze(t, c, "SELECT m_id FROM medium WHERE m_id < 1000")
+	if est := a.Scans[0].Est(); est < 900 || est > 1100 {
 		t.Errorf("numeric range estimate = %v, want ~1000 (guard must not disable interpolation)", est)
 	}
 }
@@ -94,14 +94,14 @@ func TestBetweenStringBounds(t *testing.T) {
 		"SELECT m_id FROM medium WHERE m_id BETWEEN 0 AND 'zzz'",
 		"SELECT m_id FROM medium WHERE m_id BETWEEN 'aaa' AND 10000",
 	} {
-		b, _, _ := analyze(t, c, sql)
-		if est := b.aliases["medium"].Est(); est < 2000 || est > 3000 {
+		a := analyze(t, c, sql)
+		if est := a.Scans[0].Est(); est < 2000 || est > 3000 {
 			t.Errorf("%s: estimate = %v, want ~2500 (0.25 default)", sql, est)
 		}
 	}
 	// Numeric bounds still interpolate: the middle fifth of [0, 10000].
-	b, _, _ := analyze(t, c, "SELECT m_id FROM medium WHERE m_id BETWEEN 4000 AND 6000")
-	if est := b.aliases["medium"].Est(); est < 1800 || est > 2200 {
+	a := analyze(t, c, "SELECT m_id FROM medium WHERE m_id BETWEEN 4000 AND 6000")
+	if est := a.Scans[0].Est(); est < 1800 || est > 2200 {
 		t.Errorf("numeric BETWEEN estimate = %v, want ~2000", est)
 	}
 }
@@ -114,16 +114,16 @@ func TestEstimateScanOrSelectivity(t *testing.T) {
 
 	// Two equality disjuncts on m_tag (distinct=1000): each 0.001, OR
 	// ~0.002 of 10k rows ≈ 20.
-	b, _, _ := analyze(t, c, "SELECT m_id FROM medium WHERE m_tag = 'a' OR m_tag = 'b'")
-	if est := b.aliases["medium"].Est(); est < 15 || est > 25 {
+	a := analyze(t, c, "SELECT m_id FROM medium WHERE m_tag = 'a' OR m_tag = 'b'")
+	if est := a.Scans[0].Est(); est < 15 || est > 25 {
 		t.Errorf("eq-OR estimate = %v, want ~20", est)
 	}
 
 	// Overlapping ranges: ~0.57 and ~0.71 selective. Plain addition
 	// saturated this to all 10000 rows; inclusion-exclusion keeps ~8776.
-	b, _, _ = analyze(t, c, `SELECT m_id FROM medium
+	a = analyze(t, c, `SELECT m_id FROM medium
 		WHERE m_date < DATE '1996-01-01' OR m_date > DATE '1994-01-01'`)
-	est := b.aliases["medium"].Est()
+	est := a.Scans[0].Est()
 	if est < 8000 || est > 9500 {
 		t.Errorf("range-OR estimate = %v, want ~8776 (not saturated to 10000)", est)
 	}

@@ -1,3 +1,14 @@
+// Package core is XDB's runtime: everything the optimizer
+// (internal/planner) leaves out because it touches the wire or outlives one
+// plan. A cross-database query flows through it as admission, preparation
+// (metadata and sampling round trips), the planner's phases with one
+// consultation round between annotation's asks and its decisions, the
+// delegation engine (Sec. V) — which rewrites the delegation plan into
+// vendor-specific DDL (servers, foreign tables, views, CREATE TABLE AS)
+// and hands the client a single XDB query whose evaluation triggers the
+// fully decentralized, mediator-less execution cascade — and cleanup,
+// with failover, breakers, the plan and consult caches, and the query's
+// record and traces around them.
 package core
 
 import (
@@ -16,6 +27,7 @@ import (
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/wire"
 )
@@ -34,7 +46,7 @@ type System struct {
 	clientNode string
 
 	connectors map[string]*connector.Connector
-	catalog    *Catalog
+	catalog    *planner.Catalog
 	topo       *netsim.Topology
 	clientWire *wire.Client
 	opts       Options
@@ -94,7 +106,7 @@ func NewSystem(middlewareNode, clientNode string, topo *netsim.Topology, opts Op
 		node:       middlewareNode,
 		clientNode: clientNode,
 		connectors: map[string]*connector.Connector{},
-		catalog:    NewCatalog(),
+		catalog:    planner.NewCatalog(),
 		topo:       topo,
 		clientWire: wire.NewClientWith(clientNode, topo, opts.Wire),
 		opts:       opts,
@@ -203,7 +215,7 @@ func (s *System) Connector(node string) (*connector.Connector, bool) {
 }
 
 // Catalog exposes the global catalog.
-func (s *System) Catalog() *Catalog { return s.catalog }
+func (s *System) Catalog() *planner.Catalog { return s.catalog }
 
 // RegisterTable maps a table of the global schema to its home DBMS. Schema
 // and statistics are gathered lazily during each query's preparation
@@ -212,41 +224,22 @@ func (s *System) RegisterTable(table, node string) error {
 	if _, ok := s.connectors[node]; !ok {
 		return fmt.Errorf("core: RegisterTable(%s): unknown node %q", table, node)
 	}
-	s.catalog.Put(&TableInfo{Name: table, Node: node})
+	s.catalog.Put(&planner.TableInfo{Name: table, Node: node})
 	return nil
 }
-
-// Coster implementation: the annotator consults through the system's
-// connectors.
-
-// PriceJoins implements Coster: one consultation round trip carrying
-// every join of an annotation that asks this node — a call taking one unit
-// of the node's budget, fed to the breaker once. A round trip that fails,
-// or never starts, fails every join.
-func (s *System) PriceJoins(ctx context.Context, node string, joins []connector.JoinProbe) (prices []engine.JoinPrices, errs []error) {
-	err := s.call(ctx, node, 1, func(rctx context.Context, c *connector.Connector) (err error) {
-		prices, errs, err = c.PriceJoins(rctx, joins)
-		return firstErr(err, errs)
-	})
-	if errs == nil { // the round trip failed, or never started
-		prices, errs = make([]engine.JoinPrices, len(joins)), itemErrs(err, nil, len(joins))
-	}
-	return prices, errs
-}
-
-// Healthy implements Coster: false while the node's breaker is open, so
-// the annotator excludes it from placement candidates and skips probing
-// it (degraded planning).
-func (s *System) Healthy(node string) bool { return s.health.healthy(node) }
 
 // PlanCacheStats snapshots the delegation-plan cache: warm deployments
 // held, active leases, and hit/miss/eviction counters. All zero while
 // PlanCacheSize is unset.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.stats() }
 
-// AllNodes implements Coster: every registered node, sorted, so the full
-// candidate set breaks cost ties the same way on every run.
-func (s *System) AllNodes() []string {
+// fullCandidateSet is every registered node under
+// Options.FullCandidateSet, sorted, so the full candidate set breaks cost
+// ties the same way on every run; nil otherwise.
+func (s *System) fullCandidateSet() []string {
+	if !s.opts.FullCandidateSet {
+		return nil
+	}
 	out := make([]string, 0, len(s.connectors))
 	for n := range s.connectors {
 		out = append(out, n)
@@ -255,9 +248,10 @@ func (s *System) AllNodes() []string {
 	return out
 }
 
-// LinkFactor implements Coster: the movement-cost multiplier of the link
-// between two nodes relative to the baseline LAN link.
-func (s *System) LinkFactor(from, to string) float64 {
+// linkFactor is the movement-cost multiplier of the link between two
+// nodes relative to the baseline LAN link: its bandwidth's shortfall (the
+// planner prices no link below the baseline).
+func (s *System) linkFactor(from, to string) float64 {
 	if s.topo == nil || from == to {
 		return 1
 	}
@@ -265,11 +259,7 @@ func (s *System) LinkFactor(from, to string) float64 {
 	if link.Bandwidth <= 0 {
 		return 1
 	}
-	f := netsim.LANLink.Bandwidth / link.Bandwidth
-	if f < 1 {
-		return 1
-	}
-	return f
+	return netsim.LANLink.Bandwidth / link.Bandwidth
 }
 
 // calibrate aligns cost units across all connectors. Calibration is
@@ -297,7 +287,7 @@ func (s *System) calibrate(ctx context.Context) {
 
 // Plan is PlanContext with a background context, kept so existing
 // callers compile unchanged.
-func (s *System) Plan(sql string) (*Plan, *Breakdown, error) {
+func (s *System) Plan(sql string) (*planner.Plan, *Breakdown, error) {
 	return s.PlanContext(context.Background(), sql)
 }
 
@@ -305,7 +295,7 @@ func (s *System) Plan(sql string) (*Plan, *Breakdown, error) {
 // optimization, annotation, finalization — under the caller's context and
 // returns the delegation plan without deploying it. Planning is
 // control-plane only and is not subject to admission control.
-func (s *System) PlanContext(ctx context.Context, sql string) (*Plan, *Breakdown, error) {
+func (s *System) PlanContext(ctx context.Context, sql string) (*planner.Plan, *Breakdown, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -318,26 +308,24 @@ func (s *System) PlanContext(ctx context.Context, sql string) (*Plan, *Breakdown
 // plan runs the optimizer pipeline. The phase times accumulate into bd:
 // a mid-query failover replans, and the breakdown reports the query's
 // total planning spend.
-func (s *System) plan(ctx context.Context, sql string, bd *Breakdown) (*Plan, error) {
-	b, joinConjs, canon, err := s.prepare(ctx, sql, bd)
+func (s *System) plan(ctx context.Context, sql string, bd *Breakdown) (*planner.Plan, error) {
+	a, err := s.prepare(ctx, sql, bd)
 	if err != nil {
 		return nil, err
 	}
 
-	// --- Logical optimization: pushdowns happened during build; order
+	// --- Logical optimization: pushdowns happened during analysis; order
 	// the joins.
 	_, _, done := timed(ctx, "lopt", &bd.Lopt)
-	joined, err := orderJoins(b, joinConjs, s.opts)
-	if err != nil {
-		done(err)
+	root, err := planner.Order(a, s.opts.NoJoinReorder, s.opts.BushyPlans)
+	if done(err); err != nil {
 		return nil, err
 	}
-	root := &Final{In: joined, Sel: canon}
-	done(nil)
 
 	// --- Annotation and finalization.
 	actx, annSpan, done := timed(ctx, "annotate", &bd.Ann)
-	ann, err := annotate(actx, root, s, s.consults, s.opts)
+	sites := planner.NewSites(s.health.healthy, s.linkFactor, s.fullCandidateSet())
+	ann, err := annotate(actx, root, sites, s.priceJoins, s.consults, s.opts)
 	if err != nil {
 		done(err)
 		return nil, err
@@ -349,8 +337,7 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown) (*Plan, er
 	if ann.CachedProbes > 0 {
 		annSpan.Set("cached", strconv.Itoa(ann.CachedProbes))
 	}
-	plan := finalize(root, ann, collectColTypes(b))
-	plan.Scans = b.scans()
+	plan := planner.Finalize(a, root, ann)
 	done(nil)
 	bd.ConsultRounds += ann.ConsultRounds
 	bd.DegradedProbes += ann.DegradedProbes
@@ -359,31 +346,31 @@ func (s *System) plan(ctx context.Context, sql string, bd *Breakdown) (*Plan, er
 }
 
 // prepare is the preparation phase: parse, gather metadata through the
-// DCs, build the logical plan with its pushdowns, and refine the
+// DCs, analyze the query with its pushdowns, and refine the
 // low-confidence estimates by sampling (sample.go) — before the joins are
 // ordered and placed, so both decisions see the refined cardinalities.
-func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (b *builder, joinConjs []sqlparser.Expr, canon *sqlparser.Select, err error) {
+func (s *System) prepare(ctx context.Context, sql string, bd *Breakdown) (a *planner.Analysis, err error) {
 	ctx, span, done := timed(ctx, "prep", &bd.Prep)
 	defer func() { done(err) }()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	s.calibrate(ctx)
 	if err := s.gatherMetadata(ctx, sel); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if b, joinConjs, canon, err = buildLogical(s.catalog, sel); err != nil {
-		return nil, nil, nil, err
+	if a, err = planner.Analyze(s.catalog, sel); err != nil {
+		return nil, err
 	}
 	if s.opts.SampleLimit > 0 {
-		n := s.sampleRefine(ctx, b.scans())
+		n := s.sampleRefine(ctx, a.Scans)
 		bd.SampleProbes += n
 		if n > 0 {
 			span.Set("samples", strconv.Itoa(n))
 		}
 	}
-	return b, joinConjs, canon, nil
+	return a, nil
 }
 
 // gatherMetadata fetches schema and statistics for every referenced table
@@ -415,7 +402,7 @@ func (s *System) gatherMetadata(ctx context.Context, sel *sqlparser.Select) erro
 // Result is the outcome of a cross-database query.
 type Result struct {
 	*engine.Result
-	Plan      *Plan
+	Plan      *planner.Plan
 	Breakdown Breakdown
 	// XDBQuery is the rewritten query the client executed.
 	XDBQuery string
@@ -580,7 +567,7 @@ func truncateSQL(sql string) string {
 // planShape renders the delegation plan's shape in one token: task
 // count, the root's node, and the movement split, e.g.
 // "tasks=5 root=db1 moves=3i/1e".
-func planShape(p *Plan) string {
+func planShape(p *planner.Plan) string {
 	implicit, explicit := p.Movements()
 	root := ""
 	if p.Root != nil {

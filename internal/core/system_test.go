@@ -8,6 +8,7 @@ import (
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
 	"xdb/internal/tpch"
@@ -269,19 +270,19 @@ func TestAnnotationPrunesThirdNode(t *testing.T) {
 	}
 }
 
-func taskHoldsLocalData(t *core.Task) bool {
+func taskHoldsLocalData(t *planner.Task) bool {
 	holds := false
-	var walk func(op core.Op)
-	walk = func(op core.Op) {
+	var walk func(op planner.Op)
+	walk = func(op planner.Op) {
 		switch o := op.(type) {
-		case *core.Scan:
+		case *planner.Scan:
 			if o.Node == t.Node {
 				holds = true
 			}
-		case *core.Join:
+		case *planner.Join:
 			walk(o.L)
 			walk(o.R)
-		case *core.Final:
+		case *planner.Final:
 			walk(o.In)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xdb/internal/core"
+	"xdb/internal/planner"
 	"xdb/internal/tpch"
 )
 
@@ -24,8 +25,8 @@ func AblationMovement(cfg Config) (*Report, error) {
 		opts core.Options
 	}{
 		{"cost-based", core.Options{}},
-		{"all-implicit", core.Options{ForceMovement: core.MoveImplicit}},
-		{"all-explicit", core.Options{ForceMovement: core.MoveExplicit}},
+		{"all-implicit", core.Options{ForceMovement: planner.MoveImplicit}},
+		{"all-explicit", core.Options{ForceMovement: planner.MoveExplicit}},
 	}
 	for _, q := range cfg.Queries {
 		row := []any{q}

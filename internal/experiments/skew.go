@@ -7,6 +7,7 @@ import (
 
 	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
@@ -170,8 +171,8 @@ func SkewSweep(cfg Config) (*Report, error) {
 	}
 	for _, mode := range []struct {
 		name string
-		move core.Movement
-	}{{"cost-based", 0}, {"forced explicit", core.MoveExplicit}} {
+		move planner.Movement
+	}{{"cost-based", 0}, {"forced explicit", planner.MoveExplicit}} {
 		for _, limit := range []int{0, 1000} {
 			var first, repeat int64
 			wrong := 0

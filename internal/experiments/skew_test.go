@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xdb/internal/core"
+	"xdb/internal/planner"
 )
 
 // TestSkewCorrection pins the estimate-correction sweep's decisive cases
@@ -12,7 +13,7 @@ import (
 // explicit a drained edge teaches the repeat to ship at most half of what
 // the first run shipped. Every run's answer must be the unskewed one.
 func TestSkewCorrection(t *testing.T) {
-	explicit := core.Options{ForceMovement: core.MoveExplicit}
+	explicit := core.Options{ForceMovement: planner.MoveExplicit}
 	cases := []struct {
 		name string
 		c    skewCase

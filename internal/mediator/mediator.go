@@ -20,6 +20,7 @@ import (
 	"xdb/internal/core"
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/sqltypes"
 	"xdb/internal/wire"
@@ -50,7 +51,7 @@ type Config struct {
 // Mediator is an MW-architecture query processor.
 type Mediator struct {
 	cfg     Config
-	catalog *core.Catalog
+	catalog *planner.Catalog
 	client  *wire.Client
 	profile engine.Profile
 }
@@ -70,7 +71,7 @@ func New(cfg Config) *Mediator {
 	profile.StartupLatency = 0 // charged via CoordinatorLatency instead
 	return &Mediator{
 		cfg:     cfg,
-		catalog: core.NewCatalog(),
+		catalog: planner.NewCatalog(),
 		client:  wire.NewClient(cfg.Node, cfg.Topo),
 		profile: profile,
 	}
@@ -87,7 +88,7 @@ func (m *Mediator) RegisterTable(table, node string) error {
 	if _, ok := m.cfg.Connectors[node]; !ok {
 		return fmt.Errorf("mediator: RegisterTable(%s): unknown node %q", table, node)
 	}
-	m.catalog.Put(&core.TableInfo{Name: table, Node: node})
+	m.catalog.Put(&planner.TableInfo{Name: table, Node: node})
 	return nil
 }
 
@@ -117,7 +118,7 @@ func (s Stats) Total() time.Duration { return s.FetchTime + s.LocalTime }
 // query's relations on a single DBMS.
 type fragment struct {
 	node  string
-	scans []*core.Scan
+	scans []*planner.Scan
 	conjs []sqlparser.Expr
 	sql   string
 	cols  []string // exported global column identities
@@ -136,7 +137,7 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 	if err := core.GatherMetadata(context.Background(), m.catalog, m.cfg.Connectors, sel); err != nil {
 		return nil, nil, err
 	}
-	analysis, err := core.Analyze(m.catalog, sel)
+	analysis, err := planner.Analyze(m.catalog, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,12 +197,12 @@ func (m *Mediator) Query(sql string) (*engine.Result, *Stats, error) {
 // decompose groups the query's relations into per-DBMS connected
 // components (the pushed-down fragments) and returns the conjuncts that
 // must run at the mediator.
-func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
+func decompose(a *planner.Analysis) ([]*fragment, []sqlparser.Expr) {
 	// Union-find over scans, connected when a join conjunct touches two
 	// scans on the same node.
-	parent := map[*core.Scan]*core.Scan{}
-	var find func(s *core.Scan) *core.Scan
-	find = func(s *core.Scan) *core.Scan {
+	parent := map[*planner.Scan]*planner.Scan{}
+	var find func(s *planner.Scan) *planner.Scan
+	find = func(s *planner.Scan) *planner.Scan {
 		if parent[s] == nil || parent[s] == s {
 			return s
 		}
@@ -209,15 +210,15 @@ func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
 		parent[s] = r
 		return r
 	}
-	union := func(a, b *core.Scan) { parent[find(a)] = find(b) }
+	union := func(a, b *planner.Scan) { parent[find(a)] = find(b) }
 
-	byAlias := map[string]*core.Scan{}
+	byAlias := map[string]*planner.Scan{}
 	for _, s := range a.Scans {
 		byAlias[strings.ToLower(s.Alias)] = s
 	}
-	scansOf := func(e sqlparser.Expr) []*core.Scan {
-		seen := map[*core.Scan]bool{}
-		var out []*core.Scan
+	scansOf := func(e sqlparser.Expr) []*planner.Scan {
+		seen := map[*planner.Scan]bool{}
+		var out []*planner.Scan
 		for _, cr := range sqlparser.ColumnsIn(e) {
 			if cr.Table == "" {
 				continue
@@ -237,9 +238,9 @@ func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
 		}
 	}
 
-	groups := map[*core.Scan]*fragment{}
+	groups := map[*planner.Scan]*fragment{}
 	var frags []*fragment
-	fragOf := map[*core.Scan]*fragment{}
+	fragOf := map[*planner.Scan]*fragment{}
 	for _, s := range a.Scans {
 		root := find(s)
 		f := groups[root]
@@ -271,7 +272,7 @@ func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
 	}
 
 	for _, f := range frags {
-		sel, cols := core.RenderFragment(f.scans, f.conjs)
+		sel, cols := planner.RenderFragment(f.scans, f.conjs)
 		f.sql, f.cols = sel.String(), cols
 	}
 	return frags, cross
@@ -282,7 +283,7 @@ func decompose(a *core.Analysis) ([]*fragment, []sqlparser.Expr) {
 // The fragment-loading and rewrite machinery is shared with the
 // middleware's mediator fallback (core.ExecuteLocal); what stays here is
 // the mediator's own cost profile.
-func (m *Mediator) executeLocal(a *core.Analysis, frags []*fragment, cross []sqlparser.Expr) (*engine.Result, error) {
+func (m *Mediator) executeLocal(a *planner.Analysis, frags []*fragment, cross []sqlparser.Expr) (*engine.Result, error) {
 	eng := engine.New(engine.Config{Name: m.cfg.Node, Vendor: engine.VendorPostgres, Profile: &m.profile})
 	locals := make([]core.LocalFragment, len(frags))
 	for i, f := range frags {

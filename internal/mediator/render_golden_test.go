@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"xdb/internal/core"
 	"xdb/internal/engine"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/tpch"
 )
@@ -26,10 +26,10 @@ func TestFragmentsGolden(t *testing.T) {
 	data := tpch.NewGenerator(0.001, 42).GenAll()
 	var w strings.Builder
 	for _, tdName := range tpch.TDNames {
-		cat := core.NewCatalog()
+		cat := planner.NewCatalog()
 		for _, table := range tpch.TableNames {
 			schema, _ := tpch.Schema(table)
-			cat.Put(&core.TableInfo{Name: table, Node: tpch.Distributions[tdName][table], Schema: schema,
+			cat.Put(&planner.TableInfo{Name: table, Node: tpch.Distributions[tdName][table], Schema: schema,
 				Stats: engine.ComputeStats(schema, data[table])})
 		}
 		for _, qn := range tpch.QueryNames {
@@ -37,7 +37,7 @@ func TestFragmentsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := core.Analyze(cat, sel)
+			a, err := planner.Analyze(cat, sel)
 			if err != nil {
 				t.Fatal(err)
 			}

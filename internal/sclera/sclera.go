@@ -18,6 +18,7 @@ import (
 	"xdb/internal/core"
 	"xdb/internal/engine"
 	"xdb/internal/netsim"
+	"xdb/internal/planner"
 	"xdb/internal/sqlparser"
 	"xdb/internal/wire"
 )
@@ -37,7 +38,7 @@ type Config struct {
 // Sclera is the naive in-situ baseline.
 type Sclera struct {
 	cfg     Config
-	catalog *core.Catalog
+	catalog *planner.Catalog
 	client  *wire.Client
 	seq     int64
 }
@@ -65,7 +66,7 @@ func New(cfg Config) *Sclera {
 	}
 	return &Sclera{
 		cfg:     cfg,
-		catalog: core.NewCatalog(),
+		catalog: planner.NewCatalog(),
 		client:  wire.NewClient(cfg.Node, cfg.Topo),
 	}
 }
@@ -78,7 +79,7 @@ func (s *Sclera) RegisterTable(table, node string) error {
 	if _, ok := s.cfg.Connectors[node]; !ok {
 		return fmt.Errorf("sclera: RegisterTable(%s): unknown node %q", table, node)
 	}
-	s.catalog.Put(&core.TableInfo{Name: table, Node: node})
+	s.catalog.Put(&planner.TableInfo{Name: table, Node: node})
 	return nil
 }
 
@@ -99,7 +100,7 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 	if err := core.GatherMetadata(context.Background(), s.catalog, s.cfg.Connectors, sel); err != nil {
 		return nil, nil, err
 	}
-	a, err := core.Analyze(s.catalog, sel)
+	a, err := planner.Analyze(s.catalog, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,7 +136,7 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 	// to FROM order outright) — connectivity-aware but cost-blind, like
 	// the original system. Ship it through the coordinator to the current
 	// node and join there.
-	remaining := append([]*core.Scan(nil), a.Scans[1:]...)
+	remaining := append([]*planner.Scan(nil), a.Scans[1:]...)
 	for i := 0; len(remaining) > 0; i++ {
 		pick := 0
 		for idx, cand := range remaining {
@@ -216,8 +217,8 @@ func (s *Sclera) Query(sql string) (*engine.Result, *Stats, error) {
 
 // scanView creates the filtered, pruned view of one relation on its home
 // DBMS.
-func (s *Sclera) scanView(sc *core.Scan, qid int64, idx int, drop func(*connector.Connector, string)) (*step, error) {
-	sel, cols := core.RenderFragment([]*core.Scan{sc}, nil)
+func (s *Sclera) scanView(sc *planner.Scan, qid int64, idx int, drop func(*connector.Connector, string)) (*step, error) {
+	sel, cols := planner.RenderFragment([]*planner.Scan{sc}, nil)
 	conn := s.cfg.Connectors[sc.Node]
 	name := fmt.Sprintf("sclera%d_s%d", qid, idx)
 	if err := exec(conn, conn.Dialect.CreateView(name, sel)); err != nil {
@@ -249,7 +250,7 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 	name := fmt.Sprintf("sclera%d_m%d", qid, idx)
 	var defs []string
 	for i, gid := range from.cols {
-		defs = append(defs, fmt.Sprintf("%s %s", core.MangleCol(gid), schema.Columns[i].Type))
+		defs = append(defs, fmt.Sprintf("%s %s", planner.MangleCol(gid), schema.Columns[i].Type))
 	}
 	if err := exec(dstConn, fmt.Sprintf("CREATE TABLE %s (%s)", name, strings.Join(defs, ", "))); err != nil {
 		return nil, 0, err
@@ -285,7 +286,7 @@ func (s *Sclera) routeThroughCoordinator(from *step, toNode string, qid int64, i
 
 // joinStep materializes the join of two co-located relations.
 func (s *Sclera) joinStep(l, r *step, conjs []sqlparser.Expr, qid int64, idx int, drop func(*connector.Connector, string)) (*step, error) {
-	res := core.Resolution{}
+	res := planner.Resolution{}
 	res.Bind("l", l.cols)
 	res.Bind("r", r.cols)
 	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: l.table, Alias: "l"}, {Name: r.table, Alias: "r"}}, Limit: -1}
@@ -307,8 +308,8 @@ func (s *Sclera) joinStep(l, r *step, conjs []sqlparser.Expr, qid int64, idx int
 
 // finalBlock runs the projection/aggregation/order/limit block on the
 // last node and fetches the result.
-func (s *Sclera) finalBlock(a *core.Analysis, cur *step, qid int64, drop func(*connector.Connector, string)) (*engine.Result, error) {
-	res := core.Resolution{}
+func (s *Sclera) finalBlock(a *planner.Analysis, cur *step, qid int64, drop func(*connector.Connector, string)) (*engine.Result, error) {
+	res := planner.Resolution{}
 	res.Bind("t", cur.cols)
 	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: cur.table, Alias: "t"}}}
 	if err := res.Final(sel, a.Canon); err != nil {

@@ -21,7 +21,7 @@ func goldenStatements(f *testing.F) []string {
 	placeholder := regexp.MustCompile(`<(t\d+)>`)
 	var out []string
 	for _, g := range []struct{ path, prefix string }{
-		{"../core/testdata/render.golden", "    "},
+		{"../planner/testdata/render.golden", "    "},
 		{"../mediator/testdata/fragments.golden", ": "},
 	} {
 		data, err := os.ReadFile(g.path)

@@ -331,7 +331,7 @@ func (b *Batch) decodeTextFrame(n uint64, src string) error {
 		}
 		src = src[used:]
 	}
-	return nil
+	return trailing(src, 0)
 }
 
 // declaresStrings reports whether a binary frame's header (after the row
@@ -367,7 +367,7 @@ func decodeBinaryFrame[B bytestr](b *Batch, n uint64, src B) error {
 		return fmt.Errorf("sqltypes: row frame claims %d rows of %d columns in %d bytes", n, width, len(src))
 	}
 	if n == 0 {
-		return nil
+		return trailing(src, 0)
 	}
 	b.Grow(int(n * width))
 	if width == 0 {
@@ -377,7 +377,7 @@ func decodeBinaryFrame[B bytestr](b *Batch, n uint64, src B) error {
 			}
 			b.NewRow(0)
 		}
-		return nil
+		return trailing(src, int(n))
 	}
 	// Drop the last frame's strings, so the dictionary pins no payload but
 	// this one.
@@ -396,6 +396,15 @@ func decodeBinaryFrame[B bytestr](b *Batch, n uint64, src B) error {
 			}
 			off += sz
 		}
+	}
+	return trailing(src, off)
+}
+
+// trailing refuses the bytes of a frame's payload src after its last row,
+// which ends at end: the encoder writes none.
+func trailing[B bytestr](src B, end int) error {
+	if end != len(src) {
+		return fmt.Errorf("sqltypes: %d bytes after the frame's last row", len(src)-end)
 	}
 	return nil
 }

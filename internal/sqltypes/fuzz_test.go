@@ -230,6 +230,8 @@ func hostileFrames() [][]byte {
 		append(float[:len(float):len(float)], rawFloat, 0, 0, 0, 0),          // a raw float cut short
 		binary.AppendUvarint(float[:len(float):len(float)], 2*maxDecimal<<3), // a decimal past 2^47
 		{2, 1, byte(TypeBool), 1},                                            // a bool row missing
+		{1, 1, byte(TypeInt), 2, 0x55, 0x66},                                 // two bytes after the last row
+		{1, 0, 0, 0},                                                         // a byte after the last zero-width row
 	}
 }
 

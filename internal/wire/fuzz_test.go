@@ -33,8 +33,8 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	}
 	zeroWidth, _ := encodeRowBatch([]sqltypes.Row{{}, {}, {}}, engine.EncodingBinary)
 	f.Add(zeroWidth[0], false)
-	for _, p := range hostileRowFrames() {
-		f.Add(p, false)
+	for _, h := range hostileRowFrames() {
+		f.Add(h.payload, h.text)
 	}
 	f.Add(append(binary.AppendUvarint(nil, 1<<60), 0xF0, 0xFF, 0xFF, 0xFF), true)
 	f.Add(append(binary.AppendUvarint(nil, 300), 1, byte(sqltypes.TypeInt), 2), false) // a two-byte row count past the rows
@@ -86,10 +86,17 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	})
 }
 
-// hostileRowFrames are binary row-batch payloads the decoder must refuse:
-// row counts no payload backs, and headers and references that point past
-// what the frame carries.
-func hostileRowFrames() [][]byte {
+// hostileRowFrame is a row-batch payload the decoder must refuse, of the
+// text encoding or the binary one.
+type hostileRowFrame struct {
+	payload []byte
+	text    bool
+}
+
+// hostileRowFrames are row-batch payloads the decoder must refuse: row
+// counts no payload backs, headers and references that point past what
+// the frame carries, and bytes after the last row.
+func hostileRowFrames() []hostileRowFrame {
 	one := []byte{1}
 	ab := []byte{1, byte(sqltypes.TypeString), 2, 'a', 'b'} // width 1, then "ab"
 	long := append([]byte{1, byte(sqltypes.TypeString), sqltypes.MaxRefString + 1},
@@ -115,16 +122,37 @@ func hostileRowFrames() [][]byte {
 	} {
 		frames = append(frames, append(append(one[:0:0], 2), body...)) // two rows
 	}
-	return frames
+	out := make([]hostileRowFrame, len(frames))
+	for i, p := range frames {
+		out[i].payload = p
+	}
+	// A frame the encoder wrote, then bytes it never writes.
+	for _, c := range []struct {
+		rows  []sqltypes.Row
+		enc   engine.Encoding
+		after []byte
+	}{
+		{[]sqltypes.Row{{sqltypes.NewInt(7)}}, engine.EncodingBinary, []byte{0x55, 0x66}},
+		{[]sqltypes.Row{{}}, engine.EncodingBinary, []byte{0}},
+		{[]sqltypes.Row{{sqltypes.NewInt(7)}}, engine.EncodingText, []byte{0}},
+	} {
+		payloads, typ := encodeRowBatch(c.rows, c.enc)
+		out = append(out, hostileRowFrame{append(payloads[0], c.after...), typ == msgRowsText})
+	}
+	return out
 }
 
 // TestHostileRowFramesRefused: each hostile payload is an error, and the
 // batch holds no rows after it.
 func TestHostileRowFramesRefused(t *testing.T) {
 	var batch sqltypes.Batch
-	for i, p := range hostileRowFrames() {
-		if err := decodeRowBatch(p, msgRows, &batch); err == nil || len(batch.Rows) != 0 {
-			t.Errorf("hostile frame %d (% x): %d rows, err %v", i, p, len(batch.Rows), err)
+	for i, h := range hostileRowFrames() {
+		typ := msgRows
+		if h.text {
+			typ = msgRowsText
+		}
+		if err := decodeRowBatch(h.payload, typ, &batch); err == nil || len(batch.Rows) != 0 {
+			t.Errorf("hostile frame %d (% x, text %v): %d rows, err %v", i, h.payload, h.text, len(batch.Rows), err)
 		}
 	}
 }

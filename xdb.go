@@ -34,6 +34,7 @@ import (
 	"xdb/internal/mediator"
 	"xdb/internal/netsim"
 	"xdb/internal/obs"
+	"xdb/internal/planner"
 	"xdb/internal/sclera"
 	"xdb/internal/sqltypes"
 	"xdb/internal/testbed"
@@ -61,12 +62,12 @@ type (
 	Breakdown = core.Breakdown
 	// Plan is a delegation plan: tasks pinned to DBMSes with
 	// implicit/explicit dataflow edges.
-	Plan = core.Plan
+	Plan = planner.Plan
 	// Task is one delegation-plan node.
-	Task = core.Task
+	Task = planner.Task
 	// Movement labels a dataflow edge (implicit = pipelined, explicit =
 	// materialized).
-	Movement = core.Movement
+	Movement = planner.Movement
 	// Connector is XDB's per-DBMS access path.
 	Connector = connector.Connector
 	// Vendor identifies an emulated DBMS product (postgres, mariadb,
@@ -172,8 +173,8 @@ const (
 
 // Movement kinds.
 const (
-	MoveImplicit = core.MoveImplicit
-	MoveExplicit = core.MoveExplicit
+	MoveImplicit = planner.MoveImplicit
+	MoveExplicit = planner.MoveExplicit
 )
 
 // Emulated vendors.
