@@ -229,7 +229,7 @@ func TestAnnotateSerialParallelIdentical(t *testing.T) {
 // Options.ConsultCacheTTL set, repeating a query issues zero consultation
 // RPCs — every probe is served from the cache — and produces the same XDB
 // query. CacheStats stays off so every repeat re-fetches statistics,
-// exercising the statsEqual guard: an unchanged refresh must not
+// exercising the TableStats.Same guard: an unchanged refresh must not
 // invalidate the cache.
 func TestConsultCacheWarmRepeat(t *testing.T) {
 	opts := chaosOptions()

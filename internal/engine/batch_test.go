@@ -142,9 +142,9 @@ func refGroup(rows []sqltypes.Row, keyCols ...int) []sqltypes.Row {
 			order = append(order, a)
 		}
 		a.count++
-		a.sum += r[colV].I
+		a.sum += r[colV].I()
 		if !r[colK].IsNull() {
-			a.ks[r[colK].I] = true
+			a.ks[r[colK].I()] = true
 		}
 	}
 	var res []sqltypes.Row
@@ -234,7 +234,7 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 				continue
 			}
 			for i := range max(len(res.Rows), len(serial)) {
-				if i == len(res.Rows) || i == len(serial) || !sameRow(res.Rows[i], serial[i]) {
+				if i == len(res.Rows) || i == len(serial) || !sqltypes.SameRow(res.Rows[i], serial[i]) {
 					t.Errorf("%s: %d workers differ from 1 at row %d", sql, w, i)
 					break
 				}
@@ -248,7 +248,7 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 	expectRows(t, "scan", run("SELECT * FROM t1"), t1)
 	expectRows(t, "filter",
 		run("SELECT v, s FROM t1 WHERE g < 3 AND v >= 5"),
-		refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I < 3 && r[colV].I >= 5 },
+		refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I() < 3 && r[colV].I() >= 5 },
 			func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
 
 	for _, j := range []struct {
@@ -262,7 +262,7 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 			return sqlEq(l[colK], r[colK]) && sqlEq(l[colS], r[colS])
 		}},
 		{"residual", "t1.k = t2.k AND t1.v > t2.v + 40", func(l, r sqltypes.Row) bool {
-			return sqlEq(l[colK], r[colK]) && l[colV].I > r[colV].I+40
+			return sqlEq(l[colK], r[colK]) && l[colV].I() > r[colV].I()+40
 		}},
 		{"nested loop", "t1.k + 0 = t2.k", func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) }},
 	} {
@@ -289,16 +289,16 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 
 	sorted := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
 	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i][1].I != sorted[j][1].I {
-			return sorted[i][1].I > sorted[j][1].I
+		if sorted[i][1].I() != sorted[j][1].I() {
+			return sorted[i][1].I() > sorted[j][1].I()
 		}
-		return sorted[i][0].I < sorted[j][0].I
+		return sorted[i][0].I() < sorted[j][0].I()
 	})
 	expectRows(t, "sort", run("SELECT v, g FROM t1 ORDER BY g DESC, v"), sorted)
 	expectRows(t, "sort+limit", run("SELECT v, g FROM t1 ORDER BY g DESC, v LIMIT 10"), sorted[:min(10, n)])
 	// Ties keep their input order, as in a stable sort.
 	byG := refFilter(t1, all, func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colG) })
-	sort.SliceStable(byG, func(i, j int) bool { return byG[i][1].I > byG[j][1].I })
+	sort.SliceStable(byG, func(i, j int) bool { return byG[i][1].I() > byG[j][1].I() })
 	for _, limit := range []int{0, 1, 1030, n + 1} {
 		expectRows(t, fmt.Sprint("sort+limit, ties, limit ", limit),
 			run(fmt.Sprintf("SELECT v, g FROM t1 ORDER BY g DESC LIMIT %d", limit)), byG[:min(limit, n)])
@@ -313,7 +313,7 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 			return !dup
 		}, func(r sqltypes.Row) sqltypes.Row { return pick(r, colG, colK) }))
 
-	unsorted := refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I != 0 },
+	unsorted := refFilter(t1, func(r sqltypes.Row) bool { return r[colG].I() != 0 },
 		func(r sqltypes.Row) sqltypes.Row { return pick(r, colV) })
 	expectRows(t, "limit without order",
 		run("SELECT v FROM t1 WHERE g <> 0 LIMIT 1030"), unsorted[:min(1030, len(unsorted))])
@@ -411,7 +411,7 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 	expectRows(t, "materialized, second scan", run("SELECT * FROM fm"), remote)
 
 	byV := append([]sqltypes.Row(nil), remote...)
-	sort.SliceStable(byV, func(i, j int) bool { return byV[i][colV].I > byV[j][colV].I })
+	sort.SliceStable(byV, func(i, j int) bool { return byV[i][colV].I() > byV[j][colV].I() })
 	expectRows(t, "sort", run("SELECT * FROM f ORDER BY v DESC"), byV)
 
 	// f is the smaller input, so it is the build side; the join reads its
@@ -424,7 +424,7 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 		}
 		expectRows(t, "hash build"+where,
 			run("SELECT big.v, f.s FROM big, f WHERE big.v = f.v"+where),
-			refFilter(remote, func(r sqltypes.Row) bool { return where == "" || r[colG].I == 3 },
+			refFilter(remote, func(r sqltypes.Row) bool { return where == "" || r[colG].I() == 3 },
 				func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }))
 	}
 	expectRows(t, "probe rows read ahead",
@@ -435,7 +435,7 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 	// remote is huge's first rows, so a join of the two on v is those.
 	vs := func(r sqltypes.Row) sqltypes.Row { return pick(r, colV, colS) }
 	onRemote := func(keep func(sqltypes.Row) bool) []sqltypes.Row {
-		return refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I < int64(len(remote)) && keep(r) }, vs)
+		return refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I() < int64(len(remote)) && keep(r) }, vs)
 	}
 	all := func(sqltypes.Row) bool { return true }
 	hugeDim := refJoin(huge, dim, func(l, r sqltypes.Row) bool { return sqlEq(l[colK], r[colK]) },
@@ -453,16 +453,16 @@ func TestRetainedRowsSurviveSlabReuse(t *testing.T) {
 				run("SELECT huge.v, fh.s FROM huge, fh WHERE huge.v = fh.v"), onRemote(all))
 			expectBag(t, "filtered stash run"+at,
 				run("SELECT huge.v, fh.s FROM huge, fh WHERE huge.v = fh.v AND huge.g < 5"),
-				onRemote(func(r sqltypes.Row) bool { return r[colG].I < 5 }))
+				onRemote(func(r sqltypes.Row) bool { return r[colG].I() < 5 }))
 			// The filter's batches view the projection's, which the
 			// projection refills once a worker has taken them over.
 			expectRows(t, "filtered projection"+at, run("SELECT v, s FROM pv WHERE v >= 10"),
-				refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I >= 10 }, vs))
+				refFilter(huge, func(r sqltypes.Row) bool { return r[colV].I() >= 10 }, vs))
 			// jv's output (planned smaller than p, so the build side) is the
 			// probe spine's output re-cut in full batches; p's v are 0..499.
 			expectBag(t, "re-cut output kept by a build"+at,
 				run("SELECT p.v, jv.s FROM p, jv WHERE p.v = jv.v"),
-				refFilter(hugeDim, func(r sqltypes.Row) bool { return r[0].I < int64(len(probe)) }, func(r sqltypes.Row) sqltypes.Row { return r }))
+				refFilter(hugeDim, func(r sqltypes.Row) bool { return r[0].I() < int64(len(probe)) }, func(r sqltypes.Row) sqltypes.Row { return r }))
 			expectBag(t, "Drain of re-cut output"+at, run("SELECT huge.v, d.s FROM huge, d WHERE huge.k = d.k"), hugeDim)
 			name := fmt.Sprint("cx", w)
 			if err := e.Exec("CREATE TABLE " + name + " AS SELECT huge.v, d.s FROM huge, d WHERE huge.k = d.k"); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -213,14 +212,14 @@ func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 		return st
 	}
 	type tracker struct {
-		seen            map[sqltypes.Value]struct{}
+		seen            map[sqltypes.ValueKey]struct{}
 		capped          bool
 		observed, nulls int64
 		min, max        sqltypes.Value
 	}
 	trackers := make([]tracker, schema.Len())
 	for i := range trackers {
-		trackers[i] = tracker{seen: map[sqltypes.Value]struct{}{}, min: sqltypes.Null, max: sqltypes.Null}
+		trackers[i] = tracker{seen: map[sqltypes.ValueKey]struct{}{}, min: sqltypes.Null, max: sqltypes.Null}
 	}
 	var totalBytes int64
 	for _, row := range rows {
@@ -233,7 +232,7 @@ func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 			}
 			t.observed++
 			if !t.capped {
-				t.seen[v] = struct{}{}
+				t.seen[v.Key()] = struct{}{}
 				t.capped = len(t.seen) >= distinctTrackLimit
 			}
 			if t.min.IsNull() {
@@ -271,7 +270,7 @@ func TestComputeStatsMatchesOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := ComputeStats(schema, data[name]), refComputeStats(schema, data[name]); !reflect.DeepEqual(got, want) {
+		if got, want := ComputeStats(schema, data[name]), refComputeStats(schema, data[name]); !got.Same(want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
@@ -285,7 +284,7 @@ func TestComputeStatsMatchesOnePass(t *testing.T) {
 		}
 		rows = append(rows, sqltypes.Row{vals[i%len(vals)], vals[(i+1)%6]})
 	}
-	if got, want := ComputeStats(mixed, rows), refComputeStats(mixed, rows); !reflect.DeepEqual(got, want) {
+	if got, want := ComputeStats(mixed, rows), refComputeStats(mixed, rows); !got.Same(want) {
 		t.Errorf("mixed:\n got %+v\nwant %+v", got, want)
 	}
 }

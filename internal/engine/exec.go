@@ -253,6 +253,9 @@ func hasNull(r sqltypes.Row, keys []int) bool {
 func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle, est float64, spares *sqltypes.Spares) (*joinTable, error) {
 	defer build.Close()
 	t := &joinTable{keys: keys, intKeyed: len(keys) > 0}
+	if t.intKeyed {
+		t.ints = make([]int64, 0, int(min(max(est, 1), sqltypes.BatchRows))*len(keys))
+	}
 	var own sqltypes.Batch // the rows of the batch at hand, owned
 	defer spares.Put(&own)
 	for {
@@ -272,14 +275,28 @@ func newJoinTable(build BatchIter, keys []int, throttle *cpuThrottle, est float6
 			if hasNull(r, keys) {
 				continue
 			}
-			for _, k := range keys {
-				t.intKeyed = t.intKeyed && intFamily(r[k])
+			if t.intKeyed {
+				t.addInts(r)
 			}
 			t.add(r, est, spares)
 		}
 	}
 	t.index()
 	return t, nil
+}
+
+// addInts appends the int64 payloads of the row's keys to ints, read while
+// the row is at hand; at the first key that is not an int or a date the
+// table is keyed by HashRow instead and ints is dropped.
+func (t *joinTable) addInts(r sqltypes.Row) {
+	for _, k := range t.keys {
+		v := &r[k]
+		if !intFamily(*v) {
+			t.intKeyed, t.ints = false, nil
+			return
+		}
+		t.ints = append(t.ints, v.I())
+	}
 }
 
 // add appends an owned row to the chunks.
@@ -311,18 +328,14 @@ func (t *joinTable) index() {
 	t.shift = 64 - bits
 	t.heads = make([]int32, 1<<bits)
 	t.next = make([]int32, n)
-	if t.intKeyed {
-		t.ints = make([]int64, n*k)
-	} else {
+	if !t.intKeyed {
 		t.hashes = make([]uint64, n)
 	}
 	for i := n - 1; i >= 0; i-- {
 		var h uint64
 		if t.intKeyed {
-			key := t.ints[i*k : (i+1)*k]
-			for j, c := range t.keys {
-				key[j] = t.row(int32(i))[c].I
-				h = hashInt(h, key[j])
+			for _, key := range t.ints[i*k : (i+1)*k] {
+				h = hashInt(h, key)
 			}
 		} else {
 			h = sqltypes.HashRow(t.row(int32(i)), t.keys)
@@ -549,7 +562,7 @@ func (j *joinIter) lookup(rows []sqltypes.Row) {
 		}
 		for x, r := range rows {
 			v := &r[c]
-			key := v.I
+			key := v.I()
 			switch v.T {
 			case sqltypes.TypeFloat:
 				key = j.floatKey(x, v.F)
@@ -600,7 +613,7 @@ func (j *joinIter) matches(i int32) bool {
 	}
 	k := len(j.probeKeys)
 	for y, v := range t.ints[int(i)*k : int(i+1)*k] {
-		if v != p[j.probeKeys[y]].I {
+		if v != p[j.probeKeys[y]].I() {
 			return false
 		}
 	}
@@ -677,7 +690,7 @@ type aggState struct {
 	isInt bool
 	min   sqltypes.Value
 	max   sqltypes.Value
-	seen  map[sqltypes.Value]struct{} // for DISTINCT
+	seen  map[sqltypes.ValueKey]struct{} // for DISTINCT
 	any   bool
 }
 
@@ -687,12 +700,13 @@ func (a *aggState) add(spec *aggSpec, v sqltypes.Value) {
 	}
 	if spec.distinct {
 		if a.seen == nil {
-			a.seen = make(map[sqltypes.Value]struct{})
+			a.seen = make(map[sqltypes.ValueKey]struct{})
 		}
-		if _, dup := a.seen[v]; dup {
+		k := v.Key()
+		if _, dup := a.seen[k]; dup {
 			return
 		}
-		a.seen[v] = struct{}{}
+		a.seen[k] = struct{}{}
 	}
 	a.count++
 	switch spec.fn {
@@ -777,7 +791,9 @@ func (s *rowSet) find(r sqltypes.Row) (int, bool) {
 	h := sqltypes.HashRow(r, s.all)
 	head := s.index[h]
 	for i := head; i != 0; i = s.next[i-1] {
-		if sameRow(s.store.Rows[i-1], r) {
+		// Payloads by their bits: NaN groups with itself, -0 apart from
+		// 0, as the values' encodings do.
+		if sqltypes.SameRow(s.store.Rows[i-1], r) {
 			return int(i - 1), false
 		}
 	}
@@ -785,17 +801,6 @@ func (s *rowSet) find(r sqltypes.Row) (int, bool) {
 	s.next = append(s.next, head)
 	s.index[h] = int32(len(s.next))
 	return len(s.next) - 1, true
-}
-
-func sameRow(a, b sqltypes.Row) bool {
-	for i := range a {
-		// Floats by their bits: NaN groups with itself, -0 apart from 0,
-		// as the values' encodings do.
-		if a[i].T != b[i].T || a[i].I != b[i].I || a[i].S != b[i].S || math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
-			return false
-		}
-	}
-	return true
 }
 
 // hashAggregate fully consumes the input and emits one row per group, in

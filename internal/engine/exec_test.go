@@ -212,7 +212,7 @@ func TestSumIntegerStaysInteger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].T != sqltypes.TypeInt || res.Rows[0][0].I != 10 {
+	if res.Rows[0][0].T != sqltypes.TypeInt || res.Rows[0][0].I() != 10 {
 		t.Errorf("SUM(int) = %+v, want integer 10", res.Rows[0][0])
 	}
 }

@@ -61,7 +61,7 @@ func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (compiledExpr, error
 			}
 			switch v.T {
 			case sqltypes.TypeInt:
-				return sqltypes.NewInt(-v.I), nil
+				return sqltypes.NewInt(-v.I()), nil
 			case sqltypes.TypeFloat:
 				return sqltypes.NewFloat(-v.F), nil
 			}
@@ -345,9 +345,10 @@ func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPr
 	}
 	switch {
 	case intFamily(lit):
+		li := lit.I()
 		return func(row sqltypes.Row) (bool, error) {
 			if v := row[idx]; intFamily(v) {
-				return holds[order(v.I, lit.I)+1], nil
+				return holds[order(v.I(), li)+1], nil
 			}
 			return general(row[idx])
 		}
@@ -357,7 +358,7 @@ func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPr
 			case sqltypes.TypeFloat:
 				return holds[order(v.F, lit.F)+1], nil
 			case sqltypes.TypeInt:
-				return holds[order(float64(v.I), lit.F)+1], nil
+				return holds[order(float64(v.I()), lit.F)+1], nil
 			}
 			return general(row[idx])
 		}
@@ -520,26 +521,26 @@ func arith(op sqlparser.BinaryOp, a, b sqltypes.Value) (sqltypes.Value, error) {
 	if a.T == sqltypes.TypeDate && b.T == sqltypes.TypeInt {
 		switch op {
 		case sqlparser.OpAdd:
-			return sqltypes.NewDate(a.I + b.I), nil
+			return sqltypes.NewDate(a.I() + b.I()), nil
 		case sqlparser.OpSub:
-			return sqltypes.NewDate(a.I - b.I), nil
+			return sqltypes.NewDate(a.I() - b.I()), nil
 		}
 	}
 	intOp := a.T == sqltypes.TypeInt && b.T == sqltypes.TypeInt
 	switch op {
 	case sqlparser.OpAdd:
 		if intOp {
-			return sqltypes.NewInt(a.I + b.I), nil
+			return sqltypes.NewInt(a.I() + b.I()), nil
 		}
 		return sqltypes.NewFloat(a.Float() + b.Float()), nil
 	case sqlparser.OpSub:
 		if intOp {
-			return sqltypes.NewInt(a.I - b.I), nil
+			return sqltypes.NewInt(a.I() - b.I()), nil
 		}
 		return sqltypes.NewFloat(a.Float() - b.Float()), nil
 	case sqlparser.OpMul:
 		if intOp {
-			return sqltypes.NewInt(a.I * b.I), nil
+			return sqltypes.NewInt(a.I() * b.I()), nil
 		}
 		return sqltypes.NewFloat(a.Float() * b.Float()), nil
 	case sqlparser.OpDiv:
@@ -551,10 +552,10 @@ func arith(op sqlparser.BinaryOp, a, b sqltypes.Value) (sqltypes.Value, error) {
 		if !intOp {
 			return sqltypes.Null, fmt.Errorf("engine: %% requires integers")
 		}
-		if b.I == 0 {
+		if b.I() == 0 {
 			return sqltypes.Null, fmt.Errorf("engine: division by zero")
 		}
-		return sqltypes.NewInt(a.I % b.I), nil
+		return sqltypes.NewInt(a.I() % b.I()), nil
 	}
 	return sqltypes.Null, fmt.Errorf("engine: unsupported arithmetic operator %v", op)
 }

@@ -309,7 +309,7 @@ func TestSelfJoinMaterializedFetchedOnce(t *testing.T) {
 	rel := &stagedRel{rows: rows, openDelay: 20 * time.Millisecond}
 	e := stagedEngine(t, Profiles(VendorTest), &stagedRemote{rels: map[string]*stagedRel{"r": rel}},
 		foreignDDL("fm", "r", 2500, true))
-	want := refJoin(rows, rows, func(l, r sqltypes.Row) bool { return l[colV].I == r[colV].I },
+	want := refJoin(rows, rows, func(l, r sqltypes.Row) bool { return l[colV].I() == r[colV].I() },
 		func(l, r sqltypes.Row) sqltypes.Row { return sqltypes.Row{l[colV], l[colS], r[colS]} })
 	for run := 0; run < 2; run++ {
 		res, err := e.QueryAll("SELECT a.v, a.s, b.s FROM fm a, fm b WHERE a.v = b.v")

@@ -42,7 +42,7 @@ func (j *rowProbe) seek(r sqltypes.Row) {
 	for i, c := range j.probeKeys {
 		switch v := r[c]; {
 		case intFamily(v):
-			j.curI[i] = v.I
+			j.curI[i] = v.I()
 		case v.T == sqltypes.TypeFloat && v.F == math.Trunc(v.F):
 			// int 3 = float 3.0: an integral float finds the int of its
 			// value; a fraction or NaN finds nothing.
@@ -98,7 +98,7 @@ func (j *rowProbe) pairs(probe []sqltypes.Row) [][2]int64 {
 				j.m = t.next[i]
 			}
 			if j.matches(i) {
-				out = append(out, [2]int64{r[0].I, t.row(i)[0].I})
+				out = append(out, [2]int64{r[0].I(), t.row(i)[0].I()})
 			}
 		}
 	}
@@ -201,7 +201,7 @@ func TestProbeBatchMatchesRowProbe(t *testing.T) {
 				}
 				got := make([][2]int64, len(out))
 				for i, r := range out {
-					got[i] = [2]int64{r[0].I, r[1].I}
+					got[i] = [2]int64{r[0].I(), r[1].I()}
 				}
 				if buildRows > 0 && len(want) == 0 {
 					t.Fatalf("%s: no pairs to compare", name)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,7 @@ func ComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 
 // columnStats tracks column i over the rows.
 func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
-	seen := make(map[sqltypes.Value]struct{})
+	seen := make(map[sqltypes.ValueKey]struct{})
 	capped := false
 	var observed, nulls int64 // non-NULL and NULL values
 	lo, hi := sqltypes.Null, sqltypes.Null
@@ -94,7 +95,7 @@ func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
 		}
 		observed++
 		if !capped {
-			seen[v] = struct{}{}
+			seen[v.Key()] = struct{}{}
 			capped = len(seen) >= distinctTrackLimit
 		}
 		if lo.IsNull() {
@@ -117,6 +118,29 @@ func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
 	}
 	return ColumnStats{Name: name, Distinct: d, Min: lo, Max: hi, NullFrac: float64(nulls) / float64(n)}
 }
+
+// Same reports whether s and o are the same snapshot (both nil, or the same
+// counts and column stats): floats by their bits and extremes by
+// sqltypes.Same, so a report decoded twice from the same bytes is the same
+// even where a value's bits are a NaN's.
+func (s *TableStats) Same(o *TableStats) bool {
+	if s == o {
+		return true
+	}
+	if s == nil || o == nil || s.RowCount != o.RowCount || !sameFloat(s.AvgRowBytes, o.AvgRowBytes) || len(s.Columns) != len(o.Columns) {
+		return false
+	}
+	for i, a := range s.Columns {
+		b := o.Columns[i]
+		if a.Name != b.Name || a.Distinct != b.Distinct || !sameFloat(a.NullFrac, b.NullFrac) ||
+			!sqltypes.Same(a.Min, b.Min) || !sqltypes.Same(a.Max, b.Max) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Column returns the stats for the named column, or nil.
 func (s *TableStats) Column(name string) *ColumnStats {

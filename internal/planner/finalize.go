@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"maps"
 	"strings"
 
 	"xdb/internal/sqlparser"
@@ -97,21 +96,39 @@ func (p *Plan) String() string {
 
 // finalizer builds tasks from an annotated logical plan.
 type finalizer struct {
-	ann      *Annotation
-	colTypes map[string]sqltypes.Type
-	tasks    []*Task
-	edges    []*Edge
-	nextID   int
-	// readAbove maps every operator of the uncut tree to the lower-cased
-	// global column identities read above it (see noteReads).
-	readAbove map[Op]map[string]bool
+	ann    *Annotation
+	tasks  []*Task
+	edges  []*Edge
+	nextID int
+	// readAbove maps every operator of the uncut tree to the columns read
+	// above it (see noteReads).
+	readAbove map[Op]*readSet
+}
+
+// readSet is the qualified columns one operator reads, linked to the set
+// of its parent: a set and those up its chain are what is read above the
+// operator's children. A child shares its parent's set, never a copy.
+type readSet struct {
+	cols []sqlparser.ColumnRef // copies: the cut rewrites the plan's references
+	up   *readSet
+}
+
+// has reports whether alias.col is read in the set or up its chain.
+func (r *readSet) has(alias, col string) bool {
+	for ; r != nil; r = r.up {
+		for i := range r.cols {
+			if c := &r.cols[i]; strings.EqualFold(c.Name, col) && strings.EqualFold(c.Table, alias) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Finalize cuts the analyzed query's logical plan root, annotated by ann,
 // into a delegation plan.
 func Finalize(a *Analysis, root Op, ann *Annotation) *Plan {
-	f := &finalizer{ann: ann, colTypes: colTypes(a.Scans), nextID: 1,
-		readAbove: map[Op]map[string]bool{}}
+	f := &finalizer{ann: ann, nextID: 1, readAbove: map[Op]*readSet{}}
 	f.noteReads(root, nil)
 	rootTask := f.makeTask(root)
 	return &Plan{
@@ -128,7 +145,7 @@ func Finalize(a *Analysis, root Op, ann *Annotation) *Plan {
 // columns; a Join reads its keys and residuals and passes on what its
 // parent reads. A scan's filter runs inside the scan, so a column only the
 // filter uses is read by nothing above it.
-func (f *finalizer) noteReads(op Op, above map[string]bool) {
+func (f *finalizer) noteReads(op Op, above *readSet) {
 	f.readAbove[op] = above
 	var kids []Op
 	var reads []sqlparser.Expr
@@ -151,14 +168,14 @@ func (f *finalizer) noteReads(op Op, above map[string]bool) {
 	default:
 		return
 	}
-	in := make(map[string]bool, len(above))
-	maps.Copy(in, above)
+	in := &readSet{up: above}
 	for _, e := range reads {
-		for _, cr := range sqlparser.ColumnsIn(e) {
-			if cr.Table != "" { // a bare name is a projection alias
-				in[strings.ToLower(cr.Table+"."+cr.Name)] = true
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
+			// A bare name is a projection alias.
+			if c, ok := x.(*sqlparser.ColumnRef); ok && c.Table != "" {
+				in.cols = append(in.cols, *c)
 			}
-		}
+		})
 	}
 	for _, k := range kids {
 		f.noteReads(k, in)
@@ -206,18 +223,24 @@ func (f *finalizer) absorbChild(child Op, t *Task) Op {
 		move = MoveImplicit
 	}
 	var cols []string
-	for _, c := range child.OutCols() {
-		if f.readAbove[child][strings.ToLower(c)] {
-			cols = append(cols, c)
-		}
+	var types []sqltypes.Type
+	export := func(alias, col string, t sqltypes.Type) {
+		cols = append(cols, alias+"."+col)
+		types = append(types, t)
 	}
+	reads := f.readAbove[child]
+	eachOut(child, func(alias, col string, t sqltypes.Type) {
+		if reads.has(alias, col) {
+			export(alias, col, t)
+		}
+	})
 	if len(cols) == 0 {
 		// Keep at least one column so the relation renders.
-		cols = child.OutCols()[:1]
-	}
-	types := make([]sqltypes.Type, len(cols))
-	for i, c := range cols {
-		types[i] = f.colTypes[strings.ToLower(c)]
+		eachOut(child, func(alias, col string, t sqltypes.Type) {
+			if len(cols) == 0 {
+				export(alias, col, t)
+			}
+		})
 	}
 	ph := &Placeholder{
 		ChildTask: childTask.ID,
@@ -234,13 +257,30 @@ func (f *finalizer) absorbChild(child Op, t *Task) Op {
 	return ph
 }
 
-// colTypes builds the global column-type map of the scans' relations.
-func colTypes(scans []*Scan) map[string]sqltypes.Type {
-	out := map[string]sqltypes.Type{}
-	for _, s := range scans {
-		for _, c := range s.Schema.Columns {
-			out[strings.ToLower(s.Alias+"."+c.Name)] = c.Type
+// eachOut calls fn with every output column of op, in OutCols order: its
+// alias, its bare name and its type. A scan's columns have their table's
+// types, a placeholder's the types its task exports.
+func eachOut(op Op, fn func(alias, col string, t sqltypes.Type)) {
+	switch o := op.(type) {
+	case *Scan:
+		for _, c := range o.Cols {
+			fn(o.Alias, c, o.colType(c))
 		}
+	case *Placeholder:
+		for i, c := range o.Cols {
+			alias, col, _ := strings.Cut(c, ".")
+			fn(alias, col, o.Types[i])
+		}
+	case *Join:
+		eachOut(o.L, fn)
+		eachOut(o.R, fn)
 	}
-	return out
+}
+
+// colType is the type of the scan's column c, NULL if its table has none.
+func (s *Scan) colType(c string) sqltypes.Type {
+	if i, ok := s.Schema.Find("", c); ok {
+		return s.Schema.Columns[i].Type
+	}
+	return sqltypes.TypeNull
 }

@@ -191,7 +191,7 @@ func (c *Catalog) Refine(sc *Scan, res *engine.SampleResult) (changed bool) {
 		return changed
 	}
 	exact := math.Max(float64(res.Matched), 1)
-	changed = sc.est != exact || !statsEqual(sc.Stats, res.Stats)
+	changed = sc.est != exact || !sc.Stats.Same(res.Stats)
 	sc.Stats = res.Stats
 	sc.est = exact
 	sc.width = estimateWidth(sc)

@@ -21,7 +21,6 @@ package planner
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 
@@ -88,9 +87,9 @@ func (c *Catalog) Refresh(name string, schema *sqltypes.Schema, reported *engine
 		next.Schema = schema
 	}
 	switch {
-	case reported == nil, cur.Learned && statsEqual(cur.Reported, reported):
+	case reported == nil, cur.Learned && cur.Reported.Same(reported):
 		// Nothing reported, or the report the correction stands in for.
-	case cur.Learned || !statsEqual(cur.Stats, reported):
+	case cur.Learned || !cur.Stats.Same(reported):
 		next.Stats, next.Reported, next.Learned = reported, reported, false
 	}
 	// An unchanged entry keeps its identity, so a correction derived from
@@ -109,19 +108,13 @@ func (c *Catalog) Learn(from *TableInfo, corrected *engine.TableStats) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := strings.ToLower(from.Name)
-	if c.tables[key] != from || from.Stats == nil || statsEqual(from.Stats, corrected) {
+	if c.tables[key] != from || from.Stats == nil || from.Stats.Same(corrected) {
 		return false
 	}
 	next := *from
 	next.Stats, next.Learned = corrected, true
 	c.tables[key] = &next
 	return true
-}
-
-// statsEqual reports whether two statistics snapshots match (row count
-// and all column stats).
-func statsEqual(a, b *engine.TableStats) bool {
-	return a == b || reflect.DeepEqual(a, b)
 }
 
 // Holds reports whether every scan's table is still registered on the
@@ -132,7 +125,7 @@ func (c *Catalog) Holds(scans []*Scan) bool {
 	defer c.mu.RUnlock()
 	for _, sc := range scans {
 		info, ok := c.tables[strings.ToLower(sc.Table)]
-		if !ok || info.Node != sc.Node || !statsEqual(info.Stats, sc.Stats) {
+		if !ok || info.Node != sc.Node || !info.Stats.Same(sc.Stats) {
 			return false
 		}
 	}

@@ -973,7 +973,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if lit, ok := e.(*Literal); ok {
 			switch lit.Val.T {
 			case sqltypes.TypeInt:
-				return &Literal{Val: sqltypes.NewInt(-lit.Val.I)}, nil
+				return &Literal{Val: sqltypes.NewInt(-lit.Val.I())}, nil
 			case sqltypes.TypeFloat:
 				// 0 - f, not -f: a literal has no negative zero, which
 				// would render as "-0" and parse back as the integer 0.

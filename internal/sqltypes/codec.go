@@ -34,13 +34,13 @@ func AppendValue(dst []byte, v Value) []byte {
 	switch v.T {
 	case TypeNull:
 	case TypeBool:
-		dst = append(dst, boolByte(v.I))
+		dst = append(dst, boolByte(v.I()))
 	case TypeString:
 		dst = appendString(dst, v.S)
 	case TypeFloat:
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	default: // TypeInt, TypeDate
-		dst = appendUvarint(dst, zigzag(v.I))
+		dst = appendUvarint(dst, zigzag(v.I()))
 	}
 	return dst
 }
@@ -52,6 +52,14 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // boolByte is a bool's payload byte: 1 for true, 0 for false.
 func boolByte(i int64) byte {
 	if i != 0 {
+		return 1
+	}
+	return 0
+}
+
+// boolOf is the payload of a bool's byte: any byte but 0 is true.
+func boolOf(c byte) int64 {
+	if c != 0 {
 		return 1
 	}
 	return 0
@@ -112,9 +120,18 @@ func uvarintSlow[B bytestr](b B) (uint64, int, error) {
 	return 0, 0, errVarint
 }
 
-// set writes every field of v: a field at a time, the write barrier of a
-// whole-Value store is paid only for the string.
-func (v *Value) set(t Type, i int64, f float64, s string) { v.T, v.I, v.F, v.S = t, i, f, s }
+// The setters write every field of v a field at a time, so that the write
+// barrier of a whole-Value store is paid only for the string.
+
+// setInt writes a value whose payload is an int64: TypeInt, TypeDate or
+// TypeBool, or TypeNull with 0.
+func (v *Value) setInt(t Type, i int64) { v.T, v.F, v.S = t, payload(i), "" }
+
+// setFloat writes a TypeFloat value.
+func (v *Value) setFloat(f float64) { v.T, v.F, v.S = TypeFloat, f, "" }
+
+// setString writes a TypeString value.
+func (v *Value) setString(s string) { v.T, v.F, v.S = TypeString, 0, s }
 
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
@@ -133,33 +150,33 @@ func decodeValue[B bytestr](b B, v *Value) (int, error) {
 	t := Type(b[0])
 	switch t {
 	case TypeNull:
-		v.set(TypeNull, 0, 0, "")
+		v.setInt(TypeNull, 0)
 		return 1, nil
 	case TypeBool:
 		if len(b) < 2 {
 			return 0, fmt.Errorf("sqltypes: truncated bool")
 		}
-		*v = NewBool(b[1] != 0)
+		v.setInt(TypeBool, boolOf(b[1]))
 		return 2, nil
 	case TypeString:
 		s, n, err := decodeString(b[1:])
 		if err != nil {
 			return 0, err
 		}
-		v.set(TypeString, 0, 0, s)
+		v.setString(s)
 		return 1 + n, nil
 	case TypeFloat:
 		if len(b) < 9 {
 			return 0, fmt.Errorf("sqltypes: truncated float")
 		}
-		v.set(TypeFloat, 0, math.Float64frombits(le64(b[1:])), "")
+		v.setFloat(math.Float64frombits(le64(b[1:])))
 		return 9, nil
 	case TypeInt, TypeDate:
 		u, k, err := uvarint(b[1:])
 		if err != nil {
 			return 0, err
 		}
-		v.set(t, unzigzag(u), 0, "")
+		v.setInt(t, unzigzag(u))
 		return 1 + k, nil
 	default:
 		return 0, fmt.Errorf("sqltypes: unknown value tag %d", b[0])
@@ -279,11 +296,11 @@ func appendText(dst []byte, v Value) []byte {
 	case TypeNull:
 		return dst
 	case TypeInt:
-		return strconv.AppendInt(dst, v.I, 10)
+		return strconv.AppendInt(dst, v.I(), 10)
 	case TypeFloat:
 		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case TypeDate:
-		return appendDate(dst, v.I)
+		return appendDate(dst, v.I())
 	}
 	return append(dst, v.String()...)
 }
@@ -308,11 +325,14 @@ func decodeRowText[B bytestr](b B, row Row) (int, error) {
 			return 0, fmt.Errorf("sqltypes: truncated text value header")
 		}
 		t := Type(b[off])
-		n := int(le32(b[off+1:]))
+		u := le32(b[off+1:])
 		off += 5
-		if len(b)-off < n {
+		// Compared unsigned before the conversion: where int is 32 bits,
+		// a length of 2^31 or more would convert to a negative int.
+		if uint64(u) > uint64(len(b)-off) {
 			return 0, fmt.Errorf("sqltypes: truncated text value payload")
 		}
+		n := int(u)
 		v, err := parseTextValue(t, string(b[off:off+n]))
 		if err != nil {
 			return 0, fmt.Errorf("column %d: %w", i, err)

@@ -42,7 +42,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("DecodeValue(%v) consumed %d of %d bytes", v, n, len(enc))
 		}
-		if got != v {
+		if got.Key() != v.Key() {
 			t.Fatalf("round trip: got %+v, want %+v", got, v)
 		}
 	}
@@ -70,7 +70,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			t.Fatalf("got %d columns, want %d", len(got), len(row))
 		}
 		for j := range row {
-			if got[j] != row[j] {
+			if !Same(got[j], row[j]) {
 				t.Fatalf("column %d: got %+v, want %+v", j, got[j], row[j])
 			}
 		}
@@ -96,8 +96,13 @@ func TestRowCodecConcatenatedRows(t *testing.T) {
 		got = append(got, r)
 		buf = buf[n:]
 	}
-	if !reflect.DeepEqual(got, rows) {
+	if len(got) != len(rows) {
 		t.Fatalf("got %v, want %v", got, rows)
+	}
+	for i := range rows {
+		if !SameRow(got[i], rows[i]) {
+			t.Fatalf("row %d: got %v, want %v", i, got[i], rows[i])
+		}
 	}
 }
 
@@ -142,7 +147,7 @@ func TestEncodedSizeExact(t *testing.T) {
 		if len(enc) != tc.size || tc.v.EncodedSize() != tc.size {
 			t.Errorf("%v: encoded %d bytes, EncodedSize %d, want %d", tc.v, len(enc), tc.v.EncodedSize(), tc.size)
 		}
-		if got, n, err := DecodeValue(enc); err != nil || n != len(enc) || got != tc.v {
+		if got, n, err := DecodeValue(enc); err != nil || n != len(enc) || got.Key() != tc.v.Key() {
 			t.Errorf("%v: decoded %v from %d of %d bytes, err %v", tc.v, got, n, len(enc), err)
 		}
 	}

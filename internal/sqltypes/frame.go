@@ -145,9 +145,9 @@ func (f *Frame) Add(r Row) {
 		case byte(TypeFloat):
 			buf = appendFloat(buf, v.F)
 		case byte(TypeBool):
-			buf = append(buf, boolByte(v.I))
+			buf = append(buf, boolByte(v.I()))
 		default: // TypeInt, TypeDate
-			buf = appendUvarint(buf, zigzag(v.I))
+			buf = appendUvarint(buf, zigzag(v.I()))
 		}
 	}
 	f.buf = buf
@@ -387,10 +387,14 @@ func decodeBinaryFrame[B bytestr](b *Batch, n uint64, src B) error {
 	if err != nil {
 		return fmt.Errorf("row 0: %w", err)
 	}
+	// The dictionary is a local slice for the frame, so appending a string
+	// goes through no pointer into the Batch.
+	dict := b.dict
+	defer func() { b.dict = dict }()
 	for i := uint64(1); i < n; i++ {
 		row := b.NewRow(int(width))
 		for j, t := range b.decl {
-			sz, err := decodeDeclared(src[off:], t, &row[j], &b.dict)
+			sz, err := decodeDeclared(src[off:], t, &row[j], &dict)
 			if err != nil {
 				return fmt.Errorf("row %d column %d: %w", i, j, err)
 			}
@@ -455,7 +459,7 @@ func decodeDeclared[B bytestr](b B, t byte, v *Value, dict *[]string) (int, erro
 			if u>>1 >= uint64(len(*dict)) {
 				return 0, fmt.Errorf("sqltypes: reference %d past the frame's %d strings", u>>1, len(*dict))
 			}
-			v.set(TypeString, 0, 0, (*dict)[u>>1])
+			v.setString((*dict)[u>>1])
 			return k, nil
 		}
 		n := u >> 1
@@ -466,7 +470,7 @@ func decodeDeclared[B bytestr](b B, t byte, v *Value, dict *[]string) (int, erro
 		if refable(s) && len(*dict) < maxRefs {
 			*dict = append(*dict, s)
 		}
-		v.set(TypeString, 0, 0, s)
+		v.setString(s)
 		return k + int(n), nil
 	case byte(TypeFloat):
 		u, k, err := uvarint(b)
@@ -478,13 +482,13 @@ func decodeDeclared[B bytestr](b B, t byte, v *Value, dict *[]string) (int, erro
 			if u>>3 >= 2*maxDecimal {
 				return 0, fmt.Errorf("sqltypes: decimal float past 2^47")
 			}
-			v.set(TypeFloat, 0, float64(unzigzag(u>>3))/pow10[e], "")
+			v.setFloat(float64(unzigzag(u>>3)) / pow10[e])
 			return k, nil
 		case u == rawFloat:
 			if len(b) < k+8 {
 				return 0, fmt.Errorf("sqltypes: truncated float")
 			}
-			v.set(TypeFloat, 0, math.Float64frombits(le64(b[k:])), "")
+			v.setFloat(math.Float64frombits(le64(b[k:])))
 			return k + 8, nil
 		default:
 			return 0, fmt.Errorf("sqltypes: float marker %d", u)
@@ -493,14 +497,14 @@ func decodeDeclared[B bytestr](b B, t byte, v *Value, dict *[]string) (int, erro
 		if len(b) == 0 {
 			return 0, fmt.Errorf("sqltypes: truncated bool")
 		}
-		*v = NewBool(b[0] != 0)
+		v.setInt(TypeBool, boolOf(b[0]))
 		return 1, nil
 	default: // TypeInt, TypeDate
 		u, k, err := uvarint(b)
 		if err != nil {
 			return 0, err
 		}
-		v.set(Type(t), unzigzag(u), 0, "")
+		v.setInt(Type(t), unzigzag(u))
 		return k, nil
 	}
 }

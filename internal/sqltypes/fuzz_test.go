@@ -64,7 +64,7 @@ func checkDecode(t *testing.T, b []byte,
 		if err != nil && len(batch.Rows) != 0 {
 			t.Fatalf("failed batch decode left %d rows", len(batch.Rows))
 		}
-		if err == nil && (bused != used || len(batch.Rows) != 1 || !sameBits(batch.Rows[0], row)) {
+		if err == nil && (bused != used || len(batch.Rows) != 1 || !SameRow(batch.Rows[0], row)) {
 			t.Fatalf("batch decoder: %v (%d bytes), byte decoder: %v (%d bytes)", batch.Rows, bused, row, used)
 		}
 	}
@@ -75,7 +75,7 @@ func checkDecode(t *testing.T, b []byte,
 		t.Fatalf("decoded %d values from %d of %d bytes", len(row), used, len(b))
 	}
 	again, _, err := decode(encode(nil, row))
-	if err != nil || !sameBits(again, row) {
+	if err != nil || !SameRow(again, row) {
 		t.Fatalf("round trip of %v: %v, err %v", row, again, err)
 	}
 }
@@ -146,19 +146,6 @@ func fuzzRows(b []byte) []Row {
 	return rows
 }
 
-// sameBits compares rows by type and payload, floats by their bits.
-func sameBits(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].T != b[i].T || a[i].I != b[i].I || a[i].S != b[i].S || math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
-			return false
-		}
-	}
-	return true
-}
-
 // frameRoundTrip streams rows through one Frame as the wire server does —
 // Fits, and a cut where a row does not fit or every cut rows — decodes
 // every payload and holds it to the rows it was made of, bit for bit, and
@@ -190,7 +177,7 @@ func frameRoundTrip(t *testing.T, rows []Row, cut int) {
 		}
 		for i, r := range pending {
 			bound += r.EncodedSize()
-			if i >= len(batch.Rows) || !sameBits(batch.Rows[i], r) {
+			if i >= len(batch.Rows) || !SameRow(batch.Rows[i], r) {
 				t.Fatalf("row %d of %d: sent %#v, got %#v", i, len(pending), r, batch.Rows)
 			}
 		}

@@ -72,6 +72,14 @@ func (s *Schema) HasColumn(table, name string) bool {
 	return s.lookup(table, name) >= 0
 }
 
+// Find returns the index of the column the (possibly qualified) reference
+// resolves to unambiguously, and whether there is one, without building
+// Resolve's error.
+func (s *Schema) Find(table, name string) (int, bool) {
+	i := s.lookup(table, name)
+	return i, i >= 0
+}
+
 // lookup's results when the reference does not resolve to one column.
 const (
 	unknown   = -1

@@ -1,11 +1,75 @@
 package sqltypes
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestValueLayout pins the layout: a Value is a tag, one 8-byte payload and
+// a string (32 bytes with 8-byte pointers), and it is not comparable, so
+// no == and no map keyed by Value compiles.
+func TestValueLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Value{}) != 32 {
+		t.Errorf("Value is %d bytes, want 32", unsafe.Sizeof(Value{}))
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable")
+	}
+}
+
+// TestIntPayloadInF checks that every int64 payload survives F: the
+// extremes, values whose bits are a NaN's or a negative zero's, and dates
+// before 1970.
+func TestIntPayloadInF(t *testing.T) {
+	for _, i := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64,
+		int64(math.Float64bits(math.NaN())), int64(math.Float64bits(math.Copysign(0, -1))), -1<<52 | 1, 0x7ff0000000000001} {
+		for _, v := range []Value{NewInt(i), NewDate(i)} {
+			if v.I() != i || v.Int() != i {
+				t.Errorf("%v: I() = %d, Int() = %d, want %d", v.T, v.I(), v.Int(), i)
+			}
+			if got, _, err := DecodeValue(AppendValue(nil, v)); err != nil || got.T != v.T || got.I() != i {
+				t.Errorf("%v %d: round trip %v %d, err %v", v.T, i, got.T, got.I(), err)
+			}
+		}
+	}
+	if NewBool(true).I() != 1 || NewBool(false).I() != 0 || NewString("x").I() != 0 || Null.I() != 0 {
+		t.Error("bool, string or NULL payload")
+	}
+}
+
+// TestValueKey holds Key to the struct equality of the layout with a field
+// per payload: NaN's key differs from itself, -0's equals +0's, int 1 and
+// float 1.0 and date 1 differ, and so do int -1 and date -1.
+func TestValueKey(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	same := []struct {
+		a, b Value
+		want bool
+	}{
+		{nan, nan, false},
+		{NewFloat(math.Copysign(0, -1)), NewFloat(0), true},
+		{NewInt(1), NewFloat(1), false},
+		{NewInt(1), NewDate(1), false},
+		{NewInt(-1), NewDate(-1), false},
+		{NewInt(0), NewFloat(0), false},
+		{NewInt(0), Null, false},
+		{NewBool(false), Null, false},
+		{NewString(""), Null, false},
+		{NewInt(math.MinInt64), NewInt(math.MinInt64), true},
+		{NewString("a"), NewString("a"), true},
+		{Null, Null, true},
+	}
+	for _, c := range same {
+		if got := c.a.Key() == c.b.Key(); got != c.want {
+			t.Errorf("%v %v vs %v %v: same key %v, want %v", c.a.T, c.a, c.b.T, c.b, got, c.want)
+		}
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
@@ -87,15 +151,15 @@ func TestDates(t *testing.T) {
 	if v.Year() != 1995 {
 		t.Errorf("Year() = %d, want 1995", v.Year())
 	}
-	if v2 := DateFromYMD(1995, time.March, 15); v2 != v {
+	if v2 := DateFromYMD(1995, time.March, 15); v2.Key() != v.Key() {
 		t.Errorf("DateFromYMD = %+v, want %+v", v2, v)
 	}
 	if _, err := ParseDate("not-a-date"); err == nil {
 		t.Error("ParseDate accepted garbage")
 	}
 	// Epoch sanity: 1970-01-01 is day 0.
-	if d := DateFromYMD(1970, time.January, 1); d.I != 0 {
-		t.Errorf("1970-01-01 = day %d, want 0", d.I)
+	if d := DateFromYMD(1970, time.January, 1); d.I() != 0 {
+		t.Errorf("1970-01-01 = day %d, want 0", d.I())
 	}
 }
 

@@ -139,8 +139,8 @@ var commentWords = []string{
 
 // Date range: orders span 1992-01-01 .. 1998-08-02 as in TPC-H.
 var (
-	orderDateLo = sqltypes.DateFromYMD(1992, 1, 1).I
-	orderDateHi = sqltypes.DateFromYMD(1998, 8, 2).I
+	orderDateLo = sqltypes.DateFromYMD(1992, 1, 1).I()
+	orderDateHi = sqltypes.DateFromYMD(1998, 8, 2).I()
 )
 
 func (g *Generator) comment(maxWords int) string {
@@ -333,8 +333,8 @@ func (g *Generator) GenLineitem(orders []sqltypes.Row) []sqltypes.Row {
 	target := g.Rows(Lineitem)
 	rows := make([]sqltypes.Row, 0, target)
 	for _, o := range orders {
-		okey := o[0].I
-		odate := o[4].I
+		okey := o[0].I()
+		odate := o[4].I()
 		lines := g.rng.rangeInt(1, 7)
 		for ln := 1; ln <= lines; ln++ {
 			qty := float64(g.rng.rangeInt(1, 50))
@@ -343,7 +343,7 @@ func (g *Generator) GenLineitem(orders []sqltypes.Row) []sqltypes.Row {
 			commit := odate + int64(g.rng.rangeInt(30, 90))
 			receipt := ship + int64(g.rng.rangeInt(1, 30))
 			returnflag := "N"
-			if receipt <= sqltypes.DateFromYMD(1995, 6, 17).I {
+			if receipt <= sqltypes.DateFromYMD(1995, 6, 17).I() {
 				if g.rng.float() < 0.5 {
 					returnflag = "R"
 				} else {
@@ -351,7 +351,7 @@ func (g *Generator) GenLineitem(orders []sqltypes.Row) []sqltypes.Row {
 				}
 			}
 			linestatus := "O"
-			if ship <= sqltypes.DateFromYMD(1995, 6, 17).I {
+			if ship <= sqltypes.DateFromYMD(1995, 6, 17).I() {
 				linestatus = "F"
 			}
 			rows = append(rows, g.row(

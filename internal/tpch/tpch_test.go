@@ -20,7 +20,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 		for i := range ra {
 			for j := range ra[i] {
-				if ra[i][j] != rb[i][j] {
+				if ra[i][j].Key() != rb[i][j].Key() {
 					t.Fatalf("%s row %d col %d: %v vs %v", table, i, j, ra[i][j], rb[i][j])
 				}
 			}
@@ -30,7 +30,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	c := NewGenerator(0.001, 43).GenAll()
 	same := true
 	for i := range a[Customer] {
-		if a[Customer][i][5] != c[Customer][i][5] {
+		if a[Customer][i][5].Key() != c[Customer][i][5].Key() {
 			same = false
 			break
 		}
@@ -102,7 +102,7 @@ func TestForeignKeysResolve(t *testing.T) {
 	data := g.GenAll()
 	nCust := int64(len(data[Customer]))
 	for _, o := range data[Orders] {
-		if ck := o[1].I; ck < 1 || ck > nCust {
+		if ck := o[1].I(); ck < 1 || ck > nCust {
 			t.Fatalf("order custkey %d out of range", ck)
 		}
 	}
@@ -110,23 +110,23 @@ func TestForeignKeysResolve(t *testing.T) {
 	nParts := int64(len(data[Part]))
 	nSupp := int64(len(data[Supplier]))
 	for _, l := range data[Lineitem] {
-		if ok := l[0].I; ok < 1 || ok > nOrders {
+		if ok := l[0].I(); ok < 1 || ok > nOrders {
 			t.Fatalf("lineitem orderkey %d out of range", ok)
 		}
-		if pk := l[1].I; pk < 1 || pk > nParts {
+		if pk := l[1].I(); pk < 1 || pk > nParts {
 			t.Fatalf("lineitem partkey %d out of range", pk)
 		}
-		if sk := l[2].I; sk < 1 || sk > nSupp {
+		if sk := l[2].I(); sk < 1 || sk > nSupp {
 			t.Fatalf("lineitem suppkey %d out of range", sk)
 		}
 	}
 	for _, ps := range data[PartSupp] {
-		if sk := ps[1].I; sk < 1 || sk > nSupp {
+		if sk := ps[1].I(); sk < 1 || sk > nSupp {
 			t.Fatalf("partsupp suppkey %d out of range", sk)
 		}
 	}
 	for _, n := range data[Nation] {
-		if rk := n[2].I; rk < 0 || rk > 4 {
+		if rk := n[2].I(); rk < 0 || rk > 4 {
 			t.Fatalf("nation regionkey %d out of range", rk)
 		}
 	}
@@ -138,12 +138,12 @@ func TestLineitemDateConsistency(t *testing.T) {
 	lines := g.GenLineitem(orders)
 	odate := map[int64]int64{}
 	for _, o := range orders {
-		odate[o[0].I] = o[4].I
+		odate[o[0].I()] = o[4].I()
 	}
 	for _, l := range lines {
-		ship, receipt := l[10].I, l[12].I
-		if ship <= odate[l[0].I] {
-			t.Fatalf("shipdate %d not after orderdate %d", ship, odate[l[0].I])
+		ship, receipt := l[10].I(), l[12].I()
+		if ship <= odate[l[0].I()] {
+			t.Fatalf("shipdate %d not after orderdate %d", ship, odate[l[0].I()])
 		}
 		if receipt <= ship {
 			t.Fatalf("receiptdate %d not after shipdate %d", receipt, ship)
@@ -283,7 +283,7 @@ func TestCSVDates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][4].T != sqltypes.TypeDate || got[0][4] != orders[0][4] {
+	if got[0][4].T != sqltypes.TypeDate || got[0][4].Key() != orders[0][4].Key() {
 		t.Fatalf("date round trip: %v vs %v", got[0][4], orders[0][4])
 	}
 }

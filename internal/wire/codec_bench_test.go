@@ -23,15 +23,15 @@ func frameShapes() []struct {
 	nations, suppliers, customers := gen.GenNation(), gen.GenSupplier(), gen.GenCustomer()
 	orders := gen.GenOrders()
 	lineitem := gen.GenLineitem(orders)
-	nation := func(key sqltypes.Value) sqltypes.Value { return nations[key.I][1] }
+	nation := func(key sqltypes.Value) sqltypes.Value { return nations[key.I()][1] }
 	var q3, q5, q10 []sqltypes.Row
 	for _, l := range lineitem {
-		s := suppliers[l[2].I-1]
+		s := suppliers[l[2].I()-1]
 		q5 = append(q5, sqltypes.Row{nation(s[3]), s[0], l[0]})
 	}
 	for _, o := range orders {
 		q3 = append(q3, sqltypes.Row{o[0], o[4], o[7]})
-		c := customers[o[1].I-1]
+		c := customers[o[1].I()-1]
 		q10 = append(q10, sqltypes.Row{nation(c[3]), c[0], c[1], c[2], c[4], c[5], c[7], o[0]})
 	}
 	return []struct {

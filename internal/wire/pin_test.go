@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"reflect"
 	"testing"
 
 	"xdb/internal/engine"
@@ -35,7 +34,7 @@ func TestStatsReplyBytesPinned(t *testing.T) {
 		if len(enc) != size {
 			t.Errorf("%s: stats reply of %d B, want %d", name, len(enc), size)
 		}
-		if got, err := decodeStats(enc); err != nil || !reflect.DeepEqual(got, st) {
+		if got, err := decodeStats(enc); err != nil || !got.Same(st) {
 			t.Errorf("%s: decoded %+v (err %v), sent %+v", name, got, err, st)
 		}
 	}
