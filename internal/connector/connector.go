@@ -161,46 +161,20 @@ func (c *Connector) Stats(ctx context.Context, table string) (*engine.TableStats
 // over hypothetical cardinalities — one "consultation roundtrip" of
 // Sec. IV-B2.
 func (c *Connector) CostOperator(ctx context.Context, kind engine.CostKind, left, right, out float64) (float64, error) {
-	costs, errs, err := c.CostOperators(ctx, []CostProbe{{Kind: kind, Left: left, Right: right, Out: out}})
-	if err != nil {
-		return 0, err
+	r, err := c.one(ctx, func(b *wire.Batch) { b.Cost(kind, left, right, out) })
+	var raw float64
+	if err == nil {
+		raw, err = r.Cost()
 	}
-	return costs[0], errs[0]
+	if err != nil {
+		return 0, fmt.Errorf("connector %s: cost probe: %w", c.Node, err)
+	}
+	return raw * c.Calibration(), nil
 }
 
 // DeployView creates a view through the vendor dialect.
 func (c *Connector) DeployView(ctx context.Context, name string, query *sqlparser.Select) error {
 	return c.Exec(ctx, c.Dialect.CreateView(name, query))
-}
-
-// CostProbe is one question of a consultation: an operator priced over
-// hypothetical cardinalities.
-type CostProbe struct {
-	Kind             engine.CostKind
-	Left, Right, Out float64
-}
-
-// CostOperators is CostOperator for several probes in one consultation
-// round trip. costs[i] and errs[i] answer probes[i]; err is the round
-// trip's own failure, and then nothing was answered.
-func (c *Connector) CostOperators(ctx context.Context, probes []CostProbe) (costs []float64, errs []error, err error) {
-	var b wire.Batch
-	for _, p := range probes {
-		b.Cost(p.Kind, p.Left, p.Right, p.Out)
-	}
-	replies, err := c.Do(ctx, &b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("connector %s: cost probes: %w", c.Node, err)
-	}
-	costs, errs = make([]float64, len(probes)), make([]error, len(probes))
-	for i, r := range replies {
-		raw, err := r.Cost()
-		if err != nil {
-			errs[i] = fmt.Errorf("connector %s: cost probe: %w", c.Node, err)
-		}
-		costs[i] = raw * c.Calibration()
-	}
-	return costs, errs, nil
 }
 
 // JoinProbe is one join of a consultation: its estimated input and output

@@ -225,38 +225,6 @@ func TestDeployHelpers(t *testing.T) {
 	}
 }
 
-// TestCostOperatorsOneRoundTrip: a consultation of several probes is one
-// request, and each answer is the calibrated cost CostOperator would give.
-func TestCostOperatorsOneRoundTrip(t *testing.T) {
-	_, c := newConnectedEngine(t, engine.VendorMariaDB)
-	if err := c.Calibrate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	probes := []CostProbe{
-		{Kind: engine.CostJoinStream, Left: 1000, Right: 200, Out: 500},
-		{Kind: engine.CostJoin, Left: 1000, Right: 200, Out: 500},
-		{Kind: engine.CostScan, Left: 1000},
-	}
-	before := c.Transport()
-	costs, errs, err := c.CostOperators(context.Background(), probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := c.Transport()
-	if got := (after.Dials + after.Reuses) - (before.Dials + before.Reuses); got != 1 {
-		t.Errorf("%d requests for one consultation, want 1", got)
-	}
-	for i, p := range probes {
-		want, err := c.CostOperator(context.Background(), p.Kind, p.Left, p.Right, p.Out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errs[i] != nil || costs[i] != want {
-			t.Errorf("probe %d = %v, %v; CostOperator says %v", i, costs[i], errs[i], want)
-		}
-	}
-}
-
 // TestPriceJoinsOneRoundTrip: a consultation of several joins is one
 // request, and each of a join's prices is the calibrated cost
 // CostOperator gives for it.

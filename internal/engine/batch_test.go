@@ -234,7 +234,7 @@ func checkBoundaries(t *testing.T, n int, remoteBuilds bool) {
 				continue
 			}
 			for i := range max(len(res.Rows), len(serial)) {
-				if i == len(res.Rows) || i == len(serial) || !sqltypes.SameRow(res.Rows[i], serial[i]) {
+				if i == len(res.Rows) || i == len(serial) || rowKey(res.Rows[i]) != rowKey(serial[i]) {
 					t.Errorf("%s: %d workers differ from 1 at row %d", sql, w, i)
 					break
 				}

@@ -270,7 +270,7 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Errorf("top age = %v", r.Rows[0][1])
 	}
 	// Ties broken by id ascending.
-	if r.Rows[0][0].Int() >= r.Rows[1][0].Int() && r.Rows[0][1].Key() == r.Rows[1][1].Key() {
+	if r.Rows[0][0].Int() >= r.Rows[1][0].Int() && sqltypes.Equal(r.Rows[0][1], r.Rows[1][1]) {
 		t.Errorf("tie-break order wrong: %v", r.Rows[:2])
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -122,9 +123,8 @@ func TestExchangeLeavesNoGoroutine(t *testing.T) {
 // TestJoinKeysMatchNestedLoop: hash joins on one and on two int keys
 // answer what the naive nested loop answers for int, float, date and NULL
 // probe keys: int 3 = float 3.0 = date 3, a fraction, NaN or NULL matches
-// nothing, and beyond 2^53 a float equals every int that rounds to it.
-// Without NaN probes (the SQL nested loop pairs NaN with every number, as
-// Compare calls them equal) the SQL nested loop agrees too.
+// nothing, and beyond 2^53 a float equals every int that rounds to it. The
+// SQL nested loop, which compares with Compare, agrees.
 func TestJoinKeysMatchNestedLoop(t *testing.T) {
 	const big = 1 << 53
 	ints := []sqltypes.Value{sqltypes.NewInt(3), sqltypes.NewInt(4), sqltypes.NewInt(big), sqltypes.NewInt(big + 1), sqltypes.NewInt(-7)}
@@ -138,7 +138,7 @@ func TestJoinKeysMatchNestedLoop(t *testing.T) {
 		sqltypes.Column{Name: "b", Type: sqltypes.TypeInt},
 		sqltypes.Column{Name: "i", Type: sqltypes.TypeInt},
 	)
-	var build, probe, noNaN []sqltypes.Row
+	var build, probe []sqltypes.Row
 	for i, a := range ints {
 		for j, b := range ints[:3] {
 			build = append(build, sqltypes.Row{a, b, sqltypes.NewInt(int64(10*i + j))})
@@ -147,17 +147,13 @@ func TestJoinKeysMatchNestedLoop(t *testing.T) {
 	for rep := range 2 {
 		for i, a := range probes {
 			for j, b := range probes {
-				r := sqltypes.Row{a, b, sqltypes.NewInt(int64(1000*rep + 100*i + j))}
-				probe = append(probe, r)
-				if i < len(probes)-1 && j < len(probes)-1 {
-					noNaN = append(noNaN, r)
-				}
+				probe = append(probe, sqltypes.Row{a, b, sqltypes.NewInt(int64(1000*rep + 100*i + j))})
 			}
 		}
 	}
 	e := New(Config{Name: "k", Vendor: VendorTest})
-	// The probe sides are the larger, so the build side is bt.
-	for name, rows := range map[string][]sqltypes.Row{"pt": probe, "pn": noNaN, "bt": build} {
+	// The probe side is the larger, so the build side is bt.
+	for name, rows := range map[string][]sqltypes.Row{"pt": probe, "bt": build} {
 		if err := e.LoadTable(name, schema, rows); err != nil {
 			t.Fatal(err)
 		}
@@ -166,43 +162,36 @@ func TestJoinKeysMatchNestedLoop(t *testing.T) {
 		cond string // over p and bt
 		on   func(p, b sqltypes.Row) bool
 	}{
-		{"p.a = bt.a", func(p, b sqltypes.Row) bool { return keyEq(p[0], b[0]) }},
-		{"p.a = bt.a AND p.b = bt.b", func(p, b sqltypes.Row) bool { return keyEq(p[0], b[0]) && keyEq(p[1], b[1]) }},
+		{"p.a = bt.a", func(p, b sqltypes.Row) bool { return sqlEq(p[0], b[0]) }},
+		{"p.a = bt.a AND p.b = bt.b", func(p, b sqltypes.Row) bool { return sqlEq(p[0], b[0]) && sqlEq(p[1], b[1]) }},
 	} {
-		for _, q := range []struct {
-			table string
-			rows  []sqltypes.Row
-			loop  bool
-		}{{"pt", probe, false}, {"pn", noNaN, false}, {"pn", noNaN, true}} {
+		for _, loop := range []bool{false, true} {
 			cond := c.cond
-			if q.loop {
+			if loop {
 				cond = strings.ReplaceAll(cond, "p.a", "p.a + 0")
 				cond = strings.ReplaceAll(cond, "p.b", "p.b + 0")
 			}
-			sql := fmt.Sprintf("SELECT p.i, bt.i FROM %s p, bt WHERE %s", q.table, cond)
+			sql := "SELECT p.i, bt.i FROM pt p, bt WHERE " + cond
 			info, err := e.Explain(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(info.Text, "HashJoin") == q.loop {
+			if strings.Contains(info.Text, "HashJoin") == loop {
 				t.Fatalf("%s: unexpected plan\n%s", sql, info.Text)
 			}
 			res, err := e.QueryAll(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			expectBag(t, sql, res.Rows, refJoin(q.rows, build, c.on, func(p, b sqltypes.Row) sqltypes.Row { return sqltypes.Row{p[2], b[2]} }))
+			expectBag(t, sql, res.Rows, refJoin(probe, build, c.on, func(p, b sqltypes.Row) sqltypes.Row { return sqltypes.Row{p[2], b[2]} }))
 		}
 	}
 }
 
-// keyEq is SQL equality of join keys, under which NaN equals nothing.
-func keyEq(a, b sqltypes.Value) bool {
-	return sqlEq(a, b) && !math.IsNaN(a.Float()) && !math.IsNaN(b.Float())
-}
-
 // refComputeStats is ComputeStats as one pass over the rows with all
-// columns together: the reference the per-column workers must match.
+// columns together: the reference the per-column workers must match. It
+// counts a column's distinct values by sorting them (refDistinct), not by
+// hashing them into a set as ComputeStats does.
 func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 	st := &TableStats{RowCount: int64(len(rows)), Columns: make([]ColumnStats, schema.Len())}
 	for i, c := range schema.Columns {
@@ -212,14 +201,13 @@ func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 		return st
 	}
 	type tracker struct {
-		seen            map[sqltypes.ValueKey]struct{}
-		capped          bool
-		observed, nulls int64
-		min, max        sqltypes.Value
+		vals     []sqltypes.Value // the non-NULL values
+		nulls    int64
+		min, max sqltypes.Value
 	}
 	trackers := make([]tracker, schema.Len())
 	for i := range trackers {
-		trackers[i] = tracker{seen: map[sqltypes.ValueKey]struct{}{}, min: sqltypes.Null, max: sqltypes.Null}
+		trackers[i] = tracker{min: sqltypes.Null, max: sqltypes.Null}
 	}
 	var totalBytes int64
 	for _, row := range rows {
@@ -230,11 +218,7 @@ func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 				t.nulls++
 				continue
 			}
-			t.observed++
-			if !t.capped {
-				t.seen[v.Key()] = struct{}{}
-				t.capped = len(t.seen) >= distinctTrackLimit
-			}
+			t.vals = append(t.vals, v)
 			if t.min.IsNull() {
 				t.min, t.max = v, v
 				continue
@@ -249,14 +233,56 @@ func refComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 	}
 	st.AvgRowBytes = float64(totalBytes) / float64(len(rows))
 	for i, t := range trackers {
-		d := int64(len(t.seen))
-		if t.capped && t.observed > 0 {
-			d = min(int64(float64(d)*float64(st.RowCount)/float64(t.observed)), st.RowCount)
+		d := refDistinct(t.vals)
+		if d >= distinctTrackLimit {
+			// Tracking stops at the cap; the count is scaled by the
+			// fraction of the values seen until then.
+			d = min(int64(float64(distinctTrackLimit)*float64(st.RowCount)/float64(len(t.vals))), st.RowCount)
 		}
 		st.Columns[i].Distinct, st.Columns[i].Min, st.Columns[i].Max = d, t.min, t.max
 		st.Columns[i].NullFrac = float64(t.nulls) / float64(st.RowCount)
 	}
 	return st
+}
+
+// refDistinct counts the distinct values by sorting them and counting the
+// places where a value is not Equal to the one before it. The sort is by
+// class (numbers and dates, strings, bools), a number by its float64 value
+// and then its type, and last by Compare, which is exact among the values
+// of one type.
+func refDistinct(vals []sqltypes.Value) int64 {
+	class := func(v sqltypes.Value) int {
+		switch v.T {
+		case sqltypes.TypeString:
+			return 1
+		case sqltypes.TypeBool:
+			return 2
+		}
+		return 0
+	}
+	vals = slices.Clone(vals)
+	slices.SortFunc(vals, func(a, b sqltypes.Value) int {
+		if c := cmp.Compare(class(a), class(b)); c != 0 {
+			return c
+		}
+		if class(a) == 0 {
+			if c := sqltypes.CompareFloat(a.Float(), b.Float()); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.T, b.T); c != 0 {
+				return c
+			}
+		}
+		c, _ := sqltypes.Compare(a, b)
+		return c
+	})
+	var d int64
+	for i, v := range vals {
+		if i == 0 || !sqltypes.Equal(vals[i-1], v) {
+			d++
+		}
+	}
+	return d
 }
 
 // TestComputeStatsMatchesOnePass: statistics computed a column per worker

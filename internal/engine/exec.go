@@ -39,31 +39,12 @@ func Drain(it BatchIter) ([]sqltypes.Row, error) {
 	}
 }
 
-// rowsIter emits rows an operator materialized and owns (a sort, an
-// aggregate, a constant SELECT). Each batch aliases the next run of the
-// slice, so nothing is copied; its Rows array is the slice's, so the batch
-// is never handed back to the statement's spares.
-type rowsIter struct {
-	rows  []sqltypes.Row
-	batch sqltypes.Batch
-}
-
-func (s *rowsIter) Next() (*sqltypes.Batch, error) {
-	if len(s.rows) == 0 {
-		return nil, io.EOF
-	}
-	n := min(len(s.rows), sqltypes.BatchRows)
-	s.batch.Rows, s.rows = s.rows[:n:n], s.rows[n:]
-	return &s.batch, nil
-}
-
-func (s *rowsIter) Close() error { return nil }
-
-// scanIter scans stored rows (a base table, a materialized foreign table)
-// under the vendor CPU throttle. The rows are shared with every other
-// query and never written to, so each batch is the next run of them: no
-// row, not even its header, is copied. Like rowsIter's, the batch's Rows
-// array is not its own, so it is never handed back.
+// scanIter emits a run of rows without copying them: stored rows (a base
+// table, a materialized foreign table) under the vendor CPU throttle, or
+// rows an operator materialized and owns (a sort, an aggregate, a constant
+// SELECT) with a nil one. Each batch aliases the next run of the slice, so
+// no row, not even its header, is copied; the batch's Rows array is not
+// its own, so it is never handed back to the statement's spares.
 type scanIter struct {
 	rows     []sqltypes.Row
 	throttle *cpuThrottle
@@ -399,8 +380,8 @@ const (
 	verify
 	scanAll
 	// A NULL key, or one no int or date equals. Such a row has no
-	// candidates at all: walked, its chain would meet Equal, which finds
-	// NaN equal to every number.
+	// candidates at all: walked, a NULL's chain would meet Equal, under
+	// which NULL equals NULL (the grouping rule), not SQL's =.
 	noMatch
 )
 
@@ -690,7 +671,7 @@ type aggState struct {
 	isInt bool
 	min   sqltypes.Value
 	max   sqltypes.Value
-	seen  map[sqltypes.ValueKey]struct{} // for DISTINCT
+	seen  *rowSet // for DISTINCT
 	any   bool
 }
 
@@ -700,13 +681,11 @@ func (a *aggState) add(spec *aggSpec, v sqltypes.Value) {
 	}
 	if spec.distinct {
 		if a.seen == nil {
-			a.seen = make(map[sqltypes.ValueKey]struct{})
+			a.seen = newRowSet(1)
 		}
-		k := v.Key()
-		if _, dup := a.seen[k]; dup {
+		if _, added := a.seen.find(sqltypes.Row{v}); !added {
 			return
 		}
-		a.seen[k] = struct{}{}
 	}
 	a.count++
 	switch spec.fn {
@@ -768,8 +747,9 @@ func (a *aggState) result(spec *aggSpec) sqltypes.Value {
 
 // rowSet finds or adds rows by value: a hash index over rows cloned into
 // its own slab, in first-appearance order. Two rows are the same when
-// every value has the same type and payload (1 and 1.0 differ, NULL is
-// NULL) — the grouping rule of GROUP BY and DISTINCT.
+// their values are pairwise sqltypes.Equal (NULL is NULL, 1 is 1.0, -0 is
+// 0, NaN is NaN): the one rule of DISTINCT, GROUP BY, COUNT(DISTINCT) and
+// the statistics' distinct counts.
 type rowSet struct {
 	index map[uint64]int32 // row hash -> 1-based first row of its chain
 	next  []int32
@@ -791,9 +771,7 @@ func (s *rowSet) find(r sqltypes.Row) (int, bool) {
 	h := sqltypes.HashRow(r, s.all)
 	head := s.index[h]
 	for i := head; i != 0; i = s.next[i-1] {
-		// Payloads by their bits: NaN groups with itself, -0 apart from
-		// 0, as the values' encodings do.
-		if sqltypes.SameRow(s.store.Rows[i-1], r) {
+		if sqltypes.RowsEqualOn(s.store.Rows[i-1], s.all, r, s.all) {
 			return int(i - 1), false
 		}
 	}
@@ -865,7 +843,7 @@ func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, throttle *
 			row[len(keys)+i] = states[g*len(aggs)+i].result(&aggs[i])
 		}
 	}
-	return &rowsIter{rows: out.Rows}, nil
+	return &scanIter{rows: out.Rows}, nil
 }
 
 // sortKey is one compiled ORDER BY key.
@@ -942,7 +920,7 @@ func sortRows(in BatchIter, keys []sortKey, limit int64) (BatchIter, error) {
 	for i := range ks {
 		rows[i] = ks[i].row
 	}
-	return &rowsIter{rows: rows}, nil
+	return &scanIter{rows: rows}, nil
 }
 
 // topN is ORDER BY … LIMIT n: the first n rows of the stable sort. It
@@ -1035,7 +1013,7 @@ func topN(in BatchIter, keys []sortKey, n int64) (BatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rowsIter{rows: rows}, nil
+	return &scanIter{rows: rows}, nil
 }
 
 // limitIter stops after n rows.

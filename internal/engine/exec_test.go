@@ -34,7 +34,7 @@ func joinOf(probe, build BatchIter, probeKeys, buildKeys []int) (*joinIter, erro
 }
 
 func TestRowsIterAndDrain(t *testing.T) {
-	it := &rowsIter{rows: rowsOf(1, 2, 3)}
+	it := &scanIter{rows: rowsOf(1, 2, 3)}
 	rows, err := Drain(it)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("rows=%d err=%v", len(rows), err)
@@ -46,12 +46,12 @@ func TestRowsIterAndDrain(t *testing.T) {
 }
 
 func TestLimitIterZeroAndOverrun(t *testing.T) {
-	it := &limitIter{in: &rowsIter{rows: rowsOf(1, 2, 3)}, left: 0}
+	it := &limitIter{in: &scanIter{rows: rowsOf(1, 2, 3)}, left: 0}
 	rows, err := Drain(it)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("limit 0: rows=%d err=%v", len(rows), err)
 	}
-	it = &limitIter{in: &rowsIter{rows: rowsOf(1, 2)}, left: 10}
+	it = &limitIter{in: &scanIter{rows: rowsOf(1, 2)}, left: 10}
 	rows, _ = Drain(it)
 	if len(rows) != 2 {
 		t.Fatalf("limit beyond input: rows=%d", len(rows))
@@ -59,7 +59,7 @@ func TestLimitIterZeroAndOverrun(t *testing.T) {
 }
 
 func TestDistinctIterWithNulls(t *testing.T) {
-	in := &rowsIter{rows: []sqltypes.Row{
+	in := &scanIter{rows: []sqltypes.Row{
 		{sqltypes.Null}, {sqltypes.NewInt(1)}, {sqltypes.Null}, {sqltypes.NewInt(1)},
 	}}
 	rows, err := Drain(&distinctIter{in: in, seen: newRowSet(1)})
@@ -73,8 +73,8 @@ func TestDistinctIterWithNulls(t *testing.T) {
 
 func TestHashJoinCollisionSafety(t *testing.T) {
 	// Values that may collide in the hash must still compare by value.
-	probe := &rowsIter{rows: rowsOf(1, 2, 3, 4)}
-	build := &rowsIter{rows: rowsOf(2, 4, 6)}
+	probe := &scanIter{rows: rowsOf(1, 2, 3, 4)}
+	build := &scanIter{rows: rowsOf(2, 4, 6)}
 	j, err := joinOf(probe, build, []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestHashJoinCollisionSafety(t *testing.T) {
 }
 
 func TestHashJoinDuplicateKeys(t *testing.T) {
-	probe := &rowsIter{rows: rowsOf(1, 1)}
-	build := &rowsIter{rows: rowsOf(1, 1, 1)}
+	probe := &scanIter{rows: rowsOf(1, 1)}
+	build := &scanIter{rows: rowsOf(1, 1, 1)}
 	j, err := joinOf(probe, build, []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +107,8 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 }
 
 func TestNestedLoopCrossAndConditional(t *testing.T) {
-	left := &rowsIter{rows: rowsOf(1, 2)}
-	right := &rowsIter{rows: rowsOf(10, 20, 30)}
+	left := &scanIter{rows: rowsOf(1, 2)}
+	right := &scanIter{rows: rowsOf(10, 20, 30)}
 	nl, err := joinOf(left, right, nil, nil)
 	if err != nil {
 		t.Fatal(err)

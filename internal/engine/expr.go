@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -316,18 +317,6 @@ func flipComparison(op sqlparser.BinaryOp) sqlparser.BinaryOp {
 	return op
 }
 
-// order is Compare for two payloads of one kind (NaN orders equal to
-// everything, as in sqltypes.Compare).
-func order[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // compareColumnLiteral tests row[idx] <op> lit. The kernel is picked from
 // the literal's type and checks the column value's type per row: values of
 // the literal's own family are compared on their payloads, anything else
@@ -348,7 +337,7 @@ func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPr
 		li := lit.I()
 		return func(row sqltypes.Row) (bool, error) {
 			if v := row[idx]; intFamily(v) {
-				return holds[order(v.I(), li)+1], nil
+				return holds[cmp.Compare(v.I(), li)+1], nil
 			}
 			return general(row[idx])
 		}
@@ -356,16 +345,16 @@ func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPr
 		return func(row sqltypes.Row) (bool, error) {
 			switch v := row[idx]; v.T {
 			case sqltypes.TypeFloat:
-				return holds[order(v.F, lit.F)+1], nil
+				return holds[sqltypes.CompareFloat(v.F, lit.F)+1], nil
 			case sqltypes.TypeInt:
-				return holds[order(float64(v.I()), lit.F)+1], nil
+				return holds[sqltypes.CompareFloat(float64(v.I()), lit.F)+1], nil
 			}
 			return general(row[idx])
 		}
 	case lit.T == sqltypes.TypeString:
 		return func(row sqltypes.Row) (bool, error) {
 			if v := row[idx]; v.T == sqltypes.TypeString {
-				return holds[order(v.S, lit.S)+1], nil
+				return holds[cmp.Compare(v.S, lit.S)+1], nil
 			}
 			return general(row[idx])
 		}

@@ -318,7 +318,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 				}
 				row[i] = v
 			}
-			return &rowsIter{rows: []sqltypes.Row{row}}, nil
+			return &scanIter{rows: []sqltypes.Row{row}}, nil
 		},
 	}, nil
 }

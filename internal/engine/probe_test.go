@@ -186,7 +186,7 @@ func TestProbeBatchMatchesRowProbe(t *testing.T) {
 				}
 				probe := gen(4000, width, probePool)
 
-				table, err := newJoinTable(&rowsIter{rows: build}, keys, nil, float64(buildRows), nil)
+				table, err := newJoinTable(&scanIter{rows: build}, keys, nil, float64(buildRows), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

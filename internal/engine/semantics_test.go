@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,9 +17,10 @@ import (
 // The value semantics of the operators that group, order, join and count
 // values, pinned over the edge cases of each type: NULL, NaN, the two
 // zeros, the int64 extremes, int 1 beside float 1.0, the infinities, dates
-// before 1970 and strings. The expected results were recorded from the
-// executor as it stood before Value's layout changed, and must not move
-// with a layout: only a deliberate change of semantics edits them.
+// before 1970 and strings. Every operator follows sqltypes' one value
+// identity (Compare, Equal, Hash: PostgreSQL's float8 rules); the
+// expected results must not move with a layout or a kernel, only with a
+// deliberate change of that identity.
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
@@ -128,6 +130,7 @@ func semanticsEngine(t *testing.T) *Engine {
 // semantics is meant.
 func TestValueSemantics(t *testing.T) {
 	var b strings.Builder
+	semanticsInvariants(t)
 	semanticsSQL(t, &b)
 	semanticsJoinTables(t, &b)
 	semanticsStats(&b)
@@ -171,6 +174,59 @@ func section(b *strings.Builder, title string, lines []string) {
 	}
 }
 
+// semanticsInvariants holds the operators that ask "same value?" to one
+// answer, per table: DISTINCT's non-NULL rows, COUNT(DISTINCT) and
+// ComputeStats' distinct count are one number, each GROUP BY group holds
+// one distinct value, and an equality filter (a column against an int or
+// a float literal, or an expression against one) returns only values
+// Equal to its literal.
+func semanticsInvariants(t *testing.T) {
+	e := semanticsEngine(t)
+	query := func(sql string) []sqltypes.Row {
+		t.Helper()
+		res, err := e.QueryAll(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Rows
+	}
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Name: "id", Type: sqltypes.TypeInt},
+		sqltypes.Column{Name: "v", Type: sqltypes.TypeFloat},
+	)
+	for name, vals := range semanticsTables() {
+		var distinct int64
+		for _, r := range query("SELECT DISTINCT v FROM " + name) {
+			if !r[0].IsNull() {
+				distinct++
+			}
+		}
+		count := query("SELECT COUNT(DISTINCT v) FROM " + name)[0][0].I()
+		stats := ComputeStats(schema, twice(vals)).Columns[1].Distinct
+		if distinct != count || count != stats {
+			t.Errorf("%s: DISTINCT has %d non-NULL values, COUNT(DISTINCT) %d, ComputeStats %d", name, distinct, count, stats)
+		}
+		for _, r := range query("SELECT v, COUNT(DISTINCT v) FROM " + name + " GROUP BY v") {
+			if !r[0].IsNull() && r[1].I() != 1 {
+				t.Errorf("%s: the group of %s counts %d distinct values", name, typed(r[0]), r[1].I())
+			}
+		}
+	}
+	for _, lit := range []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewFloat(1), sqltypes.NewInt(5), sqltypes.NewFloat(5)} {
+		for _, pred := range []string{"v = ", "v + 0 = "} {
+			sql := "SELECT v FROM num WHERE " + pred + lit.SQL()
+			if lit.T == sqltypes.TypeFloat {
+				sql += ".0"
+			}
+			for _, r := range query(sql) {
+				if !sqltypes.Equal(r[0], lit) {
+					t.Errorf("%s returned %s", sql, typed(r[0]))
+				}
+			}
+		}
+	}
+}
+
 // semanticsSQL runs DISTINCT, COUNT(DISTINCT), GROUP BY, ORDER BY (sorted
 // and top-n) and joins through the executor; a result without ORDER BY is
 // compared as a multiset.
@@ -189,6 +245,7 @@ func semanticsSQL(t *testing.T, b *strings.Builder) {
 		"SELECT a.id, b.id FROM num a JOIN ints b ON a.v = b.v",
 		"SELECT a.id, b.id FROM ints a JOIN ints b ON a.v = b.v",
 		"SELECT MIN(v), MAX(v), SUM(v) FROM ints WHERE v > -2",
+		"SELECT id, v FROM num WHERE v = 1",
 	} {
 		res, err := e.QueryAll(q)
 		switch {
@@ -204,29 +261,36 @@ func semanticsSQL(t *testing.T, b *strings.Builder) {
 
 // semanticsJoinTables probes both kinds of join table directly, each side
 // fixed: an int-keyed build side of ints and dates probed by every edge
-// value, and a general one of every edge value.
+// value, and a general one of every edge value. A general table over the
+// int-keyed one's rows and a string that joins nothing must pair the same
+// rows as the int-keyed one.
 func semanticsJoinTables(t *testing.T, b *strings.Builder) {
-	for _, c := range []struct {
-		name         string
-		probe, build []sqltypes.Value
-	}{
-		{"int-keyed", edgeValues(), intEdges()},
-		{"general", edgeValues(), edgeValues()},
-	} {
+	join := func(probe, build []sqltypes.Row) ([]string, bool) {
 		out := joinOutput{probeCols: []int{0, 1}, buildCols: []int{0, 1}}
-		j, err := openJoin(opened(&rowsIter{rows: twice(c.probe)}),
-			&joinSpec{build: opened(&rowsIter{rows: twice(c.build)}), probeKeys: []int{1}, buildKeys: []int{1}, out: out, est: 1}, new(statement))
+		j, err := openJoin(opened(&scanIter{rows: probe}),
+			&joinSpec{build: opened(&scanIter{rows: build}), probeKeys: []int{1}, buildKeys: []int{1}, out: out, est: 1}, new(statement))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if j.table.intKeyed != (c.name == "int-keyed") {
-			t.Fatalf("%s: intKeyed = %v", c.name, j.table.intKeyed)
 		}
 		rows, err := Drain(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		section(b, c.name+" join table", unordered(rows))
+		return unordered(rows), j.table.intKeyed
+	}
+	intKeyed, ok := join(twice(edgeValues()), twice(intEdges()))
+	if !ok {
+		t.Fatal("the table of ints and dates is not int-keyed")
+	}
+	section(b, "int-keyed join table", intKeyed)
+	general, ok := join(twice(edgeValues()), twice(edgeValues()))
+	if ok {
+		t.Fatal("the table of every edge value is int-keyed")
+	}
+	section(b, "general join table", general)
+	build := append(twice(intEdges()), sqltypes.Row{sqltypes.NewInt(99), sqltypes.NewString("no match")})
+	if same, ok := join(twice(edgeValues()), build); ok || !slices.Equal(same, intKeyed) {
+		t.Errorf("a general table over the int-keyed table's rows pairs\n%s\nnot\n%s", strings.Join(same, "\n"), strings.Join(intKeyed, "\n"))
 	}
 }
 

@@ -83,7 +83,7 @@ func ComputeStats(schema *sqltypes.Schema, rows []sqltypes.Row) *TableStats {
 
 // columnStats tracks column i over the rows.
 func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
-	seen := make(map[sqltypes.ValueKey]struct{})
+	seen := newRowSet(1)
 	capped := false
 	var observed, nulls int64 // non-NULL and NULL values
 	lo, hi := sqltypes.Null, sqltypes.Null
@@ -95,8 +95,8 @@ func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
 		}
 		observed++
 		if !capped {
-			seen[v.Key()] = struct{}{}
-			capped = len(seen) >= distinctTrackLimit
+			seen.find(row[i : i+1])
+			capped = len(seen.store.Rows) >= distinctTrackLimit
 		}
 		if lo.IsNull() {
 			lo, hi = v, v
@@ -110,7 +110,7 @@ func columnStats(name string, rows []sqltypes.Row, i int) ColumnStats {
 		}
 	}
 	n := int64(len(rows))
-	d := int64(len(seen))
+	d := int64(len(seen.store.Rows))
 	if capped && observed > 0 {
 		// Scale the capped count by the fraction of rows seen while
 		// tracking, clamped to the row count.

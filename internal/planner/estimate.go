@@ -138,14 +138,8 @@ func rangeSelectivity(x *sqlparser.BinaryExpr, s *Scan) float64 {
 			op = sqlparser.OpLe
 		}
 	}
-	if cs.Min.IsNull() || cs.Max.IsNull() {
-		return 1.0 / 3
-	}
-	lo, hi := cs.Min.Float(), cs.Max.Float()
-	if cs.Min.T == sqltypes.TypeString || lit.T == sqltypes.TypeString {
-		// No interpolation for strings — on either side: a string literal
-		// compared against numeric bounds would silently coerce to 0 via
-		// Float() and pin the selectivity to an endpoint.
+	lo, hi, ok := span(cs, *lit)
+	if !ok {
 		return 1.0 / 3
 	}
 	v := lit.Float()
@@ -163,23 +157,43 @@ func rangeSelectivity(x *sqlparser.BinaryExpr, s *Scan) float64 {
 	return 1.0 / 3
 }
 
-// fraction estimates the fraction of values in [lo, hi]. Interpolation is
-// numeric only: string-typed column stats *and* string-typed literal
-// bounds fall back to the default fraction — Float() on a string value is
-// 0, so interpolating a string bound against numeric stats would silently
-// collapse the range onto the column minimum.
+// fraction estimates the fraction of values in [lo, hi], or the default
+// fraction where span does not interpolate.
 func fraction(cs *engine.ColumnStats, lo, hi sqltypes.Value) float64 {
-	if cs.Min.IsNull() || cs.Max.IsNull() || cs.Min.T == sqltypes.TypeString ||
-		lo.T == sqltypes.TypeString || hi.T == sqltypes.TypeString {
+	mn, mx, ok := span(cs, lo, hi)
+	if !ok {
 		return 0.25
 	}
-	mn, mx := cs.Min.Float(), cs.Max.Float()
 	if mx <= mn {
 		return 0.5
 	}
 	a := clamp01((lo.Float() - mn) / (mx - mn))
 	b := clamp01((hi.Float() - mn) / (mx - mn))
 	return math.Max(b-a, 0.001)
+}
+
+// span returns the column's extremes as numbers to interpolate the bounds
+// between, and false where interpolation does not apply: an extreme or a
+// bound is NULL (the column has no extremes), a string (Float of a string
+// is 0, which would pin the estimate to an endpoint) or not a finite
+// number (a NaN or an infinity makes the fraction NaN).
+func span(cs *engine.ColumnStats, bounds ...sqltypes.Value) (lo, hi float64, ok bool) {
+	if !interpolable(cs.Min) || !interpolable(cs.Max) {
+		return 0, 0, false
+	}
+	for _, b := range bounds {
+		if !interpolable(b) {
+			return 0, 0, false
+		}
+	}
+	return cs.Min.Float(), cs.Max.Float(), true
+}
+
+// interpolable reports whether v is neither NULL nor a string, and a
+// finite number.
+func interpolable(v sqltypes.Value) bool {
+	f := v.Float()
+	return !v.IsNull() && v.T != sqltypes.TypeString && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // columnStats resolves an expression to the scan's column stats if it is a

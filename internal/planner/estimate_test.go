@@ -6,6 +6,7 @@ import (
 
 	"xdb/internal/engine"
 	"xdb/internal/sqlparser"
+	"xdb/internal/sqltypes"
 )
 
 // statScan builds a synthetic scan with one key column "k".
@@ -58,5 +59,35 @@ func TestDistinctOfProperties(t *testing.T) {
 	j.est = j.estimate()
 	if got := distinctOf(j, kref("r")); got != 10 {
 		t.Errorf("distinctOf(join, r.k) = %v, want min(sides) = 10", got)
+	}
+}
+
+// TestEstimateNonFiniteExtremes: a column whose extremes are a NaN or an
+// infinity (ComputeStats orders NaN after +Inf) is not interpolated; a
+// range or BETWEEN filter over it takes the default fraction, never NaN.
+func TestEstimateNonFiniteExtremes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, ext := range [][2]float64{{nan, nan}, {-inf, nan}, {-inf, inf}, {1, inf}, {1, nan}} {
+		for _, c := range []struct {
+			filter string
+			want   float64
+		}{
+			{"k < 3", 1.0 / 3},
+			{"3 <= k", 1.0 / 3},
+			{"k > 2.5", 1.0 / 3},
+			{"k BETWEEN 1 AND 5", 0.25},
+			{"k NOT BETWEEN 1 AND 5", 0.75},
+		} {
+			sc := statScan("l", 1200, 40)
+			sc.Stats.Columns[0].Min, sc.Stats.Columns[0].Max = sqltypes.NewFloat(ext[0]), sqltypes.NewFloat(ext[1])
+			f, err := sqlparser.ParseExpr(c.filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Filter = f
+			if got := estimateScan(sc); got != 1200*c.want {
+				t.Errorf("extremes %v, %s: estimate %v, want %v", ext, c.filter, got, 1200*c.want)
+			}
+		}
 	}
 }

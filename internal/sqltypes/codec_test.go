@@ -30,6 +30,20 @@ func randomValue(r *rand.Rand) Value {
 	}
 }
 
+// sameRow reports whether two rows are value by value Same: what a codec
+// round trip must give back.
+func sameRow(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Same(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestValueCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -42,7 +56,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("DecodeValue(%v) consumed %d of %d bytes", v, n, len(enc))
 		}
-		if got.Key() != v.Key() {
+		if !Same(got, v) {
 			t.Fatalf("round trip: got %+v, want %+v", got, v)
 		}
 	}
@@ -100,7 +114,7 @@ func TestRowCodecConcatenatedRows(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, rows)
 	}
 	for i := range rows {
-		if !SameRow(got[i], rows[i]) {
+		if !sameRow(got[i], rows[i]) {
 			t.Fatalf("row %d: got %v, want %v", i, got[i], rows[i])
 		}
 	}
@@ -147,7 +161,7 @@ func TestEncodedSizeExact(t *testing.T) {
 		if len(enc) != tc.size || tc.v.EncodedSize() != tc.size {
 			t.Errorf("%v: encoded %d bytes, EncodedSize %d, want %d", tc.v, len(enc), tc.v.EncodedSize(), tc.size)
 		}
-		if got, n, err := DecodeValue(enc); err != nil || n != len(enc) || got.Key() != tc.v.Key() {
+		if got, n, err := DecodeValue(enc); err != nil || n != len(enc) || !Same(got, tc.v) {
 			t.Errorf("%v: decoded %v from %d of %d bytes, err %v", tc.v, got, n, len(enc), err)
 		}
 	}

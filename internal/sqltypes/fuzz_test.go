@@ -64,7 +64,7 @@ func checkDecode(t *testing.T, b []byte,
 		if err != nil && len(batch.Rows) != 0 {
 			t.Fatalf("failed batch decode left %d rows", len(batch.Rows))
 		}
-		if err == nil && (bused != used || len(batch.Rows) != 1 || !SameRow(batch.Rows[0], row)) {
+		if err == nil && (bused != used || len(batch.Rows) != 1 || !sameRow(batch.Rows[0], row)) {
 			t.Fatalf("batch decoder: %v (%d bytes), byte decoder: %v (%d bytes)", batch.Rows, bused, row, used)
 		}
 	}
@@ -75,7 +75,7 @@ func checkDecode(t *testing.T, b []byte,
 		t.Fatalf("decoded %d values from %d of %d bytes", len(row), used, len(b))
 	}
 	again, _, err := decode(encode(nil, row))
-	if err != nil || !SameRow(again, row) {
+	if err != nil || !sameRow(again, row) {
 		t.Fatalf("round trip of %v: %v, err %v", row, again, err)
 	}
 }
@@ -177,7 +177,7 @@ func frameRoundTrip(t *testing.T, rows []Row, cut int) {
 		}
 		for i, r := range pending {
 			bound += r.EncodedSize()
-			if i >= len(batch.Rows) || !SameRow(batch.Rows[i], r) {
+			if i >= len(batch.Rows) || !sameRow(batch.Rows[i], r) {
 				t.Fatalf("row %d of %d: sent %#v, got %#v", i, len(pending), r, batch.Rows)
 			}
 		}

@@ -10,6 +10,7 @@
 package sqltypes
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -96,11 +97,12 @@ func normalizeTypeName(s string) string {
 // string. F holds a float as itself and an int, a date or a bool as the
 // bits of its int64 (I reads them back), so a row of TPC-H values is a
 // fifth smaller than with a field per payload. Two Values whose payloads
-// are the same bits are not always equal in SQL (a NaN, the two zeros, int
-// 1 beside float 1.0), so Value is not comparable: Equal and Compare are
-// SQL's rules, and a map keys on Key.
+// are the same bits are not always the same SQL value (-0 beside +0, int 1
+// beside float 1.0), so Value is not comparable: Compare, Equal and Hash
+// are the one rule by which every operator tells values apart, and Same is
+// the identity of their encodings.
 type Value struct {
-	_ [0]func() // no ==: compare with Equal, key maps by Key
+	_ [0]func() // no ==: compare with Equal or Same
 	// T is the type tag. For TypeNull the remaining fields are unused.
 	T Type
 	// F holds the TypeFloat payload, and the int64 of TypeInt, TypeDate
@@ -117,28 +119,6 @@ func payload(i int64) float64 { return math.Float64frombits(uint64(i)) }
 // the bits F holds. Of a float it is the float's bits, of NULL or a string
 // 0.
 func (v Value) I() int64 { return int64(math.Float64bits(v.F)) }
-
-// ValueKey is a Value as a comparable map key: two values have the same
-// key when they have the same type and payload. Floats compare as floats,
-// so NaN's key differs from every key, its own too, and -0's equals +0's;
-// int 1 and float 1.0 differ by their types.
-type ValueKey struct {
-	T Type
-	I int64
-	F float64
-	S string
-}
-
-// Key returns the value's map key.
-func (v Value) Key() ValueKey {
-	switch v.T {
-	case TypeFloat:
-		return ValueKey{T: v.T, F: v.F}
-	case TypeString:
-		return ValueKey{T: v.T, S: v.S}
-	}
-	return ValueKey{T: v.T, I: v.I()}
-}
 
 // Null is the SQL NULL value.
 var Null = Value{T: TypeNull}
@@ -280,7 +260,9 @@ func comparableKinds(a, b Type) bool {
 }
 
 // Compare orders two values, returning -1, 0 or +1. NULL sorts before every
-// non-NULL value.
+// non-NULL value. Floats, and ints beside floats, order as PostgreSQL's
+// float8 does (CompareFloat): -0 equals +0, and NaN equals NaN and sorts
+// after every other number. Dates compare with ints by their days.
 // Comparing incomparable types (e.g. a string with an int) returns an error.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
@@ -298,65 +280,62 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch {
 	case a.T == TypeString:
-		switch {
-		case a.S < b.S:
-			return -1, nil
-		case a.S > b.S:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(a.S, b.S), nil
 	case a.T == TypeFloat || b.T == TypeFloat:
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
+		return CompareFloat(a.Float(), b.Float()), nil
 	default:
-		switch {
-		case a.I() < b.I():
-			return -1, nil
-		case a.I() > b.I():
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(a.I(), b.I()), nil
 	}
 }
 
-// Equal reports whether two values are equal under SQL semantics with
-// NULL == NULL treated as true (useful for grouping); comparisons that are
-// type errors report false.
+// CompareFloat orders two floats as PostgreSQL's float8 does: -0 equals
+// +0, and NaN equals NaN and sorts after every other float, +Inf too.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b, a != a && b != b:
+		return 0
+	case a != a:
+		return 1
+	}
+	return -1
+}
+
+// Equal reports whether Compare finds two values equal, with NULL equal to
+// NULL (the grouping rule); comparisons that are type errors report false.
+// Values of one type take a shortcut that Compare would agree with.
 func Equal(a, b Value) bool {
+	if a.T == b.T {
+		switch a.T {
+		case TypeNull:
+			return true
+		case TypeString:
+			return a.S == b.S
+		case TypeFloat:
+			return a.F == b.F || a.F != a.F && b.F != b.F
+		}
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
 	c, err := Compare(a, b)
 	return err == nil && c == 0
 }
 
 // Same reports whether a and b are the same value: the same type and the
-// same payload bits, as their encodings are the same bytes. It is not SQL's
-// equality: a NaN is the same as itself, -0 is not +0, and int 1 is not
-// float 1.0.
+// same payload bits, as their encodings are the same bytes. It is not
+// Equal: NaNs of two payloads differ, -0 is not +0, and int 1 is not float
+// 1.0. It is for codec round trips and for telling a report decoded again
+// from the same bytes from a changed one (engine.TableStats.Same).
 func Same(a, b Value) bool {
 	return a.T == b.T && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
 }
 
-// SameRow reports whether two rows are value by value Same.
-func SameRow(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Same(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Hash returns a 64-bit hash of the value, consistent with Equal: values
-// that compare equal hash identically (ints and floats holding the same
-// number hash the same). The hash is stable within one process only.
+// that compare equal hash identically (ints, dates and floats holding the
+// same number hash the same, -0 as +0, every NaN alike). The hash is
+// stable within one process only.
 func Hash(v Value) uint64 {
 	switch v.T {
 	case TypeNull:
@@ -365,11 +344,17 @@ func Hash(v Value) uint64 {
 		return maphash.String(hashSeed, v.S)
 	case TypeBool:
 		return mix64(uint64(v.I()&1) + 1)
-	default:
-		// Numeric family: hash the float64 representation so that
-		// NewInt(3) and NewFloat(3) collide, matching Equal.
-		return mix64(math.Float64bits(v.Float()))
 	}
+	// Numeric family: hash the number as a float64 so that NewInt(3) and
+	// NewFloat(3) collide, matching Equal.
+	f := v.Float()
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		f = math.NaN()
+	}
+	return mix64(math.Float64bits(f))
 }
 
 var hashSeed = maphash.MakeSeed()

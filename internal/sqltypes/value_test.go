@@ -42,33 +42,124 @@ func TestIntPayloadInF(t *testing.T) {
 	}
 }
 
-// TestValueKey holds Key to the struct equality of the layout with a field
-// per payload: NaN's key differs from itself, -0's equals +0's, int 1 and
-// float 1.0 and date 1 differ, and so do int -1 and date -1.
-func TestValueKey(t *testing.T) {
-	nan := NewFloat(math.NaN())
-	same := []struct {
-		a, b Value
-		want bool
+// TestValueIdentity holds the two identities apart over the pairs where
+// they differ: Equal (Compare's, PostgreSQL's float8 rules) merges -0 with
+// +0, NaN with NaN, and one number across int, float and date, and hashes
+// what it merges alike; Same (the encodings') is type, payload bits and
+// string.
+func TestValueIdentity(t *testing.T) {
+	nan, negZero := NewFloat(math.NaN()), NewFloat(math.Copysign(0, -1))
+	for _, c := range []struct {
+		a, b        Value
+		equal, same bool
 	}{
-		{nan, nan, false},
-		{NewFloat(math.Copysign(0, -1)), NewFloat(0), true},
-		{NewInt(1), NewFloat(1), false},
-		{NewInt(1), NewDate(1), false},
-		{NewInt(-1), NewDate(-1), false},
-		{NewInt(0), NewFloat(0), false},
-		{NewInt(0), Null, false},
-		{NewBool(false), Null, false},
-		{NewString(""), Null, false},
-		{NewInt(math.MinInt64), NewInt(math.MinInt64), true},
-		{NewString("a"), NewString("a"), true},
-		{Null, Null, true},
-	}
-	for _, c := range same {
-		if got := c.a.Key() == c.b.Key(); got != c.want {
-			t.Errorf("%v %v vs %v %v: same key %v, want %v", c.a.T, c.a, c.b.T, c.b, got, c.want)
+		{nan, nan, true, true},
+		{nan, NewFloat(math.Float64frombits(0x7ff8000000000abc)), true, false},
+		{nan, NewFloat(math.Inf(1)), false, false},
+		{nan, NewInt(0), false, false},
+		{negZero, NewFloat(0), true, false},
+		{negZero, NewInt(0), true, false},
+		{NewInt(1), NewFloat(1), true, false},
+		{NewInt(1), NewDate(1), true, false},
+		{NewInt(-1), NewDate(-1), true, false},
+		{NewDate(1), NewFloat(1), false, false},
+		{NewInt(math.MaxInt64), NewFloat(1 << 63), true, false},
+		{NewInt(0), Null, false, false},
+		{NewBool(false), Null, false, false},
+		{NewBool(false), NewInt(0), false, false},
+		{NewString(""), Null, false, false},
+		{NewInt(math.MinInt64), NewInt(math.MinInt64), true, true},
+		{NewString("a"), NewString("a"), true, true},
+		{Null, Null, true, true},
+	} {
+		if got := Equal(c.a, c.b); got != c.equal {
+			t.Errorf("Equal(%v %v, %v %v) = %v, want %v", c.a.T, c.a, c.b.T, c.b, got, c.equal)
+		}
+		if got := Same(c.a, c.b); got != c.same {
+			t.Errorf("Same(%v %v, %v %v) = %v, want %v", c.a.T, c.a, c.b.T, c.b, got, c.same)
+		}
+		if c.equal && Hash(c.a) != Hash(c.b) {
+			t.Errorf("%v %v and %v %v are equal but hash apart", c.a.T, c.a, c.b.T, c.b)
 		}
 	}
+}
+
+// fuzzValue is a value of any type from fuzzed parts: t picks the type,
+// bits is an int64's or a float64's payload, s a string's.
+func fuzzValue(t uint8, bits uint64, s string) Value {
+	switch Type(t % 6) {
+	case TypeInt:
+		return NewInt(int64(bits))
+	case TypeFloat:
+		return NewFloat(math.Float64frombits(bits))
+	case TypeString:
+		return NewString(s)
+	case TypeDate:
+		return NewDate(int64(bits))
+	case TypeBool:
+		return NewBool(bits&1 != 0)
+	}
+	return Null
+}
+
+// FuzzValueOrder holds Compare, Equal and Hash to one identity: Compare is
+// antisymmetric and reflexive, Equal is Compare == 0, and equal values hash
+// alike. Compare is transitive over any three values it can order, except
+// where a float meets an int beyond 2^53: several such ints convert to the
+// same float, so int 2^53+1 = float 2^53 = int 2^53 while the two ints
+// differ (the join's scanAll rule).
+func FuzzValueOrder(f *testing.F) {
+	nan, negZero := math.Float64bits(math.NaN()), math.Float64bits(math.Copysign(0, -1))
+	inf, one, big := math.Float64bits(math.Inf(1)), math.Float64bits(1), math.Float64bits(1<<53)
+	f.Add(uint8(TypeFloat), nan, uint8(TypeFloat), nan|7, uint8(TypeFloat), inf, "")
+	f.Add(uint8(TypeFloat), negZero, uint8(TypeFloat), uint64(0), uint8(TypeInt), uint64(0), "")
+	f.Add(uint8(TypeInt), uint64(1), uint8(TypeFloat), one, uint8(TypeDate), uint64(1), "")
+	f.Add(uint8(TypeInt), uint64(math.MaxUint64), uint8(TypeDate), uint64(math.MaxUint64), uint8(TypeNull), uint64(0), "")
+	f.Add(uint8(TypeInt), uint64(1<<53+1), uint8(TypeFloat), big, uint8(TypeInt), uint64(1<<53), "")
+	f.Add(uint8(TypeString), uint64(0), uint8(TypeString), uint64(0), uint8(TypeString), uint64(0), "ab")
+	f.Add(uint8(TypeBool), uint64(1), uint8(TypeBool), uint64(0), uint8(TypeInt), uint64(1), "")
+	f.Fuzz(func(t *testing.T, ta uint8, a uint64, tb uint8, b uint64, tc uint8, c uint64, s string) {
+		vals := []Value{fuzzValue(ta, a, s), fuzzValue(tb, b, s[:len(s)/2]), fuzzValue(tc, c, s[len(s)/2:])}
+		var order [3][3]int
+		comparable := true
+		for i, x := range vals {
+			if cx, err := Compare(x, x); err != nil || cx != 0 || !Equal(x, x) {
+				t.Fatalf("%v %v: Compare with itself %d, %v; Equal %v", x.T, x, cx, err, Equal(x, x))
+			}
+			for j, y := range vals {
+				cxy, err := Compare(x, y)
+				cyx, errR := Compare(y, x)
+				if (err == nil) != (errR == nil) || cxy != -cyx {
+					t.Fatalf("%v %v vs %v %v: Compare %d, %v one way and %d, %v the other", x.T, x, y.T, y, cxy, err, cyx, errR)
+				}
+				if Equal(x, y) != (err == nil && cxy == 0) {
+					t.Fatalf("%v %v vs %v %v: Equal %v, Compare %d, %v", x.T, x, y.T, y, Equal(x, y), cxy, err)
+				}
+				if Equal(x, y) && Hash(x) != Hash(y) {
+					t.Fatalf("%v %v and %v %v are equal but hash apart", x.T, x, y.T, y)
+				}
+				order[i][j], comparable = cxy, comparable && err == nil
+			}
+		}
+		var float, bigInt bool
+		for _, v := range vals {
+			float = float || v.T == TypeFloat
+			bigInt = bigInt || v.T == TypeInt && (v.I() > 1<<53 || v.I() < -1<<53)
+		}
+		if !comparable || float && bigInt {
+			return
+		}
+		for i := range vals {
+			for j := range vals {
+				for k := range vals {
+					if order[i][j] <= 0 && order[j][k] <= 0 && order[i][k] > 0 ||
+						order[i][j] == 0 && order[j][k] == 0 && order[i][k] != 0 {
+						t.Fatalf("not transitive: %v %v, %v %v, %v %v", vals[i].T, vals[i], vals[j].T, vals[j], vals[k].T, vals[k])
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestTypeString(t *testing.T) {
@@ -151,7 +242,7 @@ func TestDates(t *testing.T) {
 	if v.Year() != 1995 {
 		t.Errorf("Year() = %d, want 1995", v.Year())
 	}
-	if v2 := DateFromYMD(1995, time.March, 15); v2.Key() != v.Key() {
+	if v2 := DateFromYMD(1995, time.March, 15); !Same(v2, v) {
 		t.Errorf("DateFromYMD = %+v, want %+v", v2, v)
 	}
 	if _, err := ParseDate("not-a-date"); err == nil {

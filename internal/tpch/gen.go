@@ -42,9 +42,6 @@ func NewGenerator(sf float64, seed uint64) *Generator {
 	return &Generator{sf: sf, rng: rng{state: seed ^ 0x9e3779b97f4a7c15}, seed: seed}
 }
 
-// ScaleFactor returns the generator's scale factor.
-func (g *Generator) ScaleFactor() float64 { return g.sf }
-
 // Rows returns the row count of a table at the generator's scale factor.
 func (g *Generator) Rows(table string) int {
 	base := BaseRows[table]

@@ -20,7 +20,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 		for i := range ra {
 			for j := range ra[i] {
-				if ra[i][j].Key() != rb[i][j].Key() {
+				if !sqltypes.Same(ra[i][j], rb[i][j]) {
 					t.Fatalf("%s row %d col %d: %v vs %v", table, i, j, ra[i][j], rb[i][j])
 				}
 			}
@@ -30,7 +30,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	c := NewGenerator(0.001, 43).GenAll()
 	same := true
 	for i := range a[Customer] {
-		if a[Customer][i][5].Key() != c[Customer][i][5].Key() {
+		if !sqltypes.Same(a[Customer][i][5], c[Customer][i][5]) {
 			same = false
 			break
 		}
@@ -283,7 +283,7 @@ func TestCSVDates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][4].T != sqltypes.TypeDate || got[0][4].Key() != orders[0][4].Key() {
+	if got[0][4].T != sqltypes.TypeDate || !sqltypes.Same(got[0][4], orders[0][4]) {
 		t.Fatalf("date round trip: %v vs %v", got[0][4], orders[0][4])
 	}
 }

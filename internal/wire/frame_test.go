@@ -101,7 +101,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	for i := range st.Columns {
 		a, b := got.Columns[i], st.Columns[i]
 		if a.Name != b.Name || a.Distinct != b.Distinct || a.NullFrac != b.NullFrac ||
-			a.Min.Key() != b.Min.Key() || a.Max.Key() != b.Max.Key() {
+			!sqltypes.Same(a.Min, b.Min) || !sqltypes.Same(a.Max, b.Max) {
 			t.Errorf("column %d: %+v vs %+v", i, a, b)
 		}
 	}
@@ -355,7 +355,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		}
 		for i := range rows {
 			for j := range rows[i] {
-				if got[i][j].Key() != rows[i][j].Key() {
+				if !sqltypes.Same(got[i][j], rows[i][j]) {
 					t.Fatalf("enc %d: row %d col %d: %#v, sent %#v", enc, i, j, got[i][j], rows[i][j])
 				}
 			}
@@ -377,7 +377,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		t.Errorf("200 strings twice: %d frames, the first of %d B, want one of %d", len(payloads), len(payloads[0]), want)
 	}
 	var batch sqltypes.Batch
-	if err := decodeRowBatch(payloads[0], typ, &batch); err != nil || len(batch.Rows) != 400 || batch.Rows[399][0].Key() != strs[0][0].Key() {
+	if err := decodeRowBatch(payloads[0], typ, &batch); err != nil || len(batch.Rows) != 400 || !sqltypes.Same(batch.Rows[399][0], strs[0][0]) {
 		t.Errorf("200 strings twice: %d rows, err %v", len(batch.Rows), err)
 	}
 
@@ -445,7 +445,7 @@ func TestStreamTypeChanges(t *testing.T) {
 	})
 	for i := range rows {
 		for j := range rows[i] {
-			if got[i][j].Key() != rows[i][j].Key() {
+			if !sqltypes.Same(got[i][j], rows[i][j]) {
 				t.Fatalf("row %d col %d: %#v, sent %#v", i, j, got[i][j], rows[i][j])
 			}
 		}

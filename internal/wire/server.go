@@ -50,9 +50,6 @@ func NewServerOn(eng *engine.Engine, addr string) (*Server, error) {
 // Addr returns the server's listen address (host:port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Engine returns the served engine.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // Close stops the listener and closes active connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
