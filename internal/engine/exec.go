@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -675,21 +676,25 @@ type aggState struct {
 	any   bool
 }
 
-func (a *aggState) add(spec *aggSpec, v sqltypes.Value) {
+func (a *aggState) add(spec *aggSpec, v sqltypes.Value) error {
 	if spec.arg != nil && v.IsNull() {
-		return // SQL aggregates skip NULLs
+		return nil // SQL aggregates skip NULLs
 	}
 	if spec.distinct {
 		if a.seen == nil {
 			a.seen = newRowSet(1)
 		}
 		if _, added := a.seen.find(sqltypes.Row{v}); !added {
-			return
+			return nil
 		}
 	}
 	a.count++
 	switch spec.fn {
 	case "SUM", "AVG":
+		if v.T == sqltypes.TypeString {
+			// A string is no number (its payload is its length), as in PostgreSQL.
+			return fmt.Errorf("engine: cannot compute %s of %v", spec.fn, v.T)
+		}
 		if !a.any {
 			a.isInt = v.T == sqltypes.TypeInt
 		}
@@ -712,6 +717,7 @@ func (a *aggState) add(spec *aggSpec, v sqltypes.Value) {
 		}
 	}
 	a.any = true
+	return nil
 }
 
 func (a *aggState) result(spec *aggSpec) sqltypes.Value {
@@ -828,7 +834,9 @@ func hashAggregate(in BatchIter, keys []compiledExpr, aggs []aggSpec, throttle *
 						return nil, err
 					}
 				}
-				states[g*len(aggs)+i].add(&aggs[i], v)
+				if err := states[g*len(aggs)+i].add(&aggs[i], v); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

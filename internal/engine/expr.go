@@ -352,9 +352,10 @@ func compareColumnLiteral(idx int, holds [3]bool, lit sqltypes.Value) compiledPr
 			return general(row[idx])
 		}
 	case lit.T == sqltypes.TypeString:
+		ls := lit.Str()
 		return func(row sqltypes.Row) (bool, error) {
 			if v := row[idx]; v.T == sqltypes.TypeString {
-				return holds[cmp.Compare(v.S, lit.S)+1], nil
+				return holds[cmp.Compare(v.Str(), ls)+1], nil
 			}
 			return general(row[idx])
 		}
@@ -506,6 +507,10 @@ func compileBinary(x *sqlparser.BinaryExpr, schema *sqltypes.Schema) (compiledEx
 }
 
 func arith(op sqlparser.BinaryOp, a, b sqltypes.Value) (sqltypes.Value, error) {
+	// A string is no number (its payload is its length), as in PostgreSQL.
+	if a.T == sqltypes.TypeString || b.T == sqltypes.TypeString {
+		return sqltypes.Null, fmt.Errorf("engine: cannot compute %v %v %v", a.T, op, b.T)
+	}
 	// Date arithmetic with integer day offsets.
 	if a.T == sqltypes.TypeDate && b.T == sqltypes.TypeInt {
 		switch op {
@@ -601,7 +606,11 @@ func compileFunc(x *sqlparser.FuncCall, schema *sqltypes.Schema) (compiledExpr, 
 				return sqltypes.Null, err
 			}
 			str := s.String()
-			start := int(from.Int()) - 1 // SQL is 1-based
+			start, err := position(from)
+			if err != nil {
+				return sqltypes.Null, err
+			}
+			start-- // SQL is 1-based
 			if start < 0 {
 				start = 0
 			}
@@ -614,7 +623,11 @@ func compileFunc(x *sqlparser.FuncCall, schema *sqltypes.Schema) (compiledExpr, 
 				if err != nil || n.IsNull() {
 					return sqltypes.Null, err
 				}
-				if e := start + int(n.Int()); e < end {
+				count, err := position(n)
+				if err != nil {
+					return sqltypes.Null, err
+				}
+				if e := start + count; e < end {
 					end = e
 				}
 				if end < start {
@@ -685,6 +698,15 @@ func compileFunc(x *sqlparser.FuncCall, schema *sqltypes.Schema) (compiledExpr, 
 	return nil, fmt.Errorf("engine: unknown function %s", x.Name)
 }
 
+// position reads SUBSTRING's start or length. A string is no number (its
+// payload is its length), as in PostgreSQL.
+func position(v sqltypes.Value) (int, error) {
+	if v.T == sqltypes.TypeString {
+		return 0, fmt.Errorf("engine: cannot compute SUBSTRING at a %v position", v.T)
+	}
+	return int(v.Int()), nil
+}
+
 func castValue(v sqltypes.Value, target sqltypes.Type) (sqltypes.Value, error) {
 	switch target {
 	case sqltypes.TypeInt:
@@ -701,7 +723,7 @@ func castValue(v sqltypes.Value, target sqltypes.Type) (sqltypes.Value, error) {
 		return sqltypes.NewString(v.String()), nil
 	case sqltypes.TypeDate:
 		if v.T == sqltypes.TypeString {
-			return sqltypes.ParseDate(v.S)
+			return sqltypes.ParseDate(v.Str())
 		}
 		if v.T == sqltypes.TypeDate {
 			return v, nil

@@ -73,6 +73,62 @@ func TestArithmeticErrors(t *testing.T) {
 	}
 }
 
+// TestStringsAreNotNumbers checks that arithmetic, SUM/AVG and SUBSTRING's
+// positions refuse a VARCHAR operand, as PostgreSQL does, instead of
+// reading its payload (a string's length) as a number, while COUNT, MIN
+// and MAX still take one.
+func TestStringsAreNotNumbers(t *testing.T) {
+	e := New(Config{Name: "db1", Vendor: VendorTest})
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Name: "s", Type: sqltypes.TypeString},
+		sqltypes.Column{Name: "i", Type: sqltypes.TypeInt},
+	)
+	rows := []sqltypes.Row{
+		{sqltypes.NewString("abc"), sqltypes.NewInt(1)},
+		{sqltypes.NewString("hello"), sqltypes.NewInt(2)},
+		{sqltypes.NewString(""), sqltypes.NewInt(3)},
+	}
+	if err := e.LoadTable("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT SUM(s) FROM t",
+		"SELECT AVG(s) FROM t",
+		"SELECT SUM(DISTINCT s) FROM t",
+		"SELECT s + 1 FROM t",
+		"SELECT 1 - s FROM t",
+		"SELECT s * i FROM t",
+		"SELECT i / s FROM t",
+		"SELECT SUBSTRING(s FROM s) FROM t",
+		"SELECT SUBSTRING(s FROM 1 FOR s) FROM t",
+	} {
+		res, err := e.QueryAll(q)
+		if err == nil {
+			t.Errorf("%s = %v, want an error", q, res.Rows)
+		} else if !strings.Contains(err.Error(), "VARCHAR") {
+			t.Errorf("%s: error %q names no VARCHAR", q, err)
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT COUNT(s), MIN(s), MAX(s) FROM t":  "3||hello",
+		"SELECT SUM(i), AVG(i) FROM t":            "6|2",
+		"SELECT SUBSTRING(s FROM i FOR i) FROM t": "a",
+	} {
+		res, err := e.QueryAll(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		var got []string
+		for _, v := range res.Rows[0] {
+			got = append(got, v.String())
+		}
+		if g := strings.Join(got, "|"); g != want {
+			t.Errorf("%s = %s, want %s", q, g, want)
+		}
+	}
+}
+
 func TestComparisonsAndLogic(t *testing.T) {
 	truthy := []string{
 		"1 < 2", "2 <= 2", "3 > 2", "3 >= 3", "1 = 1", "1 <> 2", "1 != 2",

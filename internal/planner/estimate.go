@@ -175,7 +175,7 @@ func fraction(cs *engine.ColumnStats, lo, hi sqltypes.Value) float64 {
 // span returns the column's extremes as numbers to interpolate the bounds
 // between, and false where interpolation does not apply: an extreme or a
 // bound is NULL (the column has no extremes), a string (Float of a string
-// is 0, which would pin the estimate to an endpoint) or not a finite
+// is its length, no position in the column's range) or not a finite
 // number (a NaN or an infinity makes the fraction NaN).
 func span(cs *engine.ColumnStats, bounds ...sqltypes.Value) (lo, hi float64, ok bool) {
 	if !interpolable(cs.Min) || !interpolable(cs.Max) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+	"unsafe"
 )
 
 // The binary row codec used on the wire between DBMSes. The format is the
@@ -36,7 +37,7 @@ func AppendValue(dst []byte, v Value) []byte {
 	case TypeBool:
 		dst = append(dst, boolByte(v.I()))
 	case TypeString:
-		dst = appendString(dst, v.S)
+		dst = appendString(dst, v.Str())
 	case TypeFloat:
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	default: // TypeInt, TypeDate
@@ -121,17 +122,19 @@ func uvarintSlow[B bytestr](b B) (uint64, int, error) {
 }
 
 // The setters write every field of v a field at a time, so that the write
-// barrier of a whole-Value store is paid only for the string.
+// barrier of a whole-Value store is paid only for the pointer.
 
 // setInt writes a value whose payload is an int64: TypeInt, TypeDate or
 // TypeBool, or TypeNull with 0.
-func (v *Value) setInt(t Type, i int64) { v.T, v.F, v.S = t, payload(i), "" }
+func (v *Value) setInt(t Type, i int64) { v.T, v.F, v.p = t, payload(i), nil }
 
 // setFloat writes a TypeFloat value.
-func (v *Value) setFloat(f float64) { v.T, v.F, v.S = TypeFloat, f, "" }
+func (v *Value) setFloat(f float64) { v.T, v.F, v.p = TypeFloat, f, nil }
 
-// setString writes a TypeString value.
-func (v *Value) setString(s string) { v.T, v.F, v.S = TypeString, 0, s }
+// setString writes a TypeString value, as NewString does.
+func (v *Value) setString(s string) {
+	v.T, v.F, v.p = TypeString, payload(int64(len(s))), unsafe.StringData(s)
+}
 
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.

@@ -141,7 +141,7 @@ func (f *Frame) Add(r Row) {
 		case mixedCol:
 			buf = AppendValue(buf, *v)
 		case byte(TypeString):
-			buf = f.appendString(buf, v.S)
+			buf = f.appendString(buf, v.Str())
 		case byte(TypeFloat):
 			buf = appendFloat(buf, v.F)
 		case byte(TypeBool):
@@ -174,11 +174,11 @@ func (f *Frame) declare(r Row) {
 			f.buf = append(f.buf, mixedCol)
 		} else {
 			f.decl[j] = byte(v.T)
-			if v.T == TypeString && refable(v.S) {
+			if s := v.Str(); refable(s) { // Str is "" of a non-string
 				// Every such literal is an entry, a repeat too, as the
 				// decoder counts them.
-				if _, ok := f.ref(v.S); ok && len(f.strs) < maxRefs {
-					f.strs = append(f.strs, v.S)
+				if _, ok := f.ref(s); ok && len(f.strs) < maxRefs {
+					f.strs = append(f.strs, s)
 				}
 			}
 		}
@@ -435,8 +435,8 @@ func decodeHeader[B bytestr](b *Batch, src B, row Row) (int, error) {
 			return 0, fmt.Errorf("sqltypes: column %d declared NULL", j)
 		default:
 			b.decl = append(b.decl, byte(v.T))
-			if v.T == TypeString && refable(v.S) && len(b.dict) < maxRefs {
-				b.dict = append(b.dict, v.S)
+			if s := v.Str(); refable(s) && len(b.dict) < maxRefs {
+				b.dict = append(b.dict, s)
 			}
 		}
 	}

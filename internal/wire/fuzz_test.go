@@ -78,7 +78,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		}
 		for i, r := range batch.Rows {
 			for j, v := range r {
-				if w := back[i][j]; w.T != v.T || w.S != v.S || math.Float64bits(w.F) != math.Float64bits(v.F) {
+				if w := back[i][j]; w.T != v.T || w.Str() != v.Str() || math.Float64bits(w.F) != math.Float64bits(v.F) {
 					t.Fatalf("row %d col %d: %#v re-framed as %#v", i, j, v, w)
 				}
 			}

@@ -259,7 +259,7 @@ func TestTextEncodingCostsMoreBytes(t *testing.T) {
 		)
 		rows := make([]sqltypes.Row, 5000)
 		for i := range rows {
-			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i * 1000003)), sqltypes.NewFloat(float64(i) * 1.0001)}
+			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i) * 1000003), sqltypes.NewFloat(float64(i) * 1.0001)}
 		}
 		if err := e.LoadTable("t", schema, rows); err != nil {
 			t.Fatal(err)
